@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -59,8 +60,9 @@ class RunConfig:
             problems.append("agent index must be >= 0")
         if self.strategy is not None and not os.path.exists(self.strategy):
             problems.append(f"strategy file {self.strategy!r} does not exist")
-        if self.tol_compare <= 0 or self.tol_improve <= 0:
-            problems.append("tolerance overrides must be positive")
+        if not all(math.isfinite(tol) and tol > 0
+                   for tol in (self.tol_compare, self.tol_improve)):
+            problems.append("tolerance overrides must be positive and finite")
         if self.max_rounds < 1:
             problems.append("max-rounds must be >= 1")
         return problems
@@ -332,10 +334,10 @@ def cmd_falsify(spec: ModelSpec, name: str, config: RunConfig):
 
     ci_uniform = falsify.check_conditional_independence(
         uniform_observation_variant(spec), g, k, t_check)
-    uniform_ok = ci_uniform.max_gap <= 1e-12
+    uniform_ok = ci_uniform.max_gap <= falsify.K1_TOL
     ok = ok and uniform_ok
     results.append({"check": "conditional-independence-uniform-obs",
-                    "tolerance": 1e-12, "pass": uniform_ok,
+                    "tolerance": falsify.K1_TOL, "pass": uniform_ok,
                     "report": ci_uniform.to_dict()})
 
     base = _default_profile(spec, "falsify")
@@ -365,9 +367,9 @@ def cmd_falsify(spec: ModelSpec, name: str, config: RunConfig):
 
     if spec.K == 1:
         k1 = falsify.check_k1_reduction(spec)
-        k1_ok = k1.max_gap <= 1e-12
+        k1_ok = k1.max_gap <= falsify.K1_TOL
         ok = ok and k1_ok
-        results.append({"check": "single-agent-reduction", "tolerance": 1e-12,
+        results.append({"check": "single-agent-reduction", "tolerance": falsify.K1_TOL,
                         "pass": k1_ok, "report": k1.to_dict()})
     else:
         results.append({"check": "single-agent-reduction", "skipped": "K > 1"})
@@ -461,7 +463,7 @@ def run(config: RunConfig) -> int:
             print(f"== all: pass={all_ok}")
             return EXIT_OK if all_ok else EXIT_TOLERANCE
 
-        name, spec = resolve_model(config.model)
+        name, spec = resolve_model(config.model, check=config.command != "validate")
         if config.agent >= spec.K:
             print(f"error: agent {config.agent} out of range for K={spec.K}",
                   file=sys.stderr)

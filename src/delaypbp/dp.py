@@ -17,10 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import oracle
-from .errors import UnreachableError
-from .filtering import (Belief, belief_step, chained_beliefs, initial_realization,
-                        initial_step, next_common_candidates, other_actions)
-from .info import InfoRealization, realization_key, shift_private, sort_key
+from .filtering import Belief, BeliefPass, seq_sum
+from .info import InfoRealization, realization_key, sort_key
 from .model import ModelSpec
 from .strategies import StrategyProfile, extend_total
 
@@ -50,29 +48,22 @@ class ValueTable:
 
 
 def terminal_value(spec: ModelSpec, k: int, belief: Belief) -> float:
-    """Expected terminal cost under a time-T belief."""
-    acc = 0.0
-    for (x, _), p in zip(belief.support, belief.probs):
-        if p > 0.0:
-            acc += float(spec.terminal_cost[x]) * float(p)
-    return acc
+    """Expected terminal cost under a time-T belief. Zero-mass terms add
+    nothing, so the sum runs over the whole grid."""
+    return seq_sum((spec.terminal_cost[:, None] * belief.matrix(spec.state_size)).reshape(-1))
 
 
-def stage_value(spec: ModelSpec, k: int, t: int, r: InfoRealization, xi: Belief,
-                u_t_k: int, g_minus_k) -> float:
+def stage_value(spec: ModelSpec, bp: BeliefPass, r: InfoRealization, xi: Belief,
+                u_t_k: int) -> float:
     """Expected stage cost at realization r when agent k plays u_t_k and
-    the others play their strategies on the belief's support."""
-    acc = 0.0
-    for (x, lam), p in zip(xi.support, xi.probs):
-        if p <= 0.0:
-            continue
-        u_full = list(other_actions(spec, k, t, r.common, lam, g_minus_k))
-        u_full.insert(k, u_t_k)
-        acc += float(p) * float(spec.stage_cost[t][(x, *u_full)])
-    return acc
+    the others play their strategies (those of the pass bp) on the
+    belief's support."""
+    xs, ls, p = xi.positive(spec.state_size)
+    cost = spec.stage_cost[r.t].reshape(spec.state_size, -1)
+    return seq_sum(p * cost[xs, bp.table(r.t).joint[u_t_k, bp.actions(r.common, ls)]])
 
 
-def _expand(spec: ModelSpec, k: int, g_minus_k):
+def _expand(bp: BeliefPass):
     """Forward pass: all realizations reachable with agent k's actions free,
     their chained beliefs, and the transition structure between them.
 
@@ -80,28 +71,18 @@ def _expand(spec: ModelSpec, k: int, g_minus_k):
     maps (realization, action) -> tuple of (successor, probability of the
     successor's new data given the action).
     """
+    spec, k = bp.spec, bp.k
     nodes: list[dict[InfoRealization, Belief]] = [dict() for _ in range(spec.T + 1)]
     edges: list[dict] = [dict() for _ in range(spec.T)]
-    for y0 in range(spec.obs_sizes[k]):
-        try:
-            b, _ = initial_step(spec, k, y0)
-        except UnreachableError:
-            continue
-        nodes[0][initial_realization(spec, k, y0)] = b
+    for r, b, _ in bp.start():
+        nodes[0][r] = b
     for t in range(spec.T):
         for r, xi in nodes[t].items():
             for u in range(spec.act_sizes[k]):
                 succ = []
-                for delta_next in next_common_candidates(spec, k, r, xi, g_minus_k, u):
-                    for y1 in range(spec.obs_sizes[k]):
-                        try:
-                            b1, w = belief_step(spec, k, t, xi, delta_next, g_minus_k, u, y1)
-                        except UnreachableError:
-                            continue
-                        r1 = InfoRealization(common=delta_next,
-                                             private=shift_private(r.private, y1, u))
-                        nodes[t + 1].setdefault(r1, b1)
-                        succ.append((r1, w))
+                for r1, b1, w in bp.successors(r, xi, u):
+                    nodes[t + 1].setdefault(r1, b1)
+                    succ.append((r1, w))
                 edges[t][(r, u)] = tuple(succ)
     return nodes, edges
 
@@ -114,7 +95,8 @@ def solve_best_response(spec: ModelSpec, k: int, g_minus_k
     realization -> action map (ties break toward the smallest action
     index). The maps cover exactly the reachable grid of the forward pass.
     """
-    nodes, edges = _expand(spec, k, g_minus_k)
+    bp = BeliefPass(spec, k, g_minus_k)
+    nodes, edges = _expand(bp)
     entries: list[dict[InfoRealization, ValueEntry]] = [dict() for _ in range(spec.T + 1)]
     for r, xi in nodes[spec.T].items():
         entries[spec.T][r] = ValueEntry(value=terminal_value(spec, k, xi),
@@ -124,7 +106,7 @@ def solve_best_response(spec: ModelSpec, k: int, g_minus_k
         for r, xi in nodes[t].items():
             best_u, best_v = None, None
             for u in range(spec.act_sizes[k]):
-                v = stage_value(spec, k, t, r, xi, u, g_minus_k)
+                v = stage_value(spec, bp, r, xi, u)
                 for r1, w in edges[t][(r, u)]:
                     v += w * entries[t + 1][r1].value
                 if best_v is None or v < best_v:
@@ -155,12 +137,13 @@ def cost_via_beliefs(spec: ModelSpec, g_full: StrategyProfile, k: int) -> float:
     step normalizers); never enumerates trajectories. The result is the
     same number for every k.
     """
-    chain = chained_beliefs(spec, g_full, k)
+    bp = BeliefPass(spec, k, g_full)
+    chain = bp.chain()
     acc = 0.0
     for t in range(spec.T):
         for r, (xi, pr) in chain[t].items():
             u = g_full.action(k, t, r)
-            acc += pr * stage_value(spec, k, t, r, xi, u, g_full)
+            acc += pr * stage_value(spec, bp, r, xi, u)
     for r, (xi, pr) in chain[spec.T].items():
         acc += pr * terminal_value(spec, k, xi)
     return float(acc)

@@ -22,16 +22,15 @@ import numpy as np
 
 from . import dp, oracle
 from .errors import UnreachableError
-from .filtering import (Belief, bayes_oracle_belief, belief_step,
-                        classical_filter_update, initial_step,
-                        initial_realization, max_abs_gap,
-                        next_common_candidates)
+from .filtering import (Belief, BeliefPass, bayes_oracle_belief,
+                        classical_filter_update, initial_realization,
+                        max_abs_gap)
 from .info import (CommonInfo, InfoRealization, PrivateInfo, advance_common,
                    other_agents, private_act_len, private_obs_len,
                    realization_key, shared_prefix_len, shift_private,
                    sort_key, split_history)
 from .model import ModelSpec
-from .strategies import StrategyProfile, constant_profile
+from .strategies import StrategyProfile
 
 COMPARE_TOL = 1e-10
 K1_TOL = 1e-12
@@ -279,7 +278,7 @@ def check_k1_reduction(spec: ModelSpec) -> GapReport:
     disagreement is reported as gap 1.0."""
     if spec.K != 1:
         raise ValueError("the reduction check needs a single-agent model")
-    g_dummy = constant_profile(spec)  # never consulted: there are no other agents
+    bp = BeliefPass(spec, 0, None)  # no other agents, so no strategies to read
     gaps: list[tuple[str, float]] = []
 
     def walk(t: int, r: InfoRealization, xi: Belief, pi: np.ndarray, label: str) -> None:
@@ -287,28 +286,25 @@ def check_k1_reduction(spec: ModelSpec) -> GapReport:
         if t == spec.T:
             return
         for u in range(spec.act_sizes[0]):
-            for delta_next in next_common_candidates(spec, 0, r, xi, g_dummy, u):
-                for y1 in range(spec.obs_sizes[0]):
-                    step_label = f"{label},u={u},y={y1}"
+            # With no other agents a child is fixed by its observation.
+            reached = {r1.private.obs[-1]: (r1, b1) for r1, b1, _ in bp.successors(r, xi, u)}
+            for y1 in range(spec.obs_sizes[0]):
+                step_label = f"{label},u={u},y={y1}"
+                if y1 not in reached:
                     try:
-                        b1, _ = belief_step(spec, 0, t, xi, delta_next, g_dummy, u, y1)
+                        classical_filter_update(spec, pi, u, y1, t)
                     except UnreachableError:
-                        try:
-                            classical_filter_update(spec, pi, u, y1, t)
-                        except UnreachableError:
-                            continue
-                        gaps.append((f"{step_label} (reachability disagrees)", 1.0))
                         continue
-                    pi1 = classical_filter_update(spec, pi, u, y1, t)
-                    r1 = InfoRealization(common=delta_next,
-                                         private=shift_private(r.private, y1, u))
-                    walk(t + 1, r1, b1, pi1, step_label)
+                    gaps.append((f"{step_label} (reachability disagrees)", 1.0))
+                    continue
+                pi1 = classical_filter_update(spec, pi, u, y1, t)
+                walk(t + 1, *reached[y1], pi1, step_label)
 
     for y0 in range(spec.obs_sizes[0]):
         raw = spec.init_dist * spec.observation[0][0][:, y0]
         total = float(raw.sum())
         try:
-            xi0, _ = initial_step(spec, 0, y0)
+            xi0, _ = bp.initial(y0)
         except UnreachableError:
             if total > 0.0:
                 gaps.append((f"y0={y0} (reachability disagrees)", 1.0))

@@ -6,7 +6,7 @@ estimate is the extended state (x_t, lambda_t^{-k}) -- plant state plus
 everyone else's private block. This module computes that posterior three
 ways:
 
-  * a one-step recursion (`belief_update`), which conditions on agent k's
+  * a one-step recursion (`BeliefPass`), which conditions on agent k's
     new observation, its own action, and the symbols newly revealed into
     the shared block;
   * a definition-level Bayes computation (`bayes_oracle_belief`) that
@@ -17,12 +17,24 @@ ways:
 Beliefs are dense vectors over the full (state x other-private) grid in
 canonical order; zero-probability conditioning raises UnreachableError
 rather than returning a non-distribution.
+
+The recursion is an array kernel. Per (k, t) a `StepTable` holds what a
+step reads that depends on neither the belief nor the strategies: the
+lambda grid, the successor index lambda -> lambda' per (the others' fresh
+symbols, their actions), the symbols each lambda reveals into the shared
+block, and the kernels as arrays. One pass over a belief and an own
+action produces every positive-mass child (revealed symbols, next own
+observation) at once. Its arithmetic is ordered like a scalar loop over
+the grid: products associate as ((p * T) * q_k) * q_j..., every cell
+accumulates its terms in the C order of (x, lambda, y', x', y^{-k}) with
+np.add.at, and scalar expectations sum left to right (`seq_sum`), so the
+results do not depend on how the work is batched.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,41 +45,52 @@ from .info import (CommonInfo, InfoRealization, JointHistory, OtherPrivate,
                    shift_private, split_history)
 from .model import ModelSpec
 
-# Probability mass a returned belief may be off from 1.
-BELIEF_TOL = 1e-10
+
+def seq_sum(v: np.ndarray) -> float:
+    """Left-to-right sum from 0.0, bit for bit what `acc += v[i]` gives
+    (np.sum sums pairwise)."""
+    return 0.0 + float(np.cumsum(v)[-1]) if len(v) else 0.0
 
 
 @dataclass(frozen=True, eq=False)
 class Belief:
     """Posterior over (state, other agents' private block) at one time.
 
-    support is the full canonical grid (state-major, then the canonical
-    order of OtherPrivate values); probs is aligned with it and sums to 1.
+    support is the (k, t) grid (state-major, then the canonical order of
+    OtherPrivate values), one tuple shared by the beliefs of a pass; probs
+    is aligned with it and sums to 1.
     """
 
     t: int
     agent: int
     support: tuple[tuple[int, OtherPrivate], ...]
     probs: np.ndarray
-    _index: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         self.probs.setflags(write=False)
-        self._index.update({pair: i for i, pair in enumerate(self.support)})
 
-    def prob(self, x: int, lam: OtherPrivate) -> float:
-        return float(self.probs[self._index[(x, lam)]])
+    def matrix(self, state_size: int) -> np.ndarray:
+        """probs as a (state, lambda) array."""
+        return self.probs.reshape(state_size, -1)
+
+    def positive(self, state_size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(state index, lambda index, probability) of the positive-mass
+        grid points, in support order."""
+        mat = self.matrix(state_size)
+        xs, ls = np.nonzero(mat > 0.0)
+        return xs, ls, mat[xs, ls]
 
     def x_marginal(self, state_size: int) -> np.ndarray:
-        out = np.zeros(state_size)
-        for (x, _), p in zip(self.support, self.probs):
-            out[x] += p
-        return out
+        """State marginal; each state's row summed left to right."""
+        return np.cumsum(self.matrix(state_size), axis=1)[:, -1]
+
+
+def _grid(state_size: int, lams) -> tuple[tuple[int, OtherPrivate], ...]:
+    return tuple((x, lam) for x in range(state_size) for lam in lams)
 
 
 def belief_grid(spec: ModelSpec, k: int, t: int) -> tuple[tuple[int, OtherPrivate], ...]:
-    lams = other_private_space(spec, k, t)
-    return tuple((x, lam) for x in range(spec.state_size) for lam in lams)
+    return _grid(spec.state_size, other_private_space(spec, k, t))
 
 
 def _belief_from_matrix(spec: ModelSpec, k: int, t: int,
@@ -96,32 +119,6 @@ def initial_realization(spec: ModelSpec, k: int, y0k: int) -> InfoRealization:
         private=PrivateInfo(t=0, n=spec.n, agent=k, obs=(y0k,), acts=()))
 
 
-def initial_step(spec: ModelSpec, k: int, y0k: int) -> tuple[Belief, float]:
-    """Time-0 belief given agent k's first observation, plus that
-    observation's marginal probability."""
-    lams = other_private_space(spec, k, 0)
-    others = other_agents(spec.K, k)
-    mat = np.zeros((spec.state_size, len(lams)))
-    for x in range(spec.state_size):
-        base = spec.init_dist[x] * spec.observation[0][k][x, y0k]
-        if base <= 0.0:
-            continue
-        for li, lam in enumerate(lams):
-            w = base
-            for pos, j in enumerate(others):
-                w *= spec.observation[0][j][x, lam.obs[pos][0]]
-            mat[x, li] = w
-    try:
-        return _belief_from_matrix(spec, k, 0, belief_grid(spec, k, 0), mat)
-    except UnreachableError:
-        raise UnreachableError(f"unreachable observation y0={y0k} for agent {k}") from None
-
-
-def initial_belief(spec: ModelSpec, k: int, y0k: int) -> Belief:
-    """Posterior over (x_0, other agents' first observations) given y0k."""
-    return initial_step(spec, k, y0k)[0]
-
-
 def other_actions(spec: ModelSpec, k: int, t: int, delta_t: CommonInfo,
                   lam: OtherPrivate, g_minus_k) -> tuple[int, ...]:
     """Evaluate every other agent's strategy at (delta_t, its private block)."""
@@ -132,6 +129,205 @@ def other_actions(spec: ModelSpec, k: int, t: int, delta_t: CommonInfo,
     return tuple(out)
 
 
+class StepTable:
+    """Agent k's grid at time t and, for t < T, the belief- and
+    strategy-free parts of a step to t+1 (next_lams is the grid's lambdas
+    at t+1, or None at t = T).
+
+    Joint actions are flat indices into the (act_sizes[0], ...,
+    act_sizes[K-1]) block of the kernels; the other agents' joint actions
+    and fresh symbols are indices into their product orders.
+    """
+
+    def __init__(self, spec: ModelSpec, k: int, t: int, lams, next_lams):
+        others = other_agents(spec.K, k)
+        X = spec.state_size
+        self.lams = lams
+        self.grid = _grid(X, lams)
+        # Per lambda, the others' oldest observations and actions: the
+        # symbols a promotion moves into the shared block (no actions while
+        # n = 1).
+        self.first_obs = tuple(tuple(ys[0] for ys in lam.obs) for lam in lams)
+        self.first_acts = tuple(tuple(us[0] for us in lam.acts if us) for lam in lams)
+        self.act_combos = tuple(itertools.product(*(range(spec.act_sizes[j]) for j in others)))
+        self.act_index = {c: i for i, c in enumerate(self.act_combos)}
+        # [u_k, others' joint action] -> joint action
+        self.joint = np.array([[np.ravel_multi_index(c[:k] + (u,) + c[k:], spec.act_sizes)
+                                for c in self.act_combos] for u in range(spec.act_sizes[k])],
+                              dtype=np.intp)
+        if next_lams is None:
+            return
+        self.promote = shared_prefix_len(spec.n, t + 1) > shared_prefix_len(spec.n, t)
+        self.trans = spec.transition[t].reshape(X, -1, X)  # (x, joint action, x')
+        self.own_lik = spec.observation[t + 1][k].T          # (y'_k, x')
+        obs_combos = tuple(itertools.product(*(range(spec.obs_sizes[j]) for j in others)))
+        # per other agent, (x', y'^{-k}) -> likelihood of its symbol
+        self.other_lik = tuple(spec.observation[t + 1][j][:, [ys[pos] for ys in obs_combos]]
+                               for pos, j in enumerate(others))
+        # (lambda, y'^{-k}, u^{-k}) -> lambda' index at t+1
+        next_index = {lam: i for i, lam in enumerate(next_lams)}
+        self.succ = np.array([[[next_index[advance_other(lam, ys, us)]
+                                for us in self.act_combos] for ys in obs_combos]
+                              for lam in lams], dtype=np.intp)
+
+
+class BeliefPass:
+    """One forward pass of agent k's posterior against the other agents'
+    strategies g_minus_k. Only `chain` reads agent k's own maps, so it
+    needs a full profile.
+
+    Holds the pass's step tables and, per shared block met, the others'
+    joint actions as an int array over lambda (-1 where not evaluated).
+    Strategies are evaluated only at lambdas with positive mass in some
+    belief, so maps covering just the reachable grid suffice. Everything
+    cached here dies with the pass.
+    """
+
+    def __init__(self, spec: ModelSpec, k: int, g_minus_k):
+        self.spec, self.k, self.g = spec, k, g_minus_k
+        self._lams: dict[int, tuple[OtherPrivate, ...]] = {}
+        self._tables: dict[int, StepTable] = {}
+        self._actions: dict[CommonInfo, np.ndarray] = {}
+
+    def _lam_space(self, t: int) -> tuple[OtherPrivate, ...]:
+        if t not in self._lams:
+            self._lams[t] = other_private_space(self.spec, self.k, t)
+        return self._lams[t]
+
+    def table(self, t: int) -> StepTable:
+        if t not in self._tables:
+            nxt = self._lam_space(t + 1) if t < self.spec.T else None
+            self._tables[t] = StepTable(self.spec, self.k, t, self._lam_space(t), nxt)
+        return self._tables[t]
+
+    def actions(self, common: CommonInfo, ls: np.ndarray) -> np.ndarray:
+        """The others' joint-action index at each lambda index in ls, under
+        shared block `common`."""
+        tab = self.table(common.t)
+        acts = self._actions.get(common)
+        if acts is None:
+            acts = self._actions[common] = np.full(len(tab.lams), -1, dtype=np.intp)
+        for li in ls[acts[ls] < 0].tolist():
+            if acts[li] < 0:  # ls repeats a lambda once per state
+                acts[li] = tab.act_index[other_actions(self.spec, self.k, common.t, common,
+                                                       tab.lams[li], self.g)]
+        return acts[ls]
+
+    def initial(self, y0k: int) -> tuple[Belief, float]:
+        """Time-0 belief given agent k's first observation, plus that
+        observation's marginal probability."""
+        spec, k = self.spec, self.k
+        tab = self.table(0)
+        base = spec.init_dist * spec.observation[0][k][:, y0k]
+        mat = np.repeat(base[:, None], len(tab.lams), axis=1)
+        for pos, j in enumerate(other_agents(spec.K, k)):
+            mat = mat * spec.observation[0][j][:, [fo[pos] for fo in tab.first_obs]]
+        try:
+            return _belief_from_matrix(spec, k, 0, tab.grid, mat)
+        except UnreachableError:
+            raise UnreachableError(f"unreachable observation y0={y0k} for agent {k}") from None
+
+    def start(self) -> list[tuple[InfoRealization, Belief, float]]:
+        """(realization, belief, probability) per reachable first observation."""
+        out = []
+        for y0 in range(self.spec.obs_sizes[self.k]):
+            try:
+                b, w = self.initial(y0)
+            except UnreachableError:
+                continue
+            out.append((initial_realization(self.spec, self.k, y0), b, w))
+        return out
+
+    def children(self, common: CommonInfo, xi: Belief, u: int
+                 ) -> list[tuple[tuple, int, Belief, float]]:
+        """Every positive-mass continuation of xi (at shared block `common`)
+        when agent k plays u, as (revealed, y', belief, weight).
+
+        revealed is () when nothing is promoted at t+1, else the others'
+        (observations, actions) moved into the shared block; children come
+        in increasing (revealed, y') order. The weight is the probability
+        of (revealed, y') given (xi, u), i.e. the step's normalizer.
+        """
+        spec, t = self.spec, common.t
+        tab, nxt = self.table(t), self.table(t + 1)
+        xs, ls, p = xi.positive(spec.state_size)
+        acts = self.actions(common, ls)
+        if tab.promote:
+            by_lam = {li: (tab.first_obs[li],
+                           tab.first_acts[li] if spec.n >= 2 else tab.act_combos[a])
+                      for li, a in zip(ls.tolist(), acts.tolist())}
+            keys = sorted(set(by_lam.values()))
+            slot = {key: i for i, key in enumerate(keys)}
+            group = np.array([slot[by_lam[li]] for li in ls.tolist()], dtype=np.intp)
+        else:
+            keys, group = [()], np.zeros(len(ls), dtype=np.intp)
+
+        rows = tab.trans[xs, tab.joint[u, acts]]
+        w = ((p[:, None] * rows)[:, None, :] * tab.own_lik)[..., None]
+        for lik in tab.other_lik:
+            w = w * lik
+        (Y, X1), L1 = tab.own_lik.shape, len(nxt.lams)
+        cell = ((group[:, None, None, None] * Y + np.arange(Y)[:, None, None]) * X1
+                + np.arange(X1)[:, None]) * L1 + tab.succ[ls, :, acts][:, None, None, :]
+        acc = np.zeros(len(keys) * Y * X1 * L1)
+        np.add.at(acc, cell.reshape(-1), w.reshape(-1))
+        acc = acc.reshape(len(keys), Y, X1, L1)
+
+        out = []
+        for gi, key in enumerate(keys):
+            for y in range(Y):
+                mat = acc[gi, y]
+                total = float(mat.sum())
+                if total > 0.0:
+                    out.append((key, y, Belief(t=t + 1, agent=self.k, support=nxt.grid,
+                                               probs=mat.reshape(-1) / total), total))
+        return out
+
+    def next_common(self, r: InfoRealization, u: int, revealed: tuple) -> CommonInfo:
+        """The shared block at t+1 after realization r, own action u and the
+        others' revealed symbols."""
+        c, p = r.common, r.private
+        if not self.table(c.t).promote:
+            return advance_common(c, (), ())
+        obs, acts = list(revealed[0]), list(revealed[1])
+        obs.insert(self.k, p.obs[0])
+        acts.insert(self.k, p.acts[0] if self.spec.n >= 2 else u)
+        return advance_common(c, tuple(obs), tuple(acts))
+
+    def successors(self, r: InfoRealization, xi: Belief, u: int
+                   ) -> list[tuple[InfoRealization, Belief, float]]:
+        """(next realization, its belief, step weight) per positive-mass
+        child of (r, xi) under own action u, in canonical order."""
+        out, blocks = [], {}
+        for revealed, y, b, w in self.children(r.common, xi, u):
+            if revealed not in blocks:
+                blocks[revealed] = self.next_common(r, u, revealed)
+            out.append((InfoRealization(common=blocks[revealed],
+                                        private=shift_private(r.private, y, u)), b, w))
+        return out
+
+    def chain(self) -> list[dict[InfoRealization, tuple[Belief, float]]]:
+        """Per time t = 0..T, realization -> (belief, probability) along
+        every realization reachable when agent k follows g (a full profile)."""
+        out: list[dict[InfoRealization, tuple[Belief, float]]] = [
+            dict() for _ in range(self.spec.T + 1)]
+        for r, b, w in self.start():
+            out[0][r] = (b, w)
+        for t in range(self.spec.T):
+            for r, (xi, pr) in out[t].items():
+                u = self.g.action(self.k, t, r)
+                for r1, b1, w in self.successors(r, xi, u):
+                    if r1 in out[t + 1]:
+                        raise AssertionError("realization reached twice; predecessor not unique")
+                    out[t + 1][r1] = (b1, pr * w)
+        return out
+
+
+def initial_belief(spec: ModelSpec, k: int, y0k: int) -> Belief:
+    """Posterior over (x_0, other agents' first observations) given y0k."""
+    return BeliefPass(spec, k, None).initial(y0k)[0]
+
+
 def belief_step(spec: ModelSpec, k: int, t: int, xi: Belief, delta_next: CommonInfo,
                 g_minus_k, u_t_k: int, y_next_k: int) -> tuple[Belief, float]:
     """One filter step; returns the time-(t+1) belief and the predictive
@@ -140,115 +336,32 @@ def belief_step(spec: ModelSpec, k: int, t: int, xi: Belief, delta_next: CommonI
     xi is the belief at some realization (delta_t, lambda_t^k); delta_next
     is the time-(t+1) shared block, whose newest entries are the symbols
     the other agents just revealed. The returned belief conditions on
-    (delta_next, u_t_k, y_next_k) jointly: support entries of xi that
-    contradict the revealed symbols are excluded, the rest are pushed
-    through the transition kernel under the joint action (u_t_k inserted at
-    slot k, the others read from g_minus_k) and reweighted by every agent's
-    time-(t+1) observation kernel. The weight is the probability of
-    (revealed symbols, y_next_k) given (xi, u_t_k), i.e. the step's
-    normalizer; a zero normalizer raises UnreachableError.
+    (delta_next, u_t_k, y_next_k) jointly: it is the child of
+    `BeliefPass.children` with those revealed symbols and that
+    observation. The weight is the probability of (revealed symbols,
+    y_next_k) given (xi, u_t_k); a zero weight raises UnreachableError.
     """
     if delta_next.t != t + 1:
         raise ValueError(f"delta_next is at t={delta_next.t}, expected {t + 1}")
-    n = spec.n
-    others = other_agents(spec.K, k)
-    delta_t = restrict_common(delta_next)
-    promote = shared_prefix_len(n, t + 1) > shared_prefix_len(n, t)
-    revealed = None
-    if promote:
-        revealed = [(delta_next.obs[j][-1], delta_next.acts[j][-1]) for j in others]
-        if n == 1 and delta_next.acts[k][-1] != u_t_k:
+    bp = BeliefPass(spec, k, g_minus_k)
+    want = ()
+    if bp.table(t).promote:
+        if spec.n == 1 and delta_next.acts[k][-1] != u_t_k:
             raise ValueError("delta_next promotes a different agent-k action than u_t_k")
-
-    lams_next = other_private_space(spec, k, t + 1)
-    lam_index = {lam: i for i, lam in enumerate(lams_next)}
-    mat = np.zeros((spec.state_size, len(lams_next)))
-    q_k = spec.observation[t + 1][k]
-    obs_ranges = [range(spec.obs_sizes[j]) for j in others]
-
-    for (x_t, lam), p in zip(xi.support, xi.probs):
-        if p <= 0.0:
-            continue
-        if promote:
-            ok = True
-            for pos in range(len(others)):
-                y_rev, u_rev = revealed[pos]
-                if lam.obs[pos][0] != y_rev:
-                    ok = False
-                    break
-                if n >= 2 and lam.acts[pos][0] != u_rev:
-                    ok = False
-                    break
-            if not ok:
-                continue
-        u_other = other_actions(spec, k, t, delta_t, lam, g_minus_k)
-        if promote and n == 1:
-            # With one-step sharing the revealed actions are the current
-            # ones; they must match what the strategies actually play.
-            if any(u_other[pos] != revealed[pos][1] for pos in range(len(others))):
-                continue
-        u_full = list(u_other)
-        u_full.insert(k, u_t_k)
-        s_row = spec.transition[t][(x_t, *u_full)]
-        for x1 in range(spec.state_size):
-            w = p * float(s_row[x1]) * float(q_k[x1, y_next_k])
-            if w <= 0.0:
-                continue
-            for ys in itertools.product(*obs_ranges):
-                wy = w
-                for pos, j in enumerate(others):
-                    wy *= spec.observation[t + 1][j][x1, ys[pos]]
-                if wy <= 0.0:
-                    continue
-                lam1 = advance_other(lam, ys, u_other)
-                mat[x1, lam_index[lam1]] += wy
-    try:
-        return _belief_from_matrix(spec, k, t + 1, belief_grid(spec, k, t + 1), mat)
-    except UnreachableError:
-        raise UnreachableError(
-            f"unreachable continuation (u={u_t_k}, y_next={y_next_k}) for agent {k} at t={t}"
-        ) from None
+        others = other_agents(spec.K, k)
+        want = (tuple(delta_next.obs[j][-1] for j in others),
+                tuple(delta_next.acts[j][-1] for j in others))
+    for revealed, y, b, w in bp.children(restrict_common(delta_next), xi, u_t_k):
+        if revealed == want and y == y_next_k:
+            return b, w
+    raise UnreachableError(
+        f"unreachable continuation (u={u_t_k}, y_next={y_next_k}) for agent {k} at t={t}")
 
 
 def belief_update(spec: ModelSpec, k: int, t: int, xi: Belief, delta_next: CommonInfo,
                   g_minus_k, u_t_k: int, y_next_k: int) -> Belief:
     """The time-(t+1) posterior; see belief_step for the contract."""
     return belief_step(spec, k, t, xi, delta_next, g_minus_k, u_t_k, y_next_k)[0]
-
-
-def next_common_candidates(spec: ModelSpec, k: int, r: InfoRealization, xi: Belief,
-                           g_minus_k, u_t_k: int) -> list[CommonInfo]:
-    """The time-(t+1) shared blocks that can follow realization r.
-
-    Each positive-mass support entry of xi fixes one candidate: the other
-    agents' promoted symbols are read from (or, for n=1, computed from the
-    strategies on) that entry, and agent k's own promoted symbols come from
-    r and u_t_k. Deduplicated, canonically ordered.
-    """
-    c, p = r.common, r.private
-    t, n = c.t, c.n
-    if shared_prefix_len(n, t + 1) == shared_prefix_len(n, t):
-        return [advance_common(c, (), ())]
-    others = other_agents(spec.K, k)
-    out = set()
-    for (x, lam), mass in zip(xi.support, xi.probs):
-        if mass <= 0.0:
-            continue
-        promoted_obs = [0] * spec.K
-        promoted_acts = [0] * spec.K
-        promoted_obs[k] = p.obs[0]
-        promoted_acts[k] = p.acts[0] if n >= 2 else u_t_k
-        u_other = None
-        for pos, j in enumerate(others):
-            promoted_obs[j] = lam.obs[pos][0]
-            if n >= 2:
-                promoted_acts[j] = lam.acts[pos][0]
-            else:
-                if u_other is None:
-                    u_other = other_actions(spec, k, t, c, lam, g_minus_k)
-                promoted_acts[j] = u_other[pos]
-        out.add(advance_common(c, tuple(promoted_obs), tuple(promoted_acts)))
-    return sorted(out, key=lambda cc: (cc.obs, cc.acts))
 
 
 def chained_beliefs(spec: ModelSpec, g_full, k: int
@@ -259,28 +372,7 @@ def chained_beliefs(spec: ModelSpec, g_full, k: int
     of the realization). Probabilities chain the step normalizers, so this
     path never enumerates trajectories.
     """
-    out: list[dict[InfoRealization, tuple[Belief, float]]] = [dict() for _ in range(spec.T + 1)]
-    for y0 in range(spec.obs_sizes[k]):
-        try:
-            b, w = initial_step(spec, k, y0)
-        except UnreachableError:
-            continue
-        out[0][initial_realization(spec, k, y0)] = (b, w)
-    for t in range(spec.T):
-        for r, (xi, pr) in out[t].items():
-            u = g_full.action(k, t, r)
-            for delta_next in next_common_candidates(spec, k, r, xi, g_full, u):
-                for y1 in range(spec.obs_sizes[k]):
-                    try:
-                        b1, w = belief_step(spec, k, t, xi, delta_next, g_full, u, y1)
-                    except UnreachableError:
-                        continue
-                    r1 = InfoRealization(common=delta_next,
-                                         private=shift_private(r.private, y1, u))
-                    if r1 in out[t + 1]:
-                        raise AssertionError("realization reached twice; predecessor not unique")
-                    out[t + 1][r1] = (b1, pr * w)
-    return out
+    return BeliefPass(spec, k, g_full).chain()
 
 
 # ---------------------------------------------------------------------------

@@ -341,7 +341,11 @@ def _reject_bad_numbers(name: str, arr: np.ndarray, probabilities: bool) -> None
         raise ModelFormatError(f"{name} contains a negative probability")
 
 
-def model_from_dict(doc: dict) -> ModelSpec:
+def model_from_dict(doc: dict, check: bool = True) -> ModelSpec:
+    """Build a spec from its JSON document. NaN/Inf and negative
+    probabilities are always rejected; with check, so is any other
+    violation of validate_model (the validate command reads with
+    check=False to report violations as data)."""
     missing = [f for f in _MODEL_FIELDS if f not in doc]
     if missing:
         raise ModelFormatError(f"model document missing fields: {missing}")
@@ -358,10 +362,14 @@ def model_from_dict(doc: dict) -> ModelSpec:
     for t, c in enumerate(spec.stage_cost):
         _reject_bad_numbers(f"stage_cost[{t}]", c, probabilities=False)
     _reject_bad_numbers("terminal_cost", spec.terminal_cost, probabilities=False)
+    violations = validate_model(spec) if check else []
+    if violations:
+        more = f" (and {len(violations) - 1} more)" if len(violations) > 1 else ""
+        raise ModelFormatError(f"invalid model: {violations[0]}{more}")
     return spec
 
 
-def load_model(path) -> ModelSpec:
+def load_model(path, check: bool = True) -> ModelSpec:
     """Load a model JSON file; raises ModelFormatError on malformed input."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -370,10 +378,10 @@ def load_model(path) -> ModelSpec:
             raise ModelFormatError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ModelFormatError("model document must be a JSON object")
-    return model_from_dict(doc)
+    return model_from_dict(doc, check)
 
 
-def resolve_model(name_or_path: str) -> tuple[str, ModelSpec]:
+def resolve_model(name_or_path: str, check: bool = True) -> tuple[str, ModelSpec]:
     """Map a CLI model argument to (display name, spec).
 
     Canonical names are looked up directly; anything else is treated as a
@@ -382,4 +390,4 @@ def resolve_model(name_or_path: str) -> tuple[str, ModelSpec]:
     if name_or_path in CANONICAL_NAMES:
         return name_or_path, canonical_instance(name_or_path)
     stem = os.path.splitext(os.path.basename(str(name_or_path)))[0]
-    return stem, load_model(name_or_path)
+    return stem, load_model(name_or_path, check)

@@ -123,7 +123,26 @@ def save_profile(spec: ModelSpec, g: StrategyProfile, path) -> None:
         fh.write("\n")
 
 
+def _members(block: dict, field: str, where: str) -> list:
+    """block[field], which must be a list, or ModelFormatError naming `where`."""
+    if not isinstance(block.get(field), list):
+        raise ModelFormatError(f"strategy document: {where} needs a list {field!r}")
+    return block[field]
+
+
+def _indexed(blocks: list, field: str, where: str) -> dict:
+    """Blocks keyed by their integer `field`."""
+    out = {}
+    for blk in blocks:
+        if not isinstance(blk, dict) or not isinstance(blk.get(field), int):
+            raise ModelFormatError(f"strategy document: {where} block without integer {field!r}")
+        out[blk[field]] = blk
+    return out
+
+
 def profile_from_dict(spec: ModelSpec, doc: dict) -> StrategyProfile:
+    if not isinstance(doc, dict):
+        raise ModelFormatError("strategy document must be a JSON object")
     for field in ("K", "T", "n", "agents"):
         if field not in doc:
             raise ModelFormatError(f"strategy document missing field {field!r}")
@@ -132,19 +151,23 @@ def profile_from_dict(spec: ModelSpec, doc: dict) -> StrategyProfile:
             f"strategy document is for (K={doc['K']}, T={doc['T']}, n={doc['n']}), "
             f"model has (K={spec.K}, T={spec.T}, n={spec.n})")
     maps: list[tuple[dict, ...]] = []
-    by_agent = {a["agent"]: a for a in doc["agents"]}
+    by_agent = _indexed(_members(doc, "agents", "top level"), "agent", "agents")
     for k in range(spec.K):
         if k not in by_agent:
             raise ModelFormatError(f"strategy document missing agent {k}")
-        by_t = {blk["t"]: blk for blk in by_agent[k]["times"]}
+        by_t = _indexed(_members(by_agent[k], "times", f"agent {k}"), "t", f"agent {k} times")
         per_t = []
         for t in range(spec.T):
             if t not in by_t:
                 raise ModelFormatError(f"strategy document missing agent {k} time {t}")
             m = {}
-            for key, u in by_t[t]["entries"]:
+            for entry in _members(by_t[t], "entries", f"agent {k} time {t}"):
+                if not (isinstance(entry, list) and len(entry) == 2
+                        and isinstance(entry[0], str) and isinstance(entry[1], int)):
+                    raise ModelFormatError(
+                        f"agent {k} time {t}: entry {entry!r} is not a [key, action] pair")
+                key, u = entry
                 r = parse_realization_key(key, k, t, spec.n)
-                u = int(u)
                 if not (0 <= u < spec.act_sizes[k]):
                     raise ModelFormatError(
                         f"action {u} out of range for agent {k} at {key}")

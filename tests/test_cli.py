@@ -162,3 +162,71 @@ def test_run_all_is_deterministic(tmp_path):
     for name in names1:
         with open(out1 / name, "rb") as fh1, open(out2 / name, "rb") as fh2:
             assert fh1.read() == fh2.read(), name
+
+
+def _short_prior(doc):
+    doc["init_dist"] = [0.9 * p for p in doc["init_dist"]]
+
+
+def _short_kernel(doc):
+    doc["transition"][0] = [[[row[:1] for row in per_u0] for per_u0 in per_x]
+                            for per_x in doc["transition"][0]]
+
+
+@pytest.mark.parametrize("mutate,msg", [(_short_prior, "init_dist row (0,) sums to"),
+                                        (_short_kernel, "transition[0] shape")])
+def test_invalid_model_file_gives_config_exit(tmp_path, canon_2a, capsys, mutate, msg):
+    doc = model_to_dict(canon_2a)
+    mutate(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code = main(["--command", "solve", "--model", str(bad), "--out", str(tmp_path / "r")])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and msg in err[0]
+    assert not (tmp_path / "r").exists()
+
+
+def _drop_times(doc):
+    del doc["agents"][0]["times"]
+
+
+def _drop_entries(doc):
+    del doc["agents"][1]["times"][0]["entries"]
+
+
+def _unpaired_entry(doc):
+    doc["agents"][0]["times"][1]["entries"][0] = [doc["agents"][0]["times"][1]["entries"][0][0]]
+
+
+def _text_action(doc):
+    doc["agents"][0]["times"][0]["entries"][0][1] = "1"
+
+
+def _agents_not_a_list(doc):
+    doc["agents"] = {"0": doc["agents"][0]}
+
+
+@pytest.mark.parametrize("mutate", [_drop_times, _drop_entries, _unpaired_entry,
+                                    _text_action, _agents_not_a_list])
+def test_malformed_strategy_structure_gives_config_exit(tmp_path, canon_2a, capsys, mutate):
+    path = tmp_path / "strategy.json"
+    save_profile(canon_2a, random_profile(canon_2a, np.random.default_rng(5)), path)
+    doc = read(path)
+    mutate(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ModelFormatError):
+        load_profile(canon_2a, path)
+    code = main(["--command", "solve", "--model", "CANON-2A", "--strategy", str(path),
+                 "--out", str(tmp_path / "r")])
+    assert code == EXIT_CONFIG
+    assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("flag", ["--tol-compare", "--tol-improve"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_tolerance_rejected(tmp_path, capsys, flag, value):
+    code = main(["--command", "filter", "--model", "CANON-2A", flag, value,
+                 "--out", str(tmp_path / "r")])
+    assert code == EXIT_CONFIG
+    assert "finite" in capsys.readouterr().err

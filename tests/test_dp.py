@@ -3,12 +3,12 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import five_profiles, tiny_uniform_t1
+from conftest import five_profiles, random_model, tiny_uniform_t1
 from delaypbp import oracle
 from delaypbp.dp import (cost_via_beliefs, expected_value, pbp_sweep,
-                         solve_best_response, terminal_value,
+                         solve_best_response, stage_value, terminal_value,
                          verify_value_dominance)
-from delaypbp.filtering import Belief, chained_beliefs
+from delaypbp.filtering import Belief, BeliefPass, chained_beliefs, other_actions
 from delaypbp.strategies import (constant_profile, observation_following_profile,
                                  random_profile)
 from test_oracle import truncate_to_t1, zero_cost_variant
@@ -53,6 +53,32 @@ def test_terminal_value_matches_oracle_expectation(canon_2a):
                                      oracle.realization_given(canon_2a, r), t)
         ref = sum(canon_2a.terminal_cost[x] * p for (x,), p in pmf.items())
         assert terminal_value(canon_2a, 0, b) == pytest.approx(ref, abs=1e-10)
+
+
+@pytest.mark.parametrize("K,n,T", [(2, 2, 3), (3, 1, 2)])
+def test_stage_and_terminal_values_equal_scalar_loops_bitwise(K, n, T):
+    """The gathers sum left to right like the loops they replaced; the
+    grids here have at least 8 points, where np.sum would sum pairwise."""
+    spec = random_model(seed=31 * K + n, K=K, n=n, T=T, sizes=2)
+    g = random_profile(spec, np.random.default_rng(n * T))
+    bp = BeliefPass(spec, 0, g)
+    chain = bp.chain()
+    for t in range(T + 1):
+        for r, (xi, _) in chain[t].items():
+            if t == T:
+                acc = 0.0
+                for (x, _), p in zip(xi.support, xi.probs):
+                    if p > 0.0:
+                        acc += spec.terminal_cost[x] * p
+                assert terminal_value(spec, 0, xi) == acc
+                continue
+            for u in range(spec.act_sizes[0]):
+                acc = 0.0
+                for (x, lam), p in zip(xi.support, xi.probs):
+                    if p > 0.0:
+                        u_full = (u, *other_actions(spec, 0, t, r.common, lam, g))
+                        acc += p * spec.stage_cost[t][(x, *u_full)]
+                assert stage_value(spec, bp, r, xi, u) == acc
 
 
 # --- best response -------------------------------------------------------------

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,10 +7,12 @@ from hypothesis import strategies as st
 
 from conftest import random_model
 from delaypbp.errors import UnreachableError
-from delaypbp.filtering import (bayes_oracle_belief, belief_update,
-                                chained_beliefs, classical_filter_update,
-                                initial_belief, initial_realization,
-                                max_abs_gap, next_common_candidates)
+from delaypbp.filtering import (BeliefPass, bayes_oracle_belief,
+                                belief_update, chained_beliefs,
+                                classical_filter_update, initial_belief,
+                                initial_realization, max_abs_gap, other_actions)
+from delaypbp.info import (advance_other, other_agents, other_private_space,
+                           shared_prefix_len)
 from delaypbp.model import ModelSpec
 from delaypbp.strategies import (constant_profile, observation_following_profile,
                                  random_profile)
@@ -80,12 +84,18 @@ def test_initial_belief_unreachable_observation():
 
 # --- one-step updates -------------------------------------------------------
 
+def next_blocks(spec, k, r, xi, g, u):
+    """The time-(t+1) shared blocks of the positive-mass children of r."""
+    succ = BeliefPass(spec, k, g).successors(r, xi, u)
+    return sorted({r1.common for r1, _, _ in succ}, key=lambda c: (c.obs, c.acts))
+
+
 def test_update_perfect_observation_collapses():
     spec = perfect_obs_identity_spec()
     g = constant_profile(spec, 0)
     xi = initial_belief(spec, 0, 1)
     r = initial_realization(spec, 0, 1)
-    candidates = next_common_candidates(spec, 0, r, xi, g, 0)
+    candidates = next_blocks(spec, 0, r, xi, g, 0)
     assert len(candidates) == 2  # one per value of the other agent's y0
     for delta_next in candidates:
         b = belief_update(spec, 0, 0, xi, delta_next, g, 0, 1)
@@ -99,7 +109,9 @@ def test_update_unreachable_continuation_raises():
     g = constant_profile(spec, 0)
     xi = initial_belief(spec, 0, 1)
     r = initial_realization(spec, 0, 1)
-    for delta_next in next_common_candidates(spec, 0, r, xi, g, 0):
+    candidates = next_blocks(spec, 0, r, xi, g, 0)
+    assert len(candidates) == 2
+    for delta_next in candidates:
         with pytest.raises(UnreachableError, match="unreachable continuation"):
             belief_update(spec, 0, 0, xi, delta_next, g, 0, 0)
 
@@ -109,7 +121,7 @@ def test_update_uniform_symmetry():
     g = constant_profile(spec, 0)
     xi = initial_belief(spec, 0, 0)
     r = initial_realization(spec, 0, 0)
-    for delta_next in next_common_candidates(spec, 0, r, xi, g, 1):
+    for delta_next in next_blocks(spec, 0, r, xi, g, 1):
         b = belief_update(spec, 0, 0, xi, delta_next, g, 1, 0)
         assert np.allclose(b.x_marginal(2), [0.5, 0.5])
 
@@ -220,3 +232,66 @@ def test_classical_filter_matches_recursion_marginal(canon_1):
         raw = canon_1.init_dist * canon_1.observation[0][0][:, y0]
         pi = raw / raw.sum()
         assert np.max(np.abs(b.x_marginal(2) - pi)) <= 1e-12
+
+
+# --- batched kernel vs the scalar loop it replaced ----------------------------
+
+def loop_child(spec, k, common, xi, g, u, revealed, y):
+    """Reference: the per-entry loop over the grid, with the kernel's
+    association of products and order of accumulation. Returns the child's
+    (probs, weight), or None when it has zero mass."""
+    t, others = common.t, other_agents(spec.K, k)
+    lams1 = other_private_space(spec, k, t + 1)
+    mat = np.zeros((spec.state_size, len(lams1)))
+    for (x, lam), p in zip(xi.support, xi.probs):
+        if p <= 0.0:
+            continue
+        u_other = other_actions(spec, k, t, common, lam, g)
+        if revealed:
+            shown = (tuple(ys[0] for ys in lam.obs),
+                     tuple(us[0] for us in lam.acts) if spec.n >= 2 else u_other)
+            if shown != revealed:
+                continue
+        u_full = list(u_other)
+        u_full.insert(k, u)
+        row = spec.transition[t][(x, *u_full)]
+        for x1 in range(spec.state_size):
+            w = p * row[x1] * spec.observation[t + 1][k][x1, y]
+            for ys in itertools.product(*(range(spec.obs_sizes[j]) for j in others)):
+                wy = w
+                for pos, j in enumerate(others):
+                    wy *= spec.observation[t + 1][j][x1, ys[pos]]
+                mat[x1, lams1.index(advance_other(lam, ys, u_other))] += wy
+    total = float(mat.sum())
+    return (mat.reshape(-1) / total, total) if total > 0.0 else None
+
+
+@pytest.mark.parametrize("K,n,T,sizes", [(2, 1, 3, 2), (2, 2, 3, 2), (3, 1, 2, 2),
+                                         (2, 1, 2, 3), (2, 2, 2, 3)])
+def test_batched_kernel_equals_scalar_loop_bitwise(K, n, T, sizes):
+    """With three states a cell sums three or more terms, so the order of
+    accumulation shows in the last bit."""
+    spec = random_model(seed=7 * K + 5 * n + T, K=K, n=n, T=T, sizes=sizes)
+    g = random_profile(spec, np.random.default_rng(K * n * T))
+    for k in (0, K - 1):
+        others = other_agents(K, k)
+        shown = list(itertools.product(
+            itertools.product(*(range(spec.obs_sizes[j]) for j in others)),
+            itertools.product(*(range(spec.act_sizes[j]) for j in others))))
+        bp = BeliefPass(spec, k, g)
+        chain = bp.chain()
+        for t in range(T):
+            reveals = shown if shared_prefix_len(n, t + 1) > shared_prefix_len(n, t) else [()]
+            for r, (xi, _) in chain[t].items():
+                for u in range(spec.act_sizes[k]):
+                    got = {(rev, y): (b.probs, w)
+                           for rev, y, b, w in bp.children(r.common, xi, u)}
+                    want = {}
+                    for rev in reveals:
+                        for y in range(spec.obs_sizes[k]):
+                            ref = loop_child(spec, k, r.common, xi, g, u, rev, y)
+                            if ref is not None:
+                                want[(rev, y)] = ref
+                    assert list(got) == sorted(want)
+                    for key, (probs, w) in want.items():
+                        assert np.array_equal(got[key][0], probs) and got[key][1] == w

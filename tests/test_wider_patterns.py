@@ -118,3 +118,37 @@ def test_three_agents_sweep_certified(three_agent_model):
     g, trace, converged = pbp_sweep(spec, constant_profile(spec, 0), 32)
     assert converged
     assert oracle.verify_pbp(spec, g).all_stationary
+
+
+# --- the batched belief kernel beyond the canonical instances -----------------
+
+def _chain_and_payoff_match_oracle(spec, g, k):
+    chain = chained_beliefs(spec, g, k)
+    checked = 0
+    for t in range(spec.T + 1):
+        for r, (b, _) in chain[t].items():
+            assert max_abs_gap(b, bayes_oracle_belief(spec, g, k, r)) <= 1e-10
+            checked += 1
+    assert checked
+    assert cost_via_beliefs(spec, g, k) == pytest.approx(oracle.enumerate_cost(spec, g),
+                                                         abs=1e-10)
+
+
+@pytest.mark.parametrize("K,n,T", [(2, 1, 3), (2, 2, 3), (3, 1, 2)])
+@pytest.mark.parametrize("last", [False, True], ids=["agent0", "agentK-1"])
+def test_batched_kernel_matches_oracle_on_random_models(K, n, T, last):
+    """Every chained belief equals definition-level Bayes and the
+    belief-form cost equals enumeration: against a total random profile,
+    with the opponent playing the unextended best-response maps (its
+    reachable grid with its own actions free), and with the opponent's
+    maps cut down to the realizations it reaches under the profile."""
+    spec = random_model(seed=1000 * K + 100 * n + T, K=K, n=n, T=T, sizes=2)
+    k = K - 1 if last else 0
+    opponent = 0 if last else K - 1
+    g = random_profile(spec, np.random.default_rng(K + n + T))
+    _chain_and_payoff_match_oracle(spec, g, k)
+    _, g_maps = solve_best_response(spec, opponent, g)
+    _chain_and_payoff_match_oracle(spec, g.with_agent(opponent, g_maps), k)
+    reached = chained_beliefs(spec, g, opponent)
+    _chain_and_payoff_match_oracle(spec, g.with_agent(opponent, [
+        {r: g.action(opponent, t, r) for r in reached[t]} for t in range(T)]), k)
