@@ -16,16 +16,14 @@ from .errors import (IncompleteStrategyError, InstanceTooLargeError,
 from .falsify import (GapReport, check_conditional_independence,
                       check_conditional_markov, check_k1_reduction,
                       check_payoff_identity, check_policy_independence)
-from .filtering import (Belief, bayes_oracle_belief, belief_update,
-                        chained_beliefs, classical_filter_update,
-                        initial_belief)
+from .filtering import (Belief, belief_update, chained_beliefs,
+                        classical_filter_update, initial_belief)
 from .info import (CommonInfo, InfoRealization, JointHistory, OtherPrivate,
-                   PrivateInfo, advance_info, enumerate_reachable,
-                   split_history)
+                   PrivateInfo, split_history)
 from .model import (ModelSpec, canonical_instance, load_model, save_model,
                     validate_model)
-from .oracle import (TrajectoryAtom, brute_force_best_response,
-                     conditional_pmf, enumerate_cost, verify_pbp)
+from .oracle import (brute_force_best_response, cost_to_go, enumerate_cost,
+                     posteriors, verify_pbp, walk)
 from .strategies import (StrategyProfile, constant_profile, load_profile,
                          observation_following_profile, random_profile,
                          save_profile)
@@ -36,17 +34,15 @@ __all__ = [
     "Belief", "CommonInfo", "GapReport", "IncompleteStrategyError",
     "InfoRealization", "InstanceTooLargeError", "JointHistory",
     "ModelFormatError", "ModelSpec", "OtherPrivate", "PrivateInfo",
-    "StrategyProfile", "TrajectoryAtom", "UnreachableError", "ValueTable",
-    "advance_info", "bayes_oracle_belief", "belief_update",
+    "StrategyProfile", "UnreachableError", "ValueTable", "belief_update",
     "brute_force_best_response", "canonical_instance", "chained_beliefs",
     "check_conditional_independence", "check_conditional_markov",
     "check_k1_reduction", "check_payoff_identity",
     "check_policy_independence", "classical_filter_update",
-    "conditional_pmf", "constant_profile", "cost_via_beliefs",
-    "enumerate_cost", "enumerate_reachable", "expected_value",
-    "initial_belief", "load_model", "load_profile",
-    "observation_following_profile", "pbp_sweep", "random_profile",
-    "save_model", "save_profile", "solve_best_response", "split_history",
-    "terminal_value", "validate_model", "verify_pbp",
-    "verify_value_dominance",
+    "constant_profile", "cost_to_go", "cost_via_beliefs", "enumerate_cost",
+    "expected_value", "initial_belief", "load_model", "load_profile",
+    "observation_following_profile", "pbp_sweep", "posteriors",
+    "random_profile", "save_model", "save_profile", "solve_best_response",
+    "split_history", "terminal_value", "validate_model", "verify_pbp",
+    "verify_value_dominance", "walk",
 ]

@@ -22,11 +22,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dp, falsify, oracle
-from .errors import InstanceTooLargeError, ModelFormatError
-from .filtering import bayes_oracle_belief, chained_beliefs, max_abs_gap
+from .errors import (IncompleteStrategyError, InstanceTooLargeError,
+                     ModelFormatError)
+from .filtering import chained_beliefs, max_abs_gap
 from .info import other_private_key, realization_key, sort_key
-from .model import (CANONICAL_NAMES, ModelSpec, resolve_model,
-                    uniform_observation_variant, validate_model)
+from .model import (CANONICAL_NAMES, COMPARE_TOL, IMPROVE_TOL, K1_TOL,
+                    ModelSpec, resolve_model, uniform_observation_variant,
+                    validate_model)
 from .strategies import (StrategyProfile, constant_profile, load_profile,
                          observation_following_profile, profile_to_dict,
                          random_profile)
@@ -48,8 +50,8 @@ class RunConfig:
     agent: int = 0
     strategy: str | None = None
     out: str = "reports"
-    tol_compare: float = 1e-10
-    tol_improve: float = 1e-12
+    tol_compare: float = COMPARE_TOL
+    tol_improve: float = IMPROVE_TOL
     max_rounds: int = 32
 
     def validate(self) -> list[str]:
@@ -85,9 +87,9 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _belief_rows(belief) -> list[list]:
+def _belief_rows(support, probs: np.ndarray) -> list[list]:
     return [[f"x={x}|{other_private_key(lam)}", float(p)]
-            for (x, lam), p in zip(belief.support, belief.probs)]
+            for (x, lam), p in zip(support, probs.reshape(-1))]
 
 
 def _default_profile(spec: ModelSpec, command: str) -> StrategyProfile:
@@ -132,9 +134,10 @@ def cmd_filter(spec: ModelSpec, name: str, config: RunConfig):
     results, gaps = [], []
     ok = True
     for t in range(spec.T + 1):
+        posteriors = oracle.posteriors(spec, g, k, t, free=False)
         for r in sorted(chain[t], key=sort_key):
             belief, prob = chain[t][r]
-            ref = bayes_oracle_belief(spec, g, k, r)
+            ref = posteriors[r]
             gap = max_abs_gap(belief, ref)
             ok = ok and gap <= config.tol_compare
             where = f"t={t} {realization_key(r)}"
@@ -143,8 +146,8 @@ def cmd_filter(spec: ModelSpec, name: str, config: RunConfig):
                 "t": t,
                 "realization": realization_key(r),
                 "prob": prob,
-                "belief": _belief_rows(belief),
-                "oracle_belief": _belief_rows(ref),
+                "belief": _belief_rows(belief.support, belief.probs),
+                "oracle_belief": _belief_rows(belief.support, ref),
                 "gap": gap,
             })
     doc = {
@@ -271,16 +274,6 @@ def _alternative_strategies(spec: ModelSpec, k: int, g_maps):
     return alts
 
 
-class _AgentMaps:
-    """Adapter exposing per-time maps as a strategy for one agent."""
-
-    def __init__(self, maps):
-        self.maps = maps
-
-    def action(self, k, t, r):
-        return self.maps[t][r]
-
-
 def cmd_verify(spec: ModelSpec, name: str, config: RunConfig):
     k = config.agent
     g = _profile_for(spec, config, "verify")
@@ -288,8 +281,7 @@ def cmd_verify(spec: ModelSpec, name: str, config: RunConfig):
     results, gaps = [], []
     ok = True
     for label, maps in _alternative_strategies(spec, k, g_maps):
-        alt = _AgentMaps(maps)
-        report = dp.verify_value_dominance(spec, k, g, vtable, alt,
+        report = dp.verify_value_dominance(spec, k, g, vtable, maps,
                                            tol=config.tol_compare)
         n_viol = len(report.violations)
         ok = ok and n_viol == 0
@@ -334,10 +326,10 @@ def cmd_falsify(spec: ModelSpec, name: str, config: RunConfig):
 
     ci_uniform = falsify.check_conditional_independence(
         uniform_observation_variant(spec), g, k, t_check)
-    uniform_ok = ci_uniform.max_gap <= falsify.K1_TOL
+    uniform_ok = ci_uniform.max_gap <= K1_TOL
     ok = ok and uniform_ok
     results.append({"check": "conditional-independence-uniform-obs",
-                    "tolerance": falsify.K1_TOL, "pass": uniform_ok,
+                    "tolerance": K1_TOL, "pass": uniform_ok,
                     "report": ci_uniform.to_dict()})
 
     base = _default_profile(spec, "falsify")
@@ -367,9 +359,9 @@ def cmd_falsify(spec: ModelSpec, name: str, config: RunConfig):
 
     if spec.K == 1:
         k1 = falsify.check_k1_reduction(spec)
-        k1_ok = k1.max_gap <= falsify.K1_TOL
+        k1_ok = k1.max_gap <= K1_TOL
         ok = ok and k1_ok
-        results.append({"check": "single-agent-reduction", "tolerance": falsify.K1_TOL,
+        results.append({"check": "single-agent-reduction", "tolerance": K1_TOL,
                         "pass": k1_ok, "report": k1.to_dict()})
     else:
         results.append({"check": "single-agent-reduction", "skipped": "K > 1"})
@@ -474,6 +466,10 @@ def run(config: RunConfig) -> int:
     except (ModelFormatError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except IncompleteStrategyError as exc:
+        # A KeyError: str() would quote the message, so print its text.
+        print(f"error: {exc.args[0]}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 def parse_args(argv=None) -> RunConfig:
@@ -489,8 +485,8 @@ def parse_args(argv=None) -> RunConfig:
                         help="strategy JSON path (defaults: all-0 for pbp, "
                              "observation-following otherwise)")
     parser.add_argument("--out", default="reports", help="report output directory")
-    parser.add_argument("--tol-compare", type=float, default=1e-10)
-    parser.add_argument("--tol-improve", type=float, default=1e-12)
+    parser.add_argument("--tol-compare", type=float, default=COMPARE_TOL)
+    parser.add_argument("--tol-improve", type=float, default=IMPROVE_TOL)
     parser.add_argument("--max-rounds", type=int, default=32)
     ns = parser.parse_args(argv)
     return RunConfig(command=ns.command, model=ns.model, agent=ns.agent,

@@ -17,16 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import oracle
+from .errors import UnreachableError
 from .filtering import Belief, BeliefPass, seq_sum
 from .info import InfoRealization, realization_key, sort_key
-from .model import ModelSpec
+from .model import COMPARE_TOL, IMPROVE_TOL, ModelSpec
 from .strategies import StrategyProfile, extend_total
-
-# Comparison tolerance for belief/value identities; improvement threshold
-# for the best-response sweep. Both sit just above the double-precision
-# noise floor of exact enumeration at desk scale.
-COMPARE_TOL = 1e-10
-IMPROVE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -207,19 +202,25 @@ class DominanceReport:
         return max((abs(e.table_value - e.alt_value) for e in self.entries), default=0.0)
 
 
-def verify_value_dominance(spec: ModelSpec, k: int, g_minus_k, vtable: ValueTable,
-                           g_k_alt, tol: float = COMPARE_TOL) -> DominanceReport:
+def verify_value_dominance(spec: ModelSpec, k: int, g_minus_k: StrategyProfile,
+                           vtable: ValueTable, maps_k, tol: float = COMPARE_TOL
+                           ) -> DominanceReport:
     """Check table values against the enumerated conditional cost-to-go of
-    an alternative strategy, at every time and reachable realization.
+    agent k's alternative per-time maps maps_k, at every time and reachable
+    realization.
 
     The table must sit weakly below the alternative everywhere; violations
-    are reported as data, not raised.
+    are reported as data, not raised. A table realization the enumeration
+    does not reach raises UnreachableError.
     """
+    g = g_minus_k.with_agent(k, maps_k)
     rows = []
     for t in range(spec.T + 1):
+        alt = oracle.cost_to_go(spec, k, g, t)
         for r in sorted(vtable.entries[t], key=sort_key):
-            alt = oracle.cost_to_go(spec, k, g_minus_k, g_k_alt, r)
+            if r not in alt:
+                raise UnreachableError(f"unreachable realization for agent {k} at t={t}")
             rows.append(DominanceEntry(t=t, key=realization_key(r),
                                        table_value=vtable.entries[t][r].value,
-                                       alt_value=alt))
+                                       alt_value=alt[r]))
     return DominanceReport(entries=tuple(rows), tol=tol)

@@ -22,18 +22,12 @@ import numpy as np
 
 from . import dp, oracle
 from .errors import UnreachableError
-from .filtering import (Belief, BeliefPass, bayes_oracle_belief,
-                        classical_filter_update, initial_realization,
-                        max_abs_gap)
-from .info import (CommonInfo, InfoRealization, PrivateInfo, advance_common,
-                   other_agents, private_act_len, private_obs_len,
-                   realization_key, shared_prefix_len, shift_private,
-                   sort_key, split_history)
-from .model import ModelSpec
+from .filtering import (Belief, BeliefPass, classical_filter_update,
+                        initial_realization)
+from .info import (CommonInfo, InfoRealization, other_agents, realization_at,
+                   realization_key, sort_key)
+from .model import COMPARE_TOL, ModelSpec
 from .strategies import StrategyProfile
-
-COMPARE_TOL = 1e-10
-K1_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -67,36 +61,17 @@ def make_report(quantity: str, gaps: list[tuple[str, float]]) -> GapReport:
 
 def reachable_infos(spec: ModelSpec, g_full, k: int, t: int) -> list[InfoRealization]:
     """Realizations of agent k's information with positive probability
-    under the full profile, from the atom measure."""
-    seen = set()
-    for a in oracle.atoms(spec, g_full, t_end=t):
-        c, p, _ = split_history(a.history(), k, spec.n)
-        seen.add(InfoRealization(common=c, private=p))
-    return sorted(seen, key=sort_key)
+    under the full profile: the keys of one walk grouped by realization."""
+    hists = {}
+    oracle.walk(spec, g_full,
+                lambda xs, hist, mass, cost: hists.setdefault((hist.obs, hist.acts), hist),
+                t_end=t)
+    return sorted({realization_at(h, k, spec.n) for h in hists.values()}, key=sort_key)
 
 
 # ---------------------------------------------------------------------------
 # Conditional independence of freshly shared data from the current state.
 # ---------------------------------------------------------------------------
-
-def _realization_from_values(spec: ModelSpec, k: int, t: int, values: tuple) -> InfoRealization:
-    cut = shared_prefix_len(spec.n, t)
-    i = 0
-    obs, acts = [], []
-    for _ in range(spec.K):
-        obs.append(tuple(values[i:i + cut]))
-        i += cut
-        acts.append(tuple(values[i:i + cut]))
-        i += cut
-    lo = private_obs_len(spec.n, t)
-    la = private_act_len(spec.n, t)
-    p_obs = tuple(values[i:i + lo])
-    i += lo
-    p_acts = tuple(values[i:i + la])
-    return InfoRealization(
-        common=CommonInfo(t=t, n=spec.n, obs=tuple(obs), acts=tuple(acts)),
-        private=PrivateInfo(t=t, n=spec.n, agent=k, obs=p_obs, acts=p_acts))
-
 
 def _table_gap(p1: dict, p2: dict) -> float:
     keys = set(p1) | set(p2)
@@ -118,27 +93,28 @@ def check_conditional_independence(spec: ModelSpec, g_full, k: int, t: int) -> G
     if t > spec.T - 1:
         raise ValueError("t must be a decision time (actions at t are part of the target)")
     others = other_agents(spec.K, k)
-    target = []
-    for j in others:
-        target.append(("y", j, p_idx))
-        target.append(("u", j, p_idx))
-    horizon = max(t, p_idx + 1)
+    # One walk; leaf mass per (realization r, x_t, shared symbols), per
+    # (r, x_t), per (r, shared symbols) and per r, each summed in leaf order.
+    by_rxs: dict = {}
+    by_rx: dict = {}
+    by_rs: dict = {}
+    by_r: dict = {}
 
-    cond_vars = oracle.delta_vars(spec, t) + oracle.lambda_vars(spec, k, t)
-    joint = oracle.conditional_pmf(spec, g_full, cond_vars + [("x", t)], [], horizon)
-    events: dict[tuple, list[int]] = {}
-    for key in joint:
-        events.setdefault(key[:-1], []).append(key[-1])
+    def visit(xs, hist, mass, cost):
+        r, x = realization_at(hist, k, n, t), xs[t]
+        shared = tuple(v for j in others for v in (hist.obs[j][p_idx], hist.acts[j][p_idx]))
+        for table, key in ((by_rxs, (r, x, shared)), (by_rx, (r, x)), (by_rs, (r, shared)),
+                           (by_r, r)):
+            table[key] = table.get(key, 0.0) + mass
 
-    gaps = []
-    for cond_values in sorted(events):
-        given = list(zip(cond_vars, cond_values))
-        p2 = oracle.conditional_pmf(spec, g_full, target, given, horizon)
-        r = _realization_from_values(spec, k, t, cond_values)
-        for x in sorted(events[cond_values]):
-            p1 = oracle.conditional_pmf(spec, g_full, target,
-                                        given + [(("x", t), x)], horizon)
-            gaps.append((f"x={x}|{realization_key(r)}", _table_gap(p1, p2)))
+    oracle.walk(spec, g_full, visit, t_end=max(t, p_idx + 1))
+    p1: dict[tuple, dict] = {}
+    for (r, x, shared), m in by_rxs.items():
+        p1.setdefault((r, x), {})[shared] = m / by_rx[r, x]
+    p2: dict[InfoRealization, dict] = {}
+    for (r, shared), m in by_rs.items():
+        p2.setdefault(r, {})[shared] = m / by_r[r]
+    gaps = [(f"x={x}|{realization_key(r)}", _table_gap(p, p2[r])) for (r, x), p in p1.items()]
     return make_report("shared-data conditional independence", gaps)
 
 
@@ -159,10 +135,13 @@ def check_policy_independence(spec: ModelSpec, g_a: StrategyProfile,
     for t in range(spec.T + 1):
         shared = (set(reachable_infos(spec, g_a, k, t))
                   & set(reachable_infos(spec, g_b, k, t)))
+        if not shared:
+            continue
+        post_a = oracle.posteriors(spec, g_a, k, t)
+        post_b = oracle.posteriors(spec, g_b, k, t)
         for r in sorted(shared, key=sort_key):
-            ba = bayes_oracle_belief(spec, g_a, k, r)
-            bb = bayes_oracle_belief(spec, g_b, k, r)
-            gaps.append((f"t={t} {realization_key(r)}", max_abs_gap(ba, bb)))
+            gaps.append((f"t={t} {realization_key(r)}",
+                         float(np.max(np.abs(post_a[r] - post_b[r])))))
     return make_report("posterior strategy independence", gaps)
 
 
@@ -170,37 +149,38 @@ def check_policy_independence(spec: ModelSpec, g_a: StrategyProfile,
 # Conditional Markov property of the posterior process.
 # ---------------------------------------------------------------------------
 
-def _next_belief_distribution(spec: ModelSpec, g_full, k: int, r: InfoRealization,
-                              u: int) -> list[tuple[np.ndarray, float]]:
-    """Law of the next-step posterior given the full past r (and the action
-    u the profile takes there), as (posterior vector, probability) pairs."""
-    t, n = r.t, spec.n
-    others = other_agents(spec.K, k)
+def _next_posterior_laws(spec: ModelSpec, g_full, k: int, t: int,
+                         post_next: dict[InfoRealization, np.ndarray]
+                         ) -> dict[InfoRealization, list[tuple[np.ndarray, float]]]:
+    """Per realization r reachable at t under g_full, the law of agent k's
+    next posterior given r, as (posterior, probability) pairs ordered by the
+    next own observation, then the other agents' newly shared symbols.
+
+    One walk to t+1, grouped by the pair (r, r'), with r' the time-(t+1)
+    realization; both tables accumulate in leaf order."""
+    n = spec.n
     p_idx = t - n + 1
-    target = [("y", k, t + 1)]
-    if p_idx >= 0:
-        for j in others:
-            target.append(("y", j, p_idx))
-            target.append(("u", j, p_idx))
-    pmf = oracle.conditional_pmf(spec, g_full, target,
-                                 oracle.realization_given(spec, r), t + 1)
-    out = []
-    for key, prob in sorted(pmf.items()):
-        y_next = key[0]
-        if p_idx >= 0:
-            promoted_obs = [0] * spec.K
-            promoted_acts = [0] * spec.K
-            promoted_obs[k] = r.private.obs[0]
-            promoted_acts[k] = r.private.acts[0] if n >= 2 else u
-            for i, j in enumerate(others):
-                promoted_obs[j] = key[1 + 2 * i]
-                promoted_acts[j] = key[2 + 2 * i]
-            c_next = advance_common(r.common, tuple(promoted_obs), tuple(promoted_acts))
-        else:
-            c_next = advance_common(r.common, (), ())
-        r_next = InfoRealization(common=c_next, private=shift_private(r.private, y_next, u))
-        out.append((bayes_oracle_belief(spec, g_full, k, r_next).probs, prob))
-    return out
+    others = other_agents(spec.K, k)
+    pair: dict[tuple, float] = {}
+    marg: dict[InfoRealization, float] = {}
+
+    def visit(xs, hist, mass, cost):
+        r = realization_at(hist, k, n, t)
+        key = (r, realization_at(hist, k, n))
+        marg[r] = marg.get(r, 0.0) + mass
+        pair[key] = pair.get(key, 0.0) + mass
+
+    def order(r1: InfoRealization) -> tuple:
+        shown = ((r1.common.obs[j][p_idx], r1.common.acts[j][p_idx])
+                 for j in others) if p_idx >= 0 else ()
+        return (r1.private.obs[-1], *(v for sym in shown for v in sym))
+
+    oracle.walk(spec, g_full, visit, t_end=t + 1)
+    laws: dict[InfoRealization, list] = {r: [] for r in marg}
+    for (r, r1), m in pair.items():
+        laws[r].append((order(r1), r1, m / marg[r]))
+    return {r: [(post_next[r1], p) for _, r1, p in sorted(items, key=lambda e: e[0])]
+            for r, items in laws.items()}
 
 
 def _distribution_gap(da, db, tol: float) -> float:
@@ -237,28 +217,29 @@ def check_conditional_markov(spec: ModelSpec, g_full, k: int,
     Vacuous for T = 1 horizons with no second step.
     """
     gaps = []
+    posts = [oracle.posteriors(spec, g_full, k, t, free=False) for t in range(spec.T + 1)]
     for t in range(spec.T):
+        laws = _next_posterior_laws(spec, g_full, k, t, posts[t + 1])
         prelim: dict[tuple[CommonInfo, int], list] = {}
-        for r in reachable_infos(spec, g_full, k, t):
-            xi = bayes_oracle_belief(spec, g_full, k, r)
+        for r in sorted(laws, key=sort_key):
             u = g_full.action(k, t, r)
-            prelim.setdefault((r.common, u), []).append((r, xi))
+            prelim.setdefault((r.common, u), []).append((r, posts[t][r]))
         for (c, u), members in sorted(prelim.items(),
                                       key=lambda kv: (kv[0][0].obs, kv[0][0].acts, kv[0][1])):
             clusters: list[tuple[np.ndarray, list]] = []
             for r, xi in members:
                 for rep, group in clusters:
-                    if float(np.max(np.abs(rep - xi.probs))) <= tol:
+                    if float(np.max(np.abs(rep - xi))) <= tol:
                         group.append(r)
                         break
                 else:
-                    clusters.append((xi.probs, [r]))
+                    clusters.append((xi, [r]))
             for rep, group in clusters:
                 label = f"t={t} u={u} group[" + ",".join(realization_key(r) for r in group) + "]"
                 if len(group) == 1:
                     gaps.append((label, 0.0))
                     continue
-                dists = [_next_belief_distribution(spec, g_full, k, r, u) for r in group]
+                dists = [laws[r] for r in group]
                 worst = 0.0
                 for i in range(len(dists)):
                     for j in range(i + 1, len(dists)):

@@ -3,16 +3,12 @@
 Under delayed sharing, agent k cannot act on the plant state alone: the
 other agents' recent private data steers their actions, so the object to
 estimate is the extended state (x_t, lambda_t^{-k}) -- plant state plus
-everyone else's private block. This module computes that posterior three
-ways:
-
-  * a one-step recursion (`BeliefPass`), which conditions on agent k's
-    new observation, its own action, and the symbols newly revealed into
-    the shared block;
-  * a definition-level Bayes computation (`bayes_oracle_belief`) that
-    enumerates joint trajectories and never touches the recursion;
-  * the textbook filter for the single-agent case
-    (`classical_filter_update`), which the recursion must reproduce.
+everyone else's private block. This module computes that posterior by a
+one-step recursion (`BeliefPass`), which conditions on agent k's new
+observation, its own action, and the symbols newly revealed into the
+shared block. It must reproduce the definition-level posterior
+(`oracle.posteriors`) and, for a single agent, the textbook filter
+(`classical_filter_update`) kept here.
 
 Beliefs are dense vectors over the full (state x other-private) grid in
 canonical order; zero-probability conditioning raises UnreachableError
@@ -39,10 +35,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UnreachableError
-from .info import (CommonInfo, InfoRealization, JointHistory, OtherPrivate,
-                   PrivateInfo, advance_common, advance_other, other_agents,
+from .info import (CommonInfo, InfoRealization, OtherPrivate, PrivateInfo,
+                   advance_common, advance_other, other_agents,
                    other_private_space, restrict_common, shared_prefix_len,
-                   shift_private, split_history)
+                   shift_private)
 from .model import ModelSpec
 
 
@@ -89,10 +85,6 @@ def _grid(state_size: int, lams) -> tuple[tuple[int, OtherPrivate], ...]:
     return tuple((x, lam) for x in range(state_size) for lam in lams)
 
 
-def belief_grid(spec: ModelSpec, k: int, t: int) -> tuple[tuple[int, OtherPrivate], ...]:
-    return _grid(spec.state_size, other_private_space(spec, k, t))
-
-
 def _belief_from_matrix(spec: ModelSpec, k: int, t: int,
                         grid, mat: np.ndarray) -> tuple[Belief, float]:
     total = float(mat.sum())
@@ -101,10 +93,12 @@ def _belief_from_matrix(spec: ModelSpec, k: int, t: int,
     return Belief(t=t, agent=k, support=grid, probs=mat.reshape(-1) / total), total
 
 
-def max_abs_gap(a: Belief, b: Belief) -> float:
-    if a.support != b.support:
+def max_abs_gap(b: Belief, ref: np.ndarray) -> float:
+    """Largest |b - ref| over the grid; ref is a (state, lambda) array on
+    the same grid, such as an `oracle.posteriors` entry."""
+    if ref.size != b.probs.size:
         raise ValueError("beliefs live on different grids")
-    return float(np.max(np.abs(a.probs - b.probs))) if len(a.probs) else 0.0
+    return float(np.max(np.abs(b.probs - ref.reshape(-1))))
 
 
 def empty_common(spec: ModelSpec, t: int = 0) -> CommonInfo:
@@ -373,98 +367,6 @@ def chained_beliefs(spec: ModelSpec, g_full, k: int
     path never enumerates trajectories.
     """
     return BeliefPass(spec, k, g_full).chain()
-
-
-# ---------------------------------------------------------------------------
-# Definition-level Bayes oracle: trajectory enumeration, no recursion.
-# ---------------------------------------------------------------------------
-
-def bayes_oracle_belief(spec: ModelSpec, g_full, k: int, info: InfoRealization) -> Belief:
-    """Posterior over (x_t, lambda_t^{-k}) given the realization, computed
-    from the definition.
-
-    Every joint trajectory consistent with the realization is enumerated:
-    agent k's observations and actions are clamped to the realization (its
-    own strategy is never read), the other agents' shared prefixes are
-    clamped, their recent observations range freely, and their actions are
-    produced by g_full and checked against the clamped prefixes. Masses
-    accumulate on (x_t, lambda_t^{-k}) and are normalized.
-    """
-    info.validate()
-    t, n = info.t, spec.n
-    own_obs = info.own_observations()
-    own_acts = info.own_actions()
-    cut = shared_prefix_len(n, t)
-    others = other_agents(spec.K, k)
-
-    lams = other_private_space(spec, k, t)
-    lam_index = {lam: i for i, lam in enumerate(lams)}
-    mat = np.zeros((spec.state_size, len(lams)))
-
-    def free_obs_choices(s: int, j: int):
-        if s < cut:
-            return (info.common.obs[j][s],)
-        return tuple(range(spec.obs_sizes[j]))
-
-    def walk(s: int, x: int, hist: JointHistory, mass: float) -> None:
-        if s == t:
-            _, _, lam = split_history(hist, k, n)
-            mat[x, lam_index[lam]] += mass
-            return
-        acts = [0] * spec.K
-        acts[k] = own_acts[s]
-        for j in others:
-            cj, pj, _ = split_history(hist, j, n)
-            u_j = g_full.action(j, s, InfoRealization(common=cj, private=pj))
-            if s < cut and info.common.acts[j][s] != u_j:
-                return  # contradicts the shared prefix: zero mass
-            acts[j] = u_j
-        for x1 in range(spec.state_size):
-            p_x = float(spec.transition[s][(x, *acts, x1)])
-            if p_x <= 0.0:
-                continue
-            p_k = float(spec.observation[s + 1][k][x1, own_obs[s + 1]])
-            if p_k <= 0.0:
-                continue
-            for ys in itertools.product(*(free_obs_choices(s + 1, j) for j in others)):
-                p_y = 1.0
-                for pos, j in enumerate(others):
-                    p_y *= spec.observation[s + 1][j][x1, ys[pos]]
-                if p_y <= 0.0:
-                    continue
-                obs1 = list(hist.obs)
-                acts1 = list(hist.acts)
-                obs1[k] = obs1[k] + (own_obs[s + 1],)
-                for pos, j in enumerate(others):
-                    obs1[j] = obs1[j] + (ys[pos],)
-                for j in range(spec.K):
-                    acts1[j] = acts1[j] + (acts[j],)
-                walk(s + 1, x1, JointHistory(t=s + 1, obs=tuple(obs1), acts=tuple(acts1)),
-                     mass * p_x * p_k * p_y)
-
-    for x0 in range(spec.state_size):
-        p0 = float(spec.init_dist[x0]) * float(spec.observation[0][k][x0, own_obs[0]])
-        if p0 <= 0.0:
-            continue
-        for ys in itertools.product(*(free_obs_choices(0, j) for j in others)):
-            p_y = 1.0
-            for pos, j in enumerate(others):
-                p_y *= spec.observation[0][j][x0, ys[pos]]
-            if p_y <= 0.0:
-                continue
-            obs0 = [()] * spec.K
-            obs0[k] = (own_obs[0],)
-            for pos, j in enumerate(others):
-                obs0[j] = (ys[pos],)
-            walk(0, x0, JointHistory(t=0, obs=tuple(obs0),
-                                     acts=tuple(() for _ in range(spec.K))),
-                 p0 * p_y)
-
-    try:
-        return _belief_from_matrix(spec, k, t, belief_grid(spec, k, t), mat)[0]
-    except UnreachableError:
-        raise UnreachableError(
-            f"unreachable realization for agent {k} at t={t}") from None
 
 
 # ---------------------------------------------------------------------------

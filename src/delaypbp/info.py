@@ -3,8 +3,8 @@
 At time t each agent k knows two blocks: the shared block (every agent's
 observations and actions up to time t-n) and its private block (its own
 last n observations and last n-1 actions). This module houses the split of
-a joint history into those blocks, the one-step advance of the blocks, and
-enumeration of the realizations that can occur with positive probability.
+a joint history into those blocks, the one-step advance of the blocks,
+canonical keys, and the grids of index-valid realizations.
 
 Index windows, 0-based, for delay n at time t:
   shared, per agent:  obs 0..t-n, acts 0..t-n          (empty while t < n)
@@ -139,6 +139,18 @@ def other_agents(K: int, k: int) -> tuple[int, ...]:
     return tuple(j for j in range(K) if j != k)
 
 
+def realization_at(h: JointHistory, k: int, n: int, t: int | None = None) -> InfoRealization:
+    """Agent k's realization at time t (default: h.t) read off a joint
+    history: every agent's streams up to t-n, then agent k's own symbols
+    up to t."""
+    t = h.t if t is None else t
+    cut = shared_prefix_len(n, t)  # prefix 0..t-n has this many elements
+    return InfoRealization(
+        common=CommonInfo(t=t, n=n, obs=tuple(ys[:cut] for ys in h.obs),
+                          acts=tuple(us[:cut] for us in h.acts)),
+        private=PrivateInfo(t=t, n=n, agent=k, obs=h.obs[k][cut:t + 1], acts=h.acts[k][cut:t]))
+
+
 def split_history(h: JointHistory, k: int, n: int) -> tuple[CommonInfo, PrivateInfo, OtherPrivate]:
     """Decompose a joint history into agent k's view of the pattern.
 
@@ -150,24 +162,15 @@ def split_history(h: JointHistory, k: int, n: int) -> tuple[CommonInfo, PrivateI
         raise ValueError("delay n must be >= 1")
     h.validate()
     t = h.t
-    cut = shared_prefix_len(n, t)  # prefix 0..t-n has this many elements
-    common = CommonInfo(
-        t=t, n=n,
-        obs=tuple(ys[:cut] for ys in h.obs),
-        acts=tuple(us[:cut] for us in h.acts),
-    )
-    private = PrivateInfo(
-        t=t, n=n, agent=k,
-        obs=h.obs[k][cut:],
-        acts=h.acts[k][cut:t],
-    )
+    r = realization_at(h, k, n)
+    cut = shared_prefix_len(n, t)
     others = other_agents(len(h.obs), k)
     other = OtherPrivate(
         t=t, n=n, agent=k,
         obs=tuple(h.obs[j][cut:] for j in others),
         acts=tuple(h.acts[j][cut:t] for j in others),
     )
-    return common, private, other
+    return r.common, r.private, other
 
 
 def advance_common(c: CommonInfo, promoted_obs: IntSeq, promoted_acts: IntSeq) -> CommonInfo:
@@ -192,85 +195,31 @@ def restrict_common(c_next: CommonInfo) -> CommonInfo:
                       acts=tuple(us[:cut] for us in c_next.acts))
 
 
+def _shift_window(n: int, t: int, ys: IntSeq, us: IntSeq, y: int, u: int
+                  ) -> tuple[IntSeq, IntSeq]:
+    """One agent's private window at t+1: shed the oldest observation and
+    action when they move into the shared block (once t >= n-1), then
+    append the time-(t+1) observation and time-t action. With n = 1 no
+    action is ever private."""
+    drop = 1 if shared_prefix_len(n, t + 1) > shared_prefix_len(n, t) else 0
+    return ys[drop:] + (y,), (us[drop:] + (u,) if n >= 2 else ())
+
+
 def shift_private(p: PrivateInfo, new_obs: int, new_act: int) -> PrivateInfo:
     """Agent's private block at t+1: shed the promoted symbols (when the
     windows are full) and append the time-(t+1) observation and time-t
     action."""
-    t, n = p.t, p.n
-    promote = shared_prefix_len(n, t + 1) > shared_prefix_len(n, t)
-    drop_obs = 1 if promote else 0
-    drop_act = 1 if (n >= 2 and private_act_len(n, t) == n - 1 and private_act_len(n, t) > 0) else 0
-    return PrivateInfo(
-        t=t + 1, n=n, agent=p.agent,
-        obs=p.obs[drop_obs:] + (new_obs,),
-        acts=(p.acts[drop_act:] + (new_act,)) if n >= 2 else (),
-    )
-
-
-def advance_info(c: CommonInfo, p: PrivateInfo, o: OtherPrivate,
-                 new_obs_k: int, new_act_k: int,
-                 new_obs_minus_k: IntSeq = (),
-                 acts_minus_k: IntSeq | None = None) -> tuple[CommonInfo, PrivateInfo]:
-    """Advance agent k's blocks from time t to t+1.
-
-    new_obs_k / new_act_k are agent k's time-(t+1) observation and time-t
-    action. For n = 1 the time-t actions of the other agents are promoted
-    straight into the shared block without ever visiting a private block,
-    so they must be supplied via acts_minus_k (in increasing agent order);
-    for n >= 2 they are read out of `o`. new_obs_minus_k (the other agents'
-    time-(t+1) observations) never enters the returned blocks -- the shared
-    block only ever absorbs n-step-old symbols -- and is accepted only so
-    callers can advance symmetrically.
-    """
-    if not (c.t == p.t == o.t) or not (c.n == p.n == o.n):
-        raise ValueError("inconsistent time indices or delays across blocks")
-    if p.agent != o.agent:
-        raise ValueError("private and other blocks belong to different agents")
-    t, n, k = c.t, c.n, p.agent
-    K = len(c.obs)
-    others = other_agents(K, k)
-
-    promote = shared_prefix_len(n, t + 1) > shared_prefix_len(n, t)
-    if promote:
-        promoted_obs = [0] * K
-        promoted_acts = [0] * K
-        promoted_obs[k] = p.obs[0]
-        promoted_acts[k] = p.acts[0] if n >= 2 else new_act_k
-        for pos, j in enumerate(others):
-            if not o.obs[pos]:
-                raise ValueError(f"agent {j}: promoted observation missing from private block")
-            promoted_obs[j] = o.obs[pos][0]
-            if n >= 2:
-                if not o.acts[pos]:
-                    raise ValueError(f"agent {j}: promoted action missing from private block")
-                promoted_acts[j] = o.acts[pos][0]
-            else:
-                if acts_minus_k is None or len(acts_minus_k) != len(others):
-                    raise ValueError(
-                        "n=1 promotes the other agents' current actions; pass acts_minus_k")
-                promoted_acts[j] = acts_minus_k[pos]
-        c_next = advance_common(c, tuple(promoted_obs), tuple(promoted_acts))
-    else:
-        c_next = advance_common(c, (), ())
-
-    p_next = shift_private(p, new_obs_k, new_act_k)
-    p_next.validate()
-    return c_next, p_next
+    obs, acts = _shift_window(p.n, p.t, p.obs, p.acts, new_obs, new_act)
+    return PrivateInfo(t=p.t + 1, n=p.n, agent=p.agent, obs=obs, acts=acts)
 
 
 def advance_other(o: OtherPrivate, new_obs: IntSeq, new_acts: IntSeq) -> OtherPrivate:
     """Advance the other agents' private blocks by their time-(t+1)
     observations and time-t actions (both in increasing agent order)."""
-    t, n = o.t, o.n
-    promote = shared_prefix_len(n, t + 1) > shared_prefix_len(n, t)
-    drop_obs = 1 if promote else 0
-    drop_act = 1 if (n >= 2 and private_act_len(n, t) == n - 1 and private_act_len(n, t) > 0) else 0
-    return OtherPrivate(
-        t=t + 1, n=n, agent=o.agent,
-        obs=tuple(ys[drop_obs:] + (y,) for ys, y in zip(o.obs, new_obs)),
-        acts=tuple((us[drop_act:] + (u,)) if n >= 2 else ()
-                   for us, u in zip(o.acts, new_acts)),
-    )
+    windows = [_shift_window(o.n, o.t, ys, us, y, u)
+               for ys, us, y, u in zip(o.obs, o.acts, new_obs, new_acts)]
+    return OtherPrivate(t=o.t + 1, n=o.n, agent=o.agent,
+                        obs=tuple(w[0] for w in windows), acts=tuple(w[1] for w in windows))
 
 
 # ---------------------------------------------------------------------------
@@ -378,60 +327,3 @@ def structural_realizations(spec: ModelSpec, k: int, t: int) -> tuple[InfoRealiz
                     private=PrivateInfo(t=t, n=n, agent=k, obs=ys, acts=us)))
     out.sort(key=sort_key)
     return tuple(out)
-
-
-def enumerate_reachable(spec: ModelSpec, g_minus_k, k: int, t: int
-                        ) -> list[tuple[InfoRealization, tuple[OtherPrivate, ...]]]:
-    """Positive-probability realizations for agent k at time t, with, for
-    each, the positive-probability values of the other agents' private
-    blocks.
-
-    Agent k's own actions range over its whole action alphabet (the
-    best-response recursion optimizes over them everywhere), while agents
-    j != k follow g_minus_k. Output is sorted canonically.
-    """
-    found: dict[InfoRealization, set[OtherPrivate]] = {}
-    obs_ranges = [range(spec.obs_sizes[j]) for j in range(spec.K)]
-
-    def walk(s: int, x: int, hist: JointHistory) -> None:
-        if s == t:
-            c, p, o = split_history(hist, k, spec.n)
-            found.setdefault(InfoRealization(common=c, private=p), set()).add(o)
-            return
-        action_lists = []
-        for j in range(spec.K):
-            if j == k:
-                action_lists.append(tuple(range(spec.act_sizes[k])))
-            else:
-                cj, pj, _ = split_history(hist, j, spec.n)
-                action_lists.append(
-                    (g_minus_k.action(j, s, InfoRealization(common=cj, private=pj)),))
-        for us in itertools.product(*action_lists):
-            for x_next in range(spec.state_size):
-                if spec.transition[s][(x, *us, x_next)] <= 0.0:
-                    continue
-                for ys in itertools.product(*obs_ranges):
-                    p_y = 1.0
-                    for j, y in enumerate(ys):
-                        p_y *= spec.observation[s + 1][j][x_next, y]
-                    if p_y <= 0.0:
-                        continue
-                    walk(s + 1, x_next, JointHistory(
-                        t=s + 1,
-                        obs=tuple(hist.obs[j] + (ys[j],) for j in range(spec.K)),
-                        acts=tuple(hist.acts[j] + (us[j],) for j in range(spec.K))))
-
-    for x0 in range(spec.state_size):
-        if spec.init_dist[x0] <= 0.0:
-            continue
-        for ys in itertools.product(*obs_ranges):
-            p_y = 1.0
-            for j, y in enumerate(ys):
-                p_y *= spec.observation[0][j][x0, y]
-            if p_y <= 0.0:
-                continue
-            walk(0, x0, JointHistory(t=0, obs=tuple((y,) for y in ys),
-                                     acts=tuple(() for _ in range(spec.K))))
-
-    items = sorted(found.items(), key=lambda kv: sort_key(kv[0]))
-    return [(r, tuple(sorted(supp, key=other_sort_key))) for r, supp in items]

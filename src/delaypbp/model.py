@@ -20,6 +20,15 @@ from .errors import ModelFormatError
 
 # Kernel rows must be probability vectors to this absolute tolerance.
 PROB_TOL = 1e-12
+# Checks and the CLI read their tolerances from here. COMPARE_TOL bounds
+# belief and value identities and stationarity gaps; IMPROVE_TOL is the
+# best-response sweep's strict-decrease threshold; K1_TOL gates identities
+# that hold term by term (the single-agent reduction, conditional
+# independence under state-blind observations). All sit just above the
+# double-precision noise floor of exact enumeration at desk scale.
+COMPARE_TOL = 1e-10
+IMPROVE_TOL = 1e-12
+K1_TOL = 1e-12
 
 CANONICAL_NAMES = ("CANON-2A", "CANON-2B", "CANON-1")
 

@@ -1,13 +1,13 @@
-"""Ground truth by exhaustive trajectory enumeration.
+"""Ground truth by exhaustive enumeration of joint histories.
 
-Everything here works directly on the sample-path measure induced by the
-kernels and a strategy profile: expected costs, conditional distributions,
+`walk` enumerates the sample paths that the kernels and a strategy profile
+give positive probability, up to some horizon, and hands each leaf to a
+visitor. Everything else here is a group-by over one walk: expected costs,
+agent k's posterior over the extended state, conditional cost-to-go,
 brute-force best responses and stationarity certificates. No beliefs, no
 backward recursion -- this module is the reference the filter and the
-dynamic program are checked against, so it must stay independent of them.
-
-Random variables are addressed by tuples: ("x", t) for the state,
-("y", k, t) for agent k's observation, ("u", k, t) for agent k's action.
+dynamic program are checked against, so it imports nothing but the model
+and information-pattern primitives.
 """
 
 from __future__ import annotations
@@ -15,174 +15,173 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import InstanceTooLargeError, UnreachableError
-from .info import (InfoRealization, JointHistory, other_agents,
-                   shared_prefix_len, sort_key, split_history)
-from .model import ModelSpec
+import numpy as np
 
-Var = tuple
+from .errors import InstanceTooLargeError
+from .info import (InfoRealization, JointHistory, other_private_space,
+                   realization_at, sort_key, split_history)
+from .model import COMPARE_TOL, ModelSpec
 
 # Candidate count guard for brute_force_best_response.
 BRUTE_FORCE_LIMIT = 10 ** 6
-STATIONARY_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class TrajectoryAtom:
-    """One complete sample path up to some horizon with its probability."""
-
-    x: tuple[int, ...]                 # states 0..t_end
-    y: tuple[tuple[int, ...], ...]     # per agent, observations 0..t_end
-    u: tuple[tuple[int, ...], ...]     # per agent, actions 0..t_end-1
-    mass: float
-
-    def history(self) -> JointHistory:
-        return JointHistory(t=len(self.x) - 1, obs=self.y, acts=self.u)
-
-    def value(self, var: Var) -> int:
-        kind = var[0]
-        if kind == "x":
-            return self.x[var[1]]
-        if kind == "y":
-            return self.y[var[1]][var[2]]
-        if kind == "u":
-            return self.u[var[1]][var[2]]
-        raise ValueError(f"unknown variable {var!r}")
+def _likely_observations(spec: ModelSpec, s: int) -> list[list[tuple[tuple, float]]]:
+    """Per state, every joint time-s observation with positive likelihood,
+    with that likelihood formed as 1.0 * q_0 * q_1 * ..."""
+    out = []
+    for x in range(spec.state_size):
+        row = []
+        for ys in itertools.product(*(range(m) for m in spec.obs_sizes)):
+            p = 1.0
+            for j, y in enumerate(ys):
+                p *= float(spec.observation[s][j][x, y])
+            if p > 0.0:
+                row.append((ys, p))
+        out.append(row)
+    return out
 
 
-def atoms(spec: ModelSpec, g_full, t_end: int | None = None) -> list[TrajectoryAtom]:
-    """All positive-probability sample paths up to t_end (default: the
-    horizon T), with every agent following g_full."""
+def walk(spec: ModelSpec, g, visit, t_end: int | None = None, free: int | None = None,
+         free_until: int = 0, cost_from: int = 0) -> None:
+    """Call visit(xs, hist, mass, cost) at every positive-probability joint
+    history up to t_end (default: the horizon T).
+
+    Every agent acts from the profile g, except agent `free` at times before
+    free_until: there it branches over its whole action alphabet, and its
+    maps are never read. xs is the state path x_0..x_{t_end} and hist the
+    observations and actions; mass is init * (1.0 * q_0 * q_1 ...), then
+    mass * p_x * p_y per step, the path's probability given the free
+    agent's actions; cost sums the stage costs at times cost_from..t_end-1
+    left to right, plus the terminal cost when t_end = T.
+
+    Leaves come in a fixed order: initial state, joint observation, then
+    per step the free agent's action, the next state and the joint
+    observation. Group-bys that accumulate in leaf order are therefore
+    deterministic to the bit.
+    """
     if t_end is None:
         t_end = spec.T
     if not (0 <= t_end <= spec.T):
         raise ValueError(f"t_end must be in 0..{spec.T}")
-    out: list[TrajectoryAtom] = []
-    obs_ranges = [range(spec.obs_sizes[j]) for j in range(spec.K)]
+    K, n, X = spec.K, spec.n, spec.state_size
+    obs = [_likely_observations(spec, s) for s in range(t_end + 1)]
+    # Kernels and costs as nested lists indexed [x][joint action], with the
+    # joint action's flat index in the kernels' C order.
+    trans = [spec.transition[s].reshape(X, -1, X).tolist() for s in range(t_end)]
+    stage = [spec.stage_cost[s].reshape(X, -1).tolist() for s in range(t_end)]
+    terminal = spec.terminal_cost.tolist()
+    joint = {acts: i for i, acts in enumerate(
+        itertools.product(*(range(a) for a in spec.act_sizes)))}
 
-    def walk(s: int, x_path: tuple, y_paths: tuple, u_paths: tuple, mass: float) -> None:
+    def step(s: int, xs: tuple, hist: JointHistory, mass: float, cost: float) -> None:
         if s == t_end:
-            out.append(TrajectoryAtom(x=x_path, y=y_paths, u=u_paths, mass=mass))
+            visit(xs, hist, mass, cost + terminal[xs[-1]] if s == spec.T else cost)
             return
-        hist = JointHistory(t=s, obs=y_paths, acts=u_paths)
-        acts = []
-        for j in range(spec.K):
-            cj, pj, _ = split_history(hist, j, spec.n)
-            acts.append(g_full.action(j, s, InfoRealization(common=cj, private=pj)))
-        acts = tuple(acts)
-        u_next = tuple(u_paths[j] + (acts[j],) for j in range(spec.K))
-        for x1 in range(spec.state_size):
-            p_x = float(spec.transition[s][(x_path[-1], *acts, x1)])
-            if p_x <= 0.0:
-                continue
-            for ys in itertools.product(*obs_ranges):
-                p_y = 1.0
-                for j, y in enumerate(ys):
-                    p_y *= float(spec.observation[s + 1][j][x1, y])
-                if p_y <= 0.0:
+        x = xs[-1]
+        choices = [range(spec.act_sizes[j]) if j == free and s < free_until
+                   else (g.action(j, s, realization_at(hist, j, n)),) for j in range(K)]
+        for acts in itertools.product(*choices):
+            a = joint[acts]
+            c = cost + stage[s][x][a] if s >= cost_from else cost
+            acts1 = tuple(us + (u,) for us, u in zip(hist.acts, acts))
+            for x1, p_x in enumerate(trans[s][x][a]):
+                if p_x <= 0.0:
                     continue
-                walk(s + 1, x_path + (x1,),
-                     tuple(y_paths[j] + (ys[j],) for j in range(spec.K)),
-                     u_next, mass * p_x * p_y)
+                for ys, p_y in obs[s + 1][x1]:
+                    step(s + 1, xs + (x1,),
+                         JointHistory(t=s + 1, obs=tuple(o + (y,) for o, y in zip(hist.obs, ys)),
+                                      acts=acts1),
+                         mass * p_x * p_y, c)
 
-    for x0 in range(spec.state_size):
-        p0 = float(spec.init_dist[x0])
+    no_acts = tuple(() for _ in range(K))
+    for x0, p0 in enumerate(spec.init_dist.tolist()):
         if p0 <= 0.0:
             continue
-        for ys in itertools.product(*obs_ranges):
-            p_y = 1.0
-            for j, y in enumerate(ys):
-                p_y *= float(spec.observation[0][j][x0, y])
-            if p_y <= 0.0:
-                continue
-            walk(0, (x0,), tuple((y,) for y in ys),
-                 tuple(() for _ in range(spec.K)), p0 * p_y)
-    return out
-
-
-def total_cost(spec: ModelSpec, atom: TrajectoryAtom) -> float:
-    """Realized cost of one full-horizon path."""
-    c = 0.0
-    for s in range(spec.T):
-        us = tuple(atom.u[j][s] for j in range(spec.K))
-        c += float(spec.stage_cost[s][(atom.x[s], *us)])
-    return c + float(spec.terminal_cost[atom.x[spec.T]])
+        for ys, p_y in obs[0][x0]:
+            step(0, (x0,), JointHistory(t=0, obs=tuple((y,) for y in ys), acts=no_acts),
+                 p0 * p_y, 0.0)
 
 
 def enumerate_cost(spec: ModelSpec, g_full) -> float:
     """Expected total cost of a profile, straight from the definition."""
-    return sum(a.mass * total_cost(spec, a) for a in atoms(spec, g_full))
-
-
-def conditional_pmf(spec: ModelSpec, g_full, target: list[Var],
-                    given: list[tuple[Var, int]], t: int) -> dict[tuple, float]:
-    """Exact conditional PMF of the target variables given an event.
-
-    `t` is the enumeration horizon; it must cover every referenced time
-    index (actions at s require horizon > s). Raises UnreachableError if
-    the conditioning event has probability zero.
-    """
-    for var in list(target) + [v for v, _ in given]:
-        need = var[-1] + 1 if var[0] == "u" else var[-1]
-        if need > t:
-            raise ValueError(f"variable {var!r} needs horizon > {t}")
-    masses: dict[tuple, float] = {}
     total = 0.0
-    for a in atoms(spec, g_full, t_end=t):
-        if any(a.value(v) != val for v, val in given):
-            continue
-        total += a.mass
-        key = tuple(a.value(v) for v in target)
-        masses[key] = masses.get(key, 0.0) + a.mass
-    if total <= 0.0:
-        raise UnreachableError("unreachable conditioning event")
-    return {key: m / total for key, m in sorted(masses.items())}
+
+    def visit(xs, hist, mass, cost):
+        nonlocal total
+        total += mass * cost
+
+    walk(spec, g_full, visit)
+    return total
 
 
-# --- variable-list helpers -------------------------------------------------
-
-def delta_vars(spec: ModelSpec, t: int) -> list[Var]:
-    """Variables making up the shared block at time t, agent-major,
-    observations before actions (matching CommonInfo field order)."""
-    cut = shared_prefix_len(spec.n, t)
-    out: list[Var] = []
-    for j in range(spec.K):
-        out.extend(("y", j, s) for s in range(cut))
-        out.extend(("u", j, s) for s in range(cut))
-    return out
+def _cut(hist: JointHistory, t: int) -> tuple[tuple, tuple]:
+    """The history up to time t as plain tuples (observations, actions), a
+    cheap group-by key that fixes every agent's realization at t."""
+    return tuple(ys[:t + 1] for ys in hist.obs), tuple(us[:t] for us in hist.acts)
 
 
-def lambda_vars(spec: ModelSpec, k: int, t: int) -> list[Var]:
-    """Variables making up agent k's private block at time t."""
-    cut = shared_prefix_len(spec.n, t)
-    out: list[Var] = [("y", k, s) for s in range(cut, t + 1)]
-    out.extend(("u", k, s) for s in range(cut, t))
-    return out
+def posteriors(spec: ModelSpec, g, k: int, t: int,
+               free: bool = True) -> dict[InfoRealization, np.ndarray]:
+    """Agent k's posterior over (x_t, lambda_t^{-k}) at every realization
+    reachable at t with its own actions free, from the definition.
+
+    One walk to t with agent k free, so its maps are never read: a
+    realization already fixes agent k's actions. Leaf masses accumulate in
+    leaf order per (joint history, x_t), which is per (agent k's
+    realization, lambda_t^{-k}, x_t), and are normalized per realization.
+    Each posterior is a (state, lambda) array over
+    other_private_space(spec, k, t).
+
+    With free=False agent k follows g instead. A realization g reaches has
+    the same leaves in the same order either way, so its posterior is the
+    same to the bit; the walk is smaller and reads the other agents' maps
+    only where g reaches.
+    """
+    cells: dict[tuple, float] = {}
+
+    def visit(xs, hist, mass, cost):
+        key = (hist.obs, hist.acts, xs[-1])
+        cells[key] = cells.get(key, 0.0) + mass
+
+    walk(spec, g, visit, t_end=t, free=k, free_until=t if free else 0)
+    lam_index = {lam: i for i, lam in enumerate(other_private_space(spec, k, t))}
+    mats: dict[InfoRealization, np.ndarray] = {}
+    for (obs, acts, x), m in cells.items():
+        c, p, lam = split_history(JointHistory(t=t, obs=obs, acts=acts), k, spec.n)
+        r = InfoRealization(common=c, private=p)
+        if r not in mats:
+            mats[r] = np.zeros((spec.state_size, len(lam_index)))
+        mats[r][x, lam_index[lam]] = m
+    return {r: mat / float(mat.sum()) for r, mat in mats.items()}
 
 
-def other_private_vars(spec: ModelSpec, k: int, t: int) -> list[Var]:
-    cut = shared_prefix_len(spec.n, t)
-    out: list[Var] = []
-    for j in other_agents(spec.K, k):
-        out.extend(("y", j, s) for s in range(cut, t + 1))
-        out.extend(("u", j, s) for s in range(cut, t))
-    return out
+def cost_to_go(spec: ModelSpec, k: int, g, t0: int) -> dict[InfoRealization, float]:
+    """Expected cost of stages t0..T-1 plus the terminal cost, conditioned
+    on agent k's time-t0 realization, when every agent plays g from t0 on.
 
+    One walk to T with agent k free before t0, which covers every
+    realization reachable at t0 with agent k's actions free. Per realization,
+    the leaf mass times the cost from t0 on, over the leaf mass.
+    """
+    sums: dict[tuple, list[float]] = {}  # per time-t0 history
 
-def realization_given(spec: ModelSpec, info: InfoRealization) -> list[tuple[Var, int]]:
-    """(variable, value) pairs pinning a realization as a conditioning event."""
-    k, t = info.agent, info.t
-    pairs: list[tuple[Var, int]] = []
-    values: list[int] = []
-    for j in range(spec.K):
-        values.extend(info.common.obs[j])
-        values.extend(info.common.acts[j])
-    for var, val in zip(delta_vars(spec, t), values):
-        pairs.append((var, int(val)))
-    lam_values = list(info.private.obs) + list(info.private.acts)
-    for var, val in zip(lambda_vars(spec, k, t), lam_values):
-        pairs.append((var, int(val)))
-    return pairs
+    def visit(xs, hist, mass, cost):
+        key = _cut(hist, t0)
+        if key not in sums:
+            sums[key] = [0.0, 0.0]
+        acc = sums[key]
+        acc[0] += mass * cost
+        acc[1] += mass
+
+    walk(spec, g, visit, free=k, free_until=t0, cost_from=t0)
+    numer: dict[InfoRealization, float] = {}
+    denom: dict[InfoRealization, float] = {}
+    for (obs, acts), (num, den) in sums.items():
+        r = realization_at(JointHistory(t=t0, obs=obs, acts=acts), k, spec.n)
+        numer[r] = numer.get(r, 0.0) + num
+        denom[r] = denom.get(r, 0.0) + den
+    return {r: numer[r] / denom[r] for r in numer}
 
 
 # ---------------------------------------------------------------------------
@@ -194,15 +193,6 @@ def realization_given(spec: ModelSpec, info: InfoRealization) -> list[tuple[Var,
 # the minimum over tables is the sum of per-r minima.
 # ---------------------------------------------------------------------------
 
-def _initial_obs_support(spec: ModelSpec, k: int) -> list[int]:
-    out = []
-    for y in range(spec.obs_sizes[k]):
-        if sum(float(spec.init_dist[x]) * float(spec.observation[0][k][x, y])
-               for x in range(spec.state_size)) > 0.0:
-            out.append(y)
-    return out
-
-
 def brute_force_best_response(spec: ModelSpec, k: int, g_minus_k):
     """Minimize the team cost over agent k's strategies by enumeration.
 
@@ -210,88 +200,52 @@ def brute_force_best_response(spec: ModelSpec, k: int, g_minus_k):
     Only the targets the search actually visits are in the maps. Ties break
     toward the smallest action index in canonical candidate order.
     """
-    from .filtering import initial_realization  # realization constructor only
-
     if spec.T > 2:
         raise InstanceTooLargeError("instance too large for brute force (T > 2)")
-    y0s = _initial_obs_support(spec, k)
-    n_maps = spec.act_sizes[k] ** len(y0s)
+    # One stage-0 map per assignment of an action to each first observation
+    # with positive probability.
+    n_maps = spec.act_sizes[k] ** int(np.count_nonzero(spec.init_dist @ spec.observation[0][k]))
     if n_maps > BRUTE_FORCE_LIMIT:
         raise InstanceTooLargeError(
             f"instance too large for brute force ({n_maps} stage-0 maps)")
+    last = spec.T - 1
+    # One walk with agent k free throughout, summed per history up to the
+    # final stage and its actions; then, per (first realization, first
+    # action), the final-stage costs reached through it by final-stage
+    # realization and action. Those four fix every action of agent k.
+    sums: dict[tuple, float] = {}
 
-    others = other_agents(spec.K, k)
+    def visit(xs, hist, mass, cost):
+        key = (_cut(hist, last)[0], hist.acts)
+        sums[key] = sums.get(key, 0.0) + mass * cost
+
+    walk(spec, g_minus_k, visit, free=k, free_until=spec.T)
+    tails: dict[tuple, dict[InfoRealization, dict[int, float]]] = {}
+    for (obs, acts), c in sums.items():
+        h = JointHistory(t=last, obs=obs, acts=tuple(us[:last] for us in acts))
+        costs = tails.setdefault((realization_at(h, k, spec.n, 0), acts[k][0]), {}
+                                 ).setdefault(realization_at(h, k, spec.n), {})
+        costs[acts[k][last]] = costs.get(acts[k][last], 0.0) + c
+    firsts = sorted({r0 for r0, _ in tails}, key=sort_key)
+    # The pointwise-best final action per realization, and the cost it gives.
+    best_tail = {}
+    for key, by_r in tails.items():
+        picks = {r: min(costs, key=lambda u: (costs[u], u)) for r, costs in by_r.items()}
+        best_tail[key] = (sum(by_r[r][u] for r, u in picks.items()), picks)
+
     best_value = None
     best_maps = None
-    for combo in itertools.product(range(spec.act_sizes[k]), repeat=len(y0s)):
-        m0 = {initial_realization(spec, k, y): u for y, u in zip(y0s, combo)}
-        if spec.T == 1:
-            value = _value_single_stage(spec, k, g_minus_k, m0)
-            maps = [m0]
-        else:
-            value, m1 = _value_two_stage(spec, k, g_minus_k, m0)
-            maps = [m0, m1]
+    for combo in itertools.product(range(spec.act_sizes[k]), repeat=len(firsts)):
+        value = sum(best_tail[(r0, u0)][0] for r0, u0 in zip(firsts, combo))
         if best_value is None or value < best_value:
-            best_value, best_maps = value, maps
+            m0 = dict(zip(firsts, combo))
+            if spec.T == 1:
+                best_maps = [m0]
+            else:
+                best_maps = [m0, {r: u for r0, u0 in m0.items()
+                                  for r, u in best_tail[(r0, u0)][1].items()}]
+            best_value = value
     return best_value, best_maps
-
-
-class _MapStrategy:
-    """Adapter: agent k plays from explicit per-time maps, everyone else
-    plays from the surrounding profile."""
-
-    def __init__(self, base, k, maps):
-        self.base, self.k, self.maps = base, k, maps
-
-    def action(self, j, t, r):
-        if j == self.k:
-            return self.maps[t][r]
-        return self.base.action(j, t, r)
-
-
-def _value_single_stage(spec: ModelSpec, k: int, g_minus_k, m0) -> float:
-    g = _MapStrategy(g_minus_k, k, [m0])
-    return sum(a.mass * total_cost(spec, a) for a in atoms(spec, g))
-
-
-def _value_two_stage(spec: ModelSpec, k: int, g_minus_k, m0):
-    """Expected cost of stage-0 map m0 with the stage-1 map chosen
-    pointwise-optimally; returns (value, chosen stage-1 map)."""
-    g_prefix = _MapStrategy(g_minus_k, k, [m0])
-    prefix = atoms(spec, g_prefix, t_end=1)
-    base_cost = 0.0
-    groups: dict[InfoRealization, list[TrajectoryAtom]] = {}
-    for a in prefix:
-        us0 = tuple(a.u[j][0] for j in range(spec.K))
-        base_cost += a.mass * float(spec.stage_cost[0][(a.x[0], *us0)])
-        c, p, _ = split_history(a.history(), k, spec.n)
-        groups.setdefault(InfoRealization(common=c, private=p), []).append(a)
-
-    others = other_agents(spec.K, k)
-    value = base_cost
-    m1: dict[InfoRealization, int] = {}
-    for r in sorted(groups, key=sort_key):
-        tails = []
-        for u1 in range(spec.act_sizes[k]):
-            tail = 0.0
-            for a in groups[r]:
-                hist = a.history()
-                acts = [0] * spec.K
-                acts[k] = u1
-                for j in others:
-                    cj, pj, _ = split_history(hist, j, spec.n)
-                    acts[j] = g_minus_k.action(j, 1, InfoRealization(common=cj, private=pj))
-                x1 = a.x[1]
-                stage = float(spec.stage_cost[1][(x1, *acts)])
-                term = sum(float(spec.transition[1][(x1, *acts, x2)])
-                           * float(spec.terminal_cost[x2])
-                           for x2 in range(spec.state_size))
-                tail += a.mass * (stage + term)
-            tails.append(tail)
-        u_best = min(range(spec.act_sizes[k]), key=lambda u: (tails[u], u))
-        m1[r] = u_best
-        value += tails[u_best]
-    return value, m1
 
 
 @dataclass(frozen=True)
@@ -312,7 +266,7 @@ class PbPReport:
         return all(a.stationary for a in self.agents)
 
 
-def verify_pbp(spec: ModelSpec, g_full, tol: float = STATIONARY_TOL) -> PbPReport:
+def verify_pbp(spec: ModelSpec, g_full, tol: float = COMPARE_TOL) -> PbPReport:
     """Certify person-by-person stationarity: for each agent, compare the
     profile's cost against that agent's brute-force best response with the
     rest of the profile frozen."""
@@ -324,117 +278,3 @@ def verify_pbp(spec: ModelSpec, g_full, tol: float = STATIONARY_TOL) -> PbPRepor
         rows.append(AgentStationarity(agent=k, best_response_value=bf_value,
                                       gap=gap, stationary=gap <= tol))
     return PbPReport(cost=cost, agents=tuple(rows))
-
-
-# ---------------------------------------------------------------------------
-# Conditional cost-to-go by enumeration (the reference side of the value
-# dominance check).
-# ---------------------------------------------------------------------------
-
-def cost_to_go(spec: ModelSpec, k: int, g_minus_k, g_k_future, info: InfoRealization) -> float:
-    """Expected remaining cost from time t conditioned on agent k's
-    realization, when agent k plays g_k_future from t on.
-
-    The past is clamped exactly as in the posterior computation: agent k's
-    streams and the shared prefixes from the realization, the other agents'
-    recent data free, their actions reproduced from g_minus_k and checked
-    against the clamped prefixes.
-    """
-    info.validate()
-    t0, n = info.t, spec.n
-    own_obs = info.own_observations()
-    own_acts = info.own_actions()
-    cut = shared_prefix_len(n, t0)
-    others = other_agents(spec.K, k)
-
-    def tail(s: int, x: int, hist: JointHistory) -> float:
-        """Expected cost over stages s..T-1 plus terminal, from (x, hist)."""
-        if s == spec.T:
-            return float(spec.terminal_cost[x])
-        acts = [0] * spec.K
-        ck, pk, _ = split_history(hist, k, n)
-        acts[k] = g_k_future.action(k, s, InfoRealization(common=ck, private=pk))
-        for j in others:
-            cj, pj, _ = split_history(hist, j, n)
-            acts[j] = g_minus_k.action(j, s, InfoRealization(common=cj, private=pj))
-        acc = float(spec.stage_cost[s][(x, *acts)])
-        for x1 in range(spec.state_size):
-            p_x = float(spec.transition[s][(x, *acts, x1)])
-            if p_x <= 0.0:
-                continue
-            for ys in itertools.product(*(range(spec.obs_sizes[j]) for j in range(spec.K))):
-                p_y = 1.0
-                for j, y in enumerate(ys):
-                    p_y *= float(spec.observation[s + 1][j][x1, y])
-                if p_y <= 0.0:
-                    continue
-                acc += p_x * p_y * tail(s + 1, x1, JointHistory(
-                    t=s + 1,
-                    obs=tuple(hist.obs[j] + (ys[j],) for j in range(spec.K)),
-                    acts=tuple(hist.acts[j] + (acts[j],) for j in range(spec.K))))
-        return acc
-
-    numer = 0.0
-    denom = 0.0
-
-    def free_obs_choices(s: int, j: int):
-        if s < cut:
-            return (info.common.obs[j][s],)
-        return tuple(range(spec.obs_sizes[j]))
-
-    def walk(s: int, x: int, hist: JointHistory, mass: float) -> None:
-        nonlocal numer, denom
-        if s == t0:
-            denom += mass
-            numer += mass * tail(s, x, hist)
-            return
-        acts = [0] * spec.K
-        acts[k] = own_acts[s]
-        for j in others:
-            cj, pj, _ = split_history(hist, j, n)
-            u_j = g_minus_k.action(j, s, InfoRealization(common=cj, private=pj))
-            if s < cut and info.common.acts[j][s] != u_j:
-                return
-            acts[j] = u_j
-        for x1 in range(spec.state_size):
-            p_x = float(spec.transition[s][(x, *acts, x1)])
-            if p_x <= 0.0:
-                continue
-            p_k = float(spec.observation[s + 1][k][x1, own_obs[s + 1]])
-            if p_k <= 0.0:
-                continue
-            for ys in itertools.product(*(free_obs_choices(s + 1, j) for j in others)):
-                p_y = 1.0
-                for pos, j in enumerate(others):
-                    p_y *= float(spec.observation[s + 1][j][x1, ys[pos]])
-                if p_y <= 0.0:
-                    continue
-                obs1 = list(hist.obs)
-                obs1[k] = obs1[k] + (own_obs[s + 1],)
-                for pos, j in enumerate(others):
-                    obs1[j] = obs1[j] + (ys[pos],)
-                walk(s + 1, x1, JointHistory(
-                    t=s + 1, obs=tuple(obs1),
-                    acts=tuple(hist.acts[j] + (acts[j],) for j in range(spec.K))),
-                    mass * p_x * p_k * p_y)
-
-    for x0 in range(spec.state_size):
-        p0 = float(spec.init_dist[x0]) * float(spec.observation[0][k][x0, own_obs[0]])
-        if p0 <= 0.0:
-            continue
-        for ys in itertools.product(*(free_obs_choices(0, j) for j in others)):
-            p_y = 1.0
-            for pos, j in enumerate(others):
-                p_y *= float(spec.observation[0][j][x0, ys[pos]])
-            if p_y <= 0.0:
-                continue
-            obs0 = [()] * spec.K
-            obs0[k] = (own_obs[0],)
-            for pos, j in enumerate(others):
-                obs0[j] = (ys[pos],)
-            walk(0, x0, JointHistory(t=0, obs=tuple(obs0),
-                                     acts=tuple(() for _ in range(spec.K))), p0 * p_y)
-
-    if denom <= 0.0:
-        raise UnreachableError(f"unreachable realization for agent {k} at t={t0}")
-    return numer / denom

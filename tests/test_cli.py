@@ -7,7 +7,8 @@ import pytest
 from delaypbp.cli import EXIT_CONFIG, EXIT_OK, EXIT_TOLERANCE, RunConfig, main, run
 from delaypbp.errors import ModelFormatError
 from delaypbp.model import model_to_dict, save_model
-from delaypbp.strategies import load_profile, random_profile, save_profile
+from delaypbp.strategies import (load_profile, observation_following_profile,
+                                 random_profile, save_profile)
 
 
 def read(path):
@@ -230,3 +231,22 @@ def test_non_finite_tolerance_rejected(tmp_path, capsys, flag, value):
                  "--out", str(tmp_path / "r")])
     assert code == EXIT_CONFIG
     assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["filter", "solve"])
+def test_incomplete_strategy_file_gives_config_exit(tmp_path, canon_2a, capsys, command):
+    """A strategy file that misses a reachable realization of the other
+    agent is a config error naming the agent, the time and the key."""
+    path = tmp_path / "strategy.json"
+    save_profile(canon_2a, observation_following_profile(canon_2a), path)
+    doc = read(path)
+    doc["agents"][1]["times"][1]["entries"] = doc["agents"][1]["times"][1]["entries"][:3]
+    path.write_text(json.dumps(doc))
+    code = main(["--command", command, "--model", "CANON-2A", "--strategy", str(path),
+                 "--out", str(tmp_path / "r")])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(
+        "error: incomplete opponent strategy: agent 1 has no action at t=1, c(")
+    assert not (tmp_path / "r").exists()

@@ -14,16 +14,6 @@ from delaypbp.strategies import (constant_profile, observation_following_profile
 from test_oracle import truncate_to_t1, zero_cost_variant
 
 
-class AgentMaps:
-    """Per-time maps viewed as one agent's strategy."""
-
-    def __init__(self, maps):
-        self.maps = maps
-
-    def action(self, k, t, r):
-        return self.maps[t][r]
-
-
 # --- terminal values ----------------------------------------------------------
 
 def test_terminal_value_zero_cost(canon_2a):
@@ -48,10 +38,9 @@ def test_terminal_value_matches_oracle_expectation(canon_2a):
     g = observation_following_profile(canon_2a)
     chain = chained_beliefs(canon_2a, g, 0)
     t = canon_2a.T
+    post = oracle.posteriors(canon_2a, g, 0, t)
     for r, (b, _) in chain[t].items():
-        pmf = oracle.conditional_pmf(canon_2a, g, [("x", t)],
-                                     oracle.realization_given(canon_2a, r), t)
-        ref = sum(canon_2a.terminal_cost[x] * p for (x,), p in pmf.items())
+        ref = sum(canon_2a.terminal_cost[x] * p for x, p in enumerate(post[r].sum(axis=1)))
         assert terminal_value(canon_2a, 0, b) == pytest.approx(ref, abs=1e-10)
 
 
@@ -268,7 +257,7 @@ def test_single_agent_sweep_is_globally_optimal(canon_1):
 def test_dominance_tight_at_best_response(canon_2a):
     g = observation_following_profile(canon_2a)
     vtable, maps = solve_best_response(canon_2a, 0, g)
-    report = verify_value_dominance(canon_2a, 0, g, vtable, AgentMaps(maps))
+    report = verify_value_dominance(canon_2a, 0, g, vtable, maps)
     assert report.violations == ()
     assert report.max_abs_gap <= 1e-10
     assert len(report.entries) >= 40
@@ -277,7 +266,7 @@ def test_dominance_tight_at_best_response(canon_2a):
 def test_dominance_against_constant_alternative(canon_2a):
     g = observation_following_profile(canon_2a)
     vtable, _ = solve_best_response(canon_2a, 0, g)
-    alt = AgentMaps(constant_profile(canon_2a, 1).maps[0])
+    alt = constant_profile(canon_2a, 1).maps[0]
     report = verify_value_dominance(canon_2a, 0, g, vtable, alt)
     assert report.violations == ()
     # the costs distinguish actions somewhere, so dominance is strict there
@@ -299,7 +288,7 @@ def test_dominance_zero_costs(canon_2a):
     spec = zero_cost_variant(canon_2a)
     g = observation_following_profile(spec)
     vtable, _ = solve_best_response(spec, 0, g)
-    alt = AgentMaps(constant_profile(spec, 1).maps[0])
+    alt = constant_profile(spec, 1).maps[0]
     report = verify_value_dominance(spec, 0, g, vtable, alt)
     assert report.violations == ()
     assert report.max_abs_gap == 0.0

@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_model
+from delaypbp import oracle
 from delaypbp.errors import UnreachableError
-from delaypbp.filtering import (BeliefPass, bayes_oracle_belief,
-                                belief_update, chained_beliefs,
+from delaypbp.filtering import (BeliefPass, belief_update, chained_beliefs,
                                 classical_filter_update, initial_belief,
                                 initial_realization, max_abs_gap, other_actions)
 from delaypbp.info import (advance_other, other_agents, other_private_space,
@@ -65,11 +65,10 @@ def test_initial_belief_perfect_observation():
 def test_initial_belief_matches_oracle(canon_2a):
     g = observation_following_profile(canon_2a)
     for k in range(2):
+        post = oracle.posteriors(canon_2a, g, k, 0)
         for y0 in range(2):
             b = initial_belief(canon_2a, k, y0)
-            ref = bayes_oracle_belief(canon_2a, g, k,
-                                      initial_realization(canon_2a, k, y0))
-            assert max_abs_gap(b, ref) <= 1e-15
+            assert max_abs_gap(b, post[initial_realization(canon_2a, k, y0)]) <= 1e-15
 
 
 def test_initial_belief_unreachable_observation():
@@ -145,10 +144,10 @@ def test_chain_matches_oracle_canon_2a(canon_2a, agent):
         assert chain[t], "no reachable realizations found"
         total = sum(pr for _, pr in chain[t].values())
         assert abs(total - 1.0) <= 1e-10
+        post = oracle.posteriors(canon_2a, g, agent, t)
         for r, (b, _) in chain[t].items():
             assert abs(float(b.probs.sum()) - 1.0) <= 1e-10
-            ref = bayes_oracle_belief(canon_2a, g, agent, r)
-            assert max_abs_gap(b, ref) <= 1e-10
+            assert max_abs_gap(b, post[r]) <= 1e-10
             checked += 1
     assert checked >= 40
 
@@ -162,22 +161,21 @@ def test_oracle_belief_ignores_own_strategy_bitwise(canon_2a):
     chain_b = chained_beliefs(canon_2a, g_b, 0)
     shared = set(chain_a[1]) & set(chain_b[1])
     assert shared
+    post_a = oracle.posteriors(canon_2a, g_a, 0, 1)
+    post_b = oracle.posteriors(canon_2a, g_b, 0, 1)
     for r in shared:
-        ba = bayes_oracle_belief(canon_2a, g_a, 0, r)
-        bb = bayes_oracle_belief(canon_2a, g_b, 0, r)
-        assert np.array_equal(ba.probs, bb.probs)
+        assert np.array_equal(post_a[r], post_b[r])
 
 
 def test_oracle_belief_unreachable_realization(canon_2a):
+    """The oracle has no posterior at a realization of zero probability:
+    under the all-0 opponent, exactly those in which it played 1."""
     g = constant_profile(canon_2a, 0)
-    chain = chained_beliefs(canon_2a, g, 0)
-    reachable = set(chain[1])
+    post = oracle.posteriors(canon_2a, g, 0, 1)
     from delaypbp.info import structural_realizations
-    unreachable = [r for r in structural_realizations(canon_2a, 0, 1)
-                   if r not in reachable]
-    assert unreachable
-    with pytest.raises(UnreachableError, match="unreachable realization"):
-        bayes_oracle_belief(canon_2a, g, 0, unreachable[0])
+    unreachable = [r for r in structural_realizations(canon_2a, 0, 1) if r not in post]
+    assert len(unreachable) == len(post) == 16
+    assert all(r.common.acts[1] == (1,) for r in unreachable)
 
 
 @settings(max_examples=12, deadline=None)
@@ -190,9 +188,9 @@ def test_chain_matches_oracle_random_models(seed, n):
     for k in range(spec.K):
         chain = chained_beliefs(spec, g, k)
         for t in range(spec.T + 1):
+            post = oracle.posteriors(spec, g, k, t)
             for r, (b, _) in chain[t].items():
-                ref = bayes_oracle_belief(spec, g, k, r)
-                assert max_abs_gap(b, ref) <= 1e-10
+                assert max_abs_gap(b, post[r]) <= 1e-10
 
 
 # --- classical filter -------------------------------------------------------

@@ -1,15 +1,21 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from delaypbp.info import (InfoRealization, JointHistory,
-                           PrivateInfo, advance_info,
-                           enumerate_reachable, other_private_space,
+from conftest import random_model
+from delaypbp import oracle
+from delaypbp.dp import _expand
+from delaypbp.filtering import BeliefPass
+from delaypbp.info import (InfoRealization, JointHistory, PrivateInfo,
+                           advance_common, advance_other, other_private_space,
                            parse_realization_key, private_act_len,
                            private_obs_len, realization_key, restrict_common,
-                           shift_private, sort_key, split_history,
-                           structural_realizations)
-from delaypbp.strategies import constant_profile, observation_following_profile
+                           shared_prefix_len, shift_private, sort_key,
+                           split_history, structural_realizations)
+from delaypbp.model import ModelSpec
+from delaypbp.strategies import (constant_profile, observation_following_profile,
+                                 random_profile)
 
 
 def make_history(K, t, fill=0):
@@ -63,28 +69,14 @@ def test_split_partition_property(K, n, t, fill):
             assert c.acts[j] + o.acts[pos] == h.acts[j]
 
 
-# --- advance examples -------------------------------------------------------
-
-def test_advance_n1_t0():
-    h = JointHistory(t=0, obs=((0,), (1,)), acts=((), ()))
-    c, p, o = split_history(h, 0, 1)
-    c1, p1 = advance_info(c, p, o, new_obs_k=1, new_act_k=1,
-                          new_obs_minus_k=(0,), acts_minus_k=(0,))
-    assert c1.obs == ((0,), (1,)) and c1.acts == ((1,), (0,))
-    assert p1.obs == (1,) and p1.acts == ()
-
-
-def test_advance_n2_t1():
-    h = JointHistory(t=1, obs=((0, 1), (1, 0)), acts=((1,), (0,)))
-    c, p, o = split_history(h, 0, 2)
-    c1, p1 = advance_info(c, p, o, new_obs_k=0, new_act_k=1, new_obs_minus_k=(1,))
-    assert c1.obs == ((0,), (1,)) and c1.acts == ((1,), (0,))
-    assert p1.obs == (1, 0) and p1.acts == (1,)
-
+# --- advance ------------------------------------------------------------------
 
 @settings(max_examples=150, deadline=None)
 @given(st.integers(1, 3), st.integers(1, 4), st.integers(0, 4), st.integers(0, 2))
 def test_advance_matches_split_of_extended_history(K, n, t, fill):
+    """Advancing agent k's three blocks one step gives the split of the
+    extended history. Once t >= n-1 the oldest private symbols move into
+    the shared block; with n = 1 the actions go there straight away."""
     h = make_history(K, t, fill)
     new_obs = tuple((fill + 2 + j) % 3 for j in range(K))
     new_acts = tuple((fill + 1 + j) % 3 for j in range(K))
@@ -94,28 +86,20 @@ def test_advance_matches_split_of_extended_history(K, n, t, fill):
     for k in range(K):
         c, p, o = split_history(h, k, n)
         others = [j for j in range(K) if j != k]
-        c1, p1 = advance_info(c, p, o,
-                              new_obs_k=new_obs[k], new_act_k=new_acts[k],
-                              new_obs_minus_k=tuple(new_obs[j] for j in others),
-                              acts_minus_k=tuple(new_acts[j] for j in others))
-        c1_ref, p1_ref, _ = split_history(h1, k, n)
-        assert c1 == c1_ref
-        assert p1 == p1_ref
-
-
-def test_advance_rejects_inconsistent_times():
-    h = make_history(2, 1)
-    c, p, o = split_history(h, 0, 1)
-    p_bad = PrivateInfo(t=2, n=1, agent=0, obs=(0,), acts=())
-    with pytest.raises(ValueError, match="inconsistent time"):
-        advance_info(c, p_bad, o, 0, 0, (0,), (0,))
-
-
-def test_advance_n1_requires_other_actions():
-    h = make_history(2, 1)
-    c, p, o = split_history(h, 0, 1)
-    with pytest.raises(ValueError, match="acts_minus_k"):
-        advance_info(c, p, o, 0, 0, (0,))
+        if shared_prefix_len(n, t + 1) > shared_prefix_len(n, t):
+            obs = [ys[0] for ys in o.obs]
+            obs.insert(k, p.obs[0])
+            acts = list(new_acts)
+            if n >= 2:
+                acts = [us[0] for us in o.acts]
+                acts.insert(k, p.acts[0])
+            c1 = advance_common(c, tuple(obs), tuple(acts))
+        else:
+            c1 = advance_common(c, (), ())
+        p1 = shift_private(p, new_obs[k], new_acts[k])
+        o1 = advance_other(o, tuple(new_obs[j] for j in others),
+                           tuple(new_acts[j] for j in others))
+        assert (c1, p1, o1) == split_history(h1, k, n)
 
 
 def test_restrict_then_shift_roundtrip():
@@ -157,50 +141,70 @@ def test_structural_grid_size(canon_2a):
     assert len(other_private_space(canon_2a, 0, 1)) == 2
 
 
-# --- reachability -----------------------------------------------------------
+# --- reachability: the DP's expanded nodes are the oracle's reachable set ------
+
+def assert_dp_nodes_are_oracle_reachable(spec, g, k):
+    """At every t, the realizations the best-response DP expands (agent k's
+    actions free) are those the oracle's walk reaches with agent k free, and
+    each chained belief has the oracle posterior's support. Returns the
+    oracle posteriors per t."""
+    nodes, _ = _expand(BeliefPass(spec, k, g))
+    posts = []
+    for t in range(spec.T + 1):
+        post = oracle.posteriors(spec, g, k, t)
+        assert set(nodes[t]) == set(post)
+        for r, b in nodes[t].items():
+            assert np.array_equal(b.matrix(spec.state_size) > 0.0, post[r] > 0.0)
+        posts.append(post)
+    return posts
+
+
+def lam_support(mat):
+    return int(np.count_nonzero(mat.sum(axis=0)))
+
 
 def test_enumerate_reachable_t0(canon_2a):
     g = observation_following_profile(canon_2a)
-    rs = enumerate_reachable(canon_2a, g, 0, 0)
+    rs = assert_dp_nodes_are_oracle_reachable(canon_2a, g, 0)[0]
     assert len(rs) == 2  # both first observations have positive probability
-    for r, supp in rs:
+    for r, mat in rs.items():
         assert r.t == 0
-        assert len(supp) == 2
+        assert lam_support(mat) == 2
 
 
 def test_enumerate_reachable_counts_on_canon_2a(canon_2a):
     # 16 shared-block combinations x 2 private observations, halved because
     # the deterministic opponent pins its own past action to its observation
     g = observation_following_profile(canon_2a)
-    rs = enumerate_reachable(canon_2a, g, 0, 1)
-    assert len(rs) == 16
-    for r, supp in rs:
+    posts = assert_dp_nodes_are_oracle_reachable(canon_2a, g, 0)
+    assert len(posts[1]) == 16
+    for r, mat in posts[1].items():
         y02, u02 = r.common.obs[1][0], r.common.acts[1][0]
         assert u02 == y02  # opponent determinism filtered the rest
-        assert len(supp) == 2
-    assert len(enumerate_reachable(canon_2a, g, 0, 2)) == 128
+        assert lam_support(mat) == 2
+    assert len(posts[2]) == 128
 
 
 def test_enumerate_reachable_respects_zero_kernel_rows(canon_2a):
     obs = [[q.copy() for q in qs] for qs in canon_2a.observation]
     obs[0][0] = [[1.0, 0.0], [1.0, 0.0]]  # agent 0 can only ever see y=0 at t=0
-    from delaypbp.model import ModelSpec
     spec = ModelSpec.from_tables(
         canon_2a.K, canon_2a.n, canon_2a.T, canon_2a.state_size,
         canon_2a.obs_sizes, canon_2a.act_sizes, canon_2a.init_dist,
         canon_2a.transition, obs, canon_2a.stage_cost, canon_2a.terminal_cost)
     g = observation_following_profile(spec)
-    rs = enumerate_reachable(spec, g, 0, 0)
-    assert [r.private.obs for r, _ in rs] == [(0,)]
-    for r, _ in enumerate_reachable(spec, g, 1, 1):
+    rs = assert_dp_nodes_are_oracle_reachable(spec, g, 0)[0]
+    assert [r.private.obs for r in rs] == [(0,)]
+    posts = assert_dp_nodes_are_oracle_reachable(spec, g, 1)
+    assert posts[1]
+    for r in posts[1]:
         assert r.common.obs[0] == (0,)
 
 
 def test_enumerate_reachable_closed_under_advance(canon_2a):
     """Every reachable (t+1)-realization restricts to a reachable t-one."""
     g = constant_profile(canon_2a, 0)
-    at = {t: {r for r, _ in enumerate_reachable(canon_2a, g, 0, t)}
-          for t in range(canon_2a.T + 1)}
+    at = assert_dp_nodes_are_oracle_reachable(canon_2a, g, 0)
     for t in range(1, canon_2a.T + 1):
         for r in at[t]:
             # unique predecessor for n=1: drop the newest shared symbols,
@@ -210,3 +214,11 @@ def test_enumerate_reachable_closed_under_advance(canon_2a):
                 private=PrivateInfo(t=t - 1, n=1, agent=0,
                                     obs=(r.common.obs[0][-1],), acts=()))
             assert prev in at[t - 1]
+
+
+@pytest.mark.parametrize("K,n,T", [(2, 1, 3), (2, 2, 3), (3, 1, 2)])
+def test_dp_nodes_are_oracle_reachable_on_random_models(K, n, T):
+    spec = random_model(seed=100 * K + 10 * n + T, K=K, n=n, T=T, sizes=2)
+    g = random_profile(spec, np.random.default_rng(K * n * T))
+    for k in (0, K - 1):
+        assert_dp_nodes_are_oracle_reachable(spec, g, k)

@@ -1,16 +1,20 @@
+import ast
 import itertools
+import pathlib
 
 import numpy as np
 import pytest
 
-from conftest import deterministic_chain, five_profiles
+from conftest import deterministic_chain, five_profiles, random_model
+from delaypbp.dp import solve_best_response, verify_value_dominance
 from delaypbp.errors import InstanceTooLargeError, UnreachableError
-from delaypbp.filtering import bayes_oracle_belief
+from delaypbp.info import (JointHistory, other_private_space, realization_at,
+                           split_history)
 from delaypbp.model import ModelSpec
-from delaypbp.oracle import (atoms, brute_force_best_response, conditional_pmf,
-                             enumerate_cost, other_private_vars,
-                             realization_given, verify_pbp)
-from delaypbp.strategies import constant_profile, observation_following_profile
+from delaypbp.oracle import (brute_force_best_response, enumerate_cost,
+                             posteriors, verify_pbp, walk)
+from delaypbp.strategies import (constant_profile, observation_following_profile,
+                                 random_profile)
 
 
 def zero_cost_variant(spec):
@@ -29,21 +33,36 @@ def truncate_to_t1(spec):
         spec.stage_cost[:1], spec.terminal_cost)
 
 
-# --- atom measure -----------------------------------------------------------
+def leaf_masses(spec, g, key, t_end):
+    """Leaf mass of one walk summed per key(xs, hist)."""
+    out = {}
+
+    def visit(xs, hist, mass, cost):
+        kk = key(xs, hist)
+        out[kk] = out.get(kk, 0.0) + mass
+
+    walk(spec, g, visit, t_end=t_end)
+    return out
+
+
+# --- the leaf measure ---------------------------------------------------------
 
 def test_atom_masses_form_probability_measure(canon_2a, canon_1):
     for spec in (canon_2a, canon_1):
         for _, g in five_profiles(spec):
-            total = sum(a.mass for a in atoms(spec, g))
+            total = sum(leaf_masses(spec, g, lambda xs, h: (), spec.T).values())
             assert abs(total - 1.0) <= 1e-10
 
 
 def test_atoms_have_consistent_shapes(canon_2a):
     g = constant_profile(canon_2a, 0)
-    for a in atoms(canon_2a, g, t_end=1):
-        assert len(a.x) == 2
-        assert all(len(ys) == 2 for ys in a.y)
-        assert all(len(us) == 1 for us in a.u)
+    leaves = []
+    walk(canon_2a, g, lambda xs, h, mass, cost: leaves.append((xs, h)), t_end=1)
+    assert leaves
+    for xs, h in leaves:
+        assert len(xs) == 2 and h.t == 1
+        assert all(len(ys) == 2 for ys in h.obs)
+        assert all(len(us) == 1 for us in h.acts)
 
 
 # --- expected cost ----------------------------------------------------------
@@ -58,64 +77,124 @@ def test_enumerate_cost_deterministic_model():
     g = constant_profile(spec, 0)
     # single trajectory: x = 0 -> 1 -> 0, costs 0.5 + 4.0 + terminal 3.0
     assert enumerate_cost(spec, g) == pytest.approx(7.5, abs=1e-15)
-    assert len(atoms(spec, g)) == 1
+    leaves = []
+    walk(spec, g, lambda xs, h, mass, cost: leaves.append((xs, mass, cost)))
+    assert leaves == [((0, 1, 0), 1.0, 7.5)]
 
 
-# --- conditional distributions ----------------------------------------------
+def reference_cost(spec, g):
+    """Expected cost by a plain recursion over sample paths, with masses
+    formed as init * (1.0 * q_0 * q_1 ...) then mass * p_x * p_y and paths
+    summed in (state, joint observation) order: the arithmetic that report
+    witnesses chosen by float noise depend on."""
+    obs = list(itertools.product(*(range(m) for m in spec.obs_sizes)))
+
+    def lik(s, x, ys):
+        p = 1.0
+        for j, y in enumerate(ys):
+            p *= float(spec.observation[s][j][x, y])
+        return p
+
+    def paths(s, x, hist, mass, cost):
+        if s == spec.T:
+            yield mass, cost + float(spec.terminal_cost[x])
+            return
+        acts = tuple(g.action(j, s, realization_at(hist, j, spec.n)) for j in range(spec.K))
+        cost = cost + float(spec.stage_cost[s][(x, *acts)])
+        for x1 in range(spec.state_size):
+            p_x = float(spec.transition[s][(x, *acts, x1)])
+            for ys in obs:
+                p_y = lik(s + 1, x1, ys)
+                if p_x > 0.0 and p_y > 0.0:
+                    h1 = JointHistory(t=s + 1, obs=tuple(o + (y,) for o, y in zip(hist.obs, ys)),
+                                      acts=tuple(u + (a,) for u, a in zip(hist.acts, acts)))
+                    yield from paths(s + 1, x1, h1, mass * p_x * p_y, cost)
+
+    total = 0.0
+    for x0 in range(spec.state_size):
+        for ys in obs:
+            p0, p_y = float(spec.init_dist[x0]), lik(0, x0, ys)
+            if p0 > 0.0 and p_y > 0.0:
+                h0 = JointHistory(t=0, obs=tuple((y,) for y in ys), acts=((),) * spec.K)
+                for mass, cost in paths(0, x0, h0, p0 * p_y, 0.0):
+                    total += mass * cost
+    return total
+
+
+@pytest.mark.parametrize("K,n,T,sizes", [(2, 1, 2, 3), (2, 2, 3, 2), (3, 1, 2, 2)])
+def test_enumerate_cost_equals_reference_recursion_bitwise(K, n, T, sizes):
+    spec = random_model(seed=97 * K + 13 * n + T, K=K, n=n, T=T, sizes=sizes)
+    g = random_profile(spec, np.random.default_rng(K + n + T + sizes))
+    assert enumerate_cost(spec, g) == reference_cost(spec, g)
+
+
+# --- conditional distributions as group-bys over one walk ---------------------
 
 def test_conditional_pmf_recovers_init(canon_2a):
     g = constant_profile(canon_2a, 0)
-    pmf = conditional_pmf(canon_2a, g, [("x", 0)], [], 0)
+    masses = leaf_masses(canon_2a, g, lambda xs, h: xs[0], 0)
     for x in range(2):
-        assert pmf[(x,)] == pytest.approx(canon_2a.init_dist[x], abs=1e-12)
+        assert masses[x] == pytest.approx(canon_2a.init_dist[x], abs=1e-12)
 
 
 def test_conditional_pmf_reads_back_kernel_row(canon_2a):
     g = constant_profile(canon_2a, 0)
+    joint = leaf_masses(canon_2a, g, lambda xs, h: (xs[0], h.obs[1][0]), 0)
+    marg = leaf_masses(canon_2a, g, lambda xs, h: xs[0], 0)
     for x in range(2):
-        pmf = conditional_pmf(canon_2a, g, [("y", 1, 0)], [(("x", 0), x)], 0)
         for y in range(2):
-            assert pmf[(y,)] == pytest.approx(canon_2a.observation[0][1][x, y],
-                                              abs=1e-12)
+            assert joint[x, y] / marg[x] == pytest.approx(canon_2a.observation[0][1][x, y],
+                                                          abs=1e-12)
 
 
 def test_conditional_pmf_marginal_consistency(canon_2a):
     g = observation_following_profile(canon_2a)
-    joint = conditional_pmf(canon_2a, g, [("x", 1), ("y", 0, 1)], [], 1)
-    marg = conditional_pmf(canon_2a, g, [("x", 1)], [], 1)
+    joint = leaf_masses(canon_2a, g, lambda xs, h: (xs[1], h.obs[0][1]), 1)
+    marg = leaf_masses(canon_2a, g, lambda xs, h: xs[1], 1)
     for x in range(2):
         s = sum(p for key, p in joint.items() if key[0] == x)
-        assert s == pytest.approx(marg[(x,)], abs=1e-12)
+        assert s == pytest.approx(marg[x], abs=1e-12)
 
 
 def test_conditional_pmf_matches_posterior(canon_2a):
-    """Extended-state conditional from the atom measure equals the
-    definition-level posterior computed by the independent code path."""
-    from delaypbp.filtering import chained_beliefs
-
+    """The extended-state law given a realization, conditioned on a walk in
+    which agent 0 follows the profile, equals the posterior from the walk
+    with agent 0 free; the posteriors computed with agent 0 following the
+    profile are those of the free walk to the bit."""
     g = observation_following_profile(canon_2a)
-    chain = chained_beliefs(canon_2a, g, 0)
     t = 1
-    for r in chain[t]:
-        target = [("x", t)] + other_private_vars(canon_2a, 0, t)
-        pmf = conditional_pmf(canon_2a, g, target, realization_given(canon_2a, r), t)
-        ref = bayes_oracle_belief(canon_2a, g, 0, r)
-        for (x, lam), p in zip(ref.support, ref.probs):
-            key = (x,) + lam.obs[0] + lam.acts[0]
-            assert pmf.get(key, 0.0) == pytest.approx(float(p), abs=1e-10)
+    lams = {lam: i for i, lam in enumerate(other_private_space(canon_2a, 0, t))}
+
+    def key(xs, h):
+        return realization_at(h, 0, canon_2a.n), xs[-1], split_history(h, 0, canon_2a.n)[2]
+
+    joint = leaf_masses(canon_2a, g, key, t)
+    laws = {}
+    for (r, x, lam), m in joint.items():
+        laws.setdefault(r, np.zeros((canon_2a.state_size, len(lams))))[x, lams[lam]] = m
+    post = posteriors(canon_2a, g, 0, t)
+    follow = posteriors(canon_2a, g, 0, t, free=False)
+    assert len(laws) == 8  # both first observations of each agent, then agent 0's second
+    assert set(follow) == set(laws)
+    for r, law in laws.items():
+        assert np.max(np.abs(law / law.sum() - post[r])) <= 1e-10
+        assert np.array_equal(follow[r], post[r])
 
 
 def test_conditional_pmf_unreachable_event(canon_2a):
-    g = constant_profile(canon_2a, 0)
-    # the opponent never plays action 1 under the all-0 profile
-    with pytest.raises(UnreachableError, match="unreachable conditioning event"):
-        conditional_pmf(canon_2a, g, [("x", 1)], [(("u", 1, 0), 1)], 1)
+    """A table realization the enumeration cannot reach raises instead of
+    being compared against nothing: a table built against the all-0
+    opponent, checked against an opponent that plays its observation."""
+    vtable, _ = solve_best_response(canon_2a, 0, constant_profile(canon_2a, 0))
+    with pytest.raises(UnreachableError, match="unreachable realization for agent 0 at t=1"):
+        verify_value_dominance(canon_2a, 0, observation_following_profile(canon_2a),
+                               vtable, constant_profile(canon_2a, 1).maps[0])
 
 
 def test_conditional_pmf_horizon_guard(canon_2a):
     g = constant_profile(canon_2a, 0)
-    with pytest.raises(ValueError, match="needs horizon"):
-        conditional_pmf(canon_2a, g, [("u", 0, 1)], [], 1)
+    with pytest.raises(ValueError, match="t_end must be in"):
+        walk(canon_2a, g, lambda *leaf: None, t_end=canon_2a.T + 1)
 
 
 # --- brute force ------------------------------------------------------------
@@ -187,3 +266,31 @@ def test_verify_pbp_flags_improvable_agent(canon_2a):
     agent0 = report.agents[0]
     assert not agent0.stationary
     assert agent0.gap > 1e-6
+
+
+# --- the oracle stays independent of the filter and the DP ----------------------
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "delaypbp"
+
+
+def package_imports(path: pathlib.Path) -> set[str]:
+    """The delaypbp modules a source file imports, function-level imports
+    included."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            if node.level == 0 and not (node.module or "").startswith("delaypbp"):
+                continue
+            parts = (node.module or "").split(".")[0 if node.level else 1:]
+            found.update([parts[0]] if parts and parts[0] else [a.name for a in node.names])
+        elif isinstance(node, ast.Import):
+            found.update(a.name.split(".")[1] for a in node.names
+                         if a.name.startswith("delaypbp."))
+    return found
+
+
+def test_oracle_module_boundary():
+    imports = {p.stem: package_imports(p) for p in SRC.glob("*.py")}
+    assert "info" in imports["oracle"]  # the parser does see the imports
+    assert imports["oracle"] <= {"model", "info", "errors"}, imports["oracle"]
+    assert "oracle" not in imports["filtering"]

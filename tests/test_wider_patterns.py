@@ -10,7 +10,7 @@ from delaypbp.dp import (cost_via_beliefs, expected_value, pbp_sweep,
                          solve_best_response, verify_value_dominance)
 from delaypbp.falsify import (check_conditional_independence,
                               check_conditional_markov, check_payoff_identity)
-from delaypbp.filtering import bayes_oracle_belief, chained_beliefs, max_abs_gap
+from delaypbp.filtering import chained_beliefs, max_abs_gap
 from delaypbp.strategies import constant_profile, random_profile
 
 
@@ -24,22 +24,15 @@ def three_agent_model():
     return random_model(seed=515151, K=3, n=1, T=2, sizes=2)
 
 
-class AgentMaps:
-    def __init__(self, maps):
-        self.maps = maps
-
-    def action(self, k, t, r):
-        return self.maps[t][r]
-
-
 def test_two_step_sharing_chain_matches_oracle(two_step_model):
     spec = two_step_model
     g = random_profile(spec, np.random.default_rng(1))
     for k in range(spec.K):
         chain = chained_beliefs(spec, g, k)
         for t in range(spec.T + 1):
+            post = oracle.posteriors(spec, g, k, t)
             for r, (b, _) in chain[t].items():
-                assert max_abs_gap(b, bayes_oracle_belief(spec, g, k, r)) <= 1e-10
+                assert max_abs_gap(b, post[r]) <= 1e-10
 
 
 def test_two_step_sharing_dp_matches_brute_force(two_step_model):
@@ -51,19 +44,19 @@ def test_two_step_sharing_dp_matches_brute_force(two_step_model):
         assert expected_value(spec, k, vtable) == pytest.approx(bf_value, abs=1e-10)
         # tables also match the posterior oracle on the wider grid
         for t in range(spec.T + 1):
+            post = oracle.posteriors(spec, g, k, t)
             for r, entry in vtable.entries[t].items():
-                ref = bayes_oracle_belief(spec, g, k, r)
-                assert max_abs_gap(entry.belief, ref) <= 1e-10
+                assert max_abs_gap(entry.belief, post[r]) <= 1e-10
 
 
 def test_two_step_sharing_dominance(two_step_model):
     spec = two_step_model
     g = constant_profile(spec, 0)
     vtable, maps = solve_best_response(spec, 1, g)
-    at_best_response = verify_value_dominance(spec, 1, g, vtable, AgentMaps(maps))
+    at_best_response = verify_value_dominance(spec, 1, g, vtable, maps)
     assert at_best_response.violations == ()
     assert at_best_response.max_abs_gap <= 1e-10
-    alt = AgentMaps(constant_profile(spec, 1).maps[1])
+    alt = constant_profile(spec, 1).maps[1]
     assert verify_value_dominance(spec, 1, g, vtable, alt).violations == ()
 
 
@@ -92,8 +85,9 @@ def test_three_agents_chain_matches_oracle(three_agent_model):
     for k in range(spec.K):
         chain = chained_beliefs(spec, g, k)
         for t in range(spec.T + 1):
+            post = oracle.posteriors(spec, g, k, t)
             for r, (b, _) in chain[t].items():
-                assert max_abs_gap(b, bayes_oracle_belief(spec, g, k, r)) <= 1e-10
+                assert max_abs_gap(b, post[r]) <= 1e-10
 
 
 def test_three_agents_payoff_identity(three_agent_model):
@@ -126,8 +120,9 @@ def _chain_and_payoff_match_oracle(spec, g, k):
     chain = chained_beliefs(spec, g, k)
     checked = 0
     for t in range(spec.T + 1):
+        post = oracle.posteriors(spec, g, k, t, free=False)
         for r, (b, _) in chain[t].items():
-            assert max_abs_gap(b, bayes_oracle_belief(spec, g, k, r)) <= 1e-10
+            assert max_abs_gap(b, post[r]) <= 1e-10
             checked += 1
     assert checked
     assert cost_via_beliefs(spec, g, k) == pytest.approx(oracle.enumerate_cost(spec, g),
