@@ -1,9 +1,9 @@
 """Exact toolkit for finite decentralized POMDPs with delayed sharing.
 
 Everything is desk-scale and enumeration-exact: models are finite tables,
-beliefs are dense vectors, expectations are finite sums. The library
-computes each agent's posterior over the extended state (plant state plus
-the other agents' private data), solves the per-agent best-response
+beliefs are dense (state, other agents' private block) arrays, and
+expectations are finite sums. The library computes each agent's
+posterior over that extended state, solves the per-agent best-response
 dynamic program on that posterior, iterates best responses toward a
 person-by-person stationary profile, and cross-checks every step against
 an independent trajectory-enumeration oracle.
@@ -16,8 +16,7 @@ from .errors import (IncompleteStrategyError, InstanceTooLargeError,
 from .falsify import (GapReport, check_conditional_independence,
                       check_conditional_markov, check_k1_reduction,
                       check_payoff_identity, check_policy_independence)
-from .filtering import (Belief, belief_update, chained_beliefs,
-                        classical_filter_update, initial_belief)
+from .filtering import chained_beliefs, classical_filter_update
 from .info import (CommonInfo, InfoRealization, JointHistory, OtherPrivate,
                    PrivateInfo, split_history)
 from .model import (ModelSpec, canonical_instance, load_model, save_model,
@@ -31,16 +30,16 @@ from .strategies import (StrategyProfile, constant_profile, load_profile,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Belief", "CommonInfo", "GapReport", "IncompleteStrategyError",
+    "CommonInfo", "GapReport", "IncompleteStrategyError",
     "InfoRealization", "InstanceTooLargeError", "JointHistory",
     "ModelFormatError", "ModelSpec", "OtherPrivate", "PrivateInfo",
-    "StrategyProfile", "UnreachableError", "ValueTable", "belief_update",
+    "StrategyProfile", "UnreachableError", "ValueTable",
     "brute_force_best_response", "canonical_instance", "chained_beliefs",
     "check_conditional_independence", "check_conditional_markov",
     "check_k1_reduction", "check_payoff_identity",
     "check_policy_independence", "classical_filter_update",
     "constant_profile", "cost_to_go", "cost_via_beliefs", "enumerate_cost",
-    "expected_value", "initial_belief", "load_model", "load_profile",
+    "expected_value", "load_model", "load_profile",
     "observation_following_profile", "pbp_sweep", "posteriors",
     "random_profile", "save_model", "save_profile", "solve_best_response",
     "split_history", "terminal_value", "validate_model", "verify_pbp",

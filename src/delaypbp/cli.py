@@ -25,7 +25,8 @@ from . import dp, falsify, oracle
 from .errors import (IncompleteStrategyError, InstanceTooLargeError,
                      ModelFormatError)
 from .filtering import chained_beliefs, max_abs_gap
-from .info import other_private_key, realization_key, sort_key
+from .info import (other_private_key, other_private_space, realization_key,
+                   sort_key)
 from .model import (CANONICAL_NAMES, COMPARE_TOL, IMPROVE_TOL, K1_TOL,
                     ModelSpec, resolve_model, uniform_observation_variant,
                     validate_model)
@@ -87,9 +88,10 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _belief_rows(support, probs: np.ndarray) -> list[list]:
+def _belief_rows(lams, belief: np.ndarray) -> list[list]:
+    """One row per (state, lambda) cell, state-major."""
     return [[f"x={x}|{other_private_key(lam)}", float(p)]
-            for (x, lam), p in zip(support, probs.reshape(-1))]
+            for x, row in enumerate(belief) for lam, p in zip(lams, row)]
 
 
 def _default_profile(spec: ModelSpec, command: str) -> StrategyProfile:
@@ -135,6 +137,7 @@ def cmd_filter(spec: ModelSpec, name: str, config: RunConfig):
     ok = True
     for t in range(spec.T + 1):
         posteriors = oracle.posteriors(spec, g, k, t, free=False)
+        lams = other_private_space(spec, k, t)
         for r in sorted(chain[t], key=sort_key):
             belief, prob = chain[t][r]
             ref = posteriors[r]
@@ -146,8 +149,8 @@ def cmd_filter(spec: ModelSpec, name: str, config: RunConfig):
                 "t": t,
                 "realization": realization_key(r),
                 "prob": prob,
-                "belief": _belief_rows(belief.support, belief.probs),
-                "oracle_belief": _belief_rows(belief.support, ref),
+                "belief": _belief_rows(lams, belief),
+                "oracle_belief": _belief_rows(lams, ref),
                 "gap": gap,
             })
     doc = {

@@ -3,22 +3,25 @@
 With the other agents' strategies frozen, agent k faces an ordinary
 partially observed control problem whose sufficient statistic is the
 triple (posterior over the extended state, shared block, private block).
-The value recursion here tabulates over the finite realization grid --
-reachable with agent k's own actions left free -- storing the chained
-posterior alongside each entry, and extracts the minimizing action per
-realization. On top of that sit the payoff identity (expected cost written
-through the posteriors), exact best-response iteration toward a
-person-by-person stationary profile, and the dominance check of the value
-function against arbitrary alternative strategies.
+The value recursion here runs backward over `BeliefPass.expand(free=True)`
+-- every realization reachable with agent k's own actions left free --
+storing the chained posterior, a (state, lambda) array, alongside each
+entry, and extracts the minimizing action per realization. On top of that
+sit the payoff identity (expected cost written through the posteriors),
+exact best-response iteration toward a person-by-person stationary
+profile, and the dominance check of the value function against arbitrary
+alternative strategies.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import oracle
 from .errors import UnreachableError
-from .filtering import Belief, BeliefPass, seq_sum
+from .filtering import BeliefPass, positive, seq_sum
 from .info import InfoRealization, realization_key, sort_key
 from .model import COMPARE_TOL, IMPROVE_TOL, ModelSpec
 from .strategies import StrategyProfile, extend_total
@@ -27,7 +30,7 @@ from .strategies import StrategyProfile, extend_total
 @dataclass(frozen=True)
 class ValueEntry:
     value: float
-    belief: Belief
+    belief: np.ndarray
     best_action: int | None  # None at the terminal time
 
 
@@ -42,44 +45,20 @@ class ValueTable:
         return self.entries[t][r].value
 
 
-def terminal_value(spec: ModelSpec, k: int, belief: Belief) -> float:
+def terminal_value(spec: ModelSpec, k: int, belief: np.ndarray) -> float:
     """Expected terminal cost under a time-T belief. Zero-mass terms add
     nothing, so the sum runs over the whole grid."""
-    return seq_sum((spec.terminal_cost[:, None] * belief.matrix(spec.state_size)).reshape(-1))
+    return seq_sum((spec.terminal_cost[:, None] * belief).reshape(-1))
 
 
-def stage_value(spec: ModelSpec, bp: BeliefPass, r: InfoRealization, xi: Belief,
+def stage_value(spec: ModelSpec, bp: BeliefPass, r: InfoRealization, xi: np.ndarray,
                 u_t_k: int) -> float:
     """Expected stage cost at realization r when agent k plays u_t_k and
     the others play their strategies (those of the pass bp) on the
     belief's support."""
-    xs, ls, p = xi.positive(spec.state_size)
+    xs, ls, p = positive(xi)
     cost = spec.stage_cost[r.t].reshape(spec.state_size, -1)
     return seq_sum(p * cost[xs, bp.table(r.t).joint[u_t_k, bp.actions(r.common, ls)]])
-
-
-def _expand(bp: BeliefPass):
-    """Forward pass: all realizations reachable with agent k's actions free,
-    their chained beliefs, and the transition structure between them.
-
-    Returns (nodes, edges): nodes[t] maps realization -> belief; edges[t]
-    maps (realization, action) -> tuple of (successor, probability of the
-    successor's new data given the action).
-    """
-    spec, k = bp.spec, bp.k
-    nodes: list[dict[InfoRealization, Belief]] = [dict() for _ in range(spec.T + 1)]
-    edges: list[dict] = [dict() for _ in range(spec.T)]
-    for r, b, _ in bp.start():
-        nodes[0][r] = b
-    for t in range(spec.T):
-        for r, xi in nodes[t].items():
-            for u in range(spec.act_sizes[k]):
-                succ = []
-                for r1, b1, w in bp.successors(r, xi, u):
-                    nodes[t + 1].setdefault(r1, b1)
-                    succ.append((r1, w))
-                edges[t][(r, u)] = tuple(succ)
-    return nodes, edges
 
 
 def solve_best_response(spec: ModelSpec, k: int, g_minus_k
@@ -91,7 +70,7 @@ def solve_best_response(spec: ModelSpec, k: int, g_minus_k
     index). The maps cover exactly the reachable grid of the forward pass.
     """
     bp = BeliefPass(spec, k, g_minus_k)
-    nodes, edges = _expand(bp)
+    nodes, edges = bp.expand(free=True)
     entries: list[dict[InfoRealization, ValueEntry]] = [dict() for _ in range(spec.T + 1)]
     for r, xi in nodes[spec.T].items():
         entries[spec.T][r] = ValueEntry(value=terminal_value(spec, k, xi),

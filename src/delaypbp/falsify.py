@@ -22,8 +22,7 @@ import numpy as np
 
 from . import dp, oracle
 from .errors import UnreachableError
-from .filtering import (Belief, BeliefPass, classical_filter_update,
-                        initial_realization)
+from .filtering import BeliefPass, classical_filter_update
 from .info import (CommonInfo, InfoRealization, other_agents, realization_at,
                    realization_key, sort_key)
 from .model import COMPARE_TOL, ModelSpec
@@ -259,38 +258,39 @@ def check_k1_reduction(spec: ModelSpec) -> GapReport:
     disagreement is reported as gap 1.0."""
     if spec.K != 1:
         raise ValueError("the reduction check needs a single-agent model")
-    bp = BeliefPass(spec, 0, None)  # no other agents, so no strategies to read
+    # No other agents, so no strategies to read.
+    nodes, edges = BeliefPass(spec, 0, None).expand(free=True)
     gaps: list[tuple[str, float]] = []
-
-    def walk(t: int, r: InfoRealization, xi: Belief, pi: np.ndarray, label: str) -> None:
-        gaps.append((label, float(np.max(np.abs(xi.x_marginal(spec.state_size) - pi)))))
-        if t == spec.T:
-            return
-        for u in range(spec.act_sizes[0]):
-            # With no other agents a child is fixed by its observation.
-            reached = {r1.private.obs[-1]: (r1, b1) for r1, b1, _ in bp.successors(r, xi, u)}
-            for y1 in range(spec.obs_sizes[0]):
-                step_label = f"{label},u={u},y={y1}"
-                if y1 not in reached:
+    filt: dict[InfoRealization, tuple[np.ndarray, str]] = {}  # textbook filter, path label
+    # With no other agents a node is fixed by its newest own observation
+    # among its siblings.
+    roots = {r.private.obs[0]: r for r in nodes[0]}
+    for y0 in range(spec.obs_sizes[0]):
+        raw = spec.init_dist * spec.observation[0][0][:, y0]
+        total = float(raw.sum())
+        if y0 in roots:
+            filt[roots[y0]] = (raw / total, f"y0={y0}")
+        elif total > 0.0:
+            gaps.append((f"y0={y0} (reachability disagrees)", 1.0))
+    for t in range(spec.T + 1):
+        for r, xi in nodes[t].items():
+            pi, label = filt[r]
+            gaps.append((label, float(np.max(np.abs(np.cumsum(xi, axis=1)[:, -1] - pi)))))
+            if t == spec.T:
+                continue
+            for u in range(spec.act_sizes[0]):
+                reached = {r1.private.obs[-1]: r1 for r1, _ in edges[t][(r, u)]}
+                for y1 in range(spec.obs_sizes[0]):
+                    step_label = f"{label},u={u},y={y1}"
+                    if y1 in reached:
+                        filt[reached[y1]] = (classical_filter_update(spec, pi, u, y1, t),
+                                             step_label)
+                        continue
                     try:
                         classical_filter_update(spec, pi, u, y1, t)
                     except UnreachableError:
                         continue
                     gaps.append((f"{step_label} (reachability disagrees)", 1.0))
-                    continue
-                pi1 = classical_filter_update(spec, pi, u, y1, t)
-                walk(t + 1, *reached[y1], pi1, step_label)
-
-    for y0 in range(spec.obs_sizes[0]):
-        raw = spec.init_dist * spec.observation[0][0][:, y0]
-        total = float(raw.sum())
-        try:
-            xi0, _ = bp.initial(y0)
-        except UnreachableError:
-            if total > 0.0:
-                gaps.append((f"y0={y0} (reachability disagrees)", 1.0))
-            continue
-        walk(0, initial_realization(spec, 0, y0), xi0, raw / total, f"y0={y0}")
     return make_report("single-agent filter reduction", gaps)
 
 

@@ -8,15 +8,19 @@ one-step recursion (`BeliefPass`), which conditions on agent k's new
 observation, its own action, and the symbols newly revealed into the
 shared block. It must reproduce the definition-level posterior
 (`oracle.posteriors`) and, for a single agent, the textbook filter
-(`classical_filter_update`) kept here.
+(`classical_filter_update`) kept here. `BeliefPass.expand` is the one
+forward expansion: from every first observation to every positive-mass
+child, with agent k's own action either free (the best-response DP, the
+single-agent check) or read from its strategy (`chain`).
 
-Beliefs are dense vectors over the full (state x other-private) grid in
-canonical order; zero-probability conditioning raises UnreachableError
-rather than returning a non-distribution.
+A belief is a read-only (state, lambda) float array over
+other_private_space(spec, k, t), the type `oracle.posteriors` returns, so
+filter and oracle posteriors compare as arrays. Zero-probability
+continuations are left out rather than returned as non-distributions.
 
 The recursion is an array kernel. Per (k, t) a `StepTable` holds what a
 step reads that depends on neither the belief nor the strategies: the
-lambda grid, the successor index lambda -> lambda' per (the others' fresh
+lambdas, the successor index lambda -> lambda' per (the others' fresh
 symbols, their actions), the symbols each lambda reveals into the shared
 block, and the kernels as arrays. One pass over a belief and an own
 action produces every positive-mass child (revealed symbols, next own
@@ -30,15 +34,13 @@ results do not depend on how the work is batched.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import UnreachableError
 from .info import (CommonInfo, InfoRealization, OtherPrivate, PrivateInfo,
                    advance_common, advance_other, other_agents,
-                   other_private_space, restrict_common, shared_prefix_len,
-                   shift_private)
+                   other_private_space, shared_prefix_len, shift_private)
 from .model import ModelSpec
 
 
@@ -48,68 +50,29 @@ def seq_sum(v: np.ndarray) -> float:
     return 0.0 + float(np.cumsum(v)[-1]) if len(v) else 0.0
 
 
-@dataclass(frozen=True, eq=False)
-class Belief:
-    """Posterior over (state, other agents' private block) at one time.
-
-    support is the (k, t) grid (state-major, then the canonical order of
-    OtherPrivate values), one tuple shared by the beliefs of a pass; probs
-    is aligned with it and sums to 1.
-    """
-
-    t: int
-    agent: int
-    support: tuple[tuple[int, OtherPrivate], ...]
-    probs: np.ndarray
-
-    def __post_init__(self):
-        self.probs.setflags(write=False)
-
-    def matrix(self, state_size: int) -> np.ndarray:
-        """probs as a (state, lambda) array."""
-        return self.probs.reshape(state_size, -1)
-
-    def positive(self, state_size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(state index, lambda index, probability) of the positive-mass
-        grid points, in support order."""
-        mat = self.matrix(state_size)
-        xs, ls = np.nonzero(mat > 0.0)
-        return xs, ls, mat[xs, ls]
-
-    def x_marginal(self, state_size: int) -> np.ndarray:
-        """State marginal; each state's row summed left to right."""
-        return np.cumsum(self.matrix(state_size), axis=1)[:, -1]
+def positive(b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(state index, lambda index, probability) of a belief's positive-mass
+    cells, in state-major order."""
+    xs, ls = np.nonzero(b > 0.0)
+    return xs, ls, b[xs, ls]
 
 
-def _grid(state_size: int, lams) -> tuple[tuple[int, OtherPrivate], ...]:
-    return tuple((x, lam) for x in range(state_size) for lam in lams)
+def _frozen(b: np.ndarray) -> np.ndarray:
+    b.setflags(write=False)
+    return b
 
 
-def _belief_from_matrix(spec: ModelSpec, k: int, t: int,
-                        grid, mat: np.ndarray) -> tuple[Belief, float]:
-    total = float(mat.sum())
-    if total <= 0.0:
-        raise UnreachableError("zero-probability conditioning event")
-    return Belief(t=t, agent=k, support=grid, probs=mat.reshape(-1) / total), total
-
-
-def max_abs_gap(b: Belief, ref: np.ndarray) -> float:
-    """Largest |b - ref| over the grid; ref is a (state, lambda) array on
-    the same grid, such as an `oracle.posteriors` entry."""
-    if ref.size != b.probs.size:
+def max_abs_gap(b: np.ndarray, ref: np.ndarray) -> float:
+    """Largest |b - ref| over two beliefs on the same grid, such as a
+    filter belief and its `oracle.posteriors` entry."""
+    if b.shape != ref.shape:
         raise ValueError("beliefs live on different grids")
-    return float(np.max(np.abs(b.probs - ref.reshape(-1))))
-
-
-def empty_common(spec: ModelSpec, t: int = 0) -> CommonInfo:
-    return CommonInfo(t=t, n=spec.n,
-                      obs=tuple(() for _ in range(spec.K)),
-                      acts=tuple(() for _ in range(spec.K)))
+    return float(np.max(np.abs(b - ref)))
 
 
 def initial_realization(spec: ModelSpec, k: int, y0k: int) -> InfoRealization:
     return InfoRealization(
-        common=empty_common(spec),
+        common=CommonInfo(t=0, n=spec.n, obs=((),) * spec.K, acts=((),) * spec.K),
         private=PrivateInfo(t=0, n=spec.n, agent=k, obs=(y0k,), acts=()))
 
 
@@ -124,9 +87,9 @@ def other_actions(spec: ModelSpec, k: int, t: int, delta_t: CommonInfo,
 
 
 class StepTable:
-    """Agent k's grid at time t and, for t < T, the belief- and
-    strategy-free parts of a step to t+1 (next_lams is the grid's lambdas
-    at t+1, or None at t = T).
+    """Agent k's lambdas at time t and, for t < T, the belief- and
+    strategy-free parts of a step to t+1 (next_lams is the lambdas at
+    t+1, or None at t = T).
 
     Joint actions are flat indices into the (act_sizes[0], ...,
     act_sizes[K-1]) block of the kernels; the other agents' joint actions
@@ -137,7 +100,6 @@ class StepTable:
         others = other_agents(spec.K, k)
         X = spec.state_size
         self.lams = lams
-        self.grid = _grid(X, lams)
         # Per lambda, the others' oldest observations and actions: the
         # symbols a promotion moves into the shared block (no actions while
         # n = 1).
@@ -167,8 +129,8 @@ class StepTable:
 
 class BeliefPass:
     """One forward pass of agent k's posterior against the other agents'
-    strategies g_minus_k. Only `chain` reads agent k's own maps, so it
-    needs a full profile.
+    strategies g_minus_k. Only `expand(free=False)` and `chain` read agent
+    k's own maps, so they need a full profile.
 
     Holds the pass's step tables and, per shared block met, the others'
     joint actions as an int array over lambda (-1 where not evaluated).
@@ -207,33 +169,24 @@ class BeliefPass:
                                                        tab.lams[li], self.g)]
         return acts[ls]
 
-    def initial(self, y0k: int) -> tuple[Belief, float]:
-        """Time-0 belief given agent k's first observation, plus that
-        observation's marginal probability."""
+    def start(self) -> list[tuple[InfoRealization, np.ndarray, float]]:
+        """(realization, belief, probability) per reachable first
+        observation of agent k."""
         spec, k = self.spec, self.k
         tab = self.table(0)
-        base = spec.init_dist * spec.observation[0][k][:, y0k]
-        mat = np.repeat(base[:, None], len(tab.lams), axis=1)
-        for pos, j in enumerate(other_agents(spec.K, k)):
-            mat = mat * spec.observation[0][j][:, [fo[pos] for fo in tab.first_obs]]
-        try:
-            return _belief_from_matrix(spec, k, 0, tab.grid, mat)
-        except UnreachableError:
-            raise UnreachableError(f"unreachable observation y0={y0k} for agent {k}") from None
-
-    def start(self) -> list[tuple[InfoRealization, Belief, float]]:
-        """(realization, belief, probability) per reachable first observation."""
         out = []
-        for y0 in range(self.spec.obs_sizes[self.k]):
-            try:
-                b, w = self.initial(y0)
-            except UnreachableError:
-                continue
-            out.append((initial_realization(self.spec, self.k, y0), b, w))
+        for y0 in range(spec.obs_sizes[k]):
+            base = spec.init_dist * spec.observation[0][k][:, y0]
+            mat = np.repeat(base[:, None], len(tab.lams), axis=1)
+            for pos, j in enumerate(other_agents(spec.K, k)):
+                mat = mat * spec.observation[0][j][:, [fo[pos] for fo in tab.first_obs]]
+            total = float(mat.sum())
+            if total > 0.0:
+                out.append((initial_realization(spec, k, y0), _frozen(mat / total), total))
         return out
 
-    def children(self, common: CommonInfo, xi: Belief, u: int
-                 ) -> list[tuple[tuple, int, Belief, float]]:
+    def children(self, common: CommonInfo, xi: np.ndarray, u: int
+                 ) -> list[tuple[tuple, int, np.ndarray, float]]:
         """Every positive-mass continuation of xi (at shared block `common`)
         when agent k plays u, as (revealed, y', belief, weight).
 
@@ -244,7 +197,7 @@ class BeliefPass:
         """
         spec, t = self.spec, common.t
         tab, nxt = self.table(t), self.table(t + 1)
-        xs, ls, p = xi.positive(spec.state_size)
+        xs, ls, p = positive(xi)
         acts = self.actions(common, ls)
         if tab.promote:
             by_lam = {li: (tab.first_obs[li],
@@ -273,8 +226,7 @@ class BeliefPass:
                 mat = acc[gi, y]
                 total = float(mat.sum())
                 if total > 0.0:
-                    out.append((key, y, Belief(t=t + 1, agent=self.k, support=nxt.grid,
-                                               probs=mat.reshape(-1) / total), total))
+                    out.append((key, y, _frozen(mat / total), total))
         return out
 
     def next_common(self, r: InfoRealization, u: int, revealed: tuple) -> CommonInfo:
@@ -288,8 +240,8 @@ class BeliefPass:
         acts.insert(self.k, p.acts[0] if self.spec.n >= 2 else u)
         return advance_common(c, tuple(obs), tuple(acts))
 
-    def successors(self, r: InfoRealization, xi: Belief, u: int
-                   ) -> list[tuple[InfoRealization, Belief, float]]:
+    def successors(self, r: InfoRealization, xi: np.ndarray, u: int
+                   ) -> list[tuple[InfoRealization, np.ndarray, float]]:
         """(next realization, its belief, step weight) per positive-mass
         child of (r, xi) under own action u, in canonical order."""
         out, blocks = [], {}
@@ -300,66 +252,47 @@ class BeliefPass:
                                         private=shift_private(r.private, y, u)), b, w))
         return out
 
-    def chain(self) -> list[dict[InfoRealization, tuple[Belief, float]]]:
+    def expand(self, free: bool):
+        """Every realization reachable from the start, with its belief, and
+        the steps between them.
+
+        With free, agent k branches over every own action; otherwise it
+        plays g's action (a full profile). Returns (nodes, edges): nodes[t]
+        maps realization -> belief, edges[t] maps (realization, action) ->
+        tuple of (successor, step weight), both in expansion order.
+        """
+        spec, k = self.spec, self.k
+        nodes: list[dict[InfoRealization, np.ndarray]] = [dict() for _ in range(spec.T + 1)]
+        edges: list[dict] = [dict() for _ in range(spec.T)]
+        for r, b, _ in self.start():
+            nodes[0][r] = b
+        for t in range(spec.T):
+            for r, xi in nodes[t].items():
+                for u in range(spec.act_sizes[k]) if free else (self.g.action(k, t, r),):
+                    succ = []
+                    for r1, b1, w in self.successors(r, xi, u):
+                        if r1 in nodes[t + 1]:
+                            raise AssertionError(
+                                "realization reached twice; predecessor not unique")
+                        nodes[t + 1][r1] = b1
+                        succ.append((r1, w))
+                    edges[t][(r, u)] = tuple(succ)
+        return nodes, edges
+
+    def chain(self) -> list[dict[InfoRealization, tuple[np.ndarray, float]]]:
         """Per time t = 0..T, realization -> (belief, probability) along
         every realization reachable when agent k follows g (a full profile)."""
-        out: list[dict[InfoRealization, tuple[Belief, float]]] = [
-            dict() for _ in range(self.spec.T + 1)]
-        for r, b, w in self.start():
-            out[0][r] = (b, w)
+        nodes, edges = self.expand(free=False)
+        prob = {r: w for r, _, w in self.start()}
+        out = [{r: (b, prob[r]) for r, b in nodes[0].items()}]
         for t in range(self.spec.T):
-            for r, (xi, pr) in out[t].items():
-                u = self.g.action(self.k, t, r)
-                for r1, b1, w in self.successors(r, xi, u):
-                    if r1 in out[t + 1]:
-                        raise AssertionError("realization reached twice; predecessor not unique")
-                    out[t + 1][r1] = (b1, pr * w)
+            prob = {r1: prob[r] * w for (r, _), succ in edges[t].items() for r1, w in succ}
+            out.append({r: (nodes[t + 1][r], p) for r, p in prob.items()})
         return out
 
 
-def initial_belief(spec: ModelSpec, k: int, y0k: int) -> Belief:
-    """Posterior over (x_0, other agents' first observations) given y0k."""
-    return BeliefPass(spec, k, None).initial(y0k)[0]
-
-
-def belief_step(spec: ModelSpec, k: int, t: int, xi: Belief, delta_next: CommonInfo,
-                g_minus_k, u_t_k: int, y_next_k: int) -> tuple[Belief, float]:
-    """One filter step; returns the time-(t+1) belief and the predictive
-    probability of the conditioning data.
-
-    xi is the belief at some realization (delta_t, lambda_t^k); delta_next
-    is the time-(t+1) shared block, whose newest entries are the symbols
-    the other agents just revealed. The returned belief conditions on
-    (delta_next, u_t_k, y_next_k) jointly: it is the child of
-    `BeliefPass.children` with those revealed symbols and that
-    observation. The weight is the probability of (revealed symbols,
-    y_next_k) given (xi, u_t_k); a zero weight raises UnreachableError.
-    """
-    if delta_next.t != t + 1:
-        raise ValueError(f"delta_next is at t={delta_next.t}, expected {t + 1}")
-    bp = BeliefPass(spec, k, g_minus_k)
-    want = ()
-    if bp.table(t).promote:
-        if spec.n == 1 and delta_next.acts[k][-1] != u_t_k:
-            raise ValueError("delta_next promotes a different agent-k action than u_t_k")
-        others = other_agents(spec.K, k)
-        want = (tuple(delta_next.obs[j][-1] for j in others),
-                tuple(delta_next.acts[j][-1] for j in others))
-    for revealed, y, b, w in bp.children(restrict_common(delta_next), xi, u_t_k):
-        if revealed == want and y == y_next_k:
-            return b, w
-    raise UnreachableError(
-        f"unreachable continuation (u={u_t_k}, y_next={y_next_k}) for agent {k} at t={t}")
-
-
-def belief_update(spec: ModelSpec, k: int, t: int, xi: Belief, delta_next: CommonInfo,
-                  g_minus_k, u_t_k: int, y_next_k: int) -> Belief:
-    """The time-(t+1) posterior; see belief_step for the contract."""
-    return belief_step(spec, k, t, xi, delta_next, g_minus_k, u_t_k, y_next_k)[0]
-
-
 def chained_beliefs(spec: ModelSpec, g_full, k: int
-                    ) -> list[dict[InfoRealization, tuple[Belief, float]]]:
+                    ) -> list[dict[InfoRealization, tuple[np.ndarray, float]]]:
     """Run the recursion along every realization reachable under g_full.
 
     Returns, per time t = 0..T, a map realization -> (belief, probability

@@ -127,13 +127,6 @@ class InfoRealization:
         self.common.validate()
         self.private.validate()
 
-    def own_actions(self) -> IntSeq:
-        """Agent k's full action stream u_0..u_{t-1} (shared prefix + private)."""
-        return self.common.acts[self.agent] + self.private.acts
-
-    def own_observations(self) -> IntSeq:
-        return self.common.obs[self.agent] + self.private.obs
-
 
 def other_agents(K: int, k: int) -> tuple[int, ...]:
     return tuple(j for j in range(K) if j != k)
@@ -185,16 +178,6 @@ def advance_common(c: CommonInfo, promoted_obs: IntSeq, promoted_acts: IntSeq) -
     )
 
 
-def restrict_common(c_next: CommonInfo) -> CommonInfo:
-    """Shared block at time t recovered from the block at t+1 (drop the
-    newest promoted symbol of each agent, if any was promoted)."""
-    t_prev, n = c_next.t - 1, c_next.n
-    cut = shared_prefix_len(n, t_prev)
-    return CommonInfo(t=t_prev, n=n,
-                      obs=tuple(ys[:cut] for ys in c_next.obs),
-                      acts=tuple(us[:cut] for us in c_next.acts))
-
-
 def _shift_window(n: int, t: int, ys: IntSeq, us: IntSeq, y: int, u: int
                   ) -> tuple[IntSeq, IntSeq]:
     """One agent's private window at t+1: shed the oldest observation and
@@ -232,10 +215,6 @@ def sort_key(r: InfoRealization) -> tuple:
     return (r.t, r.common.obs, r.common.acts, r.private.obs, r.private.acts)
 
 
-def other_sort_key(o: OtherPrivate) -> tuple:
-    return (o.obs, o.acts)
-
-
 def _seq_str(s: IntSeq) -> str:
     return "-".join(str(int(v)) for v in s)
 
@@ -256,8 +235,10 @@ def _parse_seq(s: str) -> IntSeq:
     return tuple(int(v) for v in s.split("-")) if s else ()
 
 
-def parse_realization_key(key: str, k: int, t: int, n: int) -> InfoRealization:
-    """Inverse of realization_key, given the (agent, time, delay) context."""
+def parse_realization_key(key: str, spec: ModelSpec, k: int, t: int) -> InfoRealization:
+    """Inverse of realization_key for agent k at time t of spec. Raises
+    ValueError unless the key names spec.K agents, fills the index windows
+    and uses only symbols in each agent's alphabets."""
     if not key.startswith("c(") or ")p(" not in key or not key.endswith(")"):
         raise ValueError(f"malformed realization key {key!r}")
     common_s, private_s = key[2:-1].split(")p(")
@@ -266,12 +247,18 @@ def parse_realization_key(key: str, k: int, t: int, n: int) -> InfoRealization:
         ys, us = part.split("/")
         c_obs.append(_parse_seq(ys))
         c_acts.append(_parse_seq(us))
+    if len(c_obs) != spec.K:
+        raise ValueError(f"shared block names {len(c_obs)} agents, the model has {spec.K}")
     ys, us = private_s.split("/")
     r = InfoRealization(
-        common=CommonInfo(t=t, n=n, obs=tuple(c_obs), acts=tuple(c_acts)),
-        private=PrivateInfo(t=t, n=n, agent=k, obs=_parse_seq(ys), acts=_parse_seq(us)),
+        common=CommonInfo(t=t, n=spec.n, obs=tuple(c_obs), acts=tuple(c_acts)),
+        private=PrivateInfo(t=t, n=spec.n, agent=k, obs=_parse_seq(ys), acts=_parse_seq(us)),
     )
     r.validate()
+    blocks = [*zip(range(spec.K), c_obs, c_acts), (k, r.private.obs, r.private.acts)]
+    for j, ys, us in blocks:
+        if any(y >= spec.obs_sizes[j] for y in ys) or any(u >= spec.act_sizes[j] for u in us):
+            raise ValueError(f"symbol outside agent {j}'s alphabets")
     return r
 
 

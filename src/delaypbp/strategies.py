@@ -39,7 +39,7 @@ class StrategyProfile:
             return self.maps[k][t][r]
         except KeyError:
             raise IncompleteStrategyError(
-                f"incomplete opponent strategy: agent {k} has no action at "
+                f"incomplete strategy: agent {k} has no action at "
                 f"t={t}, {realization_key(r)}") from None
 
     def with_agent(self, k: int, new_maps) -> "StrategyProfile":
@@ -162,15 +162,22 @@ def profile_from_dict(spec: ModelSpec, doc: dict) -> StrategyProfile:
                 raise ModelFormatError(f"strategy document missing agent {k} time {t}")
             m = {}
             for entry in _members(by_t[t], "entries", f"agent {k} time {t}"):
-                if not (isinstance(entry, list) and len(entry) == 2
-                        and isinstance(entry[0], str) and isinstance(entry[1], int)):
+                if not (isinstance(entry, list) and len(entry) == 2 and isinstance(entry[0], str)
+                        and isinstance(entry[1], int) and not isinstance(entry[1], bool)):
                     raise ModelFormatError(
                         f"agent {k} time {t}: entry {entry!r} is not a [key, action] pair")
                 key, u = entry
-                r = parse_realization_key(key, k, t, spec.n)
+                try:
+                    r = parse_realization_key(key, spec, k, t)
+                except ValueError as exc:
+                    raise ModelFormatError(
+                        f"agent {k} time {t}: bad realization key {key!r}: {exc}") from None
                 if not (0 <= u < spec.act_sizes[k]):
                     raise ModelFormatError(
                         f"action {u} out of range for agent {k} at {key}")
+                if r in m:
+                    raise ModelFormatError(f"agent {k} time {t}: realization key {key!r} "
+                                           "given twice")
                 m[r] = u
             per_t.append(m)
         maps.append(tuple(per_t))

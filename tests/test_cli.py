@@ -1,14 +1,20 @@
+import contextlib
+import copy
+import io
 import json
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from delaypbp.cli import EXIT_CONFIG, EXIT_OK, EXIT_TOLERANCE, RunConfig, main, run
 from delaypbp.errors import ModelFormatError
 from delaypbp.model import model_to_dict, save_model
 from delaypbp.strategies import (load_profile, observation_following_profile,
-                                 random_profile, save_profile)
+                                 profile_to_dict, random_profile, save_profile)
 
 
 def read(path):
@@ -208,8 +214,18 @@ def _agents_not_a_list(doc):
     doc["agents"] = {"0": doc["agents"][0]}
 
 
+def _boolean_action(doc):
+    doc["agents"][0]["times"][0]["entries"][0][1] = True
+
+
+def _duplicate_key(doc):
+    entries = doc["agents"][1]["times"][1]["entries"]
+    entries.append([entries[0][0], 1 - entries[0][1]])
+
+
 @pytest.mark.parametrize("mutate", [_drop_times, _drop_entries, _unpaired_entry,
-                                    _text_action, _agents_not_a_list])
+                                    _text_action, _agents_not_a_list, _boolean_action,
+                                    _duplicate_key])
 def test_malformed_strategy_structure_gives_config_exit(tmp_path, canon_2a, capsys, mutate):
     path = tmp_path / "strategy.json"
     save_profile(canon_2a, random_profile(canon_2a, np.random.default_rng(5)), path)
@@ -248,5 +264,110 @@ def test_incomplete_strategy_file_gives_config_exit(tmp_path, canon_2a, capsys, 
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1
     assert err[0].startswith(
-        "error: incomplete opponent strategy: agent 1 has no action at t=1, c(")
+        "error: incomplete strategy: agent 1 has no action at t=1, c(")
     assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("command", ["filter", "solve", "falsify"])
+@pytest.mark.parametrize("key", ["c(0/1;1/0;1/1)p(7/)", "c(0/1;1/0)p(7/)", "c(0/1;1/2)p(1/)"])
+def test_strategy_key_outside_the_model_gives_config_exit(tmp_path, canon_2a, capsys,
+                                                          command, key):
+    """A key naming more agents than the model, or a symbol outside an
+    alphabet, is a config error naming the agent, the time and the key,
+    not an entry to ignore."""
+    path = tmp_path / "strategy.json"
+    save_profile(canon_2a, observation_following_profile(canon_2a), path)
+    doc = read(path)
+    doc["agents"][0]["times"][1]["entries"].append([key, 1])
+    path.write_text(json.dumps(doc))
+    code = main(["--command", command, "--model", "CANON-2A", "--strategy", str(path),
+                 "--out", str(tmp_path / "r")])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"error: agent 0 time 1: bad realization key {key!r}")
+    assert not (tmp_path / "r").exists()
+
+
+def test_incomplete_own_strategy_file_gives_config_exit(tmp_path, canon_2a, capsys):
+    """A miss in the reported agent's own maps names that agent."""
+    path = tmp_path / "strategy.json"
+    save_profile(canon_2a, observation_following_profile(canon_2a), path)
+    doc = read(path)
+    doc["agents"][0]["times"][1]["entries"] = doc["agents"][0]["times"][1]["entries"][:3]
+    path.write_text(json.dumps(doc))
+    code = main(["--command", "filter", "--agent", "0", "--model", "CANON-2A",
+                 "--strategy", str(path), "--out", str(tmp_path / "r")])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: incomplete strategy: agent 0 has no action at t=1, c(")
+
+
+# --- fuzzed input files ---------------------------------------------------------
+
+# Characters of realization keys, for one-character edits of a valid key.
+KEY_CHARS = "cp()/;-0123x"
+JUNK = st.one_of(st.none(), st.booleans(), st.integers(-2, 4), st.floats(-1.0, 2.0),
+                 st.just(float("nan")), st.text(KEY_CHARS, max_size=4),
+                 st.lists(st.integers(-1, 3), max_size=3), st.just({}))
+
+
+def damage(data, doc):
+    """Walk a random path from the root of a JSON document and damage what
+    it ends at: drop it, replace it with a value of another type, shorten or
+    lengthen a list, shift an integer by one or two, or edit one character
+    of a string."""
+    parent, key, node = None, None, doc
+    while isinstance(node, (dict, list)) and node and data.draw(st.integers(0, 9)) < 8:
+        key = data.draw(st.sampled_from(sorted(node) if isinstance(node, dict)
+                                        else range(len(node))))
+        parent, node = node, node[key]
+    if parent is None:
+        return data.draw(JUNK)
+    op = data.draw(st.sampled_from(["drop", "junk", "resize", "shift", "edit"]))
+    if op == "drop":
+        del parent[key]
+    elif op == "resize" and isinstance(node, list) and node:
+        parent[key] = node[:-1] if data.draw(st.booleans()) else node + node[-1:]
+    elif op == "shift" and isinstance(node, int) and not isinstance(node, bool):
+        parent[key] = node + data.draw(st.sampled_from([-1, 1, 2]))
+    elif op == "edit" and isinstance(node, str) and node:
+        i = data.draw(st.integers(0, len(node) - 1))
+        parent[key] = node[:i] + data.draw(st.sampled_from(KEY_CHARS)) + node[i + 1:]
+    else:
+        parent[key] = data.draw(JUNK)
+    return doc
+
+
+def run_on_files(command, model_doc=None, strategy_doc=None):
+    """cli.run on JSON documents written to a scratch directory; stdout and
+    stderr are swallowed."""
+    with tempfile.TemporaryDirectory() as tmp, \
+            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        model = "CANON-2A"
+        if model_doc is not None:
+            model = os.path.join(tmp, "model.json")
+            with open(model, "w", encoding="utf-8") as fh:
+                json.dump(model_doc, fh)
+        strategy = None
+        if strategy_doc is not None:
+            strategy = os.path.join(tmp, "strategy.json")
+            with open(strategy, "w", encoding="utf-8") as fh:
+                json.dump(strategy_doc, fh)
+        return run(RunConfig(command=command, model=model, strategy=strategy,
+                             out=os.path.join(tmp, "r")))
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), command=st.sampled_from(["validate", "filter"]))
+def test_fuzzed_model_file_exits_cleanly(canon_2a, data, command):
+    doc = damage(data, copy.deepcopy(model_to_dict(canon_2a)))
+    assert run_on_files(command, model_doc=doc) in (EXIT_OK, EXIT_TOLERANCE, EXIT_CONFIG)
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_fuzzed_strategy_file_exits_cleanly(canon_2a, data):
+    doc = damage(data, profile_to_dict(canon_2a, observation_following_profile(canon_2a)))
+    assert run_on_files("filter", strategy_doc=doc) in (EXIT_OK, EXIT_TOLERANCE, EXIT_CONFIG)

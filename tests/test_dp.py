@@ -8,7 +8,7 @@ from delaypbp import oracle
 from delaypbp.dp import (cost_via_beliefs, expected_value, pbp_sweep,
                          solve_best_response, stage_value, terminal_value,
                          verify_value_dominance)
-from delaypbp.filtering import Belief, BeliefPass, chained_beliefs, other_actions
+from delaypbp.filtering import BeliefPass, chained_beliefs, other_actions
 from delaypbp.strategies import (constant_profile, observation_following_profile,
                                  random_profile)
 from test_oracle import truncate_to_t1, zero_cost_variant
@@ -28,9 +28,9 @@ def test_terminal_value_point_mass(canon_2a):
     g = constant_profile(canon_2a, 0)
     chain = chained_beliefs(canon_2a, g, 0)
     (r, (b, _)) = next(iter(chain[canon_2a.T].items()))
-    point = Belief(t=b.t, agent=b.agent, support=b.support,
-                   probs=np.eye(len(b.probs))[3])
-    x_star = b.support[3][0]
+    point = np.zeros_like(b)
+    x_star = canon_2a.state_size - 1
+    point[x_star, b.shape[1] - 1] = 1.0
     assert terminal_value(canon_2a, 0, point) == canon_2a.terminal_cost[x_star]
 
 
@@ -56,15 +56,16 @@ def test_stage_and_terminal_values_equal_scalar_loops_bitwise(K, n, T):
         for r, (xi, _) in chain[t].items():
             if t == T:
                 acc = 0.0
-                for (x, _), p in zip(xi.support, xi.probs):
+                for (x, _), p in np.ndenumerate(xi):
                     if p > 0.0:
                         acc += spec.terminal_cost[x] * p
                 assert terminal_value(spec, 0, xi) == acc
                 continue
             for u in range(spec.act_sizes[0]):
                 acc = 0.0
-                for (x, lam), p in zip(xi.support, xi.probs):
+                for (x, li), p in np.ndenumerate(xi):
                     if p > 0.0:
+                        lam = bp.table(t).lams[li]
                         u_full = (u, *other_actions(spec, 0, t, r.common, lam, g))
                         acc += p * spec.stage_cost[t][(x, *u_full)]
                 assert stage_value(spec, bp, r, xi, u) == acc
@@ -133,11 +134,11 @@ def test_semi_separation_of_extracted_actions(canon_2a):
             placed = False
             for key, (probs, actions) in groups.items():
                 if key == (r.common, r.private) and \
-                        np.max(np.abs(probs - entry.belief.probs)) <= 1e-10:
+                        np.max(np.abs(probs - entry.belief)) <= 1e-10:
                     actions.append(entry.best_action)
                     placed = True
             if not placed:
-                groups[(r.common, r.private)] = (entry.belief.probs,
+                groups[(r.common, r.private)] = (entry.belief,
                                                  [entry.best_action])
         for _, actions in groups.values():
             assert len(set(actions)) == 1
@@ -280,7 +281,8 @@ def test_incomplete_opponent_strategy_is_an_error(canon_2a):
     g = observation_following_profile(canon_2a)
     # drop agent 1's entire t=1 map: the expansion needs it
     gutted = StrategyProfile(maps=(g.maps[0], (g.maps[1][0], {})))
-    with pytest.raises(IncompleteStrategyError, match="incomplete opponent strategy"):
+    with pytest.raises(IncompleteStrategyError,
+                       match="incomplete strategy: agent 1 has no action at t=1"):
         solve_best_response(canon_2a, 0, gutted)
 
 

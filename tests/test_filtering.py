@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 from conftest import random_model
 from delaypbp import oracle
 from delaypbp.errors import UnreachableError
-from delaypbp.filtering import (BeliefPass, belief_update, chained_beliefs,
-                                classical_filter_update, initial_belief,
+from delaypbp.filtering import (BeliefPass, chained_beliefs, classical_filter_update,
                                 initial_realization, max_abs_gap, other_actions)
 from delaypbp.info import (advance_other, other_agents, other_private_space,
                            shared_prefix_len)
@@ -50,25 +49,35 @@ def uniform_spec():
 
 # --- initial beliefs --------------------------------------------------------
 
+def initial_belief(spec, k, y0):
+    """The time-0 belief of `BeliefPass.start` at first observation y0."""
+    starts = {r.private.obs[0]: b for r, b, _ in BeliefPass(spec, k, None).start()}
+    return starts[y0]
+
+
 def test_initial_belief_uniform_no_information():
     spec = uniform_spec()
     b = initial_belief(spec, 0, 0)
-    assert np.allclose(b.probs, 1.0 / len(b.probs))
+    assert b.shape == (2, 2) and not b.flags.writeable
+    assert np.allclose(b, 1.0 / b.size)
 
 
 def test_initial_belief_perfect_observation():
     spec = perfect_obs_identity_spec()
     b = initial_belief(spec, 0, 1)
-    assert np.allclose(b.x_marginal(2), [0.0, 1.0])
+    assert np.allclose(b.sum(axis=1), [0.0, 1.0])
 
 
 def test_initial_belief_matches_oracle(canon_2a):
     g = observation_following_profile(canon_2a)
     for k in range(2):
         post = oracle.posteriors(canon_2a, g, k, 0)
-        for y0 in range(2):
-            b = initial_belief(canon_2a, k, y0)
-            assert max_abs_gap(b, post[initial_realization(canon_2a, k, y0)]) <= 1e-15
+        starts = BeliefPass(canon_2a, k, g).start()
+        assert [r for r, _, _ in starts] == [initial_realization(canon_2a, k, y0)
+                                             for y0 in range(2)]
+        for r, b, _ in starts:
+            assert b.shape == post[r].shape
+            assert max_abs_gap(b, post[r]) <= 1e-15
 
 
 def test_initial_belief_unreachable_observation():
@@ -77,60 +86,48 @@ def test_initial_belief_unreachable_observation():
         spec.K, spec.n, spec.T, spec.state_size, spec.obs_sizes, spec.act_sizes,
         [1.0, 0.0], spec.transition, spec.observation, spec.stage_cost,
         spec.terminal_cost)
-    with pytest.raises(UnreachableError, match="unreachable observation"):
-        initial_belief(narrowed, 0, 1)
+    starts = BeliefPass(narrowed, 0, None).start()
+    assert [r.private.obs for r, _, _ in starts] == [(0,)]
 
 
 # --- one-step updates -------------------------------------------------------
 
-def next_blocks(spec, k, r, xi, g, u):
-    """The time-(t+1) shared blocks of the positive-mass children of r."""
+def successors_by_block(spec, k, r, xi, g, u):
+    """(shared block, own observation) -> belief over the positive-mass
+    children of r under own action u."""
     succ = BeliefPass(spec, k, g).successors(r, xi, u)
-    return sorted({r1.common for r1, _, _ in succ}, key=lambda c: (c.obs, c.acts))
+    return {(r1.common, r1.private.obs[-1]): b for r1, b, _ in succ}
 
 
 def test_update_perfect_observation_collapses():
     spec = perfect_obs_identity_spec()
     g = constant_profile(spec, 0)
     xi = initial_belief(spec, 0, 1)
-    r = initial_realization(spec, 0, 1)
-    candidates = next_blocks(spec, 0, r, xi, g, 0)
-    assert len(candidates) == 2  # one per value of the other agent's y0
-    for delta_next in candidates:
-        b = belief_update(spec, 0, 0, xi, delta_next, g, 0, 1)
-        assert np.allclose(b.x_marginal(2), [0.0, 1.0])
+    children = successors_by_block(spec, 0, initial_realization(spec, 0, 1), xi, g, 0)
+    assert len(children) == 2  # one per value of the other agent's y0
+    for b in children.values():
+        assert np.allclose(b.sum(axis=1), [0.0, 1.0])
 
 
-def test_update_unreachable_continuation_raises():
+def test_update_unreachable_continuation_has_no_child():
     # identity transition and a perfect channel: the next own observation
     # cannot differ from the current state
     spec = perfect_obs_identity_spec()
     g = constant_profile(spec, 0)
     xi = initial_belief(spec, 0, 1)
-    r = initial_realization(spec, 0, 1)
-    candidates = next_blocks(spec, 0, r, xi, g, 0)
-    assert len(candidates) == 2
-    for delta_next in candidates:
-        with pytest.raises(UnreachableError, match="unreachable continuation"):
-            belief_update(spec, 0, 0, xi, delta_next, g, 0, 0)
+    children = successors_by_block(spec, 0, initial_realization(spec, 0, 1), xi, g, 0)
+    assert len({c for c, _ in children}) == 2
+    assert all(y == 1 for _, y in children)
 
 
 def test_update_uniform_symmetry():
     spec = uniform_spec()
     g = constant_profile(spec, 0)
     xi = initial_belief(spec, 0, 0)
-    r = initial_realization(spec, 0, 0)
-    for delta_next in next_blocks(spec, 0, r, xi, g, 1):
-        b = belief_update(spec, 0, 0, xi, delta_next, g, 1, 0)
-        assert np.allclose(b.x_marginal(2), [0.5, 0.5])
-
-
-def test_update_rejects_wrong_time_block(canon_2a):
-    g = constant_profile(canon_2a, 0)
-    xi = initial_belief(canon_2a, 0, 0)
-    r = initial_realization(canon_2a, 0, 0)
-    with pytest.raises(ValueError, match="delta_next"):
-        belief_update(canon_2a, 0, 0, xi, r.common, g, 0, 0)
+    children = successors_by_block(spec, 0, initial_realization(spec, 0, 0), xi, g, 1)
+    assert {y for _, y in children} == {0, 1}
+    for b in children.values():
+        assert np.allclose(b.sum(axis=1), [0.5, 0.5])
 
 
 # --- chain vs oracle --------------------------------------------------------
@@ -146,7 +143,7 @@ def test_chain_matches_oracle_canon_2a(canon_2a, agent):
         assert abs(total - 1.0) <= 1e-10
         post = oracle.posteriors(canon_2a, g, agent, t)
         for r, (b, _) in chain[t].items():
-            assert abs(float(b.probs.sum()) - 1.0) <= 1e-10
+            assert abs(float(b.sum()) - 1.0) <= 1e-10
             assert max_abs_gap(b, post[r]) <= 1e-10
             checked += 1
     assert checked >= 40
@@ -193,6 +190,43 @@ def test_chain_matches_oracle_random_models(seed, n):
                 assert max_abs_gap(b, post[r]) <= 1e-10
 
 
+# --- one forward expansion ---------------------------------------------------
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_expand_follows_g_inside_the_free_expansion(n):
+    """expand(free=False) keeps, at every node, only g's own action; its
+    nodes are nodes of expand(free=True) with the same belief and step
+    weights, and chain() multiplies those weights along the kept edges."""
+    spec = random_model(seed=3 + n, K=2, n=n, T=3, sizes=2)
+    g = random_profile(spec, np.random.default_rng(n))
+    for k in range(spec.K):
+        bp = BeliefPass(spec, k, g)
+        nodes, edges = bp.expand(free=False)
+        free_nodes, free_edges = BeliefPass(spec, k, g).expand(free=True)
+        chain = bp.chain()
+        for t in range(spec.T + 1):
+            assert list(chain[t]) == list(nodes[t])
+            for r, b in nodes[t].items():
+                assert np.array_equal(chain[t][r][0], b) and not b.flags.writeable
+                assert np.array_equal(free_nodes[t][r], b)
+                if t < spec.T:
+                    u = g.action(k, t, r)
+                    assert [key for key in edges[t] if key[0] == r] == [(r, u)]
+                    assert edges[t][(r, u)] == free_edges[t][(r, u)]
+                    for r1, w in edges[t][(r, u)]:
+                        assert chain[t + 1][r1][1] == chain[t][r][1] * w
+        assert all(len(free_edges[t]) == len(free_nodes[t]) * spec.act_sizes[k]
+                   for t in range(spec.T))
+
+
+def test_expand_rejects_a_realization_reached_twice(canon_2a, monkeypatch):
+    bp = BeliefPass(canon_2a, 0, observation_following_profile(canon_2a))
+    step = bp.successors
+    monkeypatch.setattr(bp, "successors", lambda r, xi, u: step(r, xi, u) * 2)
+    with pytest.raises(AssertionError, match="reached twice"):
+        bp.expand(free=True)
+
+
 # --- classical filter -------------------------------------------------------
 
 def single_agent_spec(q):
@@ -229,7 +263,7 @@ def test_classical_filter_matches_recursion_marginal(canon_1):
         y0 = r.private.obs[0]
         raw = canon_1.init_dist * canon_1.observation[0][0][:, y0]
         pi = raw / raw.sum()
-        assert np.max(np.abs(b.x_marginal(2) - pi)) <= 1e-12
+        assert np.max(np.abs(b.sum(axis=1) - pi)) <= 1e-12
 
 
 # --- batched kernel vs the scalar loop it replaced ----------------------------
@@ -237,13 +271,14 @@ def test_classical_filter_matches_recursion_marginal(canon_1):
 def loop_child(spec, k, common, xi, g, u, revealed, y):
     """Reference: the per-entry loop over the grid, with the kernel's
     association of products and order of accumulation. Returns the child's
-    (probs, weight), or None when it has zero mass."""
+    (belief, weight), or None when it has zero mass."""
     t, others = common.t, other_agents(spec.K, k)
-    lams1 = other_private_space(spec, k, t + 1)
+    lams, lams1 = other_private_space(spec, k, t), other_private_space(spec, k, t + 1)
     mat = np.zeros((spec.state_size, len(lams1)))
-    for (x, lam), p in zip(xi.support, xi.probs):
+    for (x, li), p in np.ndenumerate(xi):
         if p <= 0.0:
             continue
+        lam = lams[li]
         u_other = other_actions(spec, k, t, common, lam, g)
         if revealed:
             shown = (tuple(ys[0] for ys in lam.obs),
@@ -261,7 +296,7 @@ def loop_child(spec, k, common, xi, g, u, revealed, y):
                     wy *= spec.observation[t + 1][j][x1, ys[pos]]
                 mat[x1, lams1.index(advance_other(lam, ys, u_other))] += wy
     total = float(mat.sum())
-    return (mat.reshape(-1) / total, total) if total > 0.0 else None
+    return (mat / total, total) if total > 0.0 else None
 
 
 @pytest.mark.parametrize("K,n,T,sizes", [(2, 1, 3, 2), (2, 2, 3, 2), (3, 1, 2, 2),
@@ -282,7 +317,7 @@ def test_batched_kernel_equals_scalar_loop_bitwise(K, n, T, sizes):
             reveals = shown if shared_prefix_len(n, t + 1) > shared_prefix_len(n, t) else [()]
             for r, (xi, _) in chain[t].items():
                 for u in range(spec.act_sizes[k]):
-                    got = {(rev, y): (b.probs, w)
+                    got = {(rev, y): (b, w)
                            for rev, y, b, w in bp.children(r.common, xi, u)}
                     want = {}
                     for rev in reveals:

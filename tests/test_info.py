@@ -5,12 +5,11 @@ from hypothesis import strategies as st
 
 from conftest import random_model
 from delaypbp import oracle
-from delaypbp.dp import _expand
 from delaypbp.filtering import BeliefPass
-from delaypbp.info import (InfoRealization, JointHistory, PrivateInfo,
-                           advance_common, advance_other, other_private_space,
-                           parse_realization_key, private_act_len,
-                           private_obs_len, realization_key, restrict_common,
+from delaypbp.info import (CommonInfo, InfoRealization, JointHistory,
+                           PrivateInfo, advance_common, advance_other,
+                           other_private_space, parse_realization_key,
+                           private_act_len, private_obs_len, realization_key,
                            shared_prefix_len, shift_private, sort_key,
                            split_history, structural_realizations)
 from delaypbp.model import ModelSpec
@@ -102,7 +101,7 @@ def test_advance_matches_split_of_extended_history(K, n, t, fill):
         assert (c1, p1, o1) == split_history(h1, k, n)
 
 
-def test_restrict_then_shift_roundtrip():
+def test_advance_then_shift_roundtrip():
     h = make_history(2, 3)
     for n in (1, 2, 3):
         c, p, o = split_history(h, 0, n)
@@ -110,7 +109,9 @@ def test_restrict_then_shift_roundtrip():
                           obs=tuple(ys + (0,) for ys in h.obs),
                           acts=tuple(us + (1,) for us in h.acts))
         c2, p2, _ = split_history(h2, 0, n)
-        assert restrict_common(c2) == c
+        promoted = shared_prefix_len(n, 4) - 1  # the time-(4-n) symbols
+        assert advance_common(c, tuple(ys[promoted] for ys in h2.obs),
+                              tuple(us[promoted] for us in h2.acts)) == c2
         assert shift_private(p, 0, 1) == p2
 
 
@@ -119,11 +120,25 @@ def test_restrict_then_shift_roundtrip():
 def test_realization_key_roundtrip():
     h = make_history(2, 2)
     for n in (1, 2):
+        spec = random_model(seed=n, K=2, n=n, T=2, sizes=3)
         for k in range(2):
             c, p, _ = split_history(h, k, n)
             r = InfoRealization(common=c, private=p)
             key = realization_key(r)
-            assert parse_realization_key(key, k, 2, n) == r
+            assert parse_realization_key(key, spec, k, 2) == r
+
+
+@pytest.mark.parametrize("key,problem", [
+    ("c(0/1;1/0;1/1)p(1/)", "names 3 agents"),
+    ("c(0/1)p(1/)", "names 1 agents"),
+    ("c(0/1;1/0)p(7/)", "agent 0's alphabets"),
+    ("c(0/1;2/0)p(1/)", "agent 1's alphabets"),
+    ("c(0/1;1/3)p(1/)", "agent 1's alphabets"),
+    ("c(0/1;1/0)p(1-1/)", "private obs must have length 1"),
+])
+def test_parse_realization_key_rejects_keys_outside_the_model(canon_2a, key, problem):
+    with pytest.raises(ValueError, match=problem):
+        parse_realization_key(key, canon_2a, 0, 1)
 
 
 def test_sort_key_total_order(canon_2a):
@@ -148,13 +163,14 @@ def assert_dp_nodes_are_oracle_reachable(spec, g, k):
     actions free) are those the oracle's walk reaches with agent k free, and
     each chained belief has the oracle posterior's support. Returns the
     oracle posteriors per t."""
-    nodes, _ = _expand(BeliefPass(spec, k, g))
+    nodes, _ = BeliefPass(spec, k, g).expand(free=True)
     posts = []
     for t in range(spec.T + 1):
         post = oracle.posteriors(spec, g, k, t)
         assert set(nodes[t]) == set(post)
         for r, b in nodes[t].items():
-            assert np.array_equal(b.matrix(spec.state_size) > 0.0, post[r] > 0.0)
+            assert b.shape == post[r].shape
+            assert np.array_equal(b > 0.0, post[r] > 0.0)
         posts.append(post)
     return posts
 
@@ -210,7 +226,8 @@ def test_enumerate_reachable_closed_under_advance(canon_2a):
             # unique predecessor for n=1: drop the newest shared symbols,
             # the private block was the last promoted own observation
             prev = InfoRealization(
-                common=restrict_common(r.common),
+                common=CommonInfo(t=t - 1, n=1, obs=tuple(ys[:-1] for ys in r.common.obs),
+                                  acts=tuple(us[:-1] for us in r.common.acts)),
                 private=PrivateInfo(t=t - 1, n=1, agent=0,
                                     obs=(r.common.obs[0][-1],), acts=()))
             assert prev in at[t - 1]
