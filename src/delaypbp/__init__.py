@@ -17,8 +17,8 @@ from .falsify import (GapReport, check_conditional_independence,
                       check_conditional_markov, check_k1_reduction,
                       check_payoff_identity, check_policy_independence)
 from .filtering import chained_beliefs, classical_filter_update
-from .info import (CommonInfo, InfoRealization, JointHistory, OtherPrivate,
-                   PrivateInfo, split_history)
+from .info import (CommonInfo, InfoRealization, JointHistory, PrivateInfo,
+                   split_history)
 from .model import (ModelSpec, canonical_instance, load_model, save_model,
                     validate_model)
 from .oracle import (brute_force_best_response, cost_to_go, enumerate_cost,
@@ -32,7 +32,7 @@ __version__ = "0.1.0"
 __all__ = [
     "CommonInfo", "GapReport", "IncompleteStrategyError",
     "InfoRealization", "InstanceTooLargeError", "JointHistory",
-    "ModelFormatError", "ModelSpec", "OtherPrivate", "PrivateInfo",
+    "ModelFormatError", "ModelSpec", "PrivateInfo",
     "StrategyProfile", "UnreachableError", "ValueTable",
     "brute_force_best_response", "canonical_instance", "chained_beliefs",
     "check_conditional_independence", "check_conditional_markov",

@@ -437,10 +437,18 @@ def run(config: RunConfig) -> int:
 
     try:
         if config.command == "all":
+            models = [resolve_model(inst) for inst in CANONICAL_NAMES]
+        else:
+            models = [resolve_model(config.model, check=config.command != "validate")]
+        for name, spec in models:
+            if config.agent >= spec.K:
+                print(f"error: agent {config.agent} out of range for {name} (K={spec.K})",
+                      file=sys.stderr)
+                return EXIT_CONFIG
+        if config.command == "all":
             all_ok = True
             summary = []
-            for inst in CANONICAL_NAMES:
-                name, spec = resolve_model(inst)
+            for name, spec in models:
                 for command in ("validate", "filter", "solve", "pbp", "verify", "falsify"):
                     doc, ok = _COMMAND_FNS[command](spec, name, config)
                     _write_report(config.out, f"{command}_{name}.json", doc)
@@ -458,11 +466,7 @@ def run(config: RunConfig) -> int:
             print(f"== all: pass={all_ok}")
             return EXIT_OK if all_ok else EXIT_TOLERANCE
 
-        name, spec = resolve_model(config.model, check=config.command != "validate")
-        if config.agent >= spec.K:
-            print(f"error: agent {config.agent} out of range for K={spec.K}",
-                  file=sys.stderr)
-            return EXIT_CONFIG
+        name, spec = models[0]
         doc, ok = _COMMAND_FNS[config.command](spec, name, config)
         _write_report(config.out, f"{config.command}_{name}.json", doc)
         return EXIT_OK if ok else EXIT_TOLERANCE

@@ -41,9 +41,6 @@ class ValueTable:
     agent: int
     entries: tuple[dict[InfoRealization, ValueEntry], ...]
 
-    def value(self, t: int, r: InfoRealization) -> float:
-        return self.entries[t][r].value
-
 
 def terminal_value(spec: ModelSpec, k: int, belief: np.ndarray) -> float:
     """Expected terminal cost under a time-T belief. Zero-mass terms add
@@ -92,13 +89,12 @@ def solve_best_response(spec: ModelSpec, k: int, g_minus_k
 
 def expected_value(spec: ModelSpec, k: int, vtable: ValueTable) -> float:
     """Time-0 values averaged over the initial realizations with their
-    probabilities; equals the best-response cost of the extracted strategy."""
+    probabilities (the weights `BeliefPass.start` gives, as in `chain`);
+    equals the best-response cost of the extracted strategy."""
+    prob = {r: w for r, _, w in BeliefPass(spec, k, None).start()}
     acc = 0.0
     for r, entry in vtable.entries[0].items():
-        y0 = r.private.obs[0]
-        p_y0 = sum(float(spec.init_dist[x]) * float(spec.observation[0][k][x, y0])
-                   for x in range(spec.state_size))
-        acc += p_y0 * entry.value
+        acc += prob[r] * entry.value
     return acc
 
 

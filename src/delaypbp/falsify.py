@@ -58,16 +58,6 @@ def make_report(quantity: str, gaps: list[tuple[str, float]]) -> GapReport:
     return GapReport(quantity=quantity, gaps=tuple(gaps), max_gap=max_gap, witness=witness)
 
 
-def reachable_infos(spec: ModelSpec, g_full, k: int, t: int) -> list[InfoRealization]:
-    """Realizations of agent k's information with positive probability
-    under the full profile: the keys of one walk grouped by realization."""
-    hists = {}
-    oracle.walk(spec, g_full,
-                lambda xs, hist, mass, cost: hists.setdefault((hist.obs, hist.acts), hist),
-                t_end=t)
-    return sorted({realization_at(h, k, spec.n) for h in hists.values()}, key=sort_key)
-
-
 # ---------------------------------------------------------------------------
 # Conditional independence of freshly shared data from the current state.
 # ---------------------------------------------------------------------------
@@ -125,20 +115,21 @@ def check_policy_independence(spec: ModelSpec, g_a: StrategyProfile,
                               g_b: StrategyProfile, k: int) -> GapReport:
     """The posterior given a realization must not depend on agent k's own
     strategy: compare the oracle posterior under two profiles that differ
-    only in agent k, over the realizations reachable under both. The gaps
-    must all be exactly zero (the computation never reads agent k's maps)."""
+    only in agent k, over the realizations reachable under both.
+
+    Each profile gets one walk per t, in which every agent, agent k
+    included, follows that profile. The gaps must all be exactly zero: a
+    realization a walk reaches has the same leaves in the same order as
+    in the walk with agent k free (see `oracle.posteriors`), so both
+    profiles give it the same posterior to the bit."""
     for j in range(spec.K):
         if j != k and not g_a.agents_equal(g_b, j):
             raise ValueError(f"profiles differ in agent {j}, expected only agent {k}")
     gaps = []
     for t in range(spec.T + 1):
-        shared = (set(reachable_infos(spec, g_a, k, t))
-                  & set(reachable_infos(spec, g_b, k, t)))
-        if not shared:
-            continue
-        post_a = oracle.posteriors(spec, g_a, k, t)
-        post_b = oracle.posteriors(spec, g_b, k, t)
-        for r in sorted(shared, key=sort_key):
+        post_a = oracle.posteriors(spec, g_a, k, t, free=False)
+        post_b = oracle.posteriors(spec, g_b, k, t, free=False)
+        for r in sorted(post_a.keys() & post_b.keys(), key=sort_key):
             gaps.append((f"t={t} {realization_key(r)}",
                          float(np.max(np.abs(post_a[r] - post_b[r])))))
     return make_report("posterior strategy independence", gaps)

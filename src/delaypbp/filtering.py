@@ -3,10 +3,12 @@
 Under delayed sharing, agent k cannot act on the plant state alone: the
 other agents' recent private data steers their actions, so the object to
 estimate is the extended state (x_t, lambda_t^{-k}) -- plant state plus
-everyone else's private block. This module computes that posterior by a
-one-step recursion (`BeliefPass`), which conditions on agent k's new
-observation, its own action, and the symbols newly revealed into the
-shared block. It must reproduce the definition-level posterior
+everyone else's private block. lambda is the tuple of the other agents'
+`PrivateInfo` blocks, the type of agent k's own, so `other_actions` hands
+each block to its owner's strategy as it is. This module computes that
+posterior by a one-step recursion (`BeliefPass`), which conditions on
+agent k's new observation, its own action, and the symbols newly revealed
+into the shared block. It must reproduce the definition-level posterior
 (`oracle.posteriors`) and, for a single agent, the textbook filter
 (`classical_filter_update`) kept here. `BeliefPass.expand` is the one
 forward expansion: from every first observation to every positive-mass
@@ -38,9 +40,9 @@ import itertools
 import numpy as np
 
 from .errors import UnreachableError
-from .info import (CommonInfo, InfoRealization, OtherPrivate, PrivateInfo,
-                   advance_common, advance_other, other_agents,
-                   other_private_space, shared_prefix_len, shift_private)
+from .info import (CommonInfo, InfoRealization, Lam, PrivateInfo, advance_common,
+                   advance_other, other_agents, other_private_space,
+                   shared_prefix_len, shift_private)
 from .model import ModelSpec
 
 
@@ -76,14 +78,10 @@ def initial_realization(spec: ModelSpec, k: int, y0k: int) -> InfoRealization:
         private=PrivateInfo(t=0, n=spec.n, agent=k, obs=(y0k,), acts=()))
 
 
-def other_actions(spec: ModelSpec, k: int, t: int, delta_t: CommonInfo,
-                  lam: OtherPrivate, g_minus_k) -> tuple[int, ...]:
-    """Evaluate every other agent's strategy at (delta_t, its private block)."""
-    out = []
-    for pos, j in enumerate(other_agents(spec.K, k)):
-        pj = PrivateInfo(t=t, n=spec.n, agent=j, obs=lam.obs[pos], acts=lam.acts[pos])
-        out.append(g_minus_k.action(j, t, InfoRealization(common=delta_t, private=pj)))
-    return tuple(out)
+def other_actions(common: CommonInfo, lam: Lam, g_minus_k) -> tuple[int, ...]:
+    """Evaluate every other agent's strategy at (common, its private block)."""
+    return tuple(g_minus_k.action(p.agent, p.t, InfoRealization(common=common, private=p))
+                 for p in lam)
 
 
 class StepTable:
@@ -103,8 +101,8 @@ class StepTable:
         # Per lambda, the others' oldest observations and actions: the
         # symbols a promotion moves into the shared block (no actions while
         # n = 1).
-        self.first_obs = tuple(tuple(ys[0] for ys in lam.obs) for lam in lams)
-        self.first_acts = tuple(tuple(us[0] for us in lam.acts if us) for lam in lams)
+        self.first_obs = tuple(tuple(p.obs[0] for p in lam) for lam in lams)
+        self.first_acts = tuple(tuple(p.acts[0] for p in lam if p.acts) for lam in lams)
         self.act_combos = tuple(itertools.product(*(range(spec.act_sizes[j]) for j in others)))
         self.act_index = {c: i for i, c in enumerate(self.act_combos)}
         # [u_k, others' joint action] -> joint action
@@ -141,11 +139,11 @@ class BeliefPass:
 
     def __init__(self, spec: ModelSpec, k: int, g_minus_k):
         self.spec, self.k, self.g = spec, k, g_minus_k
-        self._lams: dict[int, tuple[OtherPrivate, ...]] = {}
+        self._lams: dict[int, tuple[Lam, ...]] = {}
         self._tables: dict[int, StepTable] = {}
         self._actions: dict[CommonInfo, np.ndarray] = {}
 
-    def _lam_space(self, t: int) -> tuple[OtherPrivate, ...]:
+    def _lam_space(self, t: int) -> tuple[Lam, ...]:
         if t not in self._lams:
             self._lams[t] = other_private_space(self.spec, self.k, t)
         return self._lams[t]
@@ -165,8 +163,7 @@ class BeliefPass:
             acts = self._actions[common] = np.full(len(tab.lams), -1, dtype=np.intp)
         for li in ls[acts[ls] < 0].tolist():
             if acts[li] < 0:  # ls repeats a lambda once per state
-                acts[li] = tab.act_index[other_actions(self.spec, self.k, common.t, common,
-                                                       tab.lams[li], self.g)]
+                acts[li] = tab.act_index[other_actions(common, tab.lams[li], self.g)]
         return acts[ls]
 
     def start(self) -> list[tuple[InfoRealization, np.ndarray, float]]:

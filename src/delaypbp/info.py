@@ -12,6 +12,11 @@ Index windows, 0-based, for delay n at time t:
 
 When the clock moves t -> t+1 the time-(t-n+1) observation and action of
 every agent leave the private blocks and join the shared block.
+
+The other agents' private data, lambda in agent k's extended state, is no
+separate type: it is the tuple of their `PrivateInfo` blocks in increasing
+agent order, sliced by the one window rule (`private_at`) and advanced by
+the one shift rule (`shift_private`) that agent k's own block uses.
 """
 
 from __future__ import annotations
@@ -92,17 +97,9 @@ class PrivateInfo:
             raise ValueError(f"private acts must have length {private_act_len(self.n, self.t)}")
 
 
-@dataclass(frozen=True)
-class OtherPrivate:
-    """The private blocks of every agent other than `agent`, in increasing
-    agent order; the second coordinate of the extended state agent k must
-    track."""
-
-    t: int
-    n: int
-    agent: int
-    obs: tuple[IntSeq, ...]
-    acts: tuple[IntSeq, ...]
+# lambda, the second coordinate of the extended state agent k must track:
+# the other agents' private blocks, in increasing agent order.
+Lam = tuple[PrivateInfo, ...]
 
 
 @dataclass(frozen=True)
@@ -132,6 +129,14 @@ def other_agents(K: int, k: int) -> tuple[int, ...]:
     return tuple(j for j in range(K) if j != k)
 
 
+def private_at(h: JointHistory, j: int, n: int, t: int | None = None) -> PrivateInfo:
+    """Agent j's private block at time t (default: h.t) read off a joint
+    history: its own symbols after the shared prefix, up to t."""
+    t = h.t if t is None else t
+    cut = shared_prefix_len(n, t)
+    return PrivateInfo(t=t, n=n, agent=j, obs=h.obs[j][cut:t + 1], acts=h.acts[j][cut:t])
+
+
 def realization_at(h: JointHistory, k: int, n: int, t: int | None = None) -> InfoRealization:
     """Agent k's realization at time t (default: h.t) read off a joint
     history: every agent's streams up to t-n, then agent k's own symbols
@@ -141,10 +146,10 @@ def realization_at(h: JointHistory, k: int, n: int, t: int | None = None) -> Inf
     return InfoRealization(
         common=CommonInfo(t=t, n=n, obs=tuple(ys[:cut] for ys in h.obs),
                           acts=tuple(us[:cut] for us in h.acts)),
-        private=PrivateInfo(t=t, n=n, agent=k, obs=h.obs[k][cut:t + 1], acts=h.acts[k][cut:t]))
+        private=private_at(h, k, n, t))
 
 
-def split_history(h: JointHistory, k: int, n: int) -> tuple[CommonInfo, PrivateInfo, OtherPrivate]:
+def split_history(h: JointHistory, k: int, n: int) -> tuple[CommonInfo, PrivateInfo, Lam]:
     """Decompose a joint history into agent k's view of the pattern.
 
     The decomposition is exact: the agent-k part of the shared block
@@ -154,16 +159,8 @@ def split_history(h: JointHistory, k: int, n: int) -> tuple[CommonInfo, PrivateI
     if n < 1:
         raise ValueError("delay n must be >= 1")
     h.validate()
-    t = h.t
     r = realization_at(h, k, n)
-    cut = shared_prefix_len(n, t)
-    others = other_agents(len(h.obs), k)
-    other = OtherPrivate(
-        t=t, n=n, agent=k,
-        obs=tuple(h.obs[j][cut:] for j in others),
-        acts=tuple(h.acts[j][cut:t] for j in others),
-    )
-    return r.common, r.private, other
+    return r.common, r.private, tuple(private_at(h, j, n) for j in other_agents(len(h.obs), k))
 
 
 def advance_common(c: CommonInfo, promoted_obs: IntSeq, promoted_acts: IntSeq) -> CommonInfo:
@@ -178,31 +175,20 @@ def advance_common(c: CommonInfo, promoted_obs: IntSeq, promoted_acts: IntSeq) -
     )
 
 
-def _shift_window(n: int, t: int, ys: IntSeq, us: IntSeq, y: int, u: int
-                  ) -> tuple[IntSeq, IntSeq]:
-    """One agent's private window at t+1: shed the oldest observation and
-    action when they move into the shared block (once t >= n-1), then
-    append the time-(t+1) observation and time-t action. With n = 1 no
-    action is ever private."""
-    drop = 1 if shared_prefix_len(n, t + 1) > shared_prefix_len(n, t) else 0
-    return ys[drop:] + (y,), (us[drop:] + (u,) if n >= 2 else ())
-
-
 def shift_private(p: PrivateInfo, new_obs: int, new_act: int) -> PrivateInfo:
-    """Agent's private block at t+1: shed the promoted symbols (when the
-    windows are full) and append the time-(t+1) observation and time-t
-    action."""
-    obs, acts = _shift_window(p.n, p.t, p.obs, p.acts, new_obs, new_act)
-    return PrivateInfo(t=p.t + 1, n=p.n, agent=p.agent, obs=obs, acts=acts)
+    """Agent's private block at t+1: shed the oldest observation and action
+    when they move into the shared block (once t >= n-1), then append the
+    time-(t+1) observation and time-t action. With n = 1 no action is ever
+    private."""
+    drop = 1 if shared_prefix_len(p.n, p.t + 1) > shared_prefix_len(p.n, p.t) else 0
+    return PrivateInfo(t=p.t + 1, n=p.n, agent=p.agent, obs=p.obs[drop:] + (new_obs,),
+                       acts=p.acts[drop:] + (new_act,) if p.n >= 2 else ())
 
 
-def advance_other(o: OtherPrivate, new_obs: IntSeq, new_acts: IntSeq) -> OtherPrivate:
+def advance_other(lam: Lam, new_obs: IntSeq, new_acts: IntSeq) -> Lam:
     """Advance the other agents' private blocks by their time-(t+1)
     observations and time-t actions (both in increasing agent order)."""
-    windows = [_shift_window(o.n, o.t, ys, us, y, u)
-               for ys, us, y, u in zip(o.obs, o.acts, new_obs, new_acts)]
-    return OtherPrivate(t=o.t + 1, n=o.n, agent=o.agent,
-                        obs=tuple(w[0] for w in windows), acts=tuple(w[1] for w in windows))
+    return tuple(shift_private(p, y, u) for p, y, u in zip(lam, new_obs, new_acts))
 
 
 # ---------------------------------------------------------------------------
@@ -227,8 +213,8 @@ def realization_key(r: InfoRealization) -> str:
     return f"c({common})p({private})"
 
 
-def other_private_key(o: OtherPrivate) -> str:
-    return ";".join(f"{_seq_str(ys)}/{_seq_str(us)}" for ys, us in zip(o.obs, o.acts))
+def other_private_key(lam: Lam) -> str:
+    return ";".join(f"{_seq_str(p.obs)}/{_seq_str(p.acts)}" for p in lam)
 
 
 def _parse_seq(s: str) -> IntSeq:
@@ -266,25 +252,16 @@ def parse_realization_key(key: str, spec: ModelSpec, k: int, t: int) -> InfoReal
 # Enumeration of the realization grids.
 # ---------------------------------------------------------------------------
 
-def other_private_space(spec: ModelSpec, k: int, t: int) -> tuple[OtherPrivate, ...]:
-    """All index-valid OtherPrivate values at time t, in canonical order."""
+def other_private_space(spec: ModelSpec, k: int, t: int) -> tuple[Lam, ...]:
+    """All index-valid lambdas at time t, in canonical order."""
     n = spec.n
-    lo = private_obs_len(n, t)
-    la = private_act_len(n, t)
-    others = other_agents(spec.K, k)
-    per_agent = []
-    for j in others:
-        obs_choices = list(itertools.product(range(spec.obs_sizes[j]), repeat=lo))
-        act_choices = list(itertools.product(range(spec.act_sizes[j]), repeat=la))
-        per_agent.append([(ys, us) for ys in obs_choices for us in act_choices])
-    out = []
-    for combo in itertools.product(*per_agent) if per_agent else [()]:
-        out.append(OtherPrivate(
-            t=t, n=n, agent=k,
-            obs=tuple(c[0] for c in combo),
-            acts=tuple(c[1] for c in combo),
-        ))
-    return tuple(out)
+    per_agent = [[PrivateInfo(t=t, n=n, agent=j, obs=ys, acts=us)
+                  for ys in itertools.product(range(spec.obs_sizes[j]),
+                                              repeat=private_obs_len(n, t))
+                  for us in itertools.product(range(spec.act_sizes[j]),
+                                              repeat=private_act_len(n, t))]
+                 for j in other_agents(spec.K, k)]
+    return tuple(itertools.product(*per_agent))
 
 
 def structural_realizations(spec: ModelSpec, k: int, t: int) -> tuple[InfoRealization, ...]:

@@ -26,14 +26,6 @@ class StrategyProfile:
 
     maps: tuple[tuple[Mapping[InfoRealization, int], ...], ...]
 
-    @property
-    def K(self) -> int:
-        return len(self.maps)
-
-    @property
-    def T(self) -> int:
-        return len(self.maps[0])
-
     def action(self, k: int, t: int, r: InfoRealization) -> int:
         try:
             return self.maps[k][t][r]

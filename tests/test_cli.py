@@ -66,6 +66,16 @@ def test_agent_out_of_range_rejected(tmp_path):
                          out=str(tmp_path))) == EXIT_CONFIG
 
 
+def test_agent_out_of_range_for_one_canonical_model_rejects_all(tmp_path, capsys):
+    """`all` checks the agent against every canonical model before it runs
+    anything: CANON-1 has one agent, so --agent 1 raises nothing, prints
+    one line and writes no report."""
+    out = tmp_path / "reports"
+    assert run(RunConfig(command="all", model="CANON-2A", agent=1, out=str(out))) == EXIT_CONFIG
+    assert capsys.readouterr().err == "error: agent 1 out of range for CANON-1 (K=1)\n"
+    assert not out.exists()
+
+
 def test_filter_command_reports_gaps(tmp_path):
     out = tmp_path / "reports"
     code = run(RunConfig(command="filter", model="CANON-2B", agent=1, out=str(out)))
@@ -159,16 +169,37 @@ def test_main_parses_flags(tmp_path):
     assert doc["tolerances"]["compare"] == 1e-9
 
 
-def test_run_all_is_deterministic(tmp_path):
-    out1, out2 = tmp_path / "r1", tmp_path / "r2"
-    assert run(RunConfig(command="all", model="CANON-2A", out=str(out1))) == EXIT_OK
-    assert run(RunConfig(command="all", model="CANON-2A", out=str(out2))) == EXIT_OK
-    names1 = sorted(os.listdir(out1))
-    assert names1 == sorted(os.listdir(out2))
-    assert len(names1) == 6 * 3 + 1
-    for name in names1:
-        with open(out1 / name, "rb") as fh1, open(out2 / name, "rb") as fh2:
-            assert fh1.read() == fh2.read(), name
+REFERENCE_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "reference", "canon")
+
+
+def _assert_same_report(got, want, where):
+    """Same keys, strings and booleans; numbers within 1e-12."""
+    if isinstance(want, dict):
+        assert isinstance(got, dict) and sorted(got) == sorted(want), where
+        for key in want:
+            _assert_same_report(got[key], want[key], f"{where}.{key}")
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), where
+        for i, (g, w) in enumerate(zip(got, want)):
+            _assert_same_report(g, w, f"{where}[{i}]")
+    elif isinstance(want, (int, float)) and not isinstance(want, bool):
+        assert isinstance(got, (int, float)) and not isinstance(got, bool), where
+        assert abs(got - want) <= 1e-12, where
+    else:
+        assert got == want, where
+
+
+def test_run_all_matches_reference_reports(tmp_path):
+    """One `all` run reproduces every canonical report kept with the
+    benchmark, read only."""
+    out = tmp_path / "reports"
+    assert run(RunConfig(command="all", model="CANON-2A", out=str(out))) == EXIT_OK
+    names = sorted(os.listdir(out))
+    assert len(names) == 6 * 3 + 1
+    refs = sorted(os.listdir(REFERENCE_DIR))
+    assert refs == [name for name in names if name != "all_summary.json"]
+    for name in refs:
+        _assert_same_report(read(out / name), read(os.path.join(REFERENCE_DIR, name)), name)
 
 
 def _short_prior(doc):

@@ -5,9 +5,9 @@ import pytest
 
 from conftest import five_profiles, random_model, tiny_uniform_t1
 from delaypbp import oracle
-from delaypbp.dp import (cost_via_beliefs, expected_value, pbp_sweep,
-                         solve_best_response, stage_value, terminal_value,
-                         verify_value_dominance)
+from delaypbp.dp import (ValueEntry, ValueTable, cost_via_beliefs, expected_value,
+                         pbp_sweep, solve_best_response, stage_value,
+                         terminal_value, verify_value_dominance)
 from delaypbp.filtering import BeliefPass, chained_beliefs, other_actions
 from delaypbp.strategies import (constant_profile, observation_following_profile,
                                  random_profile)
@@ -66,7 +66,7 @@ def test_stage_and_terminal_values_equal_scalar_loops_bitwise(K, n, T):
                 for (x, li), p in np.ndenumerate(xi):
                     if p > 0.0:
                         lam = bp.table(t).lams[li]
-                        u_full = (u, *other_actions(spec, 0, t, r.common, lam, g))
+                        u_full = (u, *other_actions(r.common, lam, g))
                         acc += p * spec.stage_cost[t][(x, *u_full)]
                 assert stage_value(spec, bp, r, xi, u) == acc
 
@@ -120,6 +120,23 @@ def test_best_response_consistency_with_cost(canon_2a):
         g_br = g.with_agent(k, maps)
         assert expected_value(canon_2a, k, vtable) == pytest.approx(
             cost_via_beliefs(canon_2a, g_br, k), abs=1e-10)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_expected_value_weights_are_the_chain_probabilities_bitwise(seed):
+    """The averaged time-0 value weighs each first observation with the
+    probability the belief chain gives it, to the bit: one formula for
+    p(y0), summed left to right in the value table's order."""
+    spec = random_model(seed=seed, K=3, n=1, T=2, sizes=3)
+    g = constant_profile(spec, 0)
+    for k in range(spec.K):
+        chain0 = chained_beliefs(spec, g, k)[0]
+        entries = {r: ValueEntry(value=terminal_value(spec, k, b), belief=b, best_action=None)
+                   for r, (b, _) in chain0.items()}
+        acc = 0.0
+        for r, (_, p) in chain0.items():
+            acc += p * entries[r].value
+        assert expected_value(spec, k, ValueTable(agent=k, entries=(entries,))) == acc
 
 
 def test_semi_separation_of_extracted_actions(canon_2a):

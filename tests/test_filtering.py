@@ -279,10 +279,10 @@ def loop_child(spec, k, common, xi, g, u, revealed, y):
         if p <= 0.0:
             continue
         lam = lams[li]
-        u_other = other_actions(spec, k, t, common, lam, g)
+        u_other = other_actions(common, lam, g)
         if revealed:
-            shown = (tuple(ys[0] for ys in lam.obs),
-                     tuple(us[0] for us in lam.acts) if spec.n >= 2 else u_other)
+            shown = (tuple(q.obs[0] for q in lam),
+                     tuple(q.acts[0] for q in lam) if spec.n >= 2 else u_other)
             if shown != revealed:
                 continue
         u_full = list(u_other)

@@ -32,7 +32,7 @@ def test_split_t0_n1():
     c, p, o = split_history(h, 0, 1)
     assert c.obs == ((), ()) and c.acts == ((), ())
     assert p.obs == (0,) and p.acts == ()
-    assert o.obs == ((1,),) and o.acts == ((),)
+    assert o[0].agent == 1 and o[0].obs == (1,) and o[0].acts == ()
 
 
 def test_split_t1_n1():
@@ -40,7 +40,7 @@ def test_split_t1_n1():
     c, p, o = split_history(h, 0, 1)
     assert c.obs == ((0,), (1,)) and c.acts == ((1,), (0,))
     assert p.obs == (1,) and p.acts == ()
-    assert o.obs == ((0,),) and o.acts == ((),)
+    assert o[0].obs == (0,) and o[0].acts == ()
 
 
 def test_split_t2_n2_agent1():
@@ -49,7 +49,7 @@ def test_split_t2_n2_agent1():
     assert c.obs == ((0,), (1,)) and c.acts == ((1,), (0,))
     assert p.agent == 1
     assert p.obs == (1, 0) and p.acts == (1,)
-    assert o.obs == ((1, 0),) and o.acts == ((0,),)
+    assert o[0].agent == 0 and o[0].obs == (1, 0) and o[0].acts == (0,)
 
 
 @settings(max_examples=150, deadline=None)
@@ -64,8 +64,8 @@ def test_split_partition_property(K, n, t, fill):
         assert len(p.obs) == private_obs_len(n, t)
         assert len(p.acts) == private_act_len(n, t)
         for pos, j in enumerate(jj for jj in range(K) if jj != k):
-            assert c.obs[j] + o.obs[pos] == h.obs[j]
-            assert c.acts[j] + o.acts[pos] == h.acts[j]
+            assert c.obs[j] + o[pos].obs == h.obs[j]
+            assert c.acts[j] + o[pos].acts == h.acts[j]
 
 
 # --- advance ------------------------------------------------------------------
@@ -86,11 +86,11 @@ def test_advance_matches_split_of_extended_history(K, n, t, fill):
         c, p, o = split_history(h, k, n)
         others = [j for j in range(K) if j != k]
         if shared_prefix_len(n, t + 1) > shared_prefix_len(n, t):
-            obs = [ys[0] for ys in o.obs]
+            obs = [q.obs[0] for q in o]
             obs.insert(k, p.obs[0])
             acts = list(new_acts)
             if n >= 2:
-                acts = [us[0] for us in o.acts]
+                acts = [q.acts[0] for q in o]
                 acts.insert(k, p.acts[0])
             c1 = advance_common(c, tuple(obs), tuple(acts))
         else:
