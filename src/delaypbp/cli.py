@@ -25,8 +25,7 @@ from . import dp, falsify, oracle
 from .errors import (IncompleteStrategyError, InstanceTooLargeError,
                      ModelFormatError)
 from .filtering import chained_beliefs, max_abs_gap
-from .info import (other_private_key, other_private_space, realization_key,
-                   sort_key)
+from .info import ordered, other_private_key, other_private_space, realization_key
 from .model import (CANONICAL_NAMES, COMPARE_TOL, IMPROVE_TOL, K1_TOL,
                     ModelSpec, resolve_model, uniform_observation_variant,
                     validate_model)
@@ -109,24 +108,29 @@ def _profile_for(spec: ModelSpec, config: RunConfig, command: str) -> StrategyPr
     return _default_profile(spec, command)
 
 
+def _report(command: str, name: str, config: RunConfig, results: list, gaps: list,
+            ok: bool, agent: int | None = None) -> dict:
+    """The envelope every report shares: command, model, the agent where one
+    applies, results, gaps, the tolerances in force and the pass flag."""
+    doc = {"command": command, "model": name, "results": results, "gaps": gaps,
+           "tolerances": {"compare": config.tol_compare, "improve": config.tol_improve},
+           "pass": ok}
+    if agent is not None:
+        doc["agent"] = agent
+    return doc
+
+
 # ---------------------------------------------------------------------------
 # Command implementations. Each returns (report dict, pass flag).
 # ---------------------------------------------------------------------------
 
 def cmd_validate(spec: ModelSpec, name: str, config: RunConfig):
     violations = validate_model(spec)
-    doc = {
-        "command": "validate",
-        "model": name,
-        "results": [{"check": "model-invariants", "violations": violations}],
-        "gaps": [],
-        "tolerances": {"compare": config.tol_compare, "improve": config.tol_improve},
-        "pass": not violations,
-    }
     rows = [[v] for v in violations] or [["(none)"]]
     print(f"== validate {name}")
     print(render_table(["violation"], rows))
-    return doc, not violations
+    results = [{"check": "model-invariants", "violations": violations}]
+    return _report("validate", name, config, results, [], not violations), not violations
 
 
 def cmd_filter(spec: ModelSpec, name: str, config: RunConfig):
@@ -138,7 +142,7 @@ def cmd_filter(spec: ModelSpec, name: str, config: RunConfig):
     for t in range(spec.T + 1):
         posteriors = oracle.posteriors(spec, g, k, t, free=False)
         lams = other_private_space(spec, k, t)
-        for r in sorted(chain[t], key=sort_key):
+        for r in ordered(spec, chain[t]):
             belief, prob = chain[t][r]
             ref = posteriors[r]
             gap = max_abs_gap(belief, ref)
@@ -153,20 +157,11 @@ def cmd_filter(spec: ModelSpec, name: str, config: RunConfig):
                 "oracle_belief": _belief_rows(lams, ref),
                 "gap": gap,
             })
-    doc = {
-        "command": "filter",
-        "model": name,
-        "agent": k,
-        "results": results,
-        "gaps": gaps,
-        "tolerances": {"compare": config.tol_compare, "improve": config.tol_improve},
-        "pass": ok,
-    }
     print(f"== filter {name} agent={k} (recursion vs oracle)")
     print(render_table(
         ["t", "realization", "prob", "gap"],
         [[e["t"], e["realization"], _fmt(e["prob"]), _fmt(e["gap"])] for e in results]))
-    return doc, ok
+    return _report("filter", name, config, results, gaps, ok, agent=k), ok
 
 
 def cmd_solve(spec: ModelSpec, name: str, config: RunConfig):
@@ -192,7 +187,7 @@ def cmd_solve(spec: ModelSpec, name: str, config: RunConfig):
 
     table_rows = []
     for t in range(spec.T + 1):
-        for r in sorted(vtable.entries[t], key=sort_key):
+        for r in ordered(spec, vtable.entries[t]):
             e = vtable.entries[t][r]
             table_rows.append({
                 "t": t,
@@ -200,25 +195,17 @@ def cmd_solve(spec: ModelSpec, name: str, config: RunConfig):
                 "value": e.value,
                 "best_action": e.best_action,
             })
-    doc = {
-        "command": "solve",
-        "model": name,
-        "agent": k,
-        "results": [{"expected_value": expected,
-                     "best_response_cost": br_cost,
-                     "brute_force": bf_entry,
-                     "table": table_rows,
-                     "best_response": profile_to_dict(spec, g_br)["agents"][k]}],
-        "gaps": gaps,
-        "tolerances": {"compare": config.tol_compare, "improve": config.tol_improve},
-        "pass": ok,
-    }
+    results = [{"expected_value": expected,
+                "best_response_cost": br_cost,
+                "brute_force": bf_entry,
+                "table": table_rows,
+                "best_response": profile_to_dict(spec, g_br)["agents"][k]}]
     print(f"== solve {name} agent={k}")
     print(render_table(
         ["t", "realization", "value", "best_action"],
         [[e["t"], e["realization"], _fmt(e["value"]), e["best_action"]] for e in table_rows]))
     print(f"expected initial value: {_fmt(expected)}")
-    return doc, ok
+    return _report("solve", name, config, results, gaps, ok, agent=k), ok
 
 
 def cmd_pbp(spec: ModelSpec, name: str, config: RunConfig):
@@ -242,18 +229,11 @@ def cmd_pbp(spec: ModelSpec, name: str, config: RunConfig):
         ok = ok and report.all_stationary
     except InstanceTooLargeError as exc:
         certification = {"skipped": str(exc)}
-    doc = {
-        "command": "pbp",
-        "model": name,
-        "results": [{"trace": trace,
-                     "converged": converged,
-                     "monotone": monotone,
-                     "certification": certification,
-                     "final_profile": profile_to_dict(spec, g_final)}],
-        "gaps": [],
-        "tolerances": {"compare": config.tol_compare, "improve": config.tol_improve},
-        "pass": ok,
-    }
+    results = [{"trace": trace,
+                "converged": converged,
+                "monotone": monotone,
+                "certification": certification,
+                "final_profile": profile_to_dict(spec, g_final)}]
     print(f"== pbp {name}")
     print(render_table(["replacement", "cost"],
                        [[i, _fmt(c)] for i, c in enumerate(trace)]))
@@ -261,7 +241,7 @@ def cmd_pbp(spec: ModelSpec, name: str, config: RunConfig):
     if "agents" in (certification or {}):
         for a in certification["agents"]:
             print(f"agent {a['agent']}: gap {_fmt(a['gap'])} stationary {a['stationary']}")
-    return doc, ok
+    return _report("pbp", name, config, results, [], ok), ok
 
 
 def _alternative_strategies(spec: ModelSpec, k: int, g_maps):
@@ -273,7 +253,7 @@ def _alternative_strategies(spec: ModelSpec, k: int, g_maps):
     for seed in REPORT_SEEDS:
         rng = np.random.default_rng(seed)
         alts.append((f"random-{seed}", random_profile(spec, rng).maps[k]))
-    alts.append(("extracted-best-response", tuple(dict(m) for m in g_maps)))
+    alts.append(("extracted-best-response", tuple(g_maps)))
     return alts
 
 
@@ -300,40 +280,27 @@ def cmd_verify(spec: ModelSpec, name: str, config: RunConfig):
             gaps.append({"where": "best-response equality", "gap": report.max_abs_gap})
             ok = ok and report.max_abs_gap <= config.tol_compare
         results.append(entry)
-    doc = {
-        "command": "verify",
-        "model": name,
-        "agent": k,
-        "results": results,
-        "gaps": gaps,
-        "tolerances": {"compare": config.tol_compare, "improve": config.tol_improve},
-        "pass": ok,
-    }
     print(f"== verify {name} agent={k} (value dominance)")
     print(render_table(
         ["alternative", "checked", "violations"],
         [[e["alternative"], e["checked"], len(e["violations"])] for e in results]))
-    return doc, ok
+    return _report("verify", name, config, results, gaps, ok, agent=k), ok
 
 
 def cmd_falsify(spec: ModelSpec, name: str, config: RunConfig):
     k = config.agent
     g = _profile_for(spec, config, "falsify")
     t_check = spec.T - 1
-    results = []
-    ok = True
-
     ci = falsify.check_conditional_independence(spec, g, k, t_check)
-    results.append({"check": "conditional-independence", "informational": True,
-                    "t": t_check, "report": ci.to_dict()})
+    results = [{"check": "conditional-independence", "informational": True,
+                "t": t_check, "report": ci.to_dict()}]
 
-    ci_uniform = falsify.check_conditional_independence(
-        uniform_observation_variant(spec), g, k, t_check)
-    uniform_ok = ci_uniform.max_gap <= K1_TOL
-    ok = ok and uniform_ok
-    results.append({"check": "conditional-independence-uniform-obs",
-                    "tolerance": K1_TOL, "pass": uniform_ok,
-                    "report": ci_uniform.to_dict()})
+    def gate(check: str, rep, tol: float, **extra) -> None:
+        results.append({"check": check, **extra, "tolerance": tol,
+                        "pass": rep.max_gap <= tol, "report": rep.to_dict()})
+
+    gate("conditional-independence-uniform-obs", falsify.check_conditional_independence(
+        uniform_observation_variant(spec), g, k, t_check), K1_TOL)
 
     base = _default_profile(spec, "falsify")
     pairs = [
@@ -348,43 +315,18 @@ def cmd_falsify(spec: ModelSpec, name: str, config: RunConfig):
              k, random_profile(spec, np.random.default_rng(REPORT_SEEDS[0])).maps[k])),
     ]
     for label, g_a, g_b in pairs:
-        rep = falsify.check_policy_independence(spec, g_a, g_b, k)
-        pair_ok = rep.max_gap == 0.0
-        ok = ok and pair_ok
-        results.append({"check": "policy-independence", "pair": label,
-                        "tolerance": 0.0, "pass": pair_ok, "report": rep.to_dict()})
+        gate("policy-independence", falsify.check_policy_independence(spec, g_a, g_b, k), 0.0,
+             pair=label)
 
-    markov = falsify.check_conditional_markov(spec, g, k, tol=config.tol_compare)
-    markov_ok = markov.max_gap <= config.tol_compare
-    ok = ok and markov_ok
-    results.append({"check": "conditional-markov", "tolerance": config.tol_compare,
-                    "pass": markov_ok, "report": markov.to_dict()})
-
+    tol = config.tol_compare
+    gate("conditional-markov", falsify.check_conditional_markov(spec, g, k, tol=tol), tol)
     if spec.K == 1:
-        k1 = falsify.check_k1_reduction(spec)
-        k1_ok = k1.max_gap <= K1_TOL
-        ok = ok and k1_ok
-        results.append({"check": "single-agent-reduction", "tolerance": K1_TOL,
-                        "pass": k1_ok, "report": k1.to_dict()})
+        gate("single-agent-reduction", falsify.check_k1_reduction(spec), K1_TOL)
     else:
         results.append({"check": "single-agent-reduction", "skipped": "K > 1"})
+    gate("payoff-identity", falsify.check_payoff_identity(spec, g), tol)
+    ok = all(e["pass"] for e in results if "pass" in e)
 
-    payoff = falsify.check_payoff_identity(spec, g)
-    payoff_ok = payoff.max_gap <= config.tol_compare
-    ok = ok and payoff_ok
-    results.append({"check": "payoff-identity", "tolerance": config.tol_compare,
-                    "pass": payoff_ok, "report": payoff.to_dict()})
-
-    doc = {
-        "command": "falsify",
-        "model": name,
-        "agent": k,
-        "results": results,
-        "gaps": [{"where": e["check"], "gap": e["report"]["max_gap"]}
-                 for e in results if "report" in e],
-        "tolerances": {"compare": config.tol_compare, "improve": config.tol_improve},
-        "pass": ok,
-    }
     print(f"== falsify {name} agent={k}")
     rows = []
     for e in results:
@@ -394,7 +336,9 @@ def cmd_falsify(spec: ModelSpec, name: str, config: RunConfig):
         else:
             rows.append([e["check"], "-", "skipped", e.get("skipped", "")])
     print(render_table(["check", "max_gap", "pass", "witness"], rows))
-    return doc, ok
+    gaps = [{"where": e["check"], "gap": e["report"]["max_gap"]}
+            for e in results if "report" in e]
+    return _report("falsify", name, config, results, gaps, ok, agent=k), ok
 
 
 _COMMAND_FNS = {
@@ -454,15 +398,8 @@ def run(config: RunConfig) -> int:
                     _write_report(config.out, f"{command}_{name}.json", doc)
                     summary.append({"model": name, "command": command, "pass": ok})
                     all_ok = all_ok and ok
-            _write_report(config.out, "all_summary.json", {
-                "command": "all",
-                "model": "canonical-instances",
-                "results": summary,
-                "gaps": [],
-                "tolerances": {"compare": config.tol_compare,
-                               "improve": config.tol_improve},
-                "pass": all_ok,
-            })
+            _write_report(config.out, "all_summary.json",
+                          _report("all", "canonical-instances", config, summary, [], all_ok))
             print(f"== all: pass={all_ok}")
             return EXIT_OK if all_ok else EXIT_TOLERANCE
 

@@ -22,9 +22,9 @@ import numpy as np
 from . import oracle
 from .errors import UnreachableError
 from .filtering import BeliefPass, positive, seq_sum
-from .info import InfoRealization, realization_key, sort_key
+from .info import InfoRealization, encode, grid_size, ordered, realization_key
 from .model import COMPARE_TOL, IMPROVE_TOL, ModelSpec
-from .strategies import StrategyProfile, extend_total
+from .strategies import StrategyProfile
 
 
 @dataclass(frozen=True)
@@ -59,12 +59,13 @@ def stage_value(spec: ModelSpec, bp: BeliefPass, r: InfoRealization, xi: np.ndar
 
 
 def solve_best_response(spec: ModelSpec, k: int, g_minus_k
-                        ) -> tuple[ValueTable, list[dict[InfoRealization, int]]]:
+                        ) -> tuple[ValueTable, list[np.ndarray]]:
     """Backward induction for agent k against a frozen g_minus_k.
 
-    Returns the value table and, per decision time, the extracted
-    realization -> action map (ties break toward the smallest action
-    index). The maps cover exactly the reachable grid of the forward pass.
+    Returns the value table and, per decision time, the extracted strategy
+    array (ties break toward the smallest action index). Its cells hold
+    the minimizing action at exactly the reachable grid of the forward
+    pass, and -1 elsewhere.
     """
     bp = BeliefPass(spec, k, g_minus_k)
     nodes, edges = bp.expand(free=True)
@@ -72,7 +73,7 @@ def solve_best_response(spec: ModelSpec, k: int, g_minus_k
     for r, xi in nodes[spec.T].items():
         entries[spec.T][r] = ValueEntry(value=terminal_value(spec, k, xi),
                                         belief=xi, best_action=None)
-    g_maps: list[dict[InfoRealization, int]] = [dict() for _ in range(spec.T)]
+    g_maps = [np.full(grid_size(spec, k, t), -1) for t in range(spec.T)]
     for t in range(spec.T - 1, -1, -1):
         for r, xi in nodes[t].items():
             best_u, best_v = None, None
@@ -83,7 +84,7 @@ def solve_best_response(spec: ModelSpec, k: int, g_minus_k
                 if best_v is None or v < best_v:
                     best_u, best_v = u, v
             entries[t][r] = ValueEntry(value=best_v, belief=xi, best_action=best_u)
-            g_maps[t][r] = best_u
+            g_maps[t][encode(spec, r)] = best_u
     return ValueTable(agent=k, entries=tuple(entries)), g_maps
 
 
@@ -128,10 +129,10 @@ def pbp_sweep(spec: ModelSpec, g_init: StrategyProfile, max_rounds: int,
     against the current others, recording the team cost after each
     replacement. Stops once a full round brings no strict decrease greater
     than improve_tol (converged=True) or after max_rounds. Extracted best
-    responses are extended with action 0 on the structurally valid but
-    currently unreachable realizations so the profile stays total when the
-    other agents move in later rounds; the extension never changes the cost
-    at the time it is made.
+    responses get action 0 in their -1 cells, the structurally valid but
+    currently unreachable realizations, so the profile stays total when the
+    other agents move in later rounds; the fill never changes the cost at
+    the time it is made.
     """
     if max_rounds < 1:
         raise ValueError("max_rounds must be >= 1")
@@ -143,8 +144,7 @@ def pbp_sweep(spec: ModelSpec, g_init: StrategyProfile, max_rounds: int,
         start = current
         for k in range(spec.K):
             _, g_maps = solve_best_response(spec, k, g)
-            total_maps = [extend_total(spec, k, m, t) for t, m in enumerate(g_maps)]
-            g = g.with_agent(k, total_maps)
+            g = g.with_agent(k, [np.where(m < 0, 0, m) for m in g_maps])
             current = cost_via_beliefs(spec, g, 0)
             trace.append(current)
         if start - current <= improve_tol:
@@ -181,8 +181,8 @@ def verify_value_dominance(spec: ModelSpec, k: int, g_minus_k: StrategyProfile,
                            vtable: ValueTable, maps_k, tol: float = COMPARE_TOL
                            ) -> DominanceReport:
     """Check table values against the enumerated conditional cost-to-go of
-    agent k's alternative per-time maps maps_k, at every time and reachable
-    realization.
+    agent k's alternative per-time strategy arrays maps_k, at every time
+    and reachable realization.
 
     The table must sit weakly below the alternative everywhere; violations
     are reported as data, not raised. A table realization the enumeration
@@ -192,7 +192,7 @@ def verify_value_dominance(spec: ModelSpec, k: int, g_minus_k: StrategyProfile,
     rows = []
     for t in range(spec.T + 1):
         alt = oracle.cost_to_go(spec, k, g, t)
-        for r in sorted(vtable.entries[t], key=sort_key):
+        for r in ordered(spec, vtable.entries[t]):
             if r not in alt:
                 raise UnreachableError(f"unreachable realization for agent {k} at t={t}")
             rows.append(DominanceEntry(t=t, key=realization_key(r),

@@ -23,8 +23,8 @@ import numpy as np
 from . import dp, oracle
 from .errors import UnreachableError
 from .filtering import BeliefPass, classical_filter_update
-from .info import (CommonInfo, InfoRealization, other_agents, realization_at,
-                   realization_key, sort_key)
+from .info import (InfoRealization, ordered, other_agents, realization_at,
+                   realization_key, shared_code)
 from .model import COMPARE_TOL, ModelSpec
 from .strategies import StrategyProfile
 
@@ -129,7 +129,7 @@ def check_policy_independence(spec: ModelSpec, g_a: StrategyProfile,
     for t in range(spec.T + 1):
         post_a = oracle.posteriors(spec, g_a, k, t, free=False)
         post_b = oracle.posteriors(spec, g_b, k, t, free=False)
-        for r in sorted(post_a.keys() & post_b.keys(), key=sort_key):
+        for r in ordered(spec, post_a.keys() & post_b.keys()):
             gaps.append((f"t={t} {realization_key(r)}",
                          float(np.max(np.abs(post_a[r] - post_b[r])))))
     return make_report("posterior strategy independence", gaps)
@@ -210,12 +210,11 @@ def check_conditional_markov(spec: ModelSpec, g_full, k: int,
     posts = [oracle.posteriors(spec, g_full, k, t, free=False) for t in range(spec.T + 1)]
     for t in range(spec.T):
         laws = _next_posterior_laws(spec, g_full, k, t, posts[t + 1])
-        prelim: dict[tuple[CommonInfo, int], list] = {}
-        for r in sorted(laws, key=sort_key):
+        prelim: dict[tuple[int, int], list] = {}  # per (shared block's code, action)
+        for r in ordered(spec, laws):
             u = g_full.action(k, t, r)
-            prelim.setdefault((r.common, u), []).append((r, posts[t][r]))
-        for (c, u), members in sorted(prelim.items(),
-                                      key=lambda kv: (kv[0][0].obs, kv[0][0].acts, kv[0][1])):
+            prelim.setdefault((shared_code(spec, r.common), u), []).append((r, posts[t][r]))
+        for (_, u), members in sorted(prelim.items()):
             clusters: list[tuple[np.ndarray, list]] = []
             for r, xi in members:
                 for rep, group in clusters:

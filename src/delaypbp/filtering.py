@@ -4,8 +4,10 @@ Under delayed sharing, agent k cannot act on the plant state alone: the
 other agents' recent private data steers their actions, so the object to
 estimate is the extended state (x_t, lambda_t^{-k}) -- plant state plus
 everyone else's private block. lambda is the tuple of the other agents'
-`PrivateInfo` blocks, the type of agent k's own, so `other_actions` hands
-each block to its owner's strategy as it is. This module computes that
+`PrivateInfo` blocks, the type of agent k's own, and its index in
+other_private_space is the mixed radix over their private codes, so each
+other agent's action is one indexed read of its strategy array at
+shared_code * private_size + private code. This module computes that
 posterior by a one-step recursion (`BeliefPass`), which conditions on
 agent k's new observation, its own action, and the symbols newly revealed
 into the shared block. It must reproduce the definition-level posterior
@@ -22,11 +24,11 @@ continuations are left out rather than returned as non-distributions.
 
 The recursion is an array kernel. Per (k, t) a `StepTable` holds what a
 step reads that depends on neither the belief nor the strategies: the
-lambdas, the successor index lambda -> lambda' per (the others' fresh
-symbols, their actions), the symbols each lambda reveals into the shared
-block, and the kernels as arrays. One pass over a belief and an own
-action produces every positive-mass child (revealed symbols, next own
-observation) at once. Its arithmetic is ordered like a scalar loop over
+lambdas and the others' private codes in them, the successor index
+lambda -> lambda' per (the others' fresh symbols, their actions), the
+symbols each lambda reveals into the shared block, and the kernels as
+arrays. One pass over a belief and an own action produces every
+positive-mass child (revealed symbols, next own observation) at once. Its arithmetic is ordered like a scalar loop over
 the grid: products associate as ((p * T) * q_k) * q_j..., every cell
 accumulates its terms in the C order of (x, lambda, y', x', y^{-k}) with
 np.add.at, and scalar expectations sum left to right (`seq_sum`), so the
@@ -40,9 +42,9 @@ import itertools
 import numpy as np
 
 from .errors import UnreachableError
-from .info import (CommonInfo, InfoRealization, Lam, PrivateInfo, advance_common,
-                   advance_other, other_agents, other_private_space,
-                   shared_prefix_len, shift_private)
+from .info import (CommonInfo, InfoRealization, Lam, advance_common, advance_other,
+                   decode, other_agents, other_private_space, private_size,
+                   shared_code, shared_prefix_len, shift_private)
 from .model import ModelSpec
 
 
@@ -72,18 +74,6 @@ def max_abs_gap(b: np.ndarray, ref: np.ndarray) -> float:
     return float(np.max(np.abs(b - ref)))
 
 
-def initial_realization(spec: ModelSpec, k: int, y0k: int) -> InfoRealization:
-    return InfoRealization(
-        common=CommonInfo(t=0, n=spec.n, obs=((),) * spec.K, acts=((),) * spec.K),
-        private=PrivateInfo(t=0, n=spec.n, agent=k, obs=(y0k,), acts=()))
-
-
-def other_actions(common: CommonInfo, lam: Lam, g_minus_k) -> tuple[int, ...]:
-    """Evaluate every other agent's strategy at (common, its private block)."""
-    return tuple(g_minus_k.action(p.agent, p.t, InfoRealization(common=common, private=p))
-                 for p in lam)
-
-
 class StepTable:
     """Agent k's lambdas at time t and, for t < T, the belief- and
     strategy-free parts of a step to t+1 (next_lams is the lambdas at
@@ -95,16 +85,20 @@ class StepTable:
     """
 
     def __init__(self, spec: ModelSpec, k: int, t: int, lams, next_lams):
-        others = other_agents(spec.K, k)
+        others = self.others = other_agents(spec.K, k)
         X = spec.state_size
         self.lams = lams
+        # Per other agent, its number of private blocks and, per lambda, its
+        # private code: the lambda index's digit in that radix.
+        self.private_sizes = tuple(private_size(spec, j, t) for j in others)
+        self.private_codes = (np.unravel_index(np.arange(len(lams)), self.private_sizes)
+                              if others else ())
         # Per lambda, the others' oldest observations and actions: the
         # symbols a promotion moves into the shared block (no actions while
         # n = 1).
         self.first_obs = tuple(tuple(p.obs[0] for p in lam) for lam in lams)
         self.first_acts = tuple(tuple(p.acts[0] for p in lam if p.acts) for lam in lams)
         self.act_combos = tuple(itertools.product(*(range(spec.act_sizes[j]) for j in others)))
-        self.act_index = {c: i for i, c in enumerate(self.act_combos)}
         # [u_k, others' joint action] -> joint action
         self.joint = np.array([[np.ravel_multi_index(c[:k] + (u,) + c[k:], spec.act_sizes)
                                 for c in self.act_combos] for u in range(spec.act_sizes[k])],
@@ -130,18 +124,15 @@ class BeliefPass:
     strategies g_minus_k. Only `expand(free=False)` and `chain` read agent
     k's own maps, so they need a full profile.
 
-    Holds the pass's step tables and, per shared block met, the others'
-    joint actions as an int array over lambda (-1 where not evaluated).
-    Strategies are evaluated only at lambdas with positive mass in some
-    belief, so maps covering just the reachable grid suffice. Everything
-    cached here dies with the pass.
+    Holds the pass's step tables, which die with it. Strategies are read
+    only at lambdas with positive mass in some belief, so maps covering
+    just the reachable grid suffice.
     """
 
     def __init__(self, spec: ModelSpec, k: int, g_minus_k):
         self.spec, self.k, self.g = spec, k, g_minus_k
         self._lams: dict[int, tuple[Lam, ...]] = {}
         self._tables: dict[int, StepTable] = {}
-        self._actions: dict[CommonInfo, np.ndarray] = {}
 
     def _lam_space(self, t: int) -> tuple[Lam, ...]:
         if t not in self._lams:
@@ -156,15 +147,17 @@ class BeliefPass:
 
     def actions(self, common: CommonInfo, ls: np.ndarray) -> np.ndarray:
         """The others' joint-action index at each lambda index in ls, under
-        shared block `common`."""
-        tab = self.table(common.t)
-        acts = self._actions.get(common)
-        if acts is None:
-            acts = self._actions[common] = np.full(len(tab.lams), -1, dtype=np.intp)
-        for li in ls[acts[ls] < 0].tolist():
-            if acts[li] < 0:  # ls repeats a lambda once per state
-                acts[li] = tab.act_index[other_actions(common, tab.lams[li], self.g)]
-        return acts[ls]
+        shared block `common`: one indexed read per other agent. A cell
+        without an action raises the profile's IncompleteStrategyError."""
+        t, tab = common.t, self.table(common.t)
+        shared, joint = shared_code(self.spec, common), None
+        for j, size, pc in zip(tab.others, tab.private_sizes, tab.private_codes):
+            codes = pc[ls] + shared * size
+            a = self.g.maps[j][t][codes]
+            if a.min() < 0:
+                self.g.action_at(j, t, int(codes[a.argmin()]))
+            joint = a if joint is None else joint * self.spec.act_sizes[j] + a
+        return np.zeros_like(ls) if joint is None else joint
 
     def start(self) -> list[tuple[InfoRealization, np.ndarray, float]]:
         """(realization, belief, probability) per reachable first
@@ -179,7 +172,8 @@ class BeliefPass:
                 mat = mat * spec.observation[0][j][:, [fo[pos] for fo in tab.first_obs]]
             total = float(mat.sum())
             if total > 0.0:
-                out.append((initial_realization(spec, k, y0), _frozen(mat / total), total))
+                # at t = 0 agent k's code is its first observation
+                out.append((decode(spec, k, 0, y0), _frozen(mat / total), total))
         return out
 
     def children(self, common: CommonInfo, xi: np.ndarray, u: int

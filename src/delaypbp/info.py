@@ -4,7 +4,8 @@ At time t each agent k knows two blocks: the shared block (every agent's
 observations and actions up to time t-n) and its private block (its own
 last n observations and last n-1 actions). This module houses the split of
 a joint history into those blocks, the one-step advance of the blocks,
-canonical keys, and the grids of index-valid realizations.
+the integer coding of each agent's realizations (the index of every
+strategy array), canonical text keys, and the grids of lambdas.
 
 Index windows, 0-based, for delay n at time t:
   shared, per agent:  obs 0..t-n, acts 0..t-n          (empty while t < n)
@@ -21,8 +22,12 @@ the one shift rule (`shift_private`) that agent k's own block uses.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .model import ModelSpec
 
@@ -192,14 +197,87 @@ def advance_other(lam: Lam, new_obs: IntSeq, new_acts: IntSeq) -> Lam:
 
 
 # ---------------------------------------------------------------------------
-# Canonical ordering and keys. Realizations are compared structurally via
-# nested int tuples (agent-major, then time); the string form is the stable
-# key used in strategy files and reports.
+# Integer coding. Agent k's time-t realizations are the codes 0..size-1 of
+# one mixed radix whose digits, most significant first, are the shared
+# observations (agent-major, then time), the shared actions (likewise),
+# agent k's private observations and its private actions. Tuples compare in
+# that order too, so code order is the canonical order. The shared digits
+# lead and are the same for every agent, so agent j's code is
+# shared_code * private_size(j) + its private code, and the lambda index of
+# other_private_space is the mixed radix over the other agents' private
+# codes. The text key used in strategy files and reports stays at the edges.
 # ---------------------------------------------------------------------------
 
-def sort_key(r: InfoRealization) -> tuple:
-    return (r.t, r.common.obs, r.common.acts, r.private.obs, r.private.acts)
+@functools.lru_cache(maxsize=4096)  # specs are immutable and hash by identity
+def radices(spec: ModelSpec, k: int, t: int) -> IntSeq:
+    """The radix of each digit of agent k's time-t code, most significant
+    first; the one definition of the digit order."""
+    cut, out = shared_prefix_len(spec.n, t), []
+    for size in spec.obs_sizes + spec.act_sizes:
+        out += (size,) * cut
+    return (*out, *(spec.obs_sizes[k],) * private_obs_len(spec.n, t),
+            *(spec.act_sizes[k],) * private_act_len(spec.n, t))
 
+
+def grid_size(spec: ModelSpec, k: int, t: int) -> int:
+    """Number of index-valid realizations of agent k at time t."""
+    return math.prod(radices(spec, k, t))
+
+
+def private_size(spec: ModelSpec, k: int, t: int) -> int:
+    """Number of index-valid private blocks of agent k at time t."""
+    return (spec.obs_sizes[k] ** private_obs_len(spec.n, t)
+            * spec.act_sizes[k] ** private_act_len(spec.n, t))
+
+
+def _code(obs, acts, own_obs: IntSeq, own_acts: IntSeq, rads: IntSeq) -> int:
+    """Horner's rule over the digits in radices' order; with fewer digits
+    than radices, the code of the leading ones."""
+    code = 0
+    digits = itertools.chain(itertools.chain(*obs), itertools.chain(*acts), own_obs, own_acts)
+    for d, r in zip(digits, rads):
+        code = code * r + d
+    return code
+
+
+def encode(spec: ModelSpec, r: InfoRealization) -> int:
+    c, p = r.common, r.private
+    return _code(c.obs, c.acts, p.obs, p.acts, radices(spec, p.agent, p.t))
+
+
+def shared_code(spec: ModelSpec, c: CommonInfo) -> int:
+    """The code of the shared block alone: encode(r) // private_size."""
+    return _code(c.obs, c.acts, (), (), radices(spec, 0, c.t))
+
+
+def history_code(spec: ModelSpec, h: JointHistory, j: int, t: int) -> int:
+    """encode(realization_at(h, j, spec.n, t)), read straight off the
+    history."""
+    cut = shared_prefix_len(spec.n, t)
+    return _code((ys[:cut] for ys in h.obs), (us[:cut] for us in h.acts),
+                 h.obs[j][cut:t + 1], h.acts[j][cut:t], radices(spec, j, t))
+
+
+def decode(spec: ModelSpec, k: int, t: int, code: int) -> InfoRealization:
+    """The realization of agent k at time t with the given code."""
+    digits = [int(d) for d in np.unravel_index(code, radices(spec, k, t))]
+    cut, lo = shared_prefix_len(spec.n, t), private_obs_len(spec.n, t)
+    per_agent = [tuple(digits[i * cut:(i + 1) * cut]) for i in range(2 * spec.K)]
+    own = digits[2 * spec.K * cut:]
+    return InfoRealization(
+        common=CommonInfo(t=t, n=spec.n, obs=tuple(per_agent[:spec.K]),
+                          acts=tuple(per_agent[spec.K:])),
+        private=PrivateInfo(t=t, n=spec.n, agent=k, obs=tuple(own[:lo]), acts=tuple(own[lo:])))
+
+
+def ordered(spec: ModelSpec, rs) -> list[InfoRealization]:
+    """Realizations of one agent and time in canonical (code) order."""
+    return sorted(rs, key=lambda r: encode(spec, r))
+
+
+# ---------------------------------------------------------------------------
+# Text keys: the stable form of a realization in strategy files and reports.
+# ---------------------------------------------------------------------------
 
 def _seq_str(s: IntSeq) -> str:
     return "-".join(str(int(v)) for v in s)
@@ -262,32 +340,3 @@ def other_private_space(spec: ModelSpec, k: int, t: int) -> tuple[Lam, ...]:
                                               repeat=private_act_len(n, t))]
                  for j in other_agents(spec.K, k)]
     return tuple(itertools.product(*per_agent))
-
-
-def structural_realizations(spec: ModelSpec, k: int, t: int) -> tuple[InfoRealization, ...]:
-    """Every index-valid (shared, private) pair for agent k at time t,
-    reachable or not, in canonical order. Desk-scale only: the grid is a
-    full cartesian product over the index windows."""
-    n = spec.n
-    cut = shared_prefix_len(n, t)
-    lo = private_obs_len(n, t)
-    la = private_act_len(n, t)
-    per_agent_common = []
-    for j in range(spec.K):
-        obs_choices = list(itertools.product(range(spec.obs_sizes[j]), repeat=cut))
-        act_choices = list(itertools.product(range(spec.act_sizes[j]), repeat=cut))
-        per_agent_common.append([(ys, us) for ys in obs_choices for us in act_choices])
-    p_obs = list(itertools.product(range(spec.obs_sizes[k]), repeat=lo))
-    p_acts = list(itertools.product(range(spec.act_sizes[k]), repeat=la))
-    out = []
-    for combo in itertools.product(*per_agent_common):
-        common = CommonInfo(t=t, n=n,
-                            obs=tuple(c[0] for c in combo),
-                            acts=tuple(c[1] for c in combo))
-        for ys in p_obs:
-            for us in p_acts:
-                out.append(InfoRealization(
-                    common=common,
-                    private=PrivateInfo(t=t, n=n, agent=k, obs=ys, acts=us)))
-    out.sort(key=sort_key)
-    return tuple(out)

@@ -321,6 +321,11 @@ _MODEL_FIELDS = ("K", "n", "T", "state_size", "obs_sizes", "act_sizes",
                  "terminal_cost")
 
 
+def is_integer(value) -> bool:
+    """A JSON integer: neither a bool nor a float, even an integral one."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def model_to_dict(spec: ModelSpec) -> dict:
     return {
         "K": spec.K,
@@ -358,6 +363,10 @@ def model_from_dict(doc: dict, check: bool = True) -> ModelSpec:
     missing = [f for f in _MODEL_FIELDS if f not in doc]
     if missing:
         raise ModelFormatError(f"model document missing fields: {missing}")
+    for f in ("K", "n", "T", "state_size", "obs_sizes", "act_sizes"):
+        values = doc[f] if f.endswith("_sizes") and isinstance(doc[f], list) else [doc[f]]
+        if not all(is_integer(v) for v in values):
+            raise ModelFormatError(f"model field {f!r} takes JSON integers, got {doc[f]!r}")
     try:
         spec = ModelSpec.from_tables(**{f: doc[f] for f in _MODEL_FIELDS})
     except (TypeError, ValueError) as exc:

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InstanceTooLargeError
-from .info import (InfoRealization, JointHistory, other_private_space,
-                   realization_at, sort_key, split_history)
+from .info import (InfoRealization, JointHistory, grid_size, history_code,
+                   other_private_space, realization_at, split_history)
 from .model import COMPARE_TOL, ModelSpec
 
 # Candidate count guard for brute_force_best_response.
@@ -64,7 +64,7 @@ def walk(spec: ModelSpec, g, visit, t_end: int | None = None, free: int | None =
         t_end = spec.T
     if not (0 <= t_end <= spec.T):
         raise ValueError(f"t_end must be in 0..{spec.T}")
-    K, n, X = spec.K, spec.n, spec.state_size
+    K, X = spec.K, spec.state_size
     obs = [_likely_observations(spec, s) for s in range(t_end + 1)]
     # Kernels and costs as nested lists indexed [x][joint action], with the
     # joint action's flat index in the kernels' C order.
@@ -80,7 +80,7 @@ def walk(spec: ModelSpec, g, visit, t_end: int | None = None, free: int | None =
             return
         x = xs[-1]
         choices = [range(spec.act_sizes[j]) if j == free and s < free_until
-                   else (g.action(j, s, realization_at(hist, j, n)),) for j in range(K)]
+                   else (g.action_at(j, s, history_code(spec, hist, j, s)),) for j in range(K)]
         for acts in itertools.product(*choices):
             a = joint[acts]
             c = cost + stage[s][x][a] if s >= cost_from else cost
@@ -196,9 +196,10 @@ def cost_to_go(spec: ModelSpec, k: int, g, t0: int) -> dict[InfoRealization, flo
 def brute_force_best_response(spec: ModelSpec, k: int, g_minus_k):
     """Minimize the team cost over agent k's strategies by enumeration.
 
-    Returns (optimal value, per-time list of realization->action maps).
-    Only the targets the search actually visits are in the maps. Ties break
-    toward the smallest action index in canonical candidate order.
+    Returns (optimal value, per-time list of strategy arrays). Only the
+    realizations the search actually visits get an action; the other cells
+    are -1. Ties break toward the smallest action index in canonical
+    candidate order.
     """
     if spec.T > 2:
         raise InstanceTooLargeError("instance too large for brute force (T > 2)")
@@ -220,31 +221,30 @@ def brute_force_best_response(spec: ModelSpec, k: int, g_minus_k):
         sums[key] = sums.get(key, 0.0) + mass * cost
 
     walk(spec, g_minus_k, visit, free=k, free_until=spec.T)
-    tails: dict[tuple, dict[InfoRealization, dict[int, float]]] = {}
+    tails: dict[tuple, dict[int, dict[int, float]]] = {}  # realizations as codes
     for (obs, acts), c in sums.items():
         h = JointHistory(t=last, obs=obs, acts=tuple(us[:last] for us in acts))
-        costs = tails.setdefault((realization_at(h, k, spec.n, 0), acts[k][0]), {}
-                                 ).setdefault(realization_at(h, k, spec.n), {})
+        costs = tails.setdefault((history_code(spec, h, k, 0), acts[k][0]), {}
+                                 ).setdefault(history_code(spec, h, k, last), {})
         costs[acts[k][last]] = costs.get(acts[k][last], 0.0) + c
-    firsts = sorted({r0 for r0, _ in tails}, key=sort_key)
+    firsts = sorted({r0 for r0, _ in tails})
     # The pointwise-best final action per realization, and the cost it gives.
     best_tail = {}
     for key, by_r in tails.items():
         picks = {r: min(costs, key=lambda u: (costs[u], u)) for r, costs in by_r.items()}
         best_tail[key] = (sum(by_r[r][u] for r, u in picks.items()), picks)
 
-    best_value = None
-    best_maps = None
+    best_value = best_combo = None
     for combo in itertools.product(range(spec.act_sizes[k]), repeat=len(firsts)):
         value = sum(best_tail[(r0, u0)][0] for r0, u0 in zip(firsts, combo))
         if best_value is None or value < best_value:
-            m0 = dict(zip(firsts, combo))
-            if spec.T == 1:
-                best_maps = [m0]
-            else:
-                best_maps = [m0, {r: u for r0, u0 in m0.items()
-                                  for r, u in best_tail[(r0, u0)][1].items()}]
-            best_value = value
+            best_value, best_combo = value, combo
+    best_maps = [np.full(grid_size(spec, k, t), -1) for t in range(spec.T)]
+    best_maps[0][firsts] = best_combo
+    if spec.T == 2:
+        for r0, u0 in zip(firsts, best_combo):
+            for r, u in best_tail[(r0, u0)][1].items():
+                best_maps[1][r] = u
     return best_value, best_maps
 
 

@@ -1,93 +1,94 @@
 """Deterministic strategy profiles and their JSON form.
 
-A profile stores, per agent and per decision time, an explicit map from
-information realizations to actions. Maps built by the helpers here cover
-the full structural realization grid, so a profile stays total when the
-other agents' strategies change between best-response sweeps.
+A profile stores, per agent k and decision time t, agent k's strategy as
+one read-only int array over its time-t realization codes (`info.encode`):
+cell i holds the action at the realization with code i, or -1 where no
+action is given (a strategy file that leaves a realization out, or a
+best response off the grid its forward pass reaches). The builders here
+fill every cell, so their profiles stay total when the other agents'
+strategies change between best-response sweeps.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Callable, Mapping
 
 import numpy as np
 
 from .errors import IncompleteStrategyError, ModelFormatError
-from .info import (InfoRealization, parse_realization_key, realization_key,
-                   sort_key, structural_realizations)
-from .model import ModelSpec
+from .info import (InfoRealization, decode, encode, grid_size, parse_realization_key,
+                   private_act_len, realization_key)
+from .model import ModelSpec, is_integer
 
 
 @dataclass(frozen=True, eq=False)
 class StrategyProfile:
-    """maps[k][t] sends agent k's realizations at time t to actions."""
+    """maps[k][t] is agent k's time-t strategy: a read-only int array over
+    grid_size(spec, k, t) codes, -1 where it gives no action. The arrays
+    are copied on construction."""
 
-    maps: tuple[tuple[Mapping[InfoRealization, int], ...], ...]
+    spec: ModelSpec
+    maps: tuple[tuple[np.ndarray, ...], ...]
 
-    def action(self, k: int, t: int, r: InfoRealization) -> int:
-        try:
-            return self.maps[k][t][r]
-        except KeyError:
+    def __post_init__(self):
+        maps = tuple(tuple(np.array(m, dtype=np.int64) for m in row) for row in self.maps)
+        for k, row in enumerate(maps):
+            for t, a in enumerate(row):
+                size, acts = grid_size(self.spec, k, t), self.spec.act_sizes[k]
+                if a.shape != (size,) or np.any((a < -1) | (a >= acts)):
+                    raise ValueError(f"agent {k} time {t}: a strategy is an array of "
+                                     f"{size} actions in -1..{acts - 1}")
+                a.setflags(write=False)
+        object.__setattr__(self, "maps", maps)
+
+    def action_at(self, k: int, t: int, code: int) -> int:
+        u = int(self.maps[k][t][code])
+        if u < 0:
             raise IncompleteStrategyError(
                 f"incomplete strategy: agent {k} has no action at "
-                f"t={t}, {realization_key(r)}") from None
+                f"t={t}, {realization_key(decode(self.spec, k, t, code))}")
+        return u
+
+    def action(self, k: int, t: int, r: InfoRealization) -> int:
+        return self.action_at(k, t, encode(self.spec, r))
 
     def with_agent(self, k: int, new_maps) -> "StrategyProfile":
         """Profile with agent k's per-time maps replaced."""
         rows = list(self.maps)
-        rows[k] = tuple(dict(m) for m in new_maps)
-        return StrategyProfile(maps=tuple(rows))
+        rows[k] = tuple(new_maps)
+        return StrategyProfile(spec=self.spec, maps=tuple(rows))
 
     def agents_equal(self, other: "StrategyProfile", k: int) -> bool:
-        return self.maps[k] == other.maps[k]
+        return all(np.array_equal(a, b) for a, b in zip(self.maps[k], other.maps[k]))
 
 
-def profile_from_fn(spec: ModelSpec, fn: Callable[[int, int, InfoRealization], int]
-                    ) -> StrategyProfile:
-    """Materialize fn(k, t, realization) over the full structural grids."""
-    maps = []
-    for k in range(spec.K):
-        per_t = []
-        for t in range(spec.T):
-            per_t.append({r: int(fn(k, t, r)) % spec.act_sizes[k]
-                          for r in structural_realizations(spec, k, t)})
-        maps.append(tuple(per_t))
-    return StrategyProfile(maps=tuple(maps))
+def _profile(spec: ModelSpec, fill) -> StrategyProfile:
+    """The profile whose (k, t) array is fill(k, t), filled in (k, t) order."""
+    return StrategyProfile(spec=spec, maps=tuple(tuple(fill(k, t) for t in range(spec.T))
+                                                 for k in range(spec.K)))
 
 
 def constant_profile(spec: ModelSpec, action: int = 0) -> StrategyProfile:
-    return profile_from_fn(spec, lambda k, t, r: action)
+    return _profile(spec, lambda k, t: np.full(grid_size(spec, k, t),
+                                               action % spec.act_sizes[k]))
 
 
 def observation_following_profile(spec: ModelSpec) -> StrategyProfile:
-    """Each agent plays its newest own observation (mod its action count)."""
-    return profile_from_fn(spec, lambda k, t, r: r.private.obs[-1])
+    """Each agent plays its newest own observation (mod its action count):
+    the code's last private-observation digit, above the private actions."""
+    def fill(k, t):
+        newest = (np.arange(grid_size(spec, k, t))
+                  // spec.act_sizes[k] ** private_act_len(spec.n, t) % spec.obs_sizes[k])
+        return newest % spec.act_sizes[k]
+    return _profile(spec, fill)
 
 
 def random_profile(spec: ModelSpec, rng: np.random.Generator) -> StrategyProfile:
-    """Uniformly random total profile; deterministic given the generator state.
-
-    The structural grids are canonically ordered, so a seeded generator
-    yields the same profile on every run.
-    """
-    return profile_from_fn(
-        spec, lambda k, t, r: int(rng.integers(0, spec.act_sizes[k])))
-
-
-def extend_total(spec: ModelSpec, k: int, partial: Mapping[InfoRealization, int],
-                 t: int, default: int = 0) -> dict[InfoRealization, int]:
-    """Fill a partial time-t map out to the structural grid with `default`.
-
-    The filled-in realizations are exactly those unreachable under the
-    opponent profile the partial map was computed against, so the extension
-    does not change the profile's cost at the time it is made; it only
-    keeps the map total if the opponents later move.
-    """
-    out = {r: default for r in structural_realizations(spec, k, t)}
-    out.update(partial)
-    return out
+    """Uniformly random total profile; deterministic given the generator
+    state. One draw per cell, in (k, t, code) order."""
+    return _profile(spec, lambda k, t: rng.integers(0, spec.act_sizes[k],
+                                                    size=grid_size(spec, k, t)))
 
 
 # ---------------------------------------------------------------------------
@@ -100,10 +101,11 @@ def profile_to_dict(spec: ModelSpec, g: StrategyProfile) -> dict:
     for k in range(spec.K):
         times = []
         for t in range(spec.T):
-            entries = sorted(g.maps[k][t].items(), key=lambda kv: sort_key(kv[0]))
+            m = g.maps[k][t]
             times.append({
                 "t": t,
-                "entries": [[realization_key(r), int(u)] for r, u in entries],
+                "entries": [[realization_key(decode(spec, k, t, code)), int(m[code])]
+                            for code in np.flatnonzero(m >= 0)],
             })
         agents.append({"agent": k, "times": times})
     return {"K": spec.K, "T": spec.T, "n": spec.n, "agents": agents}
@@ -126,7 +128,7 @@ def _indexed(blocks: list, field: str, where: str) -> dict:
     """Blocks keyed by their integer `field`."""
     out = {}
     for blk in blocks:
-        if not isinstance(blk, dict) or not isinstance(blk.get(field), int):
+        if not isinstance(blk, dict) or not is_integer(blk.get(field)):
             raise ModelFormatError(f"strategy document: {where} block without integer {field!r}")
         out[blk[field]] = blk
     return out
@@ -138,11 +140,14 @@ def profile_from_dict(spec: ModelSpec, doc: dict) -> StrategyProfile:
     for field in ("K", "T", "n", "agents"):
         if field not in doc:
             raise ModelFormatError(f"strategy document missing field {field!r}")
+        if field != "agents" and not is_integer(doc[field]):
+            raise ModelFormatError(f"strategy document: {field!r} must be an integer, "
+                                   f"got {doc[field]!r}")
     if doc["K"] != spec.K or doc["T"] != spec.T or doc["n"] != spec.n:
         raise ModelFormatError(
             f"strategy document is for (K={doc['K']}, T={doc['T']}, n={doc['n']}), "
             f"model has (K={spec.K}, T={spec.T}, n={spec.n})")
-    maps: list[tuple[dict, ...]] = []
+    maps: list[tuple[np.ndarray, ...]] = []
     by_agent = _indexed(_members(doc, "agents", "top level"), "agent", "agents")
     for k in range(spec.K):
         if k not in by_agent:
@@ -152,28 +157,28 @@ def profile_from_dict(spec: ModelSpec, doc: dict) -> StrategyProfile:
         for t in range(spec.T):
             if t not in by_t:
                 raise ModelFormatError(f"strategy document missing agent {k} time {t}")
-            m = {}
+            m = np.full(grid_size(spec, k, t), -1)
             for entry in _members(by_t[t], "entries", f"agent {k} time {t}"):
                 if not (isinstance(entry, list) and len(entry) == 2 and isinstance(entry[0], str)
-                        and isinstance(entry[1], int) and not isinstance(entry[1], bool)):
+                        and is_integer(entry[1])):
                     raise ModelFormatError(
                         f"agent {k} time {t}: entry {entry!r} is not a [key, action] pair")
                 key, u = entry
                 try:
-                    r = parse_realization_key(key, spec, k, t)
+                    code = encode(spec, parse_realization_key(key, spec, k, t))
                 except ValueError as exc:
                     raise ModelFormatError(
                         f"agent {k} time {t}: bad realization key {key!r}: {exc}") from None
                 if not (0 <= u < spec.act_sizes[k]):
                     raise ModelFormatError(
                         f"action {u} out of range for agent {k} at {key}")
-                if r in m:
+                if m[code] >= 0:
                     raise ModelFormatError(f"agent {k} time {t}: realization key {key!r} "
                                            "given twice")
-                m[r] = u
+                m[code] = u
             per_t.append(m)
         maps.append(tuple(per_t))
-    return StrategyProfile(maps=tuple(maps))
+    return StrategyProfile(spec=spec, maps=tuple(maps))
 
 
 def load_profile(spec: ModelSpec, path) -> StrategyProfile:

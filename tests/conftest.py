@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from delaypbp import canonical_instance
+from delaypbp.info import InfoRealization
 from delaypbp.model import ModelSpec
 from delaypbp.strategies import (constant_profile, observation_following_profile,
                                  random_profile)
@@ -39,6 +40,14 @@ def five_profiles(spec):
     out.append((f"random-{RANDOM_SEED}",
                 random_profile(spec, np.random.default_rng(RANDOM_SEED))))
     return out
+
+
+def others_play(g, common, lam):
+    """The other agents' actions at (common, each one's private block in
+    lambda), read one realization at a time: the reference the strategy
+    gathers are checked against."""
+    return tuple(g.action(p.agent, p.t, InfoRealization(common=common, private=p))
+                 for p in lam)
 
 
 def tiny_uniform_t1():

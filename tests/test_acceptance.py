@@ -145,7 +145,7 @@ def test_criterion_7_value_dominance():
             ("observation-following", g.maps[0]),
             ("random-a", random_profile(spec, np.random.default_rng(RANDOM_SEED)).maps[0]),
             ("random-b", random_profile(spec, np.random.default_rng(RANDOM_SEED + 1)).maps[0]),
-            ("best-response", tuple(dict(m) for m in maps)),
+            ("best-response", tuple(maps)),
         ]
         for label, alt_maps in alts:
             rep = verify_value_dominance(spec, 0, g, vtable, alt_maps,

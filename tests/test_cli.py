@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from delaypbp.cli import EXIT_CONFIG, EXIT_OK, EXIT_TOLERANCE, RunConfig, main, run
+from delaypbp.dp import solve_best_response
 from delaypbp.errors import ModelFormatError
 from delaypbp.model import model_to_dict, save_model
 from delaypbp.strategies import (load_profile, observation_following_profile,
@@ -137,11 +138,29 @@ def test_strategy_file_roundtrip_and_use(tmp_path, canon_2a):
     path = tmp_path / "strategy.json"
     save_profile(canon_2a, g, path)
     loaded = load_profile(canon_2a, path)
-    assert loaded.maps == g.maps
+    assert all(np.array_equal(a, b) and not a.flags.writeable
+               for row_a, row_b in zip(loaded.maps, g.maps) for a, b in zip(row_a, row_b))
     out = tmp_path / "reports"
     code = run(RunConfig(command="filter", model="CANON-2A",
                          strategy=str(path), out=str(out)))
     assert code == EXIT_OK
+
+
+def test_partial_strategy_file_roundtrip(tmp_path, canon_2a):
+    """A best response has -1 cells off the grid its forward pass reaches;
+    the file leaves them out and reloading gives them back."""
+    g = observation_following_profile(canon_2a)
+    _, g_maps = solve_best_response(canon_2a, 0, g)
+    partial = g.with_agent(0, g_maps)
+    assert any(np.any(m < 0) for m in partial.maps[0])
+    path = tmp_path / "strategy.json"
+    save_profile(canon_2a, partial, path)
+    loaded = load_profile(canon_2a, path)
+    for k in range(canon_2a.K):
+        for t in range(canon_2a.T):
+            assert np.array_equal(loaded.maps[k][t], partial.maps[k][t])
+    doc = read(path)
+    assert len(doc["agents"][0]["times"][1]["entries"]) == int(np.sum(g_maps[1] >= 0))
 
 
 def test_strategy_file_for_wrong_model_rejected(tmp_path, canon_2a, canon_1):
@@ -269,6 +288,48 @@ def test_malformed_strategy_structure_gives_config_exit(tmp_path, canon_2a, caps
                  "--out", str(tmp_path / "r")])
     assert code == EXIT_CONFIG
     assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
+
+def _model_field(field, value):
+    def mutate(model, strategy):
+        model[field] = value
+    return mutate
+
+
+def _strategy_field(path, value):
+    def mutate(model, strategy):
+        block = strategy
+        for key in path[:-1]:
+            block = block[key]
+        block[path[-1]] = value
+    return mutate
+
+
+@pytest.mark.parametrize("mutate,msg", [
+    (_model_field("K", 2.7), "model field 'K' takes JSON integers, got 2.7"),
+    (_model_field("obs_sizes", [2.9, 2]), "model field 'obs_sizes' takes JSON integers"),
+    (_model_field("n", True), "model field 'n' takes JSON integers, got True"),
+    (_strategy_field(("agents", 1, "agent"), True), "agents block without integer 'agent'"),
+    (_strategy_field(("agents", 0, "times", 1, "t"), True),
+     "agent 0 times block without integer 't'"),
+    (_strategy_field(("K",), 2.0), "'K' must be an integer, got 2.0"),
+], ids=["model-K-float", "model-obs_sizes-float", "model-n-bool", "strategy-agent-bool",
+        "strategy-t-bool", "strategy-K-float"])
+def test_integer_fields_must_be_json_integers(tmp_path, canon_2a, capsys, mutate, msg):
+    """Integer fields of model and strategy files take JSON integers only:
+    a float, even an integral one, or a bool is a config error, not a value
+    to round or coerce."""
+    model = model_to_dict(canon_2a)
+    strategy = profile_to_dict(canon_2a, observation_following_profile(canon_2a))
+    mutate(model, strategy)
+    (tmp_path / "model.json").write_text(json.dumps(model))
+    (tmp_path / "strategy.json").write_text(json.dumps(strategy))
+    code = main(["--command", "filter", "--model", str(tmp_path / "model.json"),
+                 "--strategy", str(tmp_path / "strategy.json"), "--out", str(tmp_path / "r")])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and msg in err[0]
+    assert not (tmp_path / "r").exists()
 
 
 @pytest.mark.parametrize("flag", ["--tol-compare", "--tol-improve"])

@@ -3,12 +3,13 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import five_profiles, random_model, tiny_uniform_t1
+from conftest import five_profiles, others_play, random_model, tiny_uniform_t1
 from delaypbp import oracle
 from delaypbp.dp import (ValueEntry, ValueTable, cost_via_beliefs, expected_value,
                          pbp_sweep, solve_best_response, stage_value,
                          terminal_value, verify_value_dominance)
-from delaypbp.filtering import BeliefPass, chained_beliefs, other_actions
+from delaypbp.filtering import BeliefPass, chained_beliefs
+from delaypbp.info import grid_size
 from delaypbp.strategies import (constant_profile, observation_following_profile,
                                  random_profile)
 from test_oracle import truncate_to_t1, zero_cost_variant
@@ -66,7 +67,7 @@ def test_stage_and_terminal_values_equal_scalar_loops_bitwise(K, n, T):
                 for (x, li), p in np.ndenumerate(xi):
                     if p > 0.0:
                         lam = bp.table(t).lams[li]
-                        u_full = (u, *other_actions(r.common, lam, g))
+                        u_full = (u, *others_play(g, r.common, lam))
                         acc += p * spec.stage_cost[t][(x, *u_full)]
                 assert stage_value(spec, bp, r, xi, u) == acc
 
@@ -90,7 +91,7 @@ def test_best_response_zero_costs(canon_2a):
         for entry in vtable.entries[t].values():
             assert entry.value == 0.0
             assert entry.best_action in (0, None)
-    assert all(u == 0 for m in maps for u in m.values())
+    assert all(np.all(m[m >= 0] == 0) and np.any(m == 0) for m in maps)
 
 
 @pytest.mark.parametrize("agent", [0, 1])
@@ -293,11 +294,10 @@ def test_dominance_against_constant_alternative(canon_2a):
 
 def test_incomplete_opponent_strategy_is_an_error(canon_2a):
     from delaypbp.errors import IncompleteStrategyError
-    from delaypbp.strategies import StrategyProfile
 
     g = observation_following_profile(canon_2a)
     # drop agent 1's entire t=1 map: the expansion needs it
-    gutted = StrategyProfile(maps=(g.maps[0], (g.maps[1][0], {})))
+    gutted = g.with_agent(1, [g.maps[1][0], np.full(grid_size(canon_2a, 1, 1), -1)])
     with pytest.raises(IncompleteStrategyError,
                        match="incomplete strategy: agent 1 has no action at t=1"):
         solve_best_response(canon_2a, 0, gutted)

@@ -102,6 +102,16 @@ def test_policy_independence_rejects_other_agent_changes(canon_2a):
     g_b = g_a.with_agent(1, constant_profile(canon_2a, 0).maps[1])
     with pytest.raises(ValueError, match="differ in agent 1"):
         check_policy_independence(canon_2a, g_a, g_b, 0)
+    # one cell of agent 1's strategy arrays, an action or a missing one
+    for u in (1 - g_a.maps[1][1][5], -1):
+        m = g_a.maps[1][1].copy()
+        m[5] = u
+        g_c = g_a.with_agent(1, [g_a.maps[1][0], m])
+        with pytest.raises(ValueError, match="differ in agent 1"):
+            check_policy_independence(canon_2a, g_a, g_c, 0)
+    # equal arrays, copied by with_agent, are the same strategy
+    same = g_a.with_agent(1, g_a.maps[1])
+    assert check_policy_independence(canon_2a, g_a, same, 0).max_gap == 0.0
 
 
 # --- conditional Markov property --------------------------------------------------

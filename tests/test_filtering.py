@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_model
+from conftest import others_play, random_model
 from delaypbp import oracle
 from delaypbp.errors import UnreachableError
 from delaypbp.filtering import (BeliefPass, chained_beliefs, classical_filter_update,
-                                initial_realization, max_abs_gap, other_actions)
-from delaypbp.info import (advance_other, other_agents, other_private_space,
-                           shared_prefix_len)
+                                max_abs_gap)
+from delaypbp.info import (CommonInfo, InfoRealization, PrivateInfo, advance_other,
+                           other_agents, other_private_space, shared_prefix_len)
 from delaypbp.model import ModelSpec
 from delaypbp.strategies import (constant_profile, observation_following_profile,
                                  random_profile)
@@ -73,7 +73,7 @@ def test_initial_belief_matches_oracle(canon_2a):
     for k in range(2):
         post = oracle.posteriors(canon_2a, g, k, 0)
         starts = BeliefPass(canon_2a, k, g).start()
-        assert [r for r, _, _ in starts] == [initial_realization(canon_2a, k, y0)
+        assert [r for r, _, _ in starts] == [first_realization(canon_2a, k, y0)
                                              for y0 in range(2)]
         for r, b, _ in starts:
             assert b.shape == post[r].shape
@@ -92,6 +92,13 @@ def test_initial_belief_unreachable_observation():
 
 # --- one-step updates -------------------------------------------------------
 
+def first_realization(spec, k, y0):
+    """Agent k's time-0 realization: no shared block, first observation y0."""
+    return InfoRealization(
+        common=CommonInfo(t=0, n=spec.n, obs=((),) * spec.K, acts=((),) * spec.K),
+        private=PrivateInfo(t=0, n=spec.n, agent=k, obs=(y0,), acts=()))
+
+
 def successors_by_block(spec, k, r, xi, g, u):
     """(shared block, own observation) -> belief over the positive-mass
     children of r under own action u."""
@@ -103,7 +110,7 @@ def test_update_perfect_observation_collapses():
     spec = perfect_obs_identity_spec()
     g = constant_profile(spec, 0)
     xi = initial_belief(spec, 0, 1)
-    children = successors_by_block(spec, 0, initial_realization(spec, 0, 1), xi, g, 0)
+    children = successors_by_block(spec, 0, first_realization(spec, 0, 1), xi, g, 0)
     assert len(children) == 2  # one per value of the other agent's y0
     for b in children.values():
         assert np.allclose(b.sum(axis=1), [0.0, 1.0])
@@ -115,7 +122,7 @@ def test_update_unreachable_continuation_has_no_child():
     spec = perfect_obs_identity_spec()
     g = constant_profile(spec, 0)
     xi = initial_belief(spec, 0, 1)
-    children = successors_by_block(spec, 0, initial_realization(spec, 0, 1), xi, g, 0)
+    children = successors_by_block(spec, 0, first_realization(spec, 0, 1), xi, g, 0)
     assert len({c for c, _ in children}) == 2
     assert all(y == 1 for _, y in children)
 
@@ -124,7 +131,7 @@ def test_update_uniform_symmetry():
     spec = uniform_spec()
     g = constant_profile(spec, 0)
     xi = initial_belief(spec, 0, 0)
-    children = successors_by_block(spec, 0, initial_realization(spec, 0, 0), xi, g, 1)
+    children = successors_by_block(spec, 0, first_realization(spec, 0, 0), xi, g, 1)
     assert {y for _, y in children} == {0, 1}
     for b in children.values():
         assert np.allclose(b.sum(axis=1), [0.5, 0.5])
@@ -169,8 +176,9 @@ def test_oracle_belief_unreachable_realization(canon_2a):
     under the all-0 opponent, exactly those in which it played 1."""
     g = constant_profile(canon_2a, 0)
     post = oracle.posteriors(canon_2a, g, 0, 1)
-    from delaypbp.info import structural_realizations
-    unreachable = [r for r in structural_realizations(canon_2a, 0, 1) if r not in post]
+    from delaypbp.info import decode, grid_size
+    grid = [decode(canon_2a, 0, 1, code) for code in range(grid_size(canon_2a, 0, 1))]
+    unreachable = [r for r in grid if r not in post]
     assert len(unreachable) == len(post) == 16
     assert all(r.common.acts[1] == (1,) for r in unreachable)
 
@@ -279,7 +287,7 @@ def loop_child(spec, k, common, xi, g, u, revealed, y):
         if p <= 0.0:
             continue
         lam = lams[li]
-        u_other = other_actions(common, lam, g)
+        u_other = others_play(g, common, lam)
         if revealed:
             shown = (tuple(q.obs[0] for q in lam),
                      tuple(q.acts[0] for q in lam) if spec.n >= 2 else u_other)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,11 +9,12 @@ from conftest import random_model
 from delaypbp import oracle
 from delaypbp.filtering import BeliefPass
 from delaypbp.info import (CommonInfo, InfoRealization, JointHistory,
-                           PrivateInfo, advance_common, advance_other,
-                           other_private_space, parse_realization_key,
-                           private_act_len, private_obs_len, realization_key,
-                           shared_prefix_len, shift_private, sort_key,
-                           split_history, structural_realizations)
+                           PrivateInfo, advance_common, advance_other, decode,
+                           encode, grid_size, history_code, other_private_space,
+                           parse_realization_key, private_act_len, private_obs_len,
+                           private_size, realization_at, realization_key,
+                           shared_code, shared_prefix_len, shift_private,
+                           split_history)
 from delaypbp.model import ModelSpec
 from delaypbp.strategies import (constant_profile, observation_following_profile,
                                  random_profile)
@@ -141,18 +144,83 @@ def test_parse_realization_key_rejects_keys_outside_the_model(canon_2a, key, pro
         parse_realization_key(key, canon_2a, 0, 1)
 
 
-def test_sort_key_total_order(canon_2a):
-    rs = structural_realizations(canon_2a, 0, 1)
-    keys = [sort_key(r) for r in rs]
-    assert keys == sorted(keys)
-    assert len(set(keys)) == len(keys)
+# The benchmark's shapes (bench/workloads.py): the ladder rungs (K, n, T)
+# at alphabet 2 and the sweep models (K, n, T, alphabet).
+LADDER_RUNGS = ((2, 1, 4), (2, 2, 4), (3, 1, 3))
+SWEEP_MODELS = ((2, 1, 3, 2), (2, 2, 3, 2), (2, 1, 2, 3))
+SHAPES = [(*rung, 2) for rung in LADDER_RUNGS] + list(SWEEP_MODELS)
+
+
+def canonical(r):
+    """The canonical order of one agent's realizations at one time:
+    shared observations, shared actions, private observations, private
+    actions, each agent-major and compared as nested tuples."""
+    return (r.common.obs, r.common.acts, r.private.obs, r.private.acts)
+
+
+def test_sort_key_total_order():
+    """On every benchmark shape, codes 0, 1, ... decode to realizations in
+    strictly increasing canonical order, each round-tripping through its
+    text key."""
+    for K, n, T, sizes in SHAPES:
+        spec = random_model(seed=0, K=K, n=n, T=T, sizes=sizes)
+        for k in range(K):
+            for t in range(T):
+                prev = None
+                for code in range(grid_size(spec, k, t)):
+                    r = decode(spec, k, t, code)
+                    assert parse_realization_key(realization_key(r), spec, k, t) == r
+                    assert encode(spec, r) == code
+                    assert prev is None or canonical(prev) < canonical(r)
+                    prev = r
+
+
+def test_random_profile_draws_one_integer_per_cell_in_code_order():
+    """random_profile equals, bit for bit, one scalar draw per cell in
+    (agent, time, code) order from the same generator state."""
+    for K, n, T, sizes in SHAPES:
+        spec = random_model(seed=1, K=K, n=n, T=T, sizes=sizes)
+        g = random_profile(spec, np.random.default_rng(K * n * T))
+        rng = np.random.default_rng(K * n * T)
+        for k in range(K):
+            for t in range(T):
+                want = [int(rng.integers(0, spec.act_sizes[k]))
+                        for _ in range(grid_size(spec, k, t))]
+                assert g.maps[k][t].tolist() == want
 
 
 def test_structural_grid_size(canon_2a):
+    """On every benchmark shape the grid is every index-valid (shared,
+    private) pair: each window's alphabet to the power of its length. Agent
+    j's code, read off a history, splits into shared_code * private_size +
+    its private block's index, and lambda ranges over the others' private
+    blocks."""
+    for K, n, T, sizes in SHAPES:
+        spec = random_model(seed=0, K=K, n=n, T=T, sizes=sizes)
+        h = JointHistory(
+            t=T - 1, obs=tuple(tuple((k + s) % sizes for s in range(T)) for k in range(K)),
+            acts=tuple(tuple((k + s + 1) % sizes for s in range(T - 1)) for k in range(K)))
+        for k in range(K):
+            for t in range(T):
+                cut = shared_prefix_len(n, t)
+                assert private_size(spec, k, t) == sizes ** (private_obs_len(n, t)
+                                                            + private_act_len(n, t))
+                assert grid_size(spec, k, t) == ((sizes * sizes) ** (K * cut)
+                                                 * private_size(spec, k, t))
+                last = decode(spec, k, t, grid_size(spec, k, t) - 1)
+                assert last.common.obs == ((sizes - 1,) * cut,) * K
+                hist = JointHistory(t=t, obs=tuple(ys[:t + 1] for ys in h.obs),
+                                    acts=tuple(us[:t] for us in h.acts))
+                r = realization_at(hist, k, n)
+                code = history_code(spec, hist, k, t)
+                assert code == encode(spec, r)
+                assert code // private_size(spec, k, t) == shared_code(spec, r.common)
+                assert len(other_private_space(spec, k, t)) == math.prod(
+                    private_size(spec, j, t) for j in range(K) if j != k)
     # shared block at t=1, n=1: one obs + one act per agent (2*2)^2 = 16,
     # times 2 private observations
-    assert len(structural_realizations(canon_2a, 0, 1)) == 32
-    assert len(structural_realizations(canon_2a, 0, 0)) == 2
+    assert grid_size(canon_2a, 0, 1) == 32
+    assert grid_size(canon_2a, 0, 0) == 2
     assert len(other_private_space(canon_2a, 0, 1)) == 2
 
 

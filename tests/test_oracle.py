@@ -209,11 +209,10 @@ def test_brute_force_t1_equals_plain_enumeration(canon_2a):
     spec = truncate_to_t1(canon_2a)
     g = observation_following_profile(spec)
     value, maps = brute_force_best_response(spec, 0, g)
-    # plain enumeration over all stage-0 maps of agent 0
-    from delaypbp.info import structural_realizations
-    domain = structural_realizations(spec, 0, 0)
-    costs = [enumerate_cost(spec, g.with_agent(0, [dict(zip(domain, combo))]))
-             for combo in itertools.product(range(2), repeat=len(domain))]
+    # plain enumeration over all stage-0 strategy arrays of agent 0
+    from delaypbp.info import grid_size
+    costs = [enumerate_cost(spec, g.with_agent(0, [np.array(combo)]))
+             for combo in itertools.product(range(2), repeat=grid_size(spec, 0, 0))]
     assert value == pytest.approx(min(costs), abs=1e-12)
     g_star = g.with_agent(0, [maps[0]])
     assert enumerate_cost(spec, g_star) == pytest.approx(value, abs=1e-12)
@@ -232,7 +231,7 @@ def test_brute_force_zero_costs_picks_all_zero(canon_2a):
     g = observation_following_profile(spec)
     value, maps = brute_force_best_response(spec, 0, g)
     assert value == 0.0
-    assert all(u == 0 for m in maps for u in m.values())
+    assert all(np.all(m[m >= 0] == 0) and np.any(m == 0) for m in maps)
 
 
 def test_brute_force_value_matches_realized_cost(canon_2a):
@@ -260,8 +259,7 @@ def test_verify_pbp_flags_improvable_agent(canon_2a):
     assert report.all_stationary
 
     # flip agent 0 everywhere at t=0: costs distinguish actions here
-    flipped_map = {r: 1 - u for r, u in g_opt.maps[0][0].items()}
-    g_bad = g_opt.with_agent(0, [flipped_map, dict(g_opt.maps[0][1])])
+    g_bad = g_opt.with_agent(0, [1 - g_opt.maps[0][0], g_opt.maps[0][1]])
     report = verify_pbp(canon_2a, g_bad)
     agent0 = report.agents[0]
     assert not agent0.stationary

@@ -11,6 +11,7 @@ from delaypbp.dp import (cost_via_beliefs, expected_value, pbp_sweep,
 from delaypbp.falsify import (check_conditional_independence,
                               check_conditional_markov, check_payoff_identity)
 from delaypbp.filtering import chained_beliefs, max_abs_gap
+from delaypbp.info import encode, grid_size
 from delaypbp.strategies import constant_profile, random_profile
 
 
@@ -145,5 +146,8 @@ def test_batched_kernel_matches_oracle_on_random_models(K, n, T, last):
     _, g_maps = solve_best_response(spec, opponent, g)
     _chain_and_payoff_match_oracle(spec, g.with_agent(opponent, g_maps), k)
     reached = chained_beliefs(spec, g, opponent)
-    _chain_and_payoff_match_oracle(spec, g.with_agent(opponent, [
-        {r: g.action(opponent, t, r) for r in reached[t]} for t in range(T)]), k)
+    cut = [np.full(grid_size(spec, opponent, t), -1) for t in range(T)]
+    for t in range(T):
+        for r in reached[t]:
+            cut[t][encode(spec, r)] = g.action(opponent, t, r)
+    _chain_and_payoff_match_oracle(spec, g.with_agent(opponent, cut), k)
