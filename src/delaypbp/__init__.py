@@ -10,7 +10,7 @@ an independent trajectory-enumeration oracle.
 """
 
 from .dp import (ValueTable, cost_via_beliefs, expected_value, pbp_sweep,
-                 solve_best_response, terminal_value, verify_value_dominance)
+                 solve_best_response, terminal_values, verify_value_dominance)
 from .errors import (IncompleteStrategyError, InstanceTooLargeError,
                      ModelFormatError, UnreachableError)
 from .falsify import (GapReport, check_conditional_independence,
@@ -42,6 +42,6 @@ __all__ = [
     "expected_value", "load_model", "load_profile",
     "observation_following_profile", "pbp_sweep", "posteriors",
     "random_profile", "save_model", "save_profile", "solve_best_response",
-    "split_history", "terminal_value", "validate_model", "verify_pbp",
+    "split_history", "terminal_values", "validate_model", "verify_pbp",
     "verify_value_dominance", "walk",
 ]

@@ -25,7 +25,7 @@ from . import dp, falsify, oracle
 from .errors import (IncompleteStrategyError, InstanceTooLargeError,
                      ModelFormatError)
 from .filtering import chained_beliefs, max_abs_gap
-from .info import ordered, other_private_key, other_private_space, realization_key
+from .info import decode, ordered, other_private_key, other_private_space, realization_key
 from .model import (CANONICAL_NAMES, COMPARE_TOL, IMPROVE_TOL, K1_TOL,
                     ModelSpec, resolve_model, uniform_observation_variant,
                     validate_model)
@@ -186,14 +186,13 @@ def cmd_solve(spec: ModelSpec, name: str, config: RunConfig):
         bf_entry = {"skipped": str(exc)}
 
     table_rows = []
-    for t in range(spec.T + 1):
-        for r in ordered(spec, vtable.entries[t]):
-            e = vtable.entries[t][r]
+    for t, e in enumerate(vtable.entries):
+        for i in np.argsort(e.layer.codes):
             table_rows.append({
                 "t": t,
-                "realization": realization_key(r),
-                "value": e.value,
-                "best_action": e.best_action,
+                "realization": realization_key(decode(spec, k, t, int(e.layer.codes[i]))),
+                "value": float(e.values[i]),
+                "best_action": None if e.best_actions is None else int(e.best_actions[i]),
             })
     results = [{"expected_value": expected,
                 "best_response_cost": br_cost,
@@ -407,7 +406,7 @@ def run(config: RunConfig) -> int:
         doc, ok = _COMMAND_FNS[config.command](spec, name, config)
         _write_report(config.out, f"{config.command}_{name}.json", doc)
         return EXIT_OK if ok else EXIT_TOLERANCE
-    except (ModelFormatError, FileNotFoundError, ValueError) as exc:
+    except (ModelFormatError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except IncompleteStrategyError as exc:

@@ -3,14 +3,16 @@
 With the other agents' strategies frozen, agent k faces an ordinary
 partially observed control problem whose sufficient statistic is the
 triple (posterior over the extended state, shared block, private block).
-The value recursion here runs backward over `BeliefPass.expand(free=True)`
--- every realization reachable with agent k's own actions left free --
-storing the chained posterior, a (state, lambda) array, alongside each
-entry, and extracts the minimizing action per realization. On top of that
-sit the payoff identity (expected cost written through the posteriors),
-exact best-response iteration toward a person-by-person stationary
-profile, and the dominance check of the value function against arbitrary
-alternative strategies.
+The value recursion here runs backward over the layers of
+`BeliefPass.expand(free=True)` -- every realization reachable with agent
+k's own actions left free -- one time layer per array step: the stage
+values of every (node, own action), plus each child's step weight times
+its value, added in child order, then the minimizing action per node,
+ties to the smallest. The table keeps each layer, whose (state, lambda)
+beliefs sit alongside the values. On top of that sit the payoff identity
+(expected cost written through the posteriors), exact best-response
+iteration toward a person-by-person stationary profile, and the dominance
+check of the value function against arbitrary alternative strategies.
 """
 
 from __future__ import annotations
@@ -21,41 +23,47 @@ import numpy as np
 
 from . import oracle
 from .errors import UnreachableError
-from .filtering import BeliefPass, positive, seq_sum
-from .info import InfoRealization, encode, grid_size, ordered, realization_key
+from .filtering import BeliefPass, Layer, seq_sum
+from .info import decode, grid_size, realization_key
 from .model import COMPARE_TOL, IMPROVE_TOL, ModelSpec
 from .strategies import StrategyProfile
 
 
-@dataclass(frozen=True)
-class ValueEntry:
-    value: float
-    belief: np.ndarray
-    best_action: int | None  # None at the terminal time
+@dataclass(frozen=True, eq=False)
+class ValueLayer:
+    """Agent k's value-table rows at one time: the nodes of a layer with
+    their values and, before the horizon, minimizing actions."""
+
+    layer: Layer
+    values: np.ndarray
+    best_actions: np.ndarray | None  # None at the terminal time
+
+    def __len__(self) -> int:
+        return len(self.values)
 
 
 @dataclass(frozen=True, eq=False)
 class ValueTable:
-    """Per time t = 0..T, agent k's value/argmin/belief per realization."""
+    """Per time t = 0..T, agent k's value/argmin/belief per node."""
 
     agent: int
-    entries: tuple[dict[InfoRealization, ValueEntry], ...]
+    entries: tuple[ValueLayer, ...]
 
 
-def terminal_value(spec: ModelSpec, k: int, belief: np.ndarray) -> float:
-    """Expected terminal cost under a time-T belief. Zero-mass terms add
-    nothing, so the sum runs over the whole grid."""
-    return seq_sum((spec.terminal_cost[:, None] * belief).reshape(-1))
+def terminal_values(spec: ModelSpec, beliefs: np.ndarray) -> np.ndarray:
+    """Expected terminal cost under each of a stack of time-T beliefs.
+    Zero-mass terms add nothing, so each sum runs over the whole grid."""
+    return seq_sum((spec.terminal_cost[:, None] * beliefs).reshape(len(beliefs), -1))
 
 
-def stage_value(spec: ModelSpec, bp: BeliefPass, r: InfoRealization, xi: np.ndarray,
-                u_t_k: int) -> float:
-    """Expected stage cost at realization r when agent k plays u_t_k and
-    the others play their strategies (those of the pass bp) on the
-    belief's support."""
-    xs, ls, p = positive(xi)
-    cost = spec.stage_cost[r.t].reshape(spec.state_size, -1)
-    return seq_sum(p * cost[xs, bp.table(r.t).joint[u_t_k, bp.actions(r.common, ls)]])
+def stage_values(spec: ModelSpec, bp: BeliefPass, lay: Layer) -> np.ndarray:
+    """(node, own action) -> expected stage cost at a layer's node when
+    agent k plays that action and the others their strategies (those of
+    the pass bp)."""
+    cost = spec.stage_cost[lay.t].reshape(spec.state_size, -1)
+    joint = bp.table(lay.t).joint[:, lay.others_acts].transpose(1, 0, 2)  # (node, u, lambda)
+    terms = lay.beliefs[:, None] * cost[np.arange(spec.state_size)[:, None], joint[:, :, None]]
+    return seq_sum(terms.reshape(*joint.shape[:2], -1))
 
 
 def solve_best_response(spec: ModelSpec, k: int, g_minus_k
@@ -68,35 +76,27 @@ def solve_best_response(spec: ModelSpec, k: int, g_minus_k
     pass, and -1 elsewhere.
     """
     bp = BeliefPass(spec, k, g_minus_k)
-    nodes, edges = bp.expand(free=True)
-    entries: list[dict[InfoRealization, ValueEntry]] = [dict() for _ in range(spec.T + 1)]
-    for r, xi in nodes[spec.T].items():
-        entries[spec.T][r] = ValueEntry(value=terminal_value(spec, k, xi),
-                                        belief=xi, best_action=None)
+    layers = bp.expand(free=True)
+    values = terminal_values(spec, layers[spec.T].beliefs)
+    entries = [ValueLayer(layers[spec.T], values, None)]
     g_maps = [np.full(grid_size(spec, k, t), -1) for t in range(spec.T)]
     for t in range(spec.T - 1, -1, -1):
-        for r, xi in nodes[t].items():
-            best_u, best_v = None, None
-            for u in range(spec.act_sizes[k]):
-                v = stage_value(spec, bp, r, xi, u)
-                for r1, w in edges[t][(r, u)]:
-                    v += w * entries[t + 1][r1].value
-                if best_v is None or v < best_v:
-                    best_u, best_v = u, v
-            entries[t][r] = ValueEntry(value=best_v, belief=xi, best_action=best_u)
-            g_maps[t][encode(spec, r)] = best_u
-    return ValueTable(agent=k, entries=tuple(entries)), g_maps
+        lay, nxt = layers[t], layers[t + 1]
+        q = stage_values(spec, bp, lay)
+        np.add.at(q, (nxt.parent, nxt.action), nxt.weight * values)
+        best = np.argmin(q, axis=1)
+        values = q[np.arange(len(lay)), best]
+        g_maps[t][lay.codes] = best
+        entries.append(ValueLayer(lay, values, best))
+    return ValueTable(agent=k, entries=tuple(entries[::-1])), g_maps
 
 
 def expected_value(spec: ModelSpec, k: int, vtable: ValueTable) -> float:
     """Time-0 values averaged over the initial realizations with their
-    probabilities (the weights `BeliefPass.start` gives, as in `chain`);
-    equals the best-response cost of the extracted strategy."""
-    prob = {r: w for r, _, w in BeliefPass(spec, k, None).start()}
-    acc = 0.0
-    for r, entry in vtable.entries[0].items():
-        acc += prob[r] * entry.value
-    return acc
+    probabilities (the time-0 layer's weights, as in `chain`); equals the
+    best-response cost of the extracted strategy."""
+    first = vtable.entries[0]
+    return float(seq_sum(first.layer.weight * first.values))
 
 
 def cost_via_beliefs(spec: ModelSpec, g_full: StrategyProfile, k: int) -> float:
@@ -104,20 +104,18 @@ def cost_via_beliefs(spec: ModelSpec, g_full: StrategyProfile, k: int) -> float:
 
     Sums, over the realizations reachable under the full profile and
     weighted by their probabilities, the belief-expectation of the stage
-    cost, plus the terminal term. Uses only the filter chain (beliefs and
-    step normalizers); never enumerates trajectories. The result is the
-    same number for every k.
+    cost, plus the terminal term, left to right in (time, expansion)
+    order. Uses only the filter chain (beliefs and step normalizers);
+    never enumerates trajectories. The result is the same number for
+    every k.
     """
     bp = BeliefPass(spec, k, g_full)
-    chain = bp.chain()
-    acc = 0.0
-    for t in range(spec.T):
-        for r, (xi, pr) in chain[t].items():
-            u = g_full.action(k, t, r)
-            acc += pr * stage_value(spec, bp, r, xi, u)
-    for r, (xi, pr) in chain[spec.T].items():
-        acc += pr * terminal_value(spec, k, xi)
-    return float(acc)
+    layers, probs = bp.chain()
+    terms = [pr * stage_values(spec, bp, lay)[np.arange(len(lay)),
+                                              g_full.actions_at(k, lay.t, lay.codes)]
+             for lay, pr in zip(layers[:-1], probs)]
+    terms.append(probs[-1] * terminal_values(spec, layers[-1].beliefs))
+    return float(seq_sum(np.concatenate(terms)))
 
 
 def pbp_sweep(spec: ModelSpec, g_init: StrategyProfile, max_rounds: int,
@@ -190,12 +188,13 @@ def verify_value_dominance(spec: ModelSpec, k: int, g_minus_k: StrategyProfile,
     """
     g = g_minus_k.with_agent(k, maps_k)
     rows = []
-    for t in range(spec.T + 1):
+    for t, entry in enumerate(vtable.entries):
         alt = oracle.cost_to_go(spec, k, g, t)
-        for r in ordered(spec, vtable.entries[t]):
+        codes = entry.layer.codes
+        for i in np.argsort(codes):
+            r = decode(spec, k, t, int(codes[i]))
             if r not in alt:
                 raise UnreachableError(f"unreachable realization for agent {k} at t={t}")
             rows.append(DominanceEntry(t=t, key=realization_key(r),
-                                       table_value=vtable.entries[t][r].value,
-                                       alt_value=alt[r]))
+                                       table_value=float(entry.values[i]), alt_value=alt[r]))
     return DominanceReport(entries=tuple(rows), tol=tol)

@@ -16,6 +16,7 @@ a sanity case.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +24,7 @@ import numpy as np
 from . import dp, oracle
 from .errors import UnreachableError
 from .filtering import BeliefPass, classical_filter_update
-from .info import (InfoRealization, ordered, other_agents, realization_at,
+from .info import (InfoRealization, decode, ordered, other_agents, realization_at,
                    realization_key, shared_code)
 from .model import COMPARE_TOL, ModelSpec
 from .strategies import StrategyProfile
@@ -249,38 +250,40 @@ def check_k1_reduction(spec: ModelSpec) -> GapReport:
     if spec.K != 1:
         raise ValueError("the reduction check needs a single-agent model")
     # No other agents, so no strategies to read.
-    nodes, edges = BeliefPass(spec, 0, None).expand(free=True)
+    layers = BeliefPass(spec, 0, None).expand(free=True)
     gaps: list[tuple[str, float]] = []
-    filt: dict[InfoRealization, tuple[np.ndarray, str]] = {}  # textbook filter, path label
-    # With no other agents a node is fixed by its newest own observation
-    # among its siblings.
-    roots = {r.private.obs[0]: r for r in nodes[0]}
+    # Per node of the current layer, its textbook filter and path label.
+    filt: list = []
     for y0 in range(spec.obs_sizes[0]):
         raw = spec.init_dist * spec.observation[0][0][:, y0]
         total = float(raw.sum())
-        if y0 in roots:
-            filt[roots[y0]] = (raw / total, f"y0={y0}")
+        if y0 in layers[0].codes:  # at t = 0 the code is the first observation
+            filt.append((raw / total, f"y0={y0}"))
         elif total > 0.0:
             gaps.append((f"y0={y0} (reachability disagrees)", 1.0))
-    for t in range(spec.T + 1):
-        for r, xi in nodes[t].items():
-            pi, label = filt[r]
-            gaps.append((label, float(np.max(np.abs(np.cumsum(xi, axis=1)[:, -1] - pi)))))
-            if t == spec.T:
-                continue
-            for u in range(spec.act_sizes[0]):
-                reached = {r1.private.obs[-1]: r1 for r1, _ in edges[t][(r, u)]}
-                for y1 in range(spec.obs_sizes[0]):
-                    step_label = f"{label},u={u},y={y1}"
-                    if y1 in reached:
-                        filt[reached[y1]] = (classical_filter_update(spec, pi, u, y1, t),
-                                             step_label)
-                        continue
-                    try:
-                        classical_filter_update(spec, pi, u, y1, t)
-                    except UnreachableError:
-                        continue
-                    gaps.append((f"{step_label} (reachability disagrees)", 1.0))
+    for t, lay in enumerate(layers):
+        gaps += [(label, float(np.max(np.abs(np.cumsum(xi, axis=1)[:, -1] - pi))))
+                 for xi, (pi, label) in zip(lay.beliefs, filt)]
+        if t == spec.T:
+            break
+        # a child is fixed among its siblings by its newest own observation
+        nxt = layers[t + 1]
+        reached = {(int(p), int(u), decode(spec, 0, t + 1, int(c)).private.obs[-1]): i
+                   for i, (p, u, c) in enumerate(zip(nxt.parent, nxt.action, nxt.codes))}
+        children: list = [None] * len(nxt)
+        for i, (pi, label) in enumerate(filt):
+            for u, y1 in itertools.product(range(spec.act_sizes[0]), range(spec.obs_sizes[0])):
+                step_label = f"{label},u={u},y={y1}"
+                if (i, u, y1) in reached:
+                    children[reached[i, u, y1]] = (
+                        classical_filter_update(spec, pi, u, y1, t), step_label)
+                    continue
+                try:
+                    classical_filter_update(spec, pi, u, y1, t)
+                except UnreachableError:
+                    continue
+                gaps.append((f"{step_label} (reachability disagrees)", 1.0))
+        filt = children
     return make_report("single-agent filter reduction", gaps)
 
 

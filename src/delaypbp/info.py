@@ -3,9 +3,10 @@
 At time t each agent k knows two blocks: the shared block (every agent's
 observations and actions up to time t-n) and its private block (its own
 last n observations and last n-1 actions). This module houses the split of
-a joint history into those blocks, the one-step advance of the blocks,
-the integer coding of each agent's realizations (the index of every
-strategy array), canonical text keys, and the grids of lambdas.
+a joint history into those blocks, the integer coding of each agent's
+realizations (the index of every strategy array) with the one-step
+advance of the blocks as arithmetic on codes, canonical text keys, and
+the grids of lambdas.
 
 Index windows, 0-based, for delay n at time t:
   shared, per agent:  obs 0..t-n, acts 0..t-n          (empty while t < n)
@@ -16,8 +17,9 @@ every agent leave the private blocks and join the shared block.
 
 The other agents' private data, lambda in agent k's extended state, is no
 separate type: it is the tuple of their `PrivateInfo` blocks in increasing
-agent order, sliced by the one window rule (`private_at`) and advanced by
-the one shift rule (`shift_private`) that agent k's own block uses.
+agent order, sliced by the one window rule (`private_at`) that agent k's
+own block uses, and its codes advance by the one shift rule
+(`shift_code`) that agent k's own private code uses.
 """
 
 from __future__ import annotations
@@ -119,10 +121,6 @@ class InfoRealization:
     def t(self) -> int:
         return self.common.t
 
-    @property
-    def agent(self) -> int:
-        return self.private.agent
-
     def validate(self) -> None:
         if self.common.t != self.private.t or self.common.n != self.private.n:
             raise ValueError("common and private blocks disagree on (t, n)")
@@ -166,34 +164,6 @@ def split_history(h: JointHistory, k: int, n: int) -> tuple[CommonInfo, PrivateI
     h.validate()
     r = realization_at(h, k, n)
     return r.common, r.private, tuple(private_at(h, j, n) for j in other_agents(len(h.obs), k))
-
-
-def advance_common(c: CommonInfo, promoted_obs: IntSeq, promoted_acts: IntSeq) -> CommonInfo:
-    """Shared block at t+1: extend every agent's prefixes by the
-    time-(t-n+1) symbols, or keep them empty while t+1 < n."""
-    if shared_prefix_len(c.n, c.t + 1) == shared_prefix_len(c.n, c.t):
-        return CommonInfo(t=c.t + 1, n=c.n, obs=c.obs, acts=c.acts)
-    return CommonInfo(
-        t=c.t + 1, n=c.n,
-        obs=tuple(ys + (y,) for ys, y in zip(c.obs, promoted_obs)),
-        acts=tuple(us + (u,) for us, u in zip(c.acts, promoted_acts)),
-    )
-
-
-def shift_private(p: PrivateInfo, new_obs: int, new_act: int) -> PrivateInfo:
-    """Agent's private block at t+1: shed the oldest observation and action
-    when they move into the shared block (once t >= n-1), then append the
-    time-(t+1) observation and time-t action. With n = 1 no action is ever
-    private."""
-    drop = 1 if shared_prefix_len(p.n, p.t + 1) > shared_prefix_len(p.n, p.t) else 0
-    return PrivateInfo(t=p.t + 1, n=p.n, agent=p.agent, obs=p.obs[drop:] + (new_obs,),
-                       acts=p.acts[drop:] + (new_act,) if p.n >= 2 else ())
-
-
-def advance_other(lam: Lam, new_obs: IntSeq, new_acts: IntSeq) -> Lam:
-    """Advance the other agents' private blocks by their time-(t+1)
-    observations and time-t actions (both in increasing agent order)."""
-    return tuple(shift_private(p, y, u) for p, y, u in zip(lam, new_obs, new_acts))
 
 
 # ---------------------------------------------------------------------------
@@ -256,6 +226,43 @@ def history_code(spec: ModelSpec, h: JointHistory, j: int, t: int) -> int:
     cut = shared_prefix_len(spec.n, t)
     return _code((ys[:cut] for ys in h.obs), (us[:cut] for us in h.acts),
                  h.obs[j][cut:t + 1], h.acts[j][cut:t], radices(spec, j, t))
+
+
+def oldest(spec: ModelSpec, j: int, t: int, pcode):
+    """Agent j's oldest observation and action (None with n = 1) in its
+    time-t private codes: what time t+1 promotes."""
+    la, lo = private_act_len(spec.n, t), private_obs_len(spec.n, t)
+    A, Y = spec.act_sizes[j], spec.obs_sizes[j]
+    return pcode // A ** la // Y ** (lo - 1), pcode % A ** la // A ** (la - 1) if la else None
+
+
+def shift_code(spec: ModelSpec, j: int, t: int, pcode, y, u):
+    """Agent j's private codes at t+1 from its time-t private codes, its
+    time-(t+1) observations y and time-t actions u: shed the oldest
+    symbols once t >= n-1, then append y and, with n >= 2, u."""
+    n, A, Y = spec.n, spec.act_sizes[j], spec.obs_sizes[j]
+    la, la1 = private_act_len(n, t), private_act_len(n, t + 1)
+    obs = pcode // A ** la % Y ** (private_obs_len(n, t + 1) - 1) * Y + y
+    return obs * A ** la1 + (pcode % A ** la % A ** (la1 - 1) * A + u if la1 else 0)
+
+
+def next_codes(spec: ModelSpec, k: int, t: int, codes, u, shown, y):
+    """Agent k's time-(t+1) codes after its time-t codes, own actions u and
+    observations y. When t+1 promotes, each shared block gains its agent's
+    oldest private symbols: agent k's own (with n = 1 its action u), and
+    the others' in shown (their observation digits, then action digits)."""
+    n, P, m = spec.n, private_size(spec, k, t), spec.K - 1
+    shared, own = codes // P, codes % P
+    cut = shared_prefix_len(n, t)
+    if shared_prefix_len(n, t + 1) > cut:
+        o, a = oldest(spec, k, t, own)
+        new = (*shown[:k], o, *shown[k:m], *shown[m:m + k], u if a is None else a,
+               *shown[m + k:])
+        sizes = spec.obs_sizes + spec.act_sizes
+        blocks, shared = np.unravel_index(shared, [s ** cut for s in sizes]), 0
+        for b, s, d in zip(blocks, sizes, new):
+            shared = shared * s ** (cut + 1) + b * s + d
+    return shared * private_size(spec, k, t + 1) + shift_code(spec, k, t, own, y, u)
 
 
 def decode(spec: ModelSpec, k: int, t: int, code: int) -> InfoRealization:

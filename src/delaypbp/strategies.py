@@ -50,6 +50,21 @@ class StrategyProfile:
                 f"t={t}, {realization_key(decode(self.spec, k, t, code))}")
         return u
 
+    def actions_at(self, k: int, t: int, codes: np.ndarray, reached=True) -> np.ndarray:
+        """Agent k's time-t actions at an array of codes, 0 where reached is
+        False and the map has none. A reached code without an action raises
+        IncompleteStrategyError, naming how many there are and the first
+        three in code order."""
+        a = self.maps[k][t][codes]
+        miss = codes[(a < 0) & reached]
+        if len(miss):
+            miss = sorted(set(miss.tolist()))
+            keys = ", ".join(realization_key(decode(self.spec, k, t, c)) for c in miss[:3])
+            raise IncompleteStrategyError(
+                f"incomplete strategy: agent {k} has no action at t={t}, {keys}"
+                f" ({len(miss)} reached realization{'s' * (len(miss) > 1)} without one)")
+        return np.maximum(a, 0)
+
     def action(self, k: int, t: int, r: InfoRealization) -> int:
         return self.action_at(k, t, encode(self.spec, r))
 

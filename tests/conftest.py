@@ -2,12 +2,18 @@ import numpy as np
 import pytest
 
 from delaypbp import canonical_instance
-from delaypbp.info import InfoRealization
+from delaypbp.info import InfoRealization, decode
 from delaypbp.model import ModelSpec
 from delaypbp.strategies import (constant_profile, observation_following_profile,
                                  random_profile)
 
 RANDOM_SEED = 20240817
+
+# The benchmark's shapes (bench/workloads.py): the ladder rungs (K, n, T)
+# at alphabet 2 and the sweep models (K, n, T, alphabet).
+LADDER_RUNGS = ((2, 1, 4), (2, 2, 4), (3, 1, 3))
+SWEEP_MODELS = ((2, 1, 3, 2), (2, 2, 3, 2), (2, 1, 2, 3))
+SHAPES = [(*rung, 2) for rung in LADDER_RUNGS] + list(SWEEP_MODELS)
 
 
 @pytest.fixture(scope="session")
@@ -48,6 +54,11 @@ def others_play(g, common, lam):
     gathers are checked against."""
     return tuple(g.action(p.agent, p.t, InfoRealization(common=common, private=p))
                  for p in lam)
+
+
+def layer_nodes(spec, k, lay):
+    """A layer's nodes decoded, as realization -> belief in expansion order."""
+    return {decode(spec, k, lay.t, int(c)): b for c, b in zip(lay.codes, lay.beliefs)}
 
 
 def tiny_uniform_t1():

@@ -10,9 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from delaypbp import oracle
 from delaypbp.cli import EXIT_CONFIG, EXIT_OK, EXIT_TOLERANCE, RunConfig, main, run
 from delaypbp.dp import solve_best_response
 from delaypbp.errors import ModelFormatError
+from delaypbp.info import decode, encode, history_code, parse_realization_key, realization_key
 from delaypbp.model import model_to_dict, save_model
 from delaypbp.strategies import (load_profile, observation_following_profile,
                                  profile_to_dict, random_profile, save_profile)
@@ -394,6 +396,52 @@ def test_incomplete_own_strategy_file_gives_config_exit(tmp_path, canon_2a, caps
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1
     assert err[0].startswith("error: incomplete strategy: agent 0 has no action at t=1, c(")
+
+
+def test_incomplete_strategy_file_reports_every_miss_in_the_layer(tmp_path, canon_2a, capsys):
+    """A file cut to 2 entries per (agent, time) misses many reached
+    realizations at once: the one error line names the first (agent, time)
+    with misses, how many reached realizations lack an action there and
+    the first three of them in code order. The reached set comes from the
+    oracle's walk."""
+    g = observation_following_profile(canon_2a)
+    path = tmp_path / "strategy.json"
+    save_profile(canon_2a, g, path)
+    doc = read(path)
+    for agent in doc["agents"]:
+        for block in agent["times"]:
+            block["entries"] = block["entries"][:2]
+    path.write_text(json.dumps(doc))
+    code = main(["--command", "filter", "--model", "CANON-2A", "--strategy", str(path),
+                 "--out", str(tmp_path / "r")])
+    assert code == EXIT_CONFIG
+    # Two entries cover each agent's t = 0 map; agent 1's realizations that
+    # agent 0's chain reaches at t = 1 are those the walk reaches.
+    reached = set()
+    oracle.walk(canon_2a, g, lambda xs, h, m, c: reached.add(history_code(canon_2a, h, 1, 1)),
+                t_end=1)
+    kept = {encode(canon_2a, parse_realization_key(key, canon_2a, 1, 1))
+            for key, _ in doc["agents"][1]["times"][1]["entries"]}
+    missing = sorted(reached - kept)
+    assert len(missing) > 3
+    keys = ", ".join(realization_key(decode(canon_2a, 1, 1, c)) for c in missing[:3])
+    assert capsys.readouterr().err.strip().splitlines() == [
+        f"error: incomplete strategy: agent 1 has no action at t=1, {keys} "
+        f"({len(missing)} reached realizations without one)"]
+
+
+@pytest.mark.parametrize("flag", ["--strategy", "--model", "--out"])
+def test_os_errors_give_config_exit(tmp_path, capsys, flag):
+    """A directory where a strategy or model file goes, or a regular file
+    where the report directory goes, is a one-line config error."""
+    regular = tmp_path / "file.txt"
+    regular.write_text("x")
+    value = str(regular) if flag == "--out" else str(tmp_path)
+    code = main(["--command", "solve", "--model", "CANON-2A", "--out", str(tmp_path / "r"),
+                 flag, value])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
 
 
 # --- fuzzed input files ---------------------------------------------------------

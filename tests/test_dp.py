@@ -3,13 +3,13 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import five_profiles, others_play, random_model, tiny_uniform_t1
+from conftest import five_profiles, layer_nodes, others_play, random_model, tiny_uniform_t1
 from delaypbp import oracle
-from delaypbp.dp import (ValueEntry, ValueTable, cost_via_beliefs, expected_value,
-                         pbp_sweep, solve_best_response, stage_value,
-                         terminal_value, verify_value_dominance)
+from delaypbp.dp import (ValueLayer, ValueTable, cost_via_beliefs, expected_value,
+                         pbp_sweep, solve_best_response, stage_values,
+                         terminal_values, verify_value_dominance)
 from delaypbp.filtering import BeliefPass, chained_beliefs
-from delaypbp.info import grid_size
+from delaypbp.info import decode, grid_size, other_private_space
 from delaypbp.strategies import (constant_profile, observation_following_profile,
                                  random_profile)
 from test_oracle import truncate_to_t1, zero_cost_variant
@@ -22,7 +22,7 @@ def test_terminal_value_zero_cost(canon_2a):
     g = constant_profile(spec, 0)
     chain = chained_beliefs(spec, g, 0)
     for r, (b, _) in chain[spec.T].items():
-        assert terminal_value(spec, 0, b) == 0.0
+        assert terminal_values(spec, b[None])[0] == 0.0
 
 
 def test_terminal_value_point_mass(canon_2a):
@@ -32,7 +32,7 @@ def test_terminal_value_point_mass(canon_2a):
     point = np.zeros_like(b)
     x_star = canon_2a.state_size - 1
     point[x_star, b.shape[1] - 1] = 1.0
-    assert terminal_value(canon_2a, 0, point) == canon_2a.terminal_cost[x_star]
+    assert terminal_values(canon_2a, point[None])[0] == canon_2a.terminal_cost[x_star]
 
 
 def test_terminal_value_matches_oracle_expectation(canon_2a):
@@ -42,7 +42,7 @@ def test_terminal_value_matches_oracle_expectation(canon_2a):
     post = oracle.posteriors(canon_2a, g, 0, t)
     for r, (b, _) in chain[t].items():
         ref = sum(canon_2a.terminal_cost[x] * p for x, p in enumerate(post[r].sum(axis=1)))
-        assert terminal_value(canon_2a, 0, b) == pytest.approx(ref, abs=1e-10)
+        assert terminal_values(canon_2a, b[None])[0] == pytest.approx(ref, abs=1e-10)
 
 
 @pytest.mark.parametrize("K,n,T", [(2, 2, 3), (3, 1, 2)])
@@ -52,24 +52,25 @@ def test_stage_and_terminal_values_equal_scalar_loops_bitwise(K, n, T):
     spec = random_model(seed=31 * K + n, K=K, n=n, T=T, sizes=2)
     g = random_profile(spec, np.random.default_rng(n * T))
     bp = BeliefPass(spec, 0, g)
-    chain = bp.chain()
-    for t in range(T + 1):
-        for r, (xi, _) in chain[t].items():
+    layers, _ = bp.chain()
+    for t, lay in enumerate(layers):
+        got = terminal_values(spec, lay.beliefs) if t == T else stage_values(spec, bp, lay)
+        lams = other_private_space(spec, 0, t)
+        for i, (r, xi) in enumerate(layer_nodes(spec, 0, lay).items()):
             if t == T:
                 acc = 0.0
                 for (x, _), p in np.ndenumerate(xi):
                     if p > 0.0:
                         acc += spec.terminal_cost[x] * p
-                assert terminal_value(spec, 0, xi) == acc
+                assert got[i] == acc
                 continue
             for u in range(spec.act_sizes[0]):
                 acc = 0.0
                 for (x, li), p in np.ndenumerate(xi):
                     if p > 0.0:
-                        lam = bp.table(t).lams[li]
-                        u_full = (u, *others_play(g, r.common, lam))
+                        u_full = (u, *others_play(g, r.common, lams[li]))
                         acc += p * spec.stage_cost[t][(x, *u_full)]
-                assert stage_value(spec, bp, r, xi, u) == acc
+                assert got[i, u] == acc
 
 
 # --- best response -------------------------------------------------------------
@@ -87,10 +88,9 @@ def test_best_response_zero_costs(canon_2a):
     spec = zero_cost_variant(canon_2a)
     g = observation_following_profile(spec)
     vtable, maps = solve_best_response(spec, 0, g)
-    for t in range(spec.T + 1):
-        for entry in vtable.entries[t].values():
-            assert entry.value == 0.0
-            assert entry.best_action in (0, None)
+    for entry in vtable.entries:
+        assert np.all(entry.values == 0.0)
+        assert entry.best_actions is None or np.all(entry.best_actions == 0)
     assert all(np.all(m[m >= 0] == 0) and np.any(m == 0) for m in maps)
 
 
@@ -132,12 +132,13 @@ def test_expected_value_weights_are_the_chain_probabilities_bitwise(seed):
     g = constant_profile(spec, 0)
     for k in range(spec.K):
         chain0 = chained_beliefs(spec, g, k)[0]
-        entries = {r: ValueEntry(value=terminal_value(spec, k, b), belief=b, best_action=None)
-                   for r, (b, _) in chain0.items()}
+        first = BeliefPass(spec, k, g).start()
+        values = terminal_values(spec, first.beliefs)
         acc = 0.0
-        for r, (_, p) in chain0.items():
-            acc += p * entries[r].value
-        assert expected_value(spec, k, ValueTable(agent=k, entries=(entries,))) == acc
+        for (_, p), v in zip(chain0.values(), values):
+            acc += p * v
+        table = ValueTable(agent=k, entries=(ValueLayer(first, values, None),))
+        assert expected_value(spec, k, table) == acc
 
 
 def test_semi_separation_of_extracted_actions(canon_2a):
@@ -148,16 +149,18 @@ def test_semi_separation_of_extracted_actions(canon_2a):
     vtable, _ = solve_best_response(canon_2a, 0, g)
     for t in range(canon_2a.T):
         groups = {}
-        for r, entry in vtable.entries[t].items():
+        entry = vtable.entries[t]
+        for code, belief, best in zip(entry.layer.codes, entry.layer.beliefs,
+                                      entry.best_actions):
+            r = decode(canon_2a, 0, t, int(code))
             placed = False
             for key, (probs, actions) in groups.items():
                 if key == (r.common, r.private) and \
-                        np.max(np.abs(probs - entry.belief)) <= 1e-10:
-                    actions.append(entry.best_action)
+                        np.max(np.abs(probs - belief)) <= 1e-10:
+                    actions.append(best)
                     placed = True
             if not placed:
-                groups[(r.common, r.private)] = (entry.belief,
-                                                 [entry.best_action])
+                groups[(r.common, r.private)] = (belief, [best])
         for _, actions in groups.values():
             assert len(set(actions)) == 1
 

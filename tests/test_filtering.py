@@ -5,16 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import others_play, random_model
-from delaypbp import oracle
-from delaypbp.errors import UnreachableError
+from conftest import layer_nodes, others_play, random_model
+from delaypbp import filtering, oracle
 from delaypbp.filtering import (BeliefPass, chained_beliefs, classical_filter_update,
                                 max_abs_gap)
-from delaypbp.info import (CommonInfo, InfoRealization, PrivateInfo, advance_other,
-                           other_agents, other_private_space, shared_prefix_len)
+from delaypbp.info import (CommonInfo, InfoRealization, PrivateInfo, decode, other_agents,
+                           other_private_space, shared_prefix_len)
 from delaypbp.model import ModelSpec
 from delaypbp.strategies import (constant_profile, observation_following_profile,
                                  random_profile)
+from reference_recursion import advance_other
 
 
 def perfect_obs_identity_spec():
@@ -50,9 +50,10 @@ def uniform_spec():
 # --- initial beliefs --------------------------------------------------------
 
 def initial_belief(spec, k, y0):
-    """The time-0 belief of `BeliefPass.start` at first observation y0."""
-    starts = {r.private.obs[0]: b for r, b, _ in BeliefPass(spec, k, None).start()}
-    return starts[y0]
+    """The time-0 belief of `BeliefPass.start` at first observation y0 (at
+    t = 0 the code is the first observation)."""
+    lay = BeliefPass(spec, k, constant_profile(spec, 0)).start()
+    return dict(zip(lay.codes.tolist(), lay.beliefs))[y0]
 
 
 def test_initial_belief_uniform_no_information():
@@ -72,10 +73,9 @@ def test_initial_belief_matches_oracle(canon_2a):
     g = observation_following_profile(canon_2a)
     for k in range(2):
         post = oracle.posteriors(canon_2a, g, k, 0)
-        starts = BeliefPass(canon_2a, k, g).start()
-        assert [r for r, _, _ in starts] == [first_realization(canon_2a, k, y0)
-                                             for y0 in range(2)]
-        for r, b, _ in starts:
+        starts = layer_nodes(canon_2a, k, BeliefPass(canon_2a, k, g).start())
+        assert list(starts) == [first_realization(canon_2a, k, y0) for y0 in range(2)]
+        for r, b in starts.items():
             assert b.shape == post[r].shape
             assert max_abs_gap(b, post[r]) <= 1e-15
 
@@ -86,8 +86,7 @@ def test_initial_belief_unreachable_observation():
         spec.K, spec.n, spec.T, spec.state_size, spec.obs_sizes, spec.act_sizes,
         [1.0, 0.0], spec.transition, spec.observation, spec.stage_cost,
         spec.terminal_cost)
-    starts = BeliefPass(narrowed, 0, None).start()
-    assert [r.private.obs for r, _, _ in starts] == [(0,)]
+    assert BeliefPass(narrowed, 0, constant_profile(narrowed, 0)).start().codes.tolist() == [0]
 
 
 # --- one-step updates -------------------------------------------------------
@@ -99,18 +98,23 @@ def first_realization(spec, k, y0):
         private=PrivateInfo(t=0, n=spec.n, agent=k, obs=(y0,), acts=()))
 
 
-def successors_by_block(spec, k, r, xi, g, u):
+def successors_by_block(spec, k, y0, g, u):
     """(shared block, own observation) -> belief over the positive-mass
-    children of r under own action u."""
-    succ = BeliefPass(spec, k, g).successors(r, xi, u)
-    return {(r1.common, r1.private.obs[-1]): b for r1, b, _ in succ}
+    children of the time-0 node at first observation y0 under own action
+    u, from one step of the start layer."""
+    bp = BeliefPass(spec, k, g)
+    lay = bp.start()
+    nxt = bp.step(lay, np.full(len(lay), u))
+    mine = nxt.parent == lay.codes.tolist().index(y0)
+    return {(r1.common, r1.private.obs[-1]): b
+            for r1, b in zip((decode(spec, k, 1, int(c)) for c in nxt.codes[mine]),
+                             nxt.beliefs[mine])}
 
 
 def test_update_perfect_observation_collapses():
     spec = perfect_obs_identity_spec()
     g = constant_profile(spec, 0)
-    xi = initial_belief(spec, 0, 1)
-    children = successors_by_block(spec, 0, first_realization(spec, 0, 1), xi, g, 0)
+    children = successors_by_block(spec, 0, 1, g, 0)
     assert len(children) == 2  # one per value of the other agent's y0
     for b in children.values():
         assert np.allclose(b.sum(axis=1), [0.0, 1.0])
@@ -121,8 +125,7 @@ def test_update_unreachable_continuation_has_no_child():
     # cannot differ from the current state
     spec = perfect_obs_identity_spec()
     g = constant_profile(spec, 0)
-    xi = initial_belief(spec, 0, 1)
-    children = successors_by_block(spec, 0, first_realization(spec, 0, 1), xi, g, 0)
+    children = successors_by_block(spec, 0, 1, g, 0)
     assert len({c for c, _ in children}) == 2
     assert all(y == 1 for _, y in children)
 
@@ -130,8 +133,7 @@ def test_update_unreachable_continuation_has_no_child():
 def test_update_uniform_symmetry():
     spec = uniform_spec()
     g = constant_profile(spec, 0)
-    xi = initial_belief(spec, 0, 0)
-    children = successors_by_block(spec, 0, first_realization(spec, 0, 0), xi, g, 1)
+    children = successors_by_block(spec, 0, 0, g, 1)
     assert {y for _, y in children} == {0, 1}
     for b in children.values():
         assert np.allclose(b.sum(axis=1), [0.5, 0.5])
@@ -209,28 +211,38 @@ def test_expand_follows_g_inside_the_free_expansion(n):
     g = random_profile(spec, np.random.default_rng(n))
     for k in range(spec.K):
         bp = BeliefPass(spec, k, g)
-        nodes, edges = bp.expand(free=False)
-        free_nodes, free_edges = BeliefPass(spec, k, g).expand(free=True)
-        chain = bp.chain()
-        for t in range(spec.T + 1):
-            assert list(chain[t]) == list(nodes[t])
-            for r, b in nodes[t].items():
-                assert np.array_equal(chain[t][r][0], b) and not b.flags.writeable
-                assert np.array_equal(free_nodes[t][r], b)
-                if t < spec.T:
-                    u = g.action(k, t, r)
-                    assert [key for key in edges[t] if key[0] == r] == [(r, u)]
-                    assert edges[t][(r, u)] == free_edges[t][(r, u)]
-                    for r1, w in edges[t][(r, u)]:
-                        assert chain[t + 1][r1][1] == chain[t][r][1] * w
-        assert all(len(free_edges[t]) == len(free_nodes[t]) * spec.act_sizes[k]
-                   for t in range(spec.T))
+        layers = bp.expand(free=False)
+        free = BeliefPass(spec, k, g).expand(free=True)
+        chain, probs = bp.chain()
+        where = [{int(c): i for i, c in enumerate(f.codes)} for f in free]
+        for t, lay in enumerate(layers):
+            assert np.array_equal(chain[t].codes, lay.codes)
+            assert np.array_equal(chain[t].beliefs, lay.beliefs)
+            assert not lay.beliefs.flags.writeable
+            at = [where[t][int(c)] for c in lay.codes]
+            assert np.array_equal(free[t].beliefs[at], lay.beliefs)
+            if t == 0:
+                assert np.array_equal(probs[0], lay.weight)
+                continue
+            # the one edge kept is the parent's g-action, with the free
+            # expansion's predecessor and step weight
+            prev = layers[t - 1]
+            assert np.array_equal(lay.action, g.maps[k][t - 1][prev.codes[lay.parent]])
+            assert np.array_equal(free[t].action[at], lay.action)
+            assert np.array_equal(free[t].weight[at], lay.weight)
+            assert free[t].parent[at].tolist() == [where[t - 1][int(c)]
+                                                   for c in prev.codes[lay.parent]]
+            assert np.array_equal(probs[t], probs[t - 1][lay.parent] * lay.weight)
+        for t in range(spec.T):
+            # every free node has children under every own action
+            edges = set(zip(free[t + 1].parent.tolist(), free[t + 1].action.tolist()))
+            assert len(edges) == len(free[t]) * spec.act_sizes[k]
 
 
 def test_expand_rejects_a_realization_reached_twice(canon_2a, monkeypatch):
     bp = BeliefPass(canon_2a, 0, observation_following_profile(canon_2a))
-    step = bp.successors
-    monkeypatch.setattr(bp, "successors", lambda r, xi, u: step(r, xi, u) * 2)
+    advance = filtering.next_codes
+    monkeypatch.setattr(filtering, "next_codes", lambda *a: advance(*a) // 2)
     with pytest.raises(AssertionError, match="reached twice"):
         bp.expand(free=True)
 
@@ -311,7 +323,8 @@ def loop_child(spec, k, common, xi, g, u, revealed, y):
                                          (2, 1, 2, 3), (2, 2, 2, 3)])
 def test_batched_kernel_equals_scalar_loop_bitwise(K, n, T, sizes):
     """With three states a cell sums three or more terms, so the order of
-    accumulation shows in the last bit."""
+    accumulation shows in the last bit. Every node the chain reaches is
+    checked under every own action, through the free expansion's layers."""
     spec = random_model(seed=7 * K + 5 * n + T, K=K, n=n, T=T, sizes=sizes)
     g = random_profile(spec, np.random.default_rng(K * n * T))
     for k in (0, K - 1):
@@ -319,14 +332,25 @@ def test_batched_kernel_equals_scalar_loop_bitwise(K, n, T, sizes):
         shown = list(itertools.product(
             itertools.product(*(range(spec.obs_sizes[j]) for j in others)),
             itertools.product(*(range(spec.act_sizes[j]) for j in others))))
-        bp = BeliefPass(spec, k, g)
-        chain = bp.chain()
+        chain, _ = BeliefPass(spec, k, g).chain()
+        free = BeliefPass(spec, k, g).expand(free=True)
         for t in range(T):
-            reveals = shown if shared_prefix_len(n, t + 1) > shared_prefix_len(n, t) else [()]
-            for r, (xi, _) in chain[t].items():
+            promote = shared_prefix_len(n, t + 1) > shared_prefix_len(n, t)
+            reveals = shown if promote else [()]
+            nxt = free[t + 1]
+            on_chain = set(chain[t].codes.tolist())
+            for i, code in enumerate(free[t].codes.tolist()):
+                if code not in on_chain:
+                    continue
+                r, xi = decode(spec, k, t, code), free[t].beliefs[i]
                 for u in range(spec.act_sizes[k]):
-                    got = {(rev, y): (b, w)
-                           for rev, y, b, w in bp.children(r.common, xi, u)}
+                    got = {}
+                    for c in np.flatnonzero((nxt.parent == i) & (nxt.action == u)):
+                        r1 = decode(spec, k, t + 1, int(nxt.codes[c]))
+                        rev = ((tuple(r1.common.obs[j][-1] for j in others),
+                                tuple(r1.common.acts[j][-1] for j in others))
+                               if promote else ())
+                        got[(rev, r1.private.obs[-1])] = (nxt.beliefs[c], nxt.weight[c])
                     want = {}
                     for rev in reveals:
                         for y in range(spec.obs_sizes[k]):

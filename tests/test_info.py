@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -5,16 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_model
+from conftest import SHAPES, layer_nodes, random_model
 from delaypbp import oracle
 from delaypbp.filtering import BeliefPass
 from delaypbp.info import (CommonInfo, InfoRealization, JointHistory,
-                           PrivateInfo, advance_common, advance_other, decode,
-                           encode, grid_size, history_code, other_private_space,
+                           PrivateInfo, decode, encode, grid_size, history_code,
+                           next_codes, oldest, other_private_space,
                            parse_realization_key, private_act_len, private_obs_len,
                            private_size, realization_at, realization_key,
-                           shared_code, shared_prefix_len, shift_private,
-                           split_history)
+                           shared_code, shared_prefix_len, shift_code, split_history)
 from delaypbp.model import ModelSpec
 from delaypbp.strategies import (constant_profile, observation_following_profile,
                                  random_profile)
@@ -73,49 +73,62 @@ def test_split_partition_property(K, n, t, fill):
 
 # --- advance ------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=None)
+def alphabet3_spec(K, n):
+    """A model whose alphabets hold make_history's symbols, horizon 5."""
+    return random_model(seed=K * n, K=K, n=n, T=5, sizes=3)
+
+
+def extend(h, new_obs, new_acts):
+    return JointHistory(t=h.t + 1,
+                        obs=tuple(ys + (y,) for ys, y in zip(h.obs, new_obs)),
+                        acts=tuple(us + (u,) for us, u in zip(h.acts, new_acts)))
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.integers(1, 3), st.integers(1, 4), st.integers(0, 4), st.integers(0, 2))
 def test_advance_matches_split_of_extended_history(K, n, t, fill):
-    """Advancing agent k's three blocks one step gives the split of the
-    extended history. Once t >= n-1 the oldest private symbols move into
-    the shared block; with n = 1 the actions go there straight away."""
+    """Advancing agent k's code one step (`next_codes`) gives the code of
+    the extended history, and the others' private codes shift by the same
+    rule (`shift_code`). Once t >= n-1 the oldest private symbols move
+    into the shared block; with n = 1 the actions go there straight away."""
+    spec = alphabet3_spec(K, n)
     h = make_history(K, t, fill)
     new_obs = tuple((fill + 2 + j) % 3 for j in range(K))
     new_acts = tuple((fill + 1 + j) % 3 for j in range(K))
-    h1 = JointHistory(t=t + 1,
-                      obs=tuple(h.obs[j] + (new_obs[j],) for j in range(K)),
-                      acts=tuple(h.acts[j] + (new_acts[j],) for j in range(K)))
+    h1 = extend(h, new_obs, new_acts)
+    promote = shared_prefix_len(n, t + 1) > shared_prefix_len(n, t)
     for k in range(K):
         c, p, o = split_history(h, k, n)
         others = [j for j in range(K) if j != k]
-        if shared_prefix_len(n, t + 1) > shared_prefix_len(n, t):
-            obs = [q.obs[0] for q in o]
-            obs.insert(k, p.obs[0])
-            acts = list(new_acts)
-            if n >= 2:
-                acts = [q.acts[0] for q in o]
-                acts.insert(k, p.acts[0])
-            c1 = advance_common(c, tuple(obs), tuple(acts))
-        else:
-            c1 = advance_common(c, (), ())
-        p1 = shift_private(p, new_obs[k], new_acts[k])
-        o1 = advance_other(o, tuple(new_obs[j] for j in others),
-                           tuple(new_acts[j] for j in others))
-        assert (c1, p1, o1) == split_history(h1, k, n)
+        shown_obs = [q.obs[0] if promote else 0 for q in o]
+        shown_acts = [(q.acts[0] if n >= 2 else new_acts[j]) if promote else 0
+                      for q, j in zip(o, others)]
+        code = np.array([history_code(spec, h, k, t)])
+        assert oldest(spec, k, t, code % private_size(spec, k, t)) == (
+            p.obs[0], p.acts[0] if p.acts else None)
+        code1 = next_codes(spec, k, t, code, new_acts[k], shown_obs + shown_acts, new_obs[k])
+        assert code1.tolist() == [history_code(spec, h1, k, t + 1)]
+        for j in others:
+            pc = history_code(spec, h, j, t) % private_size(spec, j, t)
+            assert (shift_code(spec, j, t, pc, new_obs[j], new_acts[j])
+                    == history_code(spec, h1, j, t + 1) % private_size(spec, j, t + 1))
 
 
 def test_advance_then_shift_roundtrip():
+    """Every agent's code at t = 3 advances to its code at t = 4 for delays
+    1..3, whatever the new symbols."""
     h = make_history(2, 3)
     for n in (1, 2, 3):
-        c, p, o = split_history(h, 0, n)
-        h2 = JointHistory(t=4,
-                          obs=tuple(ys + (0,) for ys in h.obs),
-                          acts=tuple(us + (1,) for us in h.acts))
-        c2, p2, _ = split_history(h2, 0, n)
-        promoted = shared_prefix_len(n, 4) - 1  # the time-(4-n) symbols
-        assert advance_common(c, tuple(ys[promoted] for ys in h2.obs),
-                              tuple(us[promoted] for us in h2.acts)) == c2
-        assert shift_private(p, 0, 1) == p2
+        spec = alphabet3_spec(2, n)
+        for y, u in ((0, 1), (2, 0)):
+            h2 = extend(h, (y, y), (u, u))
+            promoted = shared_prefix_len(n, 4) - 1  # the time-(4-n) symbols
+            for k, j in ((0, 1), (1, 0)):
+                code = np.array([history_code(spec, h, k, 3)])
+                code2 = next_codes(spec, k, 3, code, u,
+                                   [h2.obs[j][promoted], h2.acts[j][promoted]], y)
+                assert code2.tolist() == [history_code(spec, h2, k, 4)]
 
 
 # --- keys and ordering ------------------------------------------------------
@@ -142,13 +155,6 @@ def test_realization_key_roundtrip():
 def test_parse_realization_key_rejects_keys_outside_the_model(canon_2a, key, problem):
     with pytest.raises(ValueError, match=problem):
         parse_realization_key(key, canon_2a, 0, 1)
-
-
-# The benchmark's shapes (bench/workloads.py): the ladder rungs (K, n, T)
-# at alphabet 2 and the sweep models (K, n, T, alphabet).
-LADDER_RUNGS = ((2, 1, 4), (2, 2, 4), (3, 1, 3))
-SWEEP_MODELS = ((2, 1, 3, 2), (2, 2, 3, 2), (2, 1, 2, 3))
-SHAPES = [(*rung, 2) for rung in LADDER_RUNGS] + list(SWEEP_MODELS)
 
 
 def canonical(r):
@@ -231,12 +237,13 @@ def assert_dp_nodes_are_oracle_reachable(spec, g, k):
     actions free) are those the oracle's walk reaches with agent k free, and
     each chained belief has the oracle posterior's support. Returns the
     oracle posteriors per t."""
-    nodes, _ = BeliefPass(spec, k, g).expand(free=True)
+    layers = BeliefPass(spec, k, g).expand(free=True)
     posts = []
-    for t in range(spec.T + 1):
+    for t, lay in enumerate(layers):
         post = oracle.posteriors(spec, g, k, t)
-        assert set(nodes[t]) == set(post)
-        for r, b in nodes[t].items():
+        nodes = layer_nodes(spec, k, lay)
+        assert set(nodes) == set(post)
+        for r, b in nodes.items():
             assert b.shape == post[r].shape
             assert np.array_equal(b > 0.0, post[r] > 0.0)
         posts.append(post)

@@ -4,7 +4,7 @@ two-step sharing (n=2) and three agents."""
 import numpy as np
 import pytest
 
-from conftest import random_model
+from conftest import layer_nodes, random_model
 from delaypbp import oracle
 from delaypbp.dp import (cost_via_beliefs, expected_value, pbp_sweep,
                          solve_best_response, verify_value_dominance)
@@ -46,8 +46,8 @@ def test_two_step_sharing_dp_matches_brute_force(two_step_model):
         # tables also match the posterior oracle on the wider grid
         for t in range(spec.T + 1):
             post = oracle.posteriors(spec, g, k, t)
-            for r, entry in vtable.entries[t].items():
-                assert max_abs_gap(entry.belief, post[r]) <= 1e-10
+            for r, b in layer_nodes(spec, k, vtable.entries[t].layer).items():
+                assert max_abs_gap(b, post[r]) <= 1e-10
 
 
 def test_two_step_sharing_dominance(two_step_model):
