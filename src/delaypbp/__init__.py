@@ -17,8 +17,7 @@ from .falsify import (GapReport, check_conditional_independence,
                       check_conditional_markov, check_k1_reduction,
                       check_payoff_identity, check_policy_independence)
 from .filtering import chained_beliefs, classical_filter_update
-from .info import (CommonInfo, InfoRealization, JointHistory, PrivateInfo,
-                   split_history)
+from .info import CommonInfo, InfoRealization, JointHistory, PrivateInfo
 from .model import (ModelSpec, canonical_instance, load_model, save_model,
                     validate_model)
 from .oracle import (brute_force_best_response, cost_to_go, enumerate_cost,
@@ -42,6 +41,6 @@ __all__ = [
     "expected_value", "load_model", "load_profile",
     "observation_following_profile", "pbp_sweep", "posteriors",
     "random_profile", "save_model", "save_profile", "solve_best_response",
-    "split_history", "terminal_values", "validate_model", "verify_pbp",
+    "terminal_values", "validate_model", "verify_pbp",
     "verify_value_dominance", "walk",
 ]

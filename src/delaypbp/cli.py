@@ -24,8 +24,8 @@ import numpy as np
 from . import dp, falsify, oracle
 from .errors import (IncompleteStrategyError, InstanceTooLargeError,
                      ModelFormatError)
-from .filtering import chained_beliefs, max_abs_gap
-from .info import decode, ordered, other_private_key, other_private_space, realization_key
+from .filtering import BeliefPass, chained_beliefs, max_abs_gap
+from .info import decode, other_private_key, other_private_space, realization_key
 from .model import (CANONICAL_NAMES, COMPARE_TOL, IMPROVE_TOL, K1_TOL,
                     ModelSpec, resolve_model, uniform_observation_variant,
                     validate_model)
@@ -142,16 +142,16 @@ def cmd_filter(spec: ModelSpec, name: str, config: RunConfig):
     for t in range(spec.T + 1):
         posteriors = oracle.posteriors(spec, g, k, t, free=False)
         lams = other_private_space(spec, k, t)
-        for r in ordered(spec, chain[t]):
-            belief, prob = chain[t][r]
-            ref = posteriors[r]
+        for code in sorted(chain[t]):
+            belief, prob = chain[t][code]
+            ref = posteriors[code]
             gap = max_abs_gap(belief, ref)
             ok = ok and gap <= config.tol_compare
-            where = f"t={t} {realization_key(r)}"
-            gaps.append({"where": where, "gap": gap})
+            key = realization_key(decode(spec, k, t, code))
+            gaps.append({"where": f"t={t} {key}", "gap": gap})
             results.append({
                 "t": t,
-                "realization": realization_key(r),
+                "realization": key,
                 "prob": prob,
                 "belief": _belief_rows(lams, belief),
                 "oracle_belief": _belief_rows(lams, ref),
@@ -270,7 +270,8 @@ def cmd_verify(spec: ModelSpec, name: str, config: RunConfig):
         entry = {
             "alternative": label,
             "checked": len(report.entries),
-            "violations": [{"t": e.t, "realization": e.key,
+            "violations": [{"t": e.t,
+                            "realization": realization_key(decode(spec, k, e.t, e.code)),
                             "table": e.table_value, "alt": e.alt_value}
                            for e in report.violations],
         }
@@ -289,6 +290,10 @@ def cmd_verify(spec: ModelSpec, name: str, config: RunConfig):
 def cmd_falsify(spec: ModelSpec, name: str, config: RunConfig):
     k = config.agent
     g = _profile_for(spec, config, "falsify")
+    # Gather the profile over agent k's reachable layers first, so that a
+    # strategy file missing reached realizations is reported with its count
+    # (as by the other commands), not at the first lookup of a walk.
+    BeliefPass(spec, k, g).chain()
     t_check = spec.T - 1
     ci = falsify.check_conditional_independence(spec, g, k, t_check)
     results = [{"check": "conditional-independence", "informational": True,

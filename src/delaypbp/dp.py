@@ -24,7 +24,7 @@ import numpy as np
 from . import oracle
 from .errors import UnreachableError
 from .filtering import BeliefPass, Layer, seq_sum
-from .info import decode, grid_size, realization_key
+from .info import grid_size
 from .model import COMPARE_TOL, IMPROVE_TOL, ModelSpec
 from .strategies import StrategyProfile
 
@@ -154,7 +154,7 @@ def pbp_sweep(spec: ModelSpec, g_init: StrategyProfile, max_rounds: int,
 @dataclass(frozen=True)
 class DominanceEntry:
     t: int
-    key: str
+    code: int  # agent k's time-t realization code
     table_value: float
     alt_value: float
 
@@ -180,7 +180,7 @@ def verify_value_dominance(spec: ModelSpec, k: int, g_minus_k: StrategyProfile,
                            ) -> DominanceReport:
     """Check table values against the enumerated conditional cost-to-go of
     agent k's alternative per-time strategy arrays maps_k, at every time
-    and reachable realization.
+    and reachable realization, in code order per time.
 
     The table must sit weakly below the alternative everywhere; violations
     are reported as data, not raised. A table realization the enumeration
@@ -192,9 +192,9 @@ def verify_value_dominance(spec: ModelSpec, k: int, g_minus_k: StrategyProfile,
         alt = oracle.cost_to_go(spec, k, g, t)
         codes = entry.layer.codes
         for i in np.argsort(codes):
-            r = decode(spec, k, t, int(codes[i]))
-            if r not in alt:
+            code = int(codes[i])
+            if code not in alt:
                 raise UnreachableError(f"unreachable realization for agent {k} at t={t}")
-            rows.append(DominanceEntry(t=t, key=realization_key(r),
-                                       table_value=float(entry.values[i]), alt_value=alt[r]))
+            rows.append(DominanceEntry(t=t, code=code, table_value=float(entry.values[i]),
+                                       alt_value=alt[code]))
     return DominanceReport(entries=tuple(rows), tol=tol)

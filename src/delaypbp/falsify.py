@@ -12,6 +12,11 @@ belief recursions is to assume that independence and drop the fresh data
 from the conditioning; the measured gap being large shows the assumption
 is false, while state-independent observation kernels drive it to zero as
 a sanity case.
+
+The checks built on `oracle.walk` group its leaves by agent k's
+realization codes (`info.history_code`), and order realizations by code;
+they decode a code only to label a gap, or to order the next posteriors
+by their newest symbols.
 """
 
 from __future__ import annotations
@@ -24,8 +29,7 @@ import numpy as np
 from . import dp, oracle
 from .errors import UnreachableError
 from .filtering import BeliefPass, classical_filter_update
-from .info import (InfoRealization, decode, ordered, other_agents, realization_at,
-                   realization_key, shared_code)
+from .info import decode, history_code, other_agents, private_size, realization_key
 from .model import COMPARE_TOL, ModelSpec
 from .strategies import StrategyProfile
 
@@ -83,7 +87,7 @@ def check_conditional_independence(spec: ModelSpec, g_full, k: int, t: int) -> G
     if t > spec.T - 1:
         raise ValueError("t must be a decision time (actions at t are part of the target)")
     others = other_agents(spec.K, k)
-    # One walk; leaf mass per (realization r, x_t, shared symbols), per
+    # One walk; leaf mass per (realization code r, x_t, shared symbols), per
     # (r, x_t), per (r, shared symbols) and per r, each summed in leaf order.
     by_rxs: dict = {}
     by_rx: dict = {}
@@ -91,7 +95,7 @@ def check_conditional_independence(spec: ModelSpec, g_full, k: int, t: int) -> G
     by_r: dict = {}
 
     def visit(xs, hist, mass, cost):
-        r, x = realization_at(hist, k, n, t), xs[t]
+        r, x = history_code(spec, hist, k, t), xs[t]
         shared = tuple(v for j in others for v in (hist.obs[j][p_idx], hist.acts[j][p_idx]))
         for table, key in ((by_rxs, (r, x, shared)), (by_rx, (r, x)), (by_rs, (r, shared)),
                            (by_r, r)):
@@ -101,10 +105,11 @@ def check_conditional_independence(spec: ModelSpec, g_full, k: int, t: int) -> G
     p1: dict[tuple, dict] = {}
     for (r, x, shared), m in by_rxs.items():
         p1.setdefault((r, x), {})[shared] = m / by_rx[r, x]
-    p2: dict[InfoRealization, dict] = {}
+    p2: dict[int, dict] = {}
     for (r, shared), m in by_rs.items():
         p2.setdefault(r, {})[shared] = m / by_r[r]
-    gaps = [(f"x={x}|{realization_key(r)}", _table_gap(p, p2[r])) for (r, x), p in p1.items()]
+    gaps = [(f"x={x}|{realization_key(decode(spec, k, t, r))}", _table_gap(p, p2[r]))
+            for (r, x), p in p1.items()]
     return make_report("shared-data conditional independence", gaps)
 
 
@@ -130,8 +135,8 @@ def check_policy_independence(spec: ModelSpec, g_a: StrategyProfile,
     for t in range(spec.T + 1):
         post_a = oracle.posteriors(spec, g_a, k, t, free=False)
         post_b = oracle.posteriors(spec, g_b, k, t, free=False)
-        for r in ordered(spec, post_a.keys() & post_b.keys()):
-            gaps.append((f"t={t} {realization_key(r)}",
+        for r in sorted(post_a.keys() & post_b.keys()):
+            gaps.append((f"t={t} {realization_key(decode(spec, k, t, r))}",
                          float(np.max(np.abs(post_a[r] - post_b[r])))))
     return make_report("posterior strategy independence", gaps)
 
@@ -141,33 +146,33 @@ def check_policy_independence(spec: ModelSpec, g_a: StrategyProfile,
 # ---------------------------------------------------------------------------
 
 def _next_posterior_laws(spec: ModelSpec, g_full, k: int, t: int,
-                         post_next: dict[InfoRealization, np.ndarray]
-                         ) -> dict[InfoRealization, list[tuple[np.ndarray, float]]]:
-    """Per realization r reachable at t under g_full, the law of agent k's
-    next posterior given r, as (posterior, probability) pairs ordered by the
-    next own observation, then the other agents' newly shared symbols.
+                         post_next: dict[int, np.ndarray]
+                         ) -> dict[int, list[tuple[np.ndarray, float]]]:
+    """Per realization code r reachable at t under g_full, the law of agent
+    k's next posterior given r, as (posterior, probability) pairs ordered by
+    the next own observation, then the other agents' newly shared symbols.
 
     One walk to t+1, grouped by the pair (r, r'), with r' the time-(t+1)
-    realization; both tables accumulate in leaf order."""
-    n = spec.n
-    p_idx = t - n + 1
+    code; both tables accumulate in leaf order."""
+    p_idx = t - spec.n + 1
     others = other_agents(spec.K, k)
     pair: dict[tuple, float] = {}
-    marg: dict[InfoRealization, float] = {}
+    marg: dict[int, float] = {}
 
     def visit(xs, hist, mass, cost):
-        r = realization_at(hist, k, n, t)
-        key = (r, realization_at(hist, k, n))
+        r = history_code(spec, hist, k, t)
+        key = (r, history_code(spec, hist, k, t + 1))
         marg[r] = marg.get(r, 0.0) + mass
         pair[key] = pair.get(key, 0.0) + mass
 
-    def order(r1: InfoRealization) -> tuple:
+    def order(code1: int) -> tuple:
+        r1 = decode(spec, k, t + 1, code1)
         shown = ((r1.common.obs[j][p_idx], r1.common.acts[j][p_idx])
                  for j in others) if p_idx >= 0 else ()
         return (r1.private.obs[-1], *(v for sym in shown for v in sym))
 
     oracle.walk(spec, g_full, visit, t_end=t + 1)
-    laws: dict[InfoRealization, list] = {r: [] for r in marg}
+    laws: dict[int, list] = {r: [] for r in marg}
     for (r, r1), m in pair.items():
         laws[r].append((order(r1), r1, m / marg[r]))
     return {r: [(post_next[r1], p) for _, r1, p in sorted(items, key=lambda e: e[0])]
@@ -212,9 +217,9 @@ def check_conditional_markov(spec: ModelSpec, g_full, k: int,
     for t in range(spec.T):
         laws = _next_posterior_laws(spec, g_full, k, t, posts[t + 1])
         prelim: dict[tuple[int, int], list] = {}  # per (shared block's code, action)
-        for r in ordered(spec, laws):
-            u = g_full.action(k, t, r)
-            prelim.setdefault((shared_code(spec, r.common), u), []).append((r, posts[t][r]))
+        for r in sorted(laws):
+            u = g_full.action_at(k, t, r)
+            prelim.setdefault((r // private_size(spec, k, t), u), []).append((r, posts[t][r]))
         for (_, u), members in sorted(prelim.items()):
             clusters: list[tuple[np.ndarray, list]] = []
             for r, xi in members:
@@ -225,7 +230,8 @@ def check_conditional_markov(spec: ModelSpec, g_full, k: int,
                 else:
                     clusters.append((xi, [r]))
             for rep, group in clusters:
-                label = f"t={t} u={u} group[" + ",".join(realization_key(r) for r in group) + "]"
+                label = f"t={t} u={u} group[" + ",".join(
+                    realization_key(decode(spec, k, t, r)) for r in group) + "]"
                 if len(group) == 1:
                     gaps.append((label, 0.0))
                     continue

@@ -3,14 +3,16 @@
 Under delayed sharing, agent k cannot act on the plant state alone: the
 other agents' recent private data steers their actions, so the object to
 estimate is the extended state (x_t, lambda_t^{-k}) -- plant state plus
-the tuple of the other agents' `PrivateInfo` blocks. A belief is a
-read-only (state, lambda) float array over other_private_space(spec, k,
-t), the type `oracle.posteriors` returns. `BeliefPass` computes it by a
-one-step recursion that conditions on agent k's new observation, its own
-action, and the symbols newly revealed into the shared block; it must
-reproduce `oracle.posteriors` and, for a single agent, the textbook filter
+the other agents' private blocks. A belief is a read-only (state,
+lambda) float array whose lambda index is the mixed radix over the other
+agents' private codes, the type `oracle.posteriors` returns per
+realization code. `BeliefPass` computes it by a one-step recursion that
+conditions on agent k's new observation, its own action, and the symbols
+newly revealed into the shared block; it must reproduce
+`oracle.posteriors` and, for a single agent, the textbook filter
 (`classical_filter_update`) kept here. Zero-probability continuations are
-left out rather than returned as non-distributions.
+left out rather than returned as non-distributions. `chained_beliefs`
+keys its layers by realization code too; only the report writer decodes.
 
 `BeliefPass.expand` is the one forward expansion, one time layer at a
 time, with agent k's own action either free (the best-response DP, the
@@ -35,8 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UnreachableError
-from .info import (InfoRealization, decode, next_codes, oldest, other_agents, private_size,
-                   shared_prefix_len, shift_code)
+from .info import next_codes, oldest, other_agents, private_size, shared_prefix_len, shift_code
 from .model import ModelSpec
 
 
@@ -255,16 +256,15 @@ class BeliefPass:
 
 
 def chained_beliefs(spec: ModelSpec, g_full, k: int
-                    ) -> list[dict[InfoRealization, tuple[np.ndarray, float]]]:
+                    ) -> list[dict[int, tuple[np.ndarray, float]]]:
     """Run the recursion along every realization reachable under g_full.
 
-    Returns, per time t = 0..T, a map realization -> (belief, probability
-    of the realization), in expansion order. Probabilities chain the step
-    normalizers, so this path never enumerates trajectories.
+    Returns, per time t = 0..T, a map realization code -> (belief,
+    probability of the realization), in expansion order. Probabilities
+    chain the step normalizers, so this path never enumerates trajectories.
     """
     layers, probs = BeliefPass(spec, k, g_full).chain()
-    return [{decode(spec, k, lay.t, int(c)): (b, float(p))
-             for c, b, p in zip(lay.codes, lay.beliefs, prob)}
+    return [{int(c): (b, float(p)) for c, b, p in zip(lay.codes, lay.beliefs, prob)}
             for lay, prob in zip(layers, probs)]
 
 

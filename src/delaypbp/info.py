@@ -2,11 +2,13 @@
 
 At time t each agent k knows two blocks: the shared block (every agent's
 observations and actions up to time t-n) and its private block (its own
-last n observations and last n-1 actions). This module houses the split of
-a joint history into those blocks, the integer coding of each agent's
-realizations (the index of every strategy array) with the one-step
-advance of the blocks as arithmetic on codes, canonical text keys, and
-the grids of lambdas.
+last n observations and last n-1 actions). This module houses the
+integer coding of each agent's realizations -- the one key of strategy
+arrays, belief layers, value rows and the oracle's group-bys, read off a
+joint history by `history_code` -- with the one-step advance of the blocks
+as arithmetic on codes, and the realization dataclasses with their
+canonical text keys, which appear only where strategy files and reports
+are read or written.
 
 Index windows, 0-based, for delay n at time t:
   shared, per agent:  obs 0..t-n, acts 0..t-n          (empty while t < n)
@@ -16,9 +18,9 @@ When the clock moves t -> t+1 the time-(t-n+1) observation and action of
 every agent leave the private blocks and join the shared block.
 
 The other agents' private data, lambda in agent k's extended state, is no
-separate type: it is the tuple of their `PrivateInfo` blocks in increasing
-agent order, sliced by the one window rule (`private_at`) that agent k's
-own block uses, and its codes advance by the one shift rule
+separate type: its index is the mixed radix over the other agents' private
+codes (`history_code % private_size`) in increasing agent order, the order
+of `other_private_space`, and those codes advance by the one shift rule
 (`shift_code`) that agent k's own private code uses.
 """
 
@@ -56,15 +58,6 @@ class JointHistory:
     t: int
     obs: tuple[IntSeq, ...]
     acts: tuple[IntSeq, ...]
-
-    def validate(self) -> None:
-        if len(self.obs) != len(self.acts):
-            raise ValueError("obs and acts must cover the same agents")
-        for k, (ys, us) in enumerate(zip(self.obs, self.acts)):
-            if len(ys) != self.t + 1:
-                raise ValueError(f"agent {k}: expected {self.t + 1} observations, got {len(ys)}")
-            if len(us) != self.t:
-                raise ValueError(f"agent {k}: expected {self.t} actions, got {len(us)}")
 
 
 @dataclass(frozen=True)
@@ -117,10 +110,6 @@ class InfoRealization:
     common: CommonInfo
     private: PrivateInfo
 
-    @property
-    def t(self) -> int:
-        return self.common.t
-
     def validate(self) -> None:
         if self.common.t != self.private.t or self.common.n != self.private.n:
             raise ValueError("common and private blocks disagree on (t, n)")
@@ -132,48 +121,14 @@ def other_agents(K: int, k: int) -> tuple[int, ...]:
     return tuple(j for j in range(K) if j != k)
 
 
-def private_at(h: JointHistory, j: int, n: int, t: int | None = None) -> PrivateInfo:
-    """Agent j's private block at time t (default: h.t) read off a joint
-    history: its own symbols after the shared prefix, up to t."""
-    t = h.t if t is None else t
-    cut = shared_prefix_len(n, t)
-    return PrivateInfo(t=t, n=n, agent=j, obs=h.obs[j][cut:t + 1], acts=h.acts[j][cut:t])
-
-
-def realization_at(h: JointHistory, k: int, n: int, t: int | None = None) -> InfoRealization:
-    """Agent k's realization at time t (default: h.t) read off a joint
-    history: every agent's streams up to t-n, then agent k's own symbols
-    up to t."""
-    t = h.t if t is None else t
-    cut = shared_prefix_len(n, t)  # prefix 0..t-n has this many elements
-    return InfoRealization(
-        common=CommonInfo(t=t, n=n, obs=tuple(ys[:cut] for ys in h.obs),
-                          acts=tuple(us[:cut] for us in h.acts)),
-        private=private_at(h, k, n, t))
-
-
-def split_history(h: JointHistory, k: int, n: int) -> tuple[CommonInfo, PrivateInfo, Lam]:
-    """Decompose a joint history into agent k's view of the pattern.
-
-    The decomposition is exact: the agent-k part of the shared block
-    concatenated with the private block reproduces agent k's full stream
-    with no overlap and no gap.
-    """
-    if n < 1:
-        raise ValueError("delay n must be >= 1")
-    h.validate()
-    r = realization_at(h, k, n)
-    return r.common, r.private, tuple(private_at(h, j, n) for j in other_agents(len(h.obs), k))
-
-
 # ---------------------------------------------------------------------------
 # Integer coding. Agent k's time-t realizations are the codes 0..size-1 of
 # one mixed radix whose digits, most significant first, are the shared
 # observations (agent-major, then time), the shared actions (likewise),
 # agent k's private observations and its private actions. Tuples compare in
 # that order too, so code order is the canonical order. The shared digits
-# lead and are the same for every agent, so agent j's code is
-# shared_code * private_size(j) + its private code, and the lambda index of
+# lead and are the same for every agent, so agent j's code is its shared
+# block's code * private_size(j) + its private code, and the lambda index of
 # other_private_space is the mixed radix over the other agents' private
 # codes. The text key used in strategy files and reports stays at the edges.
 # ---------------------------------------------------------------------------
@@ -201,8 +156,7 @@ def private_size(spec: ModelSpec, k: int, t: int) -> int:
 
 
 def _code(obs, acts, own_obs: IntSeq, own_acts: IntSeq, rads: IntSeq) -> int:
-    """Horner's rule over the digits in radices' order; with fewer digits
-    than radices, the code of the leading ones."""
+    """Horner's rule over the digits in radices' order."""
     code = 0
     digits = itertools.chain(itertools.chain(*obs), itertools.chain(*acts), own_obs, own_acts)
     for d, r in zip(digits, rads):
@@ -215,14 +169,9 @@ def encode(spec: ModelSpec, r: InfoRealization) -> int:
     return _code(c.obs, c.acts, p.obs, p.acts, radices(spec, p.agent, p.t))
 
 
-def shared_code(spec: ModelSpec, c: CommonInfo) -> int:
-    """The code of the shared block alone: encode(r) // private_size."""
-    return _code(c.obs, c.acts, (), (), radices(spec, 0, c.t))
-
-
 def history_code(spec: ModelSpec, h: JointHistory, j: int, t: int) -> int:
-    """encode(realization_at(h, j, spec.n, t)), read straight off the
-    history."""
+    """Agent j's time-t code (t <= h.t), read straight off the history:
+    every agent's streams up to t-n, then agent j's own symbols up to t."""
     cut = shared_prefix_len(spec.n, t)
     return _code((ys[:cut] for ys in h.obs), (us[:cut] for us in h.acts),
                  h.obs[j][cut:t + 1], h.acts[j][cut:t], radices(spec, j, t))
@@ -275,11 +224,6 @@ def decode(spec: ModelSpec, k: int, t: int, code: int) -> InfoRealization:
         common=CommonInfo(t=t, n=spec.n, obs=tuple(per_agent[:spec.K]),
                           acts=tuple(per_agent[spec.K:])),
         private=PrivateInfo(t=t, n=spec.n, agent=k, obs=tuple(own[:lo]), acts=tuple(own[lo:])))
-
-
-def ordered(spec: ModelSpec, rs) -> list[InfoRealization]:
-    """Realizations of one agent and time in canonical (code) order."""
-    return sorted(rs, key=lambda r: encode(spec, r))
 
 
 # ---------------------------------------------------------------------------

@@ -4,22 +4,24 @@
 give positive probability, up to some horizon, and hands each leaf to a
 visitor. Everything else here is a group-by over one walk: expected costs,
 agent k's posterior over the extended state, conditional cost-to-go,
-brute-force best responses and stationarity certificates. No beliefs, no
-backward recursion -- this module is the reference the filter and the
-dynamic program are checked against, so it imports nothing but the model
-and information-pattern primitives.
+brute-force best responses and stationarity certificates. Group-bys key
+each leaf by cheap (observations, actions) tuples, turn each distinct key
+into realization codes (`info.history_code`) once, and return dicts keyed
+by agent k's code. No beliefs, no backward recursion -- this module is the
+reference the filter and the dynamic program are checked against, so it
+imports nothing but the model and information-pattern primitives.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InstanceTooLargeError
-from .info import (InfoRealization, JointHistory, grid_size, history_code,
-                   other_private_space, realization_at, split_history)
+from .info import JointHistory, grid_size, history_code, other_agents, private_size
 from .model import COMPARE_TOL, ModelSpec
 
 # Candidate count guard for brute_force_best_response.
@@ -122,16 +124,18 @@ def _cut(hist: JointHistory, t: int) -> tuple[tuple, tuple]:
 
 
 def posteriors(spec: ModelSpec, g, k: int, t: int,
-               free: bool = True) -> dict[InfoRealization, np.ndarray]:
+               free: bool = True) -> dict[int, np.ndarray]:
     """Agent k's posterior over (x_t, lambda_t^{-k}) at every realization
-    reachable at t with its own actions free, from the definition.
+    reachable at t with its own actions free, from the definition, keyed
+    by agent k's time-t code.
 
     One walk to t with agent k free, so its maps are never read: a
     realization already fixes agent k's actions. Leaf masses accumulate in
     leaf order per (joint history, x_t), which is per (agent k's
     realization, lambda_t^{-k}, x_t), and are normalized per realization.
-    Each posterior is a (state, lambda) array over
-    other_private_space(spec, k, t).
+    Each posterior is a (state, lambda) array; the lambda index is the
+    mixed radix over the other agents' private codes, the order of
+    info.other_private_space(spec, k, t).
 
     With free=False agent k follows g instead. A realization g reaches has
     the same leaves in the same order either way, so its posterior is the
@@ -145,20 +149,27 @@ def posteriors(spec: ModelSpec, g, k: int, t: int,
         cells[key] = cells.get(key, 0.0) + mass
 
     walk(spec, g, visit, t_end=t, free=k, free_until=t if free else 0)
-    lam_index = {lam: i for i, lam in enumerate(other_private_space(spec, k, t))}
-    mats: dict[InfoRealization, np.ndarray] = {}
+    others = other_agents(spec.K, k)
+    sizes = [private_size(spec, j, t) for j in others]
+    at: dict[tuple, tuple[int, int]] = {}  # (obs, acts) -> (code, lambda index)
+    mats: dict[int, np.ndarray] = {}
     for (obs, acts, x), m in cells.items():
-        c, p, lam = split_history(JointHistory(t=t, obs=obs, acts=acts), k, spec.n)
-        r = InfoRealization(common=c, private=p)
-        if r not in mats:
-            mats[r] = np.zeros((spec.state_size, len(lam_index)))
-        mats[r][x, lam_index[lam]] = m
-    return {r: mat / float(mat.sum()) for r, mat in mats.items()}
+        if (obs, acts) not in at:
+            h, lam = JointHistory(t=t, obs=obs, acts=acts), 0
+            for j, size in zip(others, sizes):
+                lam = lam * size + history_code(spec, h, j, t) % size
+            at[obs, acts] = history_code(spec, h, k, t), lam
+        code, lam = at[obs, acts]
+        if code not in mats:
+            mats[code] = np.zeros((spec.state_size, math.prod(sizes)))
+        mats[code][x, lam] = m
+    return {code: mat / float(mat.sum()) for code, mat in mats.items()}
 
 
-def cost_to_go(spec: ModelSpec, k: int, g, t0: int) -> dict[InfoRealization, float]:
+def cost_to_go(spec: ModelSpec, k: int, g, t0: int) -> dict[int, float]:
     """Expected cost of stages t0..T-1 plus the terminal cost, conditioned
-    on agent k's time-t0 realization, when every agent plays g from t0 on.
+    on agent k's time-t0 realization (keyed by its code), when every agent
+    plays g from t0 on.
 
     One walk to T with agent k free before t0, which covers every
     realization reachable at t0 with agent k's actions free. Per realization,
@@ -175,13 +186,13 @@ def cost_to_go(spec: ModelSpec, k: int, g, t0: int) -> dict[InfoRealization, flo
         acc[1] += mass
 
     walk(spec, g, visit, free=k, free_until=t0, cost_from=t0)
-    numer: dict[InfoRealization, float] = {}
-    denom: dict[InfoRealization, float] = {}
+    numer: dict[int, float] = {}
+    denom: dict[int, float] = {}
     for (obs, acts), (num, den) in sums.items():
-        r = realization_at(JointHistory(t=t0, obs=obs, acts=acts), k, spec.n)
-        numer[r] = numer.get(r, 0.0) + num
-        denom[r] = denom.get(r, 0.0) + den
-    return {r: numer[r] / denom[r] for r in numer}
+        code = history_code(spec, JointHistory(t=t0, obs=obs, acts=acts), k, t0)
+        numer[code] = numer.get(code, 0.0) + num
+        denom[code] = denom.get(code, 0.0) + den
+    return {code: numer[code] / denom[code] for code in numer}
 
 
 # ---------------------------------------------------------------------------

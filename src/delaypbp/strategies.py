@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IncompleteStrategyError, ModelFormatError
-from .info import (InfoRealization, decode, encode, grid_size, parse_realization_key,
-                   private_act_len, realization_key)
+from .info import (decode, encode, grid_size, parse_realization_key, private_act_len,
+                   realization_key)
 from .model import ModelSpec, is_integer
 
 
@@ -64,9 +64,6 @@ class StrategyProfile:
                 f"incomplete strategy: agent {k} has no action at t={t}, {keys}"
                 f" ({len(miss)} reached realization{'s' * (len(miss) > 1)} without one)")
         return np.maximum(a, 0)
-
-    def action(self, k: int, t: int, r: InfoRealization) -> int:
-        return self.action_at(k, t, encode(self.spec, r))
 
     def with_agent(self, k: int, new_maps) -> "StrategyProfile":
         """Profile with agent k's per-time maps replaced."""

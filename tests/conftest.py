@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from delaypbp import canonical_instance
-from delaypbp.info import InfoRealization, decode
+from delaypbp.info import InfoRealization, encode
 from delaypbp.model import ModelSpec
 from delaypbp.strategies import (constant_profile, observation_following_profile,
                                  random_profile)
@@ -52,13 +52,14 @@ def others_play(g, common, lam):
     """The other agents' actions at (common, each one's private block in
     lambda), read one realization at a time: the reference the strategy
     gathers are checked against."""
-    return tuple(g.action(p.agent, p.t, InfoRealization(common=common, private=p))
+    return tuple(g.action_at(p.agent, p.t,
+                             encode(g.spec, InfoRealization(common=common, private=p)))
                  for p in lam)
 
 
-def layer_nodes(spec, k, lay):
-    """A layer's nodes decoded, as realization -> belief in expansion order."""
-    return {decode(spec, k, lay.t, int(c)): b for c, b in zip(lay.codes, lay.beliefs)}
+def layer_nodes(lay):
+    """A layer's nodes as realization code -> belief, in expansion order."""
+    return {int(c): b for c, b in zip(lay.codes, lay.beliefs)}
 
 
 def tiny_uniform_t1():

@@ -17,7 +17,7 @@ import numpy as np
 
 from delaypbp.info import (CommonInfo, InfoRealization, PrivateInfo, decode, encode,
                            grid_size, other_agents, other_private_space, private_size,
-                           shared_code, shared_prefix_len)
+                           radices, shared_prefix_len)
 from delaypbp.model import IMPROVE_TOL
 
 
@@ -33,6 +33,15 @@ def positive(b):
 def _frozen(b):
     b.setflags(write=False)
     return b
+
+
+def shared_code(spec, common):
+    """The code of a shared block alone: Horner's rule over its digits in
+    `radices` order, i.e. an agent's code // its private_size."""
+    code = 0
+    for d, r in zip(itertools.chain(*common.obs, *common.acts), radices(spec, 0, common.t)):
+        code = code * r + d
+    return code
 
 
 # --- the tuple advances -------------------------------------------------------
@@ -190,7 +199,9 @@ class NodePass:
             nodes[0][r] = b
         for t in range(spec.T):
             for r, xi in nodes[t].items():
-                for u in range(spec.act_sizes[k]) if free else (self.g.action(k, t, r),):
+                us = (range(spec.act_sizes[k]) if free
+                      else (self.g.action_at(k, t, encode(spec, r)),))
+                for u in us:
                     succ = []
                     for r1, b1, w in self.successors(r, xi, u):
                         assert r1 not in nodes[t + 1]
@@ -218,8 +229,8 @@ def terminal_value(spec, belief):
 
 def stage_value(spec, bp, r, xi, u):
     xs, ls, p = positive(xi)
-    cost = spec.stage_cost[r.t].reshape(spec.state_size, -1)
-    return seq_sum(p * cost[xs, bp.table(r.t).joint[u, bp.actions(r.common, ls)]])
+    cost = spec.stage_cost[r.common.t].reshape(spec.state_size, -1)
+    return seq_sum(p * cost[xs, bp.table(r.common.t).joint[u, bp.actions(r.common, ls)]])
 
 
 def solve_best_response(spec, k, g):
@@ -258,7 +269,7 @@ def cost_via_beliefs(spec, g, k):
     acc = 0.0
     for t in range(spec.T):
         for r, (xi, pr) in chain[t].items():
-            acc += pr * stage_value(spec, bp, r, xi, g.action(k, t, r))
+            acc += pr * stage_value(spec, bp, r, xi, g.action_at(k, t, encode(spec, r)))
     for r, (xi, pr) in chain[spec.T].items():
         acc += pr * terminal_value(spec, xi)
     return float(acc)

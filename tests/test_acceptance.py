@@ -43,7 +43,7 @@ def test_criterion_1_filter_matches_oracle():
                     for r, (b, _) in chain[t].items():
                         worst = max(worst, max_abs_gap(b, post[r]))
                         checked += 1
-                    for r, b in layer_nodes(spec, k, vtable.entries[t].layer).items():
+                    for r, b in layer_nodes(vtable.entries[t].layer).items():
                         worst = max(worst, max_abs_gap(b, post[r]))
                         checked += 1
     report(1, "recursive beliefs equal definition-level Bayes on CANON-2A/2B",

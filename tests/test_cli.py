@@ -398,12 +398,15 @@ def test_incomplete_own_strategy_file_gives_config_exit(tmp_path, canon_2a, caps
     assert err[0].startswith("error: incomplete strategy: agent 0 has no action at t=1, c(")
 
 
-def test_incomplete_strategy_file_reports_every_miss_in_the_layer(tmp_path, canon_2a, capsys):
+@pytest.mark.parametrize("command", ["filter", "falsify"])
+def test_incomplete_strategy_file_reports_every_miss_in_the_layer(tmp_path, canon_2a, capsys,
+                                                                   command):
     """A file cut to 2 entries per (agent, time) misses many reached
     realizations at once: the one error line names the first (agent, time)
     with misses, how many reached realizations lack an action there and
-    the first three of them in code order. The reached set comes from the
-    oracle's walk."""
+    the first three of them in code order, whether the command's first
+    strategy reads are the recursion's (filter) or the oracle walk's
+    (falsify). The reached set comes from the oracle's walk."""
     g = observation_following_profile(canon_2a)
     path = tmp_path / "strategy.json"
     save_profile(canon_2a, g, path)
@@ -412,7 +415,7 @@ def test_incomplete_strategy_file_reports_every_miss_in_the_layer(tmp_path, cano
         for block in agent["times"]:
             block["entries"] = block["entries"][:2]
     path.write_text(json.dumps(doc))
-    code = main(["--command", "filter", "--model", "CANON-2A", "--strategy", str(path),
+    code = main(["--command", command, "--model", "CANON-2A", "--strategy", str(path),
                  "--out", str(tmp_path / "r")])
     assert code == EXIT_CONFIG
     # Two entries cover each agent's t = 0 map; agent 1's realizations that

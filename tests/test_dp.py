@@ -56,7 +56,7 @@ def test_stage_and_terminal_values_equal_scalar_loops_bitwise(K, n, T):
     for t, lay in enumerate(layers):
         got = terminal_values(spec, lay.beliefs) if t == T else stage_values(spec, bp, lay)
         lams = other_private_space(spec, 0, t)
-        for i, (r, xi) in enumerate(layer_nodes(spec, 0, lay).items()):
+        for i, (code, xi) in enumerate(layer_nodes(lay).items()):
             if t == T:
                 acc = 0.0
                 for (x, _), p in np.ndenumerate(xi):
@@ -68,7 +68,8 @@ def test_stage_and_terminal_values_equal_scalar_loops_bitwise(K, n, T):
                 acc = 0.0
                 for (x, li), p in np.ndenumerate(xi):
                     if p > 0.0:
-                        u_full = (u, *others_play(g, r.common, lams[li]))
+                        common = decode(spec, 0, t, code).common
+                        u_full = (u, *others_play(g, common, lams[li]))
                         acc += p * spec.stage_cost[t][(x, *u_full)]
                 assert got[i, u] == acc
 

@@ -73,8 +73,9 @@ def test_initial_belief_matches_oracle(canon_2a):
     g = observation_following_profile(canon_2a)
     for k in range(2):
         post = oracle.posteriors(canon_2a, g, k, 0)
-        starts = layer_nodes(canon_2a, k, BeliefPass(canon_2a, k, g).start())
-        assert list(starts) == [first_realization(canon_2a, k, y0) for y0 in range(2)]
+        starts = layer_nodes(BeliefPass(canon_2a, k, g).start())
+        assert [decode(canon_2a, k, 0, c) for c in starts] == [
+            first_realization(canon_2a, k, y0) for y0 in range(2)]
         for r, b in starts.items():
             assert b.shape == post[r].shape
             assert max_abs_gap(b, post[r]) <= 1e-15
@@ -179,8 +180,8 @@ def test_oracle_belief_unreachable_realization(canon_2a):
     g = constant_profile(canon_2a, 0)
     post = oracle.posteriors(canon_2a, g, 0, 1)
     from delaypbp.info import decode, grid_size
-    grid = [decode(canon_2a, 0, 1, code) for code in range(grid_size(canon_2a, 0, 1))]
-    unreachable = [r for r in grid if r not in post]
+    unreachable = [decode(canon_2a, 0, 1, code) for code in range(grid_size(canon_2a, 0, 1))
+                   if code not in post]
     assert len(unreachable) == len(post) == 16
     assert all(r.common.acts[1] == (1,) for r in unreachable)
 
@@ -279,8 +280,8 @@ def test_classical_filter_requires_single_agent(canon_2a):
 def test_classical_filter_matches_recursion_marginal(canon_1):
     g = constant_profile(canon_1, 0)
     chain = chained_beliefs(canon_1, g, 0)
-    for r, (b, _) in chain[0].items():
-        y0 = r.private.obs[0]
+    for code, (b, _) in chain[0].items():
+        y0 = decode(canon_1, 0, 0, code).private.obs[0]
         raw = canon_1.init_dist * canon_1.observation[0][0][:, y0]
         pi = raw / raw.sum()
         assert np.max(np.abs(b.sum(axis=1) - pi)) <= 1e-12

@@ -13,8 +13,7 @@ from delaypbp.info import (CommonInfo, InfoRealization, JointHistory,
                            PrivateInfo, decode, encode, grid_size, history_code,
                            next_codes, oldest, other_private_space,
                            parse_realization_key, private_act_len, private_obs_len,
-                           private_size, realization_at, realization_key,
-                           shared_code, shared_prefix_len, shift_code, split_history)
+                           private_size, realization_key, shared_prefix_len, shift_code)
 from delaypbp.model import ModelSpec
 from delaypbp.strategies import (constant_profile, observation_following_profile,
                                  random_profile)
@@ -28,19 +27,35 @@ def make_history(K, t, fill=0):
     )
 
 
+def split(spec, h, k):
+    """Agent k's shared block, private block and lambda at time h.t, read
+    through the codes: agent k's history code decoded, and each other
+    agent's decoded private block."""
+    r = decode(spec, k, h.t, history_code(spec, h, k, h.t))
+    lam = tuple(decode(spec, j, h.t, history_code(spec, h, j, h.t)).private
+                for j in range(spec.K) if j != k)
+    return r.common, r.private, lam
+
+
+@functools.lru_cache(maxsize=None)
+def alphabet3_spec(K, n):
+    """A model whose alphabets hold make_history's symbols, horizon 5."""
+    return random_model(seed=K * n, K=K, n=n, T=5, sizes=3)
+
+
 # --- split examples ---------------------------------------------------------
 
-def test_split_t0_n1():
+def test_split_t0_n1(canon_2a):
     h = JointHistory(t=0, obs=((0,), (1,)), acts=((), ()))
-    c, p, o = split_history(h, 0, 1)
+    c, p, o = split(canon_2a, h, 0)
     assert c.obs == ((), ()) and c.acts == ((), ())
     assert p.obs == (0,) and p.acts == ()
     assert o[0].agent == 1 and o[0].obs == (1,) and o[0].acts == ()
 
 
-def test_split_t1_n1():
+def test_split_t1_n1(canon_2a):
     h = JointHistory(t=1, obs=((0, 1), (1, 0)), acts=((1,), (0,)))
-    c, p, o = split_history(h, 0, 1)
+    c, p, o = split(canon_2a, h, 0)
     assert c.obs == ((0,), (1,)) and c.acts == ((1,), (0,))
     assert p.obs == (1,) and p.acts == ()
     assert o[0].obs == (0,) and o[0].acts == ()
@@ -48,7 +63,7 @@ def test_split_t1_n1():
 
 def test_split_t2_n2_agent1():
     h = JointHistory(t=2, obs=((0, 1, 0), (1, 1, 0)), acts=((1, 0), (0, 1)))
-    c, p, o = split_history(h, 1, 2)
+    c, p, o = split(alphabet3_spec(2, 2), h, 1)
     assert c.obs == ((0,), (1,)) and c.acts == ((1,), (0,))
     assert p.agent == 1
     assert p.obs == (1, 0) and p.acts == (1,)
@@ -59,9 +74,9 @@ def test_split_t2_n2_agent1():
 @given(st.integers(1, 3), st.integers(1, 4), st.integers(0, 5), st.integers(0, 2))
 def test_split_partition_property(K, n, t, fill):
     """Agent k's shared prefix plus private block is exactly its stream."""
-    h = make_history(K, t, fill)
+    h, spec = make_history(K, t, fill), alphabet3_spec(K, n)
     for k in range(K):
-        c, p, o = split_history(h, k, n)
+        c, p, o = split(spec, h, k)
         assert c.obs[k] + p.obs == h.obs[k]
         assert c.acts[k] + p.acts == h.acts[k]
         assert len(p.obs) == private_obs_len(n, t)
@@ -72,12 +87,6 @@ def test_split_partition_property(K, n, t, fill):
 
 
 # --- advance ------------------------------------------------------------------
-
-@functools.lru_cache(maxsize=None)
-def alphabet3_spec(K, n):
-    """A model whose alphabets hold make_history's symbols, horizon 5."""
-    return random_model(seed=K * n, K=K, n=n, T=5, sizes=3)
-
 
 def extend(h, new_obs, new_acts):
     return JointHistory(t=h.t + 1,
@@ -99,7 +108,7 @@ def test_advance_matches_split_of_extended_history(K, n, t, fill):
     h1 = extend(h, new_obs, new_acts)
     promote = shared_prefix_len(n, t + 1) > shared_prefix_len(n, t)
     for k in range(K):
-        c, p, o = split_history(h, k, n)
+        c, p, o = split(spec, h, k)
         others = [j for j in range(K) if j != k]
         shown_obs = [q.obs[0] if promote else 0 for q in o]
         shown_acts = [(q.acts[0] if n >= 2 else new_acts[j]) if promote else 0
@@ -138,8 +147,7 @@ def test_realization_key_roundtrip():
     for n in (1, 2):
         spec = random_model(seed=n, K=2, n=n, T=2, sizes=3)
         for k in range(2):
-            c, p, _ = split_history(h, k, n)
-            r = InfoRealization(common=c, private=p)
+            r = decode(spec, k, 2, history_code(spec, h, k, 2))
             key = realization_key(r)
             assert parse_realization_key(key, spec, k, 2) == r
 
@@ -198,9 +206,10 @@ def test_random_profile_draws_one_integer_per_cell_in_code_order():
 def test_structural_grid_size(canon_2a):
     """On every benchmark shape the grid is every index-valid (shared,
     private) pair: each window's alphabet to the power of its length. Agent
-    j's code, read off a history, splits into shared_code * private_size +
-    its private block's index, and lambda ranges over the others' private
-    blocks."""
+    j's code, read off a history, is the code of the blocks its windows
+    cut from the history, and splits into the shared block's code (the
+    same for every agent) * private_size + its private block's index;
+    lambda ranges over the others' private blocks."""
     for K, n, T, sizes in SHAPES:
         spec = random_model(seed=0, K=K, n=n, T=T, sizes=sizes)
         h = JointHistory(
@@ -217,10 +226,15 @@ def test_structural_grid_size(canon_2a):
                 assert last.common.obs == ((sizes - 1,) * cut,) * K
                 hist = JointHistory(t=t, obs=tuple(ys[:t + 1] for ys in h.obs),
                                     acts=tuple(us[:t] for us in h.acts))
-                r = realization_at(hist, k, n)
+                r = InfoRealization(
+                    common=CommonInfo(t=t, n=n, obs=tuple(ys[:cut] for ys in hist.obs),
+                                      acts=tuple(us[:cut] for us in hist.acts)),
+                    private=PrivateInfo(t=t, n=n, agent=k, obs=hist.obs[k][cut:t + 1],
+                                        acts=hist.acts[k][cut:t]))
                 code = history_code(spec, hist, k, t)
                 assert code == encode(spec, r)
-                assert code // private_size(spec, k, t) == shared_code(spec, r.common)
+                assert (code // private_size(spec, k, t)
+                        == history_code(spec, hist, 0, t) // private_size(spec, 0, t))
                 assert len(other_private_space(spec, k, t)) == math.prod(
                     private_size(spec, j, t) for j in range(K) if j != k)
     # shared block at t=1, n=1: one obs + one act per agent (2*2)^2 = 16,
@@ -241,7 +255,7 @@ def assert_dp_nodes_are_oracle_reachable(spec, g, k):
     posts = []
     for t, lay in enumerate(layers):
         post = oracle.posteriors(spec, g, k, t)
-        nodes = layer_nodes(spec, k, lay)
+        nodes = layer_nodes(lay)
         assert set(nodes) == set(post)
         for r, b in nodes.items():
             assert b.shape == post[r].shape
@@ -258,8 +272,8 @@ def test_enumerate_reachable_t0(canon_2a):
     g = observation_following_profile(canon_2a)
     rs = assert_dp_nodes_are_oracle_reachable(canon_2a, g, 0)[0]
     assert len(rs) == 2  # both first observations have positive probability
-    for r, mat in rs.items():
-        assert r.t == 0
+    for code, mat in rs.items():
+        assert decode(canon_2a, 0, 0, code).private.obs == (code,)
         assert lam_support(mat) == 2
 
 
@@ -269,7 +283,8 @@ def test_enumerate_reachable_counts_on_canon_2a(canon_2a):
     g = observation_following_profile(canon_2a)
     posts = assert_dp_nodes_are_oracle_reachable(canon_2a, g, 0)
     assert len(posts[1]) == 16
-    for r, mat in posts[1].items():
+    for code, mat in posts[1].items():
+        r = decode(canon_2a, 0, 1, code)
         y02, u02 = r.common.obs[1][0], r.common.acts[1][0]
         assert u02 == y02  # opponent determinism filtered the rest
         assert lam_support(mat) == 2
@@ -285,11 +300,11 @@ def test_enumerate_reachable_respects_zero_kernel_rows(canon_2a):
         canon_2a.transition, obs, canon_2a.stage_cost, canon_2a.terminal_cost)
     g = observation_following_profile(spec)
     rs = assert_dp_nodes_are_oracle_reachable(spec, g, 0)[0]
-    assert [r.private.obs for r in rs] == [(0,)]
+    assert [decode(spec, 0, 0, code).private.obs for code in rs] == [(0,)]
     posts = assert_dp_nodes_are_oracle_reachable(spec, g, 1)
     assert posts[1]
-    for r in posts[1]:
-        assert r.common.obs[0] == (0,)
+    for code in posts[1]:
+        assert decode(spec, 1, 1, code).common.obs[0] == (0,)
 
 
 def test_enumerate_reachable_closed_under_advance(canon_2a):
@@ -297,7 +312,7 @@ def test_enumerate_reachable_closed_under_advance(canon_2a):
     g = constant_profile(canon_2a, 0)
     at = assert_dp_nodes_are_oracle_reachable(canon_2a, g, 0)
     for t in range(1, canon_2a.T + 1):
-        for r in at[t]:
+        for r in (decode(canon_2a, 0, t, code) for code in at[t]):
             # unique predecessor for n=1: drop the newest shared symbols,
             # the private block was the last promoted own observation
             prev = InfoRealization(
@@ -305,7 +320,7 @@ def test_enumerate_reachable_closed_under_advance(canon_2a):
                                   acts=tuple(us[:-1] for us in r.common.acts)),
                 private=PrivateInfo(t=t - 1, n=1, agent=0,
                                     obs=(r.common.obs[0][-1],), acts=()))
-            assert prev in at[t - 1]
+            assert encode(canon_2a, prev) in at[t - 1]
 
 
 @pytest.mark.parametrize("K,n,T", [(2, 1, 3), (2, 2, 3), (3, 1, 2)])

@@ -8,8 +8,7 @@ import pytest
 from conftest import deterministic_chain, five_profiles, random_model
 from delaypbp.dp import solve_best_response, verify_value_dominance
 from delaypbp.errors import InstanceTooLargeError, UnreachableError
-from delaypbp.info import (JointHistory, other_private_space, realization_at,
-                           split_history)
+from delaypbp.info import JointHistory, decode, history_code, other_private_space
 from delaypbp.model import ModelSpec
 from delaypbp.oracle import (brute_force_best_response, enumerate_cost,
                              posteriors, verify_pbp, walk)
@@ -99,7 +98,7 @@ def reference_cost(spec, g):
         if s == spec.T:
             yield mass, cost + float(spec.terminal_cost[x])
             return
-        acts = tuple(g.action(j, s, realization_at(hist, j, spec.n)) for j in range(spec.K))
+        acts = tuple(g.action_at(j, s, history_code(spec, hist, j, s)) for j in range(spec.K))
         cost = cost + float(spec.stage_cost[s][(x, *acts)])
         for x1 in range(spec.state_size):
             p_x = float(spec.transition[s][(x, *acts, x1)])
@@ -160,13 +159,15 @@ def test_conditional_pmf_matches_posterior(canon_2a):
     """The extended-state law given a realization, conditioned on a walk in
     which agent 0 follows the profile, equals the posterior from the walk
     with agent 0 free; the posteriors computed with agent 0 following the
-    profile are those of the free walk to the bit."""
+    profile are those of the free walk to the bit. The lambda axis is the
+    order of other_private_space."""
     g = observation_following_profile(canon_2a)
     t = 1
     lams = {lam: i for i, lam in enumerate(other_private_space(canon_2a, 0, t))}
 
     def key(xs, h):
-        return realization_at(h, 0, canon_2a.n), xs[-1], split_history(h, 0, canon_2a.n)[2]
+        lam = (decode(canon_2a, 1, t, history_code(canon_2a, h, 1, t)).private,)
+        return history_code(canon_2a, h, 0, t), xs[-1], lam
 
     joint = leaf_masses(canon_2a, g, key, t)
     laws = {}
@@ -287,8 +288,21 @@ def package_imports(path: pathlib.Path) -> set[str]:
     return found
 
 
+def names_imported(path: pathlib.Path, module: str) -> set[str]:
+    """The names a source file imports from one delaypbp module."""
+    return {a.name for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.ImportFrom) and node.level
+            and (node.module or "") == module for a in node.names}
+
+
 def test_oracle_module_boundary():
     imports = {p.stem: package_imports(p) for p in SRC.glob("*.py")}
     assert "info" in imports["oracle"]  # the parser does see the imports
     assert imports["oracle"] <= {"model", "info", "errors"}, imports["oracle"]
     assert "oracle" not in imports["filtering"]
+    # One realization type: the oracle groups by integer codes and never
+    # builds, decodes or splits into realization dataclasses.
+    from_info = names_imported(SRC / "oracle.py", "info")
+    assert "history_code" in from_info  # the parser does see the names
+    assert not from_info & {"InfoRealization", "decode", "realization_at", "split_history",
+                            "other_private_space"}, from_info

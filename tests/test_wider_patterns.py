@@ -11,7 +11,7 @@ from delaypbp.dp import (cost_via_beliefs, expected_value, pbp_sweep,
 from delaypbp.falsify import (check_conditional_independence,
                               check_conditional_markov, check_payoff_identity)
 from delaypbp.filtering import chained_beliefs, max_abs_gap
-from delaypbp.info import encode, grid_size
+from delaypbp.info import grid_size
 from delaypbp.strategies import constant_profile, random_profile
 
 
@@ -46,7 +46,7 @@ def test_two_step_sharing_dp_matches_brute_force(two_step_model):
         # tables also match the posterior oracle on the wider grid
         for t in range(spec.T + 1):
             post = oracle.posteriors(spec, g, k, t)
-            for r, b in layer_nodes(spec, k, vtable.entries[t].layer).items():
+            for r, b in layer_nodes(vtable.entries[t].layer).items():
                 assert max_abs_gap(b, post[r]) <= 1e-10
 
 
@@ -148,6 +148,6 @@ def test_batched_kernel_matches_oracle_on_random_models(K, n, T, last):
     reached = chained_beliefs(spec, g, opponent)
     cut = [np.full(grid_size(spec, opponent, t), -1) for t in range(T)]
     for t in range(T):
-        for r in reached[t]:
-            cut[t][encode(spec, r)] = g.action(opponent, t, r)
+        for code in reached[t]:
+            cut[t][code] = g.action_at(opponent, t, code)
     _chain_and_payoff_match_oracle(spec, g.with_agent(opponent, cut), k)
