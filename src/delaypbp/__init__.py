@@ -6,7 +6,9 @@ expectations are finite sums. The library computes each agent's
 posterior over that extended state, solves the per-agent best-response
 dynamic program on that posterior, iterates best responses toward a
 person-by-person stationary profile, and cross-checks every step against
-an independent trajectory-enumeration oracle.
+an independent trajectory-enumeration oracle. A realization of an agent's
+information is an integer code (`info`), written out as a text key only in
+strategy files and reports.
 """
 
 from .dp import (ValueTable, cost_via_beliefs, expected_value, pbp_sweep,
@@ -17,7 +19,6 @@ from .falsify import (GapReport, check_conditional_independence,
                       check_conditional_markov, check_k1_reduction,
                       check_payoff_identity, check_policy_independence)
 from .filtering import chained_beliefs, classical_filter_update
-from .info import CommonInfo, InfoRealization, JointHistory, PrivateInfo
 from .model import (ModelSpec, canonical_instance, load_model, save_model,
                     validate_model)
 from .oracle import (brute_force_best_response, cost_to_go, enumerate_cost,
@@ -29,10 +30,9 @@ from .strategies import (StrategyProfile, constant_profile, load_profile,
 __version__ = "0.1.0"
 
 __all__ = [
-    "CommonInfo", "GapReport", "IncompleteStrategyError",
-    "InfoRealization", "InstanceTooLargeError", "JointHistory",
-    "ModelFormatError", "ModelSpec", "PrivateInfo",
-    "StrategyProfile", "UnreachableError", "ValueTable",
+    "GapReport", "IncompleteStrategyError", "InstanceTooLargeError",
+    "ModelFormatError", "ModelSpec", "StrategyProfile", "UnreachableError",
+    "ValueTable",
     "brute_force_best_response", "canonical_instance", "chained_beliefs",
     "check_conditional_independence", "check_conditional_markov",
     "check_k1_reduction", "check_payoff_identity",

@@ -14,9 +14,10 @@ is false, while state-independent observation kernels drive it to zero as
 a sanity case.
 
 The checks built on `oracle.walk` group its leaves by agent k's
-realization codes (`info.history_code`), and order realizations by code;
-they decode a code only to label a gap, or to order the next posteriors
-by their newest symbols.
+realization codes (`info.history_code`), and order realizations by code.
+A code becomes text (`info.realization_key`) only to label a gap, and is
+decoded into its blocks only to order the next posteriors by their newest
+own observation and the newly shared symbols.
 """
 
 from __future__ import annotations
@@ -94,9 +95,9 @@ def check_conditional_independence(spec: ModelSpec, g_full, k: int, t: int) -> G
     by_rs: dict = {}
     by_r: dict = {}
 
-    def visit(xs, hist, mass, cost):
-        r, x = history_code(spec, hist, k, t), xs[t]
-        shared = tuple(v for j in others for v in (hist.obs[j][p_idx], hist.acts[j][p_idx]))
+    def visit(xs, obs, acts, mass, cost):
+        r, x = history_code(spec, obs, acts, k, t), xs[t]
+        shared = tuple(v for j in others for v in (obs[j][p_idx], acts[j][p_idx]))
         for table, key in ((by_rxs, (r, x, shared)), (by_rx, (r, x)), (by_rs, (r, shared)),
                            (by_r, r)):
             table[key] = table.get(key, 0.0) + mass
@@ -108,7 +109,7 @@ def check_conditional_independence(spec: ModelSpec, g_full, k: int, t: int) -> G
     p2: dict[int, dict] = {}
     for (r, shared), m in by_rs.items():
         p2.setdefault(r, {})[shared] = m / by_r[r]
-    gaps = [(f"x={x}|{realization_key(decode(spec, k, t, r))}", _table_gap(p, p2[r]))
+    gaps = [(f"x={x}|{realization_key(spec, k, t, r)}", _table_gap(p, p2[r]))
             for (r, x), p in p1.items()]
     return make_report("shared-data conditional independence", gaps)
 
@@ -136,7 +137,7 @@ def check_policy_independence(spec: ModelSpec, g_a: StrategyProfile,
         post_a = oracle.posteriors(spec, g_a, k, t, free=False)
         post_b = oracle.posteriors(spec, g_b, k, t, free=False)
         for r in sorted(post_a.keys() & post_b.keys()):
-            gaps.append((f"t={t} {realization_key(decode(spec, k, t, r))}",
+            gaps.append((f"t={t} {realization_key(spec, k, t, r)}",
                          float(np.max(np.abs(post_a[r] - post_b[r])))))
     return make_report("posterior strategy independence", gaps)
 
@@ -159,17 +160,17 @@ def _next_posterior_laws(spec: ModelSpec, g_full, k: int, t: int,
     pair: dict[tuple, float] = {}
     marg: dict[int, float] = {}
 
-    def visit(xs, hist, mass, cost):
-        r = history_code(spec, hist, k, t)
-        key = (r, history_code(spec, hist, k, t + 1))
+    def visit(xs, obs, acts, mass, cost):
+        r = history_code(spec, obs, acts, k, t)
+        key = (r, history_code(spec, obs, acts, k, t + 1))
         marg[r] = marg.get(r, 0.0) + mass
         pair[key] = pair.get(key, 0.0) + mass
 
     def order(code1: int) -> tuple:
-        r1 = decode(spec, k, t + 1, code1)
-        shown = ((r1.common.obs[j][p_idx], r1.common.acts[j][p_idx])
+        b = decode(spec, k, t + 1, code1)
+        shown = ((b.shared_obs[j][p_idx], b.shared_acts[j][p_idx])
                  for j in others) if p_idx >= 0 else ()
-        return (r1.private.obs[-1], *(v for sym in shown for v in sym))
+        return (b.own_obs[-1], *(v for sym in shown for v in sym))
 
     oracle.walk(spec, g_full, visit, t_end=t + 1)
     laws: dict[int, list] = {r: [] for r in marg}
@@ -231,7 +232,7 @@ def check_conditional_markov(spec: ModelSpec, g_full, k: int,
                     clusters.append((xi, [r]))
             for rep, group in clusters:
                 label = f"t={t} u={u} group[" + ",".join(
-                    realization_key(decode(spec, k, t, r)) for r in group) + "]"
+                    realization_key(spec, k, t, r) for r in group) + "]"
                 if len(group) == 1:
                     gaps.append((label, 0.0))
                     continue
@@ -274,7 +275,7 @@ def check_k1_reduction(spec: ModelSpec) -> GapReport:
             break
         # a child is fixed among its siblings by its newest own observation
         nxt = layers[t + 1]
-        reached = {(int(p), int(u), decode(spec, 0, t + 1, int(c)).private.obs[-1]): i
+        reached = {(int(p), int(u), decode(spec, 0, t + 1, int(c)).own_obs[-1]): i
                    for i, (p, u, c) in enumerate(zip(nxt.parent, nxt.action, nxt.codes))}
         children: list = [None] * len(nxt)
         for i, (pi, label) in enumerate(filt):

@@ -2,13 +2,13 @@
 
 At time t each agent k knows two blocks: the shared block (every agent's
 observations and actions up to time t-n) and its private block (its own
-last n observations and last n-1 actions). This module houses the
-integer coding of each agent's realizations -- the one key of strategy
-arrays, belief layers, value rows and the oracle's group-bys, read off a
-joint history by `history_code` -- with the one-step advance of the blocks
-as arithmetic on codes, and the realization dataclasses with their
-canonical text keys, which appear only where strategy files and reports
-are read or written.
+last n observations and last n-1 actions). A realization of agent k at
+time t has exactly two forms here: an integer code -- the one key of
+strategy arrays, belief layers, value rows and the oracle's group-bys,
+read off a joint history by `history_code` and advanced one step by
+arithmetic on codes -- and a text key, which appears only where strategy
+files and reports are read or written. `decode` spells a code out as
+plain blocks of symbols and `encode` is its inverse.
 
 Index windows, 0-based, for delay n at time t:
   shared, per agent:  obs 0..t-n, acts 0..t-n          (empty while t < n)
@@ -19,8 +19,8 @@ every agent leave the private blocks and join the shared block.
 
 The other agents' private data, lambda in agent k's extended state, is no
 separate type: its index is the mixed radix over the other agents' private
-codes (`history_code % private_size`) in increasing agent order, the order
-of `other_private_space`, and those codes advance by the one shift rule
+codes (`history_code % private_size`) in increasing agent order, labelled
+by `lambda_labels`, and those codes advance by the one shift rule
 (`shift_code`) that agent k's own private code uses.
 """
 
@@ -29,13 +29,24 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .model import ModelSpec
 
 IntSeq = tuple[int, ...]
+
+
+class Blocks(NamedTuple):
+    """A realization's symbols in code order: per agent, the shared
+    observations and the shared actions; then the owner's private
+    observations and private actions."""
+
+    shared_obs: tuple[IntSeq, ...]
+    shared_acts: tuple[IntSeq, ...]
+    own_obs: IntSeq
+    own_acts: IntSeq
 
 
 def private_obs_len(n: int, t: int) -> int:
@@ -50,73 +61,6 @@ def shared_prefix_len(n: int, t: int) -> int:
     return max(0, t - n + 1)
 
 
-@dataclass(frozen=True)
-class JointHistory:
-    """Complete record of a run up to time t: obs[k][s] for s <= t and
-    acts[k][s] for s <= t-1, one stream per agent."""
-
-    t: int
-    obs: tuple[IntSeq, ...]
-    acts: tuple[IntSeq, ...]
-
-
-@dataclass(frozen=True)
-class CommonInfo:
-    """The shared block: per agent, the observation and action prefixes up
-    to time t-n (both empty while t < n)."""
-
-    t: int
-    n: int
-    obs: tuple[IntSeq, ...]
-    acts: tuple[IntSeq, ...]
-
-    def validate(self) -> None:
-        want = shared_prefix_len(self.n, self.t)
-        for k, (ys, us) in enumerate(zip(self.obs, self.acts)):
-            if len(ys) != want or len(us) != want:
-                raise ValueError(
-                    f"agent {k}: shared prefixes must have length {want}, "
-                    f"got obs {len(ys)} / acts {len(us)}")
-
-
-@dataclass(frozen=True)
-class PrivateInfo:
-    """Agent k's private block: obs over the last min(n, t+1) steps and
-    acts over the last min(n-1, t) steps."""
-
-    t: int
-    n: int
-    agent: int
-    obs: IntSeq
-    acts: IntSeq
-
-    def validate(self) -> None:
-        if len(self.obs) != private_obs_len(self.n, self.t):
-            raise ValueError(f"private obs must have length {private_obs_len(self.n, self.t)}")
-        if len(self.acts) != private_act_len(self.n, self.t):
-            raise ValueError(f"private acts must have length {private_act_len(self.n, self.t)}")
-
-
-# lambda, the second coordinate of the extended state agent k must track:
-# the other agents' private blocks, in increasing agent order.
-Lam = tuple[PrivateInfo, ...]
-
-
-@dataclass(frozen=True)
-class InfoRealization:
-    """What agent k actually knows at time t: the shared block plus its own
-    private block."""
-
-    common: CommonInfo
-    private: PrivateInfo
-
-    def validate(self) -> None:
-        if self.common.t != self.private.t or self.common.n != self.private.n:
-            raise ValueError("common and private blocks disagree on (t, n)")
-        self.common.validate()
-        self.private.validate()
-
-
 def other_agents(K: int, k: int) -> tuple[int, ...]:
     return tuple(j for j in range(K) if j != k)
 
@@ -128,9 +72,9 @@ def other_agents(K: int, k: int) -> tuple[int, ...]:
 # agent k's private observations and its private actions. Tuples compare in
 # that order too, so code order is the canonical order. The shared digits
 # lead and are the same for every agent, so agent j's code is its shared
-# block's code * private_size(j) + its private code, and the lambda index of
-# other_private_space is the mixed radix over the other agents' private
-# codes. The text key used in strategy files and reports stays at the edges.
+# block's code * private_size(j) + its private code, and the lambda index is
+# the mixed radix over the other agents' private codes. The text key used in
+# strategy files and reports stays at the edges.
 # ---------------------------------------------------------------------------
 
 @functools.lru_cache(maxsize=4096)  # specs are immutable and hash by identity
@@ -164,17 +108,19 @@ def _code(obs, acts, own_obs: IntSeq, own_acts: IntSeq, rads: IntSeq) -> int:
     return code
 
 
-def encode(spec: ModelSpec, r: InfoRealization) -> int:
-    c, p = r.common, r.private
-    return _code(c.obs, c.acts, p.obs, p.acts, radices(spec, p.agent, p.t))
+def encode(spec: ModelSpec, k: int, t: int, blocks: Blocks) -> int:
+    """Agent k's time-t code of the given blocks; the inverse of decode."""
+    return _code(*blocks, radices(spec, k, t))
 
 
-def history_code(spec: ModelSpec, h: JointHistory, j: int, t: int) -> int:
-    """Agent j's time-t code (t <= h.t), read straight off the history:
-    every agent's streams up to t-n, then agent j's own symbols up to t."""
+def history_code(spec: ModelSpec, obs, acts, j: int, t: int) -> int:
+    """Agent j's time-t code read straight off a joint history, given as
+    per-agent observation streams (up to t at least) and action streams
+    (up to t-1 at least): every agent's streams up to t-n, then agent j's
+    own symbols up to t."""
     cut = shared_prefix_len(spec.n, t)
-    return _code((ys[:cut] for ys in h.obs), (us[:cut] for us in h.acts),
-                 h.obs[j][cut:t + 1], h.acts[j][cut:t], radices(spec, j, t))
+    return _code((ys[:cut] for ys in obs), (us[:cut] for us in acts),
+                 obs[j][cut:t + 1], acts[j][cut:t], radices(spec, j, t))
 
 
 def oldest(spec: ModelSpec, j: int, t: int, pcode):
@@ -214,80 +160,69 @@ def next_codes(spec: ModelSpec, k: int, t: int, codes, u, shown, y):
     return shared * private_size(spec, k, t + 1) + shift_code(spec, k, t, own, y, u)
 
 
-def decode(spec: ModelSpec, k: int, t: int, code: int) -> InfoRealization:
-    """The realization of agent k at time t with the given code."""
+def decode(spec: ModelSpec, k: int, t: int, code: int) -> Blocks:
+    """The blocks of agent k's time-t realization with the given code."""
     digits = [int(d) for d in np.unravel_index(code, radices(spec, k, t))]
-    cut, lo = shared_prefix_len(spec.n, t), private_obs_len(spec.n, t)
-    per_agent = [tuple(digits[i * cut:(i + 1) * cut]) for i in range(2 * spec.K)]
-    own = digits[2 * spec.K * cut:]
-    return InfoRealization(
-        common=CommonInfo(t=t, n=spec.n, obs=tuple(per_agent[:spec.K]),
-                          acts=tuple(per_agent[spec.K:])),
-        private=PrivateInfo(t=t, n=spec.n, agent=k, obs=tuple(own[:lo]), acts=tuple(own[lo:])))
+    cut, lo, K = shared_prefix_len(spec.n, t), private_obs_len(spec.n, t), spec.K
+    per_agent = [tuple(digits[i * cut:(i + 1) * cut]) for i in range(2 * K)]
+    own = digits[2 * K * cut:]
+    return Blocks(tuple(per_agent[:K]), tuple(per_agent[K:]), tuple(own[:lo]), tuple(own[lo:]))
 
 
 # ---------------------------------------------------------------------------
 # Text keys: the stable form of a realization in strategy files and reports.
 # ---------------------------------------------------------------------------
 
-def _seq_str(s: IntSeq) -> str:
-    return "-".join(str(int(v)) for v in s)
+def _block_str(obs: IntSeq, acts: IntSeq) -> str:
+    return "-".join(map(str, obs)) + "/" + "-".join(map(str, acts))
 
 
-def realization_key(r: InfoRealization) -> str:
+def realization_key(spec: ModelSpec, k: int, t: int, code: int) -> str:
     """Stable text key, e.g. ``c(0/1;1/0)p(1/)`` for K=2, n=1, t=1."""
-    common = ";".join(f"{_seq_str(ys)}/{_seq_str(us)}"
-                      for ys, us in zip(r.common.obs, r.common.acts))
-    private = f"{_seq_str(r.private.obs)}/{_seq_str(r.private.acts)}"
-    return f"c({common})p({private})"
+    b = decode(spec, k, t, code)
+    common = ";".join(map(_block_str, b.shared_obs, b.shared_acts))
+    return f"c({common})p({_block_str(b.own_obs, b.own_acts)})"
 
 
-def other_private_key(lam: Lam) -> str:
-    return ";".join(f"{_seq_str(p.obs)}/{_seq_str(p.acts)}" for p in lam)
+def lambda_labels(spec: ModelSpec, k: int, t: int) -> list[str]:
+    """The label of every lambda index at time t, in index order: the other
+    agents' private blocks, in increasing agent order, joined by ';'. A
+    private code below private_size decodes with an all-zero shared block."""
+    per_agent = [[_block_str(*decode(spec, j, t, pc)[2:])
+                  for pc in range(private_size(spec, j, t))] for j in other_agents(spec.K, k)]
+    return [";".join(parts) for parts in itertools.product(*per_agent)]
 
 
 def _parse_seq(s: str) -> IntSeq:
     return tuple(int(v) for v in s.split("-")) if s else ()
 
 
-def parse_realization_key(key: str, spec: ModelSpec, k: int, t: int) -> InfoRealization:
-    """Inverse of realization_key for agent k at time t of spec. Raises
+def _parse_block(s: str) -> tuple[IntSeq, IntSeq]:
+    ys, us = s.split("/")
+    return _parse_seq(ys), _parse_seq(us)
+
+
+def parse_realization_key(key: str, spec: ModelSpec, k: int, t: int) -> int:
+    """The code of a text key of agent k at time t of spec. Raises
     ValueError unless the key names spec.K agents, fills the index windows
     and uses only symbols in each agent's alphabets."""
     if not key.startswith("c(") or ")p(" not in key or not key.endswith(")"):
         raise ValueError(f"malformed realization key {key!r}")
     common_s, private_s = key[2:-1].split(")p(")
-    c_obs, c_acts = [], []
-    for part in common_s.split(";"):
-        ys, us = part.split("/")
-        c_obs.append(_parse_seq(ys))
-        c_acts.append(_parse_seq(us))
-    if len(c_obs) != spec.K:
-        raise ValueError(f"shared block names {len(c_obs)} agents, the model has {spec.K}")
-    ys, us = private_s.split("/")
-    r = InfoRealization(
-        common=CommonInfo(t=t, n=spec.n, obs=tuple(c_obs), acts=tuple(c_acts)),
-        private=PrivateInfo(t=t, n=spec.n, agent=k, obs=_parse_seq(ys), acts=_parse_seq(us)),
-    )
-    r.validate()
-    blocks = [*zip(range(spec.K), c_obs, c_acts), (k, r.private.obs, r.private.acts)]
-    for j, ys, us in blocks:
+    shared = [_parse_block(part) for part in common_s.split(";")]
+    if len(shared) != spec.K:
+        raise ValueError(f"shared block names {len(shared)} agents, the model has {spec.K}")
+    own = _parse_block(private_s)
+    want = shared_prefix_len(spec.n, t)
+    for j, (ys, us) in enumerate(shared):
+        if len(ys) != want or len(us) != want:
+            raise ValueError(f"agent {j}: shared prefixes must have length {want}, "
+                             f"got obs {len(ys)} / acts {len(us)}")
+    for name, seq, length in (("obs", own[0], private_obs_len(spec.n, t)),
+                              ("acts", own[1], private_act_len(spec.n, t))):
+        if len(seq) != length:
+            raise ValueError(f"private {name} must have length {length}")
+    for j, (ys, us) in [*enumerate(shared), (k, own)]:
         if any(y >= spec.obs_sizes[j] for y in ys) or any(u >= spec.act_sizes[j] for u in us):
             raise ValueError(f"symbol outside agent {j}'s alphabets")
-    return r
-
-
-# ---------------------------------------------------------------------------
-# Enumeration of the realization grids.
-# ---------------------------------------------------------------------------
-
-def other_private_space(spec: ModelSpec, k: int, t: int) -> tuple[Lam, ...]:
-    """All index-valid lambdas at time t, in canonical order."""
-    n = spec.n
-    per_agent = [[PrivateInfo(t=t, n=n, agent=j, obs=ys, acts=us)
-                  for ys in itertools.product(range(spec.obs_sizes[j]),
-                                              repeat=private_obs_len(n, t))
-                  for us in itertools.product(range(spec.act_sizes[j]),
-                                              repeat=private_act_len(n, t))]
-                 for j in other_agents(spec.K, k)]
-    return tuple(itertools.product(*per_agent))
+    return encode(spec, k, t, Blocks(*zip(*shared), *own))

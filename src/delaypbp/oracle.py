@@ -4,10 +4,11 @@
 give positive probability, up to some horizon, and hands each leaf to a
 visitor. Everything else here is a group-by over one walk: expected costs,
 agent k's posterior over the extended state, conditional cost-to-go,
-brute-force best responses and stationarity certificates. Group-bys key
-each leaf by cheap (observations, actions) tuples, turn each distinct key
-into realization codes (`info.history_code`) once, and return dicts keyed
-by agent k's code. No beliefs, no backward recursion -- this module is the
+brute-force best responses and stationarity certificates. A joint history
+is two tuples of per-agent streams, observations and actions. Group-bys
+key each leaf by such tuples, turn each distinct key into realization
+codes (`info.history_code`) once, and return dicts keyed by agent k's
+code. No beliefs, no backward recursion -- this module is the
 reference the filter and the dynamic program are checked against, so it
 imports nothing but the model and information-pattern primitives.
 """
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InstanceTooLargeError
-from .info import JointHistory, grid_size, history_code, other_agents, private_size
+from .info import grid_size, history_code, other_agents, private_size
 from .model import COMPARE_TOL, ModelSpec
 
 # Candidate count guard for brute_force_best_response.
@@ -46,13 +47,14 @@ def _likely_observations(spec: ModelSpec, s: int) -> list[list[tuple[tuple, floa
 
 def walk(spec: ModelSpec, g, visit, t_end: int | None = None, free: int | None = None,
          free_until: int = 0, cost_from: int = 0) -> None:
-    """Call visit(xs, hist, mass, cost) at every positive-probability joint
-    history up to t_end (default: the horizon T).
+    """Call visit(xs, obs, acts, mass, cost) at every positive-probability
+    joint history up to t_end (default: the horizon T).
 
     Every agent acts from the profile g, except agent `free` at times before
     free_until: there it branches over its whole action alphabet, and its
-    maps are never read. xs is the state path x_0..x_{t_end} and hist the
-    observations and actions; mass is init * (1.0 * q_0 * q_1 ...), then
+    maps are never read. xs is the state path x_0..x_{t_end}; obs and acts
+    are the per-agent observation streams (to t_end) and action streams (to
+    t_end - 1); mass is init * (1.0 * q_0 * q_1 ...), then
     mass * p_x * p_y per step, the path's probability given the free
     agent's actions; cost sums the stage costs at times cost_from..t_end-1
     left to right, plus the terminal cost when t_end = T.
@@ -67,49 +69,47 @@ def walk(spec: ModelSpec, g, visit, t_end: int | None = None, free: int | None =
     if not (0 <= t_end <= spec.T):
         raise ValueError(f"t_end must be in 0..{spec.T}")
     K, X = spec.K, spec.state_size
-    obs = [_likely_observations(spec, s) for s in range(t_end + 1)]
+    likely = [_likely_observations(spec, s) for s in range(t_end + 1)]
     # Kernels and costs as nested lists indexed [x][joint action], with the
     # joint action's flat index in the kernels' C order.
     trans = [spec.transition[s].reshape(X, -1, X).tolist() for s in range(t_end)]
     stage = [spec.stage_cost[s].reshape(X, -1).tolist() for s in range(t_end)]
     terminal = spec.terminal_cost.tolist()
-    joint = {acts: i for i, acts in enumerate(
+    joint = {us: i for i, us in enumerate(
         itertools.product(*(range(a) for a in spec.act_sizes)))}
 
-    def step(s: int, xs: tuple, hist: JointHistory, mass: float, cost: float) -> None:
+    def step(s: int, xs: tuple, obs: tuple, acts: tuple, mass: float, cost: float) -> None:
         if s == t_end:
-            visit(xs, hist, mass, cost + terminal[xs[-1]] if s == spec.T else cost)
+            visit(xs, obs, acts, mass, cost + terminal[xs[-1]] if s == spec.T else cost)
             return
         x = xs[-1]
         choices = [range(spec.act_sizes[j]) if j == free and s < free_until
-                   else (g.action_at(j, s, history_code(spec, hist, j, s)),) for j in range(K)]
-        for acts in itertools.product(*choices):
-            a = joint[acts]
+                   else (g.action_at(j, s, history_code(spec, obs, acts, j, s)),)
+                   for j in range(K)]
+        for us in itertools.product(*choices):
+            a = joint[us]
             c = cost + stage[s][x][a] if s >= cost_from else cost
-            acts1 = tuple(us + (u,) for us, u in zip(hist.acts, acts))
+            acts1 = tuple(stream + (u,) for stream, u in zip(acts, us))
             for x1, p_x in enumerate(trans[s][x][a]):
                 if p_x <= 0.0:
                     continue
-                for ys, p_y in obs[s + 1][x1]:
-                    step(s + 1, xs + (x1,),
-                         JointHistory(t=s + 1, obs=tuple(o + (y,) for o, y in zip(hist.obs, ys)),
-                                      acts=acts1),
-                         mass * p_x * p_y, c)
+                for ys, p_y in likely[s + 1][x1]:
+                    step(s + 1, xs + (x1,), tuple(stream + (y,) for stream, y in zip(obs, ys)),
+                         acts1, mass * p_x * p_y, c)
 
     no_acts = tuple(() for _ in range(K))
     for x0, p0 in enumerate(spec.init_dist.tolist()):
         if p0 <= 0.0:
             continue
-        for ys, p_y in obs[0][x0]:
-            step(0, (x0,), JointHistory(t=0, obs=tuple((y,) for y in ys), acts=no_acts),
-                 p0 * p_y, 0.0)
+        for ys, p_y in likely[0][x0]:
+            step(0, (x0,), tuple((y,) for y in ys), no_acts, p0 * p_y, 0.0)
 
 
 def enumerate_cost(spec: ModelSpec, g_full) -> float:
     """Expected total cost of a profile, straight from the definition."""
     total = 0.0
 
-    def visit(xs, hist, mass, cost):
+    def visit(xs, obs, acts, mass, cost):
         nonlocal total
         total += mass * cost
 
@@ -117,10 +117,10 @@ def enumerate_cost(spec: ModelSpec, g_full) -> float:
     return total
 
 
-def _cut(hist: JointHistory, t: int) -> tuple[tuple, tuple]:
-    """The history up to time t as plain tuples (observations, actions), a
-    cheap group-by key that fixes every agent's realization at t."""
-    return tuple(ys[:t + 1] for ys in hist.obs), tuple(us[:t] for us in hist.acts)
+def _cut(obs: tuple, acts: tuple, t: int) -> tuple[tuple, tuple]:
+    """The history up to time t as (observations, actions), a cheap
+    group-by key that fixes every agent's realization at t."""
+    return tuple(ys[:t + 1] for ys in obs), tuple(us[:t] for us in acts)
 
 
 def posteriors(spec: ModelSpec, g, k: int, t: int,
@@ -135,7 +135,7 @@ def posteriors(spec: ModelSpec, g, k: int, t: int,
     realization, lambda_t^{-k}, x_t), and are normalized per realization.
     Each posterior is a (state, lambda) array; the lambda index is the
     mixed radix over the other agents' private codes, the order of
-    info.other_private_space(spec, k, t).
+    info.lambda_labels(spec, k, t).
 
     With free=False agent k follows g instead. A realization g reaches has
     the same leaves in the same order either way, so its posterior is the
@@ -144,8 +144,8 @@ def posteriors(spec: ModelSpec, g, k: int, t: int,
     """
     cells: dict[tuple, float] = {}
 
-    def visit(xs, hist, mass, cost):
-        key = (hist.obs, hist.acts, xs[-1])
+    def visit(xs, obs, acts, mass, cost):
+        key = (obs, acts, xs[-1])
         cells[key] = cells.get(key, 0.0) + mass
 
     walk(spec, g, visit, t_end=t, free=k, free_until=t if free else 0)
@@ -155,10 +155,10 @@ def posteriors(spec: ModelSpec, g, k: int, t: int,
     mats: dict[int, np.ndarray] = {}
     for (obs, acts, x), m in cells.items():
         if (obs, acts) not in at:
-            h, lam = JointHistory(t=t, obs=obs, acts=acts), 0
+            lam = 0
             for j, size in zip(others, sizes):
-                lam = lam * size + history_code(spec, h, j, t) % size
-            at[obs, acts] = history_code(spec, h, k, t), lam
+                lam = lam * size + history_code(spec, obs, acts, j, t) % size
+            at[obs, acts] = history_code(spec, obs, acts, k, t), lam
         code, lam = at[obs, acts]
         if code not in mats:
             mats[code] = np.zeros((spec.state_size, math.prod(sizes)))
@@ -177,8 +177,8 @@ def cost_to_go(spec: ModelSpec, k: int, g, t0: int) -> dict[int, float]:
     """
     sums: dict[tuple, list[float]] = {}  # per time-t0 history
 
-    def visit(xs, hist, mass, cost):
-        key = _cut(hist, t0)
+    def visit(xs, obs, acts, mass, cost):
+        key = _cut(obs, acts, t0)
         if key not in sums:
             sums[key] = [0.0, 0.0]
         acc = sums[key]
@@ -189,7 +189,7 @@ def cost_to_go(spec: ModelSpec, k: int, g, t0: int) -> dict[int, float]:
     numer: dict[int, float] = {}
     denom: dict[int, float] = {}
     for (obs, acts), (num, den) in sums.items():
-        code = history_code(spec, JointHistory(t=t0, obs=obs, acts=acts), k, t0)
+        code = history_code(spec, obs, acts, k, t0)
         numer[code] = numer.get(code, 0.0) + num
         denom[code] = denom.get(code, 0.0) + den
     return {code: numer[code] / denom[code] for code in numer}
@@ -227,16 +227,15 @@ def brute_force_best_response(spec: ModelSpec, k: int, g_minus_k):
     # realization and action. Those four fix every action of agent k.
     sums: dict[tuple, float] = {}
 
-    def visit(xs, hist, mass, cost):
-        key = (_cut(hist, last)[0], hist.acts)
+    def visit(xs, obs, acts, mass, cost):
+        key = (_cut(obs, acts, last)[0], acts)
         sums[key] = sums.get(key, 0.0) + mass * cost
 
     walk(spec, g_minus_k, visit, free=k, free_until=spec.T)
     tails: dict[tuple, dict[int, dict[int, float]]] = {}  # realizations as codes
     for (obs, acts), c in sums.items():
-        h = JointHistory(t=last, obs=obs, acts=tuple(us[:last] for us in acts))
-        costs = tails.setdefault((history_code(spec, h, k, 0), acts[k][0]), {}
-                                 ).setdefault(history_code(spec, h, k, last), {})
+        costs = tails.setdefault((history_code(spec, obs, acts, k, 0), acts[k][0]), {}
+                                 ).setdefault(history_code(spec, obs, acts, k, last), {})
         costs[acts[k][last]] = costs.get(acts[k][last], 0.0) + c
     firsts = sorted({r0 for r0, _ in tails})
     # The pointwise-best final action per realization, and the cost it gives.

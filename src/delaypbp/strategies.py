@@ -1,9 +1,10 @@
 """Deterministic strategy profiles and their JSON form.
 
 A profile stores, per agent k and decision time t, agent k's strategy as
-one read-only int array over its time-t realization codes (`info.encode`):
-cell i holds the action at the realization with code i, or -1 where no
-action is given (a strategy file that leaves a realization out, or a
+one read-only int array over its time-t realization codes (`info`'s
+integer coding; a strategy file names each code by its text key): cell i
+holds the action at the realization with code i, or -1 where no action is
+given (a strategy file that leaves a realization out, or a
 best response off the grid its forward pass reaches). The builders here
 fill every cell, so their profiles stay total when the other agents'
 strategies change between best-response sweeps.
@@ -17,8 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IncompleteStrategyError, ModelFormatError
-from .info import (decode, encode, grid_size, parse_realization_key, private_act_len,
-                   realization_key)
+from .info import grid_size, parse_realization_key, private_act_len, realization_key
 from .model import ModelSpec, is_integer
 
 
@@ -47,7 +47,7 @@ class StrategyProfile:
         if u < 0:
             raise IncompleteStrategyError(
                 f"incomplete strategy: agent {k} has no action at "
-                f"t={t}, {realization_key(decode(self.spec, k, t, code))}")
+                f"t={t}, {realization_key(self.spec, k, t, code)}")
         return u
 
     def actions_at(self, k: int, t: int, codes: np.ndarray, reached=True) -> np.ndarray:
@@ -59,7 +59,7 @@ class StrategyProfile:
         miss = codes[(a < 0) & reached]
         if len(miss):
             miss = sorted(set(miss.tolist()))
-            keys = ", ".join(realization_key(decode(self.spec, k, t, c)) for c in miss[:3])
+            keys = ", ".join(realization_key(self.spec, k, t, c) for c in miss[:3])
             raise IncompleteStrategyError(
                 f"incomplete strategy: agent {k} has no action at t={t}, {keys}"
                 f" ({len(miss)} reached realization{'s' * (len(miss) > 1)} without one)")
@@ -116,7 +116,7 @@ def profile_to_dict(spec: ModelSpec, g: StrategyProfile) -> dict:
             m = g.maps[k][t]
             times.append({
                 "t": t,
-                "entries": [[realization_key(decode(spec, k, t, code)), int(m[code])]
+                "entries": [[realization_key(spec, k, t, code), int(m[code])]
                             for code in np.flatnonzero(m >= 0)],
             })
         agents.append({"agent": k, "times": times})
@@ -177,7 +177,7 @@ def profile_from_dict(spec: ModelSpec, doc: dict) -> StrategyProfile:
                         f"agent {k} time {t}: entry {entry!r} is not a [key, action] pair")
                 key, u = entry
                 try:
-                    code = encode(spec, parse_realization_key(key, spec, k, t))
+                    code = parse_realization_key(key, spec, k, t)
                 except ValueError as exc:
                     raise ModelFormatError(
                         f"agent {k} time {t}: bad realization key {key!r}: {exc}") from None

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from delaypbp import canonical_instance
-from delaypbp.info import InfoRealization, encode
 from delaypbp.model import ModelSpec
 from delaypbp.strategies import (constant_profile, observation_following_profile,
                                  random_profile)
+from reference_recursion import Node, encode
 
 RANDOM_SEED = 20240817
 
@@ -50,10 +50,9 @@ def five_profiles(spec):
 
 def others_play(g, common, lam):
     """The other agents' actions at (common, each one's private block in
-    lambda), read one realization at a time: the reference the strategy
-    gathers are checked against."""
-    return tuple(g.action_at(p.agent, p.t,
-                             encode(g.spec, InfoRealization(common=common, private=p)))
+    lambda), reference_recursion records, read one realization at a time:
+    the reference the strategy gathers are checked against."""
+    return tuple(g.action_at(p.agent, p.t, encode(g.spec, Node(common=common, private=p)))
                  for p in lam)
 
 

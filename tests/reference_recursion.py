@@ -7,18 +7,75 @@ nested tuples (`advance_common`, `shift_private`), `expand` grows dicts
 realization -> belief, and the backward pass and the belief-form cost loop
 over those dicts with one stage and terminal value per node. The layer
 path must give the same floats bit for bit.
+
+Realizations here are the local records `Node` (a `Common` shared block
+and a `Private` block), and lambda is a tuple of the other agents'
+`Private` blocks in `other_private_space` order; they meet the package's
+integer coding only through `encode` and `decode`.
 """
 
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 
 import numpy as np
 
-from delaypbp.info import (CommonInfo, InfoRealization, PrivateInfo, decode, encode,
-                           grid_size, other_agents, other_private_space, private_size,
-                           radices, shared_prefix_len)
+from delaypbp import info
+from delaypbp.info import grid_size, other_agents, private_size, radices, shared_prefix_len
 from delaypbp.model import IMPROVE_TOL
+
+
+# --- the realization records --------------------------------------------------
+
+@dataclass(frozen=True)
+class Common:
+    """The shared block at time t: per agent, the observation and action
+    prefixes up to time t-n."""
+
+    t: int
+    n: int
+    obs: tuple
+    acts: tuple
+
+
+@dataclass(frozen=True)
+class Private:
+    """Agent `agent`'s private block at time t."""
+
+    t: int
+    n: int
+    agent: int
+    obs: tuple
+    acts: tuple
+
+
+@dataclass(frozen=True)
+class Node:
+    common: Common
+    private: Private
+
+
+def encode(spec, r):
+    return info.encode(spec, r.private.agent, r.common.t,
+                       info.Blocks(r.common.obs, r.common.acts, r.private.obs, r.private.acts))
+
+
+def decode(spec, k, t, code):
+    b = info.decode(spec, k, t, code)
+    return Node(Common(t, spec.n, b.shared_obs, b.shared_acts),
+                Private(t, spec.n, k, b.own_obs, b.own_acts))
+
+
+def other_private_space(spec, k, t):
+    """Every lambda at time t: per other agent, its private blocks in
+    (observations, actions) order, combined agent-major."""
+    lo, la = info.private_obs_len(spec.n, t), info.private_act_len(spec.n, t)
+    return tuple(itertools.product(*(
+        [Private(t, spec.n, j, ys, us)
+         for ys in itertools.product(range(spec.obs_sizes[j]), repeat=lo)
+         for us in itertools.product(range(spec.act_sizes[j]), repeat=la)]
+        for j in other_agents(spec.K, k))))
 
 
 def seq_sum(v):
@@ -50,8 +107,8 @@ def advance_common(c, promoted_obs, promoted_acts):
     """Shared block at t+1: extend every agent's prefixes by the
     time-(t-n+1) symbols, or keep them empty while t+1 < n."""
     if shared_prefix_len(c.n, c.t + 1) == shared_prefix_len(c.n, c.t):
-        return CommonInfo(t=c.t + 1, n=c.n, obs=c.obs, acts=c.acts)
-    return CommonInfo(
+        return Common(t=c.t + 1, n=c.n, obs=c.obs, acts=c.acts)
+    return Common(
         t=c.t + 1, n=c.n,
         obs=tuple(ys + (y,) for ys, y in zip(c.obs, promoted_obs)),
         acts=tuple(us + (u,) for us, u in zip(c.acts, promoted_acts)))
@@ -61,8 +118,8 @@ def shift_private(p, new_obs, new_act):
     """Private block at t+1: shed the oldest symbols once t >= n-1, then
     append the time-(t+1) observation and, with n >= 2, the time-t action."""
     drop = 1 if shared_prefix_len(p.n, p.t + 1) > shared_prefix_len(p.n, p.t) else 0
-    return PrivateInfo(t=p.t + 1, n=p.n, agent=p.agent, obs=p.obs[drop:] + (new_obs,),
-                       acts=p.acts[drop:] + (new_act,) if p.n >= 2 else ())
+    return Private(t=p.t + 1, n=p.n, agent=p.agent, obs=p.obs[drop:] + (new_obs,),
+                   acts=p.acts[drop:] + (new_act,) if p.n >= 2 else ())
 
 
 def advance_other(lam, new_obs, new_acts):
@@ -185,8 +242,8 @@ class NodePass:
         for revealed, y, b, w in self.children(r.common, xi, u):
             if revealed not in blocks:
                 blocks[revealed] = self.next_common(r, u, revealed)
-            out.append((InfoRealization(common=blocks[revealed],
-                                        private=shift_private(r.private, y, u)), b, w))
+            out.append((Node(common=blocks[revealed],
+                             private=shift_private(r.private, y, u)), b, w))
         return out
 
     def expand(self, free):

@@ -14,9 +14,9 @@ from delaypbp import oracle
 from delaypbp.cli import EXIT_CONFIG, EXIT_OK, EXIT_TOLERANCE, RunConfig, main, run
 from delaypbp.dp import solve_best_response
 from delaypbp.errors import ModelFormatError
-from delaypbp.info import decode, encode, history_code, parse_realization_key, realization_key
-from delaypbp.model import model_to_dict, save_model
-from delaypbp.strategies import (load_profile, observation_following_profile,
+from delaypbp.info import history_code, parse_realization_key, realization_key
+from delaypbp.model import K1_TOL, ModelSpec, model_to_dict, save_model
+from delaypbp.strategies import (StrategyProfile, load_profile, observation_following_profile,
                                  profile_to_dict, random_profile, save_profile)
 
 
@@ -421,16 +421,55 @@ def test_incomplete_strategy_file_reports_every_miss_in_the_layer(tmp_path, cano
     # Two entries cover each agent's t = 0 map; agent 1's realizations that
     # agent 0's chain reaches at t = 1 are those the walk reaches.
     reached = set()
-    oracle.walk(canon_2a, g, lambda xs, h, m, c: reached.add(history_code(canon_2a, h, 1, 1)),
+    oracle.walk(canon_2a, g,
+                lambda xs, obs, acts, m, c: reached.add(history_code(canon_2a, obs, acts, 1, 1)),
                 t_end=1)
-    kept = {encode(canon_2a, parse_realization_key(key, canon_2a, 1, 1))
+    kept = {parse_realization_key(key, canon_2a, 1, 1)
             for key, _ in doc["agents"][1]["times"][1]["entries"]}
     missing = sorted(reached - kept)
     assert len(missing) > 3
-    keys = ", ".join(realization_key(decode(canon_2a, 1, 1, c)) for c in missing[:3])
+    keys = ", ".join(realization_key(canon_2a, 1, 1, c) for c in missing[:3])
     assert capsys.readouterr().err.strip().splitlines() == [
         f"error: incomplete strategy: agent 1 has no action at t=1, {keys} "
         f"({len(missing)} reached realizations without one)"]
+
+
+def test_strategy_holding_only_reached_realizations_runs_falsify(tmp_path, canon_2a):
+    """Agent 0 of this CANON-2A variant never sees y=1 at t=0, and the
+    strategy file gives actions exactly where the model's walk reaches.
+    filter and falsify need no more: falsify's gated check on the
+    state-blind observation variant, which reaches realizations the file
+    leaves out, plays 0 there and finds no gap. solve needs the other
+    agent's actions wherever agent 0's own free actions lead, so it
+    still reports the file incomplete."""
+    obs = [list(qs) for qs in canon_2a.observation]
+    obs[0][0] = np.array([[1.0, 0.0], [1.0, 0.0]])
+    spec = ModelSpec.from_tables(
+        canon_2a.K, canon_2a.n, canon_2a.T, canon_2a.state_size, canon_2a.obs_sizes,
+        canon_2a.act_sizes, canon_2a.init_dist, canon_2a.transition, obs,
+        canon_2a.stage_cost, canon_2a.terminal_cost)
+    model_path = tmp_path / "cut.json"
+    save_model(spec, model_path)
+    g = observation_following_profile(spec)
+    reached = [[set() for _ in range(spec.T)] for _ in range(spec.K)]
+
+    def visit(xs, obs, acts, mass, cost):
+        for j in range(spec.K):
+            for t in range(spec.T):
+                reached[j][t].add(history_code(spec, obs, acts, j, t))
+
+    oracle.walk(spec, g, visit)
+    maps = tuple(tuple(np.where(np.isin(np.arange(len(m)), sorted(reached[j][t])), m, -1)
+                       for t, m in enumerate(row)) for j, row in enumerate(g.maps))
+    assert all(np.any(m < 0) for row in maps for m in row[1:])
+    strategy = tmp_path / "strategy.json"
+    save_profile(spec, StrategyProfile(spec, maps), strategy)
+    for command, want in (("filter", EXIT_OK), ("falsify", EXIT_OK), ("solve", EXIT_CONFIG)):
+        assert main(["--command", command, "--model", str(model_path), "--strategy",
+                     str(strategy), "--out", str(tmp_path / "r")]) == want, command
+    checks = read(tmp_path / "r" / "falsify_cut.json")["results"]
+    gated = next(e for e in checks if e["check"] == "conditional-independence-uniform-obs")
+    assert gated["pass"] and gated["report"]["max_gap"] <= K1_TOL
 
 
 @pytest.mark.parametrize("flag", ["--strategy", "--model", "--out"])

@@ -9,9 +9,11 @@ from delaypbp.dp import (ValueLayer, ValueTable, cost_via_beliefs, expected_valu
                          pbp_sweep, solve_best_response, stage_values,
                          terminal_values, verify_value_dominance)
 from delaypbp.filtering import BeliefPass, chained_beliefs
-from delaypbp.info import decode, grid_size, other_private_space
+from delaypbp.info import decode, grid_size
 from delaypbp.strategies import (constant_profile, observation_following_profile,
                                  random_profile)
+from reference_recursion import decode as decode_node
+from reference_recursion import other_private_space
 from test_oracle import truncate_to_t1, zero_cost_variant
 
 
@@ -68,7 +70,7 @@ def test_stage_and_terminal_values_equal_scalar_loops_bitwise(K, n, T):
                 acc = 0.0
                 for (x, li), p in np.ndenumerate(xi):
                     if p > 0.0:
-                        common = decode(spec, 0, t, code).common
+                        common = decode_node(spec, 0, t, code).common
                         u_full = (u, *others_play(g, common, lams[li]))
                         acc += p * spec.stage_cost[t][(x, *u_full)]
                 assert got[i, u] == acc
@@ -156,12 +158,12 @@ def test_semi_separation_of_extracted_actions(canon_2a):
             r = decode(canon_2a, 0, t, int(code))
             placed = False
             for key, (probs, actions) in groups.items():
-                if key == (r.common, r.private) and \
+                if key == r and \
                         np.max(np.abs(probs - belief)) <= 1e-10:
                     actions.append(best)
                     placed = True
             if not placed:
-                groups[(r.common, r.private)] = (belief, [best])
+                groups[r] = (belief, [best])
         for _, actions in groups.values():
             assert len(set(actions)) == 1
 

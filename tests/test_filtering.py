@@ -9,12 +9,12 @@ from conftest import layer_nodes, others_play, random_model
 from delaypbp import filtering, oracle
 from delaypbp.filtering import (BeliefPass, chained_beliefs, classical_filter_update,
                                 max_abs_gap)
-from delaypbp.info import (CommonInfo, InfoRealization, PrivateInfo, decode, other_agents,
-                           other_private_space, shared_prefix_len)
+from delaypbp.info import Blocks, decode, other_agents, shared_prefix_len
 from delaypbp.model import ModelSpec
 from delaypbp.strategies import (constant_profile, observation_following_profile,
                                  random_profile)
-from reference_recursion import advance_other
+from reference_recursion import advance_other, other_private_space
+from reference_recursion import decode as decode_node
 
 
 def perfect_obs_identity_spec():
@@ -94,9 +94,7 @@ def test_initial_belief_unreachable_observation():
 
 def first_realization(spec, k, y0):
     """Agent k's time-0 realization: no shared block, first observation y0."""
-    return InfoRealization(
-        common=CommonInfo(t=0, n=spec.n, obs=((),) * spec.K, acts=((),) * spec.K),
-        private=PrivateInfo(t=0, n=spec.n, agent=k, obs=(y0,), acts=()))
+    return Blocks(((),) * spec.K, ((),) * spec.K, (y0,), ())
 
 
 def successors_by_block(spec, k, y0, g, u):
@@ -107,7 +105,7 @@ def successors_by_block(spec, k, y0, g, u):
     lay = bp.start()
     nxt = bp.step(lay, np.full(len(lay), u))
     mine = nxt.parent == lay.codes.tolist().index(y0)
-    return {(r1.common, r1.private.obs[-1]): b
+    return {((r1.shared_obs, r1.shared_acts), r1.own_obs[-1]): b
             for r1, b in zip((decode(spec, k, 1, int(c)) for c in nxt.codes[mine]),
                              nxt.beliefs[mine])}
 
@@ -183,7 +181,7 @@ def test_oracle_belief_unreachable_realization(canon_2a):
     unreachable = [decode(canon_2a, 0, 1, code) for code in range(grid_size(canon_2a, 0, 1))
                    if code not in post]
     assert len(unreachable) == len(post) == 16
-    assert all(r.common.acts[1] == (1,) for r in unreachable)
+    assert all(r.shared_acts[1] == (1,) for r in unreachable)
 
 
 @settings(max_examples=12, deadline=None)
@@ -281,7 +279,7 @@ def test_classical_filter_matches_recursion_marginal(canon_1):
     g = constant_profile(canon_1, 0)
     chain = chained_beliefs(canon_1, g, 0)
     for code, (b, _) in chain[0].items():
-        y0 = decode(canon_1, 0, 0, code).private.obs[0]
+        y0 = decode(canon_1, 0, 0, code).own_obs[0]
         raw = canon_1.init_dist * canon_1.observation[0][0][:, y0]
         pi = raw / raw.sum()
         assert np.max(np.abs(b.sum(axis=1) - pi)) <= 1e-12
@@ -343,15 +341,15 @@ def test_batched_kernel_equals_scalar_loop_bitwise(K, n, T, sizes):
             for i, code in enumerate(free[t].codes.tolist()):
                 if code not in on_chain:
                     continue
-                r, xi = decode(spec, k, t, code), free[t].beliefs[i]
+                r, xi = decode_node(spec, k, t, code), free[t].beliefs[i]
                 for u in range(spec.act_sizes[k]):
                     got = {}
                     for c in np.flatnonzero((nxt.parent == i) & (nxt.action == u)):
                         r1 = decode(spec, k, t + 1, int(nxt.codes[c]))
-                        rev = ((tuple(r1.common.obs[j][-1] for j in others),
-                                tuple(r1.common.acts[j][-1] for j in others))
+                        rev = ((tuple(r1.shared_obs[j][-1] for j in others),
+                                tuple(r1.shared_acts[j][-1] for j in others))
                                if promote else ())
-                        got[(rev, r1.private.obs[-1])] = (nxt.beliefs[c], nxt.weight[c])
+                        got[(rev, r1.own_obs[-1])] = (nxt.beliefs[c], nxt.weight[c])
                     want = {}
                     for rev in reveals:
                         for y in range(spec.obs_sizes[k]):

@@ -9,32 +9,29 @@ from hypothesis import strategies as st
 from conftest import SHAPES, layer_nodes, random_model
 from delaypbp import oracle
 from delaypbp.filtering import BeliefPass
-from delaypbp.info import (CommonInfo, InfoRealization, JointHistory,
-                           PrivateInfo, decode, encode, grid_size, history_code,
-                           next_codes, oldest, other_private_space,
-                           parse_realization_key, private_act_len, private_obs_len,
-                           private_size, realization_key, shared_prefix_len, shift_code)
+from delaypbp.info import (Blocks, decode, encode, grid_size, history_code, lambda_labels,
+                           next_codes, oldest, parse_realization_key, private_act_len,
+                           private_obs_len, private_size, realization_key, shared_prefix_len,
+                           shift_code)
 from delaypbp.model import ModelSpec
 from delaypbp.strategies import (constant_profile, observation_following_profile,
                                  random_profile)
 
 
 def make_history(K, t, fill=0):
-    return JointHistory(
-        t=t,
-        obs=tuple(tuple((fill + k + s) % 3 for s in range(t + 1)) for k in range(K)),
-        acts=tuple(tuple((fill + k + s + 1) % 3 for s in range(t)) for k in range(K)),
-    )
+    """A joint history to time t: per-agent observation and action streams."""
+    return (tuple(tuple((fill + k + s) % 3 for s in range(t + 1)) for k in range(K)),
+            tuple(tuple((fill + k + s + 1) % 3 for s in range(t)) for k in range(K)))
 
 
-def split(spec, h, k):
-    """Agent k's shared block, private block and lambda at time h.t, read
-    through the codes: agent k's history code decoded, and each other
-    agent's decoded private block."""
-    r = decode(spec, k, h.t, history_code(spec, h, k, h.t))
-    lam = tuple(decode(spec, j, h.t, history_code(spec, h, j, h.t)).private
-                for j in range(spec.K) if j != k)
-    return r.common, r.private, lam
+def split(spec, obs, acts, k, t):
+    """Agent k's blocks and lambda at time t, read through the codes: agent
+    k's history code decoded, and each other agent's decoded private block
+    (observations, actions), keyed by agent."""
+    b = decode(spec, k, t, history_code(spec, obs, acts, k, t))
+    lam = {j: decode(spec, j, t, history_code(spec, obs, acts, j, t))[2:]
+           for j in range(spec.K) if j != k}
+    return b, lam
 
 
 @functools.lru_cache(maxsize=None)
@@ -46,52 +43,47 @@ def alphabet3_spec(K, n):
 # --- split examples ---------------------------------------------------------
 
 def test_split_t0_n1(canon_2a):
-    h = JointHistory(t=0, obs=((0,), (1,)), acts=((), ()))
-    c, p, o = split(canon_2a, h, 0)
-    assert c.obs == ((), ()) and c.acts == ((), ())
-    assert p.obs == (0,) and p.acts == ()
-    assert o[0].agent == 1 and o[0].obs == (1,) and o[0].acts == ()
+    b, o = split(canon_2a, ((0,), (1,)), ((), ()), 0, 0)
+    assert b.shared_obs == ((), ()) and b.shared_acts == ((), ())
+    assert b.own_obs == (0,) and b.own_acts == ()
+    assert o == {1: ((1,), ())}
 
 
 def test_split_t1_n1(canon_2a):
-    h = JointHistory(t=1, obs=((0, 1), (1, 0)), acts=((1,), (0,)))
-    c, p, o = split(canon_2a, h, 0)
-    assert c.obs == ((0,), (1,)) and c.acts == ((1,), (0,))
-    assert p.obs == (1,) and p.acts == ()
-    assert o[0].obs == (0,) and o[0].acts == ()
+    b, o = split(canon_2a, ((0, 1), (1, 0)), ((1,), (0,)), 0, 1)
+    assert b.shared_obs == ((0,), (1,)) and b.shared_acts == ((1,), (0,))
+    assert b.own_obs == (1,) and b.own_acts == ()
+    assert o == {1: ((0,), ())}
 
 
 def test_split_t2_n2_agent1():
-    h = JointHistory(t=2, obs=((0, 1, 0), (1, 1, 0)), acts=((1, 0), (0, 1)))
-    c, p, o = split(alphabet3_spec(2, 2), h, 1)
-    assert c.obs == ((0,), (1,)) and c.acts == ((1,), (0,))
-    assert p.agent == 1
-    assert p.obs == (1, 0) and p.acts == (1,)
-    assert o[0].agent == 0 and o[0].obs == (1, 0) and o[0].acts == (0,)
+    b, o = split(alphabet3_spec(2, 2), ((0, 1, 0), (1, 1, 0)), ((1, 0), (0, 1)), 1, 2)
+    assert b.shared_obs == ((0,), (1,)) and b.shared_acts == ((1,), (0,))
+    assert b.own_obs == (1, 0) and b.own_acts == (1,)
+    assert o == {0: ((1, 0), (0,))}
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.integers(1, 3), st.integers(1, 4), st.integers(0, 5), st.integers(0, 2))
 def test_split_partition_property(K, n, t, fill):
     """Agent k's shared prefix plus private block is exactly its stream."""
-    h, spec = make_history(K, t, fill), alphabet3_spec(K, n)
+    (obs, acts), spec = make_history(K, t, fill), alphabet3_spec(K, n)
     for k in range(K):
-        c, p, o = split(spec, h, k)
-        assert c.obs[k] + p.obs == h.obs[k]
-        assert c.acts[k] + p.acts == h.acts[k]
-        assert len(p.obs) == private_obs_len(n, t)
-        assert len(p.acts) == private_act_len(n, t)
-        for pos, j in enumerate(jj for jj in range(K) if jj != k):
-            assert c.obs[j] + o[pos].obs == h.obs[j]
-            assert c.acts[j] + o[pos].acts == h.acts[j]
+        b, o = split(spec, obs, acts, k, t)
+        assert b.shared_obs[k] + b.own_obs == obs[k]
+        assert b.shared_acts[k] + b.own_acts == acts[k]
+        assert len(b.own_obs) == private_obs_len(n, t)
+        assert len(b.own_acts) == private_act_len(n, t)
+        for j, (ys, us) in o.items():
+            assert b.shared_obs[j] + ys == obs[j]
+            assert b.shared_acts[j] + us == acts[j]
 
 
 # --- advance ------------------------------------------------------------------
 
-def extend(h, new_obs, new_acts):
-    return JointHistory(t=h.t + 1,
-                        obs=tuple(ys + (y,) for ys, y in zip(h.obs, new_obs)),
-                        acts=tuple(us + (u,) for us, u in zip(h.acts, new_acts)))
+def extend(obs, acts, new_obs, new_acts):
+    return (tuple(ys + (y,) for ys, y in zip(obs, new_obs)),
+            tuple(us + (u,) for us, u in zip(acts, new_acts)))
 
 
 @settings(max_examples=150, deadline=None)
@@ -102,54 +94,55 @@ def test_advance_matches_split_of_extended_history(K, n, t, fill):
     rule (`shift_code`). Once t >= n-1 the oldest private symbols move
     into the shared block; with n = 1 the actions go there straight away."""
     spec = alphabet3_spec(K, n)
-    h = make_history(K, t, fill)
+    obs, acts = make_history(K, t, fill)
     new_obs = tuple((fill + 2 + j) % 3 for j in range(K))
     new_acts = tuple((fill + 1 + j) % 3 for j in range(K))
-    h1 = extend(h, new_obs, new_acts)
+    obs1, acts1 = extend(obs, acts, new_obs, new_acts)
     promote = shared_prefix_len(n, t + 1) > shared_prefix_len(n, t)
     for k in range(K):
-        c, p, o = split(spec, h, k)
+        b, o = split(spec, obs, acts, k, t)
         others = [j for j in range(K) if j != k]
-        shown_obs = [q.obs[0] if promote else 0 for q in o]
-        shown_acts = [(q.acts[0] if n >= 2 else new_acts[j]) if promote else 0
-                      for q, j in zip(o, others)]
-        code = np.array([history_code(spec, h, k, t)])
+        shown_obs = [o[j][0][0] if promote else 0 for j in others]
+        shown_acts = [(o[j][1][0] if n >= 2 else new_acts[j]) if promote else 0
+                      for j in others]
+        code = np.array([history_code(spec, obs, acts, k, t)])
         assert oldest(spec, k, t, code % private_size(spec, k, t)) == (
-            p.obs[0], p.acts[0] if p.acts else None)
+            b.own_obs[0], b.own_acts[0] if b.own_acts else None)
         code1 = next_codes(spec, k, t, code, new_acts[k], shown_obs + shown_acts, new_obs[k])
-        assert code1.tolist() == [history_code(spec, h1, k, t + 1)]
+        assert code1.tolist() == [history_code(spec, obs1, acts1, k, t + 1)]
         for j in others:
-            pc = history_code(spec, h, j, t) % private_size(spec, j, t)
+            pc = history_code(spec, obs, acts, j, t) % private_size(spec, j, t)
             assert (shift_code(spec, j, t, pc, new_obs[j], new_acts[j])
-                    == history_code(spec, h1, j, t + 1) % private_size(spec, j, t + 1))
+                    == history_code(spec, obs1, acts1, j, t + 1) % private_size(spec, j, t + 1))
 
 
 def test_advance_then_shift_roundtrip():
     """Every agent's code at t = 3 advances to its code at t = 4 for delays
     1..3, whatever the new symbols."""
-    h = make_history(2, 3)
+    obs, acts = make_history(2, 3)
     for n in (1, 2, 3):
         spec = alphabet3_spec(2, n)
         for y, u in ((0, 1), (2, 0)):
-            h2 = extend(h, (y, y), (u, u))
+            obs2, acts2 = extend(obs, acts, (y, y), (u, u))
             promoted = shared_prefix_len(n, 4) - 1  # the time-(4-n) symbols
             for k, j in ((0, 1), (1, 0)):
-                code = np.array([history_code(spec, h, k, 3)])
+                code = np.array([history_code(spec, obs, acts, k, 3)])
                 code2 = next_codes(spec, k, 3, code, u,
-                                   [h2.obs[j][promoted], h2.acts[j][promoted]], y)
-                assert code2.tolist() == [history_code(spec, h2, k, 4)]
+                                   [obs2[j][promoted], acts2[j][promoted]], y)
+                assert code2.tolist() == [history_code(spec, obs2, acts2, k, 4)]
 
 
 # --- keys and ordering ------------------------------------------------------
 
 def test_realization_key_roundtrip():
-    h = make_history(2, 2)
+    obs, acts = make_history(2, 2)
     for n in (1, 2):
         spec = random_model(seed=n, K=2, n=n, T=2, sizes=3)
         for k in range(2):
-            r = decode(spec, k, 2, history_code(spec, h, k, 2))
-            key = realization_key(r)
-            assert parse_realization_key(key, spec, k, 2) == r
+            code = history_code(spec, obs, acts, k, 2)
+            assert encode(spec, k, 2, decode(spec, k, 2, code)) == code
+            key = realization_key(spec, k, 2, code)
+            assert parse_realization_key(key, spec, k, 2) == code
 
 
 @pytest.mark.parametrize("key,problem", [
@@ -159,6 +152,8 @@ def test_realization_key_roundtrip():
     ("c(0/1;2/0)p(1/)", "agent 1's alphabets"),
     ("c(0/1;1/3)p(1/)", "agent 1's alphabets"),
     ("c(0/1;1/0)p(1-1/)", "private obs must have length 1"),
+    ("c(0-1/1;1/0)p(1/)", "agent 0: shared prefixes must have length 1, got obs 2 / acts 1"),
+    ("c(0/1;1/0)p(1/0)", "private acts must have length 0"),
 ])
 def test_parse_realization_key_rejects_keys_outside_the_model(canon_2a, key, problem):
     with pytest.raises(ValueError, match=problem):
@@ -169,7 +164,7 @@ def canonical(r):
     """The canonical order of one agent's realizations at one time:
     shared observations, shared actions, private observations, private
     actions, each agent-major and compared as nested tuples."""
-    return (r.common.obs, r.common.acts, r.private.obs, r.private.acts)
+    return (r.shared_obs, r.shared_acts, r.own_obs, r.own_acts)
 
 
 def test_sort_key_total_order():
@@ -183,8 +178,9 @@ def test_sort_key_total_order():
                 prev = None
                 for code in range(grid_size(spec, k, t)):
                     r = decode(spec, k, t, code)
-                    assert parse_realization_key(realization_key(r), spec, k, t) == r
-                    assert encode(spec, r) == code
+                    assert parse_realization_key(realization_key(spec, k, t, code),
+                                                 spec, k, t) == code
+                    assert encode(spec, k, t, r) == code
                     assert prev is None or canonical(prev) < canonical(r)
                     prev = r
 
@@ -212,9 +208,8 @@ def test_structural_grid_size(canon_2a):
     lambda ranges over the others' private blocks."""
     for K, n, T, sizes in SHAPES:
         spec = random_model(seed=0, K=K, n=n, T=T, sizes=sizes)
-        h = JointHistory(
-            t=T - 1, obs=tuple(tuple((k + s) % sizes for s in range(T)) for k in range(K)),
-            acts=tuple(tuple((k + s + 1) % sizes for s in range(T - 1)) for k in range(K)))
+        obs_all = tuple(tuple((k + s) % sizes for s in range(T)) for k in range(K))
+        acts_all = tuple(tuple((k + s + 1) % sizes for s in range(T - 1)) for k in range(K))
         for k in range(K):
             for t in range(T):
                 cut = shared_prefix_len(n, t)
@@ -223,25 +218,22 @@ def test_structural_grid_size(canon_2a):
                 assert grid_size(spec, k, t) == ((sizes * sizes) ** (K * cut)
                                                  * private_size(spec, k, t))
                 last = decode(spec, k, t, grid_size(spec, k, t) - 1)
-                assert last.common.obs == ((sizes - 1,) * cut,) * K
-                hist = JointHistory(t=t, obs=tuple(ys[:t + 1] for ys in h.obs),
-                                    acts=tuple(us[:t] for us in h.acts))
-                r = InfoRealization(
-                    common=CommonInfo(t=t, n=n, obs=tuple(ys[:cut] for ys in hist.obs),
-                                      acts=tuple(us[:cut] for us in hist.acts)),
-                    private=PrivateInfo(t=t, n=n, agent=k, obs=hist.obs[k][cut:t + 1],
-                                        acts=hist.acts[k][cut:t]))
-                code = history_code(spec, hist, k, t)
-                assert code == encode(spec, r)
+                assert last.shared_obs == ((sizes - 1,) * cut,) * K
+                obs = tuple(ys[:t + 1] for ys in obs_all)
+                acts = tuple(us[:t] for us in acts_all)
+                blocks = Blocks(tuple(ys[:cut] for ys in obs), tuple(us[:cut] for us in acts),
+                                obs[k][cut:t + 1], acts[k][cut:t])
+                code = history_code(spec, obs, acts, k, t)
+                assert code == encode(spec, k, t, blocks)
                 assert (code // private_size(spec, k, t)
-                        == history_code(spec, hist, 0, t) // private_size(spec, 0, t))
-                assert len(other_private_space(spec, k, t)) == math.prod(
+                        == history_code(spec, obs, acts, 0, t) // private_size(spec, 0, t))
+                assert len(lambda_labels(spec, k, t)) == math.prod(
                     private_size(spec, j, t) for j in range(K) if j != k)
     # shared block at t=1, n=1: one obs + one act per agent (2*2)^2 = 16,
     # times 2 private observations
     assert grid_size(canon_2a, 0, 1) == 32
     assert grid_size(canon_2a, 0, 0) == 2
-    assert len(other_private_space(canon_2a, 0, 1)) == 2
+    assert len(lambda_labels(canon_2a, 0, 1)) == 2
 
 
 # --- reachability: the DP's expanded nodes are the oracle's reachable set ------
@@ -273,7 +265,7 @@ def test_enumerate_reachable_t0(canon_2a):
     rs = assert_dp_nodes_are_oracle_reachable(canon_2a, g, 0)[0]
     assert len(rs) == 2  # both first observations have positive probability
     for code, mat in rs.items():
-        assert decode(canon_2a, 0, 0, code).private.obs == (code,)
+        assert decode(canon_2a, 0, 0, code).own_obs == (code,)
         assert lam_support(mat) == 2
 
 
@@ -285,7 +277,7 @@ def test_enumerate_reachable_counts_on_canon_2a(canon_2a):
     assert len(posts[1]) == 16
     for code, mat in posts[1].items():
         r = decode(canon_2a, 0, 1, code)
-        y02, u02 = r.common.obs[1][0], r.common.acts[1][0]
+        y02, u02 = r.shared_obs[1][0], r.shared_acts[1][0]
         assert u02 == y02  # opponent determinism filtered the rest
         assert lam_support(mat) == 2
     assert len(posts[2]) == 128
@@ -300,11 +292,11 @@ def test_enumerate_reachable_respects_zero_kernel_rows(canon_2a):
         canon_2a.transition, obs, canon_2a.stage_cost, canon_2a.terminal_cost)
     g = observation_following_profile(spec)
     rs = assert_dp_nodes_are_oracle_reachable(spec, g, 0)[0]
-    assert [decode(spec, 0, 0, code).private.obs for code in rs] == [(0,)]
+    assert [decode(spec, 0, 0, code).own_obs for code in rs] == [(0,)]
     posts = assert_dp_nodes_are_oracle_reachable(spec, g, 1)
     assert posts[1]
     for code in posts[1]:
-        assert decode(spec, 1, 1, code).common.obs[0] == (0,)
+        assert decode(spec, 1, 1, code).shared_obs[0] == (0,)
 
 
 def test_enumerate_reachable_closed_under_advance(canon_2a):
@@ -315,12 +307,9 @@ def test_enumerate_reachable_closed_under_advance(canon_2a):
         for r in (decode(canon_2a, 0, t, code) for code in at[t]):
             # unique predecessor for n=1: drop the newest shared symbols,
             # the private block was the last promoted own observation
-            prev = InfoRealization(
-                common=CommonInfo(t=t - 1, n=1, obs=tuple(ys[:-1] for ys in r.common.obs),
-                                  acts=tuple(us[:-1] for us in r.common.acts)),
-                private=PrivateInfo(t=t - 1, n=1, agent=0,
-                                    obs=(r.common.obs[0][-1],), acts=()))
-            assert encode(canon_2a, prev) in at[t - 1]
+            prev = Blocks(tuple(ys[:-1] for ys in r.shared_obs),
+                          tuple(us[:-1] for us in r.shared_acts), (r.shared_obs[0][-1],), ())
+            assert encode(canon_2a, 0, t - 1, prev) in at[t - 1]
 
 
 @pytest.mark.parametrize("K,n,T", [(2, 1, 3), (2, 2, 3), (3, 1, 2)])

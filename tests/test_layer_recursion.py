@@ -16,7 +16,6 @@ import reference_recursion as ref
 from conftest import SHAPES, random_model
 from delaypbp import canonical_instance, dp
 from delaypbp.filtering import BeliefPass
-from delaypbp.info import encode
 from delaypbp.strategies import (constant_profile, observation_following_profile,
                                  random_profile)
 
@@ -42,7 +41,7 @@ def bits(values) -> bytes:
 def assert_same_nodes(spec, k, ref_nodes, codes, beliefs):
     """ref_nodes (realization -> belief, in expansion order) are the layer's
     codes and beliefs, in the same order and to the bit."""
-    assert [encode(spec, r) for r in ref_nodes] == codes.tolist()
+    assert [ref.encode(spec, r) for r in ref_nodes] == codes.tolist()
     assert bits(list(ref_nodes.values())) == bits(beliefs)
 
 

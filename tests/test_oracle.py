@@ -8,12 +8,14 @@ import pytest
 from conftest import deterministic_chain, five_profiles, random_model
 from delaypbp.dp import solve_best_response, verify_value_dominance
 from delaypbp.errors import InstanceTooLargeError, UnreachableError
-from delaypbp.info import JointHistory, decode, history_code, other_private_space
+from delaypbp.info import history_code, lambda_labels
 from delaypbp.model import ModelSpec
 from delaypbp.oracle import (brute_force_best_response, enumerate_cost,
                              posteriors, verify_pbp, walk)
 from delaypbp.strategies import (constant_profile, observation_following_profile,
                                  random_profile)
+from reference_recursion import decode as decode_node
+from reference_recursion import other_private_space
 
 
 def zero_cost_variant(spec):
@@ -33,11 +35,11 @@ def truncate_to_t1(spec):
 
 
 def leaf_masses(spec, g, key, t_end):
-    """Leaf mass of one walk summed per key(xs, hist)."""
+    """Leaf mass of one walk summed per key(xs, obs, acts)."""
     out = {}
 
-    def visit(xs, hist, mass, cost):
-        kk = key(xs, hist)
+    def visit(xs, obs, acts, mass, cost):
+        kk = key(xs, obs, acts)
         out[kk] = out.get(kk, 0.0) + mass
 
     walk(spec, g, visit, t_end=t_end)
@@ -49,19 +51,19 @@ def leaf_masses(spec, g, key, t_end):
 def test_atom_masses_form_probability_measure(canon_2a, canon_1):
     for spec in (canon_2a, canon_1):
         for _, g in five_profiles(spec):
-            total = sum(leaf_masses(spec, g, lambda xs, h: (), spec.T).values())
+            total = sum(leaf_masses(spec, g, lambda xs, obs, acts: (), spec.T).values())
             assert abs(total - 1.0) <= 1e-10
 
 
 def test_atoms_have_consistent_shapes(canon_2a):
     g = constant_profile(canon_2a, 0)
     leaves = []
-    walk(canon_2a, g, lambda xs, h, mass, cost: leaves.append((xs, h)), t_end=1)
+    walk(canon_2a, g, lambda xs, obs, acts, mass, cost: leaves.append((xs, obs, acts)), t_end=1)
     assert leaves
-    for xs, h in leaves:
-        assert len(xs) == 2 and h.t == 1
-        assert all(len(ys) == 2 for ys in h.obs)
-        assert all(len(us) == 1 for us in h.acts)
+    for xs, obs, acts in leaves:
+        assert len(xs) == 2 and len(obs) == len(acts) == 2
+        assert all(len(ys) == 2 for ys in obs)
+        assert all(len(us) == 1 for us in acts)
 
 
 # --- expected cost ----------------------------------------------------------
@@ -77,7 +79,7 @@ def test_enumerate_cost_deterministic_model():
     # single trajectory: x = 0 -> 1 -> 0, costs 0.5 + 4.0 + terminal 3.0
     assert enumerate_cost(spec, g) == pytest.approx(7.5, abs=1e-15)
     leaves = []
-    walk(spec, g, lambda xs, h, mass, cost: leaves.append((xs, mass, cost)))
+    walk(spec, g, lambda xs, obs, acts, mass, cost: leaves.append((xs, mass, cost)))
     assert leaves == [((0, 1, 0), 1.0, 7.5)]
 
 
@@ -98,15 +100,15 @@ def reference_cost(spec, g):
         if s == spec.T:
             yield mass, cost + float(spec.terminal_cost[x])
             return
-        acts = tuple(g.action_at(j, s, history_code(spec, hist, j, s)) for j in range(spec.K))
+        acts = tuple(g.action_at(j, s, history_code(spec, *hist, j, s)) for j in range(spec.K))
         cost = cost + float(spec.stage_cost[s][(x, *acts)])
         for x1 in range(spec.state_size):
             p_x = float(spec.transition[s][(x, *acts, x1)])
             for ys in obs:
                 p_y = lik(s + 1, x1, ys)
                 if p_x > 0.0 and p_y > 0.0:
-                    h1 = JointHistory(t=s + 1, obs=tuple(o + (y,) for o, y in zip(hist.obs, ys)),
-                                      acts=tuple(u + (a,) for u, a in zip(hist.acts, acts)))
+                    h1 = (tuple(o + (y,) for o, y in zip(hist[0], ys)),
+                          tuple(u + (a,) for u, a in zip(hist[1], acts)))
                     yield from paths(s + 1, x1, h1, mass * p_x * p_y, cost)
 
     total = 0.0
@@ -114,7 +116,7 @@ def reference_cost(spec, g):
         for ys in obs:
             p0, p_y = float(spec.init_dist[x0]), lik(0, x0, ys)
             if p0 > 0.0 and p_y > 0.0:
-                h0 = JointHistory(t=0, obs=tuple((y,) for y in ys), acts=((),) * spec.K)
+                h0 = (tuple((y,) for y in ys), ((),) * spec.K)
                 for mass, cost in paths(0, x0, h0, p0 * p_y, 0.0):
                     total += mass * cost
     return total
@@ -131,15 +133,15 @@ def test_enumerate_cost_equals_reference_recursion_bitwise(K, n, T, sizes):
 
 def test_conditional_pmf_recovers_init(canon_2a):
     g = constant_profile(canon_2a, 0)
-    masses = leaf_masses(canon_2a, g, lambda xs, h: xs[0], 0)
+    masses = leaf_masses(canon_2a, g, lambda xs, obs, acts: xs[0], 0)
     for x in range(2):
         assert masses[x] == pytest.approx(canon_2a.init_dist[x], abs=1e-12)
 
 
 def test_conditional_pmf_reads_back_kernel_row(canon_2a):
     g = constant_profile(canon_2a, 0)
-    joint = leaf_masses(canon_2a, g, lambda xs, h: (xs[0], h.obs[1][0]), 0)
-    marg = leaf_masses(canon_2a, g, lambda xs, h: xs[0], 0)
+    joint = leaf_masses(canon_2a, g, lambda xs, obs, acts: (xs[0], obs[1][0]), 0)
+    marg = leaf_masses(canon_2a, g, lambda xs, obs, acts: xs[0], 0)
     for x in range(2):
         for y in range(2):
             assert joint[x, y] / marg[x] == pytest.approx(canon_2a.observation[0][1][x, y],
@@ -148,8 +150,8 @@ def test_conditional_pmf_reads_back_kernel_row(canon_2a):
 
 def test_conditional_pmf_marginal_consistency(canon_2a):
     g = observation_following_profile(canon_2a)
-    joint = leaf_masses(canon_2a, g, lambda xs, h: (xs[1], h.obs[0][1]), 1)
-    marg = leaf_masses(canon_2a, g, lambda xs, h: xs[1], 1)
+    joint = leaf_masses(canon_2a, g, lambda xs, obs, acts: (xs[1], obs[0][1]), 1)
+    marg = leaf_masses(canon_2a, g, lambda xs, obs, acts: xs[1], 1)
     for x in range(2):
         s = sum(p for key, p in joint.items() if key[0] == x)
         assert s == pytest.approx(marg[x], abs=1e-12)
@@ -160,14 +162,19 @@ def test_conditional_pmf_matches_posterior(canon_2a):
     which agent 0 follows the profile, equals the posterior from the walk
     with agent 0 free; the posteriors computed with agent 0 following the
     profile are those of the free walk to the bit. The lambda axis is the
-    order of other_private_space."""
+    order of the reference's other_private_space, which lambda_labels
+    labels."""
     g = observation_following_profile(canon_2a)
     t = 1
-    lams = {lam: i for i, lam in enumerate(other_private_space(canon_2a, 0, t))}
+    space = other_private_space(canon_2a, 0, t)
+    lams = {lam: i for i, lam in enumerate(space)}
+    assert lambda_labels(canon_2a, 0, t) == [
+        ";".join(f"{'-'.join(map(str, p.obs))}/{'-'.join(map(str, p.acts))}" for p in lam)
+        for lam in space]
 
-    def key(xs, h):
-        lam = (decode(canon_2a, 1, t, history_code(canon_2a, h, 1, t)).private,)
-        return history_code(canon_2a, h, 0, t), xs[-1], lam
+    def key(xs, obs, acts):
+        lam = (decode_node(canon_2a, 1, t, history_code(canon_2a, obs, acts, 1, t)).private,)
+        return history_code(canon_2a, obs, acts, 0, t), xs[-1], lam
 
     joint = leaf_masses(canon_2a, g, key, t)
     laws = {}
@@ -300,9 +307,18 @@ def test_oracle_module_boundary():
     assert "info" in imports["oracle"]  # the parser does see the imports
     assert imports["oracle"] <= {"model", "info", "errors"}, imports["oracle"]
     assert "oracle" not in imports["filtering"]
-    # One realization type: the oracle groups by integer codes and never
-    # builds, decodes or splits into realization dataclasses.
+    # Realizations are codes: the oracle groups by them and takes from info
+    # only the code arithmetic, never the blocks or the text keys.
     from_info = names_imported(SRC / "oracle.py", "info")
     assert "history_code" in from_info  # the parser does see the names
-    assert not from_info & {"InfoRealization", "decode", "realization_at", "split_history",
-                            "other_private_space"}, from_info
+    assert from_info <= {"grid_size", "history_code", "next_codes", "oldest", "other_agents",
+                         "private_act_len", "private_obs_len", "private_size", "radices",
+                         "shared_prefix_len", "shift_code"}, from_info
+    # info defines no record types: no dataclasses behind the codes.
+    tree = ast.parse((SRC / "info.py").read_text(encoding="utf-8"))
+    modules = {a.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for a in node.names}
+    modules |= {node.module for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and not node.level}
+    assert "numpy" in modules  # the parser does see the imports
+    assert "dataclasses" not in modules, modules
