@@ -16,8 +16,8 @@ a sanity case.
 The checks built on `oracle.walk` group its leaves by agent k's
 realization codes (`info.history_code`), and order realizations by code.
 A code becomes text (`info.realization_key`) only to label a gap, and is
-decoded into its blocks only to order the next posteriors by their newest
-own observation and the newly shared symbols.
+decoded into its blocks (`info.decode`) only where a check reads the
+newest own observation or the newly shared symbols off it.
 """
 
 from __future__ import annotations
