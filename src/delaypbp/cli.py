@@ -1,8 +1,9 @@
 """Batch front end.
 
 One invocation runs one command against one model (a canonical instance
-name or a JSON model file), writes a machine-readable JSON report per
-command under the output directory, and prints aligned tables to stdout.
+name or a JSON model file), or with `all` every command against every
+canonical instance, writes a machine-readable JSON report per (command,
+model) under the output directory, and prints aligned tables to stdout.
 Report bodies carry no timestamps, so identical inputs produce
 byte-identical files.
 
@@ -17,7 +18,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -33,8 +34,6 @@ from .strategies import (StrategyProfile, constant_profile, load_profile,
                          observation_following_profile, profile_to_dict,
                          random_profile)
 
-COMMANDS = ("validate", "filter", "solve", "pbp", "verify", "falsify", "all")
-
 EXIT_OK = 0
 EXIT_TOLERANCE = 1
 EXIT_CONFIG = 2
@@ -46,7 +45,7 @@ REPORT_SEEDS = (20240817, 20240818)
 @dataclass
 class RunConfig:
     command: str
-    model: str
+    model: str = "CANON-2A"
     agent: int = 0
     strategy: str | None = None
     out: str = "reports"
@@ -93,19 +92,15 @@ def _belief_rows(labels: list[str], belief: np.ndarray) -> list[list]:
             for x, row in enumerate(belief) for lam, p in zip(labels, row)]
 
 
-def _default_profile(spec: ModelSpec, command: str) -> StrategyProfile:
-    # The sweep starts from the all-0 profile by convention; report
-    # commands default to the observation-following profile, which keeps
-    # every channel informative.
+def _profile_for(spec: ModelSpec, config: RunConfig, command: str) -> StrategyProfile:
+    # Without a strategy file the sweep starts from the all-0 profile by
+    # convention; report commands use the observation-following profile,
+    # which keeps every channel informative.
+    if config.strategy is not None:
+        return load_profile(spec, config.strategy)
     if command == "pbp":
         return constant_profile(spec, 0)
     return observation_following_profile(spec)
-
-
-def _profile_for(spec: ModelSpec, config: RunConfig, command: str) -> StrategyProfile:
-    if config.strategy is not None:
-        return load_profile(spec, config.strategy)
-    return _default_profile(spec, command)
 
 
 def _report(command: str, name: str, config: RunConfig, results: list, gaps: list,
@@ -217,14 +212,7 @@ def cmd_pbp(spec: ModelSpec, name: str, config: RunConfig):
     certification = None
     try:
         report = oracle.verify_pbp(spec, g_final, tol=config.tol_compare)
-        certification = {
-            "cost": report.cost,
-            "agents": [{"agent": a.agent,
-                        "best_response_value": a.best_response_value,
-                        "gap": a.gap,
-                        "stationary": a.stationary} for a in report.agents],
-            "all_stationary": report.all_stationary,
-        }
+        certification = {**asdict(report), "all_stationary": report.all_stationary}
         ok = ok and report.all_stationary
     except InstanceTooLargeError as exc:
         certification = {"skipped": str(exc)}
@@ -310,7 +298,7 @@ def cmd_falsify(spec: ModelSpec, name: str, config: RunConfig):
     gate("conditional-independence-uniform-obs", falsify.check_conditional_independence(
         uniform_observation_variant(spec), total, k, t_check), K1_TOL)
 
-    base = _default_profile(spec, "falsify")
+    base = observation_following_profile(spec)
     pairs = [
         ("constant-0 vs constant-1",
          constant_profile(spec, 0),
@@ -357,64 +345,48 @@ _COMMAND_FNS = {
     "verify": cmd_verify,
     "falsify": cmd_falsify,
 }
-
-
-def _jsonable(obj):
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj)}")
+COMMANDS = (*_COMMAND_FNS, "all")
 
 
 def _write_report(out_dir: str, filename: str, doc: dict) -> None:
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, filename)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True, default=_jsonable)
+        json.dump(doc, fh, indent=1, sort_keys=True)
         fh.write("\n")
 
 
 def run(config: RunConfig) -> int:
-    """Execute one command; write reports; return the exit status."""
+    """Execute one command, or with `all` every command on every canonical
+    instance; write reports; return the exit status."""
     problems = config.validate()
     if problems:
         for p in problems:
             print(f"error: {p}", file=sys.stderr)
         return EXIT_CONFIG
 
+    every = config.command == "all"
     try:
-        if config.command == "all":
-            models = [resolve_model(inst) for inst in CANONICAL_NAMES]
-        else:
-            models = [resolve_model(config.model, check=config.command != "validate")]
+        models = ([resolve_model(inst) for inst in CANONICAL_NAMES] if every
+                  else [resolve_model(config.model, check=config.command != "validate")])
         for name, spec in models:
             if config.agent >= spec.K:
                 print(f"error: agent {config.agent} out of range for {name} (K={spec.K})",
                       file=sys.stderr)
                 return EXIT_CONFIG
-        if config.command == "all":
-            all_ok = True
-            summary = []
-            for name, spec in models:
-                for command in ("validate", "filter", "solve", "pbp", "verify", "falsify"):
-                    doc, ok = _COMMAND_FNS[command](spec, name, config)
-                    _write_report(config.out, f"{command}_{name}.json", doc)
-                    summary.append({"model": name, "command": command, "pass": ok})
-                    all_ok = all_ok and ok
+        commands = tuple(_COMMAND_FNS) if every else (config.command,)
+        summary = []
+        for name, spec in models:
+            for command in commands:
+                doc, ok = _COMMAND_FNS[command](spec, name, config)
+                _write_report(config.out, f"{command}_{name}.json", doc)
+                summary.append({"model": name, "command": command, "pass": ok})
+        all_ok = all(e["pass"] for e in summary)
+        if every:
             _write_report(config.out, "all_summary.json",
                           _report("all", "canonical-instances", config, summary, [], all_ok))
             print(f"== all: pass={all_ok}")
-            return EXIT_OK if all_ok else EXIT_TOLERANCE
-
-        name, spec = models[0]
-        doc, ok = _COMMAND_FNS[config.command](spec, name, config)
-        _write_report(config.out, f"{config.command}_{name}.json", doc)
-        return EXIT_OK if ok else EXIT_TOLERANCE
+        return EXIT_OK if all_ok else EXIT_TOLERANCE
     except (ModelFormatError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -425,26 +397,21 @@ def run(config: RunConfig) -> int:
 
 
 def parse_args(argv=None) -> RunConfig:
+    # Defaults live in RunConfig only: an option not given stays out of the namespace.
     parser = argparse.ArgumentParser(
-        prog="delaypbp",
+        prog="delaypbp", argument_default=argparse.SUPPRESS,
         description="Exact solver and checker for finite delayed-sharing team problems.")
     parser.add_argument("--command", required=True, choices=COMMANDS)
-    parser.add_argument("--model", default="CANON-2A",
-                        help="canonical instance name or model JSON path")
-    parser.add_argument("--agent", type=int, default=0,
-                        help="agent index (0-based) where applicable")
-    parser.add_argument("--strategy", default=None,
+    parser.add_argument("--model", help="canonical instance name or model JSON path")
+    parser.add_argument("--agent", type=int, help="agent index (0-based) where applicable")
+    parser.add_argument("--strategy",
                         help="strategy JSON path (defaults: all-0 for pbp, "
                              "observation-following otherwise)")
-    parser.add_argument("--out", default="reports", help="report output directory")
-    parser.add_argument("--tol-compare", type=float, default=COMPARE_TOL)
-    parser.add_argument("--tol-improve", type=float, default=IMPROVE_TOL)
-    parser.add_argument("--max-rounds", type=int, default=32)
-    ns = parser.parse_args(argv)
-    return RunConfig(command=ns.command, model=ns.model, agent=ns.agent,
-                     strategy=ns.strategy, out=ns.out,
-                     tol_compare=ns.tol_compare, tol_improve=ns.tol_improve,
-                     max_rounds=ns.max_rounds)
+    parser.add_argument("--out", help="report output directory")
+    parser.add_argument("--tol-compare", type=float)
+    parser.add_argument("--tol-improve", type=float)
+    parser.add_argument("--max-rounds", type=int)
+    return RunConfig(**vars(parser.parse_args(argv)))
 
 
 def main(argv=None) -> int:

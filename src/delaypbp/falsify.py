@@ -16,8 +16,8 @@ a sanity case.
 The checks built on `oracle.walk` group its leaves by agent k's
 realization codes (`info.history_code`), and order realizations by code.
 A code becomes text (`info.realization_key`) only to label a gap, and is
-decoded into its blocks (`info.decode`) only where a check reads the
-newest own observation or the newly shared symbols off it.
+decoded into its blocks (`info.decode`) only where the single-agent
+reduction reads the newest own observation off it.
 """
 
 from __future__ import annotations
@@ -150,13 +150,11 @@ def _next_posterior_laws(spec: ModelSpec, g_full, k: int, t: int,
                          post_next: dict[int, np.ndarray]
                          ) -> dict[int, list[tuple[np.ndarray, float]]]:
     """Per realization code r reachable at t under g_full, the law of agent
-    k's next posterior given r, as (posterior, probability) pairs ordered by
-    the next own observation, then the other agents' newly shared symbols.
+    k's next posterior given r, as (posterior, probability) pairs in code
+    order of the next realization.
 
     One walk to t+1, grouped by the pair (r, r'), with r' the time-(t+1)
     code; both tables accumulate in leaf order."""
-    p_idx = t - spec.n + 1
-    others = other_agents(spec.K, k)
     pair: dict[tuple, float] = {}
     marg: dict[int, float] = {}
 
@@ -166,40 +164,33 @@ def _next_posterior_laws(spec: ModelSpec, g_full, k: int, t: int,
         marg[r] = marg.get(r, 0.0) + mass
         pair[key] = pair.get(key, 0.0) + mass
 
-    def order(code1: int) -> tuple:
-        b = decode(spec, k, t + 1, code1)
-        shown = ((b.shared_obs[j][p_idx], b.shared_acts[j][p_idx])
-                 for j in others) if p_idx >= 0 else ()
-        return (b.own_obs[-1], *(v for sym in shown for v in sym))
-
     oracle.walk(spec, g_full, visit, t_end=t + 1)
     laws: dict[int, list] = {r: [] for r in marg}
-    for (r, r1), m in pair.items():
-        laws[r].append((order(r1), r1, m / marg[r]))
-    return {r: [(post_next[r1], p) for _, r1, p in sorted(items, key=lambda e: e[0])]
-            for r, items in laws.items()}
+    for (r, r1), m in sorted(pair.items()):
+        laws[r].append((post_next[r1], m / marg[r]))
+    return laws
+
+
+def _bucket(reps: list[np.ndarray], v: np.ndarray, tol: float) -> int:
+    """First fit: the index of the first representative of v's shape within
+    tol of v in max-abs, else v's index as a new last representative."""
+    for i, rep in enumerate(reps):
+        if v.shape == rep.shape and float(np.max(np.abs(rep - v))) <= tol:
+            return i
+    reps.append(v)
+    return len(reps) - 1
 
 
 def _distribution_gap(da, db, tol: float) -> float:
     """Max-abs difference between two distributions over posterior vectors,
     merging vectors that agree within tol."""
     reps: list[np.ndarray] = []
-
-    def bucket(v: np.ndarray) -> int:
-        for i, rep in enumerate(reps):
-            if v.shape == rep.shape and float(np.max(np.abs(rep - v))) <= tol:
-                return i
-        reps.append(v)
-        return len(reps) - 1
-
     ma: dict[int, float] = {}
     mb: dict[int, float] = {}
-    for v, p in da:
-        i = bucket(v)
-        ma[i] = ma.get(i, 0.0) + p
-    for v, p in db:
-        i = bucket(v)
-        mb[i] = mb.get(i, 0.0) + p
+    for masses, dist in ((ma, da), (mb, db)):
+        for v, p in dist:
+            i = _bucket(reps, v, tol)
+            masses[i] = masses.get(i, 0.0) + p
     return max(abs(ma.get(i, 0.0) - mb.get(i, 0.0)) for i in range(len(reps)))
 
 
@@ -222,15 +213,11 @@ def check_conditional_markov(spec: ModelSpec, g_full, k: int,
             u = g_full.action_at(k, t, r)
             prelim.setdefault((r // private_size(spec, k, t), u), []).append((r, posts[t][r]))
         for (_, u), members in sorted(prelim.items()):
-            clusters: list[tuple[np.ndarray, list]] = []
+            reps: list[np.ndarray] = []
+            clusters: dict[int, list] = {}  # per representative, in order
             for r, xi in members:
-                for rep, group in clusters:
-                    if float(np.max(np.abs(rep - xi))) <= tol:
-                        group.append(r)
-                        break
-                else:
-                    clusters.append((xi, [r]))
-            for rep, group in clusters:
+                clusters.setdefault(_bucket(reps, xi, tol), []).append(r)
+            for group in clusters.values():
                 label = f"t={t} u={u} group[" + ",".join(
                     realization_key(spec, k, t, r) for r in group) + "]"
                 if len(group) == 1:

@@ -198,16 +198,23 @@ def _parse_seq(s: str) -> IntSeq:
 
 
 def _parse_block(s: str) -> tuple[IntSeq, IntSeq]:
+    if s.count("/") != 1:
+        raise ValueError(f"block {s!r} needs one '/' between observations and actions, "
+                         f"found {s.count('/')}")
     ys, us = s.split("/")
     return _parse_seq(ys), _parse_seq(us)
 
 
 def parse_realization_key(key: str, spec: ModelSpec, k: int, t: int) -> int:
     """The code of a text key of agent k at time t of spec. Raises
-    ValueError unless the key names spec.K agents, fills the index windows
-    and uses only symbols in each agent's alphabets."""
-    if not key.startswith("c(") or ")p(" not in key or not key.endswith(")"):
+    ValueError unless the key names spec.K agents, fills the index windows,
+    uses only symbols in each agent's alphabets and is spelled exactly as
+    realization_key spells its code."""
+    if not key.startswith("c(") or not key.endswith(")"):
         raise ValueError(f"malformed realization key {key!r}")
+    if key.count(")p(") != 1:
+        raise ValueError(f"realization key needs one ')p(' between the shared and private "
+                         f"blocks, found {key.count(')p(')}")
     common_s, private_s = key[2:-1].split(")p(")
     shared = [_parse_block(part) for part in common_s.split(";")]
     if len(shared) != spec.K:
@@ -225,4 +232,8 @@ def parse_realization_key(key: str, spec: ModelSpec, k: int, t: int) -> int:
     for j, (ys, us) in [*enumerate(shared), (k, own)]:
         if any(y >= spec.obs_sizes[j] for y in ys) or any(u >= spec.act_sizes[j] for u in us):
             raise ValueError(f"symbol outside agent {j}'s alphabets")
-    return encode(spec, k, t, Blocks(*zip(*shared), *own))
+    code = encode(spec, k, t, Blocks(*zip(*shared), *own))
+    canonical = realization_key(spec, k, t, code)
+    if canonical != key:
+        raise ValueError(f"not the canonical spelling {canonical!r}")
+    return code

@@ -222,13 +222,13 @@ def brute_force_best_response(spec: ModelSpec, k: int, g_minus_k):
             f"instance too large for brute force ({n_maps} stage-0 maps)")
     last = spec.T - 1
     # One walk with agent k free throughout, summed per history up to the
-    # final stage and its actions; then, per (first realization, first
+    # final stage (every observation but the time-T one) and its actions; then, per (first realization, first
     # action), the final-stage costs reached through it by final-stage
     # realization and action. Those four fix every action of agent k.
     sums: dict[tuple, float] = {}
 
     def visit(xs, obs, acts, mass, cost):
-        key = (_cut(obs, acts, last)[0], acts)
+        key = (tuple(ys[:-1] for ys in obs), acts)
         sums[key] = sums.get(key, 0.0) + mass * cost
 
     walk(spec, g_minus_k, visit, free=k, free_until=spec.T)

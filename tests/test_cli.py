@@ -11,11 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from delaypbp import oracle
-from delaypbp.cli import EXIT_CONFIG, EXIT_OK, EXIT_TOLERANCE, RunConfig, main, run
+from delaypbp.cli import (EXIT_CONFIG, EXIT_OK, EXIT_TOLERANCE, RunConfig, main, parse_args,
+                          run)
 from delaypbp.dp import solve_best_response
 from delaypbp.errors import ModelFormatError
 from delaypbp.info import history_code, parse_realization_key, realization_key
-from delaypbp.model import K1_TOL, ModelSpec, model_to_dict, save_model
+from delaypbp.model import CANONICAL_NAMES, K1_TOL, ModelSpec, model_to_dict, save_model
 from delaypbp.strategies import (StrategyProfile, load_profile, observation_following_profile,
                                  profile_to_dict, random_profile, save_profile)
 
@@ -221,6 +222,41 @@ def test_run_all_matches_reference_reports(tmp_path):
     assert refs == [name for name in names if name != "all_summary.json"]
     for name in refs:
         _assert_same_report(read(out / name), read(os.path.join(REFERENCE_DIR, name)), name)
+
+
+def test_run_all_summary_lists_every_canonical_pair_in_command_order(tmp_path, capsys):
+    """`all` runs the six commands on each canonical instance in turn and
+    sums the runs up in all_summary.json and one last stdout line."""
+    out = tmp_path / "reports"
+    assert run(RunConfig(command="all", out=str(out))) == EXIT_OK
+    doc = read(out / "all_summary.json")
+    commands = ("validate", "filter", "solve", "pbp", "verify", "falsify")
+    assert doc["results"] == [{"model": m, "command": c, "pass": True}
+                              for m in CANONICAL_NAMES for c in commands]
+    assert len(doc["results"]) == 18
+    assert (doc["command"], doc["model"], doc["gaps"], doc["pass"]) == (
+        "all", "canonical-instances", [], True)
+    assert "agent" not in doc
+    assert capsys.readouterr().out.splitlines()[-1] == "== all: pass=True"
+
+
+@pytest.mark.parametrize("command", ["validate", "filter", "solve", "pbp", "verify", "falsify"])
+def test_single_command_writes_one_report_and_no_summary(tmp_path, capsys, command):
+    out = tmp_path / "reports"
+    assert run(RunConfig(command=command, model="CANON-1", out=str(out))) == EXIT_OK
+    assert os.listdir(out) == [f"{command}_CANON-1.json"]
+    assert "== all" not in capsys.readouterr().out
+
+
+def test_parse_args_defaults_are_run_config_defaults():
+    """A flag left out takes RunConfig's default; each flag given lands in
+    its field."""
+    assert parse_args(["--command", "solve"]) == RunConfig(command="solve")
+    assert parse_args(["--command", "pbp", "--model", "m.json", "--agent", "1",
+                       "--strategy", "s.json", "--out", "o", "--tol-compare", "0.5",
+                       "--tol-improve", "0.25", "--max-rounds", "3"]) == RunConfig(
+        command="pbp", model="m.json", agent=1, strategy="s.json", out="o",
+        tol_compare=0.5, tol_improve=0.25, max_rounds=3)
 
 
 def _short_prior(doc):

@@ -154,6 +154,10 @@ def test_realization_key_roundtrip():
     ("c(0/1;1/0)p(1-1/)", "private obs must have length 1"),
     ("c(0-1/1;1/0)p(1/)", "agent 0: shared prefixes must have length 1, got obs 2 / acts 1"),
     ("c(0/1;1/0)p(1/0)", "private acts must have length 0"),
+    ("c( 0/+1;1/0)p(01/)", r"not the canonical spelling 'c\(0/1;1/0\)p\(1/\)'"),
+    ("c(0/1;1/0)p(1/)p(0/)", r"one '\)p\(' between the shared and private blocks, found 2"),
+    ("c(0/1;1/0)p(1)", "block '1' needs one '/' between observations and actions, found 0"),
+    ("c(0/1;1//0)p(1/)", "block '1//0' needs one '/' between observations and actions, found 2"),
 ])
 def test_parse_realization_key_rejects_keys_outside_the_model(canon_2a, key, problem):
     with pytest.raises(ValueError, match=problem):
