@@ -21,7 +21,7 @@ from .falsify import (GapReport, check_conditional_independence,
 from .filtering import chained_beliefs, classical_filter_update
 from .model import (ModelSpec, canonical_instance, load_model, save_model,
                     validate_model)
-from .oracle import (brute_force_best_response, cost_to_go, enumerate_cost,
+from .oracle import (RealizationTree, brute_force_best_response, enumerate_cost,
                      posteriors, verify_pbp, walk)
 from .strategies import (StrategyProfile, constant_profile, load_profile,
                          observation_following_profile, random_profile,
@@ -31,13 +31,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "GapReport", "IncompleteStrategyError", "InstanceTooLargeError",
-    "ModelFormatError", "ModelSpec", "StrategyProfile", "UnreachableError",
-    "ValueTable",
+    "ModelFormatError", "ModelSpec", "RealizationTree", "StrategyProfile",
+    "UnreachableError", "ValueTable",
     "brute_force_best_response", "canonical_instance", "chained_beliefs",
     "check_conditional_independence", "check_conditional_markov",
     "check_k1_reduction", "check_payoff_identity",
     "check_policy_independence", "classical_filter_update",
-    "constant_profile", "cost_to_go", "cost_via_beliefs", "enumerate_cost",
+    "constant_profile", "cost_via_beliefs", "enumerate_cost",
     "expected_value", "load_model", "load_profile",
     "observation_following_profile", "pbp_sweep", "posteriors",
     "random_profile", "save_model", "save_profile", "solve_best_response",

@@ -170,7 +170,6 @@ def cmd_solve(spec: ModelSpec, name: str, config: RunConfig):
     gaps = [{"where": "initial-value vs best-response cost", "gap": consistency_gap}]
     ok = consistency_gap <= config.tol_compare
 
-    bf_entry = None
     try:
         bf_value, _ = oracle.brute_force_best_response(spec, k, g)
         bf_gap = abs(expected - bf_value)
@@ -209,7 +208,6 @@ def cmd_pbp(spec: ModelSpec, name: str, config: RunConfig):
     monotone = all(trace[i + 1] <= trace[i] + config.tol_improve
                    for i in range(len(trace) - 1))
     ok = converged and monotone
-    certification = None
     try:
         report = oracle.verify_pbp(spec, g_final, tol=config.tol_compare)
         certification = {**asdict(report), "all_stationary": report.all_stationary}
@@ -225,7 +223,7 @@ def cmd_pbp(spec: ModelSpec, name: str, config: RunConfig):
     print(render_table(["replacement", "cost"],
                        [[i, _fmt(c)] for i, c in enumerate(trace)]))
     print(f"converged: {converged}  monotone: {monotone}")
-    if "agents" in (certification or {}):
+    if "agents" in certification:
         for a in certification["agents"]:
             print(f"agent {a['agent']}: gap {_fmt(a['gap'])} stationary {a['stationary']}")
     return _report("pbp", name, config, results, [], ok), ok
@@ -248,11 +246,10 @@ def cmd_verify(spec: ModelSpec, name: str, config: RunConfig):
     k = config.agent
     g = _profile_for(spec, config, "verify")
     vtable, g_maps = dp.solve_best_response(spec, k, g)
-    results, gaps = [], []
-    ok = True
+    tree = oracle.RealizationTree(spec, k, g)
+    results, gaps, ok = [], [], True
     for label, maps in _alternative_strategies(spec, k, g_maps):
-        report = dp.verify_value_dominance(spec, k, g, vtable, maps,
-                                           tol=config.tol_compare)
+        report = dp.verify_value_dominance(tree, vtable, maps, tol=config.tol_compare)
         n_viol = len(report.violations)
         ok = ok and n_viol == 0
         entry = {

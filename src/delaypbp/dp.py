@@ -175,26 +175,24 @@ class DominanceReport:
         return max((abs(e.table_value - e.alt_value) for e in self.entries), default=0.0)
 
 
-def verify_value_dominance(spec: ModelSpec, k: int, g_minus_k: StrategyProfile,
-                           vtable: ValueTable, maps_k, tol: float = COMPARE_TOL
-                           ) -> DominanceReport:
+def verify_value_dominance(tree: oracle.RealizationTree, vtable: ValueTable, maps_k,
+                           tol: float = COMPARE_TOL) -> DominanceReport:
     """Check table values against the enumerated conditional cost-to-go of
-    agent k's alternative per-time strategy arrays maps_k, at every time
-    and reachable realization, in code order per time.
+    agent k's alternative per-time strategy arrays maps_k, read off agent
+    k's realization tree against the profile the table was solved for, at
+    every time and reachable realization, in code order per time.
 
     The table must sit weakly below the alternative everywhere; violations
     are reported as data, not raised. A table realization the enumeration
     does not reach raises UnreachableError.
     """
-    g = g_minus_k.with_agent(k, maps_k)
     rows = []
-    for t, entry in enumerate(vtable.entries):
-        alt = oracle.cost_to_go(spec, k, g, t)
+    for t, (entry, alt) in enumerate(zip(vtable.entries, tree.cost_to_go(maps_k))):
         codes = entry.layer.codes
         for i in np.argsort(codes):
             code = int(codes[i])
             if code not in alt:
-                raise UnreachableError(f"unreachable realization for agent {k} at t={t}")
+                raise UnreachableError(f"unreachable realization for agent {tree.k} at t={t}")
             rows.append(DominanceEntry(t=t, code=code, table_value=float(entry.values[i]),
                                        alt_value=alt[code]))
     return DominanceReport(entries=tuple(rows), tol=tol)

@@ -193,8 +193,13 @@ def lambda_labels(spec: ModelSpec, k: int, t: int) -> list[str]:
     return [";".join(parts) for parts in itertools.product(*per_agent)]
 
 
-def _parse_seq(s: str) -> IntSeq:
-    return tuple(int(v) for v in s.split("-")) if s else ()
+def _parse_seq(s: str, block: str, name: str) -> IntSeq:
+    symbols = s.split("-") if s else []
+    for i, v in enumerate(symbols):
+        if not v.strip().removeprefix("+").isdecimal():  # what int() reads, but for '_'
+            raise ValueError(f"block {block!r}: {name} symbol {i} is {v!r}; symbols are "
+                             "non-negative decimal integers joined by single '-'")
+    return tuple(map(int, symbols))
 
 
 def _parse_block(s: str) -> tuple[IntSeq, IntSeq]:
@@ -202,7 +207,7 @@ def _parse_block(s: str) -> tuple[IntSeq, IntSeq]:
         raise ValueError(f"block {s!r} needs one '/' between observations and actions, "
                          f"found {s.count('/')}")
     ys, us = s.split("/")
-    return _parse_seq(ys), _parse_seq(us)
+    return _parse_seq(ys, s, "observation"), _parse_seq(us, s, "action")
 
 
 def parse_realization_key(key: str, spec: ModelSpec, k: int, t: int) -> int:

@@ -147,9 +147,9 @@ def test_criterion_7_value_dominance():
             ("random-b", random_profile(spec, np.random.default_rng(RANDOM_SEED + 1)).maps[0]),
             ("best-response", tuple(maps)),
         ]
+        tree = oracle.RealizationTree(spec, 0, g)
         for label, alt_maps in alts:
-            rep = verify_value_dominance(spec, 0, g, vtable, alt_maps,
-                                         tol=COMPARE_TOL)
+            rep = verify_value_dominance(tree, vtable, alt_maps, tol=COMPARE_TOL)
             violations += len(rep.violations)
             alternatives += 1
             if label == "best-response":

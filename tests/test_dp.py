@@ -282,7 +282,7 @@ def test_single_agent_sweep_is_globally_optimal(canon_1):
 def test_dominance_tight_at_best_response(canon_2a):
     g = observation_following_profile(canon_2a)
     vtable, maps = solve_best_response(canon_2a, 0, g)
-    report = verify_value_dominance(canon_2a, 0, g, vtable, maps)
+    report = verify_value_dominance(oracle.RealizationTree(canon_2a, 0, g), vtable, maps)
     assert report.violations == ()
     assert report.max_abs_gap <= 1e-10
     assert len(report.entries) >= 40
@@ -292,7 +292,7 @@ def test_dominance_against_constant_alternative(canon_2a):
     g = observation_following_profile(canon_2a)
     vtable, _ = solve_best_response(canon_2a, 0, g)
     alt = constant_profile(canon_2a, 1).maps[0]
-    report = verify_value_dominance(canon_2a, 0, g, vtable, alt)
+    report = verify_value_dominance(oracle.RealizationTree(canon_2a, 0, g), vtable, alt)
     assert report.violations == ()
     # the costs distinguish actions somewhere, so dominance is strict there
     assert any(e.alt_value > e.table_value + 1e-6 for e in report.entries)
@@ -314,6 +314,6 @@ def test_dominance_zero_costs(canon_2a):
     g = observation_following_profile(spec)
     vtable, _ = solve_best_response(spec, 0, g)
     alt = constant_profile(spec, 1).maps[0]
-    report = verify_value_dominance(spec, 0, g, vtable, alt)
+    report = verify_value_dominance(oracle.RealizationTree(spec, 0, g), vtable, alt)
     assert report.violations == ()
     assert report.max_abs_gap == 0.0

@@ -158,6 +158,10 @@ def test_realization_key_roundtrip():
     ("c(0/1;1/0)p(1/)p(0/)", r"one '\)p\(' between the shared and private blocks, found 2"),
     ("c(0/1;1/0)p(1)", "block '1' needs one '/' between observations and actions, found 0"),
     ("c(0/1;1//0)p(1/)", "block '1//0' needs one '/' between observations and actions, found 2"),
+    ("c(0/1;1/0)p(-1/)", r"block '-1/': observation symbol 0 is ''; symbols are non-negative "
+                         r"decimal integers joined by single '-'"),
+    ("c(0/1;1/0)p(1--0/)", "block '1--0/': observation symbol 1 is ''"),
+    ("c(0/1;1/0)p(x/)", "block 'x/': observation symbol 0 is 'x'"),
 ])
 def test_parse_realization_key_rejects_keys_outside_the_model(canon_2a, key, problem):
     with pytest.raises(ValueError, match=problem):

@@ -5,15 +5,17 @@ import pathlib
 import numpy as np
 import pytest
 
-from conftest import deterministic_chain, five_profiles, random_model
-from delaypbp.dp import solve_best_response, verify_value_dominance
-from delaypbp.errors import InstanceTooLargeError, UnreachableError
-from delaypbp.info import history_code, lambda_labels
+from conftest import SHAPES, deterministic_chain, five_profiles, random_model
+from delaypbp import canonical_instance, cli
+from delaypbp.dp import expected_value, solve_best_response, verify_value_dominance
+from delaypbp.errors import IncompleteStrategyError, InstanceTooLargeError, UnreachableError
+from delaypbp.info import grid_size, history_code, lambda_labels
 from delaypbp.model import ModelSpec
-from delaypbp.oracle import (brute_force_best_response, enumerate_cost,
-                             posteriors, verify_pbp, walk)
+from delaypbp.oracle import (RealizationTree, _best_response, brute_force_best_response,
+                             enumerate_cost, posteriors, verify_pbp, walk)
 from delaypbp.strategies import (constant_profile, observation_following_profile,
                                  random_profile)
+import reference_oracle
 from reference_recursion import decode as decode_node
 from reference_recursion import other_private_space
 
@@ -189,17 +191,18 @@ def test_conditional_pmf_matches_posterior(canon_2a):
         assert np.array_equal(follow[r], post[r])
 
 
-def test_conditional_pmf_unreachable_event(canon_2a):
+def test_dominance_check_rejects_a_table_realization_the_tree_does_not_reach(canon_2a):
     """A table realization the enumeration cannot reach raises instead of
     being compared against nothing: a table built against the all-0
-    opponent, checked against an opponent that plays its observation."""
+    opponent, checked against the tree of an opponent that plays its
+    observation."""
     vtable, _ = solve_best_response(canon_2a, 0, constant_profile(canon_2a, 0))
+    tree = RealizationTree(canon_2a, 0, observation_following_profile(canon_2a))
     with pytest.raises(UnreachableError, match="unreachable realization for agent 0 at t=1"):
-        verify_value_dominance(canon_2a, 0, observation_following_profile(canon_2a),
-                               vtable, constant_profile(canon_2a, 1).maps[0])
+        verify_value_dominance(tree, vtable, constant_profile(canon_2a, 1).maps[0])
 
 
-def test_conditional_pmf_horizon_guard(canon_2a):
+def test_walk_rejects_a_horizon_past_T(canon_2a):
     g = constant_profile(canon_2a, 0)
     with pytest.raises(ValueError, match="t_end must be in"):
         walk(canon_2a, g, lambda *leaf: None, t_end=canon_2a.T + 1)
@@ -247,6 +250,86 @@ def test_brute_force_value_matches_realized_cost(canon_2a):
     value, maps = brute_force_best_response(canon_2a, 1, g)
     g_star = g.with_agent(1, [maps[0], maps[1]])
     assert enumerate_cost(canon_2a, g_star) == pytest.approx(value, abs=1e-12)
+
+
+# --- the realization tree against the walks it replaced ------------------------
+
+def tree_model(name):
+    """A model and the profile its tree is built against: the one `verify`
+    uses on the canonical instances, a seeded random one on a shape."""
+    if isinstance(name, str):
+        spec = canonical_instance(name)
+        return spec, observation_following_profile(spec)
+    K, n, T, sizes = name
+    spec = random_model(seed=11, K=K, n=n, T=T, sizes=sizes)
+    return spec, random_profile(spec, np.random.default_rng(11))
+
+
+# The benchmark shapes with T <= 3, except that K = 3 is checked at T = 2:
+# its T = 3 shape has 524,288 free leaves, and the per-time reference walks
+# would take half a minute there.
+COST_TO_GO_MODELS = ["CANON-2A", "CANON-2B", "CANON-1",
+                     *[s for s in SHAPES if s[2] <= 3 and s[0] < 3], (3, 1, 2, 2)]
+
+
+@pytest.mark.parametrize("name", COST_TO_GO_MODELS, ids=str)
+def test_tree_cost_to_go_equals_one_walk_per_time(name):
+    """For every alternative `verify` checks, the tree reaches the same
+    realizations at every t0 as one walk per t0 with agent 0 free before
+    it, with the same conditional cost-to-go up to summation order. With
+    agent 0 free before T the last walk never reads agent 0's maps, so it
+    is made once."""
+    spec, g = tree_model(name)
+    tree = RealizationTree(spec, 0, g)
+    _, maps = solve_best_response(spec, 0, g)
+    at_horizon = reference_oracle.cost_to_go(spec, 0, g, spec.T)
+    for label, alt in cli._alternative_strategies(spec, 0, maps):
+        got = tree.cost_to_go(alt)
+        for t0 in range(spec.T + 1):
+            ref = (at_horizon if t0 == spec.T
+                   else reference_oracle.cost_to_go(spec, 0, g.with_agent(0, alt), t0))
+            assert set(got[t0]) == set(ref), (label, t0)
+            assert max(abs(got[t0][r] - ref[r]) for r in ref) <= 1e-12, (label, t0)
+
+
+def test_tree_cost_to_go_rejects_a_map_without_an_action(canon_2a):
+    g = observation_following_profile(canon_2a)
+    holey = [g.maps[0][0], np.where(np.arange(grid_size(canon_2a, 0, 1)) == 5, -1,
+                                    g.maps[0][1])]
+    with pytest.raises(IncompleteStrategyError, match="agent 0 has no action at t=1"):
+        RealizationTree(canon_2a, 0, g).cost_to_go(holey)
+
+
+def binary_t2_models():
+    base = [canonical_instance("CANON-2A"), canonical_instance("CANON-2B")]
+    return [*base, *map(truncate_to_t1, base),
+            *(random_model(seed=31 + n, K=2, n=n, T=2, sizes=2) for n in (1, 2))]
+
+
+def test_pointwise_best_response_equals_the_stage_zero_search():
+    """On T <= 2 binary models, every agent against five opponents: the
+    backward pass over the tree finds the value of the search over every
+    combination of stage-0 actions, and the same action wherever the search
+    gives one."""
+    for spec in binary_t2_models():
+        for _, g in five_profiles(spec):
+            for k in range(spec.K):
+                value, maps = brute_force_best_response(spec, k, g)
+                ref_value, ref_maps = reference_oracle.brute_force_best_response(spec, k, g)
+                assert abs(value - ref_value) <= 1e-12
+                for m, ref in zip(maps, ref_maps):
+                    assert np.array_equal(m[ref >= 0], ref[ref >= 0])
+
+
+@pytest.mark.parametrize("name", ["CANON-1", (2, 1, 3, 2), (2, 2, 3, 2)], ids=str)
+def test_pointwise_best_response_equals_the_dp_past_t2(name):
+    """Past the brute-force cap the pass is still exact: its value is the
+    dynamic program's."""
+    spec, g = tree_model(name)
+    for k in range(spec.K):
+        value, _ = _best_response(RealizationTree(spec, k, g))
+        vtable, _ = solve_best_response(spec, k, g)
+        assert abs(value - expected_value(spec, k, vtable)) <= 1e-12
 
 
 # --- stationarity certificates ----------------------------------------------

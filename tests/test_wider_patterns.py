@@ -54,11 +54,12 @@ def test_two_step_sharing_dominance(two_step_model):
     spec = two_step_model
     g = constant_profile(spec, 0)
     vtable, maps = solve_best_response(spec, 1, g)
-    at_best_response = verify_value_dominance(spec, 1, g, vtable, maps)
+    tree = oracle.RealizationTree(spec, 1, g)
+    at_best_response = verify_value_dominance(tree, vtable, maps)
     assert at_best_response.violations == ()
     assert at_best_response.max_abs_gap <= 1e-10
     alt = constant_profile(spec, 1).maps[1]
-    assert verify_value_dominance(spec, 1, g, vtable, alt).violations == ()
+    assert verify_value_dominance(tree, vtable, alt).violations == ()
 
 
 def test_two_step_sharing_sweep_certified(two_step_model):
