@@ -13,10 +13,11 @@ from the conditioning; the measured gap being large shows the assumption
 is false, while state-independent observation kernels drive it to zero as
 a sanity case.
 
-The checks built on `oracle.walk` group the histories it visits by agent
-k's realization codes (`info.history_code`), with one walk per profile
-and question (the conditional-Markov laws pair every history's time-t
-and time-(t+1) codes), and order realizations by code.
+The checks built on `oracle.walk` group the histories of its blocks by
+agent k's realization codes (`info.history_code`, one code array per
+block), with one walk per profile and question (the conditional-Markov
+laws pair every history's time-t and time-(t+1) codes); each sum is an
+`np.add.at` in walk order, and realizations are ordered by code.
 A code becomes text (`info.realization_key`) only to label a gap, and is
 decoded into its blocks (`info.decode`) only where the single-agent
 reduction reads the newest own observation off it.
@@ -25,6 +26,7 @@ reduction reads the newest own observation off it.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +34,8 @@ import numpy as np
 from . import dp, oracle
 from .errors import UnreachableError
 from .filtering import BeliefPass, classical_filter_update
-from .info import decode, history_code, other_agents, private_size, realization_key
+from .info import (decode, grid_size, history_code, other_agents, private_size,
+                   realization_key)
 from .model import COMPARE_TOL, ModelSpec
 from .strategies import StrategyProfile
 
@@ -70,9 +73,18 @@ def make_report(quantity: str, gaps: list[tuple[str, float]]) -> GapReport:
 # Conditional independence of freshly shared data from the current state.
 # ---------------------------------------------------------------------------
 
-def _table_gap(p1: dict, p2: dict) -> float:
-    keys = set(p1) | set(p2)
-    return max(abs(p1.get(key, 0.0) - p2.get(key, 0.0)) for key in keys)
+def _conditional(group: np.ndarray, cell: np.ndarray, width: int, mass: np.ndarray):
+    """The law of cell (in 0..width-1) given group, from one walk's
+    histories: the distinct groups in increasing order, then per distinct
+    (group, cell) in increasing order the index of its group, the cell and
+    its mass over its group's mass, each mass added in walk order."""
+    (groups, inv), (pairs, pair_inv) = (np.unique(key, return_inverse=True)
+                                        for key in (group, group * width + cell))
+    per_group, per_pair = np.zeros(len(groups)), np.zeros(len(pairs))
+    np.add.at(per_group, inv, mass)
+    np.add.at(per_pair, pair_inv, mass)
+    at = np.searchsorted(groups, pairs // width)
+    return groups, at, pairs % width, per_pair / per_group[at]
 
 
 def check_conditional_independence(spec: ModelSpec, g_full, k: int, t: int) -> GapReport:
@@ -89,34 +101,32 @@ def check_conditional_independence(spec: ModelSpec, g_full, k: int, t: int) -> G
         raise ValueError(f"no symbols are shared before t = n-1 = {n - 1}")
     if t > spec.T - 1:
         raise ValueError("t must be a decision time (actions at t are part of the target)")
-    others, depth = other_agents(spec.K, k), max(t, p_idx + 1)
-    # One walk; at the histories of length depth, the first to reach t and the
-    # shared symbols' time, mass per (realization code r, x_t, shared symbols),
-    # per (r, x_t), per (r, shared symbols) and per r, summed in visit order.
-    by_rxs: dict = {}
-    by_rx: dict = {}
-    by_rs: dict = {}
-    by_r: dict = {}
-
-    def visit(s, xs, obs, acts, mass, cost):
-        if s != depth:
-            return
-        r, x = history_code(spec, obs, acts, k, t), xs[t]
-        shared = tuple(v for j in others for v in (obs[j][p_idx], acts[j][p_idx]))
-        for table, key in ((by_rxs, (r, x, shared)), (by_rx, (r, x)), (by_rs, (r, shared)),
-                           (by_r, r)):
-            table[key] = table.get(key, 0.0) + mass
-
-    oracle.walk(spec, g_full, visit)
-    p1: dict[tuple, dict] = {}
-    for (r, x, shared), m in by_rxs.items():
-        p1.setdefault((r, x), {})[shared] = m / by_rx[r, x]
-    p2: dict[int, dict] = {}
-    for (r, shared), m in by_rs.items():
-        p2.setdefault(r, {})[shared] = m / by_r[r]
-    gaps = [(f"x={x}|{realization_key(spec, k, t, r)}", _table_gap(p, p2[r]))
-            for (r, x), p in p1.items()]
-    return make_report("shared-data conditional independence", gaps)
+    others, depth, X = other_agents(spec.K, k), max(t, p_idx + 1), spec.state_size
+    # One walk to the first length that reaches t and the shared symbols'
+    # time: per history there, agent k's time-t code r, x_t and the shared
+    # symbols' mixed radix.
+    parts = []
+    for s, xs, obs, acts, mass, cost in oracle.walk(spec, g_full, depth=depth):
+        if s == depth:
+            shared = np.zeros(len(mass), np.int64)
+            for j in others:
+                shared = ((shared * spec.obs_sizes[j] + obs[:, j, p_idx])
+                          * spec.act_sizes[j] + acts[:, j, p_idx])
+            parts.append((history_code(spec, obs, acts, k, t), xs[:, t].astype(np.int64),
+                          shared, mass))
+    r, x, shared, mass = map(np.concatenate, zip(*parts))
+    width = math.prod(spec.obs_sizes[j] * spec.act_sizes[j] for j in others)
+    laws = []  # the shared symbols' law given (r, x_t), then given r; 0 where unseen
+    for group in (r * X + x, r):
+        groups, at, cell, p = _conditional(group, shared, width, mass)
+        law = np.zeros((len(groups), width))
+        law[at, cell] = p
+        laws.append((groups, law))
+    (rx, p1), (rs, p2) = laws
+    gaps = np.max(np.abs(p1 - p2[np.searchsorted(rs, rx // X)]), axis=1)
+    return make_report("shared-data conditional independence",
+                       [(f"x={x}|{realization_key(spec, k, t, r)}", gap) for r, x, gap
+                        in zip((rx // X).tolist(), (rx % X).tolist(), gaps.tolist())])
 
 
 # ---------------------------------------------------------------------------
@@ -155,23 +165,20 @@ def _next_posterior_laws(spec: ModelSpec, g_full, k: int,
     of agent k's next posterior (from posts[t + 1]) given r, as
     (posterior, probability) pairs in code order of the next realization.
 
-    One walk, its histories of length t + 1 grouped by (t, r, r'), with r'
-    the time-(t+1) code; both tables accumulate in visit order."""
-    pair: dict[tuple, float] = {}
-    marg: dict[tuple, float] = {}
-
-    def visit(s, xs, obs, acts, mass, cost):
-        if s == 0:
-            return
-        r = (s - 1, history_code(spec, obs, acts, k, s - 1))
-        key = (*r, history_code(spec, obs, acts, k, s))
-        marg[r] = marg.get(r, 0.0) + mass
-        pair[key] = pair.get(key, 0.0) + mass
-
-    oracle.walk(spec, g_full, visit)
-    laws: dict[tuple, list] = {r: [] for r in marg}
-    for (t, r, r1), m in sorted(pair.items()):
-        laws[t, r].append((posts[t + 1][r1], m / marg[t, r]))
+    One walk, its histories of length t + 1 grouped by (r, r') and by r,
+    with r' the time-(t+1) code, each summed in walk order."""
+    parts: list[list] = [[] for _ in range(spec.T)]
+    for s, xs, obs, acts, mass, cost in oracle.walk(spec, g_full):
+        if s > 0:
+            parts[s - 1].append((history_code(spec, obs, acts, k, s - 1),
+                                 history_code(spec, obs, acts, k, s), mass))
+    laws: dict[tuple, list] = {}
+    for t, blocks in enumerate(parts):
+        r, r1, mass = map(np.concatenate, zip(*blocks))
+        groups, at, nxt, prob = _conditional(r, r1, grid_size(spec, k, t + 1), mass)
+        rows = [laws.setdefault((t, code), []) for code in groups.tolist()]
+        for i, code, p in zip(at.tolist(), nxt.tolist(), prob.tolist()):
+            rows[i].append((posts[t + 1][code], p))
     return laws
 
 

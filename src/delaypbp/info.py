@@ -5,10 +5,11 @@ observations and actions up to time t-n) and its private block (its own
 last n observations and last n-1 actions). A realization of agent k at
 time t has exactly two forms here: an integer code -- the one key of
 strategy arrays, belief layers, value rows and the oracle's group-bys,
-read off a joint history by `history_code` and advanced one step by
-arithmetic on codes -- and a text key, which appears only where strategy
-files and reports are read or written. `decode` spells a code out as
-plain blocks of symbols and `encode` is its inverse.
+read off joint histories by `history_code` (Horner's rule over a block's
+digit columns, the one code rule) and advanced one step by arithmetic on
+codes -- and a text key, which appears only where strategy files and
+reports are read or written. `decode` spells a code out as plain blocks
+of symbols and `encode` is its inverse.
 
 Index windows, 0-based, for delay n at time t:
   shared, per agent:  obs 0..t-n, acts 0..t-n          (empty while t < n)
@@ -103,10 +104,9 @@ def private_size(spec: ModelSpec, k: int, t: int) -> int:
             * spec.act_sizes[k] ** private_act_len(spec.n, t))
 
 
-def _code(obs, acts, own_obs: IntSeq, own_acts: IntSeq, rads: IntSeq) -> int:
-    """Horner's rule over the digits in radices' order."""
+def _code(digits, rads: IntSeq):
+    """Horner's rule over the digits (ints or int64 columns) in radices' order."""
     code = 0
-    digits = itertools.chain(itertools.chain(*obs), itertools.chain(*acts), own_obs, own_acts)
     for d, r in zip(digits, rads):
         code = code * r + d
     return code
@@ -114,17 +114,19 @@ def _code(obs, acts, own_obs: IntSeq, own_acts: IntSeq, rads: IntSeq) -> int:
 
 def encode(spec: ModelSpec, k: int, t: int, blocks: Blocks) -> int:
     """Agent k's time-t code of the given blocks; the inverse of decode."""
-    return _code(*blocks, radices(spec, k, t))
+    return _code(itertools.chain(*blocks.shared_obs, *blocks.shared_acts, blocks.own_obs,
+                                 blocks.own_acts), radices(spec, k, t))
 
 
-def history_code(spec: ModelSpec, obs, acts, j: int, t: int) -> int:
-    """Agent j's time-t code read straight off a joint history, given as
-    per-agent observation streams (up to t at least) and action streams
-    (up to t-1 at least): every agent's streams up to t-n, then agent j's
-    own symbols up to t."""
-    cut = shared_prefix_len(spec.n, t)
-    return _code((ys[:cut] for ys in obs), (us[:cut] for us in acts),
-                 obs[j][cut:t + 1], acts[j][cut:t], radices(spec, j, t))
+def history_code(spec: ModelSpec, obs, acts, j: int, t: int):
+    """Agent j's time-t codes read straight off joint histories, one per
+    index of the leading axes of obs (..., K, >= t+1) and acts (..., K,
+    >= t), the per-agent observation and action streams: every agent's
+    streams up to t-n, then agent j's own symbols up to t."""
+    cut, obs, acts = shared_prefix_len(spec.n, t), np.asarray(obs), np.asarray(acts)
+    shared = [(a, i, s) for a in (obs, acts) for i in range(obs.shape[-2]) for s in range(cut)]
+    own = [(obs, j, s) for s in range(cut, t + 1)] + [(acts, j, s) for s in range(cut, t)]
+    return _code((a[..., i, s].astype(np.int64) for a, i, s in shared + own), radices(spec, j, t))
 
 
 def oldest(spec: ModelSpec, j: int, t: int, pcode):

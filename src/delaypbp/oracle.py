@@ -2,12 +2,14 @@
 
 `walk` enumerates the sample paths of positive probability under the
 kernels and a strategy profile, one agent possibly free to take every
-action, and hands the history of every length t = 0..T to a visitor,
-each before its continuations. Everything else is a group-by over one
-walk keyed by agent k's realization code: expected costs (the histories
-of length T), posteriors over the extended state at every t, and agent
-k's realization tree, which gives its cost-to-go under any strategy and
-its best response. No beliefs: this is the reference the filter and the
+action, breadth first: the histories of each length t = 0..T come as
+numpy blocks before any longer one. Everything else is a group-by over
+one walk keyed by agent k's realization codes (`info.history_code`), an
+`np.add.at` over group ids in walk order, so every sum adds in the order
+of a walk one history at a time: expected costs (the histories of length
+T), posteriors over the extended state at every t, and agent k's
+realization tree, which gives its cost-to-go under any strategy and its
+best response. No beliefs: this is the reference the filter and the
 dynamic program are checked against, so it imports only the model and
 information-pattern primitives.
 """
@@ -16,7 +18,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,96 +26,94 @@ from .errors import InstanceTooLargeError
 from .info import grid_size, history_code, other_agents, private_size
 from .model import COMPARE_TOL, ModelSpec
 
-
-def _likely_observations(spec: ModelSpec, s: int) -> list[list[tuple[tuple, float]]]:
-    """Per state, every joint time-s observation with positive likelihood,
-    with that likelihood formed as 1.0 * q_0 * q_1 * ..."""
-    joint = list(itertools.product(*(range(m) for m in spec.obs_sizes)))
-    out = []
-    for x in range(spec.state_size):
-        likes = [math.prod([float(spec.observation[s][j][x, y]) for j, y in enumerate(ys)],
-                           start=1.0) for ys in joint]
-        out.append([(ys, p) for ys, p in zip(joint, likes) if p > 0.0])
-    return out
+_BLOCK = 4096  # most histories per yielded block: what bounds the walk's memory
 
 
-def walk(spec: ModelSpec, g, visit, free: int | None = None) -> None:
-    """Call visit(t, xs, obs, acts, mass, cost) at every positive-probability
-    joint history of every length t = 0..T, each before its continuations.
+def _blocks(t: int, layer):
+    for lo in range(0, len(layer[-1]), _BLOCK):
+        yield (t, *(a[lo:lo + _BLOCK] for a in layer))
 
-    Every agent acts from the profile g but agent `free`, which takes every
-    action at every step; its maps are never read. xs is the state path to
-    t; obs and acts are the per-agent observation streams (to t) and action
-    streams (to t - 1); mass is init * (1.0 * q_0 * q_1 ...), then
-    (mass * p_x) * p_y per step, the path's probability given the free
-    agent's actions; cost sums the stage costs before t left to right, plus
-    the terminal cost at t = T. Histories come in a fixed order (initial
-    state, joint observation, then per step the free agent's action, the
-    next state, the joint observation), so sums over the histories of one
-    length, added in visit order, are deterministic.
+
+def walk(spec: ModelSpec, g, free: int | None = None, depth: int | None = None):
+    """Yield (t, xs, obs, acts, mass, cost) blocks of at most _BLOCK
+    positive-probability joint histories, every length t = 0..depth (T by
+    default) in turn; only the layer before the last is held whole.
+
+    Every agent acts from the profile g, one g.actions_at per (agent, t),
+    but agent `free`, which takes every action at every step; its maps are
+    never read. Row i of a block is one history: xs[i] the state path to t,
+    obs[i] (K, t+1) and acts[i] (K, t) the per-agent observation and action
+    streams, in the narrowest int dtype of the alphabets; mass[i] is
+    init * (1.0 * q_0 * q_1 ...), then (mass * p_x) * p_y per step, the
+    path's probability given the free agent's actions; cost[i] sums the
+    stage costs before t left to right, plus the terminal cost at t = T.
+    The histories of one length come in a fixed order (initial state,
+    joint observation, then per step the free agent's action, the next
+    state, the joint observation), so sums over them are deterministic.
     """
     K, X, T = spec.K, spec.state_size, spec.T
-    likely = [_likely_observations(spec, s) for s in range(T + 1)]
-    # Kernels and costs as nested lists indexed [x][joint action], with the
-    # joint action's flat index in the kernels' C order.
-    trans = [spec.transition[s].reshape(X, -1, X).tolist() for s in range(T)]
-    stage = [spec.stage_cost[s].reshape(X, -1).tolist() for s in range(T)]
-    terminal = spec.terminal_cost.tolist()
-    joint = {us: i for i, us in enumerate(
-        itertools.product(*(range(a) for a in spec.act_sizes)))}
+    depth = T if depth is None else depth
+    dtype = np.min_scalar_type(max(X, *spec.obs_sizes, *spec.act_sizes) - 1)
+    ys = np.array(list(itertools.product(*map(range, spec.obs_sizes))), dtype)  # (J, K)
+    like = [math.prod([q[:, ys[:, j]] for j, q in enumerate(qs)], start=1.0)  # (X, J)
+            for qs in spec.observation]
+    trans = [p.reshape(X, -1, X) for p in spec.transition]
+    stage = [c.reshape(X, -1) for c in spec.stage_cost]
+    U = spec.act_sizes[free] if free is not None else 1
 
-    def step(s: int, xs: tuple, obs: tuple, acts: tuple, mass: float, cost: float) -> None:
-        visit(s, xs, obs, acts, mass, cost)  # s < T: length T is visited below
-        x = xs[-1]
-        choices = [range(spec.act_sizes[j]) if j == free
-                   else (g.action_at(j, s, history_code(spec, obs, acts, j, s)),)
-                   for j in range(K)]
-        for us in itertools.product(*choices):
-            a = joint[us]
-            c = cost + stage[s][x][a]
-            acts1 = tuple([stream + (u,) for stream, u in zip(acts, us)])
-            for x1, p_x in enumerate(trans[s][x][a]):
-                if p_x <= 0.0:
-                    continue
-                xs1, m = xs + (x1,), mass * p_x
-                for ys, p_y in likely[s + 1][x1]:
-                    obs1 = tuple([stream + (y,) for stream, y in zip(obs, ys)])
-                    if s + 1 < T:
-                        step(s + 1, xs1, obs1, acts1, m * p_y, c)
-                    else:
-                        visit(T, xs1, obs1, acts1, m * p_y, c + terminal[x1])
+    def expand(s, layer):
+        """Layer s + 1 in parent-major chunks of at most _BLOCK histories
+        (but one parent's children), each parent's in (free action, x',
+        joint y) order."""
+        xs, obs, acts, mass, cost = layer
+        us = np.zeros((len(mass), U, K), dtype)
+        for j in range(K):
+            us[..., j] = (np.arange(U) if j == free else
+                          g.actions_at(j, s, history_code(spec, obs, acts, j, s))[:, None])
+        a = np.ravel_multi_index(tuple(np.moveaxis(us, -1, 0)), spec.act_sizes)  # (N, U)
+        p_x = trans[s][xs[:, -1, None], a]  # (N, U, X)
+        c = cost[:, None] + stage[s][xs[:, -1, None], a]
+        step = max(1, _BLOCK // p_x[0].size // len(ys))
+        for lo in range(0, len(mass), step):
+            i, u, x1, y = np.nonzero((p_x[lo:lo + step, ..., None] > 0.0) & (like[s + 1] > 0.0))
+            i += lo
+            yield (np.concatenate([xs[i], x1[:, None].astype(dtype)], axis=1),
+                   np.concatenate([obs[i], ys[y, :, None]], axis=2),
+                   np.concatenate([acts[i], us[i, u, :, None]], axis=2),
+                   (mass[i] * p_x[i, u, x1]) * like[s + 1][x1, y],
+                   c[i, u] + spec.terminal_cost[x1] if s + 1 == T else c[i, u])
 
-    no_acts = tuple(() for _ in range(K))
-    for x0, p0 in enumerate(spec.init_dist.tolist()):
-        if p0 <= 0.0:
-            continue
-        for ys, p_y in likely[0][x0]:
-            step(0, (x0,), tuple((y,) for y in ys), no_acts, p0 * p_y, 0.0)
-    del step  # step refers to itself: free it, and the visitor's state, now
+    x0, y0 = np.nonzero((spec.init_dist > 0.0)[:, None] & (like[0] > 0.0))
+    layer = (x0[:, None].astype(dtype), ys[y0, :, None], np.zeros((len(x0), K, 0), dtype),
+             spec.init_dist[x0] * like[0][x0, y0], np.zeros(len(x0)))
+    last = [layer]
+    for t in range(depth):
+        yield from _blocks(t, layer)
+        last = expand(t, layer)
+        if t + 1 < depth:
+            layer = tuple(map(np.concatenate, zip(*last)))
+    for chunk in last:
+        yield from _blocks(depth, chunk)
 
 
 def enumerate_cost(spec: ModelSpec, g_full) -> float:
     """Expected total cost of a profile, straight from the definition."""
-    total = 0.0
-
-    def visit(t, xs, obs, acts, mass, cost):
-        nonlocal total
+    total = np.zeros(1)
+    for t, xs, obs, acts, mass, cost in walk(spec, g_full):
         if t == spec.T:
-            total += mass * cost
-
-    walk(spec, g_full, visit)
-    return total
+            np.add.at(total, np.zeros(len(mass), np.intp), mass * cost)
+    return float(total[0])
 
 
 def posteriors(spec: ModelSpec, g, k: int, free: bool = True) -> list[dict[int, np.ndarray]]:
     """Per t = 0..T, agent k's posterior over (x_t, lambda_t^{-k}) at every
     time-t realization reachable with its own actions free, from the
-    definition, keyed by agent k's time-t code.
+    definition, keyed by agent k's time-t code in increasing order.
 
     One walk with agent k free, so its maps are never read: a realization
     already fixes agent k's actions. The masses of the histories of length
-    t accumulate in visit order per (joint history, x_t), which is per
-    (agent k's realization, lambda_t^{-k}, x_t), and are normalized per
+    t accumulate in walk order per (agent k's realization, lambda_t^{-k},
+    x_t), which is per (joint history, x_t), and are normalized per
     realization. Each posterior is a (state, lambda) array; the lambda
     index is the mixed radix over the other agents' private codes, the
     order of info.lambda_labels(spec, k, t).
@@ -124,31 +123,49 @@ def posteriors(spec: ModelSpec, g, k: int, free: bool = True) -> list[dict[int, 
     the same to the bit; the walk is smaller and reads the other agents'
     maps only where g reaches.
     """
-    cells: list[dict[tuple, float]] = [{} for _ in range(spec.T + 1)]
-
-    def visit(t, xs, obs, acts, mass, cost):
-        key, at_t = (obs, acts, xs[-1]), cells[t]
-        at_t[key] = at_t.get(key, 0.0) + mass
-
-    walk(spec, g, visit, free=k if free else None)
     others = other_agents(spec.K, k)
+    cells: list[list] = [[] for _ in range(spec.T + 1)]  # per t, per block
+    for t, xs, obs, acts, mass, cost in walk(spec, g, free=k if free else None):
+        lam = np.zeros(len(mass), np.int64)
+        for j in others:
+            size = private_size(spec, j, t)
+            lam = lam * size + history_code(spec, obs, acts, j, t) % size
+        cells[t].append((history_code(spec, obs, acts, k, t), xs[:, t].astype(np.intp), lam,
+                         mass))
     out = []
-    for t, at_t in enumerate(cells):
-        sizes = [private_size(spec, j, t) for j in others]
-        at: dict[tuple, tuple[int, int]] = {}  # (obs, acts) -> (code, lambda index)
-        mats: dict[int, np.ndarray] = {}
-        for (obs, acts, x), m in at_t.items():
-            if (obs, acts) not in at:
-                lam = 0
-                for j, size in zip(others, sizes):
-                    lam = lam * size + history_code(spec, obs, acts, j, t) % size
-                at[obs, acts] = history_code(spec, obs, acts, k, t), lam
-            code, lam = at[obs, acts]
-            if code not in mats:
-                mats[code] = np.zeros((spec.state_size, math.prod(sizes)))
-            mats[code][x, lam] = m
-        out.append({code: mat / float(mat.sum()) for code, mat in mats.items()})
+    for t, blocks in enumerate(cells):
+        code, x, lam, mass = map(np.concatenate, zip(*blocks))
+        codes, group = np.unique(code, return_inverse=True)
+        mats = np.zeros((len(codes), spec.state_size,
+                         math.prod(private_size(spec, j, t) for j in others)))
+        np.add.at(mats, (group, x, lam), mass)
+        out.append({c: mat / float(mat.sum()) for c, mat in zip(codes.tolist(), mats)})
     return out
+
+
+class _FirstSeen:
+    """Dense ids of int keys, numbered in order of first appearance across
+    calls."""
+
+    def __init__(self):
+        self.keys = self.ids = np.zeros(0, np.int64)  # the keys seen, sorted, and their ids
+
+    def __call__(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The id of every key, and the positions of the keys first seen here."""
+        uniq, inv = np.unique(keys, return_inverse=True)
+        first = np.full(len(uniq), len(keys))
+        np.minimum.at(first, inv, np.arange(len(keys)))
+        at = np.searchsorted(self.keys, uniq)
+        old = at < len(self.keys)
+        old[old] = self.keys[at[old]] == uniq[old]
+        new = np.flatnonzero(~old)
+        new = new[np.argsort(first[new])]
+        ids = np.empty(len(uniq), np.int64)
+        ids[old] = self.ids[at[old]]
+        ids[new] = len(self.keys) + np.arange(len(new))
+        self.keys = np.insert(self.keys, at[~old], uniq[~old])
+        self.ids = np.insert(self.ids, at[~old], ids[~old])
+        return ids[inv], first[new]
 
 
 class RealizationTree:
@@ -166,40 +183,22 @@ class RealizationTree:
 
     def __init__(self, spec: ModelSpec, k: int, g):
         self.spec, self.k, self.g = spec, k, g
-        T, terminal = spec.T, spec.terminal_cost.tolist()
-        stage = [spec.stage_cost[s].reshape(spec.state_size, -1).T.tolist() for s in range(T)]
-        groups: dict[int, list[float]] = {}  # time-T code -> the group's sums
-        codes = array("q")  # per group: codes, then actions
-        # A history but its time-T observations fixes all actions and agent k's
-        # earlier codes, and with k's own one (n >= 1) its group: each is read
-        # once, to stage costs by state, those codes and a slot per own y_T.
-        seen: dict[tuple, tuple[list, list[list[float]], list[int]]] = {}
-
-        def visit(s, xs, obs, acts, mass, cost):
-            if s < T:
-                return
-            key = (tuple([ys[:-1] for ys in obs]), acts)
-            hit = seen.get(key)
-            if hit is None:
-                hit = seen[key] = [None] * spec.obs_sizes[k], [
-                    stage[t][np.ravel_multi_index([us[t] for us in acts], spec.act_sizes)]
-                    for t in range(T)], [history_code(spec, obs, acts, k, t) for t in range(T)]
-            slots, rows, earlier = hit
-            acc = slots[obs[k][-1]]
-            if acc is None:
-                code = history_code(spec, obs, acts, k, T)
-                if code not in groups:
-                    groups[code] = [0.0] * (T + 2)
-                    codes.extend([*earlier, code, *acts[k], 0])
-                acc = slots[obs[k][-1]] = groups[code]
-            acc[0] += mass
-            for t, (row, x) in enumerate(zip(rows, xs), 1):
-                acc[t] += mass * row[x]
-            acc[T + 1] += mass * terminal[xs[T]]
-
-        walk(spec, g, visit, free=k)
-        self.codes, self.acts = np.frombuffer(codes, np.int64).reshape(-1, 2, T + 1).swapaxes(0, 1)
-        self.sums = np.array(list(groups.values())).reshape(-1, T + 2)
+        T, X = spec.T, spec.state_size
+        group_of, firsts, sums = _FirstSeen(), [], np.zeros((T + 2, 0))
+        for t, xs, obs, acts, mass, cost in walk(spec, g, free=k):
+            if t < T:
+                continue
+            group, first = group_of(history_code(spec, obs, acts, k, T))
+            firsts.append((obs[first], acts[first]))
+            sums = np.concatenate([sums, np.zeros((T + 2, len(first)))], axis=1)
+            a = np.ravel_multi_index(tuple(np.moveaxis(acts, 1, 0)), spec.act_sizes)  # (N, T)
+            costs = [c.reshape(X, -1)[xs[:, s], a[:, s]] for s, c in enumerate(spec.stage_cost)]
+            for row, c in zip(sums, [1.0, *costs, spec.terminal_cost[xs[:, T]]]):
+                np.add.at(row, group, mass * c)
+        obs, acts = map(np.concatenate, zip(*firsts))
+        self.codes = np.stack([history_code(spec, obs, acts, k, t) for t in range(T + 1)], 1)
+        self.acts = np.pad(acts[:, k], ((0, 0), (0, 1))).astype(np.int64)
+        self.sums = sums.T
 
     def cost_to_go(self, maps) -> list[dict[int, float]]:
         """Per t0 = 0..T, the expected cost of stages t0..T-1 plus terminal

@@ -1,24 +1,267 @@
-"""The oracle's per-time walks that agent k's realization tree replaced,
-kept as a test-local reference.
+"""The oracle's tuple walks and dict group-bys, kept as a test-local
+reference.
 
-`walk` here still leaves the free agent free only before `free_until` and
-adds stage costs only from `cost_from` on. `cost_to_go` makes one such
-walk per time t0, free before t0 and summing costs from t0, and groups
-its leaves by the history up to t0 (`_cut`). `brute_force_best_response`
-searches every combination of stage-0 actions over the first
-realizations, T <= 2 only, and picks the final-stage action pointwise.
-The tree's cost-to-go and its backward pass must agree with these.
+`tuple_walk` is the depth-first walk that `oracle.walk` replaced: it calls
+a visitor at every positive-probability history of every length, one
+history at a time as tuples, each before its continuations, and reads a
+strategy one code at a time. `enumerate_cost`, `posteriors`,
+`RealizationTree` and falsify's tables (`independence_tables`,
+`next_posterior_laws`) are the dict group-bys over it that the array
+oracle must equal to the bit.
+
+`walk` is the older per-time walk: it leaves the free agent free only
+before `free_until` and adds stage costs only from `cost_from` on.
+`cost_to_go` makes one such walk per time t0, free before t0 and summing
+costs from t0, and groups its leaves by the history up to t0 (`_cut`).
+`brute_force_best_response` searches every combination of stage-0
+actions over the first realizations, T <= 2 only, and picks the
+final-stage action pointwise. The tree's cost-to-go and its backward pass
+must agree with these.
+
+Codes come from `history_code` here, a scalar Horner rule over
+`info.radices`, apart from the array rule in `info`.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+from array import array
 
 import numpy as np
 
-from delaypbp.info import grid_size, history_code
-from delaypbp.oracle import _likely_observations
+from delaypbp import oracle
+from delaypbp.info import (grid_size, other_agents, private_size, radices, realization_key,
+                           shared_prefix_len)
 
+
+def history_code(spec, obs, acts, j, t) -> int:
+    """Agent j's time-t code of one joint history given as tuples: every
+    agent's streams up to t-n, then agent j's own symbols up to t."""
+    cut, code = shared_prefix_len(spec.n, t), 0
+    digits = itertools.chain(*(ys[:cut] for ys in obs), *(us[:cut] for us in acts),
+                             obs[j][cut:t + 1], acts[j][cut:t])
+    for d, r in zip(digits, radices(spec, j, t)):
+        code = code * r + d
+    return code
+
+
+def _likely_observations(spec, s) -> list[list[tuple[tuple, float]]]:
+    """Per state, every joint time-s observation with positive likelihood,
+    with that likelihood formed as 1.0 * q_0 * q_1 * ..."""
+    joint = list(itertools.product(*(range(m) for m in spec.obs_sizes)))
+    out = []
+    for x in range(spec.state_size):
+        likes = [math.prod([float(spec.observation[s][j][x, y]) for j, y in enumerate(ys)],
+                           start=1.0) for ys in joint]
+        out.append([(ys, p) for ys, p in zip(joint, likes) if p > 0.0])
+    return out
+
+
+def tuple_walk(spec, g, visit, free=None) -> None:
+    """visit(t, xs, obs, acts, mass, cost) at every positive-probability
+    joint history of every length t = 0..T, each before its continuations,
+    in the order (initial state, joint observation, then per step the free
+    agent's action, the next state, the joint observation); mass is
+    init * (1.0 * q_0 * q_1 ...), then (mass * p_x) * p_y per step; cost
+    sums the stage costs before t, plus the terminal cost at t = T."""
+    K, X, T = spec.K, spec.state_size, spec.T
+    likely = [_likely_observations(spec, s) for s in range(T + 1)]
+    trans = [spec.transition[s].reshape(X, -1, X).tolist() for s in range(T)]
+    stage = [spec.stage_cost[s].reshape(X, -1).tolist() for s in range(T)]
+    terminal = spec.terminal_cost.tolist()
+    joint = {us: i for i, us in enumerate(
+        itertools.product(*(range(a) for a in spec.act_sizes)))}
+
+    def step(s, xs, obs, acts, mass, cost):
+        visit(s, xs, obs, acts, mass, cost)
+        x = xs[-1]
+        choices = [range(spec.act_sizes[j]) if j == free
+                   else (g.action_at(j, s, history_code(spec, obs, acts, j, s)),)
+                   for j in range(K)]
+        for us in itertools.product(*choices):
+            a = joint[us]
+            c = cost + stage[s][x][a]
+            acts1 = tuple([stream + (u,) for stream, u in zip(acts, us)])
+            for x1, p_x in enumerate(trans[s][x][a]):
+                if p_x <= 0.0:
+                    continue
+                xs1, m = xs + (x1,), mass * p_x
+                for ys, p_y in likely[s + 1][x1]:
+                    obs1 = tuple([stream + (y,) for stream, y in zip(obs, ys)])
+                    if s + 1 < T:
+                        step(s + 1, xs1, obs1, acts1, m * p_y, c)
+                    else:
+                        visit(T, xs1, obs1, acts1, m * p_y, c + terminal[x1])
+
+    no_acts = tuple(() for _ in range(K))
+    for x0, p0 in enumerate(spec.init_dist.tolist()):
+        if p0 <= 0.0:
+            continue
+        for ys, p_y in likely[0][x0]:
+            step(0, (x0,), tuple((y,) for y in ys), no_acts, p0 * p_y, 0.0)
+    del step
+
+
+def as_tuples(blocks):
+    """The histories of oracle.walk's blocks one at a time, as tuple_walk
+    visits them: (t, xs, obs, acts, mass, cost) with Python ints and
+    floats."""
+    for t, xs, obs, acts, mass, cost in blocks:
+        for x, ys, us, m, c in zip(xs.tolist(), obs.tolist(), acts.tolist(), mass.tolist(),
+                                   cost.tolist()):
+            yield (t, tuple(x), tuple(map(tuple, ys)), tuple(map(tuple, us)), m, c)
+
+
+# ---------------------------------------------------------------------------
+# The dict group-bys over tuple_walk.
+# ---------------------------------------------------------------------------
+
+def enumerate_cost(spec, g) -> float:
+    total = 0.0
+
+    def visit(t, xs, obs, acts, mass, cost):
+        nonlocal total
+        if t == spec.T:
+            total += mass * cost
+
+    tuple_walk(spec, g, visit)
+    return total
+
+
+def posteriors(spec, g, k, free=True) -> list[dict[int, np.ndarray]]:
+    """Per t, agent k's posterior per time-t code: masses added in visit
+    order per (joint history, x_t), normalized per code."""
+    cells: list[dict[tuple, float]] = [{} for _ in range(spec.T + 1)]
+
+    def visit(t, xs, obs, acts, mass, cost):
+        key, at_t = (obs, acts, xs[-1]), cells[t]
+        at_t[key] = at_t.get(key, 0.0) + mass
+
+    tuple_walk(spec, g, visit, free=k if free else None)
+    others = other_agents(spec.K, k)
+    out = []
+    for t, at_t in enumerate(cells):
+        sizes = [private_size(spec, j, t) for j in others]
+        at: dict[tuple, tuple[int, int]] = {}
+        mats: dict[int, np.ndarray] = {}
+        for (obs, acts, x), m in at_t.items():
+            if (obs, acts) not in at:
+                lam = 0
+                for j, size in zip(others, sizes):
+                    lam = lam * size + history_code(spec, obs, acts, j, t) % size
+                at[obs, acts] = history_code(spec, obs, acts, k, t), lam
+            code, lam = at[obs, acts]
+            if code not in mats:
+                mats[code] = np.zeros((spec.state_size, math.prod(sizes)))
+            mats[code][x, lam] = m
+        out.append({code: mat / float(mat.sum()) for code, mat in mats.items()})
+    return out
+
+
+class RealizationTree(oracle.RealizationTree):
+    """The tree's groups from the tuple walk: per time-T code of agent k,
+    in order of first leaf, its codes and actions and the sums added in
+    leaf order; the backward pass is the array tree's."""
+
+    def __init__(self, spec, k, g):
+        self.spec, self.k, self.g = spec, k, g
+        T, terminal = spec.T, spec.terminal_cost.tolist()
+        stage = [spec.stage_cost[s].reshape(spec.state_size, -1).T.tolist() for s in range(T)]
+        groups: dict[int, list[float]] = {}  # time-T code -> the group's sums
+        codes = array("q")  # per group: codes, then actions
+        # A history but its time-T observations fixes all actions and agent k's
+        # earlier codes, and with k's own one (n >= 1) its group: each is read
+        # once, to stage costs by state, those codes and a slot per own y_T.
+        seen: dict[tuple, tuple[list, list[list[float]], list[int]]] = {}
+
+        def visit(s, xs, obs, acts, mass, cost):
+            if s < T:
+                return
+            key = (tuple([ys[:-1] for ys in obs]), acts)
+            hit = seen.get(key)
+            if hit is None:
+                hit = seen[key] = [None] * spec.obs_sizes[k], [
+                    stage[t][np.ravel_multi_index([us[t] for us in acts], spec.act_sizes)]
+                    for t in range(T)], [history_code(spec, obs, acts, k, t) for t in range(T)]
+            slots, rows, earlier = hit
+            acc = slots[obs[k][-1]]
+            if acc is None:
+                code = history_code(spec, obs, acts, k, T)
+                if code not in groups:
+                    groups[code] = [0.0] * (T + 2)
+                    codes.extend([*earlier, code, *acts[k], 0])
+                acc = slots[obs[k][-1]] = groups[code]
+            acc[0] += mass
+            for t, (row, x) in enumerate(zip(rows, xs), 1):
+                acc[t] += mass * row[x]
+            acc[T + 1] += mass * terminal[xs[T]]
+
+        tuple_walk(spec, g, visit, free=k)
+        self.codes, self.acts = np.frombuffer(codes, np.int64).reshape(-1, 2, T + 1).swapaxes(0, 1)
+        self.sums = np.array(list(groups.values())).reshape(-1, T + 2)
+
+
+def independence_tables(spec, g, k, t):
+    """falsify.check_conditional_independence's four tables: at the
+    histories of length max(t, t-n+2), mass per (code r, x_t, the other
+    agents' time-(t-n+1) symbols), per (r, x_t), per (r, symbols) and per
+    r, summed in visit order."""
+    p_idx = t - spec.n + 1
+    others, depth = other_agents(spec.K, k), max(t, p_idx + 1)
+    tables: tuple[dict, dict, dict, dict] = ({}, {}, {}, {})
+
+    def visit(s, xs, obs, acts, mass, cost):
+        if s != depth:
+            return
+        r, x = history_code(spec, obs, acts, k, t), xs[t]
+        shared = tuple(v for j in others for v in (obs[j][p_idx], acts[j][p_idx]))
+        for table, key in zip(tables, ((r, x, shared), (r, x), (r, shared), r)):
+            table[key] = table.get(key, 0.0) + mass
+
+    tuple_walk(spec, g, visit)
+    return tables
+
+
+def conditional_independence_gaps(spec, g, k, t) -> list[tuple[str, float]]:
+    """Per (r, x_t), the max distance between the law of the shared
+    symbols given (r, x_t) and given r, as falsify labels it."""
+    by_rxs, by_rx, by_rs, by_r = independence_tables(spec, g, k, t)
+    p1: dict[tuple, dict] = {}
+    for (r, x, shared), m in by_rxs.items():
+        p1.setdefault((r, x), {})[shared] = m / by_rx[r, x]
+    p2: dict[int, dict] = {}
+    for (r, shared), m in by_rs.items():
+        p2.setdefault(r, {})[shared] = m / by_r[r]
+    return [(f"x={x}|{realization_key(spec, k, t, r)}",
+             max(abs(p.get(s, 0.0) - p2[r].get(s, 0.0)) for s in set(p) | set(p2[r])))
+            for (r, x), p in p1.items()]
+
+
+def next_posterior_laws(spec, g, k, posts):
+    """Per (t, r), the law of agent k's next posterior given its time-t
+    code r, as (posterior, probability) pairs in next-code order."""
+    pair: dict[tuple, float] = {}
+    marg: dict[tuple, float] = {}
+
+    def visit(s, xs, obs, acts, mass, cost):
+        if s == 0:
+            return
+        r = (s - 1, history_code(spec, obs, acts, k, s - 1))
+        key = (*r, history_code(spec, obs, acts, k, s))
+        marg[r] = marg.get(r, 0.0) + mass
+        pair[key] = pair.get(key, 0.0) + mass
+
+    tuple_walk(spec, g, visit)
+    laws: dict[tuple, list] = {r: [] for r in marg}
+    for (t, r, r1), m in sorted(pair.items()):
+        laws[t, r].append((posts[t + 1][r1], m / marg[t, r]))
+    return laws
+
+
+# ---------------------------------------------------------------------------
+# The per-time walks the realization tree replaced.
+# ---------------------------------------------------------------------------
 
 def walk(spec, g, visit, t_end=None, free=None, free_until=0, cost_from=0) -> None:
     """visit(xs, obs, acts, mass, cost) at every positive-probability joint

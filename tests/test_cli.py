@@ -470,8 +470,9 @@ def test_incomplete_strategy_file_reports_every_miss_in_the_layer(tmp_path, cano
     # Two entries cover each agent's t = 0 map; agent 1's realizations that
     # agent 0's chain reaches at t = 1 are those the walk reaches.
     reached = set()
-    oracle.walk(canon_2a, g, lambda t, xs, obs, acts, m, c: t == 1 and reached.add(
-        history_code(canon_2a, obs, acts, 1, 1)))
+    for t, xs, obs, acts, mass, cost in oracle.walk(canon_2a, g, depth=1):
+        if t == 1:
+            reached.update(history_code(canon_2a, obs, acts, 1, 1).tolist())
     kept = {parse_realization_key(key, canon_2a, 1, 1)
             for key, _ in doc["agents"][1]["times"][1]["entries"]}
     missing = sorted(reached - kept)
@@ -500,14 +501,11 @@ def test_strategy_holding_only_reached_realizations_runs_falsify(tmp_path, canon
     save_model(spec, model_path)
     g = observation_following_profile(spec)
     reached = [[set() for _ in range(spec.T)] for _ in range(spec.K)]
-
-    def visit(s, xs, obs, acts, mass, cost):
+    for s, xs, obs, acts, mass, cost in oracle.walk(spec, g):
         if s == spec.T:
             for j in range(spec.K):
                 for t in range(spec.T):
-                    reached[j][t].add(history_code(spec, obs, acts, j, t))
-
-    oracle.walk(spec, g, visit)
+                    reached[j][t].update(history_code(spec, obs, acts, j, t).tolist())
     maps = tuple(tuple(np.where(np.isin(np.arange(len(m)), sorted(reached[j][t])), m, -1)
                        for t, m in enumerate(row)) for j, row in enumerate(g.maps))
     assert all(np.any(m < 0) for row in maps for m in row[1:])

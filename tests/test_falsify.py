@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from conftest import five_profiles, markov_grouping_model
+from conftest import five_profiles, markov_grouping_model, random_model
+from delaypbp import oracle
 from delaypbp.falsify import (check_conditional_independence,
                               check_conditional_markov, check_k1_reduction,
                               check_payoff_identity, check_policy_independence,
@@ -72,6 +73,22 @@ def test_conditional_independence_rejects_pre_sharing_times(canon_2b):
         canon_2b.observation, canon_2b.stage_cost, canon_2b.terminal_cost)
     with pytest.raises(ValueError, match="no symbols are shared"):
         check_conditional_independence(two_step, g, 0, 0)
+
+
+def test_conditional_independence_walks_no_further_than_it_reads(monkeypatch):
+    """At t = T - 1 with n = 2 the check reads the histories of length
+    max(t, t - n + 2) = 2 < T: the walk produces no block of length 3."""
+    spec = random_model(seed=3, K=2, n=2, T=3)
+    lengths, whole = [], oracle.walk
+
+    def counted(*args, **kwargs):
+        for block in whole(*args, **kwargs):
+            lengths.append(block[0])
+            yield block
+
+    monkeypatch.setattr(oracle, "walk", counted)
+    check_conditional_independence(spec, observation_following_profile(spec), 0, spec.T - 1)
+    assert sorted(set(lengths)) == [0, 1, 2]
 
 
 # --- strategy independence ------------------------------------------------------

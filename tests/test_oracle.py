@@ -6,15 +6,16 @@ import numpy as np
 import pytest
 
 from conftest import SHAPES, deterministic_chain, five_profiles, random_model
-from delaypbp import canonical_instance, cli
+from delaypbp import canonical_instance, cli, falsify, oracle
 from delaypbp.dp import expected_value, solve_best_response, verify_value_dominance
 from delaypbp.errors import IncompleteStrategyError, InstanceTooLargeError, UnreachableError
-from delaypbp.info import grid_size, history_code, lambda_labels
+from delaypbp.falsify import check_conditional_independence, make_report
+from delaypbp.info import grid_size, history_code, lambda_labels, realization_key
 from delaypbp.model import ModelSpec
 from delaypbp.oracle import (RealizationTree, _best_response, brute_force_best_response,
                              enumerate_cost, posteriors, verify_pbp, walk)
-from delaypbp.strategies import (constant_profile, observation_following_profile,
-                                 random_profile)
+from delaypbp.strategies import (StrategyProfile, constant_profile,
+                                 observation_following_profile, random_profile)
 import reference_oracle
 from reference_recursion import decode as decode_node
 from reference_recursion import other_private_space
@@ -39,13 +40,10 @@ def truncate_to_t1(spec):
 def leaf_masses(spec, g, key, t):
     """Mass of one walk's histories of length t summed per key(xs, obs, acts)."""
     out = {}
-
-    def visit(s, xs, obs, acts, mass, cost):
+    for s, xs, obs, acts, mass, cost in reference_oracle.as_tuples(walk(spec, g)):
         if s == t:
             kk = key(xs, obs, acts)
             out[kk] = out.get(kk, 0.0) + mass
-
-    walk(spec, g, visit)
     return out
 
 
@@ -60,13 +58,13 @@ def test_atom_masses_form_probability_measure(canon_2a, canon_1):
 
 def test_atoms_have_consistent_shapes(canon_2a):
     g = constant_profile(canon_2a, 0)
-    leaves = []
-    walk(canon_2a, g, lambda t, xs, obs, acts, mass, cost: leaves.append((t, xs, obs, acts)))
-    assert {t for t, *_ in leaves} == set(range(canon_2a.T + 1))
-    for t, xs, obs, acts in leaves:
-        assert len(xs) == t + 1 and len(obs) == len(acts) == 2
-        assert all(len(ys) == t + 1 for ys in obs)
-        assert all(len(us) == t for us in acts)
+    lengths = []
+    for t, xs, obs, acts, mass, cost in walk(canon_2a, g):
+        lengths.append(t)
+        N = len(mass)
+        assert xs.shape == (N, t + 1) and obs.shape == (N, 2, t + 1) and acts.shape == (N, 2, t)
+        assert cost.shape == (N,) and xs.dtype == obs.dtype == acts.dtype == np.uint8
+    assert lengths == sorted(lengths) and set(lengths) == set(range(canon_2a.T + 1))
 
 
 WALK_MODELS = ["CANON-2A", "CANON-2B", "CANON-1", (2, 1, 3, 2), (2, 2, 3, 2), (3, 1, 2, 2)]
@@ -74,27 +72,140 @@ WALK_MODELS = ["CANON-2A", "CANON-2B", "CANON-1", (2, 1, 3, 2), (2, 2, 3, 2), (3
 
 @pytest.mark.parametrize("name", WALK_MODELS, ids=str)
 def test_walk_visits_each_length_as_the_walk_to_that_horizon(name):
-    """Every history is visited after the history one step shorter it
-    extends, and for every t the histories of length t come in the order
-    of the leaves of a walk that stops at t, with the same state path,
-    streams, mass and cost to the bit: with every agent following the
-    profile, and with each agent in turn free throughout."""
+    """The histories come breadth first, each after the history one step
+    shorter it extends, and for every t the histories of length t come in
+    the order of the leaves of a walk that stops at t, with the same state
+    path, streams, mass and cost to the bit: with every agent following
+    the profile, and with each agent in turn free throughout."""
     spec, g = tree_model(name)
     for free in (None, *range(spec.K)):
         seen, by_length = set(), [[] for _ in range(spec.T + 1)]
-
-        def visit(t, xs, obs, acts, mass, cost):
+        for t, xs, obs, acts, mass, cost in reference_oracle.as_tuples(walk(spec, g, free=free)):
             prefix = (xs[:-1], tuple(ys[:-1] for ys in obs), tuple(us[:-1] for us in acts))
             assert t == 0 or prefix in seen
+            assert not any(by_length[t + 1:])
             seen.add((xs, obs, acts))
             by_length[t].append((xs, obs, acts, mass, cost))
-
-        walk(spec, g, visit, free=free)
         for t, got in enumerate(by_length):
             want = []
             reference_oracle.walk(spec, g, lambda *leaf: want.append(leaf), t_end=t, free=free,
                                   free_until=spec.T)
             assert got == want, (free, t)
+
+
+# --- the array group-bys against the tuple walk ----------------------------------
+
+def group_bys(spec, g, k):
+    """Every group-by over the walk, for agent k: the profile's cost and
+    falsify's tables with every agent following g, the posteriors with
+    agent k free and following, and agent k's tree (free) with its best
+    response."""
+    follow = posteriors(spec, g, k, free=False)
+    tree = RealizationTree(spec, k, g)
+    return {"cost": enumerate_cost(spec, g),
+            "posteriors": posteriors(spec, g, k), "following": follow,
+            "tree": (tree.sums, tree.codes, tree.acts), "best": _best_response(tree),
+            "independence": [check_conditional_independence(spec, g, k, t)
+                             for t in range(spec.n - 1, spec.T)],
+            "laws": falsify._next_posterior_laws(spec, g, k, follow)}
+
+
+def reference_group_bys(spec, g, k, follow):
+    """The same from the tuple walk; the laws index the given posteriors."""
+    tree = reference_oracle.RealizationTree(spec, k, g)
+    return {"cost": reference_oracle.enumerate_cost(spec, g),
+            "posteriors": reference_oracle.posteriors(spec, g, k),
+            "following": reference_oracle.posteriors(spec, g, k, free=False),
+            "tree": (tree.sums, tree.codes, tree.acts), "best": _best_response(tree),
+            "independence": [make_report("shared-data conditional independence",
+                                         reference_oracle.conditional_independence_gaps(
+                                             spec, g, k, t))
+                             for t in range(spec.n - 1, spec.T)],
+            "laws": reference_oracle.next_posterior_laws(spec, g, k, follow)}
+
+
+def assert_bitwise_equal(got, want, where="$"):
+    """Equal structures with == on every float and code."""
+    if isinstance(want, dict):
+        assert got.keys() == want.keys(), where
+        for key in want:
+            assert_bitwise_equal(got[key], want[key], f"{where}.{key}")
+    elif isinstance(want, (list, tuple)):
+        assert len(got) == len(want), where
+        for i, (a, b) in enumerate(zip(got, want)):
+            assert_bitwise_equal(a, b, f"{where}[{i}]")
+    elif isinstance(want, np.ndarray):
+        assert got.dtype == want.dtype and np.array_equal(got, want), where
+    else:
+        assert type(got) is type(want) and got == want, where
+
+
+@pytest.mark.parametrize("name", ["CANON-2A", "CANON-2B", "CANON-1", *SHAPES], ids=str)
+def test_group_bys_equal_the_tuple_walk_bitwise(name):
+    """Every group-by over the array walk equals the dict group-by over the
+    tuple walk with == on every float and code, for the last agent free
+    and following."""
+    spec, g = tree_model(name)
+    k = spec.K - 1
+    got = group_bys(spec, g, k)
+    want = reference_group_bys(spec, g, k, got["following"])
+    assert_bitwise_equal(got, want)
+
+
+BLOCK_MODELS = ["CANON-2A", "CANON-2B", "CANON-1", (2, 2, 2, 2), (3, 1, 1, 2)]
+
+
+@pytest.mark.parametrize("name", BLOCK_MODELS, ids=str)
+@pytest.mark.parametrize("block", [1, 2 ** 20])
+def test_group_bys_do_not_depend_on_the_block_size(monkeypatch, name, block):
+    """With one history a block, or every layer in one block, every
+    group-by is bit-identical to the default blocks', and no yielded block
+    holds more histories than the size."""
+    spec, g = tree_model(name)
+    k = spec.K - 1
+    want = group_bys(spec, g, k)
+    sizes, whole = [], oracle.walk
+
+    def sized(*args, **kwargs):
+        for blk in whole(*args, **kwargs):
+            sizes.append(len(blk[-1]))
+            yield blk
+
+    monkeypatch.setattr(oracle, "_BLOCK", block)
+    monkeypatch.setattr(oracle, "walk", sized)
+    got = group_bys(spec, g, k)
+    assert 0 < max(sizes) <= block and (block > 1 or min(sizes) == 1)
+    assert_bitwise_equal(got, want)
+
+
+def test_a_holey_profile_fails_the_walk_at_its_first_read(canon_2a):
+    """enumerate_cost reads every agent's map once per length, in agent
+    order: a profile without actions at reached realizations raises the
+    count of them at the first (t, agent) that has any, with the first
+    three in code order."""
+    g = observation_following_profile(canon_2a)
+    reached = [[set() for _ in range(canon_2a.T)] for _ in range(canon_2a.K)]
+
+    def visit(t, xs, obs, acts, mass, cost):
+        for j in range(canon_2a.K):
+            if t < canon_2a.T:
+                reached[j][t].add(reference_oracle.history_code(canon_2a, obs, acts, j, t))
+
+    reference_oracle.tuple_walk(canon_2a, g, visit)
+    holes = [[m.copy() for m in row] for row in g.maps]
+    holes[0][1][::2] = -1
+    holes[1][1][1::2] = -1
+    holes[1][0][0] = -1
+    for j, t in ((1, 0), (0, 1)):
+        missing = sorted(c for c in reached[j][t] if holes[j][t][c] < 0)
+        keys = ", ".join(realization_key(canon_2a, j, t, c) for c in missing[:3])
+        plural = "s" * (len(missing) > 1)
+        with pytest.raises(IncompleteStrategyError) as err:
+            enumerate_cost(canon_2a, StrategyProfile(canon_2a, holes))
+        assert err.value.args[0] == (
+            f"incomplete strategy: agent {j} has no action at t={t}, {keys} "
+            f"({len(missing)} reached realization{plural} without one)")
+        holes[j][t] = g.maps[j][t]
 
 
 # --- expected cost ----------------------------------------------------------
@@ -109,8 +220,8 @@ def test_enumerate_cost_deterministic_model():
     g = constant_profile(spec, 0)
     # single trajectory: x = 0 -> 1 -> 0, costs 0.5 + 4.0 + terminal 3.0
     assert enumerate_cost(spec, g) == pytest.approx(7.5, abs=1e-15)
-    leaves = []
-    walk(spec, g, lambda t, xs, obs, acts, mass, cost: leaves.append((xs, mass, cost)))
+    leaves = [(xs, mass, cost) for t, xs, obs, acts, mass, cost
+              in reference_oracle.as_tuples(walk(spec, g))]
     assert leaves == [((0,), 1.0, 0.0), ((0, 1), 1.0, 0.5), ((0, 1, 0), 1.0, 7.5)]
 
 
