@@ -26,7 +26,6 @@ reduction reads the newest own observation off it.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +34,7 @@ from . import dp, oracle
 from .errors import UnreachableError
 from .filtering import BeliefPass, classical_filter_update
 from .info import (decode, grid_size, history_code, other_agents, private_size,
-                   realization_key)
+                   realization_key, revealed, shared_prefix_len)
 from .model import COMPARE_TOL, ModelSpec
 from .strategies import StrategyProfile
 
@@ -95,27 +94,25 @@ def check_conditional_independence(spec: ModelSpec, g_full, k: int, t: int) -> G
     A zero max gap means the just-shared symbols carry no extra state
     information; any positive gap refutes that conditional independence.
     """
-    n = spec.n
-    p_idx = t - n + 1
+    p_idx = shared_prefix_len(spec.n, t + 1) - 1  # the time of the just-shared symbols
     if p_idx < 0:
-        raise ValueError(f"no symbols are shared before t = n-1 = {n - 1}")
+        raise ValueError(f"no symbols are shared before t = n-1 = {spec.n - 1}")
     if t > spec.T - 1:
         raise ValueError("t must be a decision time (actions at t are part of the target)")
     others, depth, X = other_agents(spec.K, k), max(t, p_idx + 1), spec.state_size
     # One walk to the first length that reaches t and the shared symbols'
-    # time: per history there, agent k's time-t code r, x_t and the shared
-    # symbols' mixed radix.
+    # time: per history there, agent k's time-t code r, x_t and the index
+    # of the shared symbols (`info.revealed`, of width indices), which
+    # with n = 1 include the actions at t = p_idx.
     parts = []
     for s, xs, obs, acts, mass, cost in oracle.walk(spec, g_full, depth=depth):
         if s == depth:
-            shared = np.zeros(len(mass), np.int64)
-            for j in others:
-                shared = ((shared * spec.obs_sizes[j] + obs[:, j, p_idx])
-                          * spec.act_sizes[j] + acts[:, j, p_idx])
+            shared, width = revealed(
+                spec, k, t, [history_code(spec, obs, acts, j, t) % private_size(spec, j, t)
+                             for j in others], [acts[:, j, p_idx] for j in others])
             parts.append((history_code(spec, obs, acts, k, t), xs[:, t].astype(np.int64),
-                          shared, mass))
+                          np.zeros(len(mass), np.int64) + shared, mass))
     r, x, shared, mass = map(np.concatenate, zip(*parts))
-    width = math.prod(spec.obs_sizes[j] * spec.act_sizes[j] for j in others)
     laws = []  # the shared symbols' law given (r, x_t), then given r; 0 where unseen
     for group in (r * X + x, r):
         groups, at, cell, p = _conditional(group, shared, width, mass)

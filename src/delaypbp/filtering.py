@@ -20,13 +20,15 @@ single-agent check) or read from its strategy (`chain`). A `Layer` holds
 time t's nodes as arrays: realization codes, stacked beliefs, the others'
 joint action per (node, lambda) -- one indexed read of each other agent's
 strategy array per layer -- and each node's unique predecessor as (parent
-index, own action, step weight). One `np.add.at` per (layer, own action)
-produces every child, in (parent, own action, revealed, y') order, and
-`info.next_codes` gives their codes. The arithmetic is that of a scalar
-loop over each node's grid: products associate as ((p * T) * q_k) *
-q_j..., every cell accumulates its terms in the C order of (x, lambda, y',
-x', y^{-k}) -- cells of different nodes are disjoint -- and expectations
-sum left to right (`seq_sum`), so no result depends on the batching.
+index, own action, step weight). One `np.add.at` per layer produces every
+child, in (parent, own action, revealed, y') order, where revealed is
+`info.revealed`'s index of the symbols the others promote, and
+`info.next_codes` gives their codes; every mixed radix, its digits and the
+promotion rule are `info`'s. The arithmetic is that of a scalar loop over
+each node's grid: products associate as ((p * T) * q_k) * q_j..., every
+cell accumulates its terms in the C order of (x, lambda, y', x', y^{-k})
+-- cells of different nodes are disjoint -- and expectations sum left to
+right (`seq_sum`), so no result depends on the batching.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UnreachableError
-from .info import next_codes, oldest, other_agents, private_size, shared_prefix_len, shift_code
+from .info import digits, next_codes, other_agents, private_size, radix, revealed, shift_code
 from .model import ModelSpec
 
 
@@ -74,11 +76,11 @@ class StepTable:
         self.size = math.prod(self.private_sizes)
         # Per other agent, its private code per lambda index, and its action
         # and fresh observation per index of their product orders.
-        self.private_codes = _digits(np.arange(self.size), self.private_sizes)
-        acts, ys = _digits(np.arange(n_acts), act_sizes), _digits(np.arange(n_obs), obs_sizes)
+        self.private_codes = digits(np.arange(self.size), self.private_sizes)
+        acts, ys = digits(np.arange(n_acts), act_sizes), digits(np.arange(n_obs), obs_sizes)
         # [u_k, others' joint action] -> joint action
         u = np.arange(spec.act_sizes[k])[:, None]
-        self.joint = _radix([*acts[:k], u, *acts[k:]], spec.act_sizes) + np.zeros(n_acts, np.intp)
+        self.joint = radix([*acts[:k], u, *acts[k:]], spec.act_sizes) + np.zeros(n_acts, np.intp)
         if t == spec.T:
             return
         self.trans = spec.transition[t].reshape(X, -1, X)  # (x, joint action, x')
@@ -86,36 +88,15 @@ class StepTable:
         # per other agent, (x', y'^{-k}) -> likelihood of its symbol
         self.other_lik = tuple(spec.observation[t + 1][j][:, y] for j, y in zip(others, ys))
         # (lambda, y'^{-k}, u^{-k}) -> lambda' index at t+1
-        self.succ = np.zeros((self.size, n_obs, n_acts), dtype=np.intp) + _radix(
+        self.succ = np.zeros((self.size, n_obs, n_acts), dtype=np.intp) + radix(
             [shift_code(spec, j, t, pc[:, None, None], y[:, None], a)
              for j, pc, y, a in zip(others, self.private_codes, ys, acts)],
             [private_size(spec, j, t + 1) for j in others])
-        # (lambda, u^{-k}) -> index of the symbols a step reveals into the
-        # shared block: the others' oldest observations, then their oldest
-        # actions (with n = 1 the actions they play now); one group while
-        # nothing is promoted. Index order is the order of the revealed
-        # tuples, so children sorted by group are sorted by them.
-        self.shown_sizes, self.groups = obs_sizes + act_sizes, 1
-        self.group = np.zeros((self.size, n_acts), dtype=np.intp)
-        if shared_prefix_len(spec.n, t + 1) > shared_prefix_len(spec.n, t):
-            first = [oldest(spec, j, t, pc) for j, pc in zip(others, self.private_codes)]
-            shown_acts = (_radix([a[:, None] for _, a in first], act_sizes) if spec.n >= 2
-                          else np.arange(n_acts))
-            self.group += _radix([o[:, None] for o, _ in first], obs_sizes) * n_acts + shown_acts
-            self.groups = n_obs * n_acts
-
-
-def _digits(codes: np.ndarray, sizes: tuple[int, ...]) -> tuple[np.ndarray, ...]:
-    """codes' digits in the mixed radix sizes (none for no sizes)."""
-    return np.unravel_index(codes, sizes) if sizes else ()
-
-
-def _radix(digits, sizes):
-    """The mixed-radix number of digit arrays (0 for no digits)."""
-    out = 0
-    for d, size in zip(digits, sizes):
-        out = out * size + d
-    return out
+        # (lambda, u^{-k}) -> `info.revealed`: the index, one of `groups`, of
+        # the symbols the others promote, ordered as the revealed tuples.
+        group, self.groups = revealed(spec, k, t, [pc[:, None] for pc in self.private_codes],
+                                      acts)
+        self.group = np.zeros((self.size, n_acts), dtype=np.intp) + group
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,7 +144,7 @@ class BeliefPass:
         if t < self.spec.T:
             tab, reached = self.table(t), (beliefs > 0.0).any(axis=1)
             shared = codes[:, None] // private_size(self.spec, self.k, t)
-            others_acts = np.zeros(reached.shape, dtype=np.intp) + _radix(
+            others_acts = np.zeros(reached.shape, dtype=np.intp) + radix(
                 [self.g.actions_at(j, t, shared * size + pc, reached)
                  for j, size, pc in zip(tab.others, tab.private_sizes, tab.private_codes)],
                 [self.spec.act_sizes[j] for j in tab.others])
@@ -227,8 +208,7 @@ class BeliefPass:
                      else (np.arange(N), own))
         pair, group, y, beliefs, weight = self.children(lay, nodes, us)
         parent, u = nodes[pair], us[pair]
-        codes = next_codes(spec, k, t, lay.codes[parent], u,
-                           _digits(group, self.table(t).shown_sizes), y)
+        codes = next_codes(spec, k, t, lay.codes[parent], u, group, y)
         if len(set(codes.tolist())) < len(codes):
             raise AssertionError("realization reached twice; predecessor not unique")
         return self.layer(t + 1, codes, beliefs, parent, u, weight)

@@ -5,18 +5,22 @@ observations and actions up to time t-n) and its private block (its own
 last n observations and last n-1 actions). A realization of agent k at
 time t has exactly two forms here: an integer code -- the one key of
 strategy arrays, belief layers, value rows and the oracle's group-bys,
-read off joint histories by `history_code` (Horner's rule over a block's
-digit columns, the one code rule) and advanced one step by arithmetic on
-codes -- and a text key, which appears only where strategy files and
-reports are read or written. `decode` spells a code out as plain blocks
-of symbols and `encode` is its inverse.
+read off joint histories by `history_code` and advanced one step by
+arithmetic on codes -- and a text key, which appears only where strategy
+files and reports are read or written. `decode` spells a code out as
+plain blocks of symbols and `encode` is its inverse. Every index of the
+package is a mixed radix read by `radix` (Horner's rule) and split by its
+inverse `digits`; no other module writes either out.
 
 Index windows, 0-based, for delay n at time t:
   shared, per agent:  obs 0..t-n, acts 0..t-n          (empty while t < n)
   private, agent k:   obs max(0, t-n+1)..t, acts max(0, t-n+1)..t-1
 
 When the clock moves t -> t+1 the time-(t-n+1) observation and action of
-every agent leave the private blocks and join the shared block.
+every agent leave the private blocks and join the shared block (with
+n = 1 the action is the one played at t): `promoted` is that rule, and
+`revealed` indexes the symbols the other agents promote, observations
+first, then actions, in increasing agent order.
 
 The other agents' private data, lambda in agent k's extended state, is no
 separate type: its index is the mixed radix over the other agents' private
@@ -104,17 +108,23 @@ def private_size(spec: ModelSpec, k: int, t: int) -> int:
             * spec.act_sizes[k] ** private_act_len(spec.n, t))
 
 
-def _code(digits, rads: IntSeq):
-    """Horner's rule over the digits (ints or int64 columns) in radices' order."""
-    code = 0
-    for d, r in zip(digits, rads):
-        code = code * r + d
-    return code
+def radix(digits, sizes):
+    """Horner's rule: the mixed-radix number of the digits (ints or int
+    arrays, most significant first) in the sizes; 0 for no digits."""
+    out = 0
+    for d, size in zip(digits, sizes):
+        out = out * size + d
+    return out
+
+
+def digits(codes, sizes) -> tuple:
+    """radix's inverse: the digit arrays of codes in the sizes."""
+    return np.unravel_index(codes, sizes) if len(sizes) else ()
 
 
 def encode(spec: ModelSpec, k: int, t: int, blocks: Blocks) -> int:
     """Agent k's time-t code of the given blocks; the inverse of decode."""
-    return _code(itertools.chain(*blocks.shared_obs, *blocks.shared_acts, blocks.own_obs,
+    return radix(itertools.chain(*blocks.shared_obs, *blocks.shared_acts, blocks.own_obs,
                                  blocks.own_acts), radices(spec, k, t))
 
 
@@ -126,15 +136,30 @@ def history_code(spec: ModelSpec, obs, acts, j: int, t: int):
     cut, obs, acts = shared_prefix_len(spec.n, t), np.asarray(obs), np.asarray(acts)
     shared = [(a, i, s) for a in (obs, acts) for i in range(obs.shape[-2]) for s in range(cut)]
     own = [(obs, j, s) for s in range(cut, t + 1)] + [(acts, j, s) for s in range(cut, t)]
-    return _code((a[..., i, s].astype(np.int64) for a, i, s in shared + own), radices(spec, j, t))
+    return radix((a[..., i, s].astype(np.int64) for a, i, s in shared + own), radices(spec, j, t))
 
 
-def oldest(spec: ModelSpec, j: int, t: int, pcode):
-    """Agent j's oldest observation and action (None with n = 1) in its
-    time-t private codes: what time t+1 promotes."""
+def promoted(spec: ModelSpec, j: int, t: int, pcode, u):
+    """Agent j's observation and action that time t+1 moves into the shared
+    block, given its time-t private codes and actions u: the oldest private
+    observation, and the oldest private action or, with n = 1, u."""
     la, lo = private_act_len(spec.n, t), private_obs_len(spec.n, t)
     A, Y = spec.act_sizes[j], spec.obs_sizes[j]
-    return pcode // A ** la // Y ** (lo - 1), pcode % A ** la // A ** (la - 1) if la else None
+    return pcode // A ** la // Y ** (lo - 1), pcode % A ** la // A ** (la - 1) if la else u
+
+
+def revealed(spec: ModelSpec, k: int, t: int, pcodes, us):
+    """The index, and the number of indices, of the symbols that the agents
+    other than k reveal at t+1, given their time-t private codes and actions
+    in increasing agent order: the mixed radix over their promoted
+    observations, then their promoted actions, so index order is the order
+    of the revealed tuples; 0 of 1 while t+1 promotes nothing."""
+    if shared_prefix_len(spec.n, t + 1) == shared_prefix_len(spec.n, t):
+        return 0, 1
+    others = other_agents(spec.K, k)
+    shown = [promoted(spec, j, t, pc, u) for j, pc, u in zip(others, pcodes, us)]
+    sizes = [spec.obs_sizes[j] for j in others] + [spec.act_sizes[j] for j in others]
+    return radix([o for o, _ in shown] + [a for _, a in shown], sizes), math.prod(sizes)
 
 
 def shift_code(spec: ModelSpec, j: int, t: int, pcode, y, u):
@@ -148,30 +173,30 @@ def shift_code(spec: ModelSpec, j: int, t: int, pcode, y, u):
 
 
 def next_codes(spec: ModelSpec, k: int, t: int, codes, u, shown, y):
-    """Agent k's time-(t+1) codes after its time-t codes, own actions u and
-    observations y. When t+1 promotes, each shared block gains its agent's
-    oldest private symbols: agent k's own (with n = 1 its action u), and
-    the others' in shown (their observation digits, then action digits)."""
-    n, P, m = spec.n, private_size(spec, k, t), spec.K - 1
+    """Agent k's time-(t+1) codes after its time-t codes, own actions u,
+    the others' revealed index shown (`revealed`) and own observations y:
+    once t+1 promotes, each agent's shared block gains its promoted
+    symbols, agent k's own from its codes and u, the others' from shown."""
+    n, P, K, sizes = spec.n, private_size(spec, k, t), spec.K, spec.obs_sizes + spec.act_sizes
     shared, own = codes // P, codes % P
     cut = shared_prefix_len(n, t)
     if shared_prefix_len(n, t + 1) > cut:
-        o, a = oldest(spec, k, t, own)
-        new = (*shown[:k], o, *shown[k:m], *shown[m:m + k], u if a is None else a,
-               *shown[m + k:])
-        sizes = spec.obs_sizes + spec.act_sizes
-        blocks, shared = np.unravel_index(shared, [s ** cut for s in sizes]), 0
-        for b, s, d in zip(blocks, sizes, new):
-            shared = shared * s ** (cut + 1) + b * s + d
+        o, a = promoted(spec, k, t, own, u)
+        new = list(digits(shown, [s for i, s in enumerate(sizes) if i % K != k]))
+        new.insert(k, o)
+        new.insert(K + k, a)
+        blocks = digits(shared, [s ** cut for s in sizes])
+        shared = radix([b * s + d for b, s, d in zip(blocks, sizes, new)],
+                       [s ** (cut + 1) for s in sizes])
     return shared * private_size(spec, k, t + 1) + shift_code(spec, k, t, own, y, u)
 
 
 def decode(spec: ModelSpec, k: int, t: int, code: int) -> Blocks:
     """The blocks of agent k's time-t realization with the given code."""
-    digits = [int(d) for d in np.unravel_index(code, radices(spec, k, t))]
+    ds = [int(d) for d in digits(code, radices(spec, k, t))]
     cut, lo, K = shared_prefix_len(spec.n, t), private_obs_len(spec.n, t), spec.K
-    per_agent = [tuple(digits[i * cut:(i + 1) * cut]) for i in range(2 * K)]
-    own = digits[2 * K * cut:]
+    per_agent = [tuple(ds[i * cut:(i + 1) * cut]) for i in range(2 * K)]
+    own = ds[2 * K * cut:]
     return Blocks(tuple(per_agent[:K]), tuple(per_agent[K:]), tuple(own[:lo]), tuple(own[lo:]))
 
 

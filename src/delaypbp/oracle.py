@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InstanceTooLargeError
-from .info import grid_size, history_code, other_agents, private_size
+from .info import grid_size, history_code, other_agents, private_size, radix
 from .model import COMPARE_TOL, ModelSpec
 
 _BLOCK = 4096  # most histories per yielded block: what bounds the walk's memory
@@ -126,10 +126,9 @@ def posteriors(spec: ModelSpec, g, k: int, free: bool = True) -> list[dict[int, 
     others = other_agents(spec.K, k)
     cells: list[list] = [[] for _ in range(spec.T + 1)]  # per t, per block
     for t, xs, obs, acts, mass, cost in walk(spec, g, free=k if free else None):
-        lam = np.zeros(len(mass), np.int64)
-        for j in others:
-            size = private_size(spec, j, t)
-            lam = lam * size + history_code(spec, obs, acts, j, t) % size
+        sizes = [private_size(spec, j, t) for j in others]
+        lam = np.zeros(len(mass), np.int64) + radix(
+            [history_code(spec, obs, acts, j, t) % s for j, s in zip(others, sizes)], sizes)
         cells[t].append((history_code(spec, obs, acts, k, t), xs[:, t].astype(np.intp), lam,
                          mass))
     out = []
@@ -152,9 +151,7 @@ class _FirstSeen:
 
     def __call__(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The id of every key, and the positions of the keys first seen here."""
-        uniq, inv = np.unique(keys, return_inverse=True)
-        first = np.full(len(uniq), len(keys))
-        np.minimum.at(first, inv, np.arange(len(keys)))
+        uniq, first, inv = np.unique(keys, return_index=True, return_inverse=True)  # stable sort
         at = np.searchsorted(self.keys, uniq)
         old = at < len(self.keys)
         old[old] = self.keys[at[old]] == uniq[old]

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IncompleteStrategyError, ModelFormatError
-from .info import grid_size, parse_realization_key, private_act_len, realization_key
+from .info import (digits, grid_size, parse_realization_key, private_act_len, radices,
+                   realization_key)
 from .model import ModelSpec, is_integer
 
 
@@ -90,9 +91,8 @@ def observation_following_profile(spec: ModelSpec) -> StrategyProfile:
     """Each agent plays its newest own observation (mod its action count):
     the code's last private-observation digit, above the private actions."""
     def fill(k, t):
-        newest = (np.arange(grid_size(spec, k, t))
-                  // spec.act_sizes[k] ** private_act_len(spec.n, t) % spec.obs_sizes[k])
-        return newest % spec.act_sizes[k]
+        ds = digits(np.arange(grid_size(spec, k, t)), radices(spec, k, t))
+        return ds[len(ds) - 1 - private_act_len(spec.n, t)] % spec.act_sizes[k]
     return _profile(spec, fill)
 
 

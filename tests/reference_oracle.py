@@ -5,9 +5,10 @@ reference.
 a visitor at every positive-probability history of every length, one
 history at a time as tuples, each before its continuations, and reads a
 strategy one code at a time. `enumerate_cost`, `posteriors`,
-`RealizationTree` and falsify's tables (`independence_tables`,
+`RealizationTree` and falsify's tables (`conditional_independence_gaps`,
 `next_posterior_laws`) are the dict group-bys over it that the array
-oracle must equal to the bit.
+oracle must equal to the bit; `fan_out` feeds any number of them from one
+tuple walk.
 
 `walk` is the older per-time walk: it leaves the free agent free only
 before `free_until` and adds stage costs only from `cost_from` on.
@@ -114,10 +115,27 @@ def as_tuples(blocks):
 
 
 # ---------------------------------------------------------------------------
-# The dict group-bys over tuple_walk.
+# The dict group-bys over tuple_walk. Each is a (visit, result) pair: one
+# tuple walk feeds visit every history (`fan_out`), then result() gives the
+# group-by, so several of them share a walk.
 # ---------------------------------------------------------------------------
 
-def enumerate_cost(spec, g) -> float:
+def fan_out(spec, g, free, group_bys: dict) -> dict:
+    """One tuple walk (agent `free` free, or none) calling every group-by's
+    visitor at each history in turn; each group-by's result by name."""
+    visits = [visit for visit, _ in group_bys.values()]
+
+    def visit(*history):
+        for v in visits:
+            v(*history)
+
+    tuple_walk(spec, g, visit, free=free)
+    return {name: result() for name, (_, result) in group_bys.items()}
+
+
+def enumerate_cost(spec):
+    """The expected cost: mass times cost of every leaf, added in visit
+    order."""
     total = 0.0
 
     def visit(t, xs, obs, acts, mass, cost):
@@ -125,11 +143,10 @@ def enumerate_cost(spec, g) -> float:
         if t == spec.T:
             total += mass * cost
 
-    tuple_walk(spec, g, visit)
-    return total
+    return visit, lambda: total
 
 
-def posteriors(spec, g, k, free=True) -> list[dict[int, np.ndarray]]:
+def posteriors(spec, k):
     """Per t, agent k's posterior per time-t code: masses added in visit
     order per (joint history, x_t), normalized per code."""
     cells: list[dict[tuple, float]] = [{} for _ in range(spec.T + 1)]
@@ -138,75 +155,85 @@ def posteriors(spec, g, k, free=True) -> list[dict[int, np.ndarray]]:
         key, at_t = (obs, acts, xs[-1]), cells[t]
         at_t[key] = at_t.get(key, 0.0) + mass
 
-    tuple_walk(spec, g, visit, free=k if free else None)
-    others = other_agents(spec.K, k)
-    out = []
-    for t, at_t in enumerate(cells):
-        sizes = [private_size(spec, j, t) for j in others]
-        at: dict[tuple, tuple[int, int]] = {}
-        mats: dict[int, np.ndarray] = {}
-        for (obs, acts, x), m in at_t.items():
-            if (obs, acts) not in at:
-                lam = 0
-                for j, size in zip(others, sizes):
-                    lam = lam * size + history_code(spec, obs, acts, j, t) % size
-                at[obs, acts] = history_code(spec, obs, acts, k, t), lam
-            code, lam = at[obs, acts]
-            if code not in mats:
-                mats[code] = np.zeros((spec.state_size, math.prod(sizes)))
-            mats[code][x, lam] = m
-        out.append({code: mat / float(mat.sum()) for code, mat in mats.items()})
-    return out
+    def result() -> list[dict[int, np.ndarray]]:
+        others = other_agents(spec.K, k)
+        out = []
+        for t, at_t in enumerate(cells):
+            sizes = [private_size(spec, j, t) for j in others]
+            at: dict[tuple, tuple[int, int]] = {}
+            mats: dict[int, np.ndarray] = {}
+            for (obs, acts, x), m in at_t.items():
+                if (obs, acts) not in at:
+                    lam = 0
+                    for j, size in zip(others, sizes):
+                        lam = lam * size + history_code(spec, obs, acts, j, t) % size
+                    at[obs, acts] = history_code(spec, obs, acts, k, t), lam
+                code, lam = at[obs, acts]
+                if code not in mats:
+                    mats[code] = np.zeros((spec.state_size, math.prod(sizes)))
+                mats[code][x, lam] = m
+            out.append({code: mat / float(mat.sum()) for code, mat in mats.items()})
+        return out
+
+    return visit, result
 
 
 class RealizationTree(oracle.RealizationTree):
-    """The tree's groups from the tuple walk: per time-T code of agent k,
-    in order of first leaf, its codes and actions and the sums added in
-    leaf order; the backward pass is the array tree's."""
+    """The tree's groups from the tuple walk with agent k free: per time-T
+    code of agent k, in order of first leaf, its codes and actions and the
+    sums added in leaf order; the backward pass is the array tree's. Feed
+    `visit` every history, then `result()` is the tree."""
 
     def __init__(self, spec, k, g):
         self.spec, self.k, self.g = spec, k, g
-        T, terminal = spec.T, spec.terminal_cost.tolist()
-        stage = [spec.stage_cost[s].reshape(spec.state_size, -1).T.tolist() for s in range(T)]
-        groups: dict[int, list[float]] = {}  # time-T code -> the group's sums
-        codes = array("q")  # per group: codes, then actions
+        T = spec.T
+        self._terminal = spec.terminal_cost.tolist()
+        self._stage = [spec.stage_cost[s].reshape(spec.state_size, -1).T.tolist()
+                       for s in range(T)]
+        self._groups: dict[int, list[float]] = {}  # time-T code -> the group's sums
+        self._codes = array("q")  # per group: codes, then actions
         # A history but its time-T observations fixes all actions and agent k's
         # earlier codes, and with k's own one (n >= 1) its group: each is read
         # once, to stage costs by state, those codes and a slot per own y_T.
-        seen: dict[tuple, tuple[list, list[list[float]], list[int]]] = {}
+        self._seen: dict[tuple, tuple[list, list[list[float]], list[int]]] = {}
 
-        def visit(s, xs, obs, acts, mass, cost):
-            if s < T:
-                return
-            key = (tuple([ys[:-1] for ys in obs]), acts)
-            hit = seen.get(key)
-            if hit is None:
-                hit = seen[key] = [None] * spec.obs_sizes[k], [
-                    stage[t][np.ravel_multi_index([us[t] for us in acts], spec.act_sizes)]
-                    for t in range(T)], [history_code(spec, obs, acts, k, t) for t in range(T)]
-            slots, rows, earlier = hit
-            acc = slots[obs[k][-1]]
-            if acc is None:
-                code = history_code(spec, obs, acts, k, T)
-                if code not in groups:
-                    groups[code] = [0.0] * (T + 2)
-                    codes.extend([*earlier, code, *acts[k], 0])
-                acc = slots[obs[k][-1]] = groups[code]
-            acc[0] += mass
-            for t, (row, x) in enumerate(zip(rows, xs), 1):
-                acc[t] += mass * row[x]
-            acc[T + 1] += mass * terminal[xs[T]]
+    def visit(self, s, xs, obs, acts, mass, cost):
+        spec, k, T = self.spec, self.k, self.spec.T
+        if s < T:
+            return
+        key = (tuple([ys[:-1] for ys in obs]), acts)
+        hit = self._seen.get(key)
+        if hit is None:
+            hit = self._seen[key] = [None] * spec.obs_sizes[k], [
+                self._stage[t][np.ravel_multi_index([us[t] for us in acts], spec.act_sizes)]
+                for t in range(T)], [history_code(spec, obs, acts, k, t) for t in range(T)]
+        slots, rows, earlier = hit
+        acc = slots[obs[k][-1]]
+        if acc is None:
+            code = history_code(spec, obs, acts, k, T)
+            if code not in self._groups:
+                self._groups[code] = [0.0] * (T + 2)
+                self._codes.extend([*earlier, code, *acts[k], 0])
+            acc = slots[obs[k][-1]] = self._groups[code]
+        acc[0] += mass
+        for t, (row, x) in enumerate(zip(rows, xs), 1):
+            acc[t] += mass * row[x]
+        acc[T + 1] += mass * self._terminal[xs[T]]
 
-        tuple_walk(spec, g, visit, free=k)
-        self.codes, self.acts = np.frombuffer(codes, np.int64).reshape(-1, 2, T + 1).swapaxes(0, 1)
-        self.sums = np.array(list(groups.values())).reshape(-1, T + 2)
+    def result(self):
+        T = self.spec.T
+        self.codes, self.acts = (np.frombuffer(self._codes, np.int64)
+                                 .reshape(-1, 2, T + 1).swapaxes(0, 1))
+        self.sums = np.array(list(self._groups.values())).reshape(-1, T + 2)
+        return self
 
 
-def independence_tables(spec, g, k, t):
-    """falsify.check_conditional_independence's four tables: at the
-    histories of length max(t, t-n+2), mass per (code r, x_t, the other
-    agents' time-(t-n+1) symbols), per (r, x_t), per (r, symbols) and per
-    r, summed in visit order."""
+def conditional_independence_gaps(spec, k, t):
+    """Per (r, x_t), the max distance between the law of the other agents'
+    time-(t-n+1) symbols given (r, x_t) and given r, as falsify labels it,
+    from four tables at the histories of length max(t, t-n+2): mass per
+    (code r, x_t, symbols), per (r, x_t), per (r, symbols) and per r, summed
+    in visit order."""
     p_idx = t - spec.n + 1
     others, depth = other_agents(spec.K, k), max(t, p_idx + 1)
     tables: tuple[dict, dict, dict, dict] = ({}, {}, {}, {})
@@ -219,26 +246,22 @@ def independence_tables(spec, g, k, t):
         for table, key in zip(tables, ((r, x, shared), (r, x), (r, shared), r)):
             table[key] = table.get(key, 0.0) + mass
 
-    tuple_walk(spec, g, visit)
-    return tables
+    def result() -> list[tuple[str, float]]:
+        by_rxs, by_rx, by_rs, by_r = tables
+        p1: dict[tuple, dict] = {}
+        for (r, x, shared), m in by_rxs.items():
+            p1.setdefault((r, x), {})[shared] = m / by_rx[r, x]
+        p2: dict[int, dict] = {}
+        for (r, shared), m in by_rs.items():
+            p2.setdefault(r, {})[shared] = m / by_r[r]
+        return [(f"x={x}|{realization_key(spec, k, t, r)}",
+                 max(abs(p.get(s, 0.0) - p2[r].get(s, 0.0)) for s in set(p) | set(p2[r])))
+                for (r, x), p in p1.items()]
+
+    return visit, result
 
 
-def conditional_independence_gaps(spec, g, k, t) -> list[tuple[str, float]]:
-    """Per (r, x_t), the max distance between the law of the shared
-    symbols given (r, x_t) and given r, as falsify labels it."""
-    by_rxs, by_rx, by_rs, by_r = independence_tables(spec, g, k, t)
-    p1: dict[tuple, dict] = {}
-    for (r, x, shared), m in by_rxs.items():
-        p1.setdefault((r, x), {})[shared] = m / by_rx[r, x]
-    p2: dict[int, dict] = {}
-    for (r, shared), m in by_rs.items():
-        p2.setdefault(r, {})[shared] = m / by_r[r]
-    return [(f"x={x}|{realization_key(spec, k, t, r)}",
-             max(abs(p.get(s, 0.0) - p2[r].get(s, 0.0)) for s in set(p) | set(p2[r])))
-            for (r, x), p in p1.items()]
-
-
-def next_posterior_laws(spec, g, k, posts):
+def next_posterior_laws(spec, k, posts):
     """Per (t, r), the law of agent k's next posterior given its time-t
     code r, as (posterior, probability) pairs in next-code order."""
     pair: dict[tuple, float] = {}
@@ -252,11 +275,13 @@ def next_posterior_laws(spec, g, k, posts):
         marg[r] = marg.get(r, 0.0) + mass
         pair[key] = pair.get(key, 0.0) + mass
 
-    tuple_walk(spec, g, visit)
-    laws: dict[tuple, list] = {r: [] for r in marg}
-    for (t, r, r1), m in sorted(pair.items()):
-        laws[t, r].append((posts[t + 1][r1], m / marg[t, r]))
-    return laws
+    def result():
+        laws: dict[tuple, list] = {r: [] for r in marg}
+        for (t, r, r1), m in sorted(pair.items()):
+            laws[t, r].append((posts[t + 1][r1], m / marg[t, r]))
+        return laws
+
+    return visit, result
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import functools
 import gc
+import itertools
 import math
 import weakref
 
@@ -11,10 +12,10 @@ from hypothesis import strategies as st
 from conftest import SHAPES, layer_nodes, random_model
 from delaypbp import cli, info, oracle
 from delaypbp.filtering import BeliefPass
-from delaypbp.info import (Blocks, decode, encode, grid_size, history_code, lambda_labels,
-                           next_codes, oldest, parse_realization_key, private_act_len,
-                           private_obs_len, private_size, realization_key, shared_prefix_len,
-                           shift_code)
+from delaypbp.info import (Blocks, decode, digits, encode, grid_size, history_code,
+                           lambda_labels, next_codes, parse_realization_key, private_act_len,
+                           private_obs_len, private_size, promoted, radix, realization_key,
+                           revealed, shared_prefix_len, shift_code)
 from delaypbp.model import ModelSpec
 from delaypbp.strategies import (constant_profile, observation_following_profile,
                                  random_profile)
@@ -81,6 +82,71 @@ def test_split_partition_property(K, n, t, fill):
             assert b.shared_acts[j] + us == acts[j]
 
 
+# --- the mixed radix ----------------------------------------------------------
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(1, 5), max_size=5), st.integers(0, 2 ** 32 - 1))
+def test_digits_invert_radix(sizes, seed):
+    """radix then digits gives the digits back, for any sizes, no sizes
+    included, and for digit arrays broadcast against one another."""
+    rng = np.random.default_rng(seed)
+    # every other digit is a column that broadcasts against the row digits
+    ds = [rng.integers(s, size=(3, 1) if i % 2 else 4) for i, s in enumerate(sizes)]
+    code = np.asarray(radix(ds, sizes))
+    assert np.all((0 <= code) & (code < math.prod(sizes)))
+    got = digits(code, sizes)
+    assert len(got) == len(sizes)
+    for g, d in zip(got, ds):
+        assert np.array_equal(g, np.broadcast_to(d, code.shape))
+    scalars = [int(rng.integers(s)) for s in sizes]
+    assert [int(d) for d in digits(radix(scalars, sizes), sizes)] == scalars
+    assert radix([], []) == 0 and digits(np.arange(3), ()) == ()
+
+
+def symbols_promoted(spec, j, t, pcode, u):
+    """Agent j's promoted observation and action read off its decoded
+    private block (a private code decodes with an all-zero shared block)."""
+    own_obs, own_acts = decode(spec, j, t, pcode)[2:]
+    return own_obs[0], own_acts[0] if spec.n >= 2 else u
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_promoted_is_the_played_action_with_n1_else_the_oldest_private_one(n):
+    spec = alphabet3_spec(2, n)
+    for t in range(n - 1, spec.T):
+        pcode = np.arange(private_size(spec, 0, t))
+        for u in range(3):
+            o, a = promoted(spec, 0, t, pcode, np.full(len(pcode), u))
+            want = [symbols_promoted(spec, 0, t, int(pc), u) for pc in pcode]
+            assert list(zip(o.tolist(), a.tolist())) == want
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_revealed_index_sorts_like_the_revealed_tuples(n):
+    """Over every time-(n-1) private code and action of the other two
+    agents of a three-agent model, the revealed index numbers the revealed
+    tuples (observations in agent order, then actions in agent order)
+    0..size-1 in their sort order; nothing is revealed before t = n-1."""
+    spec, t = random_model(seed=n, K=3, n=n, T=3), n - 1
+    for k in range(3):
+        others = [j for j in range(3) if j != k]
+        if t > 0:
+            assert revealed(spec, k, t - 1, [0, 0], [0, 0]) == (0, 1)
+        cells = itertools.product(*(range(private_size(spec, j, t)) for j in others),
+                                  *(range(spec.act_sizes[j]) for j in others))
+        *pcodes, u1, u2 = map(np.array, zip(*cells))
+        index, size = revealed(spec, k, t, pcodes, [u1, u2])
+        shown = [symbols_promoted(spec, j, t, int(pc), int(u))
+                 for j, pcs, us in zip(others, pcodes, (u1, u2)) for pc, u in zip(pcs, us)]
+        half = len(shown) // 2
+        tuples = [(o1, o2, a1, a2) for (o1, a1), (o2, a2) in zip(shown[:half], shown[half:])]
+        assert size == len(set(tuples)) == 16
+        by_index = dict(zip(index.tolist(), tuples))
+        assert all(by_index[i] == tup for i, tup in zip(index.tolist(), tuples))
+        assert sorted(by_index) == list(range(size))
+        assert [by_index[i] for i in range(size)] == sorted(set(tuples))
+
+
 # --- advance ------------------------------------------------------------------
 
 def extend(obs, acts, new_obs, new_acts):
@@ -94,7 +160,9 @@ def test_advance_matches_split_of_extended_history(K, n, t, fill):
     """Advancing agent k's code one step (`next_codes`) gives the code of
     the extended history, and the others' private codes shift by the same
     rule (`shift_code`). Once t >= n-1 the oldest private symbols move
-    into the shared block; with n = 1 the actions go there straight away."""
+    into the shared block; with n = 1 the actions go there straight away.
+    The others' symbols come as their revealed index (`revealed`), the
+    mixed radix over their observations, then their actions."""
     spec = alphabet3_spec(K, n)
     obs, acts = make_history(K, t, fill)
     new_obs = tuple((fill + 2 + j) % 3 for j in range(K))
@@ -104,13 +172,17 @@ def test_advance_matches_split_of_extended_history(K, n, t, fill):
     for k in range(K):
         b, o = split(spec, obs, acts, k, t)
         others = [j for j in range(K) if j != k]
-        shown_obs = [o[j][0][0] if promote else 0 for j in others]
-        shown_acts = [(o[j][1][0] if n >= 2 else new_acts[j]) if promote else 0
-                      for j in others]
+        shown = ([o[j][0][0] for j in others]
+                 + [o[j][1][0] if n >= 2 else new_acts[j] for j in others]) if promote else []
+        sizes = [spec.obs_sizes[j] for j in others] + [spec.act_sizes[j] for j in others]
+        index = sum(d * math.prod(sizes[i + 1:]) for i, d in enumerate(shown))
+        pcodes = [history_code(spec, obs, acts, j, t) % private_size(spec, j, t) for j in others]
+        assert revealed(spec, k, t, pcodes, [new_acts[j] for j in others]) == (
+            index, math.prod(sizes) if promote else 1)
         code = np.array([history_code(spec, obs, acts, k, t)])
-        assert oldest(spec, k, t, code % private_size(spec, k, t)) == (
-            b.own_obs[0], b.own_acts[0] if b.own_acts else None)
-        code1 = next_codes(spec, k, t, code, new_acts[k], shown_obs + shown_acts, new_obs[k])
+        assert promoted(spec, k, t, code % private_size(spec, k, t), new_acts[k]) == (
+            b.own_obs[0], b.own_acts[0] if b.own_acts else new_acts[k])
+        code1 = next_codes(spec, k, t, code, new_acts[k], np.array([index]), new_obs[k])
         assert code1.tolist() == [history_code(spec, obs1, acts1, k, t + 1)]
         for j in others:
             pc = history_code(spec, obs, acts, j, t) % private_size(spec, j, t)
@@ -129,8 +201,8 @@ def test_advance_then_shift_roundtrip():
             promoted = shared_prefix_len(n, 4) - 1  # the time-(4-n) symbols
             for k, j in ((0, 1), (1, 0)):
                 code = np.array([history_code(spec, obs, acts, k, 3)])
-                code2 = next_codes(spec, k, 3, code, u,
-                                   [obs2[j][promoted], acts2[j][promoted]], y)
+                shown = obs2[j][promoted] * spec.act_sizes[j] + acts2[j][promoted]
+                code2 = next_codes(spec, k, 3, code, u, shown, y)
                 assert code2.tolist() == [history_code(spec, obs2, acts2, k, 4)]
 
 

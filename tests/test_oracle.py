@@ -111,17 +111,22 @@ def group_bys(spec, g, k):
 
 
 def reference_group_bys(spec, g, k, follow):
-    """The same from the tuple walk; the laws index the given posteriors."""
-    tree = reference_oracle.RealizationTree(spec, k, g)
-    return {"cost": reference_oracle.enumerate_cost(spec, g),
-            "posteriors": reference_oracle.posteriors(spec, g, k),
-            "following": reference_oracle.posteriors(spec, g, k, free=False),
+    """The same from the tuple walk, one walk with every agent following g
+    and one with agent k free; the laws index the given posteriors."""
+    ref, tree = reference_oracle, reference_oracle.RealizationTree(spec, k, g)
+    free = ref.fan_out(spec, g, k, {"posteriors": ref.posteriors(spec, k),
+                                    "tree": (tree.visit, tree.result)})
+    ts = range(spec.n - 1, spec.T)
+    following = ref.fan_out(spec, g, None, {
+        "cost": ref.enumerate_cost(spec), "following": ref.posteriors(spec, k),
+        "laws": ref.next_posterior_laws(spec, k, follow),
+        **{t: ref.conditional_independence_gaps(spec, k, t) for t in ts}})
+    return {"cost": following["cost"], "posteriors": free["posteriors"],
+            "following": following["following"],
             "tree": (tree.sums, tree.codes, tree.acts), "best": _best_response(tree),
             "independence": [make_report("shared-data conditional independence",
-                                         reference_oracle.conditional_independence_gaps(
-                                             spec, g, k, t))
-                             for t in range(spec.n - 1, spec.T)],
-            "laws": reference_oracle.next_posterior_laws(spec, g, k, follow)}
+                                         following[t]) for t in ts],
+            "laws": following["laws"]}
 
 
 def assert_bitwise_equal(got, want, where="$"):
@@ -528,9 +533,9 @@ def test_oracle_module_boundary():
     # only the code arithmetic, never the blocks or the text keys.
     from_info = names_imported(SRC / "oracle.py", "info")
     assert "history_code" in from_info  # the parser does see the names
-    assert from_info <= {"grid_size", "history_code", "next_codes", "oldest", "other_agents",
-                         "private_act_len", "private_obs_len", "private_size", "radices",
-                         "shared_prefix_len", "shift_code"}, from_info
+    assert from_info <= {"grid_size", "history_code", "next_codes", "other_agents",
+                         "private_act_len", "private_obs_len", "private_size", "promoted",
+                         "radices", "radix", "shared_prefix_len", "shift_code"}, from_info
     # info defines no record types: no dataclasses behind the codes.
     tree = ast.parse((SRC / "info.py").read_text(encoding="utf-8"))
     modules = {a.name for node in ast.walk(tree) if isinstance(node, ast.Import)
