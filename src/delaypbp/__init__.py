@@ -18,7 +18,7 @@ from .errors import (IncompleteStrategyError, InstanceTooLargeError,
 from .falsify import (GapReport, check_conditional_independence,
                       check_conditional_markov, check_k1_reduction,
                       check_payoff_identity, check_policy_independence)
-from .filtering import chained_beliefs, classical_filter_update
+from .filtering import classical_filter_update
 from .model import (ModelSpec, canonical_instance, load_model, save_model,
                     validate_model)
 from .oracle import (RealizationTree, brute_force_best_response, enumerate_cost,
@@ -33,7 +33,7 @@ __all__ = [
     "GapReport", "IncompleteStrategyError", "InstanceTooLargeError",
     "ModelFormatError", "ModelSpec", "RealizationTree", "StrategyProfile",
     "UnreachableError", "ValueTable",
-    "brute_force_best_response", "canonical_instance", "chained_beliefs",
+    "brute_force_best_response", "canonical_instance",
     "check_conditional_independence", "check_conditional_markov",
     "check_k1_reduction", "check_payoff_identity",
     "check_policy_independence", "classical_filter_update",

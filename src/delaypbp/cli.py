@@ -25,7 +25,7 @@ import numpy as np
 from . import dp, falsify, oracle
 from .errors import (IncompleteStrategyError, InstanceTooLargeError,
                      ModelFormatError)
-from .filtering import BeliefPass, chained_beliefs, max_abs_gap
+from .filtering import BeliefPass
 from .info import lambda_labels, realization_key
 from .model import (CANONICAL_NAMES, COMPARE_TOL, IMPROVE_TOL, K1_TOL,
                     ModelSpec, resolve_model, uniform_observation_variant,
@@ -131,16 +131,17 @@ def cmd_validate(spec: ModelSpec, name: str, config: RunConfig):
 def cmd_filter(spec: ModelSpec, name: str, config: RunConfig):
     k = config.agent
     g = _profile_for(spec, config, "filter")
-    chain = chained_beliefs(spec, g, k)
+    layers, probs = BeliefPass(spec, k, g).chain()
     results, gaps = [], []
-    ok = True
-    for t, posteriors in enumerate(oracle.posteriors(spec, g, k, free=False)):
-        labels = lambda_labels(spec, k, t)
-        for code in sorted(chain[t]):
-            belief, prob = chain[t][code]
-            ref = posteriors[code]
-            gap = max_abs_gap(belief, ref)
-            ok = ok and gap <= config.tol_compare
+    for t, (codes, refs) in enumerate(oracle.posteriors(spec, g, k, free=False)):
+        order = np.argsort(layers[t].codes)
+        own, beliefs = layers[t].codes[order], layers[t].beliefs[order]
+        for code in own[~np.isin(own, codes, assume_unique=True)][:1].tolist():
+            raise AssertionError(f"t={t}: the oracle lacks {realization_key(spec, k, t, code)}")
+        refs, labels = refs[np.searchsorted(codes, own)], lambda_labels(spec, k, t)
+        for code, prob, belief, ref, gap in zip(
+                own.tolist(), probs[t][order].tolist(), beliefs, refs,
+                np.max(np.abs(beliefs - refs), axis=(1, 2)).tolist()):
             key = realization_key(spec, k, t, code)
             gaps.append({"where": f"t={t} {key}", "gap": gap})
             results.append({
@@ -151,6 +152,7 @@ def cmd_filter(spec: ModelSpec, name: str, config: RunConfig):
                 "oracle_belief": _belief_rows(labels, ref),
                 "gap": gap,
             })
+    ok = all(e["gap"] <= config.tol_compare for e in gaps)
     print(f"== filter {name} agent={k} (recursion vs oracle)")
     print(render_table(
         ["t", "realization", "prob", "gap"],

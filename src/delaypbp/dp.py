@@ -187,12 +187,11 @@ def verify_value_dominance(tree: oracle.RealizationTree, vtable: ValueTable, map
     does not reach raises UnreachableError.
     """
     rows = []
-    for t, (entry, alt) in enumerate(zip(vtable.entries, tree.cost_to_go(maps_k))):
-        codes = entry.layer.codes
-        for i in np.argsort(codes):
-            code = int(codes[i])
-            if code not in alt:
-                raise UnreachableError(f"unreachable realization for agent {tree.k} at t={t}")
-            rows.append(DominanceEntry(t=t, code=code, table_value=float(entry.values[i]),
-                                       alt_value=alt[code]))
+    for t, (entry, (alt_codes, alt)) in enumerate(zip(vtable.entries, tree.cost_to_go(maps_k))):
+        order = np.argsort(entry.layer.codes)
+        codes = entry.layer.codes[order]
+        if not np.isin(codes, alt_codes, assume_unique=True).all():
+            raise UnreachableError(f"unreachable realization for agent {tree.k} at t={t}")
+        rows += map(DominanceEntry, [t] * len(codes), codes.tolist(),
+                    entry.values[order].tolist(), alt[np.searchsorted(alt_codes, codes)].tolist())
     return DominanceReport(entries=tuple(rows), tol=tol)

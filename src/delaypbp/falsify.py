@@ -17,7 +17,8 @@ The checks built on `oracle.walk` group the histories of its blocks by
 agent k's realization codes (`info.history_code`, one code array per
 block), with one walk per profile and question (the conditional-Markov
 laws pair every history's time-t and time-(t+1) codes); each sum is an
-`np.add.at` in walk order, and realizations are ordered by code.
+`np.add.at` in walk order, and realizations are ordered by code, as are
+`oracle.posteriors`' rows, found by `np.searchsorted` or `np.intersect1d`.
 A code becomes text (`info.realization_key`) only to label a gap, and is
 decoded into its blocks (`info.decode`) only where the single-agent
 reduction reads the newest own observation off it.
@@ -144,10 +145,11 @@ def check_policy_independence(spec: ModelSpec, g_a: StrategyProfile,
     for j in range(spec.K):
         if j != k and not g_a.agents_equal(g_b, j):
             raise ValueError(f"profiles differ in agent {j}, expected only agent {k}")
-    posts = zip(oracle.posteriors(spec, g_a, k, free=False),
-                oracle.posteriors(spec, g_b, k, free=False))
-    gaps = [(f"t={t} {realization_key(spec, k, t, r)}", float(np.max(np.abs(a[r] - b[r]))))
-            for t, (a, b) in enumerate(posts) for r in a.keys() & b.keys()]
+    gaps, posts = [], [oracle.posteriors(spec, g, k, free=False) for g in (g_a, g_b)]
+    for t, ((ra, a), (rb, b)) in enumerate(zip(*posts)):
+        both, ia, ib = np.intersect1d(ra, rb, assume_unique=True, return_indices=True)
+        gaps += [(f"t={t} {realization_key(spec, k, t, r)}", gap) for r, gap in
+                 zip(both.tolist(), np.max(np.abs(a[ia] - b[ib]), axis=(1, 2)).tolist())]
     return make_report("posterior strategy independence", gaps)
 
 
@@ -156,10 +158,10 @@ def check_policy_independence(spec: ModelSpec, g_a: StrategyProfile,
 # ---------------------------------------------------------------------------
 
 def _next_posterior_laws(spec: ModelSpec, g_full, k: int,
-                         posts: list[dict[int, np.ndarray]]
+                         posts: list[tuple[np.ndarray, np.ndarray]]
                          ) -> dict[tuple[int, int], list[tuple[np.ndarray, float]]]:
     """Per (t, r), t < T and r a code reachable at t under g_full, the law
-    of agent k's next posterior (from posts[t + 1]) given r, as
+    of agent k's next posterior (a row of posts[t + 1]) given r, as
     (posterior, probability) pairs in code order of the next realization.
 
     One walk, its histories of length t + 1 grouped by (r, r') and by r,
@@ -174,8 +176,9 @@ def _next_posterior_laws(spec: ModelSpec, g_full, k: int,
         r, r1, mass = map(np.concatenate, zip(*blocks))
         groups, at, nxt, prob = _conditional(r, r1, grid_size(spec, k, t + 1), mass)
         rows = [laws.setdefault((t, code), []) for code in groups.tolist()]
-        for i, code, p in zip(at.tolist(), nxt.tolist(), prob.tolist()):
-            rows[i].append((posts[t + 1][code], p))
+        codes, beliefs = posts[t + 1]
+        for i, post, p in zip(at.tolist(), beliefs[np.searchsorted(codes, nxt)], prob.tolist()):
+            rows[i].append((post, p))
     return laws
 
 
@@ -217,8 +220,9 @@ def check_conditional_markov(spec: ModelSpec, g_full, k: int,
     laws = _next_posterior_laws(spec, g_full, k, posts)
     prelim: dict[tuple[int, int, int], list] = {}  # per (t, shared block's code, action)
     for t, r in sorted(laws):
-        u = g_full.action_at(k, t, r)
-        prelim.setdefault((t, r // private_size(spec, k, t), u), []).append((r, posts[t][r]))
+        codes, beliefs = posts[t]
+        key = (t, r // private_size(spec, k, t), g_full.action_at(k, t, r))
+        prelim.setdefault(key, []).append((r, beliefs[np.searchsorted(codes, r)]))
     for (t, _, u), members in sorted(prelim.items()):
         reps: list[np.ndarray] = []
         clusters: dict[int, list] = {}  # per representative, in order

@@ -5,14 +5,14 @@ other agents' recent private data steers their actions, so the object to
 estimate is the extended state (x_t, lambda_t^{-k}) -- plant state plus
 the other agents' private blocks. A belief is a read-only (state,
 lambda) float array whose lambda index is the mixed radix over the other
-agents' private codes, the type `oracle.posteriors` returns per
-realization code. `BeliefPass` computes it by a one-step recursion that
-conditions on agent k's new observation, its own action, and the symbols
-newly revealed into the shared block; it must reproduce
-`oracle.posteriors` and, for a single agent, the textbook filter
+agents' private codes. `BeliefPass` computes it by a one-step recursion
+that conditions on agent k's new observation, its own action, and the
+symbols newly revealed into the shared block; it must reproduce
+`oracle.posteriors`, which stacks its beliefs as a layer does, row by row
+along increasing codes, and, for a single agent, the textbook filter
 (`classical_filter_update`) kept here. Zero-probability continuations are
-left out rather than returned as non-distributions. `chained_beliefs`
-keys its layers by realization code too; only the report writer decodes.
+left out rather than returned as non-distributions. Layers are keyed by
+realization code; only the report writer decodes.
 
 `BeliefPass.expand` is the one forward expansion, one time layer at a
 time, with agent k's own action either free (the best-response DP, the
@@ -23,8 +23,9 @@ strategy array per layer -- and each node's unique predecessor as (parent
 index, own action, step weight). One `np.add.at` per layer produces every
 child, in (parent, own action, revealed, y') order, where revealed is
 `info.revealed`'s index of the symbols the others promote, and
-`info.next_codes` gives their codes; every mixed radix, its digits and the
-promotion rule are `info`'s. The arithmetic is that of a scalar loop over
+`info.next_codes` gives their codes; every mixed radix, the cell index of
+a child included, is `info`'s `radix`, split by its `digits`, and the
+promotion rule is `info`'s. The arithmetic is that of a scalar loop over
 each node's grid: products associate as ((p * T) * q_k) * q_j..., every
 cell accumulates its terms in the C order of (x, lambda, y', x', y^{-k})
 -- cells of different nodes are disjoint -- and expectations sum left to
@@ -47,14 +48,6 @@ def seq_sum(v: np.ndarray) -> np.ndarray:
     """Left-to-right sums from 0.0 along the last axis, bit for bit what
     `acc += v[i]` gives (np.sum sums pairwise)."""
     return 0.0 + np.cumsum(v, axis=-1)[..., -1]
-
-
-def max_abs_gap(b: np.ndarray, ref: np.ndarray) -> float:
-    """Largest |b - ref| over two beliefs on the same grid, such as a
-    filter belief and its `oracle.posteriors` entry."""
-    if b.shape != ref.shape:
-        raise ValueError("beliefs live on different grids")
-    return float(np.max(np.abs(b - ref)))
 
 
 class StepTable:
@@ -186,16 +179,17 @@ class BeliefPass:
         w = ((p[:, None] * rows)[:, None, :] * tab.own_lik)[..., None]
         for lik in tab.other_lik:
             w = w * lik
-        cell = ((((i * G + tab.group[ls, acts])[:, None, None, None] * Y
-                  + np.arange(Y)[:, None, None]) * X1 + np.arange(X1)[:, None]) * L1
-                + tab.succ[ls, :, acts][:, None, None, :])
-        acc = np.zeros(len(nodes) * G * Y * X1 * L1)
+        sizes = (len(nodes), G, Y, X1, L1)
+        cell = radix([i[:, None, None, None], tab.group[ls, acts][:, None, None, None],
+                      np.arange(Y)[:, None, None], np.arange(X1)[:, None],
+                      tab.succ[ls, :, acts][:, None, None, :]], sizes)
+        acc = np.zeros(math.prod(sizes))
         np.add.at(acc, cell.reshape(-1), w.reshape(-1))
         acc = acc.reshape(-1, X1 * L1)
         totals = acc.sum(axis=1)
         keep = np.flatnonzero(totals > 0.0)
-        return (keep // (G * Y), keep // Y % G, keep % Y,
-                (acc[keep] / totals[keep, None]).reshape(-1, X1, L1), totals[keep])
+        return (*digits(keep, sizes[:3]), (acc[keep] / totals[keep, None]).reshape(-1, X1, L1),
+                totals[keep])
 
     def step(self, lay: Layer, own: np.ndarray | None) -> Layer:
         """Layer t+1 from layer t: with own None agent k branches over every
@@ -233,19 +227,6 @@ class BeliefPass:
         for lay in layers[1:]:
             probs.append(probs[-1][lay.parent] * lay.weight)
         return layers, probs
-
-
-def chained_beliefs(spec: ModelSpec, g_full, k: int
-                    ) -> list[dict[int, tuple[np.ndarray, float]]]:
-    """Run the recursion along every realization reachable under g_full.
-
-    Returns, per time t = 0..T, a map realization code -> (belief,
-    probability of the realization), in expansion order. Probabilities
-    chain the step normalizers, so this path never enumerates trajectories.
-    """
-    layers, probs = BeliefPass(spec, k, g_full).chain()
-    return [{int(c): (b, float(p)) for c, b, p in zip(lay.codes, lay.beliefs, prob)}
-            for lay, prob in zip(layers, probs)]
 
 
 # ---------------------------------------------------------------------------

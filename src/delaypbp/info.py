@@ -3,14 +3,15 @@
 At time t each agent k knows two blocks: the shared block (every agent's
 observations and actions up to time t-n) and its private block (its own
 last n observations and last n-1 actions). A realization of agent k at
-time t has exactly two forms here: an integer code -- the one key of
-strategy arrays, belief layers, value rows and the oracle's group-bys,
-read off joint histories by `history_code` and advanced one step by
-arithmetic on codes -- and a text key, which appears only where strategy
-files and reports are read or written. `decode` spells a code out as
-plain blocks of symbols and `encode` is its inverse. Every index of the
-package is a mixed radix read by `radix` (Horner's rule) and split by its
-inverse `digits`; no other module writes either out.
+time t is an integer code -- the one key of strategy arrays, belief
+layers, value rows and the oracle's group-bys, read off joint histories
+by `history_code` and advanced one step by arithmetic on codes -- or,
+where strategy files and reports are read or written, a text key;
+`decode` and `encode` turn a code into plain blocks of symbols and back.
+Every mixed radix is read by `radix` (Horner's rule) and split by its
+inverse `digits`; no other module writes either out but for a code's
+split at `private_size` and falsify's two-field keys (`r * X + x`,
+`group * width + cell`).
 
 Index windows, 0-based, for delay n at time t:
   shared, per agent:  obs 0..t-n, acts 0..t-n          (empty while t < n)

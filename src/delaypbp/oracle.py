@@ -9,21 +9,21 @@ one walk keyed by agent k's realization codes (`info.history_code`), an
 of a walk one history at a time: expected costs (the histories of length
 T), posteriors over the extended state at every t, and agent k's
 realization tree, which gives its cost-to-go under any strategy and its
-best response. No beliefs: this is the reference the filter and the
-dynamic program are checked against, so it imports only the model and
-information-pattern primitives.
+best response, each per realization as a filter layer holds it: increasing
+codes and arrays aligned to them row by row. No belief recursion: this is
+the reference the filter and the dynamic program are checked against, so
+it imports only the model and information-pattern primitives.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InstanceTooLargeError
-from .info import grid_size, history_code, other_agents, private_size, radix
+from .info import digits, grid_size, history_code, other_agents, private_size, radix
 from .model import COMPARE_TOL, ModelSpec
 
 _BLOCK = 4096  # most histories per yielded block: what bounds the walk's memory
@@ -54,7 +54,7 @@ def walk(spec: ModelSpec, g, free: int | None = None, depth: int | None = None):
     K, X, T = spec.K, spec.state_size, spec.T
     depth = T if depth is None else depth
     dtype = np.min_scalar_type(max(X, *spec.obs_sizes, *spec.act_sizes) - 1)
-    ys = np.array(list(itertools.product(*map(range, spec.obs_sizes))), dtype)  # (J, K)
+    ys = np.stack(digits(np.arange(math.prod(spec.obs_sizes)), spec.obs_sizes), 1).astype(dtype)
     like = [math.prod([q[:, ys[:, j]] for j, q in enumerate(qs)], start=1.0)  # (X, J)
             for qs in spec.observation]
     trans = [p.reshape(X, -1, X) for p in spec.transition]
@@ -70,7 +70,7 @@ def walk(spec: ModelSpec, g, free: int | None = None, depth: int | None = None):
         for j in range(K):
             us[..., j] = (np.arange(U) if j == free else
                           g.actions_at(j, s, history_code(spec, obs, acts, j, s))[:, None])
-        a = np.ravel_multi_index(tuple(np.moveaxis(us, -1, 0)), spec.act_sizes)  # (N, U)
+        a = radix(np.moveaxis(us.astype(np.intp), -1, 0), spec.act_sizes)  # (N, U)
         p_x = trans[s][xs[:, -1, None], a]  # (N, U, X)
         c = cost[:, None] + stage[s][xs[:, -1, None], a]
         step = max(1, _BLOCK // p_x[0].size // len(ys))
@@ -105,18 +105,18 @@ def enumerate_cost(spec: ModelSpec, g_full) -> float:
     return float(total[0])
 
 
-def posteriors(spec: ModelSpec, g, k: int, free: bool = True) -> list[dict[int, np.ndarray]]:
+def posteriors(spec: ModelSpec, g, k: int, free: bool = True) -> list[tuple]:
     """Per t = 0..T, agent k's posterior over (x_t, lambda_t^{-k}) at every
     time-t realization reachable with its own actions free, from the
-    definition, keyed by agent k's time-t code in increasing order.
+    definition: (codes, beliefs), the time-t codes in increasing order and
+    a read-only (N, state, lambda) array whose row i is codes[i]'s.
 
     One walk with agent k free, so its maps are never read: a realization
     already fixes agent k's actions. The masses of the histories of length
     t accumulate in walk order per (agent k's realization, lambda_t^{-k},
     x_t), which is per (joint history, x_t), and are normalized per
-    realization. Each posterior is a (state, lambda) array; the lambda
-    index is the mixed radix over the other agents' private codes, the
-    order of info.lambda_labels(spec, k, t).
+    realization. The lambda index is the mixed radix over the other
+    agents' private codes, the order of info.lambda_labels(spec, k, t).
 
     With free=False agent k follows g instead. A realization g reaches has
     the same histories in the same order either way, so its posterior is
@@ -138,7 +138,9 @@ def posteriors(spec: ModelSpec, g, k: int, free: bool = True) -> list[dict[int, 
         mats = np.zeros((len(codes), spec.state_size,
                          math.prod(private_size(spec, j, t) for j in others)))
         np.add.at(mats, (group, x, lam), mass)
-        out.append({c: mat / float(mat.sum()) for c, mat in zip(codes.tolist(), mats)})
+        mats /= mats.sum(axis=(1, 2), keepdims=True)
+        mats.setflags(write=False)
+        out.append((codes, mats))
     return out
 
 
@@ -188,7 +190,7 @@ class RealizationTree:
             group, first = group_of(history_code(spec, obs, acts, k, T))
             firsts.append((obs[first], acts[first]))
             sums = np.concatenate([sums, np.zeros((T + 2, len(first)))], axis=1)
-            a = np.ravel_multi_index(tuple(np.moveaxis(acts, 1, 0)), spec.act_sizes)  # (N, T)
+            a = radix(np.moveaxis(acts.astype(np.intp), 1, 0), spec.act_sizes)  # (N, T)
             costs = [c.reshape(X, -1)[xs[:, s], a[:, s]] for s, c in enumerate(spec.stage_cost)]
             for row, c in zip(sums, [1.0, *costs, spec.terminal_cost[xs[:, T]]]):
                 np.add.at(row, group, mass * c)
@@ -197,11 +199,12 @@ class RealizationTree:
         self.acts = np.pad(acts[:, k], ((0, 0), (0, 1))).astype(np.int64)
         self.sums = sums.T
 
-    def cost_to_go(self, maps) -> list[dict[int, float]]:
-        """Per t0 = 0..T, the expected cost of stages t0..T-1 plus terminal
-        cost given agent k's time-t0 realization (keyed by code), when agent
-        k plays the per-time strategy arrays maps from t0 on against the
-        tree's profile; raises where maps give no action the tree needs."""
+    def cost_to_go(self, maps) -> list[tuple]:
+        """Per t0 = 0..T, (codes, values): agent k's time-t0 codes reached, in
+        increasing order, and the expected cost of stages t0..T-1 plus
+        terminal cost given each, when agent k plays the per-time strategy
+        arrays maps from t0 on against the tree's profile; raises where maps
+        give no action the tree needs."""
         g = self.g.with_agent(self.k, maps)
         return self._backward(lambda t, codes, costs: g.actions_at(self.k, t, codes))[0]
 
@@ -209,8 +212,8 @@ class RealizationTree:
         """From t = T down, per (time-t code, own action), the cost from t
         on and the mass, added in group order, of the groups whose later
         actions follow the maps picked so far by pick(t, codes, costs).
-        Returns under those maps the cost-to-go per t (cost over mass), the
-        maps (-1 off the tree) and the expected cost from t = 0."""
+        Returns under those maps the cost-to-go per t (codes, cost over
+        mass), the maps (-1 off the tree) and the expected cost from t = 0."""
         spec, k, T = self.spec, self.k, self.spec.T
         follow, tail, tables, maps = np.ones(len(self.sums), dtype=bool), 0.0, [], []
         for t in range(T, -1, -1):
@@ -222,7 +225,7 @@ class RealizationTree:
             np.add.at(mass, cell, self.sums[follow, 0])
             u = pick(t, hit, cost) if t < T else np.zeros(len(hit), dtype=np.int64)
             at = (np.arange(len(hit)), u)
-            tables.insert(0, dict(zip(hit.tolist(), (cost[at] / mass[at]).tolist())))
+            tables.insert(0, (hit, cost[at] / mass[at]))
             follow[follow] = u[inv] == self.acts[follow, t]
             if t < T:
                 maps.insert(0, np.full(grid_size(spec, k, t), -1))

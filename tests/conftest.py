@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from delaypbp import canonical_instance
+from delaypbp import canonical_instance, oracle
 from delaypbp.model import ModelSpec
 from delaypbp.strategies import (constant_profile, observation_following_profile,
                                  random_profile)
@@ -59,6 +59,24 @@ def others_play(g, common, lam):
 def layer_nodes(lay):
     """A layer's nodes as realization code -> belief, in expansion order."""
     return {int(c): b for c, b in zip(lay.codes, lay.beliefs)}
+
+
+def rows_at(result, codes):
+    """The rows at codes of a per-realization result, (increasing codes,
+    values aligned to them), as `oracle.posteriors` and `cost_to_go` give
+    one per t; it must hold every code."""
+    have, values = result
+    assert np.isin(codes, have).all(), "a code the result does not hold"
+    return values[np.searchsorted(have, codes)]
+
+
+def oracle_gap(spec, g, k, layers, free=True):
+    """The largest |belief - oracle posterior| over the nodes of agent k's
+    layers t = 0..T, the posteriors from one walk with agent k free or
+    following g."""
+    posts = oracle.posteriors(spec, g, k, free=free)
+    return max(float(np.max(np.abs(lay.beliefs - rows_at(post, lay.codes))))
+               for lay, post in zip(layers, posts, strict=True))
 
 
 def tiny_uniform_t1():

@@ -4,7 +4,7 @@ PASS/FAIL line per criterion."""
 
 import numpy as np
 
-from conftest import RANDOM_SEED, five_profiles, layer_nodes
+from conftest import RANDOM_SEED, five_profiles, oracle_gap
 from delaypbp import oracle
 from delaypbp.cli import EXIT_OK, RunConfig, run
 from delaypbp.dp import (expected_value, pbp_sweep, solve_best_response,
@@ -12,7 +12,7 @@ from delaypbp.dp import (expected_value, pbp_sweep, solve_best_response,
 from delaypbp.falsify import (check_conditional_independence,
                               check_conditional_markov, check_k1_reduction,
                               check_policy_independence)
-from delaypbp.filtering import chained_beliefs, max_abs_gap
+from delaypbp.filtering import BeliefPass
 from delaypbp.model import canonical_instance, uniform_observation_variant
 from delaypbp.strategies import (constant_profile, observation_following_profile,
                                  random_profile)
@@ -34,17 +34,14 @@ def test_criterion_1_filter_matches_oracle():
         spec = canonical_instance(name)
         for g in (observation_following_profile(spec), constant_profile(spec, 0)):
             for k in range(spec.K):
-                chain = chained_beliefs(spec, g, k)
+                chain, _ = BeliefPass(spec, k, g).chain()
                 # wider domain: own actions free, opponents frozen (the
                 # best-response tables store chained beliefs there too)
                 vtable, _ = solve_best_response(spec, k, g)
-                for t, post in enumerate(oracle.posteriors(spec, g, k)):
-                    for r, (b, _) in chain[t].items():
-                        worst = max(worst, max_abs_gap(b, post[r]))
-                        checked += 1
-                    for r, b in layer_nodes(vtable.entries[t].layer).items():
-                        worst = max(worst, max_abs_gap(b, post[r]))
-                        checked += 1
+                wider = [entry.layer for entry in vtable.entries]
+                for layers in (chain, wider):
+                    worst = max(worst, oracle_gap(spec, g, k, layers))
+                    checked += sum(map(len, layers))
     report(1, "recursive beliefs equal definition-level Bayes on CANON-2A/2B",
            worst <= COMPARE_TOL and checked >= 700,
            f"{checked} realizations, max gap {worst:.3e}")

@@ -104,6 +104,26 @@ def test_filter_command_reports_gaps(tmp_path):
     assert len(doc["results"]) == 2 + 8 + 32
 
 
+def test_filter_raises_where_the_oracle_lacks_a_chain_realization(tmp_path, monkeypatch):
+    """With one time-1 row dropped from the oracle's posteriors, the filter
+    command names the realization it lacks instead of comparing the
+    chain's belief there with a neighbouring row."""
+    whole = oracle.posteriors
+
+    def short(spec, g, k, free=True):
+        posts = whole(spec, g, k, free=free)
+        codes, beliefs = posts[1]
+        posts[1] = (np.delete(codes, 3), np.delete(beliefs, 3, axis=0))
+        missing.append(realization_key(spec, k, 1, int(codes[3])))
+        return posts
+
+    missing = []
+    monkeypatch.setattr(oracle, "posteriors", short)
+    with pytest.raises(AssertionError, match=r"t=1: the oracle lacks c\(") as err:
+        run(RunConfig(command="filter", model="CANON-2B", agent=1, out=str(tmp_path)))
+    assert str(err.value) == f"t=1: the oracle lacks {missing[0]}"
+
+
 def test_solve_command_cross_checks_brute_force(tmp_path):
     out = tmp_path / "reports"
     assert run(RunConfig(command="solve", model="CANON-2A", out=str(out))) == EXIT_OK

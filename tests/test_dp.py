@@ -3,12 +3,13 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import five_profiles, layer_nodes, others_play, random_model, tiny_uniform_t1
+from conftest import (five_profiles, layer_nodes, others_play, random_model, rows_at,
+                      tiny_uniform_t1)
 from delaypbp import oracle
 from delaypbp.dp import (ValueLayer, ValueTable, cost_via_beliefs, expected_value,
                          pbp_sweep, solve_best_response, stage_values,
                          terminal_values, verify_value_dominance)
-from delaypbp.filtering import BeliefPass, chained_beliefs
+from delaypbp.filtering import BeliefPass
 from delaypbp.info import decode, grid_size
 from delaypbp.strategies import (constant_profile, observation_following_profile,
                                  random_profile)
@@ -22,15 +23,13 @@ from test_oracle import truncate_to_t1, zero_cost_variant
 def test_terminal_value_zero_cost(canon_2a):
     spec = zero_cost_variant(canon_2a)
     g = constant_profile(spec, 0)
-    chain = chained_beliefs(spec, g, 0)
-    for r, (b, _) in chain[spec.T].items():
-        assert terminal_values(spec, b[None])[0] == 0.0
+    last = BeliefPass(spec, 0, g).chain()[0][spec.T]
+    assert np.all(terminal_values(spec, last.beliefs) == 0.0)
 
 
 def test_terminal_value_point_mass(canon_2a):
     g = constant_profile(canon_2a, 0)
-    chain = chained_beliefs(canon_2a, g, 0)
-    (r, (b, _)) = next(iter(chain[canon_2a.T].items()))
+    b = BeliefPass(canon_2a, 0, g).chain()[0][canon_2a.T].beliefs[0]
     point = np.zeros_like(b)
     x_star = canon_2a.state_size - 1
     point[x_star, b.shape[1] - 1] = 1.0
@@ -39,11 +38,11 @@ def test_terminal_value_point_mass(canon_2a):
 
 def test_terminal_value_matches_oracle_expectation(canon_2a):
     g = observation_following_profile(canon_2a)
-    chain = chained_beliefs(canon_2a, g, 0)
     t = canon_2a.T
-    post = oracle.posteriors(canon_2a, g, 0)[t]
-    for r, (b, _) in chain[t].items():
-        ref = sum(canon_2a.terminal_cost[x] * p for x, p in enumerate(post[r].sum(axis=1)))
+    last = BeliefPass(canon_2a, 0, g).chain()[0][t]
+    posts = rows_at(oracle.posteriors(canon_2a, g, 0)[t], last.codes)
+    for b, post in zip(last.beliefs, posts):
+        ref = sum(canon_2a.terminal_cost[x] * p for x, p in enumerate(post.sum(axis=1)))
         assert terminal_values(canon_2a, b[None])[0] == pytest.approx(ref, abs=1e-10)
 
 
@@ -134,11 +133,11 @@ def test_expected_value_weights_are_the_chain_probabilities_bitwise(seed):
     spec = random_model(seed=seed, K=3, n=1, T=2, sizes=3)
     g = constant_profile(spec, 0)
     for k in range(spec.K):
-        chain0 = chained_beliefs(spec, g, k)[0]
+        prob0 = BeliefPass(spec, k, g).chain()[1][0]
         first = BeliefPass(spec, k, g).start()
         values = terminal_values(spec, first.beliefs)
         acc = 0.0
-        for (_, p), v in zip(chain0.values(), values):
+        for p, v in zip(prob0.tolist(), values):
             acc += p * v
         table = ValueTable(agent=k, entries=(ValueLayer(first, values, None),))
         assert expected_value(spec, k, table) == acc

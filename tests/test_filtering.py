@@ -5,10 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import layer_nodes, others_play, random_model
+from conftest import oracle_gap, others_play, random_model, rows_at
 from delaypbp import filtering, oracle
-from delaypbp.filtering import (BeliefPass, chained_beliefs, classical_filter_update,
-                                max_abs_gap)
+from delaypbp.filtering import BeliefPass, classical_filter_update
 from delaypbp.info import Blocks, decode, other_agents, shared_prefix_len
 from delaypbp.model import ModelSpec
 from delaypbp.strategies import (constant_profile, observation_following_profile,
@@ -72,13 +71,12 @@ def test_initial_belief_perfect_observation():
 def test_initial_belief_matches_oracle(canon_2a):
     g = observation_following_profile(canon_2a)
     for k in range(2):
-        post = oracle.posteriors(canon_2a, g, k)[0]
-        starts = layer_nodes(BeliefPass(canon_2a, k, g).start())
-        assert [decode(canon_2a, k, 0, c) for c in starts] == [
+        start = BeliefPass(canon_2a, k, g).start()
+        assert [decode(canon_2a, k, 0, c) for c in start.codes.tolist()] == [
             first_realization(canon_2a, k, y0) for y0 in range(2)]
-        for r, b in starts.items():
-            assert b.shape == post[r].shape
-            assert max_abs_gap(b, post[r]) <= 1e-15
+        post = rows_at(oracle.posteriors(canon_2a, g, k)[0], start.codes)
+        assert start.beliefs.shape == post.shape
+        assert np.max(np.abs(start.beliefs - post)) <= 1e-15
 
 
 def test_initial_belief_unreachable_observation():
@@ -143,17 +141,13 @@ def test_update_uniform_symmetry():
 @pytest.mark.parametrize("agent", [0, 1])
 def test_chain_matches_oracle_canon_2a(canon_2a, agent):
     g = observation_following_profile(canon_2a)
-    chain = chained_beliefs(canon_2a, g, agent)
-    checked = 0
-    for t, post in enumerate(oracle.posteriors(canon_2a, g, agent)):
-        assert chain[t], "no reachable realizations found"
-        total = sum(pr for _, pr in chain[t].values())
-        assert abs(total - 1.0) <= 1e-10
-        for r, (b, _) in chain[t].items():
-            assert abs(float(b.sum()) - 1.0) <= 1e-10
-            assert max_abs_gap(b, post[r]) <= 1e-10
-            checked += 1
-    assert checked >= 40
+    layers, probs = BeliefPass(canon_2a, agent, g).chain()
+    for lay, prob in zip(layers, probs):
+        assert len(lay), "no reachable realizations found"
+        assert abs(sum(prob.tolist()) - 1.0) <= 1e-10
+        assert np.max(np.abs(lay.beliefs.sum(axis=(1, 2)) - 1.0)) <= 1e-10
+    assert oracle_gap(canon_2a, g, agent, layers) <= 1e-10
+    assert sum(map(len, layers)) >= 40
 
 
 def test_oracle_belief_ignores_own_strategy_bitwise(canon_2a):
@@ -161,25 +155,23 @@ def test_oracle_belief_ignores_own_strategy_bitwise(canon_2a):
     g_b = g_a.with_agent(0, constant_profile(canon_2a, 1).maps[0])
     # a realization reachable under both: actions in the realization are
     # what matters, not the maps that produced them
-    chain_a = chained_beliefs(canon_2a, g_a, 0)
-    chain_b = chained_beliefs(canon_2a, g_b, 0)
-    shared = set(chain_a[1]) & set(chain_b[1])
-    assert shared
-    post_a = oracle.posteriors(canon_2a, g_a, 0)[1]
-    post_b = oracle.posteriors(canon_2a, g_b, 0)[1]
-    for r in shared:
-        assert np.array_equal(post_a[r], post_b[r])
+    shared = np.intersect1d(*(BeliefPass(canon_2a, 0, g).chain()[0][1].codes
+                              for g in (g_a, g_b)))
+    assert len(shared)
+    post_a = rows_at(oracle.posteriors(canon_2a, g_a, 0)[1], shared)
+    post_b = rows_at(oracle.posteriors(canon_2a, g_b, 0)[1], shared)
+    assert np.array_equal(post_a, post_b)
 
 
 def test_oracle_belief_unreachable_realization(canon_2a):
     """The oracle has no posterior at a realization of zero probability:
     under the all-0 opponent, exactly those in which it played 1."""
     g = constant_profile(canon_2a, 0)
-    post = oracle.posteriors(canon_2a, g, 0)[1]
+    codes, _ = oracle.posteriors(canon_2a, g, 0)[1]
     from delaypbp.info import decode, grid_size
     unreachable = [decode(canon_2a, 0, 1, code) for code in range(grid_size(canon_2a, 0, 1))
-                   if code not in post]
-    assert len(unreachable) == len(post) == 16
+                   if code not in codes]
+    assert len(unreachable) == len(codes) == 16
     assert all(r.shared_acts[1] == (1,) for r in unreachable)
 
 
@@ -191,10 +183,7 @@ def test_chain_matches_oracle_random_models(seed, n):
     spec = random_model(seed, K=2, n=n, T=2, sizes=2)
     g = random_profile(spec, np.random.default_rng(seed + 1))
     for k in range(spec.K):
-        chain = chained_beliefs(spec, g, k)
-        for t, post in enumerate(oracle.posteriors(spec, g, k)):
-            for r, (b, _) in chain[t].items():
-                assert max_abs_gap(b, post[r]) <= 1e-10
+        assert oracle_gap(spec, g, k, BeliefPass(spec, k, g).chain()[0]) <= 1e-10
 
 
 # --- one forward expansion ---------------------------------------------------
@@ -275,8 +264,8 @@ def test_classical_filter_requires_single_agent(canon_2a):
 
 def test_classical_filter_matches_recursion_marginal(canon_1):
     g = constant_profile(canon_1, 0)
-    chain = chained_beliefs(canon_1, g, 0)
-    for code, (b, _) in chain[0].items():
+    first = BeliefPass(canon_1, 0, g).chain()[0][0]
+    for code, b in zip(first.codes.tolist(), first.beliefs):
         y0 = decode(canon_1, 0, 0, code).own_obs[0]
         raw = canon_1.init_dist * canon_1.observation[0][0][:, y0]
         pi = raw / raw.sum()

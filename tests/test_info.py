@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import SHAPES, layer_nodes, random_model
+from conftest import SHAPES, random_model, rows_at
 from delaypbp import cli, info, oracle
 from delaypbp.filtering import BeliefPass
 from delaypbp.info import (Blocks, decode, digits, encode, grid_size, history_code,
@@ -324,16 +324,14 @@ def assert_dp_nodes_are_oracle_reachable(spec, g, k):
     """At every t, the realizations the best-response DP expands (agent k's
     actions free) are those the oracle's walk reaches with agent k free, and
     each chained belief has the oracle posterior's support. Returns the
-    oracle posteriors per t."""
+    oracle posteriors per t, (codes, beliefs)."""
     layers = BeliefPass(spec, k, g).expand(free=True)
-    posts = []
-    for lay, post in zip(layers, oracle.posteriors(spec, g, k), strict=True):
-        nodes = layer_nodes(lay)
-        assert set(nodes) == set(post)
-        for r, b in nodes.items():
-            assert b.shape == post[r].shape
-            assert np.array_equal(b > 0.0, post[r] > 0.0)
-        posts.append(post)
+    posts = oracle.posteriors(spec, g, k)
+    for lay, post in zip(layers, posts, strict=True):
+        assert np.array_equal(np.sort(lay.codes), post[0])
+        ref = rows_at(post, lay.codes)
+        assert lay.beliefs.shape == ref.shape
+        assert np.array_equal(lay.beliefs > 0.0, ref > 0.0)
     return posts
 
 
@@ -343,9 +341,9 @@ def lam_support(mat):
 
 def test_enumerate_reachable_t0(canon_2a):
     g = observation_following_profile(canon_2a)
-    rs = assert_dp_nodes_are_oracle_reachable(canon_2a, g, 0)[0]
-    assert len(rs) == 2  # both first observations have positive probability
-    for code, mat in rs.items():
+    codes, mats = assert_dp_nodes_are_oracle_reachable(canon_2a, g, 0)[0]
+    assert len(codes) == 2  # both first observations have positive probability
+    for code, mat in zip(codes.tolist(), mats):
         assert decode(canon_2a, 0, 0, code).own_obs == (code,)
         assert lam_support(mat) == 2
 
@@ -355,13 +353,14 @@ def test_enumerate_reachable_counts_on_canon_2a(canon_2a):
     # the deterministic opponent pins its own past action to its observation
     g = observation_following_profile(canon_2a)
     posts = assert_dp_nodes_are_oracle_reachable(canon_2a, g, 0)
-    assert len(posts[1]) == 16
-    for code, mat in posts[1].items():
+    codes, mats = posts[1]
+    assert len(codes) == 16
+    for code, mat in zip(codes.tolist(), mats):
         r = decode(canon_2a, 0, 1, code)
         y02, u02 = r.shared_obs[1][0], r.shared_acts[1][0]
         assert u02 == y02  # opponent determinism filtered the rest
         assert lam_support(mat) == 2
-    assert len(posts[2]) == 128
+    assert len(posts[2][0]) == 128
 
 
 def test_enumerate_reachable_respects_zero_kernel_rows(canon_2a):
@@ -372,18 +371,18 @@ def test_enumerate_reachable_respects_zero_kernel_rows(canon_2a):
         canon_2a.obs_sizes, canon_2a.act_sizes, canon_2a.init_dist,
         canon_2a.transition, obs, canon_2a.stage_cost, canon_2a.terminal_cost)
     g = observation_following_profile(spec)
-    rs = assert_dp_nodes_are_oracle_reachable(spec, g, 0)[0]
-    assert [decode(spec, 0, 0, code).own_obs for code in rs] == [(0,)]
-    posts = assert_dp_nodes_are_oracle_reachable(spec, g, 1)
-    assert posts[1]
-    for code in posts[1]:
+    codes, _ = assert_dp_nodes_are_oracle_reachable(spec, g, 0)[0]
+    assert [decode(spec, 0, 0, code).own_obs for code in codes.tolist()] == [(0,)]
+    codes, _ = assert_dp_nodes_are_oracle_reachable(spec, g, 1)[1]
+    assert len(codes)
+    for code in codes.tolist():
         assert decode(spec, 1, 1, code).shared_obs[0] == (0,)
 
 
 def test_enumerate_reachable_closed_under_advance(canon_2a):
     """Every reachable (t+1)-realization restricts to a reachable t-one."""
     g = constant_profile(canon_2a, 0)
-    at = assert_dp_nodes_are_oracle_reachable(canon_2a, g, 0)
+    at = [codes.tolist() for codes, _ in assert_dp_nodes_are_oracle_reachable(canon_2a, g, 0)]
     for t in range(1, canon_2a.T + 1):
         for r in (decode(canon_2a, 0, t, code) for code in at[t]):
             # unique predecessor for n=1: drop the newest shared symbols,

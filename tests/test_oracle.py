@@ -5,11 +5,12 @@ import pathlib
 import numpy as np
 import pytest
 
-from conftest import SHAPES, deterministic_chain, five_profiles, random_model
+from conftest import SHAPES, deterministic_chain, five_profiles, random_model, rows_at
 from delaypbp import canonical_instance, cli, falsify, oracle
 from delaypbp.dp import expected_value, solve_best_response, verify_value_dominance
 from delaypbp.errors import IncompleteStrategyError, InstanceTooLargeError, UnreachableError
 from delaypbp.falsify import check_conditional_independence, make_report
+from delaypbp.filtering import BeliefPass
 from delaypbp.info import grid_size, history_code, lambda_labels, realization_key
 from delaypbp.model import ModelSpec
 from delaypbp.oracle import (RealizationTree, _best_response, brute_force_best_response,
@@ -95,15 +96,21 @@ def test_walk_visits_each_length_as_the_walk_to_that_horizon(name):
 
 # --- the array group-bys against the tuple walk ----------------------------------
 
+def by_code(results):
+    """Per t, a code-sorted result (codes, values) as the dict code ->
+    value row that the tuple walk's group-bys build."""
+    return [dict(zip(codes.tolist(), values)) for codes, values in results]
+
+
 def group_bys(spec, g, k):
     """Every group-by over the walk, for agent k: the profile's cost and
     falsify's tables with every agent following g, the posteriors with
-    agent k free and following, and agent k's tree (free) with its best
-    response."""
+    agent k free and following (as dicts by code), and agent k's tree
+    (free) with its best response."""
     follow = posteriors(spec, g, k, free=False)
     tree = RealizationTree(spec, k, g)
     return {"cost": enumerate_cost(spec, g),
-            "posteriors": posteriors(spec, g, k), "following": follow,
+            "posteriors": by_code(posteriors(spec, g, k)), "following": by_code(follow),
             "tree": (tree.sums, tree.codes, tree.acts), "best": _best_response(tree),
             "independence": [check_conditional_independence(spec, g, k, t)
                              for t in range(spec.n - 1, spec.T)],
@@ -155,6 +162,25 @@ def test_group_bys_equal_the_tuple_walk_bitwise(name):
     got = group_bys(spec, g, k)
     want = reference_group_bys(spec, g, k, got["following"])
     assert_bitwise_equal(got, want)
+
+
+@pytest.mark.parametrize("name", ["CANON-2A", "CANON-2B", "CANON-1", *SHAPES], ids=str)
+def test_per_realization_results_are_rows_along_increasing_codes(name):
+    """For every agent, at every t: the posteriors, with the agent free and
+    following, are one read-only belief row per code, along strictly
+    increasing codes, each summing to 1; following, the codes are those the
+    chain reaches. The cost-to-go per t has strictly increasing codes too."""
+    spec, g = tree_model(name)
+    for k in range(spec.K):
+        chain, _ = BeliefPass(spec, k, g).chain()
+        for free in (True, False):
+            for t, (codes, beliefs) in enumerate(posteriors(spec, g, k, free=free)):
+                assert codes.dtype == np.int64 and np.all(np.diff(codes) > 0), (k, free, t)
+                assert beliefs.shape[0] == len(codes) and not beliefs.flags.writeable
+                assert np.max(np.abs(beliefs.sum(axis=(1, 2)) - 1.0)) <= 1e-15, (k, free, t)
+                assert free or np.array_equal(codes, np.sort(chain[t].codes)), (k, t)
+        for t, (codes, values) in enumerate(RealizationTree(spec, k, g).cost_to_go(g.maps[k])):
+            assert np.all(np.diff(codes) > 0) and values.shape == codes.shape, (k, t)
 
 
 BLOCK_MODELS = ["CANON-2A", "CANON-2B", "CANON-1", (2, 2, 2, 2), (3, 1, 1, 2)]
@@ -327,13 +353,14 @@ def test_conditional_pmf_matches_posterior(canon_2a):
     laws = {}
     for (r, x, lam), m in joint.items():
         laws.setdefault(r, np.zeros((canon_2a.state_size, len(lams))))[x, lams[lam]] = m
-    post = posteriors(canon_2a, g, 0)[t]
+    codes = np.array(sorted(laws))
+    post = rows_at(posteriors(canon_2a, g, 0)[t], codes)
     follow = posteriors(canon_2a, g, 0, free=False)[t]
     assert len(laws) == 8  # both first observations of each agent, then agent 0's second
-    assert set(follow) == set(laws)
-    for r, law in laws.items():
-        assert np.max(np.abs(law / law.sum() - post[r])) <= 1e-10
-        assert np.array_equal(follow[r], post[r])
+    assert np.array_equal(follow[0], codes)
+    want = np.array([laws[r] / laws[r].sum() for r in codes.tolist()])
+    assert np.max(np.abs(want - post)) <= 1e-10
+    assert np.array_equal(follow[1], post)
 
 
 def test_dominance_check_rejects_a_table_realization_the_tree_does_not_reach(canon_2a):
@@ -427,8 +454,9 @@ def test_tree_cost_to_go_equals_one_walk_per_time(name):
         for t0 in range(spec.T + 1):
             ref = (at_horizon if t0 == spec.T
                    else reference_oracle.cost_to_go(spec, 0, g.with_agent(0, alt), t0))
-            assert set(got[t0]) == set(ref), (label, t0)
-            assert max(abs(got[t0][r] - ref[r]) for r in ref) <= 1e-12, (label, t0)
+            codes, values = got[t0][0].tolist(), got[t0][1].tolist()
+            assert codes == sorted(ref), (label, t0)
+            assert max(abs(v - ref[r]) for r, v in zip(codes, values)) <= 1e-12, (label, t0)
 
 
 def test_tree_cost_to_go_rejects_a_map_without_an_action(canon_2a):
@@ -533,7 +561,7 @@ def test_oracle_module_boundary():
     # only the code arithmetic, never the blocks or the text keys.
     from_info = names_imported(SRC / "oracle.py", "info")
     assert "history_code" in from_info  # the parser does see the names
-    assert from_info <= {"grid_size", "history_code", "next_codes", "other_agents",
+    assert from_info <= {"digits", "grid_size", "history_code", "next_codes", "other_agents",
                          "private_act_len", "private_obs_len", "private_size", "promoted",
                          "radices", "radix", "shared_prefix_len", "shift_code"}, from_info
     # info defines no record types: no dataclasses behind the codes.

@@ -4,13 +4,13 @@ two-step sharing (n=2) and three agents."""
 import numpy as np
 import pytest
 
-from conftest import layer_nodes, random_model
+from conftest import oracle_gap, random_model
 from delaypbp import oracle
 from delaypbp.dp import (cost_via_beliefs, expected_value, pbp_sweep,
                          solve_best_response, verify_value_dominance)
 from delaypbp.falsify import (check_conditional_independence,
                               check_conditional_markov, check_payoff_identity)
-from delaypbp.filtering import chained_beliefs, max_abs_gap
+from delaypbp.filtering import BeliefPass
 from delaypbp.info import grid_size
 from delaypbp.strategies import constant_profile, random_profile
 
@@ -29,10 +29,7 @@ def test_two_step_sharing_chain_matches_oracle(two_step_model):
     spec = two_step_model
     g = random_profile(spec, np.random.default_rng(1))
     for k in range(spec.K):
-        chain = chained_beliefs(spec, g, k)
-        for t, post in enumerate(oracle.posteriors(spec, g, k)):
-            for r, (b, _) in chain[t].items():
-                assert max_abs_gap(b, post[r]) <= 1e-10
+        assert oracle_gap(spec, g, k, BeliefPass(spec, k, g).chain()[0]) <= 1e-10
 
 
 def test_two_step_sharing_dp_matches_brute_force(two_step_model):
@@ -43,9 +40,7 @@ def test_two_step_sharing_dp_matches_brute_force(two_step_model):
         bf_value, _ = oracle.brute_force_best_response(spec, k, g)
         assert expected_value(spec, k, vtable) == pytest.approx(bf_value, abs=1e-10)
         # tables also match the posterior oracle on the wider grid
-        for t, post in enumerate(oracle.posteriors(spec, g, k)):
-            for r, b in layer_nodes(vtable.entries[t].layer).items():
-                assert max_abs_gap(b, post[r]) <= 1e-10
+        assert oracle_gap(spec, g, k, [entry.layer for entry in vtable.entries]) <= 1e-10
 
 
 def test_two_step_sharing_dominance(two_step_model):
@@ -83,10 +78,7 @@ def test_three_agents_chain_matches_oracle(three_agent_model):
     spec = three_agent_model
     g = random_profile(spec, np.random.default_rng(4))
     for k in range(spec.K):
-        chain = chained_beliefs(spec, g, k)
-        for t, post in enumerate(oracle.posteriors(spec, g, k)):
-            for r, (b, _) in chain[t].items():
-                assert max_abs_gap(b, post[r]) <= 1e-10
+        assert oracle_gap(spec, g, k, BeliefPass(spec, k, g).chain()[0]) <= 1e-10
 
 
 def test_three_agents_payoff_identity(three_agent_model):
@@ -116,13 +108,9 @@ def test_three_agents_sweep_certified(three_agent_model):
 # --- the batched belief kernel beyond the canonical instances -----------------
 
 def _chain_and_payoff_match_oracle(spec, g, k):
-    chain = chained_beliefs(spec, g, k)
-    checked = 0
-    for t, post in enumerate(oracle.posteriors(spec, g, k, free=False)):
-        for r, (b, _) in chain[t].items():
-            assert max_abs_gap(b, post[r]) <= 1e-10
-            checked += 1
-    assert checked
+    chain, _ = BeliefPass(spec, k, g).chain()
+    assert oracle_gap(spec, g, k, chain, free=False) <= 1e-10
+    assert sum(map(len, chain))
     assert cost_via_beliefs(spec, g, k) == pytest.approx(oracle.enumerate_cost(spec, g),
                                                          abs=1e-10)
 
@@ -142,9 +130,9 @@ def test_batched_kernel_matches_oracle_on_random_models(K, n, T, last):
     _chain_and_payoff_match_oracle(spec, g, k)
     _, g_maps = solve_best_response(spec, opponent, g)
     _chain_and_payoff_match_oracle(spec, g.with_agent(opponent, g_maps), k)
-    reached = chained_beliefs(spec, g, opponent)
+    reached, _ = BeliefPass(spec, opponent, g).chain()
     cut = [np.full(grid_size(spec, opponent, t), -1) for t in range(T)]
     for t in range(T):
-        for code in reached[t]:
+        for code in reached[t].codes.tolist():
             cut[t][code] = g.action_at(opponent, t, code)
     _chain_and_payoff_match_oracle(spec, g.with_agent(opponent, cut), k)
