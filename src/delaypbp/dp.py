@@ -9,7 +9,8 @@ k's own actions left free -- one time layer per array step: the stage
 values of every (node, own action), plus each child's step weight times
 its value, added in child order, then the minimizing action per node,
 ties to the smallest. The table keeps each layer, whose (state, lambda)
-beliefs sit alongside the values. On top of that sit the payoff identity
+beliefs sit alongside the values; the minimizing actions live once, in the
+extracted strategy arrays. On top of that sit the payoff identity
 (expected cost written through the posteriors), exact best-response
 iteration toward a person-by-person stationary profile, and the dominance
 check of the value function against arbitrary alternative strategies.
@@ -25,18 +26,18 @@ from . import oracle
 from .errors import UnreachableError
 from .filtering import BeliefPass, Layer, seq_sum
 from .info import grid_size
-from .model import COMPARE_TOL, IMPROVE_TOL, ModelSpec
+from .model import IMPROVE_TOL, ModelSpec
 from .strategies import StrategyProfile
 
 
 @dataclass(frozen=True, eq=False)
 class ValueLayer:
     """Agent k's value-table rows at one time: the nodes of a layer with
-    their values and, before the horizon, minimizing actions."""
+    their values. A node's minimizing action is the extracted strategy
+    array's cell at its code."""
 
     layer: Layer
     values: np.ndarray
-    best_actions: np.ndarray | None  # None at the terminal time
 
     def __len__(self) -> int:
         return len(self.values)
@@ -44,9 +45,8 @@ class ValueLayer:
 
 @dataclass(frozen=True, eq=False)
 class ValueTable:
-    """Per time t = 0..T, agent k's value/argmin/belief per node."""
+    """Per time t = 0..T, agent k's value and belief per node."""
 
-    agent: int
     entries: tuple[ValueLayer, ...]
 
 
@@ -78,7 +78,7 @@ def solve_best_response(spec: ModelSpec, k: int, g_minus_k
     bp = BeliefPass(spec, k, g_minus_k)
     layers = bp.expand(free=True)
     values = terminal_values(spec, layers[spec.T].beliefs)
-    entries = [ValueLayer(layers[spec.T], values, None)]
+    entries = [ValueLayer(layers[spec.T], values)]
     g_maps = [np.full(grid_size(spec, k, t), -1) for t in range(spec.T)]
     for t in range(spec.T - 1, -1, -1):
         lay, nxt = layers[t], layers[t + 1]
@@ -87,8 +87,8 @@ def solve_best_response(spec: ModelSpec, k: int, g_minus_k
         best = np.argmin(q, axis=1)
         values = q[np.arange(len(lay)), best]
         g_maps[t][lay.codes] = best
-        entries.append(ValueLayer(lay, values, best))
-    return ValueTable(agent=k, entries=tuple(entries[::-1])), g_maps
+        entries.append(ValueLayer(lay, values))
+    return ValueTable(tuple(entries[::-1])), g_maps
 
 
 def expected_value(spec: ModelSpec, k: int, vtable: ValueTable) -> float:
@@ -151,40 +151,17 @@ def pbp_sweep(spec: ModelSpec, g_init: StrategyProfile, max_rounds: int,
     return g, trace, converged
 
 
-@dataclass(frozen=True)
-class DominanceEntry:
-    t: int
-    code: int  # agent k's time-t realization code
-    table_value: float
-    alt_value: float
+def verify_value_dominance(tree: oracle.RealizationTree, vtable: ValueTable, maps_k
+                           ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Table values beside the enumerated conditional cost-to-go of agent
+    k's alternative per-time strategy arrays maps_k, read off agent k's
+    realization tree against the profile the table was solved for: per t,
+    (codes, table values, alternative values), codes increasing as in
+    `cost_to_go`.
 
-
-@dataclass(frozen=True)
-class DominanceReport:
-    """Value-table dominance against one alternative agent-k strategy."""
-
-    entries: tuple[DominanceEntry, ...]
-    tol: float
-
-    @property
-    def violations(self) -> tuple[DominanceEntry, ...]:
-        return tuple(e for e in self.entries if e.table_value > e.alt_value + self.tol)
-
-    @property
-    def max_abs_gap(self) -> float:
-        return max((abs(e.table_value - e.alt_value) for e in self.entries), default=0.0)
-
-
-def verify_value_dominance(tree: oracle.RealizationTree, vtable: ValueTable, maps_k,
-                           tol: float = COMPARE_TOL) -> DominanceReport:
-    """Check table values against the enumerated conditional cost-to-go of
-    agent k's alternative per-time strategy arrays maps_k, read off agent
-    k's realization tree against the profile the table was solved for, at
-    every time and reachable realization, in code order per time.
-
-    The table must sit weakly below the alternative everywhere; violations
-    are reported as data, not raised. A table realization the enumeration
-    does not reach raises UnreachableError.
+    The table must sit weakly below the alternative everywhere; the caller
+    compares. A table realization the enumeration does not reach raises
+    UnreachableError.
     """
     rows = []
     for t, (entry, (alt_codes, alt)) in enumerate(zip(vtable.entries, tree.cost_to_go(maps_k))):
@@ -192,6 +169,5 @@ def verify_value_dominance(tree: oracle.RealizationTree, vtable: ValueTable, map
         codes = entry.layer.codes[order]
         if not np.isin(codes, alt_codes, assume_unique=True).all():
             raise UnreachableError(f"unreachable realization for agent {tree.k} at t={t}")
-        rows += map(DominanceEntry, [t] * len(codes), codes.tolist(),
-                    entry.values[order].tolist(), alt[np.searchsorted(alt_codes, codes)].tolist())
-    return DominanceReport(entries=tuple(rows), tol=tol)
+        rows.append((codes, entry.values[order], alt[np.searchsorted(alt_codes, codes)]))
+    return rows

@@ -10,7 +10,7 @@ class UnreachableError(ValueError):
     """
 
 
-class IncompleteStrategyError(KeyError):
+class IncompleteStrategyError(ValueError):
     """A strategy map was queried at a realization it does not cover."""
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from delaypbp import canonical_instance, oracle
-from delaypbp.model import ModelSpec
+from delaypbp.model import COMPARE_TOL, ModelSpec
 from delaypbp.strategies import (constant_profile, observation_following_profile,
                                  random_profile)
 from reference_recursion import Node, encode
@@ -77,6 +77,18 @@ def oracle_gap(spec, g, k, layers, free=True):
     posts = oracle.posteriors(spec, g, k, free=free)
     return max(float(np.max(np.abs(lay.beliefs - rows_at(post, lay.codes))))
                for lay, post in zip(layers, posts, strict=True))
+
+
+def dominance_violations(rows, tol=COMPARE_TOL):
+    """(t, code) of every row of `verify_value_dominance`'s per-t arrays
+    where the table value exceeds the alternative's by more than tol."""
+    return [(t, code) for t, (codes, table, alt) in enumerate(rows)
+            for code in codes[table > alt + tol].tolist()]
+
+
+def max_abs_gap(rows):
+    """The largest |table - alternative| over every row, 0.0 with none."""
+    return max(float(np.max(np.abs(table - alt), initial=0.0)) for _, table, alt in rows)
 
 
 def tiny_uniform_t1():

@@ -10,13 +10,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import random_model
 from delaypbp import oracle
 from delaypbp.cli import (EXIT_CONFIG, EXIT_OK, EXIT_TOLERANCE, RunConfig, main, parse_args,
                           run)
 from delaypbp.dp import solve_best_response
 from delaypbp.errors import ModelFormatError
+from delaypbp.falsify import check_conditional_independence
 from delaypbp.info import history_code, parse_realization_key, realization_key
-from delaypbp.model import CANONICAL_NAMES, K1_TOL, ModelSpec, model_to_dict, save_model
+from delaypbp.model import (CANONICAL_NAMES, K1_TOL, ModelSpec, model_to_dict, save_model,
+                            uniform_observation_variant)
 from delaypbp.strategies import (StrategyProfile, load_profile, observation_following_profile,
                                  profile_to_dict, random_profile, save_profile)
 
@@ -161,6 +164,46 @@ def test_falsify_command_reports_positive_gap(tmp_path):
     uniform = next(e for e in doc["results"]
                    if e["check"] == "conditional-independence-uniform-obs")
     assert uniform["report"]["max_gap"] <= 1e-12
+
+
+def test_falsify_skips_the_uniform_observation_gate_with_two_step_sharing(tmp_path):
+    """With n = 2 the other agent's action, revealed a step late, has
+    already steered the state, so state-blind observations leave a gap;
+    falsify records the gate as skipped and exits 0."""
+    spec = random_model(3, 2, 2, 2, 2)
+    assert check_conditional_independence(uniform_observation_variant(spec),
+                                          observation_following_profile(spec), 0,
+                                          spec.T - 1).max_gap > 0.01
+    path = tmp_path / "k2n2t2.json"
+    save_model(spec, path)
+    assert main(["--command", "falsify", "--model", str(path),
+                 "--out", str(tmp_path / "r")]) == EXIT_OK
+    checks = read(tmp_path / "r" / "falsify_k2n2t2.json")["results"]
+    assert {"check": "conditional-independence-uniform-obs",
+            "skipped": "n > 1: revealed actions steer the state"} in checks
+
+
+def test_solve_best_actions_and_verify_rows_on_a_saved_model(tmp_path):
+    """On a saved K2n1T3 model the solve table's best_action column is the
+    extracted best response, and verify checks every node of the table
+    against every alternative."""
+    spec = random_model(7, 2, 1, 3, 2)
+    path = tmp_path / "k2n1t3.json"
+    save_model(spec, path)
+    out = tmp_path / "r"
+    for command in ("solve", "verify"):
+        assert main(["--command", command, "--model", str(path), "--out", str(out)]) == EXIT_OK
+    res = read(out / "solve_k2n1t3.json")["results"][0]
+    best = {(e["t"], e["realization"]): e["best_action"] for e in res["table"]}
+    assert {key: u for key, u in best.items() if key[0] < spec.T} == {
+        (times["t"], key): u for times in res["best_response"]["times"]
+        for key, u in times["entries"]}
+    assert all(u is None for (t, _), u in best.items() if t == spec.T)
+    vtable, _ = solve_best_response(spec, 0, observation_following_profile(spec))
+    verify = read(out / "verify_k2n1t3.json")["results"]
+    assert len(verify) >= 5
+    assert all(e["checked"] == sum(map(len, vtable.entries)) and e["violations"] == []
+               for e in verify)
 
 
 def test_impossible_tolerance_fails_with_distinct_exit(tmp_path):

@@ -3,8 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import (five_profiles, layer_nodes, others_play, random_model, rows_at,
-                      tiny_uniform_t1)
+from conftest import (dominance_violations, five_profiles, layer_nodes, max_abs_gap,
+                      others_play, random_model, rows_at, tiny_uniform_t1)
 from delaypbp import oracle
 from delaypbp.dp import (ValueLayer, ValueTable, cost_via_beliefs, expected_value,
                          pbp_sweep, solve_best_response, stage_values,
@@ -15,6 +15,7 @@ from delaypbp.strategies import (constant_profile, observation_following_profile
                                  random_profile)
 from reference_recursion import decode as decode_node
 from reference_recursion import other_private_space
+from test_layer_recursion import MODELS, model
 from test_oracle import truncate_to_t1, zero_cost_variant
 
 
@@ -90,9 +91,9 @@ def test_best_response_zero_costs(canon_2a):
     spec = zero_cost_variant(canon_2a)
     g = observation_following_profile(spec)
     vtable, maps = solve_best_response(spec, 0, g)
-    for entry in vtable.entries:
+    for t, entry in enumerate(vtable.entries):
         assert np.all(entry.values == 0.0)
-        assert entry.best_actions is None or np.all(entry.best_actions == 0)
+        assert t == spec.T or np.all(maps[t][entry.layer.codes] == 0)
     assert all(np.all(m[m >= 0] == 0) and np.any(m == 0) for m in maps)
 
 
@@ -139,7 +140,7 @@ def test_expected_value_weights_are_the_chain_probabilities_bitwise(seed):
         acc = 0.0
         for p, v in zip(prob0.tolist(), values):
             acc += p * v
-        table = ValueTable(agent=k, entries=(ValueLayer(first, values, None),))
+        table = ValueTable((ValueLayer(first, values),))
         assert expected_value(spec, k, table) == acc
 
 
@@ -148,12 +149,12 @@ def test_semi_separation_of_extracted_actions(canon_2a):
     share their extracted action. Identical triples can only repeat via
     numerically equal posteriors, so group and compare."""
     g = observation_following_profile(canon_2a)
-    vtable, _ = solve_best_response(canon_2a, 0, g)
+    vtable, maps = solve_best_response(canon_2a, 0, g)
     for t in range(canon_2a.T):
         groups = {}
         entry = vtable.entries[t]
         for code, belief, best in zip(entry.layer.codes, entry.layer.beliefs,
-                                      entry.best_actions):
+                                      maps[t][entry.layer.codes]):
             r = decode(canon_2a, 0, t, int(code))
             placed = False
             for key, (probs, actions) in groups.items():
@@ -281,20 +282,20 @@ def test_single_agent_sweep_is_globally_optimal(canon_1):
 def test_dominance_tight_at_best_response(canon_2a):
     g = observation_following_profile(canon_2a)
     vtable, maps = solve_best_response(canon_2a, 0, g)
-    report = verify_value_dominance(oracle.RealizationTree(canon_2a, 0, g), vtable, maps)
-    assert report.violations == ()
-    assert report.max_abs_gap <= 1e-10
-    assert len(report.entries) >= 40
+    rows = verify_value_dominance(oracle.RealizationTree(canon_2a, 0, g), vtable, maps)
+    assert dominance_violations(rows) == []
+    assert max_abs_gap(rows) <= 1e-10
+    assert sum(len(codes) for codes, _, _ in rows) >= 40
 
 
 def test_dominance_against_constant_alternative(canon_2a):
     g = observation_following_profile(canon_2a)
     vtable, _ = solve_best_response(canon_2a, 0, g)
     alt = constant_profile(canon_2a, 1).maps[0]
-    report = verify_value_dominance(oracle.RealizationTree(canon_2a, 0, g), vtable, alt)
-    assert report.violations == ()
+    rows = verify_value_dominance(oracle.RealizationTree(canon_2a, 0, g), vtable, alt)
+    assert dominance_violations(rows) == []
     # the costs distinguish actions somewhere, so dominance is strict there
-    assert any(e.alt_value > e.table_value + 1e-6 for e in report.entries)
+    assert any(np.any(alt_values > table + 1e-6) for _, table, alt_values in rows)
 
 
 def test_incomplete_opponent_strategy_is_an_error(canon_2a):
@@ -313,6 +314,25 @@ def test_dominance_zero_costs(canon_2a):
     g = observation_following_profile(spec)
     vtable, _ = solve_best_response(spec, 0, g)
     alt = constant_profile(spec, 1).maps[0]
-    report = verify_value_dominance(oracle.RealizationTree(spec, 0, g), vtable, alt)
-    assert report.violations == ()
-    assert report.max_abs_gap == 0.0
+    rows = verify_value_dominance(oracle.RealizationTree(spec, 0, g), vtable, alt)
+    assert dominance_violations(rows) == []
+    assert max_abs_gap(rows) == 0.0
+
+
+@pytest.mark.parametrize("name", MODELS, ids=str)
+def test_dominance_rows_are_in_the_cost_to_go_layout(name):
+    """Per t, the dominance check gives `cost_to_go`'s layout: strictly
+    increasing codes, the same the enumeration reaches and the DP layer
+    holds, with the table's and the alternative's values aligned to them."""
+    spec, g = model(name)
+    for k in sorted({0, spec.K - 1}):
+        vtable, maps = solve_best_response(spec, k, g)
+        tree = oracle.RealizationTree(spec, k, g)
+        rows = verify_value_dominance(tree, vtable, maps)
+        for (codes, table, alt), (alt_codes, alt_values), entry in zip(
+                rows, tree.cost_to_go(maps), vtable.entries, strict=True):
+            assert np.all(np.diff(codes) > 0)
+            assert np.array_equal(codes, alt_codes)
+            assert np.array_equal(codes, np.sort(entry.layer.codes))
+            assert np.array_equal(rows_at((codes, table), entry.layer.codes), entry.values)
+            assert np.array_equal(alt, alt_values)

@@ -4,7 +4,7 @@ two-step sharing (n=2) and three agents."""
 import numpy as np
 import pytest
 
-from conftest import oracle_gap, random_model
+from conftest import dominance_violations, max_abs_gap, oracle_gap, random_model
 from delaypbp import oracle
 from delaypbp.dp import (cost_via_beliefs, expected_value, pbp_sweep,
                          solve_best_response, verify_value_dominance)
@@ -49,10 +49,10 @@ def test_two_step_sharing_dominance(two_step_model):
     vtable, maps = solve_best_response(spec, 1, g)
     tree = oracle.RealizationTree(spec, 1, g)
     at_best_response = verify_value_dominance(tree, vtable, maps)
-    assert at_best_response.violations == ()
-    assert at_best_response.max_abs_gap <= 1e-10
+    assert dominance_violations(at_best_response) == []
+    assert max_abs_gap(at_best_response) <= 1e-10
     alt = constant_profile(spec, 1).maps[1]
-    assert verify_value_dominance(tree, vtable, alt).violations == ()
+    assert dominance_violations(verify_value_dominance(tree, vtable, alt)) == []
 
 
 def test_two_step_sharing_sweep_certified(two_step_model):
