@@ -294,20 +294,22 @@ def canonical_instance(name: str) -> ModelSpec:
     raise ValueError(f"unknown canonical instance {name!r}; know {CANONICAL_NAMES}")
 
 
-def uniform_observation_variant(spec: ModelSpec) -> ModelSpec:
-    """Copy of spec with every observation kernel replaced by the uniform one.
-
-    Observations then carry no state information; used as the degenerate
-    sanity case of the conditional-independence check.
-    """
+def uniform_observation_variant(spec: ModelSpec, action_blind: bool = False) -> ModelSpec:
+    """Copy of spec with every observation kernel uniform, so observations
+    carry no state information, and with action_blind every transition row
+    transition[t][x, u...] its all-0-action row, so actions do not steer the
+    state either: the degenerate sanity case of the conditional-independence
+    check."""
     obs = tuple(
         tuple(np.full((spec.state_size, spec.obs_sizes[k]), 1.0 / spec.obs_sizes[k])
               for k in range(spec.K))
         for _ in range(spec.T + 1)
     )
+    trans = [np.broadcast_to(p[(slice(None),) + (slice(0, 1),) * spec.K], p.shape)
+             for p in spec.transition] if action_blind else spec.transition
     return ModelSpec.from_tables(
         spec.K, spec.n, spec.T, spec.state_size, spec.obs_sizes, spec.act_sizes,
-        spec.init_dist, spec.transition, obs, spec.stage_cost, spec.terminal_cost,
+        spec.init_dist, trans, obs, spec.stage_cost, spec.terminal_cost,
     )
 
 

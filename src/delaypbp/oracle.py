@@ -17,6 +17,7 @@ it imports only the model and information-pattern primitives.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -27,11 +28,7 @@ from .info import digits, grid_size, history_code, other_agents, private_size, r
 from .model import COMPARE_TOL, ModelSpec
 
 _BLOCK = 4096  # most histories per yielded block: what bounds the walk's memory
-
-
-def _blocks(t: int, layer):
-    for lo in range(0, len(layer[-1]), _BLOCK):
-        yield (t, *(a[lo:lo + _BLOCK] for a in layer))
+_ABOVE = np.iinfo(np.int64).max  # above every code
 
 
 def walk(spec: ModelSpec, g, free: int | None = None, depth: int | None = None):
@@ -50,6 +47,13 @@ def walk(spec: ModelSpec, g, free: int | None = None, depth: int | None = None):
     The histories of one length come in a fixed order (initial state,
     joint observation, then per step the free agent's action, the next
     state, the joint observation), so sums over them are deterministic.
+
+    A layer is one packed array hist (N, t+1, 1+2K), step s of row i being
+    [x_s, y_s^0..y_s^{K-1}, u_s^0..u_s^{K-1}] with 0 for the newest step's
+    actions; xs, obs and acts are views of it. A child copies its parent's
+    row by run length (repeat by the count of children per parent),
+    then takes its actions per (parent, action) run and its new step from
+    tables over the flat (x', joint y) index, built once per walk.
     """
     K, X, T = spec.K, spec.state_size, spec.T
     depth = T if depth is None else depth
@@ -59,41 +63,58 @@ def walk(spec: ModelSpec, g, free: int | None = None, depth: int | None = None):
             for qs in spec.observation]
     trans = [p.reshape(X, -1, X) for p in spec.transition]
     stage = [c.reshape(X, -1) for c in spec.stage_cost]
-    U = spec.act_sizes[free] if free is not None else 1
+    U, J = spec.act_sizes[free] if free is not None else 1, len(ys)
+    rows = np.zeros((X, J, 1 + 2 * K), dtype)  # per flat (x', y): the new step, no actions
+    rows[..., 0], rows[..., 1:1 + K] = np.arange(X)[:, None], ys
+    rows = rows.reshape(X * J, -1)
 
-    def expand(s, layer):
-        """Layer s + 1 in parent-major chunks of at most _BLOCK histories
-        (but one parent's children), each parent's in (free action, x',
-        joint y) order."""
-        xs, obs, acts, mass, cost = layer
+    def views(hist):
+        """A layer's xs, obs and acts, as views of its packed rows."""
+        return (hist[:, :, 0], hist[:, :, 1:1 + K].transpose(0, 2, 1),
+                hist[:, :-1, 1 + K:].transpose(0, 2, 1))
+
+    def blocks(t, hist, mass, cost):
+        arrays = (*views(hist), mass, cost)
+        for lo in range(0, len(mass), _BLOCK):
+            yield (t, *(a[lo:lo + _BLOCK] for a in arrays))
+
+    def expand(s, hist, mass, cost):
+        """Layer s + 1 as (hist, mass, cost) in parent-major chunks of at
+        most _BLOCK histories (but one parent's children), each parent's in
+        (free action, x', joint y) order."""
+        xs, obs, acts = views(hist)
         us = np.zeros((len(mass), U, K), dtype)
         for j in range(K):
             us[..., j] = (np.arange(U) if j == free else
                           g.actions_at(j, s, history_code(spec, obs, acts, j, s))[:, None])
-        a = radix(np.moveaxis(us.astype(np.intp), -1, 0), spec.act_sizes)  # (N, U)
+        a = radix(us.astype(np.intp).T, spec.act_sizes).T  # (N, U)
         p_x = trans[s][xs[:, -1, None], a]  # (N, U, X)
         c = cost[:, None] + stage[s][xs[:, -1, None], a]
-        step = max(1, _BLOCK // p_x[0].size // len(ys))
+        pad = np.concatenate([hist, np.zeros((len(mass), 1, 1 + 2 * K), dtype)], axis=1)
+        seen, p_y = like[s + 1] > 0.0, like[s + 1].ravel()
+        step = max(1, _BLOCK // p_x[0].size // J)
         for lo in range(0, len(mass), step):
-            i, u, x1, y = np.nonzero((p_x[lo:lo + step, ..., None] > 0.0) & (like[s + 1] > 0.0))
-            i += lo
-            yield (np.concatenate([xs[i], x1[:, None].astype(dtype)], axis=1),
-                   np.concatenate([obs[i], ys[y, :, None]], axis=2),
-                   np.concatenate([acts[i], us[i, u, :, None]], axis=2),
-                   (mass[i] * p_x[i, u, x1]) * like[s + 1][x1, y],
-                   c[i, u] + spec.terminal_cost[x1] if s + 1 == T else c[i, u])
+            live = (p_x[lo:lo + step, ..., None] > 0.0) & seen  # (n, U, X, J)
+            per_x = live.sum(axis=3).ravel()
+            per_u = per_x.reshape(-1, X).sum(axis=1)
+            at = live.ravel().nonzero()[0] % (X * J)  # each child's flat (x', y)
+            child = pad[lo:lo + step].repeat(per_u.reshape(-1, U).sum(axis=1), axis=0)
+            child[:, s, 1 + K:] = us[lo:lo + step].reshape(-1, K).repeat(per_u, axis=0)
+            child[:, s + 1] = rows[at]
+            c_u = c[lo:lo + step].ravel().repeat(per_u)
+            yield (child, (mass[lo:lo + step, None, None] * p_x[lo:lo + step]).ravel().repeat(
+                per_x) * p_y[at], c_u + spec.terminal_cost[at // J] if s + 1 == T else c_u)
 
-    x0, y0 = np.nonzero((spec.init_dist > 0.0)[:, None] & (like[0] > 0.0))
-    layer = (x0[:, None].astype(dtype), ys[y0, :, None], np.zeros((len(x0), K, 0), dtype),
-             spec.init_dist[x0] * like[0][x0, y0], np.zeros(len(x0)))
+    at = ((spec.init_dist > 0.0)[:, None] & (like[0] > 0.0)).ravel().nonzero()[0]
+    layer = (rows[at, None], spec.init_dist[at // J] * like[0].ravel()[at], np.zeros(len(at)))
     last = [layer]
     for t in range(depth):
-        yield from _blocks(t, layer)
-        last = expand(t, layer)
+        yield from blocks(t, *layer)
+        last = expand(t, *layer)
         if t + 1 < depth:
             layer = tuple(map(np.concatenate, zip(*last)))
     for chunk in last:
-        yield from _blocks(depth, chunk)
+        yield from blocks(depth, *chunk)
 
 
 def enumerate_cost(spec: ModelSpec, g_full) -> float:
@@ -123,21 +144,21 @@ def posteriors(spec: ModelSpec, g, k: int, free: bool = True) -> list[tuple]:
     the same to the bit; the walk is smaller and reads the other agents'
     maps only where g reaches.
     """
-    others = other_agents(spec.K, k)
-    cells: list[list] = [[] for _ in range(spec.T + 1)]  # per t, per block
-    for t, xs, obs, acts, mass, cost in walk(spec, g, free=k if free else None):
-        sizes = [private_size(spec, j, t) for j in others]
-        lam = np.zeros(len(mass), np.int64) + radix(
-            [history_code(spec, obs, acts, j, t) % s for j, s in zip(others, sizes)], sizes)
-        cells[t].append((history_code(spec, obs, acts, k, t), xs[:, t].astype(np.intp), lam,
-                         mass))
-    out = []
-    for t, blocks in enumerate(cells):
-        code, x, lam, mass = map(np.concatenate, zip(*blocks))
-        codes, group = np.unique(code, return_inverse=True)
-        mats = np.zeros((len(codes), spec.state_size,
-                         math.prod(private_size(spec, j, t) for j in others)))
-        np.add.at(mats, (group, x, lam), mass)
+    others, out = other_agents(spec.K, k), []
+    # The walk is breadth first: each length is grouped as the walk passes
+    # it, block by block, rows numbered in order of first history.
+    for t, blocks in itertools.groupby(walk(spec, g, free=k if free else None), lambda b: b[0]):
+        sizes, group_of = [private_size(spec, j, t) for j in others], _FirstSeen()
+        mats = np.zeros((0, spec.state_size, math.prod(sizes)))
+        for _, xs, obs, acts, mass, cost in blocks:
+            group, _ = group_of(history_code(spec, obs, acts, k, t))
+            if len(group_of.keys) > len(mats):  # at least double the rows
+                mats = np.concatenate([mats, np.zeros((len(mats) + len(group_of.keys),
+                                                       *mats.shape[1:]))])
+            lam = radix([history_code(spec, obs, acts, j, t) % s for j, s in zip(others, sizes)],
+                        sizes)
+            np.add.at(mats, (group, xs[:, t].astype(np.intp), lam), mass)
+        codes, mats = group_of.keys[:-1], mats[group_of.ids[:-1]]
         mats /= mats.sum(axis=(1, 2), keepdims=True)
         mats.setflags(write=False)
         out.append((codes, mats))
@@ -149,22 +170,25 @@ class _FirstSeen:
     calls."""
 
     def __init__(self):
-        self.keys = self.ids = np.zeros(0, np.int64)  # the keys seen, sorted, and their ids
+        # The keys seen, sorted, and their ids, closed by a key above any code.
+        self.keys, self.ids = np.array([_ABOVE]), np.array([-1])
 
     def __call__(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The id of every key, and the positions of the keys first seen here."""
+        at = np.searchsorted(self.keys, keys)
+        if (self.keys[at] == keys).all():
+            return self.ids[at], at[:0]  # every key known already
         uniq, first, inv = np.unique(keys, return_index=True, return_inverse=True)  # stable sort
-        at = np.searchsorted(self.keys, uniq)
-        old = at < len(self.keys)
-        old[old] = self.keys[at[old]] == uniq[old]
-        new = np.flatnonzero(~old)
-        new = new[np.argsort(first[new])]
-        ids = np.empty(len(uniq), np.int64)
-        ids[old] = self.ids[at[old]]
-        ids[new] = len(self.keys) + np.arange(len(new))
-        self.keys = np.insert(self.keys, at[~old], uniq[~old])
-        self.ids = np.insert(self.ids, at[~old], ids[~old])
-        return ids[inv], first[new]
+        at = at[first]
+        new = self.keys[at] != uniq
+        order = new.nonzero()[0][first[new].argsort()]  # the new keys by first position
+        ids = self.ids[at]
+        ids[order] = len(self.keys) - 1 + np.arange(len(order))
+        # two sorted runs: the stable sort merges them
+        keys = np.concatenate([self.keys, uniq[new]])
+        merge = keys.argsort(kind="stable")
+        self.keys, self.ids = keys[merge], np.concatenate([self.ids, ids[new]])[merge]
+        return ids[inv], first[order]
 
 
 class RealizationTree:

@@ -160,3 +160,27 @@ def random_model(seed: int, K: int = 2, n: int = 1, T: int = 2, sizes: int = 2) 
         observation=[[dist((sizes, sizes)) for _ in range(K)] for _ in range(T + 1)],
         stage_cost=[rng.uniform(0.0, 2.0, size=(sizes, *act_sizes)) for _ in range(T)],
         terminal_cost=rng.uniform(0.0, 2.0, size=(sizes,)))
+
+
+def sparse_model(seed: int, K: int = 2, n: int = 1, T: int = 2) -> ModelSpec:
+    """Random model with sparse kernels and unequal alphabets: X in 2..3,
+    each |Y_k| in 1..3 and each |A_k| in 1..2; about 40% of every kernel row
+    is zero, one entry of each row kept positive."""
+    rng = np.random.default_rng(seed)
+    X = int(rng.integers(2, 4))
+    obs_sizes = tuple(rng.integers(1, 4, size=K).tolist())
+    act_sizes = tuple(rng.integers(1, 3, size=K).tolist())
+
+    def dist(shape):
+        raw = rng.uniform(0.1, 1.0, size=shape) * (rng.uniform(size=shape) >= 0.4)
+        keep = rng.integers(shape[-1], size=(*shape[:-1], 1))
+        np.put_along_axis(raw, keep, rng.uniform(0.1, 1.0, size=keep.shape), axis=-1)
+        return raw / raw.sum(axis=-1, keepdims=True)
+
+    return ModelSpec.from_tables(
+        K=K, n=n, T=T, state_size=X, obs_sizes=obs_sizes, act_sizes=act_sizes,
+        init_dist=dist((X,)),
+        transition=[dist((X, *act_sizes, X)) for _ in range(T)],
+        observation=[[dist((X, m)) for m in obs_sizes] for _ in range(T + 1)],
+        stage_cost=[rng.uniform(0.0, 2.0, size=(X, *act_sizes)) for _ in range(T)],
+        terminal_cost=rng.uniform(0.0, 2.0, size=(X,)))

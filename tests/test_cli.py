@@ -166,21 +166,30 @@ def test_falsify_command_reports_positive_gap(tmp_path):
     assert uniform["report"]["max_gap"] <= 1e-12
 
 
-def test_falsify_skips_the_uniform_observation_gate_with_two_step_sharing(tmp_path):
+def test_falsify_gates_two_step_sharing_on_an_action_blind_variant(tmp_path):
     """With n = 2 the other agent's action, revealed a step late, has
-    already steered the state, so state-blind observations leave a gap;
-    falsify records the gate as skipped and exits 0."""
+    already steered the state, so state-blind observations alone leave a
+    gap; with transitions blind to the actions too it vanishes, for both
+    agents at T = 2 and 3, and falsify gates on that variant and exits 0."""
+    for T in (2, 3):
+        spec = random_model(3, 2, 2, T, 2)
+        g = observation_following_profile(spec)
+        for k in range(spec.K):
+            assert check_conditional_independence(uniform_observation_variant(spec), g, k,
+                                                  T - 1).max_gap > 0.01
+            assert check_conditional_independence(uniform_observation_variant(
+                spec, action_blind=True), g, k, T - 1).max_gap <= K1_TOL
     spec = random_model(3, 2, 2, 2, 2)
-    assert check_conditional_independence(uniform_observation_variant(spec),
-                                          observation_following_profile(spec), 0,
-                                          spec.T - 1).max_gap > 0.01
     path = tmp_path / "k2n2t2.json"
     save_model(spec, path)
-    assert main(["--command", "falsify", "--model", str(path),
-                 "--out", str(tmp_path / "r")]) == EXIT_OK
-    checks = read(tmp_path / "r" / "falsify_k2n2t2.json")["results"]
-    assert {"check": "conditional-independence-uniform-obs",
-            "skipped": "n > 1: revealed actions steer the state"} in checks
+    for k in range(spec.K):
+        out = tmp_path / f"r{k}"
+        assert main(["--command", "falsify", "--model", str(path), "--agent", str(k),
+                     "--out", str(out)]) == EXIT_OK
+        checks = read(out / "falsify_k2n2t2.json")["results"]
+        gated = next(e for e in checks if e["check"] == "conditional-independence-uniform-obs")
+        assert gated["pass"] and gated["tolerance"] == K1_TOL
+        assert gated["report"]["max_gap"] <= K1_TOL
 
 
 def test_solve_best_actions_and_verify_rows_on_a_saved_model(tmp_path):

@@ -1,11 +1,14 @@
 import ast
+import collections
 import itertools
+import math
 import pathlib
 
 import numpy as np
 import pytest
 
-from conftest import SHAPES, deterministic_chain, five_profiles, random_model, rows_at
+from conftest import (SHAPES, deterministic_chain, five_profiles, random_model, rows_at,
+                      sparse_model)
 from delaypbp import canonical_instance, cli, falsify, oracle
 from delaypbp.dp import expected_value, solve_best_response, verify_value_dominance
 from delaypbp.errors import IncompleteStrategyError, InstanceTooLargeError, UnreachableError
@@ -68,20 +71,36 @@ def test_atoms_have_consistent_shapes(canon_2a):
     assert lengths == sorted(lengths) and set(lengths) == set(range(canon_2a.T + 1))
 
 
-WALK_MODELS = ["CANON-2A", "CANON-2B", "CANON-1", (2, 1, 3, 2), (2, 2, 3, 2), (3, 1, 2, 2)]
+# Two sparse draws (seed, K, n, T): zero kernel entries, so histories with a
+# (free action, next state) or a (next state, joint observation) that has no
+# child, and alphabets of one symbol.
+SPARSE_DRAWS = [("sparse", 5, 2, 1, 2), ("sparse", 11, 2, 2, 3)]
+WALK_MODELS = ["CANON-2A", "CANON-2B", "CANON-1", (2, 1, 3, 2), (2, 2, 3, 2), (3, 1, 2, 2),
+               *SPARSE_DRAWS]
 
 
 @pytest.mark.parametrize("name", WALK_MODELS, ids=str)
 def test_walk_visits_each_length_as_the_walk_to_that_horizon(name):
     """The histories come breadth first, each after the history one step
     shorter it extends, and for every t the histories of length t come in
-    the order of the leaves of a walk that stops at t, with the same state
-    path, streams, mass and cost to the bit: with every agent following
-    the profile, and with each agent in turn free throughout."""
+    the order of the leaves of a walk that stops at t, and of the tuple
+    walk's histories of length t, with the same state path, streams, mass
+    and cost to the bit: with every agent following the profile, and with
+    each agent in turn free throughout. Every block has the shapes and the
+    one int dtype the walk promises."""
     spec, g = tree_model(name)
+    dtype = np.min_scalar_type(max(spec.state_size, *spec.obs_sizes, *spec.act_sizes) - 1)
     for free in (None, *range(spec.K)):
+        blocks = list(walk(spec, g, free=free))
+        for t, xs, obs, acts, mass, cost in blocks:
+            N = len(mass)
+            assert xs.shape == (N, t + 1) and obs.shape == (N, spec.K, t + 1)
+            assert acts.shape == (N, spec.K, t) and cost.shape == (N,)
+            assert xs.dtype == obs.dtype == acts.dtype == dtype
+        tuples = [[] for _ in range(spec.T + 1)]
+        reference_oracle.tuple_walk(spec, g, lambda t, *h: tuples[t].append(h), free=free)
         seen, by_length = set(), [[] for _ in range(spec.T + 1)]
-        for t, xs, obs, acts, mass, cost in reference_oracle.as_tuples(walk(spec, g, free=free)):
+        for t, xs, obs, acts, mass, cost in reference_oracle.as_tuples(blocks):
             prefix = (xs[:-1], tuple(ys[:-1] for ys in obs), tuple(us[:-1] for us in acts))
             assert t == 0 or prefix in seen
             assert not any(by_length[t + 1:])
@@ -91,7 +110,28 @@ def test_walk_visits_each_length_as_the_walk_to_that_horizon(name):
             want = []
             reference_oracle.walk(spec, g, lambda *leaf: want.append(leaf), t_end=t, free=free,
                                   free_until=spec.T)
-            assert got == want, (free, t)
+            assert got == want == tuples[t], (free, t)
+
+
+@pytest.mark.parametrize("name", SPARSE_DRAWS, ids=str)
+def test_sparse_draws_reach_the_empty_runs(name):
+    """Each sparse draw reaches a history with a (free action, next state)
+    of no child, and one with a next state whose joint observations are not
+    all possible: zero counts among the runs the walk copies its children
+    by. With stochastic kernels every history and every (history, action)
+    has a child: each transition row and each observation row keeps a
+    positive entry."""
+    spec, g = tree_model(name)
+    k, J = spec.K - 1, math.prod(spec.obs_sizes)
+    kids: dict = {}
+    for t, xs, obs, acts, mass, cost in reference_oracle.as_tuples(walk(spec, g, free=k)):
+        if t:
+            parent = (xs[:-1], tuple(ys[:-1] for ys in obs), tuple(us[:-1] for us in acts))
+            kids.setdefault(parent, []).append((acts[k][-1], xs[-1]))
+    runs = [collections.Counter(pairs) for pairs in kids.values()]
+    assert any(len(run) < spec.act_sizes[k] * spec.state_size for run in runs)
+    assert any(n < J for run in runs for n in run.values())
+    assert all({u for u, _ in run} == set(range(spec.act_sizes[k])) for run in runs)
 
 
 # --- the array group-bys against the tuple walk ----------------------------------
@@ -152,7 +192,8 @@ def assert_bitwise_equal(got, want, where="$"):
         assert type(got) is type(want) and got == want, where
 
 
-@pytest.mark.parametrize("name", ["CANON-2A", "CANON-2B", "CANON-1", *SHAPES], ids=str)
+@pytest.mark.parametrize("name", ["CANON-2A", "CANON-2B", "CANON-1", *SHAPES, *SPARSE_DRAWS],
+                         ids=str)
 def test_group_bys_equal_the_tuple_walk_bitwise(name):
     """Every group-by over the array walk equals the dict group-by over the
     tuple walk with == on every float and code, for the last agent free
@@ -183,7 +224,7 @@ def test_per_realization_results_are_rows_along_increasing_codes(name):
             assert np.all(np.diff(codes) > 0) and values.shape == codes.shape, (k, t)
 
 
-BLOCK_MODELS = ["CANON-2A", "CANON-2B", "CANON-1", (2, 2, 2, 2), (3, 1, 1, 2)]
+BLOCK_MODELS = ["CANON-2A", "CANON-2B", "CANON-1", (2, 2, 2, 2), (3, 1, 1, 2), *SPARSE_DRAWS]
 
 
 @pytest.mark.parametrize("name", BLOCK_MODELS, ids=str)
@@ -422,10 +463,14 @@ def test_brute_force_value_matches_realized_cost(canon_2a):
 
 def tree_model(name):
     """A model and the profile its tree is built against: the one `verify`
-    uses on the canonical instances, a seeded random one on a shape."""
+    uses on the canonical instances, a seeded random one on a shape or a
+    sparse draw."""
     if isinstance(name, str):
         spec = canonical_instance(name)
         return spec, observation_following_profile(spec)
+    if name[0] == "sparse":
+        spec = sparse_model(*name[1:])
+        return spec, random_profile(spec, np.random.default_rng(name[1]))
     K, n, T, sizes = name
     spec = random_model(seed=11, K=K, n=n, T=T, sizes=sizes)
     return spec, random_profile(spec, np.random.default_rng(11))
