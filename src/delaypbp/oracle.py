@@ -3,8 +3,9 @@
 `walk` enumerates the sample paths of positive probability under the
 kernels and a strategy profile, one agent possibly free to take every
 action, breadth first: the histories of each length t = 0..T come as
-numpy blocks before any longer one. Everything else is a group-by over
-one walk keyed by agent k's realization codes (`info.history_code`), an
+numpy blocks before any longer one; with an agent free, each history also
+carries that agent's code and its stage cost per step. Everything else is
+a group-by over one walk keyed by agent k's realization codes, an
 `np.add.at` over group ids in walk order, so every sum adds in the order
 of a walk one history at a time: expected costs (the histories of length
 T), posteriors over the extended state at every t, and agent k's
@@ -47,13 +48,17 @@ def walk(spec: ModelSpec, g, free: int | None = None, depth: int | None = None):
     The histories of one length come in a fixed order (initial state,
     joint observation, then per step the free agent's action, the next
     state, the joint observation), so sums over them are deterministic.
+    With an agent free, blocks also carry code, the int64 sum of each step's
+    share of agent free's time-depth code (its code at t = depth: Horner's
+    rule is linear in the digits, and a share is the code of one step
+    alone), and stages (N, t), the stage cost of each step, which cost adds.
 
     A layer is one packed array hist (N, t+1, 1+2K), step s of row i being
     [x_s, y_s^0..y_s^{K-1}, u_s^0..u_s^{K-1}] with 0 for the newest step's
     actions; xs, obs and acts are views of it. A child copies its parent's
-    row by run length (repeat by the count of children per parent),
-    then takes its actions per (parent, action) run and its new step from
-    tables over the flat (x', joint y) index, built once per walk.
+    row (and carry) by run length (repeat by the count of children per
+    parent), then takes its actions per (parent, action) run and its new
+    step from tables over the flat (x', joint y) index, built once per walk.
     """
     K, X, T = spec.K, spec.state_size, spec.T
     depth = T if depth is None else depth
@@ -67,21 +72,26 @@ def walk(spec: ModelSpec, g, free: int | None = None, depth: int | None = None):
     rows = np.zeros((X, J, 1 + 2 * K), dtype)  # per flat (x', y): the new step, no actions
     rows[..., 0], rows[..., 1:1 + K] = np.arange(X)[:, None], ys
     rows = rows.reshape(X * J, -1)
+    if free is not None:  # per step s: the code's share per flat (x', y), per joint action
+        one, blank = np.eye(depth + 1, dtype=dtype)[:, None, None], np.zeros((K, depth + 1), dtype)
+        code_y = history_code(spec, rows[:, 1:1 + K, None] * one, blank, free, depth)
+        joint = np.stack(digits(np.arange(math.prod(spec.act_sizes)), spec.act_sizes), 1)
+        code_u = history_code(spec, blank, joint[:, :, None] * one[:-1], free, depth)
 
     def views(hist):
         """A layer's xs, obs and acts, as views of its packed rows."""
         return (hist[:, :, 0], hist[:, :, 1:1 + K].transpose(0, 2, 1),
                 hist[:, :-1, 1 + K:].transpose(0, 2, 1))
 
-    def blocks(t, hist, mass, cost):
-        arrays = (*views(hist), mass, cost)
-        for lo in range(0, len(mass), _BLOCK):
+    def blocks(t, hist, *arrays):
+        arrays = (*views(hist), *arrays)
+        for lo in range(0, len(hist), _BLOCK):
             yield (t, *(a[lo:lo + _BLOCK] for a in arrays))
 
-    def expand(s, hist, mass, cost):
-        """Layer s + 1 as (hist, mass, cost) in parent-major chunks of at
-        most _BLOCK histories (but one parent's children), each parent's in
-        (free action, x', joint y) order."""
+    def expand(s, hist, mass, cost, *carry):
+        """Layer s + 1 as (hist, mass, cost, *carry) in parent-major chunks
+        of at most _BLOCK histories (but one parent's children), each
+        parent's in (free action, x', joint y) order."""
         xs, obs, acts = views(hist)
         us = np.zeros((len(mass), U, K), dtype)
         for j in range(K):
@@ -89,24 +99,36 @@ def walk(spec: ModelSpec, g, free: int | None = None, depth: int | None = None):
                           g.actions_at(j, s, history_code(spec, obs, acts, j, s))[:, None])
         a = radix(us.astype(np.intp).T, spec.act_sizes).T  # (N, U)
         p_x = trans[s][xs[:, -1, None], a]  # (N, U, X)
-        c = cost[:, None] + stage[s][xs[:, -1, None], a]
+        c_s = stage[s][xs[:, -1, None], a]
+        c = cost[:, None] + c_s
         pad = np.concatenate([hist, np.zeros((len(mass), 1, 1 + 2 * K), dtype)], axis=1)
+        if carry:
+            code, stages = carry[0][:, None] + code_u[s][a], np.concatenate(
+                [carry[1], np.zeros((len(mass), 1))], axis=1)
         seen, p_y = like[s + 1] > 0.0, like[s + 1].ravel()
         step = max(1, _BLOCK // p_x[0].size // J)
         for lo in range(0, len(mass), step):
             live = (p_x[lo:lo + step, ..., None] > 0.0) & seen  # (n, U, X, J)
             per_x = live.sum(axis=3).ravel()
             per_u = per_x.reshape(-1, X).sum(axis=1)
+            per_h = per_u.reshape(-1, U).sum(axis=1)
             at = live.ravel().nonzero()[0] % (X * J)  # each child's flat (x', y)
-            child = pad[lo:lo + step].repeat(per_u.reshape(-1, U).sum(axis=1), axis=0)
+            child = pad[lo:lo + step].repeat(per_h, axis=0)
             child[:, s, 1 + K:] = us[lo:lo + step].reshape(-1, K).repeat(per_u, axis=0)
             child[:, s + 1] = rows[at]
             c_u = c[lo:lo + step].ravel().repeat(per_u)
-            yield (child, (mass[lo:lo + step, None, None] * p_x[lo:lo + step]).ravel().repeat(
+            out = (child, (mass[lo:lo + step, None, None] * p_x[lo:lo + step]).ravel().repeat(
                 per_x) * p_y[at], c_u + spec.terminal_cost[at // J] if s + 1 == T else c_u)
+            if carry:
+                kids = stages[lo:lo + step].repeat(per_h, axis=0)
+                kids[:, s] = c_s[lo:lo + step].ravel().repeat(per_u)
+                out += (code[lo:lo + step].ravel().repeat(per_u) + code_y[s + 1][at], kids)
+            yield out
 
     at = ((spec.init_dist > 0.0)[:, None] & (like[0] > 0.0)).ravel().nonzero()[0]
     layer = (rows[at, None], spec.init_dist[at // J] * like[0].ravel()[at], np.zeros(len(at)))
+    if free is not None:
+        layer += (code_y[0][at], np.zeros((len(at), 0)))
     last = [layer]
     for t in range(depth):
         yield from blocks(t, *layer)
@@ -150,7 +172,7 @@ def posteriors(spec: ModelSpec, g, k: int, free: bool = True) -> list[tuple]:
     for t, blocks in itertools.groupby(walk(spec, g, free=k if free else None), lambda b: b[0]):
         sizes, group_of = [private_size(spec, j, t) for j in others], _FirstSeen()
         mats = np.zeros((0, spec.state_size, math.prod(sizes)))
-        for _, xs, obs, acts, mass, cost in blocks:
+        for _, xs, obs, acts, mass, *_ in blocks:
             group, _ = group_of(history_code(spec, obs, acts, k, t))
             if len(group_of.keys) > len(mats):  # at least double the rows
                 mats = np.concatenate([mats, np.zeros((len(mats) + len(group_of.keys),
@@ -195,33 +217,32 @@ class RealizationTree:
     """Agent k's realization tree against the other agents' maps in g.
 
     One walk with agent k free throughout, its leaves (the histories of
-    length T) grouped by agent k's time-T code, which by perfect recall
-    fixes its code and action at every earlier t. Per group, in order of
-    first leaf: codes at t = 0..T, actions at t = 0..T-1 (and a 0 for none
-    at T), and sums added in leaf order: mass, mass times the stage cost
-    at each t < T and mass times the terminal cost. Agent k's strategies
-    only choose among the groups, so any one's cost-to-go and the best
-    response are backward passes.
+    length T) grouped by agent k's time-T code, which the walk carries and
+    which by perfect recall fixes its code and action at every earlier t.
+    Per group, in order of first leaf: codes at t = 0..T, actions at
+    t = 0..T-1 (and a 0 for none at T), and sums added in leaf order: mass,
+    mass times the carried stage cost at each t < T and mass times the
+    terminal cost. Agent k's strategies only choose among the groups, so
+    any one's cost-to-go and the best response are backward passes.
     """
 
     def __init__(self, spec: ModelSpec, k: int, g):
         self.spec, self.k, self.g = spec, k, g
-        T, X = spec.T, spec.state_size
+        T = spec.T
         group_of, firsts, sums = _FirstSeen(), [], np.zeros((T + 2, 0))
-        for t, xs, obs, acts, mass, cost in walk(spec, g, free=k):
+        for t, xs, obs, acts, mass, cost, code, stages in walk(spec, g, free=k):
             if t < T:
                 continue
-            group, first = group_of(history_code(spec, obs, acts, k, T))
+            group, first = group_of(code)
             firsts.append((obs[first], acts[first]))
-            sums = np.concatenate([sums, np.zeros((T + 2, len(first)))], axis=1)
-            a = radix(np.moveaxis(acts.astype(np.intp), 1, 0), spec.act_sizes)  # (N, T)
-            costs = [c.reshape(X, -1)[xs[:, s], a[:, s]] for s, c in enumerate(spec.stage_cost)]
-            for row, c in zip(sums, [1.0, *costs, spec.terminal_cost[xs[:, T]]]):
+            if len(group_of.keys) > sums.shape[1]:  # at least double the columns
+                sums = np.hstack([sums, np.zeros((T + 2, len(group_of.keys)))])
+            for row, c in zip(sums, [1.0, *stages.T, spec.terminal_cost[xs[:, T]]]):
                 np.add.at(row, group, mass * c)
         obs, acts = map(np.concatenate, zip(*firsts))
         self.codes = np.stack([history_code(spec, obs, acts, k, t) for t in range(T + 1)], 1)
         self.acts = np.pad(acts[:, k], ((0, 0), (0, 1))).astype(np.int64)
-        self.sums = sums.T
+        self.sums = sums[:, :len(obs)].T
 
     def cost_to_go(self, maps) -> list[tuple]:
         """Per t0 = 0..T, (codes, values): agent k's time-t0 codes reached, in

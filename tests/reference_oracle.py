@@ -3,7 +3,8 @@ reference.
 
 `tuple_walk` is the depth-first walk that `oracle.walk` replaced: it calls
 a visitor at every positive-probability history of every length, one
-history at a time as tuples, each before its continuations, and reads a
+history at a time as tuples, each before its continuations, with every
+agent's codes of the history at every time up to its length, and reads a
 strategy one code at a time. `enumerate_cost`, `posteriors`,
 `RealizationTree` and falsify's tables (`conditional_independence_gaps`,
 `next_posterior_laws`) are the dict group-bys over it that the array
@@ -60,12 +61,15 @@ def _likely_observations(spec, s) -> list[list[tuple[tuple, float]]]:
 
 
 def tuple_walk(spec, g, visit, free=None) -> None:
-    """visit(t, xs, obs, acts, mass, cost) at every positive-probability
-    joint history of every length t = 0..T, each before its continuations,
-    in the order (initial state, joint observation, then per step the free
-    agent's action, the next state, the joint observation); mass is
-    init * (1.0 * q_0 * q_1 ...), then (mass * p_x) * p_y per step; cost
-    sums the stage costs before t, plus the terminal cost at t = T."""
+    """visit(t, xs, obs, acts, mass, cost, codes) at every
+    positive-probability joint history of every length t = 0..T, each
+    before its continuations, in the order (initial state, joint
+    observation, then per step the free agent's action, the next state, the
+    joint observation); mass is init * (1.0 * q_0 * q_1 ...), then
+    (mass * p_x) * p_y per step; cost sums the stage costs before t, plus
+    the terminal cost at t = T; codes[s][j] is agent j's time-s code, for
+    s = 0..t. Each agent's code of one pair of streams is made once, however
+    many state paths share them."""
     K, X, T = spec.K, spec.state_size, spec.T
     likely = [_likely_observations(spec, s) for s in range(T + 1)]
     trans = [spec.transition[s].reshape(X, -1, X).tolist() for s in range(T)]
@@ -73,12 +77,20 @@ def tuple_walk(spec, g, visit, free=None) -> None:
     terminal = spec.terminal_cost.tolist()
     joint = {us: i for i, us in enumerate(
         itertools.product(*(range(a) for a in spec.act_sizes)))}
+    coded: dict[tuple, tuple[int, ...]] = {}
 
-    def step(s, xs, obs, acts, mass, cost):
-        visit(s, xs, obs, acts, mass, cost)
+    def extend(codes, t, obs, acts):
+        """codes followed by every agent's time-t code of the streams."""
+        now = coded.get((obs, acts))
+        if now is None:
+            now = coded[obs, acts] = tuple(history_code(spec, obs, acts, j, t) for j in range(K))
+        return (*codes, now)
+
+    def step(s, xs, obs, acts, mass, cost, codes):
+        codes = extend(codes, s, obs, acts)
+        visit(s, xs, obs, acts, mass, cost, codes)
         x = xs[-1]
-        choices = [range(spec.act_sizes[j]) if j == free
-                   else (g.action_at(j, s, history_code(spec, obs, acts, j, s)),)
+        choices = [range(spec.act_sizes[j]) if j == free else (g.action_at(j, s, codes[s][j]),)
                    for j in range(K)]
         for us in itertools.product(*choices):
             a = joint[us]
@@ -91,16 +103,17 @@ def tuple_walk(spec, g, visit, free=None) -> None:
                 for ys, p_y in likely[s + 1][x1]:
                     obs1 = tuple([stream + (y,) for stream, y in zip(obs, ys)])
                     if s + 1 < T:
-                        step(s + 1, xs1, obs1, acts1, m * p_y, c)
+                        step(s + 1, xs1, obs1, acts1, m * p_y, c, codes)
                     else:
-                        visit(T, xs1, obs1, acts1, m * p_y, c + terminal[x1])
+                        visit(T, xs1, obs1, acts1, m * p_y, c + terminal[x1],
+                              extend(codes, T, obs1, acts1))
 
     no_acts = tuple(() for _ in range(K))
     for x0, p0 in enumerate(spec.init_dist.tolist()):
         if p0 <= 0.0:
             continue
         for ys, p_y in likely[0][x0]:
-            step(0, (x0,), tuple((y,) for y in ys), no_acts, p0 * p_y, 0.0)
+            step(0, (x0,), tuple((y,) for y in ys), no_acts, p0 * p_y, 0.0, ())
     del step
 
 
@@ -108,7 +121,7 @@ def as_tuples(blocks):
     """The histories of oracle.walk's blocks one at a time, as tuple_walk
     visits them: (t, xs, obs, acts, mass, cost) with Python ints and
     floats."""
-    for t, xs, obs, acts, mass, cost in blocks:
+    for t, xs, obs, acts, mass, cost, *_ in blocks:
         for x, ys, us, m, c in zip(xs.tolist(), obs.tolist(), acts.tolist(), mass.tolist(),
                                    cost.tolist()):
             yield (t, tuple(x), tuple(map(tuple, ys)), tuple(map(tuple, us)), m, c)
@@ -138,7 +151,7 @@ def enumerate_cost(spec):
     order."""
     total = 0.0
 
-    def visit(t, xs, obs, acts, mass, cost):
+    def visit(t, xs, obs, acts, mass, cost, codes):
         nonlocal total
         if t == spec.T:
             total += mass * cost
@@ -148,11 +161,12 @@ def enumerate_cost(spec):
 
 def posteriors(spec, k):
     """Per t, agent k's posterior per time-t code: masses added in visit
-    order per (joint history, x_t), normalized per code."""
+    order per (joint history, x_t), normalized per code. Every agent's
+    time-t code together is the joint history."""
     cells: list[dict[tuple, float]] = [{} for _ in range(spec.T + 1)]
 
-    def visit(t, xs, obs, acts, mass, cost):
-        key, at_t = (obs, acts, xs[-1]), cells[t]
+    def visit(t, xs, obs, acts, mass, cost, codes):
+        key, at_t = (codes[t], xs[-1]), cells[t]
         at_t[key] = at_t.get(key, 0.0) + mass
 
     def result() -> list[dict[int, np.ndarray]]:
@@ -160,15 +174,11 @@ def posteriors(spec, k):
         out = []
         for t, at_t in enumerate(cells):
             sizes = [private_size(spec, j, t) for j in others]
-            at: dict[tuple, tuple[int, int]] = {}
             mats: dict[int, np.ndarray] = {}
-            for (obs, acts, x), m in at_t.items():
-                if (obs, acts) not in at:
-                    lam = 0
-                    for j, size in zip(others, sizes):
-                        lam = lam * size + history_code(spec, obs, acts, j, t) % size
-                    at[obs, acts] = history_code(spec, obs, acts, k, t), lam
-                code, lam = at[obs, acts]
+            for (codes, x), m in at_t.items():
+                code, lam = codes[k], 0
+                for j, size in zip(others, sizes):
+                    lam = lam * size + codes[j] % size
                 if code not in mats:
                     mats[code] = np.zeros((spec.state_size, math.prod(sizes)))
                 mats[code][x, lam] = m
@@ -192,29 +202,21 @@ class RealizationTree(oracle.RealizationTree):
                        for s in range(T)]
         self._groups: dict[int, list[float]] = {}  # time-T code -> the group's sums
         self._codes = array("q")  # per group: codes, then actions
-        # A history but its time-T observations fixes all actions and agent k's
-        # earlier codes, and with k's own one (n >= 1) its group: each is read
-        # once, to stage costs by state, those codes and a slot per own y_T.
-        self._seen: dict[tuple, tuple[list, list[list[float]], list[int]]] = {}
+        self._rows: dict[tuple, list[list[float]]] = {}  # per action streams: stage costs by state
 
-    def visit(self, s, xs, obs, acts, mass, cost):
+    def visit(self, s, xs, obs, acts, mass, cost, codes):
         spec, k, T = self.spec, self.k, self.spec.T
         if s < T:
             return
-        key = (tuple([ys[:-1] for ys in obs]), acts)
-        hit = self._seen.get(key)
-        if hit is None:
-            hit = self._seen[key] = [None] * spec.obs_sizes[k], [
+        rows = self._rows.get(acts)
+        if rows is None:
+            rows = self._rows[acts] = [
                 self._stage[t][np.ravel_multi_index([us[t] for us in acts], spec.act_sizes)]
-                for t in range(T)], [history_code(spec, obs, acts, k, t) for t in range(T)]
-        slots, rows, earlier = hit
-        acc = slots[obs[k][-1]]
+                for t in range(T)]
+        acc = self._groups.get(codes[T][k])
         if acc is None:
-            code = history_code(spec, obs, acts, k, T)
-            if code not in self._groups:
-                self._groups[code] = [0.0] * (T + 2)
-                self._codes.extend([*earlier, code, *acts[k], 0])
-            acc = slots[obs[k][-1]] = self._groups[code]
+            acc = self._groups[codes[T][k]] = [0.0] * (T + 2)
+            self._codes.extend([*(c[k] for c in codes), *acts[k], 0])
         acc[0] += mass
         for t, (row, x) in enumerate(zip(rows, xs), 1):
             acc[t] += mass * row[x]
@@ -238,10 +240,10 @@ def conditional_independence_gaps(spec, k, t):
     others, depth = other_agents(spec.K, k), max(t, p_idx + 1)
     tables: tuple[dict, dict, dict, dict] = ({}, {}, {}, {})
 
-    def visit(s, xs, obs, acts, mass, cost):
+    def visit(s, xs, obs, acts, mass, cost, codes):
         if s != depth:
             return
-        r, x = history_code(spec, obs, acts, k, t), xs[t]
+        r, x = codes[t][k], xs[t]
         shared = tuple(v for j in others for v in (obs[j][p_idx], acts[j][p_idx]))
         for table, key in zip(tables, ((r, x, shared), (r, x), (r, shared), r)):
             table[key] = table.get(key, 0.0) + mass
@@ -267,11 +269,11 @@ def next_posterior_laws(spec, k, posts):
     pair: dict[tuple, float] = {}
     marg: dict[tuple, float] = {}
 
-    def visit(s, xs, obs, acts, mass, cost):
+    def visit(s, xs, obs, acts, mass, cost, codes):
         if s == 0:
             return
-        r = (s - 1, history_code(spec, obs, acts, k, s - 1))
-        key = (*r, history_code(spec, obs, acts, k, s))
+        r = (s - 1, codes[s - 1][k])
+        key = (*r, codes[s][k])
         marg[r] = marg.get(r, 0.0) + mass
         pair[key] = pair.get(key, 0.0) + mass
 

@@ -92,13 +92,13 @@ def test_walk_visits_each_length_as_the_walk_to_that_horizon(name):
     dtype = np.min_scalar_type(max(spec.state_size, *spec.obs_sizes, *spec.act_sizes) - 1)
     for free in (None, *range(spec.K)):
         blocks = list(walk(spec, g, free=free))
-        for t, xs, obs, acts, mass, cost in blocks:
+        for t, xs, obs, acts, mass, cost, *_ in blocks:
             N = len(mass)
             assert xs.shape == (N, t + 1) and obs.shape == (N, spec.K, t + 1)
             assert acts.shape == (N, spec.K, t) and cost.shape == (N,)
             assert xs.dtype == obs.dtype == acts.dtype == dtype
         tuples = [[] for _ in range(spec.T + 1)]
-        reference_oracle.tuple_walk(spec, g, lambda t, *h: tuples[t].append(h), free=free)
+        reference_oracle.tuple_walk(spec, g, lambda t, *h: tuples[t].append(h[:-1]), free=free)
         seen, by_length = set(), [[] for _ in range(spec.T + 1)]
         for t, xs, obs, acts, mass, cost in reference_oracle.as_tuples(blocks):
             prefix = (xs[:-1], tuple(ys[:-1] for ys in obs), tuple(us[:-1] for us in acts))
@@ -132,6 +132,27 @@ def test_sparse_draws_reach_the_empty_runs(name):
     assert any(len(run) < spec.act_sizes[k] * spec.state_size for run in runs)
     assert any(n < J for run in runs for n in run.values())
     assert all({u for u, _ in run} == set(range(spec.act_sizes[k])) for run in runs)
+
+
+@pytest.mark.parametrize("name", WALK_MODELS, ids=str)
+def test_a_free_walk_carries_the_free_agents_code_and_stage_costs(name):
+    """With each agent in turn free, to depth T and T - 1: at every history
+    of the last length the carried code is the free agent's time-depth
+    code, and at every length the carried stage costs, one per step and
+    summed left to right from 0.0 (plus the terminal cost at T), are the
+    cost to the bit."""
+    spec, g = tree_model(name)
+    for free, depth in itertools.product(range(spec.K), (spec.T, spec.T - 1)):
+        for t, xs, obs, acts, mass, cost, code, stages in walk(spec, g, free=free, depth=depth):
+            assert code.dtype == np.int64 and stages.shape == (len(mass), t)
+            if t == depth:
+                assert np.array_equal(code, history_code(spec, obs, acts, free, depth))
+            total = np.zeros(len(mass))
+            for s in range(t):
+                total = total + stages[:, s]
+            if t == spec.T:
+                total = total + spec.terminal_cost[xs[:, t]]
+            assert np.array_equal(total, cost), (free, depth, t)
 
 
 # --- the array group-bys against the tuple walk ----------------------------------
@@ -205,6 +226,18 @@ def test_group_bys_equal_the_tuple_walk_bitwise(name):
     assert_bitwise_equal(got, want)
 
 
+@pytest.mark.parametrize("name", ["CANON-2A", "CANON-2B", "CANON-1", *SPARSE_DRAWS], ids=str)
+def test_every_agents_tree_equals_the_tuple_walks(name):
+    """For every agent, not only the last, the tree's codes, actions and
+    sums equal the tuple walk's groups with == on every float and code."""
+    spec, g = tree_model(name)
+    for k in range(spec.K):
+        tree, want = RealizationTree(spec, k, g), reference_oracle.RealizationTree(spec, k, g)
+        reference_oracle.fan_out(spec, g, k, {"tree": (want.visit, want.result)})
+        assert_bitwise_equal((tree.sums, tree.codes, tree.acts),
+                             (want.sums, want.codes, want.acts), f"agent {k}")
+
+
 @pytest.mark.parametrize("name", ["CANON-2A", "CANON-2B", "CANON-1", *SHAPES], ids=str)
 def test_per_realization_results_are_rows_along_increasing_codes(name):
     """For every agent, at every t: the posteriors, with the agent free and
@@ -258,10 +291,10 @@ def test_a_holey_profile_fails_the_walk_at_its_first_read(canon_2a):
     g = observation_following_profile(canon_2a)
     reached = [[set() for _ in range(canon_2a.T)] for _ in range(canon_2a.K)]
 
-    def visit(t, xs, obs, acts, mass, cost):
+    def visit(t, xs, obs, acts, mass, cost, codes):
         for j in range(canon_2a.K):
             if t < canon_2a.T:
-                reached[j][t].add(reference_oracle.history_code(canon_2a, obs, acts, j, t))
+                reached[j][t].add(codes[t][j])
 
     reference_oracle.tuple_walk(canon_2a, g, visit)
     holes = [[m.copy() for m in row] for row in g.maps]
