@@ -203,7 +203,8 @@ class BeliefPass:
         pair, group, y, beliefs, weight = self.children(lay, nodes, us)
         parent, u = nodes[pair], us[pair]
         codes = next_codes(spec, k, t, lay.codes[parent], u, group, y)
-        if len(set(codes.tolist())) < len(codes):
+        ordered = np.sort(codes)
+        if (ordered[1:] == ordered[:-1]).any():
             raise AssertionError("realization reached twice; predecessor not unique")
         return self.layer(t + 1, codes, beliefs, parent, u, weight)
 

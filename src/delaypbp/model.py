@@ -328,6 +328,15 @@ def is_integer(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _entries(table):
+    """Every entry of a table given as nested JSON lists."""
+    if isinstance(table, list):
+        for row in table:
+            yield from _entries(row)
+    else:
+        yield table
+
+
 def model_to_dict(spec: ModelSpec) -> dict:
     return {
         "K": spec.K,
@@ -358,10 +367,10 @@ def _reject_bad_numbers(name: str, arr: np.ndarray, probabilities: bool) -> None
 
 
 def model_from_dict(doc: dict, check: bool = True) -> ModelSpec:
-    """Build a spec from its JSON document. NaN/Inf and negative
-    probabilities are always rejected; with check, so is any other
-    violation of validate_model (the validate command reads with
-    check=False to report violations as data)."""
+    """Build a spec from its JSON document. Table entries other than JSON
+    numbers, NaN/Inf and negative probabilities are always rejected; with
+    check, so is any other violation of validate_model (the validate
+    command reads with check=False to report violations as data)."""
     missing = [f for f in _MODEL_FIELDS if f not in doc]
     if missing:
         raise ModelFormatError(f"model document missing fields: {missing}")
@@ -369,6 +378,10 @@ def model_from_dict(doc: dict, check: bool = True) -> ModelSpec:
         values = doc[f] if f.endswith("_sizes") and isinstance(doc[f], list) else [doc[f]]
         if not all(is_integer(v) for v in values):
             raise ModelFormatError(f"model field {f!r} takes JSON integers, got {doc[f]!r}")
+    for f in ("init_dist", "transition", "observation", "stage_cost", "terminal_cost"):
+        for v in _entries(doc[f]):
+            if isinstance(v, bool) or not isinstance(v, (int, float)):
+                raise ModelFormatError(f"model table {f!r} takes JSON numbers, got {v!r}")
     try:
         spec = ModelSpec.from_tables(**{f: doc[f] for f in _MODEL_FIELDS})
     except (TypeError, ValueError) as exc:

@@ -28,7 +28,7 @@ from .errors import InstanceTooLargeError
 from .info import digits, grid_size, history_code, other_agents, private_size, radix
 from .model import COMPARE_TOL, ModelSpec
 
-_BLOCK = 4096  # most histories per yielded block: what bounds the walk's memory
+_BLOCK = 16384  # most histories per yielded block: what bounds the walk's memory
 _ABOVE = np.iinfo(np.int64).max  # above every code
 
 
@@ -55,10 +55,13 @@ def walk(spec: ModelSpec, g, free: int | None = None, depth: int | None = None):
 
     A layer is one packed array hist (N, t+1, 1+2K), step s of row i being
     [x_s, y_s^0..y_s^{K-1}, u_s^0..u_s^{K-1}] with 0 for the newest step's
-    actions; xs, obs and acts are views of it. A child copies its parent's
-    row (and carry) by run length (repeat by the count of children per
-    parent), then takes its actions per (parent, action) run and its new
-    step from tables over the flat (x', joint y) index, built once per walk.
+    actions; xs, obs and acts are views of it. Per (parent, action) the
+    child's row but its new step (the parent's row, padded, with the step's
+    actions set) and the stage costs are written once, then copied to the
+    children as whole fixed-width records, repeated by the count of
+    children per (parent, action). A child gathers its new step's x' and y
+    columns, likelihood, terminal cost and code share from tables over the
+    flat (x', joint y) index, built once per walk.
     """
     K, X, T = spec.K, spec.state_size, spec.T
     depth = T if depth is None else depth
@@ -71,7 +74,7 @@ def walk(spec: ModelSpec, g, free: int | None = None, depth: int | None = None):
     U, J = spec.act_sizes[free] if free is not None else 1, len(ys)
     rows = np.zeros((X, J, 1 + 2 * K), dtype)  # per flat (x', y): the new step, no actions
     rows[..., 0], rows[..., 1:1 + K] = np.arange(X)[:, None], ys
-    rows = rows.reshape(X * J, -1)
+    rows, term = rows.reshape(X * J, -1), spec.terminal_cost.repeat(J)
     if free is not None:  # per step s: the code's share per flat (x', y), per joint action
         one, blank = np.eye(depth + 1, dtype=dtype)[:, None, None], np.zeros((K, depth + 1), dtype)
         code_y = history_code(spec, rows[:, 1:1 + K, None] * one, blank, free, depth)
@@ -93,36 +96,38 @@ def walk(spec: ModelSpec, g, free: int | None = None, depth: int | None = None):
         of at most _BLOCK histories (but one parent's children), each
         parent's in (free action, x', joint y) order."""
         xs, obs, acts = views(hist)
-        us = np.zeros((len(mass), U, K), dtype)
+        base = np.zeros((len(mass), U, s + 2, 1 + 2 * K), dtype)  # a child's row but its new step
+        base[:, :, :-1], us = hist[:, None], base[:, :, s, 1 + K:]
         for j in range(K):
             us[..., j] = (np.arange(U) if j == free else
                           g.actions_at(j, s, history_code(spec, obs, acts, j, s))[:, None])
         a = radix(us.astype(np.intp).T, spec.act_sizes).T  # (N, U)
         p_x = trans[s][xs[:, -1, None], a]  # (N, U, X)
         c_s = stage[s][xs[:, -1, None], a]
-        c = cost[:, None] + c_s
-        pad = np.concatenate([hist, np.zeros((len(mass), 1, 1 + 2 * K), dtype)], axis=1)
+        c, base = cost[:, None] + c_s, _records(base.reshape(len(mass) * U, -1))
         if carry:
-            code, stages = carry[0][:, None] + code_u[s][a], np.concatenate(
-                [carry[1], np.zeros((len(mass), 1))], axis=1)
+            code, stages = carry[0][:, None] + code_u[s][a], np.empty((len(mass), U, s + 1))
+            stages[..., :s], stages[..., s] = carry[1][:, None], c_s
+            stages = _records(stages.reshape(len(mass) * U, -1))
         seen, p_y = like[s + 1] > 0.0, like[s + 1].ravel()
-        step = max(1, _BLOCK // p_x[0].size // J)
+        step, per_y = max(1, _BLOCK // p_x[0].size // J), seen.sum(axis=1)
         for lo in range(0, len(mass), step):
-            live = (p_x[lo:lo + step, ..., None] > 0.0) & seen  # (n, U, X, J)
-            per_x = live.sum(axis=3).ravel()
+            pos = p_x[lo:lo + step] > 0.0
+            per_x = (pos * per_y).ravel()
             per_u = per_x.reshape(-1, X).sum(axis=1)
-            per_h = per_u.reshape(-1, U).sum(axis=1)
-            at = live.ravel().nonzero()[0] % (X * J)  # each child's flat (x', y)
-            child = pad[lo:lo + step].repeat(per_h, axis=0)
-            child[:, s, 1 + K:] = us[lo:lo + step].reshape(-1, K).repeat(per_u, axis=0)
-            child[:, s + 1] = rows[at]
+            # each child's flat (x', y): its flat (parent, u, x', y) less its run's start
+            at = ((pos[..., None] & seen).ravel().nonzero()[0]
+                  - (np.arange(len(per_u)) * (X * J)).repeat(per_u))
+            child = base[lo * U:(lo + step) * U].repeat(per_u).view(dtype).reshape(
+                -1, s + 2, 1 + 2 * K)
+            for j, col in enumerate(rows.T[:1 + K]):
+                child[:, s + 1, j] = col[at]
             c_u = c[lo:lo + step].ravel().repeat(per_u)
             out = (child, (mass[lo:lo + step, None, None] * p_x[lo:lo + step]).ravel().repeat(
-                per_x) * p_y[at], c_u + spec.terminal_cost[at // J] if s + 1 == T else c_u)
+                per_x) * p_y[at], c_u + term[at] if s + 1 == T else c_u)
             if carry:
-                kids = stages[lo:lo + step].repeat(per_h, axis=0)
-                kids[:, s] = c_s[lo:lo + step].ravel().repeat(per_u)
-                out += (code[lo:lo + step].ravel().repeat(per_u) + code_y[s + 1][at], kids)
+                out += (code[lo:lo + step].ravel().repeat(per_u) + code_y[s + 1][at],
+                        stages[lo * U:(lo + step) * U].repeat(per_u).view(float).reshape(-1, s + 1))
             yield out
 
     at = ((spec.init_dist > 0.0)[:, None] & (like[0] > 0.0)).ravel().nonzero()[0]
@@ -137,6 +142,12 @@ def walk(spec: ModelSpec, g, free: int | None = None, depth: int | None = None):
             layer = tuple(map(np.concatenate, zip(*last)))
     for chunk in last:
         yield from blocks(depth, *chunk)
+
+
+def _records(a: np.ndarray) -> np.ndarray:
+    """A C-contiguous (N, W) array as N fixed-width byte records, one a row:
+    a view whose ndarray.repeat copies each row whole."""
+    return a.view(np.dtype((np.void, a.itemsize * a.shape[1])))[:, 0]
 
 
 def enumerate_cost(spec: ModelSpec, g_full) -> float:

@@ -455,6 +455,48 @@ def test_integer_fields_must_be_json_integers(tmp_path, canon_2a, capsys, mutate
     assert not (tmp_path / "r").exists()
 
 
+def _init_dist(entry):
+    def mutate(model):
+        if entry is True:  # a bool that reads as a probability vector: [true, false, ...]
+            model["init_dist"] = [True] + [False] * (len(model["init_dist"]) - 1)
+        else:
+            model["init_dist"][0] = entry
+    return mutate
+
+
+def _stage_cost(entry):
+    def mutate(model):
+        row = model["stage_cost"][0]
+        while isinstance(row[0], list):
+            row = row[0]
+        row[0] = entry
+    return mutate
+
+
+@pytest.mark.parametrize("command", ["validate", "solve"])
+@pytest.mark.parametrize("mutate,msg", [
+    (_init_dist("0.5"), "model table 'init_dist' takes JSON numbers, got '0.5'"),
+    (_init_dist(True), "model table 'init_dist' takes JSON numbers, got True"),
+    (_init_dist(None), "model table 'init_dist' takes JSON numbers, got None"),
+    (_stage_cost("2"), "model table 'stage_cost' takes JSON numbers, got '2'"),
+    (_stage_cost(False), "model table 'stage_cost' takes JSON numbers, got False"),
+    (_stage_cost(None), "model table 'stage_cost' takes JSON numbers, got None"),
+], ids=["init_dist-string", "init_dist-bool", "init_dist-null", "stage_cost-string",
+        "stage_cost-bool", "stage_cost-null"])
+def test_table_entries_must_be_json_numbers(tmp_path, canon_2a, capsys, command, mutate, msg):
+    """Probability and cost tables take JSON numbers only: a string that
+    spells a number, a bool or a null is a config error naming the table,
+    not a value to coerce, on validate as on every other command."""
+    model = model_to_dict(canon_2a)
+    mutate(model)
+    (tmp_path / "model.json").write_text(json.dumps(model))
+    code = main(["--command", command, "--model", str(tmp_path / "model.json"),
+                 "--out", str(tmp_path / "r")])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and msg in err[0]
+
+
 @pytest.mark.parametrize("flag", ["--tol-compare", "--tol-improve"])
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_non_finite_tolerance_rejected(tmp_path, capsys, flag, value):

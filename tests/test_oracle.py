@@ -261,11 +261,12 @@ BLOCK_MODELS = ["CANON-2A", "CANON-2B", "CANON-1", (2, 2, 2, 2), (3, 1, 1, 2), *
 
 
 @pytest.mark.parametrize("name", BLOCK_MODELS, ids=str)
-@pytest.mark.parametrize("block", [1, 2 ** 20])
+@pytest.mark.parametrize("block", [1, 97, 2 ** 20])
 def test_group_bys_do_not_depend_on_the_block_size(monkeypatch, name, block):
-    """With one history a block, or every layer in one block, every
-    group-by is bit-identical to the default blocks', and no yielded block
-    holds more histories than the size."""
+    """With one history a block, 97 (chunks of several parents that end
+    mid-layer), or every layer in one block, every group-by is
+    bit-identical to the default blocks', and no yielded block holds more
+    histories than the size."""
     spec, g = tree_model(name)
     k = spec.K - 1
     want = group_bys(spec, g, k)
