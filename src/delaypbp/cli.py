@@ -285,13 +285,10 @@ def cmd_falsify(spec: ModelSpec, name: str, config: RunConfig):
                         "pass": rep.max_gap <= tol, "report": rep.to_dict()})
 
     # The variant can reach realizations the model cannot, where the profile
-    # may give no action; play 0 there. With observations blind to the state
-    # and n = 1 the gap vanishes whatever the profile; with n > 1 the others'
-    # actions revealed late would already have steered the state, so there
-    # the variant's transitions ignore the actions too.
+    # may give no action; play 0 there.
     total = StrategyProfile(spec, tuple(tuple(np.maximum(m, 0) for m in r) for r in g.maps))
     gate("conditional-independence-uniform-obs", falsify.check_conditional_independence(
-        uniform_observation_variant(spec, action_blind=spec.n > 1), total, k, t_check), K1_TOL)
+        uniform_observation_variant(spec), total, k, t_check), K1_TOL)
 
     base = observation_following_profile(spec)
     pairs = [

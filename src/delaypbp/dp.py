@@ -61,7 +61,7 @@ def stage_values(spec: ModelSpec, bp: BeliefPass, lay: Layer) -> np.ndarray:
     agent k plays that action and the others their strategies (those of
     the pass bp)."""
     cost = spec.stage_cost[lay.t].reshape(spec.state_size, -1)
-    joint = bp.table(lay.t).joint[:, lay.others_acts].transpose(1, 0, 2)  # (node, u, lambda)
+    joint = bp.tables[lay.t].joint[:, lay.others_acts].transpose(1, 0, 2)  # (node, u, lambda)
     terms = lay.beliefs[:, None] * cost[np.arange(spec.state_size)[:, None], joint[:, :, None]]
     return seq_sum(terms.reshape(*joint.shape[:2], -1))
 

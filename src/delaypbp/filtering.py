@@ -122,12 +122,7 @@ class BeliefPass:
 
     def __init__(self, spec: ModelSpec, k: int, g_minus_k):
         self.spec, self.k, self.g = spec, k, g_minus_k
-        self._tables: dict[int, StepTable] = {}
-
-    def table(self, t: int) -> StepTable:
-        if t not in self._tables:
-            self._tables[t] = StepTable(self.spec, self.k, t)
-        return self._tables[t]
+        self.tables = [StepTable(spec, k, t) for t in range(spec.T + 1)]
 
     def layer(self, t: int, codes, beliefs, parent, action, weight) -> Layer:
         """A layer of nodes with, before the horizon, the others' joint
@@ -135,7 +130,7 @@ class BeliefPass:
         an action raises the profile's IncompleteStrategyError."""
         others_acts = None
         if t < self.spec.T:
-            tab, reached = self.table(t), (beliefs > 0.0).any(axis=1)
+            tab, reached = self.tables[t], (beliefs > 0.0).any(axis=1)
             shared = codes[:, None] // private_size(self.spec, self.k, t)
             others_acts = np.zeros(reached.shape, dtype=np.intp) + radix(
                 [self.g.actions_at(j, t, shared * size + pc, reached)
@@ -147,22 +142,17 @@ class BeliefPass:
     def start(self) -> Layer:
         """The time-0 layer: one node per reachable first observation of
         agent k, whose code it is."""
-        spec, k = self.spec, self.k
-        tab = self.table(0)
-        codes, beliefs, weights = [], [], []
-        for y0 in range(spec.obs_sizes[k]):
-            base = spec.init_dist * spec.observation[0][k][:, y0]
-            mat = np.repeat(base[:, None], tab.size, axis=1)
-            # at t = 0 a private code is the first observation
-            for j, fo in zip(tab.others, tab.private_codes):
-                mat = mat * spec.observation[0][j][:, fo]
-            total = float(mat.sum())
-            if total > 0.0:
-                codes.append(y0)
-                beliefs.append(mat / total)
-                weights.append(total)
+        spec, k, tab = self.spec, self.k, self.tables[0]
+        # (y0, x, lambda); at t = 0 a private code is the first observation
+        mats = (spec.init_dist * spec.observation[0][k].T)[:, :, None]
+        for j, fo in zip(tab.others, tab.private_codes):
+            mats = mats * spec.observation[0][j][:, fo]
+        mats = np.ascontiguousarray(mats)  # so each row sums as its own .sum() would
+        totals = mats.sum(axis=(1, 2))
+        codes = np.flatnonzero(totals > 0.0)
         none = np.full(len(codes), -1)
-        return self.layer(0, np.array(codes), np.array(beliefs), none, none, np.array(weights))
+        return self.layer(0, codes, mats[codes] / totals[codes, None, None], none, none,
+                          totals[codes])
 
     def children(self, lay: Layer, nodes: np.ndarray, us: np.ndarray):
         """Every positive-mass child of node nodes[i] when agent k plays
@@ -170,7 +160,7 @@ class BeliefPass:
         belief, weight) in (i, group, y') order. The weight is the
         probability of (revealed, y') given the node's belief and action,
         i.e. the step's normalizer."""
-        tab, L1 = self.table(lay.t), self.table(lay.t + 1).size
+        tab, L1 = self.tables[lay.t], self.tables[lay.t + 1].size
         (Y, X1), G = tab.own_lik.shape, tab.groups
         # positive-mass cells, pair-major and state-major within a pair
         i, xs, ls = np.nonzero(lay.beliefs[nodes] > 0.0)

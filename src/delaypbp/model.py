@@ -294,19 +294,20 @@ def canonical_instance(name: str) -> ModelSpec:
     raise ValueError(f"unknown canonical instance {name!r}; know {CANONICAL_NAMES}")
 
 
-def uniform_observation_variant(spec: ModelSpec, action_blind: bool = False) -> ModelSpec:
+def uniform_observation_variant(spec: ModelSpec) -> ModelSpec:
     """Copy of spec with every observation kernel uniform, so observations
-    carry no state information, and with action_blind every transition row
-    transition[t][x, u...] its all-0-action row, so actions do not steer the
-    state either: the degenerate sanity case of the conditional-independence
-    check."""
+    carry no state information: the degenerate sanity case of the
+    conditional-independence check. With n > 1 every transition row
+    transition[t][x, u...] is also set to its all-0-action row: the other
+    agents' actions, revealed a step late, would otherwise already have
+    steered the state, and the gap would not vanish whatever the profile."""
     obs = tuple(
         tuple(np.full((spec.state_size, spec.obs_sizes[k]), 1.0 / spec.obs_sizes[k])
               for k in range(spec.K))
         for _ in range(spec.T + 1)
     )
     trans = [np.broadcast_to(p[(slice(None),) + (slice(0, 1),) * spec.K], p.shape)
-             for p in spec.transition] if action_blind else spec.transition
+             for p in spec.transition] if spec.n > 1 else spec.transition
     return ModelSpec.from_tables(
         spec.K, spec.n, spec.T, spec.state_size, spec.obs_sizes, spec.act_sizes,
         spec.init_dist, trans, obs, spec.stage_cost, spec.terminal_cost,
@@ -407,7 +408,7 @@ def load_model(path, check: bool = True) -> ModelSpec:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise ModelFormatError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ModelFormatError("model document must be a JSON object")

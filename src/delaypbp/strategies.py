@@ -136,13 +136,19 @@ def _members(block: dict, field: str, where: str) -> list:
     return block[field]
 
 
-def _indexed(blocks: list, field: str, where: str) -> dict:
-    """Blocks keyed by their integer `field`."""
+def _indexed(blocks: list, field: str, name: str, count: int) -> dict:
+    """Blocks keyed by their integer `field`, each in 0..count-1 and given
+    once; `name` names a block in errors ("agent", "agent 0 time")."""
     out = {}
     for blk in blocks:
         if not isinstance(blk, dict) or not is_integer(blk.get(field)):
-            raise ModelFormatError(f"strategy document: {where} block without integer {field!r}")
-        out[blk[field]] = blk
+            raise ModelFormatError(f"strategy document: {name}s block without integer {field!r}")
+        i = blk[field]
+        if not 0 <= i < count:
+            raise ModelFormatError(f"strategy document: {name} {i} is not in 0..{count - 1}")
+        if i in out:
+            raise ModelFormatError(f"strategy document: {name} {i} given twice")
+        out[i] = blk
     return out
 
 
@@ -160,11 +166,12 @@ def profile_from_dict(spec: ModelSpec, doc: dict) -> StrategyProfile:
             f"strategy document is for (K={doc['K']}, T={doc['T']}, n={doc['n']}), "
             f"model has (K={spec.K}, T={spec.T}, n={spec.n})")
     maps: list[tuple[np.ndarray, ...]] = []
-    by_agent = _indexed(_members(doc, "agents", "top level"), "agent", "agents")
+    by_agent = _indexed(_members(doc, "agents", "top level"), "agent", "agent", spec.K)
     for k in range(spec.K):
         if k not in by_agent:
             raise ModelFormatError(f"strategy document missing agent {k}")
-        by_t = _indexed(_members(by_agent[k], "times", f"agent {k}"), "t", f"agent {k} times")
+        by_t = _indexed(_members(by_agent[k], "times", f"agent {k}"), "t", f"agent {k} time",
+                        spec.T)
         per_t = []
         for t in range(spec.T):
             if t not in by_t:
@@ -197,6 +204,6 @@ def load_profile(spec: ModelSpec, path) -> StrategyProfile:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise ModelFormatError(f"not valid JSON: {exc}") from exc
     return profile_from_dict(spec, doc)

@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import dataclasses
 import io
 import json
 import os
@@ -175,10 +176,12 @@ def test_falsify_gates_two_step_sharing_on_an_action_blind_variant(tmp_path):
         spec = random_model(3, 2, 2, T, 2)
         g = observation_following_profile(spec)
         for k in range(spec.K):
-            assert check_conditional_independence(uniform_observation_variant(spec), g, k,
+            observations_blind = dataclasses.replace(uniform_observation_variant(spec),
+                                                     transition=spec.transition)
+            assert check_conditional_independence(observations_blind, g, k,
                                                   T - 1).max_gap > 0.01
-            assert check_conditional_independence(uniform_observation_variant(
-                spec, action_blind=True), g, k, T - 1).max_gap <= K1_TOL
+            assert check_conditional_independence(uniform_observation_variant(spec), g, k,
+                                                  T - 1).max_gap <= K1_TOL
     spec = random_model(3, 2, 2, 2, 2)
     path = tmp_path / "k2n2t2.json"
     save_model(spec, path)
@@ -411,6 +414,63 @@ def test_malformed_strategy_structure_gives_config_exit(tmp_path, canon_2a, caps
                  "--out", str(tmp_path / "r")])
     assert code == EXIT_CONFIG
     assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
+
+def _duplicate_time(doc):
+    block = copy.deepcopy(doc["agents"][0]["times"][1])
+    block["entries"] = [[key, 1 - u] for key, u in block["entries"]]
+    doc["agents"][0]["times"].append(block)
+
+
+def _duplicate_agent(doc):
+    doc["agents"].append(copy.deepcopy(doc["agents"][1]))
+
+
+def _foreign_agent(doc):
+    doc["agents"].append({"agent": 7})
+
+
+def _foreign_time(doc):
+    doc["agents"][0]["times"].append({"t": 9, "entries": [["bogus", 0]]})
+
+
+@pytest.mark.parametrize("mutate,msg", [
+    (_duplicate_time, "agent 0 time 1 given twice"),
+    (_duplicate_agent, "agent 1 given twice"),
+    (_foreign_agent, "agent 7 is not in 0..1"),
+    (_foreign_time, "agent 0 time 9 is not in 0..1"),
+], ids=["duplicate-time", "duplicate-agent", "foreign-agent", "foreign-time"])
+def test_duplicate_and_foreign_strategy_blocks_give_config_exit(tmp_path, canon_2a, capsys,
+                                                                mutate, msg):
+    """A strategy file gives each agent and each of its times exactly once:
+    a repeated block is not overridden by the last one, and a block for an
+    agent or a time the model does not have is not ignored."""
+    path = tmp_path / "strategy.json"
+    save_profile(canon_2a, observation_following_profile(canon_2a), path)
+    doc = read(path)
+    mutate(doc)
+    path.write_text(json.dumps(doc))
+    code = main(["--command", "solve", "--model", "CANON-2A", "--strategy", str(path),
+                 "--out", str(tmp_path / "r")])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and msg in err[0]
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("command,deep", [("validate", "--model"), ("solve", "--model"),
+                                          ("solve", "--strategy")])
+def test_deeply_nested_json_gives_config_exit(tmp_path, capsys, command, deep):
+    """A file nested past the JSON decoder's recursion limit is invalid
+    JSON, reported in one line, not a traceback."""
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 5000 + "]" * 5000)
+    files = (["--model", str(path)] if deep == "--model"
+             else ["--model", "CANON-2A", "--strategy", str(path)])
+    assert main(["--command", command, *files, "--out", str(tmp_path / "r")]) == EXIT_CONFIG
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "not valid JSON" in err[0]
+    assert not (tmp_path / "r").exists()
 
 
 def _model_field(field, value):

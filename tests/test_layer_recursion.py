@@ -2,9 +2,9 @@
 
 `reference_recursion` keeps the per-node path: one kernel call per (node,
 own action), realizations built from nested tuples, and a backward pass
-with one stage and terminal value per node. On the canonical instances
-and on every benchmark ladder and sweep shape, the layers must give the
-same nodes in the same order and the same floats bit for bit: value
+with one stage and terminal value per node. On the canonical instances,
+on every benchmark ladder and sweep shape and on two sparse draws, the
+layers must give the same nodes in the same order and the same floats bit for bit: value
 tables, argmins, beliefs, chain probabilities, the belief-form cost and
 the best-response sweep's trace.
 """
@@ -13,22 +13,28 @@ import numpy as np
 import pytest
 
 import reference_recursion as ref
-from conftest import SHAPES, random_model
+from conftest import SHAPES, random_model, sparse_model
 from delaypbp import canonical_instance, dp
 from delaypbp.filtering import BeliefPass
 from delaypbp.strategies import (constant_profile, observation_following_profile,
                                  random_profile)
 
-MODELS = ["CANON-2A", "CANON-2B", "CANON-1", *SHAPES]
+# The sparse draws (zero kernel entries, unequal alphabets) each reach one
+# first observation of agent 0 out of several, so the time-0 layer drops rows.
+MODELS = ["CANON-2A", "CANON-2B", "CANON-1", *SHAPES, ("sparse", 5, 2, 1, 2),
+          ("sparse", 0, 1, 1, 3)]
 
 
 def model(name):
     """The instance and a total profile to play against: the
     observation-following profile on the canonical instances, a seeded
-    random one on the benchmark shapes."""
+    random one on the benchmark shapes and the sparse draws."""
     if isinstance(name, str):
         spec = canonical_instance(name)
         return spec, observation_following_profile(spec)
+    if name[0] == "sparse":
+        spec = sparse_model(*name[1:])
+        return spec, random_profile(spec, np.random.default_rng(name[1]))
     K, n, T, sizes = name
     spec = random_model(seed=7, K=K, n=n, T=T, sizes=sizes)
     return spec, random_profile(spec, np.random.default_rng(7))
