@@ -11,7 +11,9 @@ time, so they may vary over the horizon.
 from __future__ import annotations
 
 import json
+import math
 import os
+import reprlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,7 +91,7 @@ def _check_rows(name: str, table: np.ndarray, violations: list) -> None:
     """Append a violation per table row that is not a probability vector."""
     flat = table.reshape(-1, table.shape[-1])
     for i, row in enumerate(flat):
-        idx = np.unravel_index(i, table.shape[:-1])
+        idx = np.unravel_index(i, table.shape[:-1] or (1,))  # a vector is row (0,)
         where = f"{name} row {tuple(int(j) for j in idx)}"
         if not np.all(np.isfinite(row)):
             violations.append(f"{where} contains NaN/Inf")
@@ -99,6 +101,18 @@ def _check_rows(name: str, table: np.ndarray, violations: list) -> None:
         s = float(row.sum())
         if abs(s - 1.0) > PROB_TOL:
             violations.append(f"{where} sums to {s!r} (defect {abs(s - 1.0):.3e})")
+
+
+def _check_table(name: str, table: np.ndarray, shape: tuple, probabilities: bool,
+                 violations: list) -> None:
+    """Append a violation if the table lacks its shape, has a row that is not a
+    probability vector (probabilities) or holds NaN/Inf (costs)."""
+    if table.shape != shape:
+        violations.append(f"{name} shape {table.shape}, expected {shape}")
+    elif probabilities:
+        _check_rows(name, table, violations)
+    elif not np.all(np.isfinite(table)):
+        violations.append(f"{name} contains NaN/Inf")
 
 
 def validate_model(spec: ModelSpec) -> list[str]:
@@ -137,19 +151,13 @@ def validate_model(spec: ModelSpec) -> list[str]:
     trans_shape = (X, *spec.act_sizes, X)
     cost_shape = (X, *spec.act_sizes)
 
-    if spec.init_dist.shape != (X,):
-        v.append(f"init_dist shape {spec.init_dist.shape}, expected {(X,)}")
-    else:
-        _check_rows("init_dist", spec.init_dist.reshape(1, X), v)
+    _check_table("init_dist", spec.init_dist, (X,), True, v)
 
     if len(spec.transition) != spec.T:
         v.append(f"transition has {len(spec.transition)} tables, expected T={spec.T}")
     else:
         for t, s in enumerate(spec.transition):
-            if s.shape != trans_shape:
-                v.append(f"transition[{t}] shape {s.shape}, expected {trans_shape}")
-            else:
-                _check_rows(f"transition[{t}]", s, v)
+            _check_table(f"transition[{t}]", s, trans_shape, True, v)
 
     if len(spec.observation) != spec.T + 1:
         v.append(f"observation has {len(spec.observation)} stages, expected T+1={spec.T + 1}")
@@ -159,25 +167,14 @@ def validate_model(spec: ModelSpec) -> list[str]:
                 v.append(f"observation[{t}] has {len(qs)} kernels, expected K={spec.K}")
                 continue
             for k, q in enumerate(qs):
-                shape = (X, spec.obs_sizes[k])
-                if q.shape != shape:
-                    v.append(f"observation[{t}][{k}] shape {q.shape}, expected {shape}")
-                else:
-                    _check_rows(f"observation[{t}][{k}]", q, v)
+                _check_table(f"observation[{t}][{k}]", q, (X, spec.obs_sizes[k]), True, v)
 
     if len(spec.stage_cost) != spec.T:
         v.append(f"stage_cost has {len(spec.stage_cost)} tables, expected T={spec.T}")
     else:
         for t, c in enumerate(spec.stage_cost):
-            if c.shape != cost_shape:
-                v.append(f"stage_cost[{t}] shape {c.shape}, expected {cost_shape}")
-            elif not np.all(np.isfinite(c)):
-                v.append(f"stage_cost[{t}] contains NaN/Inf")
-
-    if spec.terminal_cost.shape != (X,):
-        v.append(f"terminal_cost shape {spec.terminal_cost.shape}, expected {(X,)}")
-    elif not np.all(np.isfinite(spec.terminal_cost)):
-        v.append("terminal_cost contains NaN/Inf")
+            _check_table(f"stage_cost[{t}]", c, cost_shape, False, v)
+    _check_table("terminal_cost", spec.terminal_cost, (X,), False, v)
 
     return v
 
@@ -285,13 +282,9 @@ def canonical_instance(name: str) -> ModelSpec:
       check reports a large gap. CANON-1: single-agent instance for the
       classical-filter reduction.
     """
-    if name == "CANON-2A":
-        return _canon_2a()
-    if name == "CANON-2B":
-        return _canon_2b()
-    if name == "CANON-1":
-        return _canon_1()
-    raise ValueError(f"unknown canonical instance {name!r}; know {CANONICAL_NAMES}")
+    if name not in CANONICAL_NAMES:
+        raise ValueError(f"unknown canonical instance {name!r}; know {CANONICAL_NAMES}")
+    return {"CANON-2A": _canon_2a, "CANON-2B": _canon_2b, "CANON-1": _canon_1}[name]()
 
 
 def uniform_observation_variant(spec: ModelSpec) -> ModelSpec:
@@ -315,43 +308,93 @@ def uniform_observation_variant(spec: ModelSpec) -> ModelSpec:
 
 
 # ---------------------------------------------------------------------------
-# JSON model files. The document mirrors ModelSpec field for field, with
-# kernels as nested row-major lists: transition[t][x][u0]...[u{K-1}][x'].
+# JSON files. A model mirrors ModelSpec field for field, with kernels as nested
+# row-major lists: transition[t][x][u0]...[u{K-1}][x'].
 # ---------------------------------------------------------------------------
-
-_MODEL_FIELDS = ("K", "n", "T", "state_size", "obs_sizes", "act_sizes",
-                 "init_dist", "transition", "observation", "stage_cost",
-                 "terminal_cost")
-
 
 def is_integer(value) -> bool:
     """A JSON integer: neither a bool nor a float, even an integral one."""
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _entries(table):
-    """Every entry of a table given as nested JSON lists."""
+def read_json(path):
+    """The JSON document in a file; ModelFormatError if it is not JSON."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except (json.JSONDecodeError, RecursionError) as exc:
+            raise ModelFormatError(f"not valid JSON: {exc}") from exc
+
+
+def check_keys(doc, keys: dict, level: str) -> None:
+    """Check one level of a document against its key table, key -> kind:
+    every key is present, no other is, and each value, in table order, is
+    of its key's kind. A kind returns what is wrong with a value, or None."""
+    if not isinstance(doc, dict):
+        raise ModelFormatError(f"{level} must be a JSON object")
+    missing = [key for key in keys if key not in doc]
+    if missing:
+        raise ModelFormatError(f"{level} missing fields: {missing}")
+    unknown = sorted(set(doc) - set(keys))
+    if unknown:
+        raise ModelFormatError(f"{level} has unknown field {', '.join(map(repr, unknown))}")
+    for key, check in keys.items():
+        wrong = check(key, doc[key])
+        if wrong:
+            raise ModelFormatError(f"{level} {wrong}")
+
+
+def kind_of(test, takes: str):
+    """The kind of the values that pass `test`; `takes` says what the key takes."""
+    return lambda key, value: (None if test(value)
+                               else f"field {key!r} {takes}, got {reprlib.repr(value)}")
+
+
+def _entries(table, index=()):
+    """(index, entry) for every entry of a table given as nested JSON lists."""
     if isinstance(table, list):
-        for row in table:
-            yield from _entries(row)
+        for i, row in enumerate(table):
+            yield from _entries(row, index + (i,))
     else:
-        yield table
+        yield index, table
+
+
+def _table(probabilities: bool):
+    """The kind of a table of finite JSON numbers, not negative if probabilities."""
+    def kind(key, table):
+        for index, value in _entries(table):
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                return f"table {key!r} takes JSON numbers, got {reprlib.repr(value)}"
+            try:
+                x = float(value)
+                wrong = ("is NaN or Inf" if not math.isfinite(x) else
+                         "is a negative probability" if probabilities and x < 0 else None)
+            except OverflowError:
+                wrong = "is too large for a float"
+            if wrong:
+                return f"table entry {key}{''.join(f'[{i}]' for i in index)} {wrong}"
+    return kind
+
+
+_INTEGER = kind_of(is_integer, "takes JSON integers")
+_INTEGERS = kind_of(lambda v: isinstance(v, list) and all(map(is_integer, v)),
+                    "takes JSON integers")
+_MODEL_KEYS = {"K": _INTEGER, "n": _INTEGER, "T": _INTEGER, "state_size": _INTEGER,
+               "obs_sizes": _INTEGERS, "act_sizes": _INTEGERS,
+               "init_dist": _table(True), "transition": _table(True),
+               "observation": _table(True), "stage_cost": _table(False),
+               "terminal_cost": _table(False)}
+
+
+def _plain(value):
+    """A spec field as JSON: arrays and tuples as nested lists."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    return [_plain(v) for v in value] if isinstance(value, tuple) else value
 
 
 def model_to_dict(spec: ModelSpec) -> dict:
-    return {
-        "K": spec.K,
-        "n": spec.n,
-        "T": spec.T,
-        "state_size": spec.state_size,
-        "obs_sizes": list(spec.obs_sizes),
-        "act_sizes": list(spec.act_sizes),
-        "init_dist": spec.init_dist.tolist(),
-        "transition": [s.tolist() for s in spec.transition],
-        "observation": [[q.tolist() for q in qs] for qs in spec.observation],
-        "stage_cost": [c.tolist() for c in spec.stage_cost],
-        "terminal_cost": spec.terminal_cost.tolist(),
-    }
+    return {key: _plain(getattr(spec, key)) for key in _MODEL_KEYS}
 
 
 def save_model(spec: ModelSpec, path) -> None:
@@ -360,42 +403,15 @@ def save_model(spec: ModelSpec, path) -> None:
         fh.write("\n")
 
 
-def _reject_bad_numbers(name: str, arr: np.ndarray, probabilities: bool) -> None:
-    if not np.all(np.isfinite(arr)):
-        raise ModelFormatError(f"{name} contains NaN or Inf")
-    if probabilities and np.any(arr < 0):
-        raise ModelFormatError(f"{name} contains a negative probability")
-
-
 def model_from_dict(doc: dict, check: bool = True) -> ModelSpec:
-    """Build a spec from its JSON document. Table entries other than JSON
-    numbers, NaN/Inf and negative probabilities are always rejected; with
-    check, so is any other violation of validate_model (the validate
+    """Build a spec from its JSON document, rejecting one that breaks its key
+    table and, with check, any violation of validate_model (the validate
     command reads with check=False to report violations as data)."""
-    missing = [f for f in _MODEL_FIELDS if f not in doc]
-    if missing:
-        raise ModelFormatError(f"model document missing fields: {missing}")
-    for f in ("K", "n", "T", "state_size", "obs_sizes", "act_sizes"):
-        values = doc[f] if f.endswith("_sizes") and isinstance(doc[f], list) else [doc[f]]
-        if not all(is_integer(v) for v in values):
-            raise ModelFormatError(f"model field {f!r} takes JSON integers, got {doc[f]!r}")
-    for f in ("init_dist", "transition", "observation", "stage_cost", "terminal_cost"):
-        for v in _entries(doc[f]):
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
-                raise ModelFormatError(f"model table {f!r} takes JSON numbers, got {v!r}")
+    check_keys(doc, _MODEL_KEYS, "model")
     try:
-        spec = ModelSpec.from_tables(**{f: doc[f] for f in _MODEL_FIELDS})
+        spec = ModelSpec.from_tables(**doc)
     except (TypeError, ValueError) as exc:
         raise ModelFormatError(f"malformed model tables: {exc}") from exc
-    _reject_bad_numbers("init_dist", spec.init_dist, probabilities=True)
-    for t, s in enumerate(spec.transition):
-        _reject_bad_numbers(f"transition[{t}]", s, probabilities=True)
-    for t, qs in enumerate(spec.observation):
-        for k, q in enumerate(qs):
-            _reject_bad_numbers(f"observation[{t}][{k}]", q, probabilities=True)
-    for t, c in enumerate(spec.stage_cost):
-        _reject_bad_numbers(f"stage_cost[{t}]", c, probabilities=False)
-    _reject_bad_numbers("terminal_cost", spec.terminal_cost, probabilities=False)
     violations = validate_model(spec) if check else []
     if violations:
         more = f" (and {len(violations) - 1} more)" if len(violations) > 1 else ""
@@ -405,14 +421,7 @@ def model_from_dict(doc: dict, check: bool = True) -> ModelSpec:
 
 def load_model(path, check: bool = True) -> ModelSpec:
     """Load a model JSON file; raises ModelFormatError on malformed input."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except (json.JSONDecodeError, RecursionError) as exc:
-            raise ModelFormatError(f"not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ModelFormatError("model document must be a JSON object")
-    return model_from_dict(doc, check)
+    return model_from_dict(read_json(path), check)
 
 
 def resolve_model(name_or_path: str, check: bool = True) -> tuple[str, ModelSpec]:

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import IncompleteStrategyError, ModelFormatError
 from .info import (digits, grid_size, parse_realization_key, private_act_len, radices,
                    realization_key)
-from .model import ModelSpec, is_integer
+from .model import ModelSpec, check_keys, is_integer, kind_of, read_json
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,6 +108,13 @@ def random_profile(spec: ModelSpec, rng: np.random.Generator) -> StrategyProfile
 # in canonical key order.
 # ---------------------------------------------------------------------------
 
+_INTEGER = kind_of(is_integer, "must be an integer")
+_LIST = kind_of(lambda v: isinstance(v, list), "must be a list")
+_DOCUMENT_KEYS = {"K": _INTEGER, "T": _INTEGER, "n": _INTEGER, "agents": _LIST}
+_AGENT_KEYS = {"agent": _INTEGER, "times": _LIST}
+_TIME_KEYS = {"t": _INTEGER, "entries": _LIST}
+
+
 def profile_to_dict(spec: ModelSpec, g: StrategyProfile) -> dict:
     agents = []
     for k in range(spec.K):
@@ -129,13 +136,6 @@ def save_profile(spec: ModelSpec, g: StrategyProfile, path) -> None:
         fh.write("\n")
 
 
-def _members(block: dict, field: str, where: str) -> list:
-    """block[field], which must be a list, or ModelFormatError naming `where`."""
-    if not isinstance(block.get(field), list):
-        raise ModelFormatError(f"strategy document: {where} needs a list {field!r}")
-    return block[field]
-
-
 def _indexed(blocks: list, field: str, name: str, count: int) -> dict:
     """Blocks keyed by their integer `field`, each in 0..count-1 and given
     once; `name` names a block in errors ("agent", "agent 0 time")."""
@@ -153,31 +153,25 @@ def _indexed(blocks: list, field: str, name: str, count: int) -> dict:
 
 
 def profile_from_dict(spec: ModelSpec, doc: dict) -> StrategyProfile:
-    if not isinstance(doc, dict):
-        raise ModelFormatError("strategy document must be a JSON object")
-    for field in ("K", "T", "n", "agents"):
-        if field not in doc:
-            raise ModelFormatError(f"strategy document missing field {field!r}")
-        if field != "agents" and not is_integer(doc[field]):
-            raise ModelFormatError(f"strategy document: {field!r} must be an integer, "
-                                   f"got {doc[field]!r}")
+    check_keys(doc, _DOCUMENT_KEYS, "strategy document")
     if doc["K"] != spec.K or doc["T"] != spec.T or doc["n"] != spec.n:
         raise ModelFormatError(
             f"strategy document is for (K={doc['K']}, T={doc['T']}, n={doc['n']}), "
             f"model has (K={spec.K}, T={spec.T}, n={spec.n})")
     maps: list[tuple[np.ndarray, ...]] = []
-    by_agent = _indexed(_members(doc, "agents", "top level"), "agent", "agent", spec.K)
+    by_agent = _indexed(doc["agents"], "agent", "agent", spec.K)
     for k in range(spec.K):
         if k not in by_agent:
             raise ModelFormatError(f"strategy document missing agent {k}")
-        by_t = _indexed(_members(by_agent[k], "times", f"agent {k}"), "t", f"agent {k} time",
-                        spec.T)
+        check_keys(by_agent[k], _AGENT_KEYS, f"strategy document: agent {k}")
+        by_t = _indexed(by_agent[k]["times"], "t", f"agent {k} time", spec.T)
         per_t = []
         for t in range(spec.T):
             if t not in by_t:
                 raise ModelFormatError(f"strategy document missing agent {k} time {t}")
+            check_keys(by_t[t], _TIME_KEYS, f"strategy document: agent {k} time {t}")
             m = np.full(grid_size(spec, k, t), -1)
-            for entry in _members(by_t[t], "entries", f"agent {k} time {t}"):
+            for entry in by_t[t]["entries"]:
                 if not (isinstance(entry, list) and len(entry) == 2 and isinstance(entry[0], str)
                         and is_integer(entry[1])):
                     raise ModelFormatError(
@@ -201,9 +195,4 @@ def profile_from_dict(spec: ModelSpec, doc: dict) -> StrategyProfile:
 
 
 def load_profile(spec: ModelSpec, path) -> StrategyProfile:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except (json.JSONDecodeError, RecursionError) as exc:
-            raise ModelFormatError(f"not valid JSON: {exc}") from exc
-    return profile_from_dict(spec, doc)
+    return profile_from_dict(spec, read_json(path))

@@ -19,8 +19,8 @@ from delaypbp.dp import solve_best_response
 from delaypbp.errors import ModelFormatError
 from delaypbp.falsify import check_conditional_independence
 from delaypbp.info import history_code, parse_realization_key, realization_key
-from delaypbp.model import (CANONICAL_NAMES, K1_TOL, ModelSpec, model_to_dict, save_model,
-                            uniform_observation_variant)
+from delaypbp.model import (CANONICAL_NAMES, K1_TOL, ModelSpec, canonical_instance, model_to_dict,
+                            save_model, uniform_observation_variant)
 from delaypbp.strategies import (StrategyProfile, load_profile, observation_following_profile,
                                  profile_to_dict, random_profile, save_profile)
 
@@ -237,21 +237,24 @@ def test_strategy_file_roundtrip_and_use(tmp_path, canon_2a):
     assert code == EXIT_OK
 
 
-def test_partial_strategy_file_roundtrip(tmp_path, canon_2a):
+@pytest.mark.parametrize("spec", [pytest.param(canonical_instance("CANON-2A"), id="CANON-2A"),
+                                  pytest.param(random_model(3, 2, 2, 3, 2), id="random-K2n2T3")])
+def test_partial_strategy_file_roundtrip(tmp_path, spec):
     """A best response has -1 cells off the grid its forward pass reaches;
     the file leaves them out and reloading gives them back."""
-    g = observation_following_profile(canon_2a)
-    _, g_maps = solve_best_response(canon_2a, 0, g)
+    g = observation_following_profile(spec)
+    _, g_maps = solve_best_response(spec, 0, g)
     partial = g.with_agent(0, g_maps)
     assert any(np.any(m < 0) for m in partial.maps[0])
     path = tmp_path / "strategy.json"
-    save_profile(canon_2a, partial, path)
-    loaded = load_profile(canon_2a, path)
-    for k in range(canon_2a.K):
-        for t in range(canon_2a.T):
+    save_profile(spec, partial, path)
+    loaded = load_profile(spec, path)
+    for k in range(spec.K):
+        for t in range(spec.T):
             assert np.array_equal(loaded.maps[k][t], partial.maps[k][t])
     doc = read(path)
-    assert len(doc["agents"][0]["times"][1]["entries"]) == int(np.sum(g_maps[1] >= 0))
+    for t in range(spec.T):
+        assert len(doc["agents"][0]["times"][t]["entries"]) == int(np.sum(g_maps[t] >= 0))
 
 
 def test_strategy_file_for_wrong_model_rejected(tmp_path, canon_2a, canon_1):
@@ -515,6 +518,35 @@ def test_integer_fields_must_be_json_integers(tmp_path, canon_2a, capsys, mutate
     assert not (tmp_path / "r").exists()
 
 
+def _misspelt_stage_cost(model, strategy):
+    model["stage_costs"] = model["stage_cost"]
+
+
+@pytest.mark.parametrize("mutate,msg", [
+    (_model_field("extra", 1), "model has unknown field 'extra'"),
+    (_misspelt_stage_cost, "model has unknown field 'stage_costs'"),
+    (_strategy_field(("x",), 1), "strategy document has unknown field 'x'"),
+    (_strategy_field(("agents", 0, "x"), 1), "strategy document: agent 0 has unknown field 'x'"),
+    (_strategy_field(("agents", 0, "times", 1, "x"), 1),
+     "strategy document: agent 0 time 1 has unknown field 'x'"),
+], ids=["model", "model-misspelt", "strategy-top", "strategy-agent", "strategy-time"])
+def test_unknown_keys_give_config_exit(tmp_path, canon_2a, capsys, mutate, msg):
+    """Every level of a model or strategy document is closed: a key its key
+    table does not list is a config error naming the key and the level,
+    not a field to drop without a word."""
+    model = model_to_dict(canon_2a)
+    strategy = profile_to_dict(canon_2a, observation_following_profile(canon_2a))
+    mutate(model, strategy)
+    (tmp_path / "model.json").write_text(json.dumps(model))
+    (tmp_path / "strategy.json").write_text(json.dumps(strategy))
+    code = main(["--command", "solve", "--model", str(tmp_path / "model.json"),
+                 "--strategy", str(tmp_path / "strategy.json"), "--out", str(tmp_path / "r")])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and msg in err[0]
+    assert not (tmp_path / "r").exists()
+
+
 def _init_dist(entry):
     def mutate(model):
         if entry is True:  # a bool that reads as a probability vector: [true, false, ...]
@@ -541,8 +573,9 @@ def _stage_cost(entry):
     (_stage_cost("2"), "model table 'stage_cost' takes JSON numbers, got '2'"),
     (_stage_cost(False), "model table 'stage_cost' takes JSON numbers, got False"),
     (_stage_cost(None), "model table 'stage_cost' takes JSON numbers, got None"),
+    (_init_dist(int("9" * 400)), "model table entry init_dist[0] is too large for a float"),
 ], ids=["init_dist-string", "init_dist-bool", "init_dist-null", "stage_cost-string",
-        "stage_cost-bool", "stage_cost-null"])
+        "stage_cost-bool", "stage_cost-null", "init_dist-400-digits"])
 def test_table_entries_must_be_json_numbers(tmp_path, canon_2a, capsys, command, mutate, msg):
     """Probability and cost tables take JSON numbers only: a string that
     spells a number, a bool or a null is a config error naming the table,

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from conftest import random_model, sparse_model
 from delaypbp import canonical_instance, validate_model
 from delaypbp.errors import ModelFormatError
 from delaypbp.model import (CANONICAL_NAMES, ModelSpec, load_model,
@@ -56,20 +57,27 @@ def test_validate_is_pure(canon_2b):
     assert validate_model(canon_2b) == validate_model(canon_2b)
 
 
-def test_model_json_roundtrip(tmp_path, canon_2a):
+@pytest.mark.parametrize("spec", [
+    *(pytest.param(canonical_instance(name), id=name) for name in CANONICAL_NAMES),
+    pytest.param(random_model(3, 2, 2, 2, 2), id="random-K2n2T2"),
+    pytest.param(sparse_model(7, 2, 2, 3), id="sparse-K2n2T3"),
+])
+def test_model_json_roundtrip(tmp_path, spec):
+    """save_model writes exactly the keys of the model's key table, so its
+    files load again under the closed table, every float bit for bit."""
     path = tmp_path / "model.json"
-    save_model(canon_2a, path)
+    save_model(spec, path)
     loaded = load_model(path)
-    assert loaded.K == canon_2a.K and loaded.n == canon_2a.n and loaded.T == canon_2a.T
-    np.testing.assert_array_equal(loaded.init_dist, canon_2a.init_dist)
-    for t in range(canon_2a.T):
-        np.testing.assert_array_equal(loaded.transition[t], canon_2a.transition[t])
-        np.testing.assert_array_equal(loaded.stage_cost[t], canon_2a.stage_cost[t])
-    for t in range(canon_2a.T + 1):
-        for k in range(canon_2a.K):
-            np.testing.assert_array_equal(loaded.observation[t][k],
-                                          canon_2a.observation[t][k])
-    np.testing.assert_array_equal(loaded.terminal_cost, canon_2a.terminal_cost)
+    assert loaded.K == spec.K and loaded.n == spec.n and loaded.T == spec.T
+    assert loaded.obs_sizes == spec.obs_sizes and loaded.act_sizes == spec.act_sizes
+    np.testing.assert_array_equal(loaded.init_dist, spec.init_dist)
+    for t in range(spec.T):
+        np.testing.assert_array_equal(loaded.transition[t], spec.transition[t])
+        np.testing.assert_array_equal(loaded.stage_cost[t], spec.stage_cost[t])
+    for t in range(spec.T + 1):
+        for k in range(spec.K):
+            np.testing.assert_array_equal(loaded.observation[t][k], spec.observation[t][k])
+    np.testing.assert_array_equal(loaded.terminal_cost, spec.terminal_cost)
     assert validate_model(loaded) == []
 
 
