@@ -20,21 +20,22 @@ single-agent check) or read from its strategy (`chain`). A `Layer` holds
 time t's nodes as arrays: realization codes, stacked beliefs, the others'
 joint action per (node, lambda) -- one indexed read of each other agent's
 strategy array per layer -- and each node's unique predecessor as (parent
-index, own action, step weight). One `np.add.at` per layer produces every
-child, in (parent, own action, revealed, y') order, where revealed is
-`info.revealed`'s index of the symbols the others promote, and
-`info.next_codes` gives their codes; every mixed radix, the cell index of
-a child included, is `info`'s `radix`, split by its `digits`, and the
-promotion rule is `info`'s. The arithmetic is that of a scalar loop over
-each node's grid: products associate as ((p * T) * q_k) * q_j..., every
-cell accumulates its terms in the C order of (x, lambda, y', x', y^{-k})
--- cells of different nodes are disjoint -- and expectations sum left to
-right (`seq_sum`), so no result depends on the batching.
+index, own action, step weight). One `np.bincount` (input order) per layer
+produces every child, in (parent, own action, revealed, y') order, where
+revealed is `info.revealed`'s index of the symbols the others promote; a
+child's cell is its pair's block plus an offset that `step_tables`, built
+once per model, holds. Every mixed radix is `info`'s `radix`, split by its
+`digits`, and the promotion rule is `info`'s. The arithmetic is that of a
+scalar loop over each node's grid: products associate as ((p * T) * q_k) *
+q_j..., every cell accumulates its terms in the C order of (x, lambda, y',
+x', y^{-k}) -- cells of different nodes are disjoint -- and expectations
+sum left to right (`seq_sum`), so no result depends on the batching.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,16 +81,36 @@ class StepTable:
         self.own_lik = spec.observation[t + 1][k].T          # (y'_k, x')
         # per other agent, (x', y'^{-k}) -> likelihood of its symbol
         self.other_lik = tuple(spec.observation[t + 1][j][:, y] for j, y in zip(others, ys))
-        # (lambda, y'^{-k}, u^{-k}) -> lambda' index at t+1
-        self.succ = np.zeros((self.size, n_obs, n_acts), dtype=np.intp) + radix(
-            [shift_code(spec, j, t, pc[:, None, None], y[:, None], a)
-             for j, pc, y, a in zip(others, self.private_codes, ys, acts)],
-            [private_size(spec, j, t + 1) for j in others])
-        # (lambda, u^{-k}) -> `info.revealed`: the index, one of `groups`, of
-        # the symbols the others promote, ordered as the revealed tuples.
-        group, self.groups = revealed(spec, k, t, [pc[:, None] for pc in self.private_codes],
-                                      acts)
-        self.group = np.zeros((self.size, n_acts), dtype=np.intp) + group
+        # (lambda, u^{-k}, y'_k, x', y'^{-k}) -> a child's cell in its (node, own
+        # action) block: the radix over (revealed, y'_k, x', lambda'), revealed
+        # being `info.revealed`'s index, one of `groups`, of the promoted symbols.
+        pcs = [pc[:, None, None, None, None] for pc in self.private_codes]
+        us = [a[:, None, None, None] for a in acts]
+        next_sizes = [private_size(spec, j, t + 1) for j in others]
+        succ = radix([shift_code(spec, j, t, pc, y, a) for j, pc, y, a in zip(others, pcs, ys, us)],
+                     next_sizes)
+        group, self.groups = revealed(spec, k, t, pcs, us)
+        sizes = (self.groups, spec.obs_sizes[k], X, math.prod(next_sizes))
+        self.block = math.prod(sizes)
+        self.off = np.zeros((self.size, n_acts, *sizes[1:3], n_obs), dtype=np.intp) + radix(
+            [group, np.arange(sizes[1])[:, None, None], np.arange(X)[:, None], succ], sizes)
+
+
+_TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def step_tables(spec: ModelSpec, k: int) -> tuple[StepTable, ...]:
+    """Agent k's step tables for t = 0..T, built once per (spec, k) and
+    read-only: a spec is immutable and hashes by identity, and its entry
+    dies with it."""
+    per_agent = _TABLES.setdefault(spec, {})
+    if k not in per_agent:
+        per_agent[k] = tuple(StepTable(spec, k, t) for t in range(spec.T + 1))
+        for value in (v for tab in per_agent[k] for v in vars(tab).values()):
+            for a in value if isinstance(value, tuple) else (value,):
+                if isinstance(a, np.ndarray):
+                    a.setflags(write=False)
+    return per_agent[k]
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,7 +143,7 @@ class BeliefPass:
 
     def __init__(self, spec: ModelSpec, k: int, g_minus_k):
         self.spec, self.k, self.g = spec, k, g_minus_k
-        self.tables = [StepTable(spec, k, t) for t in range(spec.T + 1)]
+        self.tables = step_tables(spec, k)
 
     def layer(self, t: int, codes, beliefs, parent, action, weight) -> Layer:
         """A layer of nodes with, before the horizon, the others' joint
@@ -169,17 +190,13 @@ class BeliefPass:
         w = ((p[:, None] * rows)[:, None, :] * tab.own_lik)[..., None]
         for lik in tab.other_lik:
             w = w * lik
-        sizes = (len(nodes), G, Y, X1, L1)
-        cell = radix([i[:, None, None, None], tab.group[ls, acts][:, None, None, None],
-                      np.arange(Y)[:, None, None], np.arange(X1)[:, None],
-                      tab.succ[ls, :, acts][:, None, None, :]], sizes)
-        acc = np.zeros(math.prod(sizes))
-        np.add.at(acc, cell.reshape(-1), w.reshape(-1))
+        cell = (i * tab.block)[:, None, None, None] + tab.off[ls, acts]
+        acc = np.bincount(cell.ravel(), w.ravel(), minlength=len(nodes) * tab.block)
         acc = acc.reshape(-1, X1 * L1)
         totals = acc.sum(axis=1)
         keep = np.flatnonzero(totals > 0.0)
-        return (*digits(keep, sizes[:3]), (acc[keep] / totals[keep, None]).reshape(-1, X1, L1),
-                totals[keep])
+        return (*digits(keep, (len(nodes), G, Y)),
+                (acc[keep] / totals[keep, None]).reshape(-1, X1, L1), totals[keep])
 
     def step(self, lay: Layer, own: np.ndarray | None) -> Layer:
         """Layer t+1 from layer t: with own None agent k branches over every

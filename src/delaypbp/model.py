@@ -31,6 +31,8 @@ PROB_TOL = 1e-12
 COMPARE_TOL = 1e-10
 IMPROVE_TOL = 1e-12
 K1_TOL = 1e-12
+# Largest T*max|stage cost| + max|terminal cost|: no history's cost sum overflows.
+COST_BOUND = float(np.finfo(float).max) / 2
 
 CANONICAL_NAMES = ("CANON-2A", "CANON-2B", "CANON-1")
 
@@ -175,6 +177,10 @@ def validate_model(spec: ModelSpec) -> list[str]:
         for t, c in enumerate(spec.stage_cost):
             _check_table(f"stage_cost[{t}]", c, cost_shape, False, v)
     _check_table("terminal_cost", spec.terminal_cost, (X,), False, v)
+    if not v and (bound := spec.T * max(float(np.abs(c).max()) for c in spec.stage_cost)
+                  + float(np.abs(spec.terminal_cost).max())) > COST_BOUND:
+        v.append(f"costs too large: T*max|stage cost| + max|terminal cost| = {bound:.6g}"
+                 f" exceeds half the float maximum, {COST_BOUND:.6g}")
 
     return v
 

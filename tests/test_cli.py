@@ -590,6 +590,34 @@ def test_table_entries_must_be_json_numbers(tmp_path, canon_2a, capsys, command,
     assert len(err) == 1 and msg in err[0]
 
 
+def _huge_costs(model):
+    """CANON-2A with every nonzero stage and terminal cost set to 1e308."""
+    def huge(x):
+        return [huge(e) for e in x] if isinstance(x, list) else 1e308 if x else x
+    return {**model, "stage_cost": huge(model["stage_cost"]),
+            "terminal_cost": huge(model["terminal_cost"])}
+
+
+@pytest.mark.parametrize("command", ["validate", "solve", "pbp", "filter", "verify", "falsify"])
+def test_costs_near_the_float_limit_are_a_violation(tmp_path, canon_2a, capsys, command):
+    """Finite costs whose worst history total could overflow are a model
+    violation: validate reports it (exit 1) and every other command refuses
+    the file with one line (exit 2) instead of overflowing mid-solve."""
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(_huge_costs(model_to_dict(canon_2a))))
+    msg = "T*max|stage cost| + max|terminal cost| = inf exceeds half the float maximum"
+    out = tmp_path / "r"
+    code = main(["--command", command, "--model", str(path), "--out", str(out)])
+    if command == "validate":
+        assert code == EXIT_TOLERANCE
+        violations = read(out / "validate_huge.json")["results"][0]["violations"]
+        assert len(violations) == 1 and msg in violations[0]
+    else:
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and msg in err[0]
+
+
 @pytest.mark.parametrize("flag", ["--tol-compare", "--tol-improve"])
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_non_finite_tolerance_rejected(tmp_path, capsys, flag, value):

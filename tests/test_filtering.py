@@ -1,11 +1,13 @@
+import gc
 import itertools
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import oracle_gap, others_play, random_model, rows_at
+from conftest import oracle_gap, others_play, random_model, rows_at, sparse_model
 from delaypbp import filtering, oracle
 from delaypbp.filtering import BeliefPass, classical_filter_update
 from delaypbp.info import Blocks, decode, other_agents, shared_prefix_len
@@ -233,6 +235,32 @@ def test_expand_rejects_a_realization_reached_twice(canon_2a, monkeypatch):
         bp.expand(free=True)
 
 
+def test_step_tables_are_shared_per_model_and_agent():
+    """Passes of one (spec, k) under different profiles hold one tables
+    object, another agent its own, and no pass can write to them."""
+    spec = random_model(seed=3, K=2, n=2, T=2, sizes=2)
+    first = BeliefPass(spec, 0, constant_profile(spec, 0))
+    again = BeliefPass(spec, 0, observation_following_profile(spec))
+    assert again.tables is first.tables
+    assert BeliefPass(spec, 1, first.g).tables is not first.tables
+    arrays = [a for tab in first.tables for value in vars(tab).values()
+              for a in (value if isinstance(value, tuple) else (value,))
+              if isinstance(a, np.ndarray)]
+    assert {"off", "joint", "trans", "own_lik"} <= set(vars(first.tables[0]))
+    for a in arrays:
+        with pytest.raises(ValueError):
+            a[...] = 0
+
+
+def test_step_tables_do_not_keep_their_model_alive():
+    spec = random_model(seed=3, K=2, n=1, T=2, sizes=2)
+    BeliefPass(spec, 0, constant_profile(spec, 0)).expand(free=True)
+    ref = weakref.ref(spec)
+    del spec
+    gc.collect()
+    assert ref() is None
+
+
 # --- classical filter -------------------------------------------------------
 
 def single_agent_spec(q):
@@ -305,15 +333,23 @@ def loop_child(spec, k, common, xi, g, u, revealed, y):
     return (mat / total, total) if total > 0.0 else None
 
 
-@pytest.mark.parametrize("K,n,T,sizes", [(2, 1, 3, 2), (2, 2, 3, 2), (3, 1, 2, 2),
-                                         (2, 1, 2, 3), (2, 2, 2, 3)])
-def test_batched_kernel_equals_scalar_loop_bitwise(K, n, T, sizes):
+@pytest.mark.parametrize("spec", [
+    *(pytest.param(random_model(seed=7 * K + 5 * n + T, K=K, n=n, T=T, sizes=sizes),
+                   id=f"{K}-{n}-{T}-{sizes}")
+      for K, n, T, sizes in [(2, 1, 3, 2), (2, 2, 3, 2), (3, 1, 2, 2), (2, 1, 2, 3),
+                             (2, 2, 2, 3)]),
+    *(pytest.param(sparse_model(seed, K, n, T), id=f"sparse-{seed}-{K}-{n}-{T}")
+      for seed, K, n, T in [(0, 1, 1, 3), (5, 1, 2, 3), (1, 2, 2, 3), (7, 2, 1, 3),
+                            (5, 2, 2, 3), (1, 3, 1, 2)])])
+def test_batched_kernel_equals_scalar_loop_bitwise(spec):
     """With three states a cell sums three or more terms, so the order of
     accumulation shows in the last bit. Every node the chain reaches is
-    checked under every own action, through the free expansion's layers."""
-    spec = random_model(seed=7 * K + 5 * n + T, K=K, n=n, T=T, sizes=sizes)
+    checked under every own action, through the free expansion's layers.
+    Sparse draws add zero kernel entries, unequal alphabets, one agent and
+    single-action agents."""
+    K, n, T = spec.K, spec.n, spec.T
     g = random_profile(spec, np.random.default_rng(K * n * T))
-    for k in (0, K - 1):
+    for k in sorted({0, K - 1}):
         others = other_agents(K, k)
         shown = list(itertools.product(
             itertools.product(*(range(spec.obs_sizes[j]) for j in others)),
