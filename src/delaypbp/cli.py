@@ -14,7 +14,6 @@ failure, 2 on a malformed config/model/strategy.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -28,7 +27,7 @@ from .filtering import BeliefPass
 from .info import lambda_labels, realization_key
 from .model import (CANONICAL_NAMES, COMPARE_TOL, IMPROVE_TOL, K1_TOL,
                     ModelSpec, resolve_model, uniform_observation_variant,
-                    validate_model)
+                    validate_model, write_json)
 from .strategies import (StrategyProfile, constant_profile, load_profile,
                          observation_following_profile, profile_to_dict,
                          random_profile)
@@ -182,8 +181,8 @@ def cmd_solve(spec: ModelSpec, name: str, config: RunConfig):
     # Code order per t; a node's argmin is its cell of the extracted array.
     table_rows = [{"t": t, "realization": realization_key(spec, k, t, code), "value": value,
                    "best_action": int(g_maps[t][code]) if t < spec.T else None}
-                  for t, e in enumerate(vtable.entries) for code, value in zip(
-                      *(a[np.argsort(e.layer.codes)].tolist() for a in (e.layer.codes, e.values)))]
+                  for t, (lay, v) in enumerate(zip(vtable.entries, vtable.values)) for code, value
+                  in zip(*(a[np.argsort(lay.codes)].tolist() for a in (lay.codes, v)))]
     results = [{"expected_value": expected,
                 "best_response_cost": br_cost,
                 "brute_force": bf_entry,
@@ -271,10 +270,6 @@ def cmd_verify(spec: ModelSpec, name: str, config: RunConfig):
 def cmd_falsify(spec: ModelSpec, name: str, config: RunConfig):
     k = config.agent
     g = _profile_for(spec, config, "falsify")
-    # Gather the profile over agent k's reachable layers first, so that a
-    # strategy file missing reached realizations is reported with its count
-    # (as by the other commands), not at the first lookup of a walk.
-    BeliefPass(spec, k, g).chain()
     t_check = spec.T - 1
     ci = falsify.check_conditional_independence(spec, g, k, t_check)
     results = [{"check": "conditional-independence", "informational": True,
@@ -342,10 +337,7 @@ COMMANDS = (*_COMMAND_FNS, "all")
 
 def _write_report(out_dir: str, filename: str, doc: dict) -> None:
     os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, filename)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json(os.path.join(out_dir, filename), doc)
 
 
 def run(config: RunConfig) -> int:

@@ -8,12 +8,13 @@ The value recursion here runs backward over the layers of
 k's own actions left free -- one time layer per array step: the stage
 values of every (node, own action), plus each child's step weight times
 its value, added in child order, then the minimizing action per node,
-ties to the smallest. The table keeps each layer, whose (state, lambda)
-beliefs sit alongside the values; the minimizing actions live once, in the
-extracted strategy arrays. On top of that sit the payoff identity
-(expected cost written through the posteriors), exact best-response
-iteration toward a person-by-person stationary profile, and the dominance
-check of the value function against arbitrary alternative strategies.
+ties to the smallest. The table is those layers, whose (state, lambda)
+beliefs the values sit beside, plus one value array per layer; the
+minimizing actions live once, in the extracted strategy arrays. On top of
+that sit the payoff identity (expected cost written through the
+posteriors), exact best-response iteration toward a person-by-person
+stationary profile, and the dominance check of the value function against
+arbitrary alternative strategies.
 """
 
 from __future__ import annotations
@@ -31,23 +32,12 @@ from .strategies import StrategyProfile
 
 
 @dataclass(frozen=True, eq=False)
-class ValueLayer:
-    """Agent k's value-table rows at one time: the nodes of a layer with
-    their values. A node's minimizing action is the extracted strategy
-    array's cell at its code."""
-
-    layer: Layer
-    values: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
-@dataclass(frozen=True, eq=False)
 class ValueTable:
-    """Per time t = 0..T, agent k's value and belief per node."""
+    """Agent k's value table: per time t = 0..T, the layer of
+    `expand(free=True)` and its value per node, aligned row by row."""
 
-    entries: tuple[ValueLayer, ...]
+    entries: tuple[Layer, ...]
+    values: tuple[np.ndarray, ...]
 
 
 def terminal_values(spec: ModelSpec, beliefs: np.ndarray) -> np.ndarray:
@@ -77,26 +67,23 @@ def solve_best_response(spec: ModelSpec, k: int, g_minus_k
     """
     bp = BeliefPass(spec, k, g_minus_k)
     layers = bp.expand(free=True)
-    values = terminal_values(spec, layers[spec.T].beliefs)
-    entries = [ValueLayer(layers[spec.T], values)]
+    values = [terminal_values(spec, layers[spec.T].beliefs)]
     g_maps = [np.full(grid_size(spec, k, t), -1) for t in range(spec.T)]
     for t in range(spec.T - 1, -1, -1):
         lay, nxt = layers[t], layers[t + 1]
         q = stage_values(spec, bp, lay)
-        np.add.at(q, (nxt.parent, nxt.action), nxt.weight * values)
+        np.add.at(q, (nxt.parent, nxt.action), nxt.weight * values[-1])
         best = np.argmin(q, axis=1)
-        values = q[np.arange(len(lay)), best]
+        values.append(q[np.arange(len(lay)), best])
         g_maps[t][lay.codes] = best
-        entries.append(ValueLayer(lay, values))
-    return ValueTable(tuple(entries[::-1])), g_maps
+    return ValueTable(tuple(layers), tuple(values[::-1])), g_maps
 
 
 def expected_value(spec: ModelSpec, k: int, vtable: ValueTable) -> float:
     """Time-0 values averaged over the initial realizations with their
     probabilities (the time-0 layer's weights, as in `chain`); equals the
     best-response cost of the extracted strategy."""
-    first = vtable.entries[0]
-    return float(seq_sum(first.layer.weight * first.values))
+    return float(seq_sum(vtable.entries[0].weight * vtable.values[0]))
 
 
 def cost_via_beliefs(spec: ModelSpec, g_full: StrategyProfile, k: int) -> float:
@@ -164,10 +151,11 @@ def verify_value_dominance(tree: oracle.RealizationTree, vtable: ValueTable, map
     UnreachableError.
     """
     rows = []
-    for t, (entry, (alt_codes, alt)) in enumerate(zip(vtable.entries, tree.cost_to_go(maps_k))):
-        order = np.argsort(entry.layer.codes)
-        codes = entry.layer.codes[order]
+    for t, (lay, values, (alt_codes, alt)) in enumerate(
+            zip(vtable.entries, vtable.values, tree.cost_to_go(maps_k))):
+        order = np.argsort(lay.codes)
+        codes = lay.codes[order]
         if not np.isin(codes, alt_codes, assume_unique=True).all():
             raise UnreachableError(f"unreachable realization for agent {tree.k} at t={t}")
-        rows.append((codes, entry.values[order], alt[np.searchsorted(alt_codes, codes)]))
+        rows.append((codes, values[order], alt[np.searchsorted(alt_codes, codes)]))
     return rows

@@ -332,6 +332,13 @@ def read_json(path):
             raise ModelFormatError(f"not valid JSON: {exc}") from exc
 
 
+def write_json(path, doc) -> None:
+    """Write a document as JSON: sorted keys, indent 1, a final newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+
+
 def check_keys(doc, keys: dict, level: str) -> None:
     """Check one level of a document against its key table, key -> kind:
     every key is present, no other is, and each value, in table order, is
@@ -404,9 +411,7 @@ def model_to_dict(spec: ModelSpec) -> dict:
 
 
 def save_model(spec: ModelSpec, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_dict(spec), fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json(path, model_to_dict(spec))
 
 
 def model_from_dict(doc: dict, check: bool = True) -> ModelSpec:

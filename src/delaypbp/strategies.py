@@ -12,7 +12,6 @@ strategies change between best-response sweeps.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +19,7 @@ import numpy as np
 from .errors import IncompleteStrategyError, ModelFormatError
 from .info import (digits, grid_size, parse_realization_key, private_act_len, radices,
                    realization_key)
-from .model import ModelSpec, check_keys, is_integer, kind_of, read_json
+from .model import ModelSpec, check_keys, is_integer, kind_of, read_json, write_json
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,9 +130,7 @@ def profile_to_dict(spec: ModelSpec, g: StrategyProfile) -> dict:
 
 
 def save_profile(spec: ModelSpec, g: StrategyProfile, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(profile_to_dict(spec, g), fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json(path, profile_to_dict(spec, g))
 
 
 def _indexed(blocks: list, field: str, name: str, count: int) -> dict:

@@ -39,8 +39,7 @@ def test_criterion_1_filter_matches_oracle():
                 # wider domain: own actions free, opponents frozen (the
                 # best-response tables store chained beliefs there too)
                 vtable, _ = solve_best_response(spec, k, g)
-                wider = [entry.layer for entry in vtable.entries]
-                for layers in (chain, wider):
+                for layers in (chain, vtable.entries):
                     worst = max(worst, oracle_gap(spec, g, k, layers))
                     checked += sum(map(len, layers))
     report(1, "recursive beliefs equal definition-level Bayes on CANON-2A/2B",

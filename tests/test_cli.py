@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 
 from conftest import random_model
 from delaypbp import oracle
-from delaypbp.cli import (EXIT_CONFIG, EXIT_OK, EXIT_TOLERANCE, RunConfig, main, parse_args,
-                          run)
+from delaypbp.cli import (EXIT_CONFIG, EXIT_OK, EXIT_TOLERANCE, RunConfig, cmd_solve, main,
+                          parse_args, run)
 from delaypbp.dp import solve_best_response
 from delaypbp.errors import ModelFormatError
 from delaypbp.falsify import check_conditional_independence
@@ -216,6 +216,53 @@ def test_solve_best_actions_and_verify_rows_on_a_saved_model(tmp_path):
     assert len(verify) >= 5
     assert all(e["checked"] == sum(map(len, vtable.entries)) and e["violations"] == []
                for e in verify)
+
+
+def _model_arg(tmp_path, name):
+    """(spec, --model argument, report stem): a canonical name as it is, or
+    the n = 2 random model saved to a file."""
+    if name in CANONICAL_NAMES:
+        return canonical_instance(name), name, name
+    spec = random_model(3, 2, 2, 3, 2)
+    path = tmp_path / "k2n2t3.json"
+    save_model(spec, path)
+    return spec, str(path), "k2n2t3"
+
+
+@pytest.mark.parametrize("name", [*CANONICAL_NAMES, "k2n2t3"])
+def test_value_table_shape_matches_the_solve_report(tmp_path, name):
+    """The value table holds one layer and one aligned value array per
+    t = 0..T, and its node count is the number of rows of the solve
+    report's table."""
+    spec, model, stem = _model_arg(tmp_path, name)
+    vtable, _ = solve_best_response(spec, 0, observation_following_profile(spec))
+    assert len(vtable.entries) == len(vtable.values) == spec.T + 1
+    assert all(len(v) == len(lay) for lay, v in zip(vtable.entries, vtable.values))
+    out = tmp_path / "r"
+    assert main(["--command", "solve", "--model", model, "--out", str(out)]) == EXIT_OK
+    table = read(out / f"solve_{stem}.json")["results"][0]["table"]
+    assert sum(len(lay) for lay in vtable.entries) == len(table)
+
+
+@pytest.mark.parametrize("name", ["CANON-2A", "k2n2t3"])
+def test_written_files_are_sorted_json_with_indent_1(tmp_path, name):
+    """Model files, strategy files and reports are written alike: the
+    document by `json.dumps(doc, indent=1, sort_keys=True)` plus a newline."""
+    spec, model, stem = _model_arg(tmp_path, name)
+
+    def written(doc):
+        return json.dumps(doc, indent=1, sort_keys=True) + "\n"
+
+    g = observation_following_profile(spec)
+    save_model(spec, tmp_path / "model.json")
+    save_profile(spec, g, tmp_path / "strategy.json")
+    assert (tmp_path / "model.json").read_text() == written(model_to_dict(spec))
+    assert (tmp_path / "strategy.json").read_text() == written(profile_to_dict(spec, g))
+    out = tmp_path / "r"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["--command", "solve", "--model", model, "--out", str(out)]) == EXIT_OK
+        doc, _ = cmd_solve(spec, stem, RunConfig(command="solve", model=model))
+    assert (out / f"solve_{stem}.json").read_text() == written(doc)
 
 
 def test_impossible_tolerance_fails_with_distinct_exit(tmp_path):
@@ -590,10 +637,10 @@ def test_table_entries_must_be_json_numbers(tmp_path, canon_2a, capsys, command,
     assert len(err) == 1 and msg in err[0]
 
 
-def _huge_costs(model):
-    """CANON-2A with every nonzero stage and terminal cost set to 1e308."""
+def _huge_costs(model, cost=1e308):
+    """CANON-2A with every nonzero stage and terminal cost set to cost."""
     def huge(x):
-        return [huge(e) for e in x] if isinstance(x, list) else 1e308 if x else x
+        return [huge(e) for e in x] if isinstance(x, list) else cost if x else x
     return {**model, "stage_cost": huge(model["stage_cost"]),
             "terminal_cost": huge(model["terminal_cost"])}
 
@@ -616,6 +663,22 @@ def test_costs_near_the_float_limit_are_a_violation(tmp_path, canon_2a, capsys, 
         assert code == EXIT_CONFIG
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and msg in err[0]
+
+
+@pytest.mark.parametrize("command", ["validate", "filter", "solve", "pbp", "verify", "falsify"])
+def test_large_costs_pass_with_tolerances_scaled_to_them(tmp_path, canon_2a, command):
+    """The gates compare absolute differences, so at costs of 2.9e307 (under
+    the bound) the default tolerances fail solve, pbp, verify and falsify on
+    rounding alone; tolerances scaled with the costs pass every command,
+    and each report records the tolerances given."""
+    path = tmp_path / "large.json"
+    path.write_text(json.dumps(_huge_costs(model_to_dict(canon_2a), 2.9e307)))
+    out = tmp_path / "r"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["--command", command, "--model", str(path), "--out", str(out),
+                     "--tol-compare", "1e298", "--tol-improve", "1e298"]) == EXIT_OK
+    assert read(out / f"{command}_large.json")["tolerances"] == {"compare": 1e298,
+                                                                 "improve": 1e298}
 
 
 @pytest.mark.parametrize("flag", ["--tol-compare", "--tol-improve"])
@@ -702,19 +765,21 @@ def test_incomplete_strategy_file_reports_every_miss_in_the_layer(tmp_path, cano
     code = main(["--command", command, "--model", "CANON-2A", "--strategy", str(path),
                  "--out", str(tmp_path / "r")])
     assert code == EXIT_CONFIG
-    # Two entries cover each agent's t = 0 map; agent 1's realizations that
-    # agent 0's chain reaches at t = 1 are those the walk reaches.
+    # Two entries cover each agent's t = 0 map. At t = 1, filter first reads
+    # agent 1 (the other agent of agent 0's chain) and falsify's walk first
+    # reads agent 0; either agent's reached set is the walk's.
+    j = {"filter": 1, "falsify": 0}[command]
     reached = set()
     for t, xs, obs, acts, mass, cost in oracle.walk(canon_2a, g, depth=1):
         if t == 1:
-            reached.update(history_code(canon_2a, obs, acts, 1, 1).tolist())
-    kept = {parse_realization_key(key, canon_2a, 1, 1)
-            for key, _ in doc["agents"][1]["times"][1]["entries"]}
+            reached.update(history_code(canon_2a, obs, acts, j, 1).tolist())
+    kept = {parse_realization_key(key, canon_2a, j, 1)
+            for key, _ in doc["agents"][j]["times"][1]["entries"]}
     missing = sorted(reached - kept)
     assert len(missing) > 3
-    keys = ", ".join(realization_key(canon_2a, 1, 1, c) for c in missing[:3])
+    keys = ", ".join(realization_key(canon_2a, j, 1, c) for c in missing[:3])
     assert capsys.readouterr().err.strip().splitlines() == [
-        f"error: incomplete strategy: agent 1 has no action at t=1, {keys} "
+        f"error: incomplete strategy: agent {j} has no action at t=1, {keys} "
         f"({len(missing)} reached realizations without one)"]
 
 

@@ -6,9 +6,9 @@ import pytest
 from conftest import (dominance_violations, five_profiles, layer_nodes, max_abs_gap,
                       others_play, random_model, rows_at, tiny_uniform_t1)
 from delaypbp import oracle
-from delaypbp.dp import (ValueLayer, ValueTable, cost_via_beliefs, expected_value,
-                         pbp_sweep, solve_best_response, stage_values,
-                         terminal_values, verify_value_dominance)
+from delaypbp.dp import (ValueTable, cost_via_beliefs, expected_value, pbp_sweep,
+                         solve_best_response, stage_values, terminal_values,
+                         verify_value_dominance)
 from delaypbp.filtering import BeliefPass
 from delaypbp.info import decode, grid_size
 from delaypbp.strategies import (constant_profile, observation_following_profile,
@@ -91,9 +91,9 @@ def test_best_response_zero_costs(canon_2a):
     spec = zero_cost_variant(canon_2a)
     g = observation_following_profile(spec)
     vtable, maps = solve_best_response(spec, 0, g)
-    for t, entry in enumerate(vtable.entries):
-        assert np.all(entry.values == 0.0)
-        assert t == spec.T or np.all(maps[t][entry.layer.codes] == 0)
+    for t, (lay, values) in enumerate(zip(vtable.entries, vtable.values)):
+        assert np.all(values == 0.0)
+        assert t == spec.T or np.all(maps[t][lay.codes] == 0)
     assert all(np.all(m[m >= 0] == 0) and np.any(m == 0) for m in maps)
 
 
@@ -140,7 +140,7 @@ def test_expected_value_weights_are_the_chain_probabilities_bitwise(seed):
         acc = 0.0
         for p, v in zip(prob0.tolist(), values):
             acc += p * v
-        table = ValueTable((ValueLayer(first, values),))
+        table = ValueTable((first,), (values,))
         assert expected_value(spec, k, table) == acc
 
 
@@ -152,9 +152,8 @@ def test_semi_separation_of_extracted_actions(canon_2a):
     vtable, maps = solve_best_response(canon_2a, 0, g)
     for t in range(canon_2a.T):
         groups = {}
-        entry = vtable.entries[t]
-        for code, belief, best in zip(entry.layer.codes, entry.layer.beliefs,
-                                      maps[t][entry.layer.codes]):
+        lay = vtable.entries[t]
+        for code, belief, best in zip(lay.codes, lay.beliefs, maps[t][lay.codes]):
             r = decode(canon_2a, 0, t, int(code))
             placed = False
             for key, (probs, actions) in groups.items():
@@ -329,10 +328,10 @@ def test_dominance_rows_are_in_the_cost_to_go_layout(name):
         vtable, maps = solve_best_response(spec, k, g)
         tree = oracle.RealizationTree(spec, k, g)
         rows = verify_value_dominance(tree, vtable, maps)
-        for (codes, table, alt), (alt_codes, alt_values), entry in zip(
-                rows, tree.cost_to_go(maps), vtable.entries, strict=True):
+        for (codes, table, alt), (alt_codes, alt_values), lay, values in zip(
+                rows, tree.cost_to_go(maps), vtable.entries, vtable.values, strict=True):
             assert np.all(np.diff(codes) > 0)
             assert np.array_equal(codes, alt_codes)
-            assert np.array_equal(codes, np.sort(entry.layer.codes))
-            assert np.array_equal(rows_at((codes, table), entry.layer.codes), entry.values)
+            assert np.array_equal(codes, np.sort(lay.codes))
+            assert np.array_equal(rows_at((codes, table), lay.codes), values)
             assert np.array_equal(alt, alt_values)

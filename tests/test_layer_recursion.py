@@ -57,12 +57,13 @@ def test_value_tables_and_argmins_equal_the_per_node_pass_bitwise(name):
     for k in sorted({0, spec.K - 1}):
         vtable, maps = dp.solve_best_response(spec, k, g)
         ref_entries, ref_maps = ref.solve_best_response(spec, k, g)
-        for t, (entry, ref_entry) in enumerate(zip(vtable.entries, ref_entries)):
+        for t, (lay, values, ref_entry) in enumerate(
+                zip(vtable.entries, vtable.values, ref_entries)):
             assert_same_nodes(spec, k, {r: b for r, (_, b, _) in ref_entry.items()},
-                              entry.layer.codes, entry.layer.beliefs)
-            assert bits([v for v, _, _ in ref_entry.values()]) == bits(entry.values)
+                              lay.codes, lay.beliefs)
+            assert bits([v for v, _, _ in ref_entry.values()]) == bits(values)
             if t < spec.T:
-                assert [u for _, _, u in ref_entry.values()] == maps[t][entry.layer.codes].tolist()
+                assert [u for _, _, u in ref_entry.values()] == maps[t][lay.codes].tolist()
         assert all(np.array_equal(m, rm) for m, rm in zip(maps, ref_maps))
         assert bits(dp.expected_value(spec, k, vtable)) == bits(
             ref.expected_value(spec, k, ref_entries))

@@ -40,7 +40,7 @@ def test_two_step_sharing_dp_matches_brute_force(two_step_model):
         bf_value, _ = oracle.brute_force_best_response(spec, k, g)
         assert expected_value(spec, k, vtable) == pytest.approx(bf_value, abs=1e-10)
         # tables also match the posterior oracle on the wider grid
-        assert oracle_gap(spec, g, k, [entry.layer for entry in vtable.entries]) <= 1e-10
+        assert oracle_gap(spec, g, k, vtable.entries) <= 1e-10
 
 
 def test_two_step_sharing_dominance(two_step_model):
