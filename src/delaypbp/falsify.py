@@ -260,8 +260,11 @@ def check_k1_reduction(spec: ModelSpec) -> GapReport:
         elif total > 0.0:
             gaps.append((f"y0={y0} (reachability disagrees)", 1.0))
     for t, lay in enumerate(layers):
-        gaps += [(label, float(np.max(np.abs(np.cumsum(xi, axis=1)[:, -1] - pi))))
-                 for xi, (pi, label) in zip(lay.beliefs, filt)]
+        # A node only the recursion reaches has no textbook filter (None), so
+        # neither it nor its subtree is compared.
+        kept = [(i, node) for i, node in enumerate(filt) if node is not None]
+        gaps += [(label, float(np.max(np.abs(np.cumsum(lay.beliefs[i], axis=1)[:, -1] - pi))))
+                 for i, (pi, label) in kept]
         if t == spec.T:
             break
         # a child is fixed among its siblings by its newest own observation
@@ -269,18 +272,17 @@ def check_k1_reduction(spec: ModelSpec) -> GapReport:
         reached = {(int(p), int(u), decode(spec, 0, t + 1, int(c)).own_obs[-1]): i
                    for i, (p, u, c) in enumerate(zip(nxt.parent, nxt.action, nxt.codes))}
         children: list = [None] * len(nxt)
-        for i, (pi, label) in enumerate(filt):
+        for i, (pi, label) in kept:
             for u, y1 in itertools.product(range(spec.act_sizes[0]), range(spec.obs_sizes[0])):
-                step_label = f"{label},u={u},y={y1}"
-                if (i, u, y1) in reached:
-                    children[reached[i, u, y1]] = (
-                        classical_filter_update(spec, pi, u, y1, t), step_label)
-                    continue
+                step_label, child = f"{label},u={u},y={y1}", reached.get((i, u, y1))
                 try:
-                    classical_filter_update(spec, pi, u, y1, t)
+                    pi1 = classical_filter_update(spec, pi, u, y1, t)
                 except UnreachableError:
-                    continue
-                gaps.append((f"{step_label} (reachability disagrees)", 1.0))
+                    pi1 = None
+                if (pi1 is None) != (child is None):
+                    gaps.append((f"{step_label} (reachability disagrees)", 1.0))
+                elif child is not None:
+                    children[child] = (pi1, step_label)
         filt = children
     return make_report("single-agent filter reduction", gaps)
 

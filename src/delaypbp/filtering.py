@@ -52,8 +52,8 @@ def seq_sum(v: np.ndarray) -> np.ndarray:
 
 
 class StepTable:
-    """Agent k's lambda grid at time t and, for t < T, the belief- and
-    strategy-free parts of a step to t+1.
+    """Agent k's lambda grid at time t < T, the belief- and strategy-free
+    parts of a step to t+1, and the size of the lambda grid at t+1.
 
     Joint actions are flat indices into the (act_sizes[0], ...,
     act_sizes[K-1]) block of the kernels; the other agents' joint actions
@@ -75,8 +75,6 @@ class StepTable:
         # [u_k, others' joint action] -> joint action
         u = np.arange(spec.act_sizes[k])[:, None]
         self.joint = radix([*acts[:k], u, *acts[k:]], spec.act_sizes) + np.zeros(n_acts, np.intp)
-        if t == spec.T:
-            return
         self.trans = spec.transition[t].reshape(X, -1, X)  # (x, joint action, x')
         self.own_lik = spec.observation[t + 1][k].T          # (y'_k, x')
         # per other agent, (x', y'^{-k}) -> likelihood of its symbol
@@ -90,7 +88,8 @@ class StepTable:
         succ = radix([shift_code(spec, j, t, pc, y, a) for j, pc, y, a in zip(others, pcs, ys, us)],
                      next_sizes)
         group, self.groups = revealed(spec, k, t, pcs, us)
-        sizes = (self.groups, spec.obs_sizes[k], X, math.prod(next_sizes))
+        self.next_size = math.prod(next_sizes)
+        sizes = (self.groups, spec.obs_sizes[k], X, self.next_size)
         self.block = math.prod(sizes)
         self.off = np.zeros((self.size, n_acts, *sizes[1:3], n_obs), dtype=np.intp) + radix(
             [group, np.arange(sizes[1])[:, None, None], np.arange(X)[:, None], succ], sizes)
@@ -100,12 +99,12 @@ _TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def step_tables(spec: ModelSpec, k: int) -> tuple[StepTable, ...]:
-    """Agent k's step tables for t = 0..T, built once per (spec, k) and
+    """Agent k's step tables for t = 0..T-1, built once per (spec, k) and
     read-only: a spec is immutable and hashes by identity, and its entry
     dies with it."""
     per_agent = _TABLES.setdefault(spec, {})
     if k not in per_agent:
-        per_agent[k] = tuple(StepTable(spec, k, t) for t in range(spec.T + 1))
+        per_agent[k] = tuple(StepTable(spec, k, t) for t in range(spec.T))
         for value in (v for tab in per_agent[k] for v in vars(tab).values()):
             for a in value if isinstance(value, tuple) else (value,):
                 if isinstance(a, np.ndarray):
@@ -181,8 +180,8 @@ class BeliefPass:
         belief, weight) in (i, group, y') order. The weight is the
         probability of (revealed, y') given the node's belief and action,
         i.e. the step's normalizer."""
-        tab, L1 = self.tables[lay.t], self.tables[lay.t + 1].size
-        (Y, X1), G = tab.own_lik.shape, tab.groups
+        tab = self.tables[lay.t]
+        (Y, X1), G, L1 = tab.own_lik.shape, tab.groups, tab.next_size
         # positive-mass cells, pair-major and state-major within a pair
         i, xs, ls = np.nonzero(lay.beliefs[nodes] > 0.0)
         p, acts = lay.beliefs[nodes[i], xs, ls], lay.others_acts[nodes[i], ls]

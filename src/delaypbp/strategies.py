@@ -43,12 +43,7 @@ class StrategyProfile:
         object.__setattr__(self, "maps", maps)
 
     def action_at(self, k: int, t: int, code: int) -> int:
-        u = int(self.maps[k][t][code])
-        if u < 0:
-            raise IncompleteStrategyError(
-                f"incomplete strategy: agent {k} has no action at "
-                f"t={t}, {realization_key(self.spec, k, t, code)}")
-        return u
+        return int(self.actions_at(k, t, np.array([code]))[0])
 
     def actions_at(self, k: int, t: int, codes: np.ndarray, reached=True) -> np.ndarray:
         """Agent k's time-t actions at an array of codes, 0 where reached is

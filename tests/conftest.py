@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from delaypbp import canonical_instance, oracle
-from delaypbp.model import COMPARE_TOL, ModelSpec
+from delaypbp import oracle
+from delaypbp.model import COMPARE_TOL, ModelSpec, canonical_instance
 from delaypbp.strategies import (constant_profile, observation_following_profile,
                                  random_profile)
 from reference_recursion import Node, encode

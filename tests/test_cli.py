@@ -87,6 +87,17 @@ def test_agent_out_of_range_rejected(tmp_path):
                          out=str(tmp_path))) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("flags,msg", [(["--command", "filter", "--agent", "-1"],
+                                        "error: agent index must be >= 0"),
+                                       (["--command", "pbp", "--max-rounds", "0"],
+                                        "error: max-rounds must be >= 1")])
+def test_out_of_range_flag_gives_config_exit(tmp_path, capsys, flags, msg):
+    out = tmp_path / "r"
+    assert main([*flags, "--model", "CANON-2A", "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == msg + "\n"
+    assert not out.exists()
+
+
 def test_agent_out_of_range_for_one_canonical_model_rejects_all(tmp_path, capsys):
     """`all` checks the agent against every canonical model before it runs
     anything: CANON-1 has one agent, so --agent 1 raises nothing, prints
@@ -406,8 +417,13 @@ def _short_kernel(doc):
                             for per_x in doc["transition"][0]]
 
 
+def _ragged_prior(doc):
+    doc["init_dist"] = [[0.6], 0.4]
+
+
 @pytest.mark.parametrize("mutate,msg", [(_short_prior, "init_dist row (0,) sums to"),
-                                        (_short_kernel, "transition[0] shape")])
+                                        (_short_kernel, "transition[0] shape"),
+                                        (_ragged_prior, "malformed model tables: ")])
 def test_invalid_model_file_gives_config_exit(tmp_path, canon_2a, capsys, mutate, msg):
     doc = model_to_dict(canon_2a)
     mutate(doc)
@@ -484,12 +500,28 @@ def _foreign_time(doc):
     doc["agents"][0]["times"].append({"t": 9, "entries": [["bogus", 0]]})
 
 
+def _missing_agent(doc):
+    del doc["agents"][1]
+
+
+def _missing_time(doc):
+    del doc["agents"][1]["times"][1]
+
+
+def _action_out_of_range(doc):
+    doc["agents"][0]["times"][0]["entries"][0][1] = 5
+
+
 @pytest.mark.parametrize("mutate,msg", [
     (_duplicate_time, "agent 0 time 1 given twice"),
     (_duplicate_agent, "agent 1 given twice"),
     (_foreign_agent, "agent 7 is not in 0..1"),
     (_foreign_time, "agent 0 time 9 is not in 0..1"),
-], ids=["duplicate-time", "duplicate-agent", "foreign-agent", "foreign-time"])
+    (_missing_agent, "strategy document missing agent 1"),
+    (_missing_time, "strategy document missing agent 1 time 1"),
+    (_action_out_of_range, "action 5 out of range for agent 0 at c(/;/)p(0/)"),
+], ids=["duplicate-time", "duplicate-agent", "foreign-agent", "foreign-time", "missing-agent",
+        "missing-time", "action-out-of-range"])
 def test_duplicate_and_foreign_strategy_blocks_give_config_exit(tmp_path, canon_2a, capsys,
                                                                 mutate, msg):
     """A strategy file gives each agent and each of its times exactly once:
@@ -710,7 +742,8 @@ def test_incomplete_strategy_file_gives_config_exit(tmp_path, canon_2a, capsys, 
 
 
 @pytest.mark.parametrize("command", ["filter", "solve", "falsify"])
-@pytest.mark.parametrize("key", ["c(0/1;1/0;1/1)p(7/)", "c(0/1;1/0)p(7/)", "c(0/1;1/2)p(1/)"])
+@pytest.mark.parametrize("key", ["c(0/1;1/0;1/1)p(7/)", "c(0/1;1/0)p(7/)", "c(0/1;1/2)p(1/)",
+                                 "x(0/)p(0/)"])
 def test_strategy_key_outside_the_model_gives_config_exit(tmp_path, canon_2a, capsys,
                                                           command, key):
     """A key naming more agents than the model, or a symbol outside an

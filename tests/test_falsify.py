@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
-from conftest import five_profiles, markov_grouping_model, random_model
-from delaypbp import oracle
+from conftest import (deterministic_chain, five_profiles, markov_grouping_model, random_model,
+                      sparse_model)
+from delaypbp import falsify, oracle
+from delaypbp.errors import UnreachableError
 from delaypbp.falsify import (check_conditional_independence,
                               check_conditional_markov, check_k1_reduction,
                               check_payoff_identity, check_policy_independence,
                               make_report)
-from delaypbp.model import ModelSpec, uniform_observation_variant
+from delaypbp.model import K1_TOL, ModelSpec, uniform_observation_variant
 from delaypbp.strategies import (constant_profile, observation_following_profile,
                                  random_profile)
 
@@ -181,6 +183,50 @@ def test_k1_reduction_perfect_observation():
         terminal_cost=[0.0, 0.0])
     rep = check_k1_reduction(spec)
     assert rep.max_gap == 0.0
+
+
+def test_k1_reduction_reports_a_branch_only_the_recursion_reaches(canon_1, monkeypatch):
+    """A textbook filter that calls a reached branch unreachable is a 1.0
+    gap, not an error; that branch's subtree has no filter to compare."""
+    real = falsify.classical_filter_update
+
+    def update(spec, pi, u, y_next, t):
+        if (t, u, y_next) == (1, 0, 1):
+            raise UnreachableError("patched")
+        return real(spec, pi, u, y_next, t)
+
+    monkeypatch.setattr(falsify, "classical_filter_update", update)
+    rep = check_k1_reduction(canon_1)
+    assert rep.max_gap == 1.0
+    assert rep.witness == "y0=0,u=0,y=0,u=0,y=1 (reachability disagrees)"
+    assert not any(w.startswith("y0=0,u=0,y=0,u=0,y=1,") for w, _ in rep.gaps)
+
+
+def test_k1_reduction_reports_a_branch_only_the_filter_reaches(monkeypatch):
+    """Where the deterministic chain's filter raises, a filter that returns
+    a uniform vector reaches a branch the recursion does not: a 1.0 gap."""
+    chain = deterministic_chain()
+    real = falsify.classical_filter_update
+
+    def update(spec, pi, u, y_next, t):
+        try:
+            return real(spec, pi, u, y_next, t)
+        except UnreachableError:
+            return np.full(spec.state_size, 1.0 / spec.state_size)
+
+    monkeypatch.setattr(falsify, "classical_filter_update", update)
+    rep = check_k1_reduction(chain)
+    assert rep.max_gap == 1.0
+    assert len([w for w, _ in rep.gaps if w.endswith("(reachability disagrees)")]) == 6
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_k1_reduction_agrees_on_sparse_single_agent_models(seed):
+    """Zero kernel entries: the recursion and the filter drop the same
+    branches (seed 0 cannot reach its first observation 0)."""
+    rep = check_k1_reduction(sparse_model(seed, 1, 1, 3))
+    assert rep.max_gap <= K1_TOL
+    assert not any(w.endswith("(reachability disagrees)") for w, _ in rep.gaps)
 
 
 def test_k1_reduction_requires_single_agent(canon_2a):

@@ -243,6 +243,7 @@ def test_step_tables_are_shared_per_model_and_agent():
     again = BeliefPass(spec, 0, observation_following_profile(spec))
     assert again.tables is first.tables
     assert BeliefPass(spec, 1, first.g).tables is not first.tables
+    assert len(first.tables) == spec.T  # one table per step, none at the horizon
     arrays = [a for tab in first.tables for value in vars(tab).values()
               for a in (value if isinstance(value, tuple) else (value,))
               if isinstance(a, np.ndarray)]

@@ -14,8 +14,9 @@ import pytest
 
 import reference_recursion as ref
 from conftest import SHAPES, random_model, sparse_model
-from delaypbp import canonical_instance, dp
+from delaypbp import dp
 from delaypbp.filtering import BeliefPass
+from delaypbp.model import canonical_instance
 from delaypbp.strategies import (constant_profile, observation_following_profile,
                                  random_profile)
 

@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from conftest import random_model, sparse_model
-from delaypbp import canonical_instance, validate_model
 from delaypbp.errors import ModelFormatError
-from delaypbp.model import (CANONICAL_NAMES, ModelSpec, load_model,
-                            model_to_dict, save_model,
-                            uniform_observation_variant)
+from delaypbp.model import (CANONICAL_NAMES, ModelSpec, canonical_instance, load_model,
+                            model_to_dict, save_model, uniform_observation_variant,
+                            validate_model)
 
 
 @pytest.mark.parametrize("name", CANONICAL_NAMES)

@@ -2,20 +2,23 @@ import ast
 import collections
 import itertools
 import math
+import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from conftest import (SHAPES, deterministic_chain, five_profiles, random_model, rows_at,
                       sparse_model)
-from delaypbp import canonical_instance, cli, falsify, oracle
+from delaypbp import cli, falsify, oracle
 from delaypbp.dp import expected_value, solve_best_response, verify_value_dominance
 from delaypbp.errors import IncompleteStrategyError, InstanceTooLargeError, UnreachableError
 from delaypbp.falsify import check_conditional_independence, make_report
 from delaypbp.filtering import BeliefPass
 from delaypbp.info import grid_size, history_code, lambda_labels, realization_key
-from delaypbp.model import ModelSpec
+from delaypbp.model import ModelSpec, canonical_instance
 from delaypbp.oracle import (RealizationTree, _best_response, brute_force_best_response,
                              enumerate_cost, posteriors, verify_pbp, walk)
 from delaypbp.strategies import (StrategyProfile, constant_profile,
@@ -53,14 +56,14 @@ def leaf_masses(spec, g, key, t):
 
 # --- the leaf measure ---------------------------------------------------------
 
-def test_atom_masses_form_probability_measure(canon_2a, canon_1):
+def test_walk_leaf_masses_form_a_probability_measure(canon_2a, canon_1):
     for spec in (canon_2a, canon_1):
         for _, g in five_profiles(spec):
             total = sum(leaf_masses(spec, g, lambda xs, obs, acts: (), spec.T).values())
             assert abs(total - 1.0) <= 1e-10
 
 
-def test_atoms_have_consistent_shapes(canon_2a):
+def test_walk_blocks_have_consistent_shapes(canon_2a):
     g = constant_profile(canon_2a, 0)
     lengths = []
     for t, xs, obs, acts, mass, cost in walk(canon_2a, g):
@@ -379,14 +382,14 @@ def test_enumerate_cost_equals_reference_recursion_bitwise(K, n, T, sizes):
 
 # --- conditional distributions as group-bys over one walk ---------------------
 
-def test_conditional_pmf_recovers_init(canon_2a):
+def test_walk_group_by_initial_state_recovers_the_prior(canon_2a):
     g = constant_profile(canon_2a, 0)
     masses = leaf_masses(canon_2a, g, lambda xs, obs, acts: xs[0], 0)
     for x in range(2):
         assert masses[x] == pytest.approx(canon_2a.init_dist[x], abs=1e-12)
 
 
-def test_conditional_pmf_reads_back_kernel_row(canon_2a):
+def test_walk_group_by_reads_back_an_observation_kernel_row(canon_2a):
     g = constant_profile(canon_2a, 0)
     joint = leaf_masses(canon_2a, g, lambda xs, obs, acts: (xs[0], obs[1][0]), 0)
     marg = leaf_masses(canon_2a, g, lambda xs, obs, acts: xs[0], 0)
@@ -396,7 +399,7 @@ def test_conditional_pmf_reads_back_kernel_row(canon_2a):
                                                           abs=1e-12)
 
 
-def test_conditional_pmf_marginal_consistency(canon_2a):
+def test_walk_group_bys_have_consistent_marginals(canon_2a):
     g = observation_following_profile(canon_2a)
     joint = leaf_masses(canon_2a, g, lambda xs, obs, acts: (xs[1], obs[0][1]), 1)
     marg = leaf_masses(canon_2a, g, lambda xs, obs, acts: xs[1], 1)
@@ -405,7 +408,7 @@ def test_conditional_pmf_marginal_consistency(canon_2a):
         assert s == pytest.approx(marg[x], abs=1e-12)
 
 
-def test_conditional_pmf_matches_posterior(canon_2a):
+def test_walk_group_by_realization_matches_the_posterior(canon_2a):
     """The extended-state law given a realization, conditioned on a walk in
     which agent 0 follows the profile, equals the posterior from the walk
     with agent 0 free; the posteriors computed with agent 0 following the
@@ -651,3 +654,15 @@ def test_oracle_module_boundary():
                 if isinstance(node, ast.ImportFrom) and not node.level}
     assert "numpy" in modules  # the parser does see the imports
     assert "dataclasses" not in modules, modules
+
+
+def test_importing_the_oracle_loads_no_filter_or_dp():
+    """A fresh interpreter that imports the oracle loads only the modules
+    the oracle imports: the package's top level pulls in nothing more."""
+    code = ("import sys, delaypbp.oracle; "
+            "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'delaypbp')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(SRC.parent)}).stdout.split()
+    assert "delaypbp.oracle" in out  # the probe does see the loaded modules
+    assert set(out) <= {"delaypbp", "delaypbp.model", "delaypbp.info", "delaypbp.errors",
+                        "delaypbp.oracle"}, out
