@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import oracle
 from .errors import UnreachableError
 from .filtering import BeliefPass, Layer, seq_sum
 from .info import grid_size
@@ -138,11 +137,11 @@ def pbp_sweep(spec: ModelSpec, g_init: StrategyProfile, max_rounds: int,
     return g, trace, converged
 
 
-def verify_value_dominance(tree: oracle.RealizationTree, vtable: ValueTable, maps_k
+def verify_value_dominance(tree, vtable: ValueTable, maps_k
                            ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Table values beside the enumerated conditional cost-to-go of agent
     k's alternative per-time strategy arrays maps_k, read off agent k's
-    realization tree against the profile the table was solved for: per t,
+    `oracle.RealizationTree` for the profile the table was solved for: per t,
     (codes, table values, alternative values), codes increasing as in
     `cost_to_go`.
 

@@ -27,7 +27,6 @@ reduction reads the newest own observation off it.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,33 +39,14 @@ from .model import COMPARE_TOL, ModelSpec
 from .strategies import StrategyProfile
 
 
-@dataclass(frozen=True)
-class GapReport:
-    """Per-realization gaps for one checked quantity. max_gap is the
-    maximum over the listed gaps and witness is a label of a realization
-    attaining it (None when nothing was checked)."""
-
-    quantity: str
-    gaps: tuple[tuple[str, float], ...]
-    max_gap: float
-    witness: str | None
-
-    def to_dict(self) -> dict:
-        return {
-            "quantity": self.quantity,
-            "max_gap": self.max_gap,
-            "witness": self.witness,
-            "gaps": [{"where": w, "gap": g} for w, g in self.gaps],
-        }
-
-
-def make_report(quantity: str, gaps: list[tuple[str, float]]) -> GapReport:
+def make_report(quantity: str, gaps: list[tuple[str, float]]) -> dict:
+    """One quantity's report document: its gaps sorted by label, their
+    maximum and a label attaining it (0.0 and None if none were checked)."""
     gaps = sorted((w, float(g)) for w, g in gaps)
-    if not gaps:
-        return GapReport(quantity=quantity, gaps=(), max_gap=0.0, witness=None)
-    max_gap = max(g for _, g in gaps)
-    witness = next(w for w, g in gaps if g == max_gap)
-    return GapReport(quantity=quantity, gaps=tuple(gaps), max_gap=max_gap, witness=witness)
+    max_gap = max((g for _, g in gaps), default=0.0)
+    return {"quantity": quantity, "max_gap": max_gap,
+            "witness": next((w for w, g in gaps if g == max_gap), None),
+            "gaps": [{"where": w, "gap": g} for w, g in gaps]}
 
 
 # ---------------------------------------------------------------------------
@@ -87,7 +67,7 @@ def _conditional(group: np.ndarray, cell: np.ndarray, width: int, mass: np.ndarr
     return groups, at, pairs % width, per_pair / per_group[at]
 
 
-def check_conditional_independence(spec: ModelSpec, g_full, k: int, t: int) -> GapReport:
+def check_conditional_independence(spec: ModelSpec, g_full, k: int, t: int) -> dict:
     """Measure, per positive-probability (x_t, shared block, private block),
     the distance between the law of the other agents' just-shared symbols
     given that triple and given the information alone.
@@ -132,7 +112,7 @@ def check_conditional_independence(spec: ModelSpec, g_full, k: int, t: int) -> G
 # ---------------------------------------------------------------------------
 
 def check_policy_independence(spec: ModelSpec, g_a: StrategyProfile,
-                              g_b: StrategyProfile, k: int) -> GapReport:
+                              g_b: StrategyProfile, k: int) -> dict:
     """The posterior given a realization must not depend on agent k's own
     strategy: compare the oracle posterior under two profiles that differ
     only in agent k, over the realizations reachable under both.
@@ -183,10 +163,10 @@ def _next_posterior_laws(spec: ModelSpec, g_full, k: int,
 
 
 def _bucket(reps: list[np.ndarray], v: np.ndarray, tol: float) -> int:
-    """First fit: the index of the first representative of v's shape within
-    tol of v in max-abs, else v's index as a new last representative."""
+    """First fit: the index of the first representative within tol of v in
+    max-abs, else v's index as a new last representative."""
     for i, rep in enumerate(reps):
-        if v.shape == rep.shape and float(np.max(np.abs(rep - v))) <= tol:
+        if float(np.max(np.abs(rep - v))) <= tol:
             return i
     reps.append(v)
     return len(reps) - 1
@@ -206,7 +186,7 @@ def _distribution_gap(da, db, tol: float) -> float:
 
 
 def check_conditional_markov(spec: ModelSpec, g_full, k: int,
-                             tol: float = COMPARE_TOL) -> GapReport:
+                             tol: float = COMPARE_TOL) -> dict:
     """Group the positive-probability pasts by their induced (posterior,
     shared block, current action) and require that all pasts in a group
     induce the same law for the next posterior.
@@ -240,7 +220,7 @@ def check_conditional_markov(spec: ModelSpec, g_full, k: int,
 # Single-agent reduction to the textbook filter.
 # ---------------------------------------------------------------------------
 
-def check_k1_reduction(spec: ModelSpec) -> GapReport:
+def check_k1_reduction(spec: ModelSpec) -> dict:
     """Walk every positive-probability (action, observation) history of a
     single-agent model and compare the recursion's state marginal against
     the chained textbook filter. Branches must agree on reachability; a
@@ -291,7 +271,7 @@ def check_k1_reduction(spec: ModelSpec) -> GapReport:
 # Payoff identity: belief-form cost vs raw enumeration.
 # ---------------------------------------------------------------------------
 
-def check_payoff_identity(spec: ModelSpec, g_full: StrategyProfile) -> GapReport:
+def check_payoff_identity(spec: ModelSpec, g_full: StrategyProfile) -> dict:
     """|cost written through agent k's posteriors - enumerated cost| per agent."""
     reference = oracle.enumerate_cost(spec, g_full)
     gaps = []

@@ -8,11 +8,11 @@ lambda) float array whose lambda index is the mixed radix over the other
 agents' private codes. `BeliefPass` computes it by a one-step recursion
 that conditions on agent k's new observation, its own action, and the
 symbols newly revealed into the shared block; it must reproduce
-`oracle.posteriors`, which stacks its beliefs as a layer does, row by row
-along increasing codes, and, for a single agent, the textbook filter
-(`classical_filter_update`) kept here. Zero-probability continuations are
-left out rather than returned as non-distributions. Layers are keyed by
-realization code; only the report writer decodes.
+`oracle.posteriors`, which stacks beliefs row by row along increasing
+codes (a layer keeps expansion order), and, for a single agent, the
+textbook filter (`classical_filter_update`) kept here. Zero-probability
+continuations are left out rather than returned as non-distributions.
+Layers are keyed by realization code; only the report writer decodes.
 
 `BeliefPass.expand` is the one forward expansion, one time layer at a
 time, with agent k's own action either free (the best-response DP, the

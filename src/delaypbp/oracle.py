@@ -10,8 +10,8 @@ a group-by over one walk keyed by agent k's realization codes, an
 of a walk one history at a time: expected costs (the histories of length
 T), posteriors over the extended state at every t, and agent k's
 realization tree, which gives its cost-to-go under any strategy and its
-best response, each per realization as a filter layer holds it: increasing
-codes and arrays aligned to them row by row. No belief recursion: this is
+best response, each per realization as increasing codes and arrays
+aligned to them row by row. No belief recursion: this is
 the reference the filter and the dynamic program are checked against, so
 it imports only the model and information-pattern primitives.
 """
@@ -316,21 +316,15 @@ def brute_force_best_response(spec: ModelSpec, k: int, g_minus_k):
 
 
 @dataclass(frozen=True)
-class AgentStationarity:
-    agent: int
-    best_response_value: float
-    gap: float
-    stationary: bool
-
-
-@dataclass(frozen=True)
 class PbPReport:
+    """The enumerated cost; per agent {agent, best_response_value, gap, stationary}."""
+
     cost: float
-    agents: tuple[AgentStationarity, ...]
+    agents: tuple[dict, ...]
 
     @property
     def all_stationary(self) -> bool:
-        return all(a.stationary for a in self.agents)
+        return all(a["stationary"] for a in self.agents)
 
 
 def verify_pbp(spec: ModelSpec, g_full, tol: float = COMPARE_TOL) -> PbPReport:
@@ -342,6 +336,6 @@ def verify_pbp(spec: ModelSpec, g_full, tol: float = COMPARE_TOL) -> PbPReport:
     for k in range(spec.K):
         bf_value, _ = brute_force_best_response(spec, k, g_full)
         gap = cost - bf_value
-        rows.append(AgentStationarity(agent=k, best_response_value=bf_value,
-                                      gap=gap, stationary=gap <= tol))
+        rows.append({"agent": k, "best_response_value": bf_value,
+                     "gap": gap, "stationary": gap <= tol})
     return PbPReport(cost=cost, agents=tuple(rows))

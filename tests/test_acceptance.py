@@ -59,8 +59,8 @@ def test_criterion_2_strategy_independence():
         ]
         for alt in alternatives:
             rep = check_policy_independence(spec, base, base.with_agent(0, alt), 0)
-            assert rep.gaps, "empty shared reachable set"
-            worst = max(worst, rep.max_gap)
+            assert rep["gaps"], "empty shared reachable set"
+            worst = max(worst, rep["max_gap"])
             pairs += 1
     report(2, "posteriors are strategy-independent (exactly zero gaps)",
            worst == 0.0 and pairs >= 9, f"{pairs} profile pairs, max gap {worst!r}")
@@ -72,8 +72,8 @@ def test_criterion_3_conditional_markov():
     for k in range(spec.K):
         rep = check_conditional_markov(spec, observation_following_profile(spec), k,
                                        tol=COMPARE_TOL)
-        worst = max(worst, rep.max_gap)
-        groups += len(rep.gaps)
+        worst = max(worst, rep["max_gap"])
+        groups += len(rep["gaps"])
     report(3, "posterior process is conditionally Markov on CANON-2A",
            worst <= COMPARE_TOL and groups > 0,
            f"{groups} groups, max gap {worst:.3e}")
@@ -83,8 +83,8 @@ def test_criterion_4_single_agent_reduction():
     spec = canonical_instance("CANON-1")
     rep = check_k1_reduction(spec)
     report(4, "K=1 recursion reproduces the classical filter on CANON-1",
-           rep.max_gap <= 1e-12 and len(rep.gaps) == 170,
-           f"{len(rep.gaps)} histories, max gap {rep.max_gap:.3e}")
+           rep["max_gap"] <= 1e-12 and len(rep["gaps"]) == 170,
+           f"{len(rep['gaps'])} histories, max gap {rep['max_gap']:.3e}")
 
 
 def test_criterion_5_payoff_identity():
@@ -166,7 +166,7 @@ def test_criterion_8_pbp_certification():
            converged and monotone and cert.all_stationary
            and len(trace) <= 32 * spec.K,
            f"{len(trace)} replacements, final cost {trace[-1]:.6f}, "
-           f"gaps {[f'{a.gap:.1e}' for a in cert.agents]}")
+           f"gaps {[format(a['gap'], '.1e') for a in cert.agents]}")
 
 
 def test_criterion_9_conditional_independence_falsified():
@@ -176,11 +176,11 @@ def test_criterion_9_conditional_independence_falsified():
     flat = uniform_observation_variant(spec)
     rep_flat = check_conditional_independence(flat, observation_following_profile(flat),
                                               0, 1)
-    print(f"    witness realization: {rep.witness} (gap {rep.max_gap:.6f})")
+    print(f"    witness realization: {rep['witness']} (gap {rep['max_gap']:.6f})")
     report(9, "fresh shared data is NOT conditionally independent of the state",
-           rep.max_gap > 0.01 and rep.witness is not None
-           and rep_flat.max_gap <= 1e-12,
-           f"gap {rep.max_gap:.4f} vs uniform-obs {rep_flat.max_gap:.1e}")
+           rep["max_gap"] > 0.01 and rep["witness"] is not None
+           and rep_flat["max_gap"] <= 1e-12,
+           f"gap {rep['max_gap']:.4f} vs uniform-obs {rep_flat['max_gap']:.1e}")
 
 
 def test_criterion_10_deterministic_reports(tmp_path):

@@ -12,9 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_model
-from delaypbp import oracle
-from delaypbp.cli import (EXIT_CONFIG, EXIT_OK, EXIT_TOLERANCE, RunConfig, cmd_solve, main,
-                          parse_args, run)
+from delaypbp import falsify, oracle
+from delaypbp.cli import (EXIT_CONFIG, EXIT_OK, EXIT_TOLERANCE, RunConfig, cmd_falsify, cmd_pbp,
+                          cmd_solve, main, parse_args, run)
 from delaypbp.dp import solve_best_response
 from delaypbp.errors import ModelFormatError
 from delaypbp.falsify import check_conditional_independence
@@ -190,9 +190,9 @@ def test_falsify_gates_two_step_sharing_on_an_action_blind_variant(tmp_path):
             observations_blind = dataclasses.replace(uniform_observation_variant(spec),
                                                      transition=spec.transition)
             assert check_conditional_independence(observations_blind, g, k,
-                                                  T - 1).max_gap > 0.01
+                                                  T - 1)["max_gap"] > 0.01
             assert check_conditional_independence(uniform_observation_variant(spec), g, k,
-                                                  T - 1).max_gap <= K1_TOL
+                                                  T - 1)["max_gap"] <= K1_TOL
     spec = random_model(3, 2, 2, 2, 2)
     path = tmp_path / "k2n2t2.json"
     save_model(spec, path)
@@ -204,6 +204,44 @@ def test_falsify_gates_two_step_sharing_on_an_action_blind_variant(tmp_path):
         gated = next(e for e in checks if e["check"] == "conditional-independence-uniform-obs")
         assert gated["pass"] and gated["tolerance"] == K1_TOL
         assert gated["report"]["max_gap"] <= K1_TOL
+
+
+def test_reports_hold_the_check_documents_as_returned(monkeypatch):
+    """One representation per result: each falsify entry's report is what its
+    check returned, and pbp's certification is verify_pbp's document plus
+    all_stationary."""
+    returned = {}
+
+    def record(module, fn_name):
+        fn = getattr(module, fn_name)
+
+        def wrapped(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            returned.setdefault(fn_name, []).append(out)
+            return out
+        monkeypatch.setattr(module, fn_name, wrapped)
+
+    checks = {"conditional-independence": "check_conditional_independence",
+              "conditional-independence-uniform-obs": "check_conditional_independence",
+              "policy-independence": "check_policy_independence",
+              "conditional-markov": "check_conditional_markov",
+              "payoff-identity": "check_payoff_identity"}
+    for fn_name in set(checks.values()):
+        record(falsify, fn_name)
+    record(oracle, "verify_pbp")
+    for name, spec in (("CANON-2B", canonical_instance("CANON-2B")),
+                       ("k2n2t2", random_model(3, 2, 2, 2, 2))):
+        returned.clear()
+        doc, _ = cmd_falsify(spec, name, RunConfig(command="falsify", agent=0))
+        entries = [e for e in doc["results"] if "report" in e]
+        assert len(entries) == 7  # single-agent reduction skipped at K = 2
+        for e in entries:
+            assert e["report"] == returned[checks[e["check"]]].pop(0), e["check"]
+        assert not any(returned.values())
+        doc, _ = cmd_pbp(spec, name, RunConfig(command="pbp"))
+        (rep,) = returned["verify_pbp"]
+        assert doc["results"][0]["certification"] == {
+            "cost": rep.cost, "agents": rep.agents, "all_stationary": rep.all_stationary}
 
 
 def test_solve_best_actions_and_verify_rows_on_a_saved_model(tmp_path):

@@ -32,39 +32,40 @@ def single_state_model():
 
 def test_gap_report_bookkeeping():
     rep = make_report("demo", [("b", 0.25), ("a", 0.5), ("c", 0.1)])
-    assert rep.max_gap == 0.5
-    assert rep.witness == "a"
-    assert rep.gaps == (("a", 0.5), ("b", 0.25), ("c", 0.1))
-    assert all(g >= 0 for _, g in rep.gaps)
+    assert rep["max_gap"] == 0.5
+    assert rep["witness"] == "a"
+    assert rep["gaps"] == [{"where": "a", "gap": 0.5}, {"where": "b", "gap": 0.25},
+                           {"where": "c", "gap": 0.1}]
+    assert all(e["gap"] >= 0 for e in rep["gaps"])
 
 
 def test_conditional_independence_fails_on_canon_2b(canon_2b):
     g = observation_following_profile(canon_2b)
     rep = check_conditional_independence(canon_2b, g, 0, 1)
-    assert rep.max_gap > 0.01
-    assert rep.witness is not None
-    assert rep.max_gap == pytest.approx(CANON_2B_INDEPENDENCE_GAP, abs=1e-9)
+    assert rep["max_gap"] > 0.01
+    assert rep["witness"] is not None
+    assert rep["max_gap"] == pytest.approx(CANON_2B_INDEPENDENCE_GAP, abs=1e-9)
 
 
 def test_conditional_independence_holds_without_state_information(canon_2b):
     flat = uniform_observation_variant(canon_2b)
     g = observation_following_profile(flat)
     rep = check_conditional_independence(flat, g, 0, 1)
-    assert rep.max_gap <= 1e-12
+    assert rep["max_gap"] <= 1e-12
 
 
 def test_conditional_independence_trivial_single_state():
     spec = single_state_model()
     g = observation_following_profile(spec)
     rep = check_conditional_independence(spec, g, 0, 1)
-    assert rep.max_gap <= 1e-15
+    assert rep["max_gap"] <= 1e-15
 
 
 def test_conditional_independence_also_positive_on_canon_2a(canon_2a):
     # the effect is generic, not an artifact of the tuned instance
     g = observation_following_profile(canon_2a)
     rep = check_conditional_independence(canon_2a, g, 0, 1)
-    assert rep.max_gap > 0.01
+    assert rep["max_gap"] > 0.01
 
 
 def test_conditional_independence_rejects_pre_sharing_times(canon_2b):
@@ -106,14 +107,14 @@ def test_policy_independence_exact_zero(instance, request):
     ]
     for alt in variants:
         rep = check_policy_independence(spec, base, base.with_agent(0, alt), 0)
-        assert rep.gaps, "no shared reachable realizations"
-        assert rep.max_gap == 0.0
+        assert rep["gaps"], "no shared reachable realizations"
+        assert rep["max_gap"] == 0.0
 
 
 def test_policy_independence_identical_profiles(canon_2a):
     g = observation_following_profile(canon_2a)
     rep = check_policy_independence(canon_2a, g, g, 0)
-    assert rep.max_gap == 0.0
+    assert rep["max_gap"] == 0.0
 
 
 def test_policy_independence_rejects_other_agent_changes(canon_2a):
@@ -130,7 +131,7 @@ def test_policy_independence_rejects_other_agent_changes(canon_2a):
             check_policy_independence(canon_2a, g_a, g_c, 0)
     # equal arrays, copied by with_agent, are the same strategy
     same = g_a.with_agent(1, g_a.maps[1])
-    assert check_policy_independence(canon_2a, g_a, same, 0).max_gap == 0.0
+    assert check_policy_independence(canon_2a, g_a, same, 0)["max_gap"] == 0.0
 
 
 # --- conditional Markov property --------------------------------------------------
@@ -138,8 +139,8 @@ def test_policy_independence_rejects_other_agent_changes(canon_2a):
 def test_conditional_markov_on_canon_2a(canon_2a):
     for k in range(2):
         rep = check_conditional_markov(canon_2a, observation_following_profile(canon_2a), k)
-        assert rep.gaps
-        assert rep.max_gap <= 1e-10
+        assert rep["gaps"]
+        assert rep["max_gap"] <= 1e-10
 
 
 def test_conditional_markov_groups_are_nontrivial():
@@ -149,9 +150,9 @@ def test_conditional_markov_groups_are_nontrivial():
     spec = markov_grouping_model()
     g = constant_profile(spec, 0)
     rep = check_conditional_markov(spec, g, 0)
-    sizes = [label.count("c(") for label, _ in rep.gaps]
+    sizes = [e["where"].count("c(") for e in rep["gaps"]]
     assert max(sizes) >= 2
-    assert rep.max_gap <= 1e-10
+    assert rep["max_gap"] <= 1e-10
 
 
 def test_conditional_markov_single_decision(canon_2a):
@@ -160,17 +161,17 @@ def test_conditional_markov_single_decision(canon_2a):
     spec = truncate_to_t1(canon_2a)
     rep = check_conditional_markov(spec, observation_following_profile(spec), 0)
     # only the t=0 -> 1 transition exists; all groups must still be tight
-    assert all(label.startswith("t=0") for label, _ in rep.gaps)
-    assert rep.max_gap <= 1e-10
+    assert all(e["where"].startswith("t=0") for e in rep["gaps"])
+    assert rep["max_gap"] <= 1e-10
 
 
 # --- single-agent reduction --------------------------------------------------------
 
 def test_k1_reduction_on_canon_1(canon_1):
     rep = check_k1_reduction(canon_1)
-    assert rep.max_gap <= 1e-12
+    assert rep["max_gap"] <= 1e-12
     # every reachable run of the T=3 binary tree is visited
-    assert len(rep.gaps) == 2 + 8 + 32 + 128
+    assert len(rep["gaps"]) == 2 + 8 + 32 + 128
 
 
 def test_k1_reduction_perfect_observation():
@@ -182,7 +183,7 @@ def test_k1_reduction_perfect_observation():
         observation=[(q,)] * 3, stage_cost=[[[0.0, 0.0], [0.0, 0.0]]] * 2,
         terminal_cost=[0.0, 0.0])
     rep = check_k1_reduction(spec)
-    assert rep.max_gap == 0.0
+    assert rep["max_gap"] == 0.0
 
 
 def test_k1_reduction_reports_a_branch_only_the_recursion_reaches(canon_1, monkeypatch):
@@ -197,9 +198,9 @@ def test_k1_reduction_reports_a_branch_only_the_recursion_reaches(canon_1, monke
 
     monkeypatch.setattr(falsify, "classical_filter_update", update)
     rep = check_k1_reduction(canon_1)
-    assert rep.max_gap == 1.0
-    assert rep.witness == "y0=0,u=0,y=0,u=0,y=1 (reachability disagrees)"
-    assert not any(w.startswith("y0=0,u=0,y=0,u=0,y=1,") for w, _ in rep.gaps)
+    assert rep["max_gap"] == 1.0
+    assert rep["witness"] == "y0=0,u=0,y=0,u=0,y=1 (reachability disagrees)"
+    assert not any(e["where"].startswith("y0=0,u=0,y=0,u=0,y=1,") for e in rep["gaps"])
 
 
 def test_k1_reduction_reports_a_branch_only_the_filter_reaches(monkeypatch):
@@ -216,8 +217,8 @@ def test_k1_reduction_reports_a_branch_only_the_filter_reaches(monkeypatch):
 
     monkeypatch.setattr(falsify, "classical_filter_update", update)
     rep = check_k1_reduction(chain)
-    assert rep.max_gap == 1.0
-    assert len([w for w, _ in rep.gaps if w.endswith("(reachability disagrees)")]) == 6
+    assert rep["max_gap"] == 1.0
+    assert len([e for e in rep["gaps"] if e["where"].endswith("(reachability disagrees)")]) == 6
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -225,8 +226,8 @@ def test_k1_reduction_agrees_on_sparse_single_agent_models(seed):
     """Zero kernel entries: the recursion and the filter drop the same
     branches (seed 0 cannot reach its first observation 0)."""
     rep = check_k1_reduction(sparse_model(seed, 1, 1, 3))
-    assert rep.max_gap <= K1_TOL
-    assert not any(w.endswith("(reachability disagrees)") for w, _ in rep.gaps)
+    assert rep["max_gap"] <= K1_TOL
+    assert not any(e["where"].endswith("(reachability disagrees)") for e in rep["gaps"])
 
 
 def test_k1_reduction_requires_single_agent(canon_2a):
@@ -240,8 +241,8 @@ def test_payoff_identity_all_instances(canon_2a, canon_2b, canon_1):
     for spec in (canon_2a, canon_2b, canon_1):
         for name, g in five_profiles(spec):
             rep = check_payoff_identity(spec, g)
-            assert rep.max_gap <= 1e-10, name
-            assert len(rep.gaps) == spec.K
+            assert rep["max_gap"] <= 1e-10, name
+            assert len(rep["gaps"]) == spec.K
 
 
 def test_payoff_identity_deterministic_model():
@@ -249,4 +250,4 @@ def test_payoff_identity_deterministic_model():
 
     spec = deterministic_chain()
     rep = check_payoff_identity(spec, constant_profile(spec, 0))
-    assert rep.max_gap <= 1e-15
+    assert rep["max_gap"] <= 1e-15

@@ -602,8 +602,8 @@ def test_verify_pbp_flags_improvable_agent(canon_2a):
     g_bad = g_opt.with_agent(0, [1 - g_opt.maps[0][0], g_opt.maps[0][1]])
     report = verify_pbp(canon_2a, g_bad)
     agent0 = report.agents[0]
-    assert not agent0.stationary
-    assert agent0.gap > 1e-6
+    assert not agent0["stationary"]
+    assert agent0["gap"] > 1e-6
 
 
 # --- the oracle stays independent of the filter and the DP ----------------------
