@@ -132,13 +132,13 @@ def cmd_filter(spec: ModelSpec, name: str, config: RunConfig):
     layers, probs = BeliefPass(spec, k, g).chain()
     results, gaps = [], []
     for t, (codes, refs) in enumerate(oracle.posteriors(spec, g, k, free=False)):
-        order = np.argsort(layers[t].codes)
-        own, beliefs = layers[t].codes[order], layers[t].beliefs[order]
-        for code in own[~np.isin(own, codes, assume_unique=True)][:1].tolist():
-            raise AssertionError(f"t={t}: the oracle lacks {realization_key(spec, k, t, code)}")
-        refs, labels = refs[np.searchsorted(codes, own)], lambda_labels(spec, k, t)
+        own, beliefs, labels = layers[t].codes, layers[t].beliefs, lambda_labels(spec, k, t)
+        if not np.array_equal(own, codes):  # both increase, so one side lacks a code
+            code = int(np.setxor1d(own, codes)[0])
+            side = "oracle" if code in own else "recursion"
+            raise AssertionError(f"t={t}: the {side} lacks {realization_key(spec, k, t, code)}")
         for code, prob, belief, ref, gap in zip(
-                own.tolist(), probs[t][order].tolist(), beliefs, refs,
+                codes.tolist(), probs[t].tolist(), beliefs, refs,
                 np.max(np.abs(beliefs - refs), axis=(1, 2)).tolist()):
             key = realization_key(spec, k, t, code)
             gaps.append({"where": f"t={t} {key}", "gap": gap})
@@ -181,8 +181,8 @@ def cmd_solve(spec: ModelSpec, name: str, config: RunConfig):
     # Code order per t; a node's argmin is its cell of the extracted array.
     table_rows = [{"t": t, "realization": realization_key(spec, k, t, code), "value": value,
                    "best_action": int(g_maps[t][code]) if t < spec.T else None}
-                  for t, (lay, v) in enumerate(zip(vtable.entries, vtable.values)) for code, value
-                  in zip(*(a[np.argsort(lay.codes)].tolist() for a in (lay.codes, v)))]
+                  for t, (lay, v) in enumerate(zip(vtable.entries, vtable.values))
+                  for code, value in zip(lay.codes.tolist(), v.tolist())]
     results = [{"expected_value": expected,
                 "best_response_cost": br_cost,
                 "brute_force": bf_entry,

@@ -90,7 +90,7 @@ def cost_via_beliefs(spec: ModelSpec, g_full: StrategyProfile, k: int) -> float:
 
     Sums, over the realizations reachable under the full profile and
     weighted by their probabilities, the belief-expectation of the stage
-    cost, plus the terminal term, left to right in (time, expansion)
+    cost, plus the terminal term, left to right in (time, code)
     order. Uses only the filter chain (beliefs and step normalizers);
     never enumerates trajectories. The result is the same number for
     every k.
@@ -142,19 +142,17 @@ def verify_value_dominance(tree, vtable: ValueTable, maps_k
     """Table values beside the enumerated conditional cost-to-go of agent
     k's alternative per-time strategy arrays maps_k, read off agent k's
     `oracle.RealizationTree` for the profile the table was solved for: per t,
-    (codes, table values, alternative values), codes increasing as in
-    `cost_to_go`.
+    (codes, table values, alternative values), the table layer's increasing
+    codes, which must be `cost_to_go`'s.
 
     The table must sit weakly below the alternative everywhere; the caller
-    compares. A table realization the enumeration does not reach raises
-    UnreachableError.
+    compares. A layer whose codes are not those the enumeration reaches
+    raises UnreachableError.
     """
     rows = []
     for t, (lay, values, (alt_codes, alt)) in enumerate(
             zip(vtable.entries, vtable.values, tree.cost_to_go(maps_k))):
-        order = np.argsort(lay.codes)
-        codes = lay.codes[order]
-        if not np.isin(codes, alt_codes, assume_unique=True).all():
+        if not np.array_equal(lay.codes, alt_codes):
             raise UnreachableError(f"unreachable realization for agent {tree.k} at t={t}")
-        rows.append((codes, values[order], alt[np.searchsorted(alt_codes, codes)]))
+        rows.append((lay.codes, values, alt))
     return rows

@@ -9,10 +9,10 @@ agents' private codes. `BeliefPass` computes it by a one-step recursion
 that conditions on agent k's new observation, its own action, and the
 symbols newly revealed into the shared block; it must reproduce
 `oracle.posteriors`, which stacks beliefs row by row along increasing
-codes (a layer keeps expansion order), and, for a single agent, the
-textbook filter (`classical_filter_update`) kept here. Zero-probability
-continuations are left out rather than returned as non-distributions.
-Layers are keyed by realization code; only the report writer decodes.
+codes as a layer does, and, for a single agent, the textbook filter
+(`classical_filter_update`) kept here. Zero-probability continuations are
+left out rather than returned as non-distributions. Layers are keyed by
+realization code; only the report writer decodes.
 
 `BeliefPass.expand` is the one forward expansion, one time layer at a
 time, with agent k's own action either free (the best-response DP, the
@@ -21,15 +21,16 @@ time t's nodes as arrays: realization codes, stacked beliefs, the others'
 joint action per (node, lambda) -- one indexed read of each other agent's
 strategy array per layer -- and each node's unique predecessor as (parent
 index, own action, step weight). One `np.bincount` (input order) per layer
-produces every child, in (parent, own action, revealed, y') order, where
-revealed is `info.revealed`'s index of the symbols the others promote; a
-child's cell is its pair's block plus an offset that `step_tables`, built
-once per model, holds. Every mixed radix is `info`'s `radix`, split by its
-`digits`, and the promotion rule is `info`'s. The arithmetic is that of a
-scalar loop over each node's grid: products associate as ((p * T) * q_k) *
-q_j..., every cell accumulates its terms in the C order of (x, lambda, y',
-x', y^{-k}) -- cells of different nodes are disjoint -- and expectations
-sum left to right (`seq_sum`), so no result depends on the batching.
+produces every child in (parent, own action, revealed, y') order, revealed
+being `info.revealed`'s index of the symbols the others promote, and one
+stable sort by code orders the layer; a child's cell is its pair's block
+plus an offset that `step_tables`, built once per model, holds. Every mixed
+radix is `info`'s `radix`, split by its `digits`, and the promotion rule is
+`info`'s. The arithmetic is that of a scalar loop over each node's grid:
+products associate as ((p * T) * q_k) * q_j..., every cell accumulates its
+terms in the C order of (x, lambda, y', x', y^{-k}) -- cells of different
+nodes are disjoint -- and expectations sum left to right (`seq_sum`), so no
+result depends on the batching.
 """
 
 from __future__ import annotations
@@ -114,7 +115,7 @@ def step_tables(spec: ModelSpec, k: int) -> tuple[StepTable, ...]:
 
 @dataclass(frozen=True, eq=False)
 class Layer:
-    """Agent k's nodes at time t in expansion order: codes, read-only
+    """Agent k's nodes at time t along increasing codes: codes, read-only
     (node, state, lambda) beliefs and, before the horizon, the others'
     joint action per (node, lambda), 0 off the support. A node is reached
     from node `parent` of layer t-1 under own action `action` with step
@@ -200,19 +201,19 @@ class BeliefPass:
     def step(self, lay: Layer, own: np.ndarray | None) -> Layer:
         """Layer t+1 from layer t: with own None agent k branches over every
         action, else node i plays own[i]. One kernel call covers every
-        (node, action) pair, so children come in (parent, own action,
-        revealed, y') order; each is reached once."""
+        (node, action) pair; its children, each reached once, are sorted
+        stably by code from (parent, own action, revealed, y') order."""
         spec, k, t = self.spec, self.k, lay.t
         N, A = len(lay), spec.act_sizes[k]
         nodes, us = ((np.repeat(np.arange(N), A), np.tile(np.arange(A), N)) if own is None
                      else (np.arange(N), own))
         pair, group, y, beliefs, weight = self.children(lay, nodes, us)
-        parent, u = nodes[pair], us[pair]
-        codes = next_codes(spec, k, t, lay.codes[parent], u, group, y)
-        ordered = np.sort(codes)
-        if (ordered[1:] == ordered[:-1]).any():
+        codes = next_codes(spec, k, t, lay.codes[nodes[pair]], us[pair], group, y)
+        order = np.argsort(codes, kind="stable")
+        codes, pair = codes[order], pair[order]
+        if (codes[1:] == codes[:-1]).any():
             raise AssertionError("realization reached twice; predecessor not unique")
-        return self.layer(t + 1, codes, beliefs, parent, u, weight)
+        return self.layer(t + 1, codes, beliefs[order], nodes[pair], us[pair], weight[order])
 
     def expand(self, free: bool) -> list[Layer]:
         """The layers t = 0..T of every realization reachable from the

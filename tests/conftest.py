@@ -57,7 +57,7 @@ def others_play(g, common, lam):
 
 
 def layer_nodes(lay):
-    """A layer's nodes as realization code -> belief, in expansion order."""
+    """A layer's nodes as realization code -> belief, in code order."""
     return {int(c): b for c, b in zip(lay.codes, lay.beliefs)}
 
 

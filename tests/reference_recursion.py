@@ -247,8 +247,9 @@ class NodePass:
         return out
 
     def expand(self, free):
-        """(nodes, edges): nodes[t] realization -> belief, edges[t] (realization,
-        action) -> ((successor, step weight), ...), in expansion order."""
+        """(nodes, edges): nodes[t] realization -> belief in `encode` order,
+        edges[t] (realization, action) -> ((successor, step weight), ...) in
+        expansion order."""
         spec, k = self.spec, self.k
         nodes = [dict() for _ in range(spec.T + 1)]
         edges = [dict() for _ in range(spec.T)]
@@ -265,16 +266,18 @@ class NodePass:
                         nodes[t + 1][r1] = b1
                         succ.append((r1, w))
                     edges[t][(r, u)] = tuple(succ)
+            nodes[t + 1] = dict(sorted(nodes[t + 1].items(), key=lambda e: encode(spec, e[0])))
         return nodes, edges
 
     def chain(self):
-        """Per t, realization -> (belief, probability) along g."""
+        """Per t, realization -> (belief, probability) along g, in `encode`
+        order."""
         nodes, edges = self.expand(free=False)
         prob = {r: w for r, _, w in self.start()}
         out = [{r: (b, prob[r]) for r, b in nodes[0].items()}]
         for t in range(self.spec.T):
             prob = {r1: prob[r] * w for (r, _), succ in edges[t].items() for r1, w in succ}
-            out.append({r: (nodes[t + 1][r], p) for r, p in prob.items()})
+            out.append({r: (b, prob[r]) for r, b in nodes[t + 1].items()})
         return out
 
 

@@ -18,6 +18,7 @@ from delaypbp.cli import (EXIT_CONFIG, EXIT_OK, EXIT_TOLERANCE, RunConfig, cmd_f
 from delaypbp.dp import solve_best_response
 from delaypbp.errors import ModelFormatError
 from delaypbp.falsify import check_conditional_independence
+from delaypbp.filtering import BeliefPass
 from delaypbp.info import history_code, parse_realization_key, realization_key
 from delaypbp.model import (CANONICAL_NAMES, K1_TOL, ModelSpec, canonical_instance, model_to_dict,
                             save_model, uniform_observation_variant)
@@ -137,6 +138,27 @@ def test_filter_raises_where_the_oracle_lacks_a_chain_realization(tmp_path, monk
     with pytest.raises(AssertionError, match=r"t=1: the oracle lacks c\(") as err:
         run(RunConfig(command="filter", model="CANON-2B", agent=1, out=str(tmp_path)))
     assert str(err.value) == f"t=1: the oracle lacks {missing[0]}"
+
+
+def test_filter_raises_where_the_recursion_lacks_an_oracle_realization(tmp_path, monkeypatch):
+    """With one time-1 node dropped from the chain, the filter command names
+    the realization the recursion lacks instead of comparing what is left."""
+    whole = BeliefPass.chain
+
+    def short(self):
+        layers, probs = whole(self)
+        lay = layers[1]
+        layers[1] = dataclasses.replace(lay, codes=np.delete(lay.codes, 3),
+                                        beliefs=np.delete(lay.beliefs, 3, axis=0))
+        probs[1] = np.delete(probs[1], 3)
+        missing.append(realization_key(self.spec, self.k, 1, int(lay.codes[3])))
+        return layers, probs
+
+    missing = []
+    monkeypatch.setattr(BeliefPass, "chain", short)
+    with pytest.raises(AssertionError, match=r"t=1: the recursion lacks c\(") as err:
+        run(RunConfig(command="filter", model="CANON-2B", agent=1, out=str(tmp_path)))
+    assert str(err.value) == f"t=1: the recursion lacks {missing[0]}"
 
 
 def test_solve_command_cross_checks_brute_force(tmp_path):

@@ -3,10 +3,11 @@
 `reference_recursion` keeps the per-node path: one kernel call per (node,
 own action), realizations built from nested tuples, and a backward pass
 with one stage and terminal value per node. On the canonical instances,
-on every benchmark ladder and sweep shape and on two sparse draws, the
-layers must give the same nodes in the same order and the same floats bit for bit: value
-tables, argmins, beliefs, chain probabilities, the belief-form cost and
-the best-response sweep's trace.
+on every benchmark ladder and sweep shape, on K = 3 with n = 2 and on
+n = 3 (where promotion interleaves most) and on two sparse draws, the
+layers must give the same nodes in the same (code) order and the same
+floats bit for bit: value tables, argmins, beliefs, chain probabilities,
+the belief-form cost and the best-response sweep's trace.
 """
 
 import numpy as np
@@ -22,8 +23,8 @@ from delaypbp.strategies import (constant_profile, observation_following_profile
 
 # The sparse draws (zero kernel entries, unequal alphabets) each reach one
 # first observation of agent 0 out of several, so the time-0 layer drops rows.
-MODELS = ["CANON-2A", "CANON-2B", "CANON-1", *SHAPES, ("sparse", 5, 2, 1, 2),
-          ("sparse", 0, 1, 1, 3)]
+MODELS = ["CANON-2A", "CANON-2B", "CANON-1", *SHAPES, (3, 2, 3, 2), (2, 3, 4, 2),
+          ("sparse", 5, 2, 1, 2), ("sparse", 0, 1, 1, 3)]
 
 
 def model(name):
@@ -46,7 +47,7 @@ def bits(values) -> bytes:
 
 
 def assert_same_nodes(spec, k, ref_nodes, codes, beliefs):
-    """ref_nodes (realization -> belief, in expansion order) are the layer's
+    """ref_nodes (realization -> belief, in `encode` order) are the layer's
     codes and beliefs, in the same order and to the bit."""
     assert [ref.encode(spec, r) for r in ref_nodes] == codes.tolist()
     assert bits(list(ref_nodes.values())) == bits(beliefs)
@@ -62,6 +63,7 @@ def test_value_tables_and_argmins_equal_the_per_node_pass_bitwise(name):
                 zip(vtable.entries, vtable.values, ref_entries)):
             assert_same_nodes(spec, k, {r: b for r, (_, b, _) in ref_entry.items()},
                               lay.codes, lay.beliefs)
+            assert np.all(np.diff(lay.codes) > 0)
             assert bits([v for v, _, _ in ref_entry.values()]) == bits(values)
             if t < spec.T:
                 assert [u for _, _, u in ref_entry.values()] == maps[t][lay.codes].tolist()
@@ -79,6 +81,7 @@ def test_chain_and_belief_form_cost_equal_the_per_node_pass_bitwise(name):
         for lay, prob, ref_layer in zip(layers, probs, ref_chain):
             assert_same_nodes(spec, k, {r: b for r, (b, _) in ref_layer.items()},
                               lay.codes, lay.beliefs)
+            assert np.all(np.diff(lay.codes) > 0)
             assert bits([p for _, p in ref_layer.values()]) == bits(prob)
         assert bits(dp.cost_via_beliefs(spec, g, k)) == bits(ref.cost_via_beliefs(spec, g, k))
 

@@ -255,7 +255,7 @@ def test_per_realization_results_are_rows_along_increasing_codes(name):
                 assert codes.dtype == np.int64 and np.all(np.diff(codes) > 0), (k, free, t)
                 assert beliefs.shape[0] == len(codes) and not beliefs.flags.writeable
                 assert np.max(np.abs(beliefs.sum(axis=(1, 2)) - 1.0)) <= 1e-15, (k, free, t)
-                assert free or np.array_equal(codes, np.sort(chain[t].codes)), (k, t)
+                assert free or np.array_equal(codes, chain[t].codes), (k, t)
         for t, (codes, values) in enumerate(RealizationTree(spec, k, g).cost_to_go(g.maps[k])):
             assert np.all(np.diff(codes) > 0) and values.shape == codes.shape, (k, t)
 
