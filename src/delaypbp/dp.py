@@ -110,9 +110,13 @@ def pbp_sweep(spec: ModelSpec, g_init: StrategyProfile, max_rounds: int,
     """Exact best-response iteration.
 
     Each round replaces every agent's strategy in turn by its best response
-    against the current others, recording the team cost after each
-    replacement. Stops once a full round brings no strict decrease greater
-    than improve_tol (converged=True) or after max_rounds. Extracted best
+    against the current others and records the team cost after each
+    replacement: that best response's `expected_value` (the start profile
+    is priced by `cost_via_beliefs`). A best response reads only the other
+    agents' maps, so agent k's value is kept, and agent k's turn records it
+    without solving again, until a replacement changes some agent's maps.
+    Stops once a full round brings no strict decrease greater than
+    improve_tol (converged=True) or after max_rounds. Extracted best
     responses get action 0 in their -1 cells, the structurally valid but
     currently unreachable realizations, so the profile stays total when the
     other agents move in later rounds; the fill never changes the cost at
@@ -123,13 +127,17 @@ def pbp_sweep(spec: ModelSpec, g_init: StrategyProfile, max_rounds: int,
     g = g_init
     trace: list[float] = []
     current = cost_via_beliefs(spec, g, 0)
+    value: list[float | None] = [None] * spec.K
     converged = False
     for _ in range(max_rounds):
         start = current
         for k in range(spec.K):
-            _, g_maps = solve_best_response(spec, k, g)
-            g = g.with_agent(k, [np.where(m < 0, 0, m) for m in g_maps])
-            current = cost_via_beliefs(spec, g, 0)
+            if value[k] is None:
+                vtable, g_maps = solve_best_response(spec, k, g)
+                g_new = g.with_agent(k, [np.where(m < 0, 0, m) for m in g_maps])
+                value = value if g_new.agents_equal(g, k) else [None] * spec.K
+                g, value[k] = g_new, expected_value(spec, k, vtable)
+            current = value[k]
             trace.append(current)
         if start - current <= improve_tol:
             converged = True

@@ -12,12 +12,13 @@ strategies change between best-response sweeps.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import IncompleteStrategyError, ModelFormatError
-from .info import (digits, grid_size, parse_realization_key, private_act_len, radices,
+from .info import (grid_size, parse_realization_key, private_act_len, radices,
                    realization_key)
 from .model import ModelSpec, check_keys, is_integer, kind_of, read_json, write_json
 
@@ -85,8 +86,10 @@ def observation_following_profile(spec: ModelSpec) -> StrategyProfile:
     """Each agent plays its newest own observation (mod its action count):
     the code's last private-observation digit, above the private actions."""
     def fill(k, t):
-        ds = digits(np.arange(grid_size(spec, k, t)), radices(spec, k, t))
-        return ds[len(ds) - 1 - private_act_len(spec.n, t)] % spec.act_sizes[k]
+        sizes = radices(spec, k, t)
+        cut = len(sizes) - private_act_len(spec.n, t)
+        place = math.prod(sizes[cut:])
+        return np.arange(grid_size(spec, k, t)) // place % sizes[cut - 1] % spec.act_sizes[k]
     return _profile(spec, fill)
 
 

@@ -342,9 +342,9 @@ def pbp_sweep(spec, g, max_rounds, improve_tol=IMPROVE_TOL):
     for _ in range(max_rounds):
         start = current
         for k in range(spec.K):
-            _, maps = solve_best_response(spec, k, g)
+            entries, maps = solve_best_response(spec, k, g)
             g = g.with_agent(k, [np.where(m < 0, 0, m) for m in maps])
-            current = cost_via_beliefs(spec, g, 0)
+            current = expected_value(spec, k, entries)
             trace.append(current)
         if start - current <= improve_tol:
             converged = True

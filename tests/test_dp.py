@@ -5,17 +5,18 @@ import pytest
 
 from conftest import (dominance_violations, five_profiles, layer_nodes, max_abs_gap,
                       others_play, random_model, rows_at, tiny_uniform_t1)
-from delaypbp import oracle
+from delaypbp import dp, oracle
 from delaypbp.dp import (ValueTable, cost_via_beliefs, expected_value, pbp_sweep,
                          solve_best_response, stage_values, terminal_values,
                          verify_value_dominance)
 from delaypbp.filtering import BeliefPass
 from delaypbp.info import decode, grid_size
+from delaypbp.model import IMPROVE_TOL
 from delaypbp.strategies import (constant_profile, observation_following_profile,
                                  random_profile)
 from reference_recursion import decode as decode_node
 from reference_recursion import other_private_space
-from test_layer_recursion import MODELS, model
+from test_layer_recursion import MODELS, bits, model
 from test_oracle import truncate_to_t1, zero_cost_variant
 
 
@@ -225,6 +226,80 @@ def test_sweep_monotone_from_random_starts(canon_2b):
         _, trace, converged = pbp_sweep(canon_2b, g0, 32)
         assert converged
         assert all(trace[i + 1] <= trace[i] + 1e-12 for i in range(len(trace) - 1))
+
+
+def unskipped_sweep(spec, g, max_rounds=32):
+    """The sweep with a best response solved on every turn: (final profile,
+    each best response's expected value, the same replacements priced by
+    the belief chain, converged)."""
+    trace, chained = [], []
+    current = cost_via_beliefs(spec, g, 0)
+    for _ in range(max_rounds):
+        start = current
+        for k in range(spec.K):
+            vtable, maps = solve_best_response(spec, k, g)
+            g = g.with_agent(k, [np.where(m < 0, 0, m) for m in maps])
+            current = expected_value(spec, k, vtable)
+            trace.append(current)
+            chained.append(cost_via_beliefs(spec, g, 0))
+        if start - current <= IMPROVE_TOL:
+            return g, trace, chained, True
+    return g, trace, chained, False
+
+
+def counted_sweep(monkeypatch, spec, g0):
+    """pbp_sweep's result and the agent of each best response it solved."""
+    calls = []
+
+    def counting(spec, k, g):
+        calls.append(k)
+        return solve_best_response(spec, k, g)
+
+    monkeypatch.setattr(dp, "solve_best_response", counting)
+    return dp.pbp_sweep(spec, g0, 32), calls
+
+
+def same_profile(g, h):
+    return all(g.agents_equal(h, k) for k in range(g.spec.K))
+
+
+@pytest.mark.parametrize("name, solves", [("CANON-1", 1), ("CANON-2A", 3), ("CANON-2B", 4),
+                                          ((2, 1, 3, 2), 4)], ids=str)
+def test_sweep_solves_an_agent_again_only_after_another_agent_moved(monkeypatch, name, solves):
+    """From all-0 a solve on every turn would take 2, 4, 6 and 6 best
+    responses; the final turn of each sweep repeats its agent's value."""
+    spec, _ = model(name)
+    (g, trace, converged), calls = counted_sweep(monkeypatch, spec, constant_profile(spec, 0))
+    assert len(calls) == solves
+    assert converged and trace[-1] == trace[-1 - spec.K]
+
+
+def test_sweep_skip_is_exact_when_a_middle_agent_moves_twice(monkeypatch):
+    """K = 3: agent 1 moves again after agent 0 kept its strategy and agent
+    2 moved, so both of their kept values are dropped and both agents are
+    solved again; the result equals the unskipped sweep's bit for bit."""
+    spec = random_model(seed=2, K=3, n=1, T=2, sizes=3)
+    g0 = constant_profile(spec, 0)
+    (g, trace, converged), calls = counted_sweep(monkeypatch, spec, g0)
+    assert calls == [0, 1, 2, 0, 1, 2, 0]
+    ref_g, ref_trace, _, ref_converged = unskipped_sweep(spec, g0)
+    assert bits(trace) == bits(ref_trace)
+    assert same_profile(g, ref_g) and converged == ref_converged
+
+
+@pytest.mark.parametrize("name", MODELS, ids=str)
+def test_sweep_trace_is_the_belief_chain_cost_of_each_replacement(name):
+    """Every trace entry lies within 1e-12 of the belief chain's cost of the
+    profile just made, and the last within 1e-12 of the enumerated cost of
+    the final profile."""
+    spec, _ = model(name)
+    g0 = constant_profile(spec, 0)
+    g, trace, converged = pbp_sweep(spec, g0, 32)
+    ref_g, _, chained, ref_converged = unskipped_sweep(spec, g0)
+    assert same_profile(g, ref_g) and converged == ref_converged
+    assert len(trace) == len(chained)
+    assert max(abs(a - b) for a, b in zip(trace, chained)) <= 1e-12
+    assert abs(trace[-1] - oracle.enumerate_cost(spec, g)) <= 1e-12
 
 
 def canon1_global_minimum(spec):

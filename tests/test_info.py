@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import SHAPES, random_model, rows_at
+from conftest import SHAPES, random_model, rows_at, sparse_model
 from delaypbp import cli, info, oracle
 from delaypbp.filtering import BeliefPass
 from delaypbp.info import (Blocks, decode, digits, encode, grid_size, history_code,
@@ -279,6 +279,21 @@ def test_random_profile_draws_one_integer_per_cell_in_code_order():
                 want = [int(rng.integers(0, spec.act_sizes[k]))
                         for _ in range(grid_size(spec, k, t))]
                 assert g.maps[k][t].tolist() == want
+
+
+def test_observation_following_profile_reads_the_newest_own_observation_digit():
+    """Each cell of the observation-following profile equals the code's
+    digit just above its private actions, read off every digit of the code
+    (mod the action count), on the benchmark shapes and on two sparse draws
+    whose observation and action alphabets differ."""
+    specs = [random_model(seed=1, K=K, n=n, T=T, sizes=sizes) for K, n, T, sizes in SHAPES]
+    for spec in specs + [sparse_model(4, 2, 2, 3), sparse_model(7, 2, 2, 3)]:
+        g = observation_following_profile(spec)
+        for k in range(spec.K):
+            for t in range(spec.T):
+                ds = digits(np.arange(grid_size(spec, k, t)), info.radices(spec, k, t))
+                want = ds[len(ds) - 1 - private_act_len(spec.n, t)] % spec.act_sizes[k]
+                assert np.array_equal(g.maps[k][t], want)
 
 
 def test_structural_grid_size(canon_2a):
