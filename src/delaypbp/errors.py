@@ -14,9 +14,5 @@ class IncompleteStrategyError(ValueError):
     """A strategy map was queried at a realization it does not cover."""
 
 
-class InstanceTooLargeError(ValueError):
-    """A brute-force guard was exceeded; the instance is not desk-scale."""
-
-
 class ModelFormatError(ValueError):
     """A model or strategy file is malformed (bad shape, NaN/Inf, negatives)."""

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InstanceTooLargeError
 from .info import digits, grid_size, history_code, other_agents, private_size, radix
 from .model import COMPARE_TOL, ModelSpec
 
@@ -288,43 +287,31 @@ class RealizationTree:
                 maps[0][hit] = u
         return tables, maps, float(tail[follow].sum())
 
-
-# ---------------------------------------------------------------------------
-# Best response by backward induction over the realization tree. Agent k's
-# time-t code and action fix the groups a choice at t reaches, and different
-# time-t codes are disjoint events, so with later choices fixed the best
-# time-t map is the best action per code: no search over combinations of
-# maps. Exact at any T; the T > 2 cap stays only because the canonical
-# T = 3 reports record that skip.
-# ---------------------------------------------------------------------------
-
-def _best_response(tree: RealizationTree) -> tuple[float, list[np.ndarray]]:
-    """(optimal value, per-time strategy arrays): per code, the action of
-    least cost from t on, ties to the smallest; -1 off the tree."""
-    _, maps, value = tree._backward(lambda t, codes, costs: np.argmin(costs, axis=1))
-    return value, maps
+    def best_response(self) -> tuple[float, list[np.ndarray]]:
+        """(optimal value, per-time strategy arrays): per code, the action of
+        least cost from t on, ties to the smallest; -1 off the tree. Exact at
+        any T: agent k's time-t code and action fix the groups a choice at t
+        reaches, and different codes are disjoint events, so with later
+        choices fixed the best time-t map is the best action per code."""
+        _, maps, value = self._backward(lambda t, codes, costs: np.argmin(costs, axis=1))
+        return value, maps
 
 
 def brute_force_best_response(spec: ModelSpec, k: int, g_minus_k):
-    """Minimize the team cost over agent k's strategies by enumeration:
-    (optimal value, per-time strategy arrays) from agent k's realization
-    tree, an action at every realization reachable with agent k's actions
-    free (ties to the smallest) and -1 elsewhere."""
-    if spec.T > 2:
-        raise InstanceTooLargeError("instance too large for brute force (T > 2)")
-    return _best_response(RealizationTree(spec, k, g_minus_k))
+    """Minimize the team cost over agent k's strategies by enumeration: the
+    best response of agent k's realization tree, (optimal value, per-time
+    strategy arrays), -1 off the realizations its free actions reach."""
+    return RealizationTree(spec, k, g_minus_k).best_response()
 
 
 @dataclass(frozen=True)
 class PbPReport:
-    """The enumerated cost; per agent {agent, best_response_value, gap, stationary}."""
+    """The enumerated cost, per agent {agent, best_response_value, gap, stationary}, and
+    whether every agent is stationary."""
 
     cost: float
     agents: tuple[dict, ...]
-
-    @property
-    def all_stationary(self) -> bool:
-        return all(a["stationary"] for a in self.agents)
+    all_stationary: bool
 
 
 def verify_pbp(spec: ModelSpec, g_full, tol: float = COMPARE_TOL) -> PbPReport:
@@ -338,4 +325,4 @@ def verify_pbp(spec: ModelSpec, g_full, tol: float = COMPARE_TOL) -> PbPReport:
         gap = cost - bf_value
         rows.append({"agent": k, "best_response_value": bf_value,
                      "gap": gap, "stationary": gap <= tol})
-    return PbPReport(cost=cost, agents=tuple(rows))
+    return PbPReport(cost, tuple(rows), all(r["stationary"] for r in rows))

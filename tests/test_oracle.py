@@ -14,13 +14,13 @@ from conftest import (SHAPES, deterministic_chain, five_profiles, random_model, 
                       sparse_model)
 from delaypbp import cli, falsify, oracle
 from delaypbp.dp import expected_value, solve_best_response, verify_value_dominance
-from delaypbp.errors import IncompleteStrategyError, InstanceTooLargeError, UnreachableError
+from delaypbp.errors import IncompleteStrategyError, UnreachableError
 from delaypbp.falsify import check_conditional_independence, make_report
 from delaypbp.filtering import BeliefPass
 from delaypbp.info import grid_size, history_code, lambda_labels, realization_key
 from delaypbp.model import ModelSpec, canonical_instance
-from delaypbp.oracle import (RealizationTree, _best_response, brute_force_best_response,
-                             enumerate_cost, posteriors, verify_pbp, walk)
+from delaypbp.oracle import (RealizationTree, brute_force_best_response, enumerate_cost,
+                             posteriors, verify_pbp, walk)
 from delaypbp.strategies import (StrategyProfile, constant_profile,
                                  observation_following_profile, random_profile)
 import reference_oracle
@@ -175,7 +175,7 @@ def group_bys(spec, g, k):
     tree = RealizationTree(spec, k, g)
     return {"cost": enumerate_cost(spec, g),
             "posteriors": by_code(posteriors(spec, g, k)), "following": by_code(follow),
-            "tree": (tree.sums, tree.codes, tree.acts), "best": _best_response(tree),
+            "tree": (tree.sums, tree.codes, tree.acts), "best": tree.best_response(),
             "independence": [check_conditional_independence(spec, g, k, t)
                              for t in range(spec.n - 1, spec.T)],
             "laws": falsify._next_posterior_laws(spec, g, k, follow)}
@@ -194,7 +194,7 @@ def reference_group_bys(spec, g, k, follow):
         **{t: ref.conditional_independence_gaps(spec, k, t) for t in ts}})
     return {"cost": following["cost"], "posteriors": free["posteriors"],
             "following": following["following"],
-            "tree": (tree.sums, tree.codes, tree.acts), "best": _best_response(tree),
+            "tree": (tree.sums, tree.codes, tree.acts), "best": tree.best_response(),
             "independence": [make_report("shared-data conditional independence",
                                          following[t]) for t in ts],
             "laws": following["laws"]}
@@ -454,10 +454,17 @@ def test_dominance_check_rejects_a_table_realization_the_tree_does_not_reach(can
 
 # --- brute force ------------------------------------------------------------
 
-def test_brute_force_guard_rejects_long_horizons(canon_1):
-    g = constant_profile(canon_1, 0)
-    with pytest.raises(InstanceTooLargeError, match="too large for brute force"):
-        brute_force_best_response(canon_1, 0, g)
+def test_verify_pbp_certifies_the_swept_profile_at_t3(canon_1):
+    """The brute force answers at every horizon: it certifies the profile
+    the sweep converges to on CANON-1 (T = 3), its value the profile's."""
+    from delaypbp.dp import pbp_sweep
+
+    assert canon_1.T == 3
+    g, _, converged = pbp_sweep(canon_1, constant_profile(canon_1, 0), 32)
+    assert converged
+    report = verify_pbp(canon_1, g)
+    assert report.all_stationary
+    assert abs(report.agents[0]["gap"]) <= 1e-12
 
 
 def test_brute_force_t1_equals_plain_enumeration(canon_2a):
@@ -572,11 +579,11 @@ def test_pointwise_best_response_equals_the_stage_zero_search():
 
 @pytest.mark.parametrize("name", ["CANON-1", (2, 1, 3, 2), (2, 2, 3, 2)], ids=str)
 def test_pointwise_best_response_equals_the_dp_past_t2(name):
-    """Past the brute-force cap the pass is still exact: its value is the
-    dynamic program's."""
+    """Past T = 2 the pass is still exact: its value is the dynamic
+    program's."""
     spec, g = tree_model(name)
     for k in range(spec.K):
-        value, _ = _best_response(RealizationTree(spec, k, g))
+        value, _ = brute_force_best_response(spec, k, g)
         vtable, _ = solve_best_response(spec, k, g)
         assert abs(value - expected_value(spec, k, vtable)) <= 1e-12
 
@@ -637,7 +644,7 @@ def names_imported(path: pathlib.Path, module: str) -> set[str]:
 def test_oracle_module_boundary():
     imports = {p.stem: package_imports(p) for p in SRC.glob("*.py")}
     assert "info" in imports["oracle"]  # the parser does see the imports
-    assert imports["oracle"] <= {"model", "info", "errors"}, imports["oracle"]
+    assert imports["oracle"] <= {"model", "info"}, imports["oracle"]
     assert "oracle" not in imports["filtering"]
     # Realizations are codes: the oracle groups by them and takes from info
     # only the code arithmetic, never the blocks or the text keys.

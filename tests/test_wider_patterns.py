@@ -1,10 +1,10 @@
 """Cross-checks on patterns the canonical instances do not cover:
-two-step sharing (n=2) and three agents."""
+two-step sharing (n=2), three agents and horizons past T = 2."""
 
 import numpy as np
 import pytest
 
-from conftest import dominance_violations, max_abs_gap, oracle_gap, random_model
+from conftest import dominance_violations, max_abs_gap, oracle_gap, random_model, sparse_model
 from delaypbp import oracle
 from delaypbp.dp import (cost_via_beliefs, expected_value, pbp_sweep,
                          solve_best_response, verify_value_dominance)
@@ -103,6 +103,35 @@ def test_three_agents_sweep_certified(three_agent_model):
     g, trace, converged = pbp_sweep(spec, constant_profile(spec, 0), 32)
     assert converged
     assert oracle.verify_pbp(spec, g).all_stationary
+
+
+# Shapes no end-to-end run certifies: the benchmark sweep's shapes at T = 3,
+# three-step sharing, three agents with two-step sharing, T = 4 and a sparse
+# draw.
+WIDER_SHAPES = {
+    "K2n1T3": lambda: random_model(7, 2, 1, 3, 2),
+    "K2n2T3": lambda: random_model(7, 2, 2, 3, 2),
+    "K2n3T3": lambda: random_model(1, 2, 3, 3, 2),
+    "K3n2T2": lambda: random_model(1, 3, 2, 2, 2),
+    "K3n2T3": lambda: random_model(1, 3, 2, 3, 2),
+    "K1n3T4": lambda: random_model(1, 1, 3, 4, 2),
+    "sparse-K2n2T3": lambda: sparse_model(7, 2, 2, 3),
+}
+
+
+@pytest.mark.parametrize("name", WIDER_SHAPES)
+def test_sweep_certified_by_brute_force_on_wider_shapes(name):
+    """The sweep from all-0 converges, the brute force certifies every
+    agent stationary, and each agent's dynamic-program value against the
+    result is its brute-force value."""
+    spec = WIDER_SHAPES[name]()
+    g, _, converged = pbp_sweep(spec, constant_profile(spec, 0), 32)
+    assert converged
+    assert oracle.verify_pbp(spec, g).all_stationary
+    for k in range(spec.K):
+        vtable, _ = solve_best_response(spec, k, g)
+        bf_value, _ = oracle.brute_force_best_response(spec, k, g)
+        assert abs(expected_value(spec, k, vtable) - bf_value) <= 1e-12
 
 
 # --- the batched belief kernel beyond the canonical instances -----------------
