@@ -18,10 +18,9 @@ agent k's realization codes (`info.history_code`, one code array per
 block), with one walk per profile and question (the conditional-Markov
 laws pair every history's time-t and time-(t+1) codes); each sum is an
 `np.add.at` in walk order, and realizations are ordered by code, as are
-`oracle.posteriors`' rows, found by `np.searchsorted` or `np.intersect1d`.
-A code becomes text (`info.realization_key`) only to label a gap, and is
-decoded into its blocks (`info.decode`) only where the single-agent
-reduction reads the newest own observation off it.
+`oracle.posteriors`' rows, found by `np.searchsorted` or `np.intersect1d`,
+and per-code results are slices aligned to those rows. A code becomes
+text (`info.realization_key`) only to label a gap; no check decodes one.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ import numpy as np
 from . import dp, oracle
 from .errors import UnreachableError
 from .filtering import BeliefPass, classical_filter_update
-from .info import (decode, grid_size, history_code, other_agents, private_size,
+from .info import (grid_size, history_code, newest_obs, other_agents, private_size,
                    realization_key, revealed, shared_prefix_len)
 from .model import COMPARE_TOL, ModelSpec
 from .strategies import StrategyProfile
@@ -139,10 +138,11 @@ def check_policy_independence(spec: ModelSpec, g_a: StrategyProfile,
 
 def _next_posterior_laws(spec: ModelSpec, g_full, k: int,
                          posts: list[tuple[np.ndarray, np.ndarray]]
-                         ) -> dict[tuple[int, int], list[tuple[np.ndarray, float]]]:
-    """Per (t, r), t < T and r a code reachable at t under g_full, the law
-    of agent k's next posterior (a row of posts[t + 1]) given r, as
-    (posterior, probability) pairs in code order of the next realization.
+                         ) -> list[list[tuple[np.ndarray, np.ndarray]]]:
+    """Per t < T and per code of posts[t], in code order, the law of agent
+    k's next posterior given that code: its posteriors (rows of
+    posts[t + 1]) and their probabilities, in code order of the next
+    realization. Every reached code has one, as kernel rows sum to 1.
 
     One walk, its histories of length t + 1 grouped by (r, r') and by r,
     with r' the time-(t+1) code, each summed in walk order."""
@@ -151,14 +151,14 @@ def _next_posterior_laws(spec: ModelSpec, g_full, k: int,
         if s > 0:
             parts[s - 1].append((history_code(spec, obs, acts, k, s - 1),
                                  history_code(spec, obs, acts, k, s), mass))
-    laws: dict[tuple, list] = {}
+    laws = []
     for t, blocks in enumerate(parts):
         r, r1, mass = map(np.concatenate, zip(*blocks))
-        groups, at, nxt, prob = _conditional(r, r1, grid_size(spec, k, t + 1), mass)
-        rows = [laws.setdefault((t, code), []) for code in groups.tolist()]
+        _, at, nxt, prob = _conditional(r, r1, grid_size(spec, k, t + 1), mass)
         codes, beliefs = posts[t + 1]
-        for i, post, p in zip(at.tolist(), beliefs[np.searchsorted(codes, nxt)], prob.tolist()):
-            rows[i].append((post, p))
+        cuts = np.flatnonzero(np.diff(at)) + 1  # `at` runs through the groups in order
+        laws.append(list(zip(np.split(beliefs[np.searchsorted(codes, nxt)], cuts),
+                             np.split(prob, cuts))))
     return laws
 
 
@@ -173,13 +173,13 @@ def _bucket(reps: list[np.ndarray], v: np.ndarray, tol: float) -> int:
 
 
 def _distribution_gap(da, db, tol: float) -> float:
-    """Max-abs difference between two distributions over posterior vectors,
-    merging vectors that agree within tol."""
+    """Max-abs difference between two (vectors, probabilities) distributions
+    over posterior vectors, merging vectors that agree within tol."""
     reps: list[np.ndarray] = []
     ma: dict[int, float] = {}
     mb: dict[int, float] = {}
     for masses, dist in ((ma, da), (mb, db)):
-        for v, p in dist:
+        for v, p in zip(*dist):
             i = _bucket(reps, v, tol)
             masses[i] = masses.get(i, 0.0) + p
     return max(abs(ma.get(i, 0.0) - mb.get(i, 0.0)) for i in range(len(reps)))
@@ -197,22 +197,21 @@ def check_conditional_markov(spec: ModelSpec, g_full, k: int,
     """
     gaps = []
     posts = oracle.posteriors(spec, g_full, k, free=False)
-    laws = _next_posterior_laws(spec, g_full, k, posts)
-    prelim: dict[tuple[int, int, int], list] = {}  # per (t, shared block's code, action)
-    for t, r in sorted(laws):
+    for t, laws in enumerate(_next_posterior_laws(spec, g_full, k, posts)):
         codes, beliefs = posts[t]
-        key = (t, r // private_size(spec, k, t), g_full.action_at(k, t, r))
-        prelim.setdefault(key, []).append((r, beliefs[np.searchsorted(codes, r)]))
-    for (t, _, u), members in sorted(prelim.items()):
-        reps: list[np.ndarray] = []
-        clusters: dict[int, list] = {}  # per representative, in order
-        for r, xi in members:
-            clusters.setdefault(_bucket(reps, xi, tol), []).append(r)
-        for group in clusters.values():
-            label = f"t={t} u={u} group[" + ",".join(
-                realization_key(spec, k, t, r) for r in group) + "]"
-            pairs = itertools.combinations([laws[t, r] for r in group], 2)
-            gaps.append((label, max((_distribution_gap(*p, tol) for p in pairs), default=0.0)))
+        shared, us = codes // private_size(spec, k, t), g_full.actions_at(k, t, codes)
+        order = np.lexsort((us, shared))  # by (shared block, action), then code
+        cuts = np.flatnonzero(np.diff(shared[order]) | np.diff(us[order])) + 1
+        for members in np.split(order, cuts):
+            reps: list[np.ndarray] = []
+            clusters: dict[int, list] = {}  # per representative, in order
+            for i in members.tolist():
+                clusters.setdefault(_bucket(reps, beliefs[i], tol), []).append(i)
+            for group in clusters.values():
+                keys = ",".join(realization_key(spec, k, t, r) for r in codes[group].tolist())
+                pairs = itertools.combinations([laws[i] for i in group], 2)
+                gaps.append((f"t={t} u={us[group[0]]} group[{keys}]",
+                             max((_distribution_gap(*p, tol) for p in pairs), default=0.0)))
     return make_report("posterior conditional Markov", gaps)
 
 
@@ -247,22 +246,23 @@ def check_k1_reduction(spec: ModelSpec) -> dict:
                  for i, (pi, label) in kept]
         if t == spec.T:
             break
-        # a child is fixed among its siblings by its newest own observation
-        nxt = layers[t + 1]
-        reached = {(int(p), int(u), decode(spec, 0, t + 1, int(c)).own_obs[-1]): i
-                   for i, (p, u, c) in enumerate(zip(nxt.parent, nxt.action, nxt.codes))}
+        # a child is fixed among its siblings by its newest own observation;
+        # child[i, u, y] is its index in the next layer, -1 where none is reached
+        nxt, shape = layers[t + 1], (len(lay), spec.act_sizes[0], spec.obs_sizes[0])
+        child = np.full(shape, -1)
+        child[nxt.parent, nxt.action, newest_obs(spec, 0, t + 1, nxt.codes)] = np.arange(len(nxt))
         children: list = [None] * len(nxt)
         for i, (pi, label) in kept:
-            for u, y1 in itertools.product(range(spec.act_sizes[0]), range(spec.obs_sizes[0])):
-                step_label, child = f"{label},u={u},y={y1}", reached.get((i, u, y1))
+            for u, y1 in itertools.product(range(shape[1]), range(shape[2])):
+                step_label, c = f"{label},u={u},y={y1}", int(child[i, u, y1])
                 try:
                     pi1 = classical_filter_update(spec, pi, u, y1, t)
                 except UnreachableError:
                     pi1 = None
-                if (pi1 is None) != (child is None):
+                if (pi1 is None) != (c < 0):
                     gaps.append((f"{step_label} (reachability disagrees)", 1.0))
-                elif child is not None:
-                    children[child] = (pi1, step_label)
+                elif c >= 0:
+                    children[c] = (pi1, step_label)
         filt = children
     return make_report("single-agent filter reduction", gaps)
 

@@ -192,6 +192,12 @@ def next_codes(spec: ModelSpec, k: int, t: int, codes, u, shown, y):
     return shared * private_size(spec, k, t + 1) + shift_code(spec, k, t, own, y, u)
 
 
+def newest_obs(spec: ModelSpec, k: int, t: int, codes):
+    """Agent k's newest own observation, the one at t, at its time-t codes:
+    the last private-observation digit, above the private actions."""
+    return codes // spec.act_sizes[k] ** private_act_len(spec.n, t) % spec.obs_sizes[k]
+
+
 def decode(spec: ModelSpec, k: int, t: int, code: int) -> Blocks:
     """The blocks of agent k's time-t realization with the given code."""
     ds = [int(d) for d in digits(code, radices(spec, k, t))]

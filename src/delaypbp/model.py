@@ -414,10 +414,11 @@ def save_model(spec: ModelSpec, path) -> None:
     write_json(path, model_to_dict(spec))
 
 
-def model_from_dict(doc: dict, check: bool = True) -> ModelSpec:
-    """Build a spec from its JSON document, rejecting one that breaks its key
-    table and, with check, any violation of validate_model (the validate
+def load_model(path, check: bool = True) -> ModelSpec:
+    """Load a model JSON file; raises ModelFormatError on malformed input
+    and, with check, on any violation of validate_model (the validate
     command reads with check=False to report violations as data)."""
+    doc = read_json(path)
     check_keys(doc, _MODEL_KEYS, "model")
     try:
         spec = ModelSpec.from_tables(**doc)
@@ -428,11 +429,6 @@ def model_from_dict(doc: dict, check: bool = True) -> ModelSpec:
         more = f" (and {len(violations) - 1} more)" if len(violations) > 1 else ""
         raise ModelFormatError(f"invalid model: {violations[0]}{more}")
     return spec
-
-
-def load_model(path, check: bool = True) -> ModelSpec:
-    """Load a model JSON file; raises ModelFormatError on malformed input."""
-    return model_from_dict(read_json(path), check)
 
 
 def resolve_model(name_or_path: str, check: bool = True) -> tuple[str, ModelSpec]:

@@ -12,14 +12,12 @@ strategies change between best-response sweeps.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import IncompleteStrategyError, ModelFormatError
-from .info import (grid_size, parse_realization_key, private_act_len, radices,
-                   realization_key)
+from .info import grid_size, newest_obs, parse_realization_key, realization_key
 from .model import ModelSpec, check_keys, is_integer, kind_of, read_json, write_json
 
 
@@ -42,9 +40,6 @@ class StrategyProfile:
                                      f"{size} actions in -1..{acts - 1}")
                 a.setflags(write=False)
         object.__setattr__(self, "maps", maps)
-
-    def action_at(self, k: int, t: int, code: int) -> int:
-        return int(self.actions_at(k, t, np.array([code]))[0])
 
     def actions_at(self, k: int, t: int, codes: np.ndarray, reached=True) -> np.ndarray:
         """Agent k's time-t actions at an array of codes, 0 where reached is
@@ -83,14 +78,9 @@ def constant_profile(spec: ModelSpec, action: int = 0) -> StrategyProfile:
 
 
 def observation_following_profile(spec: ModelSpec) -> StrategyProfile:
-    """Each agent plays its newest own observation (mod its action count):
-    the code's last private-observation digit, above the private actions."""
-    def fill(k, t):
-        sizes = radices(spec, k, t)
-        cut = len(sizes) - private_act_len(spec.n, t)
-        place = math.prod(sizes[cut:])
-        return np.arange(grid_size(spec, k, t)) // place % sizes[cut - 1] % spec.act_sizes[k]
-    return _profile(spec, fill)
+    """Each agent plays its newest own observation (mod its action count)."""
+    return _profile(spec, lambda k, t: newest_obs(spec, k, t, np.arange(grid_size(spec, k, t)))
+                    % spec.act_sizes[k])
 
 
 def random_profile(spec: ModelSpec, rng: np.random.Generator) -> StrategyProfile:
@@ -147,7 +137,9 @@ def _indexed(blocks: list, field: str, name: str, count: int) -> dict:
     return out
 
 
-def profile_from_dict(spec: ModelSpec, doc: dict) -> StrategyProfile:
+def load_profile(spec: ModelSpec, path) -> StrategyProfile:
+    """Load a strategy file for spec; raises ModelFormatError on malformed input."""
+    doc = read_json(path)
     check_keys(doc, _DOCUMENT_KEYS, "strategy document")
     if doc["K"] != spec.K or doc["T"] != spec.T or doc["n"] != spec.n:
         raise ModelFormatError(
@@ -187,7 +179,3 @@ def profile_from_dict(spec: ModelSpec, doc: dict) -> StrategyProfile:
             per_t.append(m)
         maps.append(tuple(per_t))
     return StrategyProfile(spec=spec, maps=tuple(maps))
-
-
-def load_profile(spec: ModelSpec, path) -> StrategyProfile:
-    return profile_from_dict(spec, read_json(path))

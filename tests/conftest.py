@@ -5,6 +5,7 @@ from delaypbp import oracle
 from delaypbp.model import COMPARE_TOL, ModelSpec, canonical_instance
 from delaypbp.strategies import (constant_profile, observation_following_profile,
                                  random_profile)
+from reference_oracle import action_at
 from reference_recursion import Node, encode
 
 RANDOM_SEED = 20240817
@@ -52,7 +53,7 @@ def others_play(g, common, lam):
     """The other agents' actions at (common, each one's private block in
     lambda), reference_recursion records, read one realization at a time:
     the reference the strategy gathers are checked against."""
-    return tuple(g.action_at(p.agent, p.t, encode(g.spec, Node(common=common, private=p)))
+    return tuple(action_at(g, p.agent, p.t, encode(g.spec, Node(common=common, private=p)))
                  for p in lam)
 
 

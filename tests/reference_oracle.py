@@ -37,6 +37,11 @@ from delaypbp.info import (grid_size, other_agents, private_size, radices, reali
                            shared_prefix_len)
 
 
+def action_at(g, k, t, code) -> int:
+    """Agent k's time-t action at one code, read through `actions_at`."""
+    return int(g.actions_at(k, t, np.array([code]))[0])
+
+
 def history_code(spec, obs, acts, j, t) -> int:
     """Agent j's time-t code of one joint history given as tuples: every
     agent's streams up to t-n, then agent j's own symbols up to t."""
@@ -90,7 +95,7 @@ def tuple_walk(spec, g, visit, free=None) -> None:
         codes = extend(codes, s, obs, acts)
         visit(s, xs, obs, acts, mass, cost, codes)
         x = xs[-1]
-        choices = [range(spec.act_sizes[j]) if j == free else (g.action_at(j, s, codes[s][j]),)
+        choices = [range(spec.act_sizes[j]) if j == free else (action_at(g, j, s, codes[s][j]),)
                    for j in range(K)]
         for us in itertools.product(*choices):
             a = joint[us]
@@ -311,7 +316,7 @@ def walk(spec, g, visit, t_end=None, free=None, free_until=0, cost_from=0) -> No
             return
         x = xs[-1]
         choices = [range(spec.act_sizes[j]) if j == free and s < free_until
-                   else (g.action_at(j, s, history_code(spec, obs, acts, j, s)),)
+                   else (action_at(g, j, s, history_code(spec, obs, acts, j, s)),)
                    for j in range(K)]
         for us in itertools.product(*choices):
             a = joint[us]

@@ -24,6 +24,7 @@ import numpy as np
 from delaypbp import info
 from delaypbp.info import grid_size, other_agents, private_size, radices, shared_prefix_len
 from delaypbp.model import IMPROVE_TOL
+from reference_oracle import action_at
 
 
 # --- the realization records --------------------------------------------------
@@ -177,7 +178,7 @@ class NodePass:
             codes = pc[ls] + shared * size
             a = self.g.maps[j][t][codes]
             if a.min() < 0:
-                self.g.action_at(j, t, int(codes[a.argmin()]))
+                self.g.actions_at(j, t, codes[[a.argmin()]])
             joint = a if joint is None else joint * self.spec.act_sizes[j] + a
         return np.zeros_like(ls) if joint is None else joint
 
@@ -258,7 +259,7 @@ class NodePass:
         for t in range(spec.T):
             for r, xi in nodes[t].items():
                 us = (range(spec.act_sizes[k]) if free
-                      else (self.g.action_at(k, t, encode(spec, r)),))
+                      else (action_at(self.g, k, t, encode(spec, r)),))
                 for u in us:
                     succ = []
                     for r1, b1, w in self.successors(r, xi, u):
@@ -329,7 +330,7 @@ def cost_via_beliefs(spec, g, k):
     acc = 0.0
     for t in range(spec.T):
         for r, (xi, pr) in chain[t].items():
-            acc += pr * stage_value(spec, bp, r, xi, g.action_at(k, t, encode(spec, r)))
+            acc += pr * stage_value(spec, bp, r, xi, action_at(g, k, t, encode(spec, r)))
     for r, (xi, pr) in chain[spec.T].items():
         acc += pr * terminal_value(spec, xi)
     return float(acc)

@@ -155,6 +155,58 @@ def test_conditional_markov_groups_are_nontrivial():
     assert rep["max_gap"] <= 1e-10
 
 
+# Agent 0's conditional-Markov report under random_profile(default_rng(5)):
+# every group's label and gap, in label order. Singleton groups read 0.0 by
+# definition; the two-member groups of the sparse draw differ by rounding.
+PINNED_MARKOV_REPORTS = {
+    "markov-grouping": [
+        ("t=0 u=1 group[c(/;/)p(0/)]", 0.0),
+        ("t=0 u=1 group[c(/;/)p(1/)]", 0.0),
+        ("t=1 u=0 group[c(0/1;0/1)p(1/)]", 0.0),
+        ("t=1 u=0 group[c(0/1;1/0)p(0/),c(0/1;1/0)p(1/)]", 0.0),
+        ("t=1 u=0 group[c(1/1;0/1)p(0/),c(1/1;0/1)p(1/)]", 0.0),
+        ("t=1 u=1 group[c(0/1;0/1)p(0/)]", 0.0),
+        ("t=1 u=1 group[c(1/1;1/0)p(0/),c(1/1;1/0)p(1/)]", 0.0),
+    ],
+    "sparse-7": [
+        ("t=0 u=1 group[c(/;/)p(0/)]", 0.0),
+        ("t=0 u=1 group[c(/;/)p(1/)]", 0.0),
+        ("t=1 u=0 group[c(/;/)p(1-0/1)]", 0.0),
+        ("t=1 u=1 group[c(/;/)p(0-0/1)]", 0.0),
+        ("t=1 u=1 group[c(/;/)p(0-1/1)]", 0.0),
+        ("t=2 u=0 group[c(0/1;0/1)p(0-0/1)]", 0.0),
+        ("t=2 u=0 group[c(0/1;0/1)p(1-0/1)]", 0.0),
+        ("t=2 u=0 group[c(0/1;1/1)p(0-0/1),c(0/1;1/1)p(0-1/1)]", 1.1102230246251565e-16),
+        ("t=2 u=0 group[c(0/1;1/1)p(1-0/1)]", 0.0),
+        ("t=2 u=0 group[c(0/1;2/1)p(0-1/1)]", 0.0),
+        ("t=2 u=0 group[c(0/1;2/1)p(1-1/1)]", 0.0),
+        ("t=2 u=0 group[c(1/1;0/1)p(0-0/0)]", 0.0),
+        ("t=2 u=0 group[c(1/1;1/1)p(0-0/0)]", 0.0),
+        ("t=2 u=1 group[c(0/1;0/1)p(0-1/1)]", 0.0),
+        ("t=2 u=1 group[c(0/1;0/1)p(1-1/1)]", 0.0),
+        ("t=2 u=1 group[c(0/1;1/1)p(1-1/1)]", 0.0),
+        ("t=2 u=1 group[c(0/1;2/1)p(0-0/1)]", 0.0),
+        ("t=2 u=1 group[c(0/1;2/1)p(1-0/1)]", 0.0),
+        ("t=2 u=1 group[c(1/1;0/1)p(0-1/0)]", 0.0),
+        ("t=2 u=1 group[c(1/1;1/1)p(0-1/0)]", 0.0),
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_MARKOV_REPORTS))
+def test_conditional_markov_report_is_pinned(name):
+    """The whole report, labels and gaps to the bit, on two models whose
+    groups have two members: which pasts share a group, the action in each
+    label and the first-fit merging of the next posteriors all show."""
+    spec = markov_grouping_model() if name == "markov-grouping" else sparse_model(7, 2, 2, 3)
+    rep = check_conditional_markov(spec, random_profile(spec, np.random.default_rng(5)), 0)
+    want = PINNED_MARKOV_REPORTS[name]
+    max_gap = max(g for _, g in want)
+    assert rep == {"quantity": "posterior conditional Markov", "max_gap": max_gap,
+                   "witness": next(w for w, g in want if g == max_gap),
+                   "gaps": [{"where": w, "gap": g} for w, g in want]}
+
+
 def test_conditional_markov_single_decision(canon_2a):
     from test_oracle import truncate_to_t1
 
@@ -224,10 +276,14 @@ def test_k1_reduction_reports_a_branch_only_the_filter_reaches(monkeypatch):
 @pytest.mark.parametrize("seed", range(12))
 def test_k1_reduction_agrees_on_sparse_single_agent_models(seed):
     """Zero kernel entries: the recursion and the filter drop the same
-    branches (seed 0 cannot reach its first observation 0)."""
-    rep = check_k1_reduction(sparse_model(seed, 1, 1, 3))
-    assert rep["max_gap"] <= K1_TOL
-    assert not any(e["where"].endswith("(reachability disagrees)") for e in rep["gaps"])
+    branches (seed 0 cannot reach its first observation 0). With n = 2 and
+    3 the codes carry private action digits below the newest observation,
+    on the sparse draws and on dense ones with alphabet 2."""
+    for spec in (*(sparse_model(seed, 1, n, 3) for n in (1, 2, 3)),
+                 *(random_model(seed, 1, n, 3, 2) for n in (2, 3))):
+        rep = check_k1_reduction(spec)
+        assert rep["max_gap"] <= K1_TOL, spec.n
+        assert not any(e["where"].endswith("(reachability disagrees)") for e in rep["gaps"])
 
 
 def test_k1_reduction_requires_single_agent(canon_2a):

@@ -13,9 +13,9 @@ from conftest import SHAPES, random_model, rows_at, sparse_model
 from delaypbp import cli, info, oracle
 from delaypbp.filtering import BeliefPass
 from delaypbp.info import (Blocks, decode, digits, encode, grid_size, history_code,
-                           lambda_labels, next_codes, parse_realization_key, private_act_len,
-                           private_obs_len, private_size, promoted, radix, realization_key,
-                           revealed, shared_prefix_len, shift_code)
+                           lambda_labels, newest_obs, next_codes, parse_realization_key,
+                           private_act_len, private_obs_len, private_size, promoted, radix,
+                           realization_key, revealed, shared_prefix_len, shift_code)
 from delaypbp.model import ModelSpec
 from delaypbp.strategies import (constant_profile, observation_following_profile,
                                  random_profile)
@@ -294,6 +294,19 @@ def test_observation_following_profile_reads_the_newest_own_observation_digit():
                 ds = digits(np.arange(grid_size(spec, k, t)), info.radices(spec, k, t))
                 want = ds[len(ds) - 1 - private_act_len(spec.n, t)] % spec.act_sizes[k]
                 assert np.array_equal(g.maps[k][t], want)
+
+
+@pytest.mark.parametrize("K,n", itertools.product((1, 2, 3), (1, 2, 3)))
+def test_newest_obs_is_the_last_private_observation_of_decode(K, n):
+    """At every code of every (k, t), newest_obs reads the last own
+    observation that decode spells out, on a dense draw and on a sparse one
+    (unequal alphabets) whose horizons reach the first shared step."""
+    for spec in (random_model(seed=K * n, K=K, n=n, T=n + 1), sparse_model(K * n, K, n, n + 1)):
+        for k in range(K):
+            for t in range(spec.T):
+                codes = np.arange(grid_size(spec, k, t))
+                want = [decode(spec, k, t, c).own_obs[-1] for c in codes.tolist()]
+                assert newest_obs(spec, k, t, codes).tolist() == want, (k, t)
 
 
 def test_structural_grid_size(canon_2a):

@@ -166,6 +166,15 @@ def by_code(results):
     return [dict(zip(codes.tolist(), values)) for codes, values in results]
 
 
+def laws_by_code(laws, follow):
+    """falsify's next-posterior laws, per t one (posteriors, probabilities)
+    pair per code of follow[t], as the dict (t, code) -> [(posterior,
+    probability), ...] that the tuple walk builds."""
+    return {(t, code): list(zip(beliefs, probs.tolist()))
+            for t, per_code in enumerate(laws)
+            for code, (beliefs, probs) in zip(follow[t][0].tolist(), per_code, strict=True)}
+
+
 def group_bys(spec, g, k):
     """Every group-by over the walk, for agent k: the profile's cost and
     falsify's tables with every agent following g, the posteriors with
@@ -178,7 +187,7 @@ def group_bys(spec, g, k):
             "tree": (tree.sums, tree.codes, tree.acts), "best": tree.best_response(),
             "independence": [check_conditional_independence(spec, g, k, t)
                              for t in range(spec.n - 1, spec.T)],
-            "laws": falsify._next_posterior_laws(spec, g, k, follow)}
+            "laws": laws_by_code(falsify._next_posterior_laws(spec, g, k, follow), follow)}
 
 
 def reference_group_bys(spec, g, k, follow):
@@ -351,7 +360,8 @@ def reference_cost(spec, g):
         if s == spec.T:
             yield mass, cost + float(spec.terminal_cost[x])
             return
-        acts = tuple(g.action_at(j, s, history_code(spec, *hist, j, s)) for j in range(spec.K))
+        acts = tuple(reference_oracle.action_at(g, j, s, history_code(spec, *hist, j, s))
+                     for j in range(spec.K))
         cost = cost + float(spec.stage_cost[s][(x, *acts)])
         for x1 in range(spec.state_size):
             p_x = float(spec.transition[s][(x, *acts, x1)])

@@ -162,6 +162,5 @@ def test_batched_kernel_matches_oracle_on_random_models(K, n, T, last):
     reached, _ = BeliefPass(spec, opponent, g).chain()
     cut = [np.full(grid_size(spec, opponent, t), -1) for t in range(T)]
     for t in range(T):
-        for code in reached[t].codes.tolist():
-            cut[t][code] = g.action_at(opponent, t, code)
+        cut[t][reached[t].codes] = g.actions_at(opponent, t, reached[t].codes)
     _chain_and_payoff_match_oracle(spec, g.with_agent(opponent, cut), k)
