@@ -8,7 +8,7 @@ Report bodies carry no timestamps, so identical inputs produce
 byte-identical files.
 
 Exit status: 0 when every asserted tolerance passes, 1 on a tolerance
-failure, 2 on a malformed config/model/strategy.
+failure, 2 on a malformed flag, config, model or strategy (one stderr line).
 """
 
 from __future__ import annotations
@@ -76,10 +76,7 @@ def render_table(headers: list[str], rows: list[list]) -> str:
               for i, h in enumerate(headers)]
     line = "  ".join(h.ljust(w) for h, w in zip(headers, widths))
     rule = "  ".join("-" * w for w in widths)
-    body = [
-        "  ".join(c.ljust(w) for c, w in zip(row, widths))
-        for row in cells
-    ]
+    body = ["  ".join(c.ljust(w) for c, w in zip(row, widths)) for row in cells]
     return "\n".join([line, rule, *body])
 
 
@@ -117,21 +114,20 @@ def _report(command: str, name: str, config: RunConfig, results: list, gaps: lis
 
 
 # ---------------------------------------------------------------------------
-# Command implementations. Each returns (report dict, pass flag).
+# Command implementations: each gets the agent and profile `run` chose (no
+# profile for validate) and returns the report's (results, gaps, pass flag).
 # ---------------------------------------------------------------------------
 
-def cmd_validate(spec: ModelSpec, name: str, config: RunConfig):
+def cmd_validate(spec: ModelSpec, name: str, config: RunConfig, k: int, g: None):
     violations = validate_model(spec)
     rows = [[v] for v in violations] or [["(none)"]]
     print(f"== validate {name}")
     print(render_table(["violation"], rows))
     results = [{"check": "model-invariants", "violations": violations}]
-    return _report("validate", name, config, results, [], not violations), not violations
+    return results, [], not violations
 
 
-def cmd_filter(spec: ModelSpec, name: str, config: RunConfig):
-    k = config.agent
-    g = _profile_for(spec, config, "filter")
+def cmd_filter(spec: ModelSpec, name: str, config: RunConfig, k: int, g: StrategyProfile):
     layers, probs = BeliefPass(spec, k, g).chain()
     results, gaps = [], []
     for t, (codes, refs) in enumerate(oracle.posteriors(spec, g, k, free=False)):
@@ -158,12 +154,10 @@ def cmd_filter(spec: ModelSpec, name: str, config: RunConfig):
     print(render_table(
         ["t", "realization", "prob", "gap"],
         [[e["t"], e["realization"], _fmt(e["prob"]), _fmt(e["gap"])] for e in results]))
-    return _report("filter", name, config, results, gaps, ok, agent=k), ok
+    return results, gaps, ok
 
 
-def cmd_solve(spec: ModelSpec, name: str, config: RunConfig):
-    k = config.agent
-    g = _profile_for(spec, config, "solve")
+def cmd_solve(spec: ModelSpec, name: str, config: RunConfig, k: int, g: StrategyProfile):
     vtable, g_maps = dp.solve_best_response(spec, k, g)
     g_br = g.with_agent(k, g_maps)
     expected = dp.expected_value(spec, k, vtable)
@@ -196,12 +190,11 @@ def cmd_solve(spec: ModelSpec, name: str, config: RunConfig):
         ["t", "realization", "value", "best_action"],
         [[e["t"], e["realization"], _fmt(e["value"]), e["best_action"]] for e in table_rows]))
     print(f"expected initial value: {_fmt(expected)}")
-    return _report("solve", name, config, results, gaps, ok, agent=k), ok
+    return results, gaps, ok
 
 
-def cmd_pbp(spec: ModelSpec, name: str, config: RunConfig):
-    g0 = _profile_for(spec, config, "pbp")
-    g_final, trace, converged = dp.pbp_sweep(spec, g0, config.max_rounds,
+def cmd_pbp(spec: ModelSpec, name: str, config: RunConfig, k: int, g: StrategyProfile):
+    g_final, trace, converged = dp.pbp_sweep(spec, g, config.max_rounds,
                                              improve_tol=config.tol_improve)
     monotone = all(trace[i + 1] <= trace[i] + config.tol_improve
                    for i in range(len(trace) - 1))
@@ -224,7 +217,7 @@ def cmd_pbp(spec: ModelSpec, name: str, config: RunConfig):
     if "agents" in certification:
         for a in certification["agents"]:
             print(f"agent {a['agent']}: gap {_fmt(a['gap'])} stationary {a['stationary']}")
-    return _report("pbp", name, config, results, [], ok), ok
+    return results, [], ok
 
 
 def _alternative_strategies(spec: ModelSpec, k: int, g_maps):
@@ -240,9 +233,7 @@ def _alternative_strategies(spec: ModelSpec, k: int, g_maps):
     return alts
 
 
-def cmd_verify(spec: ModelSpec, name: str, config: RunConfig):
-    k = config.agent
-    g = _profile_for(spec, config, "verify")
+def cmd_verify(spec: ModelSpec, name: str, config: RunConfig, k: int, g: StrategyProfile):
     vtable, g_maps = dp.solve_best_response(spec, k, g)
     tree = oracle.RealizationTree(spec, k, g)
     results, gaps, ok = [], [], True
@@ -267,12 +258,10 @@ def cmd_verify(spec: ModelSpec, name: str, config: RunConfig):
     print(render_table(
         ["alternative", "checked", "violations"],
         [[e["alternative"], e["checked"], len(e["violations"])] for e in results]))
-    return _report("verify", name, config, results, gaps, ok, agent=k), ok
+    return results, gaps, ok
 
 
-def cmd_falsify(spec: ModelSpec, name: str, config: RunConfig):
-    k = config.agent
-    g = _profile_for(spec, config, "falsify")
+def cmd_falsify(spec: ModelSpec, name: str, config: RunConfig, k: int, g: StrategyProfile):
     t_check = spec.T - 1
     ci = falsify.check_conditional_independence(spec, g, k, t_check)
     results = [{"check": "conditional-independence", "informational": True,
@@ -324,7 +313,7 @@ def cmd_falsify(spec: ModelSpec, name: str, config: RunConfig):
     print(render_table(["check", "max_gap", "pass", "witness"], rows))
     gaps = [{"where": e["check"], "gap": e["report"]["max_gap"]}
             for e in results if "report" in e]
-    return _report("falsify", name, config, results, gaps, ok, agent=k), ok
+    return results, gaps, ok
 
 
 _COMMAND_FNS = {
@@ -336,11 +325,6 @@ _COMMAND_FNS = {
     "falsify": cmd_falsify,
 }
 COMMANDS = (*_COMMAND_FNS, "all")
-
-
-def _write_report(out_dir: str, filename: str, doc: dict) -> None:
-    os.makedirs(out_dir, exist_ok=True)
-    write_json(os.path.join(out_dir, filename), doc)
 
 
 def run(config: RunConfig) -> int:
@@ -358,20 +342,22 @@ def run(config: RunConfig) -> int:
                   else [resolve_model(config.model, check=config.command != "validate")])
         for name, spec in models:
             if config.command != "validate" and config.agent >= spec.K:
-                print(f"error: agent {config.agent} out of range for {name} (K={spec.K})",
-                      file=sys.stderr)
-                return EXIT_CONFIG
+                raise ValueError(f"agent {config.agent} out of range for {name} (K={spec.K})")
         commands = tuple(_COMMAND_FNS) if every else (config.command,)
         summary = []
         for name, spec in models:
             for command in commands:
-                doc, ok = _COMMAND_FNS[command](spec, name, config)
-                _write_report(config.out, f"{command}_{name}.json", doc)
+                g = None if command == "validate" else _profile_for(spec, config, command)
+                results, gaps, ok = _COMMAND_FNS[command](spec, name, config, config.agent, g)
+                agent = None if command in ("validate", "pbp") else config.agent
+                os.makedirs(config.out, exist_ok=True)
+                write_json(os.path.join(config.out, f"{command}_{name}.json"),
+                           _report(command, name, config, results, gaps, ok, agent))
                 summary.append({"model": name, "command": command, "pass": ok})
         all_ok = all(e["pass"] for e in summary)
         if every:
-            _write_report(config.out, "all_summary.json",
-                          _report("all", "canonical-instances", config, summary, [], all_ok))
+            write_json(os.path.join(config.out, "all_summary.json"),
+                       _report("all", "canonical-instances", config, summary, [], all_ok))
             print(f"== all: pass={all_ok}")
         return EXIT_OK if all_ok else EXIT_TOLERANCE
     except (OSError, ValueError) as exc:
@@ -379,9 +365,14 @@ def run(config: RunConfig) -> int:
         return EXIT_CONFIG
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a malformed flag: main's one-line config error
+        raise ValueError(message)
+
+
 def parse_args(argv=None) -> RunConfig:
     # Defaults live in RunConfig only: an option not given stays out of the namespace.
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="delaypbp", argument_default=argparse.SUPPRESS,
         description="Exact solver and checker for finite delayed-sharing team problems.")
     parser.add_argument("--command", required=True, choices=COMMANDS)
@@ -398,4 +389,9 @@ def parse_args(argv=None) -> RunConfig:
 
 
 def main(argv=None) -> int:
-    return run(parse_args(argv))
+    try:
+        config = parse_args(argv)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    return run(config)

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import UnreachableError
 from .filtering import BeliefPass, Layer, seq_sum
-from .info import grid_size
+from .info import grid_size, realization_key
 from .model import IMPROVE_TOL, ModelSpec
 from .strategies import StrategyProfile
 
@@ -155,12 +155,15 @@ def verify_value_dominance(tree, vtable: ValueTable, maps_k
 
     The table must sit weakly below the alternative everywhere; the caller
     compares. A layer whose codes are not those the enumeration reaches
-    raises UnreachableError.
+    raises UnreachableError, naming the first code one side lacks.
     """
     rows = []
     for t, (lay, values, (alt_codes, alt)) in enumerate(
             zip(vtable.entries, vtable.values, tree.cost_to_go(maps_k))):
-        if not np.array_equal(lay.codes, alt_codes):
-            raise UnreachableError(f"unreachable realization for agent {tree.k} at t={t}")
+        if not np.array_equal(lay.codes, alt_codes):  # both increase, so one side lacks a code
+            code = int(np.setxor1d(lay.codes, alt_codes)[0])
+            side = "enumeration" if code in lay.codes else "value table"
+            raise UnreachableError(f"unreachable realization for agent {tree.k} at t={t}: the "
+                                   f"{side} lacks {realization_key(tree.spec, tree.k, t, code)}")
         rows.append((lay.codes, values, alt))
     return rows

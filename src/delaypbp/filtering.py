@@ -146,15 +146,17 @@ class BeliefPass:
         self.tables = step_tables(spec, k)
 
     def layer(self, t: int, codes, beliefs, parent, action, weight) -> Layer:
-        """A layer of nodes with, before the horizon, the others' joint
-        actions: one indexed read per other agent. A reached cell without
-        an action raises the profile's IncompleteStrategyError."""
+        """A layer of nodes with, before the horizon, the others' joint actions
+        at the (node, lambda) cells with mass, one indexed read per other agent,
+        and 0 elsewhere; a missing action raises IncompleteStrategyError."""
         others_acts = None
         if t < self.spec.T:
-            tab, reached = self.tables[t], (beliefs > 0.0).any(axis=1)
-            shared = codes[:, None] // private_size(self.spec, self.k, t)
-            others_acts = np.zeros(reached.shape, dtype=np.intp) + radix(
-                [self.g.actions_at(j, t, shared * size + pc, reached)
+            tab = self.tables[t]
+            node, lam = np.nonzero((beliefs > 0.0).any(axis=1))
+            shared = codes[node] // private_size(self.spec, self.k, t)
+            others_acts = np.zeros((len(codes), tab.size), dtype=np.intp)
+            others_acts[node, lam] = radix(
+                [self.g.actions_at(j, t, shared * size + pc[lam])
                  for j, size, pc in zip(tab.others, tab.private_sizes, tab.private_codes)],
                 [self.spec.act_sizes[j] for j in tab.others])
         beliefs.setflags(write=False)

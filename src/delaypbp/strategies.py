@@ -41,20 +41,18 @@ class StrategyProfile:
                 a.setflags(write=False)
         object.__setattr__(self, "maps", maps)
 
-    def actions_at(self, k: int, t: int, codes: np.ndarray, reached=True) -> np.ndarray:
-        """Agent k's time-t actions at an array of codes, 0 where reached is
-        False and the map has none. A reached code without an action raises
-        IncompleteStrategyError, naming how many there are and the first
-        three in code order."""
+    def actions_at(self, k: int, t: int, codes: np.ndarray) -> np.ndarray:
+        """Agent k's time-t actions at an array of codes, every one of which
+        must have an action: else IncompleteStrategyError, naming how many
+        codes lack one and the first three in code order."""
         a = self.maps[k][t][codes]
-        miss = codes[(a < 0) & reached]
-        if len(miss):
-            miss = sorted(set(miss.tolist()))
+        miss = sorted(set(codes[a < 0].tolist()))
+        if miss:
             keys = ", ".join(realization_key(self.spec, k, t, c) for c in miss[:3])
             raise IncompleteStrategyError(
                 f"incomplete strategy: agent {k} has no action at t={t}, {keys}"
                 f" ({len(miss)} reached realization{'s' * (len(miss) > 1)} without one)")
-        return np.maximum(a, 0)
+        return a
 
     def with_agent(self, k: int, new_maps) -> "StrategyProfile":
         """Profile with agent k's per-time maps replaced."""

@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 
 from conftest import random_model
 from delaypbp import falsify, oracle
-from delaypbp.cli import (EXIT_CONFIG, EXIT_OK, EXIT_TOLERANCE, RunConfig, cmd_falsify, cmd_pbp,
-                          cmd_solve, main, parse_args, run)
+from delaypbp.cli import (EXIT_CONFIG, EXIT_OK, EXIT_TOLERANCE, RunConfig, _report, cmd_falsify,
+                          cmd_pbp, cmd_solve, main, parse_args, run)
 from delaypbp.dp import solve_best_response
 from delaypbp.errors import ModelFormatError
 from delaypbp.falsify import check_conditional_independence
@@ -22,8 +22,9 @@ from delaypbp.filtering import BeliefPass
 from delaypbp.info import history_code, parse_realization_key, realization_key
 from delaypbp.model import (CANONICAL_NAMES, K1_TOL, ModelSpec, canonical_instance, model_to_dict,
                             save_model, uniform_observation_variant)
-from delaypbp.strategies import (StrategyProfile, load_profile, observation_following_profile,
-                                 profile_to_dict, random_profile, save_profile)
+from delaypbp.strategies import (StrategyProfile, constant_profile, load_profile,
+                                 observation_following_profile, profile_to_dict, random_profile,
+                                 save_profile)
 
 
 def read(path):
@@ -97,6 +98,28 @@ def test_out_of_range_flag_gives_config_exit(tmp_path, capsys, flags, msg):
     assert main([*flags, "--model", "CANON-2A", "--out", str(out)]) == EXIT_CONFIG
     assert capsys.readouterr().err == msg + "\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["--command", "bogus"], ["--command", "solve", "--agent", "abc"],
+                                  ["--command", "solve", "--tol-compare", "x"], [],
+                                  ["--command", "solve", "--model"]],
+                         ids=["command", "agent", "tol-compare", "no-command", "model-no-value"])
+def test_malformed_flag_gives_one_line_config_exit(tmp_path, capsys, argv):
+    """argparse's errors take main's config-error path: exit 2, one stderr
+    line and no usage, no report directory."""
+    out = tmp_path / "r"
+    assert main(["--out", str(out), *argv]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_help_prints_usage_and_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: delaypbp")
 
 
 def test_agent_out_of_range_for_one_canonical_model_rejects_all(tmp_path, capsys):
@@ -254,15 +277,17 @@ def test_reports_hold_the_check_documents_as_returned(monkeypatch):
     for name, spec in (("CANON-2B", canonical_instance("CANON-2B")),
                        ("k2n2t2", random_model(3, 2, 2, 2, 2))):
         returned.clear()
-        doc, _ = cmd_falsify(spec, name, RunConfig(command="falsify", agent=0))
-        entries = [e for e in doc["results"] if "report" in e]
+        results, _, _ = cmd_falsify(spec, name, RunConfig(command="falsify", agent=0), 0,
+                                    observation_following_profile(spec))
+        entries = [e for e in results if "report" in e]
         assert len(entries) == 7  # single-agent reduction skipped at K = 2
         for e in entries:
             assert e["report"] == returned[checks[e["check"]]].pop(0), e["check"]
         assert not any(returned.values())
-        doc, _ = cmd_pbp(spec, name, RunConfig(command="pbp"))
+        results, _, _ = cmd_pbp(spec, name, RunConfig(command="pbp"), 0,
+                                constant_profile(spec, 0))
         (rep,) = returned["verify_pbp"]
-        assert doc["results"][0]["certification"] == {
+        assert results[0]["certification"] == {
             "cost": rep.cost, "agents": rep.agents, "all_stationary": rep.all_stationary}
 
 
@@ -332,7 +357,9 @@ def test_written_files_are_sorted_json_with_indent_1(tmp_path, name):
     out = tmp_path / "r"
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["--command", "solve", "--model", model, "--out", str(out)]) == EXIT_OK
-        doc, _ = cmd_solve(spec, stem, RunConfig(command="solve", model=model))
+        config = RunConfig(command="solve", model=model)
+        doc = _report("solve", stem, config,
+                      *cmd_solve(spec, stem, config, 0, observation_following_profile(spec)), 0)
     assert (out / f"solve_{stem}.json").read_text() == written(doc)
 
 

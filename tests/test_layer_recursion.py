@@ -87,6 +87,21 @@ def test_chain_and_belief_form_cost_equal_the_per_node_pass_bitwise(name):
 
 
 @pytest.mark.parametrize("name", MODELS, ids=str)
+def test_others_actions_are_zero_off_the_support(name):
+    """A layer reads the other agents' strategies only at the (node, lambda)
+    cells with mass and holds 0 elsewhere, in the free expansion and along
+    the chain, for every agent."""
+    spec, g = model(name)
+    for k in range(spec.K):
+        bp = BeliefPass(spec, k, g)
+        for free in (True, False):
+            for lay in bp.expand(free)[:-1]:
+                reached = (lay.beliefs > 0.0).any(axis=1)
+                assert lay.others_acts.shape == reached.shape
+                assert not lay.others_acts[~reached].any(), (k, free, lay.t)
+
+
+@pytest.mark.parametrize("name", MODELS, ids=str)
 def test_pbp_sweep_equals_the_per_node_sweep_bitwise(name):
     spec, _ = model(name)
     g0 = constant_profile(spec, 0)

@@ -4,6 +4,7 @@ import itertools
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -455,10 +456,18 @@ def test_dominance_check_rejects_a_table_realization_the_tree_does_not_reach(can
     """A table realization the enumeration cannot reach raises instead of
     being compared against nothing: a table built against the all-0
     opponent, checked against the tree of an opponent that plays its
-    observation."""
+    observation. The error names the first code one side lacks, and the
+    side; with the two opponents swapped the other side lacks it."""
+    follow = observation_following_profile(canon_2a)
     vtable, _ = solve_best_response(canon_2a, 0, constant_profile(canon_2a, 0))
-    tree = RealizationTree(canon_2a, 0, observation_following_profile(canon_2a))
-    with pytest.raises(UnreachableError, match="unreachable realization for agent 0 at t=1"):
+    tree = RealizationTree(canon_2a, 0, follow)
+    with pytest.raises(UnreachableError, match=re.escape(
+            "unreachable realization for agent 0 at t=1: the enumeration lacks c(0/0;1/0)p(0/)")):
+        verify_value_dominance(tree, vtable, constant_profile(canon_2a, 1).maps[0])
+    vtable, _ = solve_best_response(canon_2a, 0, follow)
+    tree = RealizationTree(canon_2a, 0, constant_profile(canon_2a, 0))
+    with pytest.raises(UnreachableError, match=re.escape(
+            "unreachable realization for agent 0 at t=1: the value table lacks c(0/0;1/0)p(0/)")):
         verify_value_dominance(tree, vtable, constant_profile(canon_2a, 1).maps[0])
 
 
