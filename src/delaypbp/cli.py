@@ -23,7 +23,7 @@ import numpy as np
 
 from . import dp, falsify, oracle
 from .filtering import BeliefPass
-from .info import lambda_labels, realization_key
+from .info import lambda_labels, realization_keys
 from .model import (CANONICAL_NAMES, COMPARE_TOL, IMPROVE_TOL, K1_TOL,
                     ModelSpec, resolve_model, uniform_observation_variant,
                     validate_model, write_json)
@@ -133,13 +133,12 @@ def cmd_filter(spec: ModelSpec, name: str, config: RunConfig, k: int, g: Strateg
     for t, (codes, refs) in enumerate(oracle.posteriors(spec, g, k, free=False)):
         own, beliefs, labels = layers[t].codes, layers[t].beliefs, lambda_labels(spec, k, t)
         if not np.array_equal(own, codes):  # both increase, so one side lacks a code
-            code = int(np.setxor1d(own, codes)[0])
-            side = "oracle" if code in own else "recursion"
-            raise AssertionError(f"t={t}: the {side} lacks {realization_key(spec, k, t, code)}")
-        for code, prob, belief, ref, gap in zip(
-                codes.tolist(), probs[t].tolist(), beliefs, refs,
+            code = np.setxor1d(own, codes)[:1]
+            side = "oracle" if code[0] in own else "recursion"
+            raise AssertionError(f"t={t}: the {side} lacks {realization_keys(spec, k, t, code)[0]}")
+        for key, prob, belief, ref, gap in zip(
+                realization_keys(spec, k, t, codes), probs[t].tolist(), beliefs, refs,
                 np.max(np.abs(beliefs - refs), axis=(1, 2)).tolist()):
-            key = realization_key(spec, k, t, code)
             gaps.append({"where": f"t={t} {key}", "gap": gap})
             results.append({
                 "t": t,
@@ -176,10 +175,11 @@ def cmd_solve(spec: ModelSpec, name: str, config: RunConfig, k: int, g: Strategy
         bf_entry = {"brute_force_value": bf_value, "gap": bf_gap}
 
     # Code order per t; a node's argmin is its cell of the extracted array.
-    table_rows = [{"t": t, "realization": realization_key(spec, k, t, code), "value": value,
+    table_rows = [{"t": t, "realization": key, "value": value,
                    "best_action": int(g_maps[t][code]) if t < spec.T else None}
                   for t, (lay, v) in enumerate(zip(vtable.entries, vtable.values))
-                  for code, value in zip(lay.codes.tolist(), v.tolist())]
+                  for code, key, value in zip(lay.codes.tolist(),
+                                              realization_keys(spec, k, t, lay.codes), v.tolist())]
     results = [{"expected_value": expected,
                 "best_response_cost": br_cost,
                 "brute_force": bf_entry,
@@ -239,13 +239,12 @@ def cmd_verify(spec: ModelSpec, name: str, config: RunConfig, k: int, g: Strateg
     results, gaps, ok = [], [], True
     for label, maps in _alternative_strategies(spec, k, g_maps):
         rows = dp.verify_value_dominance(tree, vtable, maps)
-        ts = np.repeat(np.arange(len(rows)), [len(codes) for codes, _, _ in rows])
+        violations = []
+        for t, (codes, table, alt) in enumerate(rows):
+            bad = table > alt + config.tol_compare
+            violations += [{"t": t, "realization": key, "table": x, "alt": y} for key, x, y in zip(
+                realization_keys(spec, k, t, codes[bad]), table[bad].tolist(), alt[bad].tolist())]
         codes, table, alt = map(np.concatenate, zip(*rows))  # (t, code) order
-        bad = table > alt + config.tol_compare
-        violations = [{"t": t, "realization": realization_key(spec, k, t, code),
-                       "table": table_value, "alt": alt_value}
-                      for t, code, table_value, alt_value in zip(
-                          *(a[bad].tolist() for a in (ts, codes, table, alt)))]
         ok = ok and not violations
         entry = {"alternative": label, "checked": len(codes), "violations": violations}
         if label == "extracted-best-response":

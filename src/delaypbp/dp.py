@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import UnreachableError
 from .filtering import BeliefPass, Layer, seq_sum
-from .info import grid_size, realization_key
+from .info import grid_size, realization_keys
 from .model import IMPROVE_TOL, ModelSpec
 from .strategies import StrategyProfile
 
@@ -163,7 +163,8 @@ def verify_value_dominance(tree, vtable: ValueTable, maps_k
         if not np.array_equal(lay.codes, alt_codes):  # both increase, so one side lacks a code
             code = int(np.setxor1d(lay.codes, alt_codes)[0])
             side = "enumeration" if code in lay.codes else "value table"
+            key = realization_keys(tree.spec, tree.k, t, [code])[0]
             raise UnreachableError(f"unreachable realization for agent {tree.k} at t={t}: the "
-                                   f"{side} lacks {realization_key(tree.spec, tree.k, t, code)}")
+                                   f"{side} lacks {key}")
         rows.append((lay.codes, values, alt))
     return rows

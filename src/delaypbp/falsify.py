@@ -20,7 +20,7 @@ laws pair every history's time-t and time-(t+1) codes); each sum is an
 `np.add.at` in walk order, and realizations are ordered by code, as are
 `oracle.posteriors`' rows, found by `np.searchsorted` or `np.intersect1d`,
 and per-code results are slices aligned to those rows. A code becomes
-text (`info.realization_key`) only to label a gap; no check decodes one.
+text (`info.realization_keys`, one call per layer) only to label a gap.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from . import dp, oracle
 from .errors import UnreachableError
 from .filtering import BeliefPass, classical_filter_update
 from .info import (grid_size, history_code, newest_obs, other_agents, private_size,
-                   realization_key, revealed, shared_prefix_len)
+                   realization_keys, revealed, shared_prefix_len)
 from .model import COMPARE_TOL, ModelSpec
 from .strategies import StrategyProfile
 
@@ -102,8 +102,8 @@ def check_conditional_independence(spec: ModelSpec, g_full, k: int, t: int) -> d
     (rx, p1), (rs, p2) = laws
     gaps = np.max(np.abs(p1 - p2[np.searchsorted(rs, rx // X)]), axis=1)
     return make_report("shared-data conditional independence",
-                       [(f"x={x}|{realization_key(spec, k, t, r)}", gap) for r, x, gap
-                        in zip((rx // X).tolist(), (rx % X).tolist(), gaps.tolist())])
+                       [(f"x={x}|{key}", gap) for key, x, gap in zip(realization_keys(
+                           spec, k, t, rx // X), (rx % X).tolist(), gaps.tolist())])
 
 
 # ---------------------------------------------------------------------------
@@ -127,8 +127,8 @@ def check_policy_independence(spec: ModelSpec, g_a: StrategyProfile,
     gaps, posts = [], [oracle.posteriors(spec, g, k, free=False) for g in (g_a, g_b)]
     for t, ((ra, a), (rb, b)) in enumerate(zip(*posts)):
         both, ia, ib = np.intersect1d(ra, rb, assume_unique=True, return_indices=True)
-        gaps += [(f"t={t} {realization_key(spec, k, t, r)}", gap) for r, gap in
-                 zip(both.tolist(), np.max(np.abs(a[ia] - b[ib]), axis=(1, 2)).tolist())]
+        gaps += [(f"t={t} {key}", gap) for key, gap in zip(realization_keys(spec, k, t, both),
+                 np.max(np.abs(a[ia] - b[ib]), axis=(1, 2)).tolist())]
     return make_report("posterior strategy independence", gaps)
 
 
@@ -200,6 +200,7 @@ def check_conditional_markov(spec: ModelSpec, g_full, k: int,
     for t, laws in enumerate(_next_posterior_laws(spec, g_full, k, posts)):
         codes, beliefs = posts[t]
         shared, us = codes // private_size(spec, k, t), g_full.actions_at(k, t, codes)
+        keys = realization_keys(spec, k, t, codes)
         order = np.lexsort((us, shared))  # by (shared block, action), then code
         cuts = np.flatnonzero(np.diff(shared[order]) | np.diff(us[order])) + 1
         for members in np.split(order, cuts):
@@ -208,9 +209,8 @@ def check_conditional_markov(spec: ModelSpec, g_full, k: int,
             for i in members.tolist():
                 clusters.setdefault(_bucket(reps, beliefs[i], tol), []).append(i)
             for group in clusters.values():
-                keys = ",".join(realization_key(spec, k, t, r) for r in codes[group].tolist())
                 pairs = itertools.combinations([laws[i] for i in group], 2)
-                gaps.append((f"t={t} u={us[group[0]]} group[{keys}]",
+                gaps.append((f"t={t} u={us[group[0]]} group[{','.join(keys[i] for i in group)}]",
                              max((_distribution_gap(*p, tol) for p in pairs), default=0.0)))
     return make_report("posterior conditional Markov", gaps)
 

@@ -12,7 +12,7 @@ symbols newly revealed into the shared block; it must reproduce
 codes as a layer does, and, for a single agent, the textbook filter
 (`classical_filter_update`) kept here. Zero-probability continuations are
 left out rather than returned as non-distributions. Layers are keyed by
-realization code; only the report writer decodes.
+realization code; only the report writer spells codes as text keys.
 
 `BeliefPass.expand` is the one forward expansion, one time layer at a
 time, with agent k's own action either free (the best-response DP, the

@@ -6,8 +6,8 @@ last n observations and last n-1 actions). A realization of agent k at
 time t is an integer code -- the one key of strategy arrays, belief
 layers, value rows and the oracle's group-bys, read off joint histories
 by `history_code` and advanced one step by arithmetic on codes -- or,
-where strategy files and reports are read or written, a text key;
-`decode` and `encode` turn a code into plain blocks of symbols and back.
+where strategy files and reports are read or written, a text key, which
+`realization_keys` writes and `parse_realization_keys` reads, array-wide.
 Every mixed radix is read by `radix` (Horner's rule) and split by its
 inverse `digits`; no other module writes either out but for a code's
 split at `private_size` and falsify's two-field keys (`r * X + x`,
@@ -35,24 +35,14 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from typing import NamedTuple
+import operator
+import re
 
 import numpy as np
 
 from .model import ModelSpec
 
 IntSeq = tuple[int, ...]
-
-
-class Blocks(NamedTuple):
-    """A realization's symbols in code order: per agent, the shared
-    observations and the shared actions; then the owner's private
-    observations and private actions."""
-
-    shared_obs: tuple[IntSeq, ...]
-    shared_acts: tuple[IntSeq, ...]
-    own_obs: IntSeq
-    own_acts: IntSeq
 
 
 def private_obs_len(n: int, t: int) -> int:
@@ -121,12 +111,6 @@ def radix(digits, sizes):
 def digits(codes, sizes) -> tuple:
     """radix's inverse: the digit arrays of codes in the sizes."""
     return np.unravel_index(codes, sizes) if len(sizes) else ()
-
-
-def encode(spec: ModelSpec, k: int, t: int, blocks: Blocks) -> int:
-    """Agent k's time-t code of the given blocks; the inverse of decode."""
-    return radix(itertools.chain(*blocks.shared_obs, *blocks.shared_acts, blocks.own_obs,
-                                 blocks.own_acts), radices(spec, k, t))
 
 
 def history_code(spec: ModelSpec, obs, acts, j: int, t: int):
@@ -198,61 +182,60 @@ def newest_obs(spec: ModelSpec, k: int, t: int, codes):
     return codes // spec.act_sizes[k] ** private_act_len(spec.n, t) % spec.obs_sizes[k]
 
 
-def decode(spec: ModelSpec, k: int, t: int, code: int) -> Blocks:
-    """The blocks of agent k's time-t realization with the given code."""
-    ds = [int(d) for d in digits(code, radices(spec, k, t))]
-    cut, lo, K = shared_prefix_len(spec.n, t), private_obs_len(spec.n, t), spec.K
-    per_agent = [tuple(ds[i * cut:(i + 1) * cut]) for i in range(2 * K)]
-    own = ds[2 * K * cut:]
-    return Blocks(tuple(per_agent[:K]), tuple(per_agent[K:]), tuple(own[:lo]), tuple(own[lo:]))
-
-
 # ---------------------------------------------------------------------------
-# Text keys: the stable form of a realization in strategy files and reports.
+# Text keys: the stable form of a realization in strategy files and reports,
+# e.g. ``c(0/1;1/0)p(1/)`` for K=2, n=1, t=1, one `%` format of a code's digits.
 # ---------------------------------------------------------------------------
 
-def _block_str(obs: IntSeq, acts: IntSeq) -> str:
-    return "-".join(map(str, obs)) + "/" + "-".join(map(str, acts))
+@functools.lru_cache(maxsize=256)
+def _key_format(K: int, n: int, t: int) -> tuple[str, list[int], re.Pattern]:
+    """The format of a time-t key: per agent its shared observations '/'
+    shared actions, then the private block, symbols joined by '-'; per
+    placeholder, the index of the code digit it spells; and the pattern of
+    keys spelled so, leading zeros allowed."""
+    cut, lo, la = shared_prefix_len(n, t), private_obs_len(n, t), private_act_len(n, t)
+    shared = "-".join(["%d"] * cut) + "/" + "-".join(["%d"] * cut)
+    fmt = f"c({';'.join([shared] * K)})p({'-'.join(['%d'] * lo)}/{'-'.join(['%d'] * la)})"
+    order = [(i * K + j) * cut + s for j in range(K) for i in (0, 1) for s in range(cut)]
+    return (fmt, order + list(range(2 * K * cut, 2 * K * cut + lo + la)),
+            re.compile(re.escape(fmt).replace("%d", "([0-9]+)")))
 
 
-def realization_key(spec: ModelSpec, k: int, t: int, code: int) -> str:
-    """Stable text key, e.g. ``c(0/1;1/0)p(1/)`` for K=2, n=1, t=1."""
-    b = decode(spec, k, t, code)
-    common = ";".join(map(_block_str, b.shared_obs, b.shared_acts))
-    return f"c({common})p({_block_str(b.own_obs, b.own_acts)})"
+def realization_keys(spec: ModelSpec, k: int, t: int, codes) -> list[str]:
+    """The text key of each of agent k's time-t codes, in order."""
+    fmt, order, _ = _key_format(spec.K, spec.n, t)
+    ds = digits(np.asarray(codes, dtype=np.int64), radices(spec, k, t))
+    return [fmt % row for row in zip(*(ds[i].tolist() for i in order))]
 
 
 def lambda_labels(spec: ModelSpec, k: int, t: int) -> list[str]:
     """The label of every lambda index at time t, in index order: the other
-    agents' private blocks, in increasing agent order, joined by ';'. A
-    private code below private_size decodes with an all-zero shared block."""
-    per_agent = [[_block_str(*decode(spec, j, t, pc)[2:])
-                  for pc in range(private_size(spec, j, t))] for j in other_agents(spec.K, k)]
+    agents' private blocks, in increasing agent order, joined by ';'; a
+    private code is the code whose shared block is all zeros."""
+    per_agent = [[key[key.index(")p(") + 3:-1] for key in realization_keys(
+        spec, j, t, np.arange(private_size(spec, j, t)))] for j in other_agents(spec.K, k)]
     return [";".join(parts) for parts in itertools.product(*per_agent)]
 
 
-def _parse_seq(s: str, block: str, name: str) -> IntSeq:
-    symbols = s.split("-") if s else []
-    for i, v in enumerate(symbols):
-        if not v.strip().removeprefix("+").isdecimal():  # what int() reads, but for '_'
-            raise ValueError(f"block {block!r}: {name} symbol {i} is {v!r}; symbols are "
-                             "non-negative decimal integers joined by single '-'")
-    return tuple(map(int, symbols))
-
-
-def _parse_block(s: str) -> tuple[IntSeq, IntSeq]:
+def _parse_block(s: str) -> tuple[IntSeq, ...]:
     if s.count("/") != 1:
         raise ValueError(f"block {s!r} needs one '/' between observations and actions, "
                          f"found {s.count('/')}")
-    ys, us = s.split("/")
-    return _parse_seq(ys, s, "observation"), _parse_seq(us, s, "action")
+    out = []
+    for name, seq in zip(("observation", "action"), s.split("/")):
+        symbols = seq.split("-") if seq else []
+        for i, v in enumerate(symbols):
+            if not v.strip().removeprefix("+").isdecimal():  # what int() reads, but for '_'
+                raise ValueError(f"block {s!r}: {name} symbol {i} is {v!r}; symbols are "
+                                 "non-negative decimal integers joined by single '-'")
+        out.append(tuple(map(int, symbols)))
+    return tuple(out)
 
 
-def parse_realization_key(key: str, spec: ModelSpec, k: int, t: int) -> int:
-    """The code of a text key of agent k at time t of spec. Raises
-    ValueError unless the key names spec.K agents, fills the index windows,
-    uses only symbols in each agent's alphabets and is spelled exactly as
-    realization_key spells its code."""
+def _parse_key(key: str, spec: ModelSpec, k: int, t: int) -> list[int]:
+    """The symbols of a key in the order it spells them; raises ValueError
+    unless it names spec.K agents, fills the index windows and uses only
+    symbols in each agent's alphabets."""
     if not key.startswith("c(") or not key.endswith(")"):
         raise ValueError(f"malformed realization key {key!r}")
     if key.count(")p(") != 1:
@@ -275,8 +258,28 @@ def parse_realization_key(key: str, spec: ModelSpec, k: int, t: int) -> int:
     for j, (ys, us) in [*enumerate(shared), (k, own)]:
         if any(y >= spec.obs_sizes[j] for y in ys) or any(u >= spec.act_sizes[j] for u in us):
             raise ValueError(f"symbol outside agent {j}'s alphabets")
-    code = encode(spec, k, t, Blocks(*zip(*shared), *own))
-    canonical = realization_key(spec, k, t, code)
-    if canonical != key:
-        raise ValueError(f"not the canonical spelling {canonical!r}")
-    return code
+    return [d for ys, us in [*shared, own] for d in ys + us]
+
+
+def parse_realization_keys(keys: list[str], spec: ModelSpec, k: int, t: int) -> np.ndarray:
+    """The codes of agent k's time-t text keys, in key order. Raises
+    ValueError naming the first key that does not name spec.K agents, fill
+    the index windows and use only symbols in each agent's alphabets, or
+    else the first not spelled as realization_keys spells its code."""
+    _, order, pattern = _key_format(spec.K, spec.n, t)
+    sizes, rows = [radices(spec, k, t)[i] for i in order], []
+    for key in keys:
+        row = list(map(int, match.groups())) if (match := pattern.fullmatch(key)) else None
+        if row is None or any(map(operator.ge, row, sizes)):
+            try:  # raises unless the key is well formed but misspelled
+                row = _parse_key(key, spec, k, t)
+            except ValueError as exc:
+                raise ValueError(f"bad realization key {key!r}: {exc}") from None
+        rows.append(row)
+    codes = radix(np.array(rows, dtype=np.int64).reshape(len(keys), len(order))
+                  [:, np.argsort(order)].T, radices(spec, k, t))
+    for key, canonical in zip(keys, realization_keys(spec, k, t, codes)):
+        if key != canonical:
+            raise ValueError(f"bad realization key {key!r}: not the canonical spelling "
+                             f"{canonical!r}")
+    return codes

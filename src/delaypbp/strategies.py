@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IncompleteStrategyError, ModelFormatError
-from .info import grid_size, newest_obs, parse_realization_key, realization_key
+from .info import grid_size, newest_obs, parse_realization_keys, realization_keys
 from .model import ModelSpec, check_keys, is_integer, kind_of, read_json, write_json
 
 
@@ -48,7 +48,7 @@ class StrategyProfile:
         a = self.maps[k][t][codes]
         miss = sorted(set(codes[a < 0].tolist()))
         if miss:
-            keys = ", ".join(realization_key(self.spec, k, t, c) for c in miss[:3])
+            keys = ", ".join(realization_keys(self.spec, k, t, miss[:3]))
             raise IncompleteStrategyError(
                 f"incomplete strategy: agent {k} has no action at t={t}, {keys}"
                 f" ({len(miss)} reached realization{'s' * (len(miss) > 1)} without one)")
@@ -101,18 +101,12 @@ _TIME_KEYS = {"t": _INTEGER, "entries": _LIST}
 
 
 def profile_to_dict(spec: ModelSpec, g: StrategyProfile) -> dict:
-    agents = []
-    for k in range(spec.K):
-        times = []
-        for t in range(spec.T):
-            m = g.maps[k][t]
-            times.append({
-                "t": t,
-                "entries": [[realization_key(spec, k, t, code), int(m[code])]
-                            for code in np.flatnonzero(m >= 0)],
-            })
-        agents.append({"agent": k, "times": times})
-    return {"K": spec.K, "T": spec.T, "n": spec.n, "agents": agents}
+    def entries(k: int, t: int, m: np.ndarray) -> list:
+        codes = np.flatnonzero(m >= 0)
+        return [[key, u] for key, u in zip(realization_keys(spec, k, t, codes), m[codes].tolist())]
+    return {"K": spec.K, "T": spec.T, "n": spec.n, "agents": [
+        {"agent": k, "times": [{"t": t, "entries": entries(k, t, m)} for t, m in enumerate(row)]}
+        for k, row in enumerate(g.maps)]}
 
 
 def save_profile(spec: ModelSpec, g: StrategyProfile, path) -> None:
@@ -120,7 +114,7 @@ def save_profile(spec: ModelSpec, g: StrategyProfile, path) -> None:
 
 
 def _indexed(blocks: list, field: str, name: str, count: int) -> dict:
-    """Blocks keyed by their integer `field`, each in 0..count-1 and given
+    """The JSON blocks keyed by their integer `field`, each in 0..count-1 and given
     once; `name` names a block in errors ("agent", "agent 0 time")."""
     out = {}
     for blk in blocks:
@@ -155,25 +149,27 @@ def load_profile(spec: ModelSpec, path) -> StrategyProfile:
             if t not in by_t:
                 raise ModelFormatError(f"strategy document missing agent {k} time {t}")
             check_keys(by_t[t], _TIME_KEYS, f"strategy document: agent {k} time {t}")
-            m = np.full(grid_size(spec, k, t), -1)
-            for entry in by_t[t]["entries"]:
+            entries = by_t[t]["entries"]
+            for entry in entries:
                 if not (isinstance(entry, list) and len(entry) == 2 and isinstance(entry[0], str)
                         and is_integer(entry[1])):
                     raise ModelFormatError(
                         f"agent {k} time {t}: entry {entry!r} is not a [key, action] pair")
-                key, u = entry
-                try:
-                    code = parse_realization_key(key, spec, k, t)
-                except ValueError as exc:
-                    raise ModelFormatError(
-                        f"agent {k} time {t}: bad realization key {key!r}: {exc}") from None
-                if not (0 <= u < spec.act_sizes[k]):
-                    raise ModelFormatError(
-                        f"action {u} out of range for agent {k} at {key}")
-                if m[code] >= 0:
-                    raise ModelFormatError(f"agent {k} time {t}: realization key {key!r} "
-                                           "given twice")
-                m[code] = u
+            keys = [key for key, _ in entries]
+            try:
+                codes = parse_realization_keys(keys, spec, k, t)
+            except ValueError as exc:
+                raise ModelFormatError(f"agent {k} time {t}: {exc}") from None
+            for key, u in entries:
+                if not 0 <= u < spec.act_sizes[k]:
+                    raise ModelFormatError(f"action {u} out of range for agent {k} at {key}")
+            order = np.argsort(codes, kind="stable")  # a code's later entries repeat it
+            again = order[1:][np.diff(codes[order]) == 0]
+            if len(again):
+                raise ModelFormatError(f"agent {k} time {t}: realization key "
+                                       f"{keys[again.min()]!r} given twice")
+            m = np.full(grid_size(spec, k, t), -1)
+            m[codes] = [u for _, u in entries]
             per_t.append(m)
         maps.append(tuple(per_t))
     return StrategyProfile(spec=spec, maps=tuple(maps))

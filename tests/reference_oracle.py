@@ -33,7 +33,7 @@ from array import array
 import numpy as np
 
 from delaypbp import oracle
-from delaypbp.info import (grid_size, other_agents, private_size, radices, realization_key,
+from delaypbp.info import (grid_size, other_agents, private_size, radices, realization_keys,
                            shared_prefix_len)
 
 
@@ -261,9 +261,10 @@ def conditional_independence_gaps(spec, k, t):
         p2: dict[int, dict] = {}
         for (r, shared), m in by_rs.items():
             p2.setdefault(r, {})[shared] = m / by_r[r]
-        return [(f"x={x}|{realization_key(spec, k, t, r)}",
+        keys = realization_keys(spec, k, t, [r for r, _ in p1])
+        return [(f"x={x}|{key}",
                  max(abs(p.get(s, 0.0) - p2[r].get(s, 0.0)) for s in set(p) | set(p2[r])))
-                for (r, x), p in p1.items()]
+                for key, ((r, x), p) in zip(keys, p1.items())]
 
     return visit, result
 

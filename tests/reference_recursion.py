@@ -11,13 +11,18 @@ path must give the same floats bit for bit.
 Realizations here are the local records `Node` (a `Common` shared block
 and a `Private` block), and lambda is a tuple of the other agents'
 `Private` blocks in `other_private_space` order; they meet the package's
-integer coding only through `encode` and `decode`.
+integer coding only through `encode` and `decode`. Those two rest on the
+spelled-out form of a code, `Blocks`, which `decode_blocks` splits off a
+code's `info.digits` and `encode_blocks` codes back by Horner's rule;
+`spelled_key` writes a `Blocks` as the text key, the scalar reference the
+package's array codec (`info.realization_keys`) is checked against.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -57,13 +62,55 @@ class Node:
     private: Private
 
 
+class Blocks(NamedTuple):
+    """A realization's symbols in code order: per agent, the shared
+    observations and the shared actions; then the owner's private
+    observations and private actions."""
+
+    shared_obs: tuple
+    shared_acts: tuple
+    own_obs: tuple
+    own_acts: tuple
+
+
+def decode_blocks(spec, k, t, code):
+    """The blocks of agent k's time-t realization with the given code."""
+    ds = [int(d) for d in info.digits(code, radices(spec, k, t))]
+    cut, lo, K = shared_prefix_len(spec.n, t), info.private_obs_len(spec.n, t), spec.K
+    per_agent = [tuple(ds[i * cut:(i + 1) * cut]) for i in range(2 * K)]
+    own = ds[2 * K * cut:]
+    return Blocks(tuple(per_agent[:K]), tuple(per_agent[K:]), tuple(own[:lo]), tuple(own[lo:]))
+
+
+def encode_blocks(spec, k, t, blocks):
+    """Agent k's time-t code of the given blocks; decode_blocks' inverse."""
+    code = 0
+    for d, r in zip(itertools.chain(*blocks.shared_obs, *blocks.shared_acts, blocks.own_obs,
+                                    blocks.own_acts), radices(spec, k, t)):
+        code = code * r + d
+    return code
+
+
+def _spelled_block(obs, acts):
+    return "-".join(map(str, obs)) + "/" + "-".join(map(str, acts))
+
+
+def spelled_key(spec, k, t, code):
+    """The text key of agent k's time-t code, e.g. ``c(0/1;1/0)p(1/)`` for
+    K=2, n=1, t=1: per agent its shared observations '/' shared actions,
+    joined by ';', then the private block, symbols joined by '-'."""
+    b = decode_blocks(spec, k, t, code)
+    common = ";".join(map(_spelled_block, b.shared_obs, b.shared_acts))
+    return f"c({common})p({_spelled_block(b.own_obs, b.own_acts)})"
+
+
 def encode(spec, r):
-    return info.encode(spec, r.private.agent, r.common.t,
-                       info.Blocks(r.common.obs, r.common.acts, r.private.obs, r.private.acts))
+    return encode_blocks(spec, r.private.agent, r.common.t,
+                         Blocks(r.common.obs, r.common.acts, r.private.obs, r.private.acts))
 
 
 def decode(spec, k, t, code):
-    b = info.decode(spec, k, t, code)
+    b = decode_blocks(spec, k, t, code)
     return Node(Common(t, spec.n, b.shared_obs, b.shared_acts),
                 Private(t, spec.n, k, b.own_obs, b.own_acts))
 
@@ -94,12 +141,9 @@ def _frozen(b):
 
 
 def shared_code(spec, common):
-    """The code of a shared block alone: Horner's rule over its digits in
-    `radices` order, i.e. an agent's code // its private_size."""
-    code = 0
-    for d, r in zip(itertools.chain(*common.obs, *common.acts), radices(spec, 0, common.t)):
-        code = code * r + d
-    return code
+    """The code of a shared block alone, i.e. an agent's code // its
+    private_size: Horner's rule over the shared digits, which lead."""
+    return encode_blocks(spec, 0, common.t, Blocks(common.obs, common.acts, (), ()))
 
 
 # --- the tuple advances -------------------------------------------------------

@@ -19,7 +19,7 @@ from delaypbp.dp import solve_best_response
 from delaypbp.errors import ModelFormatError
 from delaypbp.falsify import check_conditional_independence
 from delaypbp.filtering import BeliefPass
-from delaypbp.info import history_code, parse_realization_key, realization_key
+from delaypbp.info import history_code, parse_realization_keys, realization_keys
 from delaypbp.model import (CANONICAL_NAMES, K1_TOL, ModelSpec, canonical_instance, model_to_dict,
                             save_model, uniform_observation_variant)
 from delaypbp.strategies import (StrategyProfile, constant_profile, load_profile,
@@ -153,7 +153,7 @@ def test_filter_raises_where_the_oracle_lacks_a_chain_realization(tmp_path, monk
         posts = whole(spec, g, k, free=free)
         codes, beliefs = posts[1]
         posts[1] = (np.delete(codes, 3), np.delete(beliefs, 3, axis=0))
-        missing.append(realization_key(spec, k, 1, int(codes[3])))
+        missing.extend(realization_keys(spec, k, 1, codes[3:4]))
         return posts
 
     missing = []
@@ -174,7 +174,7 @@ def test_filter_raises_where_the_recursion_lacks_an_oracle_realization(tmp_path,
         layers[1] = dataclasses.replace(lay, codes=np.delete(lay.codes, 3),
                                         beliefs=np.delete(lay.beliefs, 3, axis=0))
         probs[1] = np.delete(probs[1], 3)
-        missing.append(realization_key(self.spec, self.k, 1, int(lay.codes[3])))
+        missing.extend(realization_keys(self.spec, self.k, 1, lay.codes[3:4]))
         return layers, probs
 
     missing = []
@@ -830,7 +830,7 @@ def test_incomplete_strategy_file_gives_config_exit(tmp_path, canon_2a, capsys, 
 
 @pytest.mark.parametrize("command", ["filter", "solve", "falsify"])
 @pytest.mark.parametrize("key", ["c(0/1;1/0;1/1)p(7/)", "c(0/1;1/0)p(7/)", "c(0/1;1/2)p(1/)",
-                                 "x(0/)p(0/)"])
+                                 "x(0/)p(0/)", "c(0/1;1/0)p(99999999999999999999/)"])
 def test_strategy_key_outside_the_model_gives_config_exit(tmp_path, canon_2a, capsys,
                                                           command, key):
     """A key naming more agents than the model, or a symbol outside an
@@ -848,6 +848,37 @@ def test_strategy_key_outside_the_model_gives_config_exit(tmp_path, canon_2a, ca
     assert len(err) == 1
     assert err[0].startswith(f"error: agent 0 time 1: bad realization key {key!r}")
     assert not (tmp_path / "r").exists()
+
+
+def test_strategy_faults_are_named_structure_spelling_range_then_duplicates(tmp_path, canon_2a):
+    """The loader reads a time's entries in passes: the structure and
+    alphabets of every key, then every key's spelling, then every action's
+    range, then repeated keys. With one fault of each kind, each on an
+    earlier entry than the fault of the kind before, mending the named
+    fault names the next kind."""
+    path = tmp_path / "strategy.json"
+    save_profile(canon_2a, observation_following_profile(canon_2a), path)
+    doc = read(path)
+    entries = doc["agents"][0]["times"][1]["entries"]
+    saved = copy.deepcopy(entries)
+    entries[1][0] = entries[0][0]
+    entries[2][1] = 5
+    entries[3][0] = entries[3][0].replace("c(", "c(+")
+    entries[4][0] = entries[4][0].replace("p(", "p(7-")
+    messages = [f"agent 0 time 1: bad realization key {entries[4][0]!r}: private obs must "
+                "have length 1",
+                f"agent 0 time 1: bad realization key {entries[3][0]!r}: not the canonical "
+                f"spelling {saved[3][0]!r}",
+                f"action 5 out of range for agent 0 at {saved[2][0]}",
+                f"agent 0 time 1: realization key {saved[0][0]!r} given twice"]
+    for i, message in zip((4, 3, 2, 1), messages):
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelFormatError) as err:
+            load_profile(canon_2a, path)
+        assert str(err.value) == message
+        entries[i] = saved[i]
+    path.write_text(json.dumps(doc))
+    assert load_profile(canon_2a, path).agents_equal(observation_following_profile(canon_2a), 0)
 
 
 def test_incomplete_own_strategy_file_gives_config_exit(tmp_path, canon_2a, capsys):
@@ -893,11 +924,11 @@ def test_incomplete_strategy_file_reports_every_miss_in_the_layer(tmp_path, cano
     for t, xs, obs, acts, mass, cost in oracle.walk(canon_2a, g, depth=1):
         if t == 1:
             reached.update(history_code(canon_2a, obs, acts, j, 1).tolist())
-    kept = {parse_realization_key(key, canon_2a, j, 1)
-            for key, _ in doc["agents"][j]["times"][1]["entries"]}
-    missing = sorted(reached - kept)
+    kept = parse_realization_keys([key for key, _ in doc["agents"][j]["times"][1]["entries"]],
+                                  canon_2a, j, 1)
+    missing = sorted(reached - set(kept.tolist()))
     assert len(missing) > 3
-    keys = ", ".join(realization_key(canon_2a, j, 1, c) for c in missing[:3])
+    keys = ", ".join(realization_keys(canon_2a, j, 1, missing[:3]))
     assert capsys.readouterr().err.strip().splitlines() == [
         f"error: incomplete strategy: agent {j} has no action at t=1, {keys} "
         f"({len(missing)} reached realizations without one)"]

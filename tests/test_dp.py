@@ -10,12 +10,12 @@ from delaypbp.dp import (ValueTable, cost_via_beliefs, expected_value, pbp_sweep
                          solve_best_response, stage_values, terminal_values,
                          verify_value_dominance)
 from delaypbp.filtering import BeliefPass
-from delaypbp.info import decode, grid_size
+from delaypbp.info import grid_size
 from delaypbp.model import IMPROVE_TOL
 from delaypbp.strategies import (constant_profile, observation_following_profile,
                                  random_profile)
 from reference_recursion import decode as decode_node
-from reference_recursion import other_private_space
+from reference_recursion import decode_blocks, other_private_space
 from test_layer_recursion import MODELS, bits, model
 from test_oracle import truncate_to_t1, zero_cost_variant
 
@@ -155,7 +155,7 @@ def test_semi_separation_of_extracted_actions(canon_2a):
         groups = {}
         lay = vtable.entries[t]
         for code, belief, best in zip(lay.codes, lay.beliefs, maps[t][lay.codes]):
-            r = decode(canon_2a, 0, t, int(code))
+            r = decode_blocks(canon_2a, 0, t, int(code))
             placed = False
             for key, (probs, actions) in groups.items():
                 if key == r and \

@@ -10,11 +10,11 @@ from hypothesis import strategies as st
 from conftest import oracle_gap, others_play, random_model, rows_at, sparse_model
 from delaypbp import filtering, oracle
 from delaypbp.filtering import BeliefPass, classical_filter_update
-from delaypbp.info import Blocks, decode, other_agents, shared_prefix_len
+from delaypbp.info import grid_size, other_agents, shared_prefix_len
 from delaypbp.model import ModelSpec
 from delaypbp.strategies import (constant_profile, observation_following_profile,
                                  random_profile)
-from reference_recursion import advance_other, other_private_space
+from reference_recursion import Blocks, advance_other, decode_blocks, other_private_space
 from reference_recursion import decode as decode_node
 
 
@@ -74,7 +74,7 @@ def test_initial_belief_matches_oracle(canon_2a):
     g = observation_following_profile(canon_2a)
     for k in range(2):
         start = BeliefPass(canon_2a, k, g).start()
-        assert [decode(canon_2a, k, 0, c) for c in start.codes.tolist()] == [
+        assert [decode_blocks(canon_2a, k, 0, c) for c in start.codes.tolist()] == [
             first_realization(canon_2a, k, y0) for y0 in range(2)]
         post = rows_at(oracle.posteriors(canon_2a, g, k)[0], start.codes)
         assert start.beliefs.shape == post.shape
@@ -106,7 +106,7 @@ def successors_by_block(spec, k, y0, g, u):
     nxt = bp.step(lay, np.full(len(lay), u))
     mine = nxt.parent == lay.codes.tolist().index(y0)
     return {((r1.shared_obs, r1.shared_acts), r1.own_obs[-1]): b
-            for r1, b in zip((decode(spec, k, 1, int(c)) for c in nxt.codes[mine]),
+            for r1, b in zip((decode_blocks(spec, k, 1, int(c)) for c in nxt.codes[mine]),
                              nxt.beliefs[mine])}
 
 
@@ -170,8 +170,7 @@ def test_oracle_belief_unreachable_realization(canon_2a):
     under the all-0 opponent, exactly those in which it played 1."""
     g = constant_profile(canon_2a, 0)
     codes, _ = oracle.posteriors(canon_2a, g, 0)[1]
-    from delaypbp.info import decode, grid_size
-    unreachable = [decode(canon_2a, 0, 1, code) for code in range(grid_size(canon_2a, 0, 1))
+    unreachable = [decode_blocks(canon_2a, 0, 1, code) for code in range(grid_size(canon_2a, 0, 1))
                    if code not in codes]
     assert len(unreachable) == len(codes) == 16
     assert all(r.shared_acts[1] == (1,) for r in unreachable)
@@ -295,7 +294,7 @@ def test_classical_filter_matches_recursion_marginal(canon_1):
     g = constant_profile(canon_1, 0)
     first = BeliefPass(canon_1, 0, g).chain()[0][0]
     for code, b in zip(first.codes.tolist(), first.beliefs):
-        y0 = decode(canon_1, 0, 0, code).own_obs[0]
+        y0 = decode_blocks(canon_1, 0, 0, code).own_obs[0]
         raw = canon_1.init_dist * canon_1.observation[0][0][:, y0]
         pi = raw / raw.sum()
         assert np.max(np.abs(b.sum(axis=1) - pi)) <= 1e-12
@@ -369,7 +368,7 @@ def test_batched_kernel_equals_scalar_loop_bitwise(spec):
                 for u in range(spec.act_sizes[k]):
                     got = {}
                     for c in np.flatnonzero((nxt.parent == i) & (nxt.action == u)):
-                        r1 = decode(spec, k, t + 1, int(nxt.codes[c]))
+                        r1 = decode_blocks(spec, k, t + 1, int(nxt.codes[c]))
                         rev = ((tuple(r1.shared_obs[j][-1] for j in others),
                                 tuple(r1.shared_acts[j][-1] for j in others))
                                if promote else ())

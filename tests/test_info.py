@@ -12,13 +12,15 @@ from hypothesis import strategies as st
 from conftest import SHAPES, random_model, rows_at, sparse_model
 from delaypbp import cli, info, oracle
 from delaypbp.filtering import BeliefPass
-from delaypbp.info import (Blocks, decode, digits, encode, grid_size, history_code,
-                           lambda_labels, newest_obs, next_codes, parse_realization_key,
-                           private_act_len, private_obs_len, private_size, promoted, radix,
-                           realization_key, revealed, shared_prefix_len, shift_code)
+from delaypbp.info import (digits, grid_size, history_code, lambda_labels, newest_obs,
+                           next_codes, parse_realization_keys, private_act_len, private_obs_len,
+                           private_size, promoted, radix, realization_keys, revealed,
+                           shared_prefix_len, shift_code)
 from delaypbp.model import ModelSpec
 from delaypbp.strategies import (constant_profile, observation_following_profile,
                                  random_profile)
+from reference_recursion import Blocks, decode_blocks, encode_blocks, spelled_key
+from test_wider_patterns import WIDER_SHAPES
 
 
 def make_history(K, t, fill=0):
@@ -31,8 +33,8 @@ def split(spec, obs, acts, k, t):
     """Agent k's blocks and lambda at time t, read through the codes: agent
     k's history code decoded, and each other agent's decoded private block
     (observations, actions), keyed by agent."""
-    b = decode(spec, k, t, history_code(spec, obs, acts, k, t))
-    lam = {j: decode(spec, j, t, history_code(spec, obs, acts, j, t))[2:]
+    b = decode_blocks(spec, k, t, history_code(spec, obs, acts, k, t))
+    lam = {j: decode_blocks(spec, j, t, history_code(spec, obs, acts, j, t))[2:]
            for j in range(spec.K) if j != k}
     return b, lam
 
@@ -106,7 +108,7 @@ def test_digits_invert_radix(sizes, seed):
 def symbols_promoted(spec, j, t, pcode, u):
     """Agent j's promoted observation and action read off its decoded
     private block (a private code decodes with an all-zero shared block)."""
-    own_obs, own_acts = decode(spec, j, t, pcode)[2:]
+    own_obs, own_acts = decode_blocks(spec, j, t, pcode)[2:]
     return own_obs[0], own_acts[0] if spec.n >= 2 else u
 
 
@@ -214,15 +216,17 @@ def test_realization_key_roundtrip():
         spec = random_model(seed=n, K=2, n=n, T=2, sizes=3)
         for k in range(2):
             code = history_code(spec, obs, acts, k, 2)
-            assert encode(spec, k, 2, decode(spec, k, 2, code)) == code
-            key = realization_key(spec, k, 2, code)
-            assert parse_realization_key(key, spec, k, 2) == code
+            assert encode_blocks(spec, k, 2, decode_blocks(spec, k, 2, code)) == code
+            keys = realization_keys(spec, k, 2, [code])
+            assert keys == [spelled_key(spec, k, 2, code)]
+            assert parse_realization_keys(keys, spec, k, 2).tolist() == [code]
 
 
 @pytest.mark.parametrize("key,problem", [
     ("c(0/1;1/0;1/1)p(1/)", "names 3 agents"),
     ("c(0/1)p(1/)", "names 1 agents"),
     ("c(0/1;1/0)p(7/)", "agent 0's alphabets"),
+    ("c(0/1;1/0)p(99999999999999999999/)", "agent 0's alphabets"),
     ("c(0/1;2/0)p(1/)", "agent 1's alphabets"),
     ("c(0/1;1/3)p(1/)", "agent 1's alphabets"),
     ("c(0/1;1/0)p(1-1/)", "private obs must have length 1"),
@@ -238,8 +242,20 @@ def test_realization_key_roundtrip():
     ("c(0/1;1/0)p(x/)", "block 'x/': observation symbol 0 is 'x'"),
 ])
 def test_parse_realization_key_rejects_keys_outside_the_model(canon_2a, key, problem):
-    with pytest.raises(ValueError, match=problem):
-        parse_realization_key(key, canon_2a, 0, 1)
+    """The batch reader names the bad key between two canonical ones; a
+    symbol too large for int64 is outside the alphabet, not an overflow."""
+    good = realization_keys(canon_2a, 0, 1, [0, 31])
+    with pytest.raises(ValueError, match=problem) as err:
+        parse_realization_keys([good[0], key, good[1]], canon_2a, 0, 1)
+    assert str(err.value).startswith(f"bad realization key {key!r}: ")
+
+
+def test_batch_reader_checks_every_key_before_any_spelling():
+    """A malformed key after a misspelled one is named first: the reader
+    checks the structure and alphabets of all keys, then their spellings."""
+    spec = random_model(seed=1, K=2, n=1, T=2)
+    with pytest.raises(ValueError, match=r"'c\(0/1;1/0\)p\(2/\)': symbol outside"):
+        parse_realization_keys(["c(0/1;1/0)p(+1/)", "c(0/1;1/0)p(2/)"], spec, 0, 1)
 
 
 def canonical(r):
@@ -250,21 +266,47 @@ def canonical(r):
 
 
 def test_sort_key_total_order():
-    """On every benchmark shape, codes 0, 1, ... decode to realizations in
-    strictly increasing canonical order, each round-tripping through its
-    text key."""
+    """On every benchmark shape, codes 0, 1, ... spell out (decode_blocks)
+    realizations in strictly increasing canonical order, and the keys of
+    each (k, t) grid parse back to its codes in one batch."""
     for K, n, T, sizes in SHAPES:
         spec = random_model(seed=0, K=K, n=n, T=T, sizes=sizes)
         for k in range(K):
             for t in range(T):
-                prev = None
-                for code in range(grid_size(spec, k, t)):
-                    r = decode(spec, k, t, code)
-                    assert parse_realization_key(realization_key(spec, k, t, code),
-                                                 spec, k, t) == code
-                    assert encode(spec, k, t, r) == code
-                    assert prev is None or canonical(prev) < canonical(r)
-                    prev = r
+                codes = np.arange(grid_size(spec, k, t))
+                keys = realization_keys(spec, k, t, codes)
+                assert np.array_equal(parse_realization_keys(keys, spec, k, t), codes)
+                rs = [canonical(decode_blocks(spec, k, t, c)) for c in codes.tolist()]
+                assert all(a < b for a, b in zip(rs, rs[1:]))
+
+
+KEY_MODELS = {
+    **{f"K{K}n{n}T{T}a{a}": functools.partial(random_model, 0, K, n, T, a)
+       for K, n, T, a in SHAPES},
+    **WIDER_SHAPES,
+    "sparse-K1n1T3": lambda: sparse_model(0, 1, 1, 3),
+    "sparse-K2n2T3-size1": lambda: sparse_model(5, 2, 2, 3),  # |Y_1| = |A_1| = 1
+    "K1n1T1a11": lambda: random_model(3, 1, 1, 1, 11),  # two-digit symbols
+    "K2n1T1a11": lambda: random_model(3, 2, 1, 1, 11),
+}
+
+
+@pytest.mark.parametrize("name", KEY_MODELS)
+def test_realization_keys_equal_the_spelled_out_keys(name):
+    """At every (k, t), t = 0..T, realization_keys gives the reference's
+    spelled-out key of each code, the batch reader inverts it, and no codes
+    give no keys. Grids of more than 1024 codes are checked at every
+    step-th code, step odd, and at their last code."""
+    spec = KEY_MODELS[name]()
+    for k in range(spec.K):
+        for t in range(spec.T + 1):
+            size = grid_size(spec, k, t)
+            codes = np.union1d(np.arange(0, size, size // 1024 | 1), [size - 1])
+            keys = realization_keys(spec, k, t, codes)
+            assert keys == [spelled_key(spec, k, t, c) for c in codes.tolist()]
+            assert np.array_equal(parse_realization_keys(keys, spec, k, t), codes)
+            assert realization_keys(spec, k, t, codes[:0]) == []
+            assert parse_realization_keys([], spec, k, t).tolist() == []
 
 
 def test_random_profile_draws_one_integer_per_cell_in_code_order():
@@ -299,13 +341,13 @@ def test_observation_following_profile_reads_the_newest_own_observation_digit():
 @pytest.mark.parametrize("K,n", itertools.product((1, 2, 3), (1, 2, 3)))
 def test_newest_obs_is_the_last_private_observation_of_decode(K, n):
     """At every code of every (k, t), newest_obs reads the last own
-    observation that decode spells out, on a dense draw and on a sparse one
+    observation that decode_blocks spells out, on a dense draw and on a sparse one
     (unequal alphabets) whose horizons reach the first shared step."""
     for spec in (random_model(seed=K * n, K=K, n=n, T=n + 1), sparse_model(K * n, K, n, n + 1)):
         for k in range(K):
             for t in range(spec.T):
                 codes = np.arange(grid_size(spec, k, t))
-                want = [decode(spec, k, t, c).own_obs[-1] for c in codes.tolist()]
+                want = [decode_blocks(spec, k, t, c).own_obs[-1] for c in codes.tolist()]
                 assert newest_obs(spec, k, t, codes).tolist() == want, (k, t)
 
 
@@ -327,14 +369,14 @@ def test_structural_grid_size(canon_2a):
                                                             + private_act_len(n, t))
                 assert grid_size(spec, k, t) == ((sizes * sizes) ** (K * cut)
                                                  * private_size(spec, k, t))
-                last = decode(spec, k, t, grid_size(spec, k, t) - 1)
+                last = decode_blocks(spec, k, t, grid_size(spec, k, t) - 1)
                 assert last.shared_obs == ((sizes - 1,) * cut,) * K
                 obs = tuple(ys[:t + 1] for ys in obs_all)
                 acts = tuple(us[:t] for us in acts_all)
                 blocks = Blocks(tuple(ys[:cut] for ys in obs), tuple(us[:cut] for us in acts),
                                 obs[k][cut:t + 1], acts[k][cut:t])
                 code = history_code(spec, obs, acts, k, t)
-                assert code == encode(spec, k, t, blocks)
+                assert code == encode_blocks(spec, k, t, blocks)
                 assert (code // private_size(spec, k, t)
                         == history_code(spec, obs, acts, 0, t) // private_size(spec, 0, t))
                 assert len(lambda_labels(spec, k, t)) == math.prod(
@@ -372,7 +414,7 @@ def test_enumerate_reachable_t0(canon_2a):
     codes, mats = assert_dp_nodes_are_oracle_reachable(canon_2a, g, 0)[0]
     assert len(codes) == 2  # both first observations have positive probability
     for code, mat in zip(codes.tolist(), mats):
-        assert decode(canon_2a, 0, 0, code).own_obs == (code,)
+        assert decode_blocks(canon_2a, 0, 0, code).own_obs == (code,)
         assert lam_support(mat) == 2
 
 
@@ -384,7 +426,7 @@ def test_enumerate_reachable_counts_on_canon_2a(canon_2a):
     codes, mats = posts[1]
     assert len(codes) == 16
     for code, mat in zip(codes.tolist(), mats):
-        r = decode(canon_2a, 0, 1, code)
+        r = decode_blocks(canon_2a, 0, 1, code)
         y02, u02 = r.shared_obs[1][0], r.shared_acts[1][0]
         assert u02 == y02  # opponent determinism filtered the rest
         assert lam_support(mat) == 2
@@ -400,11 +442,11 @@ def test_enumerate_reachable_respects_zero_kernel_rows(canon_2a):
         canon_2a.transition, obs, canon_2a.stage_cost, canon_2a.terminal_cost)
     g = observation_following_profile(spec)
     codes, _ = assert_dp_nodes_are_oracle_reachable(spec, g, 0)[0]
-    assert [decode(spec, 0, 0, code).own_obs for code in codes.tolist()] == [(0,)]
+    assert [decode_blocks(spec, 0, 0, code).own_obs for code in codes.tolist()] == [(0,)]
     codes, _ = assert_dp_nodes_are_oracle_reachable(spec, g, 1)[1]
     assert len(codes)
     for code in codes.tolist():
-        assert decode(spec, 1, 1, code).shared_obs[0] == (0,)
+        assert decode_blocks(spec, 1, 1, code).shared_obs[0] == (0,)
 
 
 def test_enumerate_reachable_closed_under_advance(canon_2a):
@@ -412,12 +454,12 @@ def test_enumerate_reachable_closed_under_advance(canon_2a):
     g = constant_profile(canon_2a, 0)
     at = [codes.tolist() for codes, _ in assert_dp_nodes_are_oracle_reachable(canon_2a, g, 0)]
     for t in range(1, canon_2a.T + 1):
-        for r in (decode(canon_2a, 0, t, code) for code in at[t]):
+        for r in (decode_blocks(canon_2a, 0, t, code) for code in at[t]):
             # unique predecessor for n=1: drop the newest shared symbols,
             # the private block was the last promoted own observation
             prev = Blocks(tuple(ys[:-1] for ys in r.shared_obs),
                           tuple(us[:-1] for us in r.shared_acts), (r.shared_obs[0][-1],), ())
-            assert encode(canon_2a, 0, t - 1, prev) in at[t - 1]
+            assert encode_blocks(canon_2a, 0, t - 1, prev) in at[t - 1]
 
 
 @pytest.mark.parametrize("K,n,T", [(2, 1, 3), (2, 2, 3), (3, 1, 2)])

@@ -18,7 +18,7 @@ from delaypbp.dp import expected_value, solve_best_response, verify_value_domina
 from delaypbp.errors import IncompleteStrategyError, UnreachableError
 from delaypbp.falsify import check_conditional_independence, make_report
 from delaypbp.filtering import BeliefPass
-from delaypbp.info import grid_size, history_code, lambda_labels, realization_key
+from delaypbp.info import grid_size, history_code, lambda_labels, realization_keys
 from delaypbp.model import ModelSpec, canonical_instance
 from delaypbp.oracle import (RealizationTree, brute_force_best_response, enumerate_cost,
                              posteriors, verify_pbp, walk)
@@ -317,7 +317,7 @@ def test_a_holey_profile_fails_the_walk_at_its_first_read(canon_2a):
     holes[1][0][0] = -1
     for j, t in ((1, 0), (0, 1)):
         missing = sorted(c for c in reached[j][t] if holes[j][t][c] < 0)
-        keys = ", ".join(realization_key(canon_2a, j, t, c) for c in missing[:3])
+        keys = ", ".join(realization_keys(canon_2a, j, t, missing[:3]))
         plural = "s" * (len(missing) > 1)
         with pytest.raises(IncompleteStrategyError) as err:
             enumerate_cost(canon_2a, StrategyProfile(canon_2a, holes))
