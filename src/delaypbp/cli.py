@@ -8,7 +8,9 @@ Report bodies carry no timestamps, so identical inputs produce
 byte-identical files.
 
 Exit status: 0 when every asserted tolerance passes, 1 on a tolerance
-failure, 2 on a malformed flag, config, model or strategy (one stderr line).
+failure, 2 on a malformed flag, config, model or strategy (one stderr line,
+the first fault; every input is read before any command runs, so such a run
+writes no report).
 """
 
 from __future__ import annotations
@@ -27,9 +29,8 @@ from .info import lambda_labels, realization_keys
 from .model import (CANONICAL_NAMES, COMPARE_TOL, IMPROVE_TOL, K1_TOL,
                     ModelSpec, resolve_model, uniform_observation_variant,
                     validate_model, write_json)
-from .strategies import (StrategyProfile, constant_profile, load_profile,
-                         observation_following_profile, profile_to_dict,
-                         random_profile)
+from .strategies import (StrategyProfile, agent_to_dict, constant_profile, load_profile,
+                         observation_following_profile, profile_to_dict, random_profile)
 
 EXIT_OK = 0
 EXIT_TOLERANCE = 1
@@ -54,20 +55,17 @@ class RunConfig:
     tol_improve: float = IMPROVE_TOL
     max_rounds: int = 32
 
-    def validate(self) -> list[str]:
-        problems = []
+    def validate(self) -> None:
+        """Raise ValueError naming the first malformed setting."""
         if self.command not in COMMANDS:
-            problems.append(f"unknown command {self.command!r}")
-        if self.agent < 0:
-            problems.append("agent index must be >= 0")
+            raise ValueError(f"unknown command {self.command!r}")
         if self.strategy is not None and not os.path.exists(self.strategy):
-            problems.append(f"strategy file {self.strategy!r} does not exist")
+            raise ValueError(f"strategy file {self.strategy!r} does not exist")
         if not all(math.isfinite(tol) and tol > 0
                    for tol in (self.tol_compare, self.tol_improve)):
-            problems.append("tolerance overrides must be positive and finite")
+            raise ValueError("tolerance overrides must be positive and finite")
         if self.max_rounds < 1:
-            problems.append("max-rounds must be >= 1")
-        return problems
+            raise ValueError("max-rounds must be >= 1")
 
 
 def render_table(headers: list[str], rows: list[list]) -> str:
@@ -90,17 +88,6 @@ def _belief_rows(labels: list[str], belief: np.ndarray) -> list[list]:
             for x, row in enumerate(belief) for lam, p in zip(labels, row)]
 
 
-def _profile_for(spec: ModelSpec, config: RunConfig, command: str) -> StrategyProfile:
-    # Without a strategy file the sweep starts from the all-0 profile by
-    # convention; report commands use the observation-following profile,
-    # which keeps every channel informative.
-    if config.strategy is not None:
-        return load_profile(spec, config.strategy)
-    if command == "pbp":
-        return constant_profile(spec, 0)
-    return observation_following_profile(spec)
-
-
 def _report(command: str, name: str, config: RunConfig, results: list, gaps: list,
             ok: bool, agent: int | None = None) -> dict:
     """The envelope every report shares: command, model, the agent where one
@@ -114,11 +101,12 @@ def _report(command: str, name: str, config: RunConfig, results: list, gaps: lis
 
 
 # ---------------------------------------------------------------------------
-# Command implementations: each gets the agent and profile `run` chose (no
-# profile for validate) and returns the report's (results, gaps, pass flag).
+# Command implementations: each gets the agent and profile `run` chose (None
+# where it reads no agent or no profile) and returns the report's (results,
+# gaps, pass flag).
 # ---------------------------------------------------------------------------
 
-def cmd_validate(spec: ModelSpec, name: str, config: RunConfig, k: int, g: None):
+def cmd_validate(spec: ModelSpec, name: str, config: RunConfig, k: None, g: None):
     violations = validate_model(spec)
     rows = [[v] for v in violations] or [["(none)"]]
     print(f"== validate {name}")
@@ -184,7 +172,7 @@ def cmd_solve(spec: ModelSpec, name: str, config: RunConfig, k: int, g: Strategy
                 "best_response_cost": br_cost,
                 "brute_force": bf_entry,
                 "table": table_rows,
-                "best_response": profile_to_dict(spec, g_br)["agents"][k]}]
+                "best_response": agent_to_dict(spec, g_br, k)}]
     print(f"== solve {name} agent={k}")
     print(render_table(
         ["t", "realization", "value", "best_action"],
@@ -193,7 +181,7 @@ def cmd_solve(spec: ModelSpec, name: str, config: RunConfig, k: int, g: Strategy
     return results, gaps, ok
 
 
-def cmd_pbp(spec: ModelSpec, name: str, config: RunConfig, k: int, g: StrategyProfile):
+def cmd_pbp(spec: ModelSpec, name: str, config: RunConfig, k: None, g: StrategyProfile):
     g_final, trace, converged = dp.pbp_sweep(spec, g, config.max_rounds,
                                              improve_tol=config.tol_improve)
     monotone = all(trace[i + 1] <= trace[i] + config.tol_improve
@@ -315,44 +303,49 @@ def cmd_falsify(spec: ModelSpec, name: str, config: RunConfig, k: int, g: Strate
     return results, gaps, ok
 
 
-_COMMAND_FNS = {
-    "validate": cmd_validate,
-    "filter": cmd_filter,
-    "solve": cmd_solve,
-    "pbp": cmd_pbp,
-    "verify": cmd_verify,
-    "falsify": cmd_falsify,
+# Per command: its implementation, whether it reads --agent (and so whether
+# its report names the agent), and the profile it runs without --strategy.
+# The sweep starts from the all-0 profile by convention; report commands use
+# the observation-following profile, which keeps every channel informative.
+_COMMANDS = {
+    "validate": (cmd_validate, False, None),
+    "filter": (cmd_filter, True, observation_following_profile),
+    "solve": (cmd_solve, True, observation_following_profile),
+    "pbp": (cmd_pbp, False, constant_profile),
+    "verify": (cmd_verify, True, observation_following_profile),
+    "falsify": (cmd_falsify, True, observation_following_profile),
 }
-COMMANDS = (*_COMMAND_FNS, "all")
+COMMANDS = (*_COMMANDS, "all")
 
 
 def run(config: RunConfig) -> int:
     """Execute one command, or with `all` every command on every canonical
-    instance; write reports; return the exit status."""
-    problems = config.validate()
-    if problems:
-        for p in problems:
-            print(f"error: {p}", file=sys.stderr)
-        return EXIT_CONFIG
-
+    instance; write reports; return the exit status. Every input (config,
+    models, agent, profiles) is read before any command runs."""
     every = config.command == "all"
     try:
+        config.validate()
         models = ([resolve_model(inst) for inst in CANONICAL_NAMES] if every
                   else [resolve_model(config.model, check=config.command != "validate")])
-        for name, spec in models:
-            if config.command != "validate" and config.agent >= spec.K:
-                raise ValueError(f"agent {config.agent} out of range for {name} (K={spec.K})")
-        commands = tuple(_COMMAND_FNS) if every else (config.command,)
-        summary = []
+        commands = tuple(_COMMANDS) if every else (config.command,)
+        if any(_COMMANDS[command][1] for command in commands):
+            for name, spec in models:
+                if not 0 <= config.agent < spec.K:
+                    raise ValueError(f"agent {config.agent} out of range for {name} (K={spec.K})")
+        jobs = []
         for name, spec in models:
             for command in commands:
-                g = None if command == "validate" else _profile_for(spec, config, command)
-                results, gaps, ok = _COMMAND_FNS[command](spec, name, config, config.agent, g)
-                agent = None if command in ("validate", "pbp") else config.agent
-                os.makedirs(config.out, exist_ok=True)
-                write_json(os.path.join(config.out, f"{command}_{name}.json"),
-                           _report(command, name, config, results, gaps, ok, agent))
-                summary.append({"model": name, "command": command, "pass": ok})
+                fn, reads_agent, default = _COMMANDS[command]
+                g = (None if default is None else default(spec) if config.strategy is None
+                     else load_profile(spec, config.strategy))
+                jobs.append((fn, name, spec, command, config.agent if reads_agent else None, g))
+        summary = []
+        for fn, name, spec, command, agent, g in jobs:
+            results, gaps, ok = fn(spec, name, config, agent, g)
+            os.makedirs(config.out, exist_ok=True)
+            write_json(os.path.join(config.out, f"{command}_{name}.json"),
+                       _report(command, name, config, results, gaps, ok, agent))
+            summary.append({"model": name, "command": command, "pass": ok})
         all_ok = all(e["pass"] for e in summary)
         if every:
             write_json(os.path.join(config.out, "all_summary.json"),
@@ -376,7 +369,7 @@ def parse_args(argv=None) -> RunConfig:
         description="Exact solver and checker for finite delayed-sharing team problems.")
     parser.add_argument("--command", required=True, choices=COMMANDS)
     parser.add_argument("--model", help="canonical instance name or model JSON path")
-    parser.add_argument("--agent", type=int, help="agent index (0-based) where applicable")
+    parser.add_argument("--agent", type=int, help="0-based agent index; validate and pbp ignore it")
     parser.add_argument("--strategy",
                         help="strategy JSON path (defaults: all-0 for pbp, "
                              "observation-following otherwise)")

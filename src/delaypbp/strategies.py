@@ -100,13 +100,18 @@ _AGENT_KEYS = {"agent": _INTEGER, "times": _LIST}
 _TIME_KEYS = {"t": _INTEGER, "entries": _LIST}
 
 
-def profile_to_dict(spec: ModelSpec, g: StrategyProfile) -> dict:
-    def entries(k: int, t: int, m: np.ndarray) -> list:
+def agent_to_dict(spec: ModelSpec, g: StrategyProfile, k: int) -> dict:
+    """Agent k's block of a strategy file; spells only agent k's keys."""
+    def entries(t: int, m: np.ndarray) -> list:
         codes = np.flatnonzero(m >= 0)
         return [[key, u] for key, u in zip(realization_keys(spec, k, t, codes), m[codes].tolist())]
-    return {"K": spec.K, "T": spec.T, "n": spec.n, "agents": [
-        {"agent": k, "times": [{"t": t, "entries": entries(k, t, m)} for t, m in enumerate(row)]}
-        for k, row in enumerate(g.maps)]}
+    return {"agent": k,
+            "times": [{"t": t, "entries": entries(t, m)} for t, m in enumerate(g.maps[k])]}
+
+
+def profile_to_dict(spec: ModelSpec, g: StrategyProfile) -> dict:
+    return {"K": spec.K, "T": spec.T, "n": spec.n,
+            "agents": [agent_to_dict(spec, g, k) for k in range(spec.K)]}
 
 
 def save_profile(spec: ModelSpec, g: StrategyProfile, path) -> None:

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_model
-from delaypbp import falsify, oracle
+from delaypbp import falsify, oracle, strategies
 from delaypbp.cli import (EXIT_CONFIG, EXIT_OK, EXIT_TOLERANCE, RunConfig, _report, cmd_falsify,
                           cmd_pbp, cmd_solve, main, parse_args, run)
 from delaypbp.dp import solve_best_response
@@ -90,10 +90,14 @@ def test_agent_out_of_range_rejected(tmp_path):
 
 
 @pytest.mark.parametrize("flags,msg", [(["--command", "filter", "--agent", "-1"],
-                                        "error: agent index must be >= 0"),
+                                        "error: agent -1 out of range for CANON-2A (K=2)"),
                                        (["--command", "pbp", "--max-rounds", "0"],
-                                        "error: max-rounds must be >= 1")])
+                                        "error: max-rounds must be >= 1"),
+                                       (["--command", "filter", "--agent", "-1", "--max-rounds",
+                                         "0", "--tol-compare", "-1"],
+                                        "error: tolerance overrides must be positive and finite")])
 def test_out_of_range_flag_gives_config_exit(tmp_path, capsys, flags, msg):
+    """One stderr line, the first fault, even where several flags are bad."""
     out = tmp_path / "r"
     assert main([*flags, "--model", "CANON-2A", "--out", str(out)]) == EXIT_CONFIG
     assert capsys.readouterr().err == msg + "\n"
@@ -130,6 +134,44 @@ def test_agent_out_of_range_for_one_canonical_model_rejects_all(tmp_path, capsys
     assert run(RunConfig(command="all", model="CANON-2A", agent=1, out=str(out))) == EXIT_CONFIG
     assert capsys.readouterr().err == "error: agent 1 out of range for CANON-1 (K=1)\n"
     assert not out.exists()
+
+
+def test_all_with_a_strategy_file_writes_nothing(tmp_path, canon_2a, capsys):
+    """Every profile is loaded before any command runs, so a strategy file
+    that cannot fit CANON-1 stops `all` before its first report."""
+    path = tmp_path / "strategy.json"
+    save_profile(canon_2a, observation_following_profile(canon_2a), path)
+    out = tmp_path / "reports"
+    assert main(["--command", "all", "--strategy", str(path), "--out", str(out)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: strategy document is for (K=2, T=2, n=1), "
+                            "model has (K=1, T=3, n=1)\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,agent", [("pbp", "7"), ("validate", "-1")])
+def test_commands_without_an_agent_ignore_the_flag(tmp_path, command, agent):
+    plain, flagged = tmp_path / "plain", tmp_path / "flagged"
+    assert main(["--command", command, "--out", str(plain)]) == EXIT_OK
+    assert main(["--command", command, "--agent", agent, "--out", str(flagged)]) == EXIT_OK
+    name = f"{command}_CANON-2A.json"
+    assert os.listdir(flagged) == [name]
+    assert (flagged / name).read_bytes() == (plain / name).read_bytes()
+
+
+def test_solve_spells_only_the_solved_agents_keys(tmp_path, monkeypatch):
+    """The report's best response is agent k's block alone: the strategy
+    writer never spells another agent's realization keys."""
+    spelled, whole = [], strategies.realization_keys
+
+    def record(spec, k, t, codes):
+        spelled.append(k)
+        return whole(spec, k, t, codes)
+
+    monkeypatch.setattr(strategies, "realization_keys", record)
+    assert main(["--command", "solve", "--agent", "0", "--out", str(tmp_path)]) == EXIT_OK
+    assert spelled and set(spelled) == {0}
 
 
 def test_filter_command_reports_gaps(tmp_path):
