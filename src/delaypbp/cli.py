@@ -377,7 +377,10 @@ def parse_args(argv=None) -> RunConfig:
     parser.add_argument("--tol-compare", type=float)
     parser.add_argument("--tol-improve", type=float)
     parser.add_argument("--max-rounds", type=int)
-    return RunConfig(**vars(parser.parse_args(argv)))
+    given = vars(parser.parse_args(argv))
+    if given["command"] == "all" and "model" in given:
+        raise ValueError("all runs every canonical instance and takes no --model")
+    return RunConfig(**given)
 
 
 def main(argv=None) -> int:

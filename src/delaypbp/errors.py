@@ -2,11 +2,9 @@
 
 
 class UnreachableError(ValueError):
-    """A conditioning event (observation, realization, continuation) has
-    probability zero under the relevant measure.
-
-    Callers that sweep over candidate continuations treat this as "skip",
-    never as a silent zero distribution.
+    """A realization has probability zero under the relevant measure, so
+    nothing can be conditioned on it: the value dominance check raises it
+    for a realization that one side of its comparison does not reach.
     """
 
 

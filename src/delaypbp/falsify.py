@@ -21,6 +21,7 @@ laws pair every history's time-t and time-(t+1) codes); each sum is an
 `oracle.posteriors`' rows, found by `np.searchsorted` or `np.intersect1d`,
 and per-code results are slices aligned to those rows. A code becomes
 text (`info.realization_keys`, one call per layer) only to label a gap.
+The single-agent reduction takes one `classical_filter_step` per layer.
 """
 
 from __future__ import annotations
@@ -30,8 +31,7 @@ import itertools
 import numpy as np
 
 from . import dp, oracle
-from .errors import UnreachableError
-from .filtering import BeliefPass, classical_filter_update
+from .filtering import BeliefPass, classical_filter_step
 from .info import (grid_size, history_code, newest_obs, other_agents, private_size,
                    realization_keys, revealed, shared_prefix_len)
 from .model import COMPARE_TOL, ModelSpec
@@ -222,48 +222,43 @@ def check_conditional_markov(spec: ModelSpec, g_full, k: int,
 def check_k1_reduction(spec: ModelSpec) -> dict:
     """Walk every positive-probability (action, observation) history of a
     single-agent model and compare the recursion's state marginal against
-    the chained textbook filter. Branches must agree on reachability; a
-    disagreement is reported as gap 1.0."""
+    the chained textbook filter, one layer at a time. Branches must agree
+    on reachability; a disagreement is reported as gap 1.0."""
     if spec.K != 1:
         raise ValueError("the reduction check needs a single-agent model")
     # No other agents, so no strategies to read.
     layers = BeliefPass(spec, 0, None).expand(free=True)
-    gaps: list[tuple[str, float]] = []
-    # Per node of the current layer, its textbook filter and path label.
-    filt: list = []
-    for y0 in range(spec.obs_sizes[0]):
-        raw = spec.init_dist * spec.observation[0][0][:, y0]
-        total = float(raw.sum())
-        if y0 in layers[0].codes:  # at t = 0 the code is the first observation
-            filt.append((raw / total, f"y0={y0}"))
-        elif total > 0.0:
-            gaps.append((f"y0={y0} (reachability disagrees)", 1.0))
+    # Per first observation its prior; at t = 0 the code is the first observation.
+    first = layers[0].codes
+    prior = np.ascontiguousarray(spec.init_dist * spec.observation[0][0].T)
+    total, reached = prior.sum(axis=1), np.isin(np.arange(len(prior)), first)
+    filtered = total > 0.0
+    gaps = [(f"y0={y0} (reachability disagrees)", 1.0)
+            for y0 in np.flatnonzero(filtered != reached).tolist()]
+    # The nodes of the current layer that have a textbook filter, their
+    # filters and path labels; a node only the recursion reaches has none,
+    # so neither it nor its subtree is compared.
+    y0s = np.flatnonzero(filtered & reached)
+    nodes, pis = np.searchsorted(first, y0s), prior[y0s] / total[y0s, None]
+    labels = [f"y0={y0}" for y0 in y0s.tolist()]
     for t, lay in enumerate(layers):
-        # A node only the recursion reaches has no textbook filter (None), so
-        # neither it nor its subtree is compared.
-        kept = [(i, node) for i, node in enumerate(filt) if node is not None]
-        gaps += [(label, float(np.max(np.abs(np.cumsum(lay.beliefs[i], axis=1)[:, -1] - pi))))
-                 for i, (pi, label) in kept]
+        marginals = np.cumsum(lay.beliefs[nodes], axis=2)[..., -1]
+        gaps += zip(labels, np.max(np.abs(marginals - pis), axis=1).tolist())
         if t == spec.T:
             break
         # a child is fixed among its siblings by its newest own observation;
         # child[i, u, y] is its index in the next layer, -1 where none is reached
-        nxt, shape = layers[t + 1], (len(lay), spec.act_sizes[0], spec.obs_sizes[0])
-        child = np.full(shape, -1)
+        nxt, (A, Y) = layers[t + 1], (spec.act_sizes[0], spec.obs_sizes[0])
+        child = np.full((len(lay), A, Y), -1)
         child[nxt.parent, nxt.action, newest_obs(spec, 0, t + 1, nxt.codes)] = np.arange(len(nxt))
-        children: list = [None] * len(nxt)
-        for i, (pi, label) in kept:
-            for u, y1 in itertools.product(range(shape[1]), range(shape[2])):
-                step_label, c = f"{label},u={u},y={y1}", int(child[i, u, y1])
-                try:
-                    pi1 = classical_filter_update(spec, pi, u, y1, t)
-                except UnreachableError:
-                    pi1 = None
-                if (pi1 is None) != (c < 0):
-                    gaps.append((f"{step_label} (reachability disagrees)", 1.0))
-                elif c >= 0:
-                    children[c] = (pi1, step_label)
-        filt = children
+        child, (preds, totals) = child[nodes], classical_filter_step(spec, t, pis)
+        filtered, reached = totals > 0.0, child >= 0
+        steps = [f"{label},u={u},y={y}" for label in labels for u in range(A) for y in range(Y)]
+        gaps += [(f"{steps[i]} (reachability disagrees)", 1.0)
+                 for i in np.flatnonzero(filtered != reached).tolist()]
+        kept = filtered & reached
+        nodes, pis = child[kept], preds[kept] / totals[kept, None]
+        labels = [steps[i] for i in np.flatnonzero(kept).tolist()]
     return make_report("single-agent filter reduction", gaps)
 
 

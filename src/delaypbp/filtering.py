@@ -9,10 +9,11 @@ agents' private codes. `BeliefPass` computes it by a one-step recursion
 that conditions on agent k's new observation, its own action, and the
 symbols newly revealed into the shared block; it must reproduce
 `oracle.posteriors`, which stacks beliefs row by row along increasing
-codes as a layer does, and, for a single agent, the textbook filter
-(`classical_filter_update`) kept here. Zero-probability continuations are
-left out rather than returned as non-distributions. Layers are keyed by
-realization code; only the report writer spells codes as text keys.
+codes as a layer does, and, for a single agent, the textbook filter kept
+here, whose step (`classical_filter_step`) filters a whole layer at once.
+Zero-probability continuations are left out rather than returned as
+non-distributions. Layers are keyed by realization code; only the report
+writer spells codes as text keys.
 
 `BeliefPass.expand` is the one forward expansion, one time layer at a
 time, with agent k's own action either free (the best-response DP, the
@@ -41,7 +42,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UnreachableError
 from .info import digits, next_codes, other_agents, private_size, radix, revealed, shift_code
 from .model import ModelSpec
 
@@ -243,20 +243,17 @@ class BeliefPass:
 # Single-agent textbook filter.
 # ---------------------------------------------------------------------------
 
-def classical_filter_update(spec: ModelSpec, pi: np.ndarray, u: int, y_next: int,
-                            t: int) -> np.ndarray:
-    """One step of the standard partially-observed filter (K must be 1):
-    predict through the transition kernel under action u, correct by the
-    time-(t+1) observation likelihood, normalize."""
+def classical_filter_step(spec: ModelSpec, t: int, pis: np.ndarray):
+    """One step of the standard partially-observed filter (K must be 1)
+    from the time-t beliefs pis (N, X): per (node, action u, observation
+    y') the prediction through the transition kernel under u, corrected by
+    the time-(t+1) likelihood of y', as (N, A, Y, X), and its totals (N, A,
+    Y). The filter is a prediction over its total; a zero total is a branch
+    the filter cannot reach. Each prediction sums over x left to right from
+    0.0 and each total is one row's sum, as a scalar loop's would be."""
     if spec.K != 1:
-        raise ValueError("classical_filter_update requires a single-agent model")
-    pred = np.zeros(spec.state_size)
-    for x1 in range(spec.state_size):
-        acc = 0.0
-        for x in range(spec.state_size):
-            acc += float(spec.transition[t][(x, u, x1)]) * float(pi[x])
-        pred[x1] = acc * float(spec.observation[t + 1][0][x1, y_next])
-    total = float(pred.sum())
-    if total <= 0.0:
-        raise UnreachableError(f"unreachable observation y_next={y_next} at t={t}")
-    return pred / total
+        raise ValueError("classical_filter_step requires a single-agent model")
+    pred = seq_sum(spec.transition[t].transpose(1, 2, 0) * pis[:, None, None])  # (N, A, X')
+    # contiguous, so each row sums as its own .sum() would
+    pred = np.ascontiguousarray(pred[:, :, None] * spec.observation[t + 1][0].T)
+    return pred, pred.sum(axis=-1)

@@ -16,6 +16,11 @@ spelled-out form of a code, `Blocks`, which `decode_blocks` splits off a
 code's `info.digits` and `encode_blocks` codes back by Horner's rule;
 `spelled_key` writes a `Blocks` as the text key, the scalar reference the
 package's array codec (`info.realization_keys`) is checked against.
+
+The single-agent reduction is kept the same way: `classical_filter_update`
+is the scalar textbook filter step, and `k1_reduction` chains it node by
+node, one (node, action, observation) at a time, as the layer-wise
+`falsify.check_k1_reduction` must to the bit.
 """
 
 from __future__ import annotations
@@ -27,7 +32,11 @@ from typing import NamedTuple
 import numpy as np
 
 from delaypbp import info
-from delaypbp.info import grid_size, other_agents, private_size, radices, shared_prefix_len
+from delaypbp.errors import UnreachableError
+from delaypbp.falsify import make_report
+from delaypbp.filtering import BeliefPass
+from delaypbp.info import (grid_size, newest_obs, other_agents, private_size, radices,
+                           shared_prefix_len)
 from delaypbp.model import IMPROVE_TOL
 from reference_oracle import action_at
 
@@ -395,3 +404,63 @@ def pbp_sweep(spec, g, max_rounds, improve_tol=IMPROVE_TOL):
             converged = True
             break
     return g, trace, converged
+
+
+# --- the single-agent reduction, one node at a time -----------------------------
+
+def classical_filter_update(spec, pi, u, y_next, t):
+    """One step of the standard partially-observed filter (K must be 1):
+    predict through the transition kernel under action u, correct by the
+    time-(t+1) observation likelihood, normalize."""
+    if spec.K != 1:
+        raise ValueError("classical_filter_update requires a single-agent model")
+    pred = np.zeros(spec.state_size)
+    for x1 in range(spec.state_size):
+        acc = 0.0
+        for x in range(spec.state_size):
+            acc += float(spec.transition[t][(x, u, x1)]) * float(pi[x])
+        pred[x1] = acc * float(spec.observation[t + 1][0][x1, y_next])
+    total = float(pred.sum())
+    if total <= 0.0:
+        raise UnreachableError(f"unreachable observation y_next={y_next} at t={t}")
+    return pred / total
+
+
+def k1_reduction(spec):
+    """`falsify.check_k1_reduction` per node: the textbook filter of every
+    node as a (vector, label) pair, None where only the recursion reaches
+    the node, chained by one `classical_filter_update` per (node, action,
+    observation)."""
+    layers = BeliefPass(spec, 0, None).expand(free=True)
+    gaps = []
+    filt = []
+    for y0 in range(spec.obs_sizes[0]):
+        raw = spec.init_dist * spec.observation[0][0][:, y0]
+        total = float(raw.sum())
+        if y0 in layers[0].codes:  # at t = 0 the code is the first observation
+            filt.append((raw / total, f"y0={y0}"))
+        elif total > 0.0:
+            gaps.append((f"y0={y0} (reachability disagrees)", 1.0))
+    for t, lay in enumerate(layers):
+        kept = [(i, node) for i, node in enumerate(filt) if node is not None]
+        gaps += [(label, float(np.max(np.abs(np.cumsum(lay.beliefs[i], axis=1)[:, -1] - pi))))
+                 for i, (pi, label) in kept]
+        if t == spec.T:
+            break
+        nxt, shape = layers[t + 1], (len(lay), spec.act_sizes[0], spec.obs_sizes[0])
+        child = np.full(shape, -1)
+        child[nxt.parent, nxt.action, newest_obs(spec, 0, t + 1, nxt.codes)] = np.arange(len(nxt))
+        children = [None] * len(nxt)
+        for i, (pi, label) in kept:
+            for u, y1 in itertools.product(range(shape[1]), range(shape[2])):
+                step_label, c = f"{label},u={u},y={y1}", int(child[i, u, y1])
+                try:
+                    pi1 = classical_filter_update(spec, pi, u, y1, t)
+                except UnreachableError:
+                    pi1 = None
+                if (pi1 is None) != (c < 0):
+                    gaps.append((f"{step_label} (reachability disagrees)", 1.0))
+                elif c >= 0:
+                    children[c] = (pi1, step_label)
+        filt = children
+    return make_report("single-agent filter reduction", gaps)

@@ -136,6 +136,18 @@ def test_agent_out_of_range_for_one_canonical_model_rejects_all(tmp_path, capsys
     assert not out.exists()
 
 
+def test_all_with_a_model_writes_nothing(tmp_path, capsys):
+    """`all` runs every canonical instance, so a --model, even one naming no
+    file, is a config error before any report or directory."""
+    out = tmp_path / "reports"
+    model = str(tmp_path / "nonexistent.json")
+    assert main(["--command", "all", "--model", model, "--out", str(out)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: all runs every canonical instance and takes no --model\n"
+    assert not out.exists()
+
+
 def test_all_with_a_strategy_file_writes_nothing(tmp_path, canon_2a, capsys):
     """Every profile is loaded before any command runs, so a strategy file
     that cannot fit CANON-1 stops `all` before its first report."""

@@ -9,9 +9,11 @@ from delaypbp.falsify import (check_conditional_independence,
                               check_conditional_markov, check_k1_reduction,
                               check_payoff_identity, check_policy_independence,
                               make_report)
-from delaypbp.model import K1_TOL, ModelSpec, uniform_observation_variant
+from delaypbp.filtering import BeliefPass, classical_filter_step
+from delaypbp.model import K1_TOL, ModelSpec, canonical_instance, uniform_observation_variant
 from delaypbp.strategies import (constant_profile, observation_following_profile,
                                  random_profile)
+from reference_recursion import classical_filter_update, k1_reduction
 
 # Measured once with the enumeration oracle when the instance was frozen;
 # guards against accidental edits to the CANON-2B tables.
@@ -241,14 +243,15 @@ def test_k1_reduction_perfect_observation():
 def test_k1_reduction_reports_a_branch_only_the_recursion_reaches(canon_1, monkeypatch):
     """A textbook filter that calls a reached branch unreachable is a 1.0
     gap, not an error; that branch's subtree has no filter to compare."""
-    real = falsify.classical_filter_update
+    real = falsify.classical_filter_step
 
-    def update(spec, pi, u, y_next, t):
-        if (t, u, y_next) == (1, 0, 1):
-            raise UnreachableError("patched")
-        return real(spec, pi, u, y_next, t)
+    def step(spec, t, pis):
+        preds, totals = real(spec, t, pis)
+        if t == 1:
+            totals[:, 0, 1] = 0.0
+        return preds, totals
 
-    monkeypatch.setattr(falsify, "classical_filter_update", update)
+    monkeypatch.setattr(falsify, "classical_filter_step", step)
     rep = check_k1_reduction(canon_1)
     assert rep["max_gap"] == 1.0
     assert rep["witness"] == "y0=0,u=0,y=0,u=0,y=1 (reachability disagrees)"
@@ -256,23 +259,48 @@ def test_k1_reduction_reports_a_branch_only_the_recursion_reaches(canon_1, monke
 
 
 def test_k1_reduction_reports_a_branch_only_the_filter_reaches(monkeypatch):
-    """Where the deterministic chain's filter raises, a filter that returns
-    a uniform vector reaches a branch the recursion does not: a 1.0 gap."""
+    """Where the deterministic chain's filter has a zero total, a filter
+    that predicts a uniform vector reaches a branch the recursion does
+    not: a 1.0 gap."""
     chain = deterministic_chain()
-    real = falsify.classical_filter_update
+    real = falsify.classical_filter_step
 
-    def update(spec, pi, u, y_next, t):
-        try:
-            return real(spec, pi, u, y_next, t)
-        except UnreachableError:
-            return np.full(spec.state_size, 1.0 / spec.state_size)
+    def step(spec, t, pis):
+        preds, totals = real(spec, t, pis)
+        zero = totals == 0.0
+        preds[zero], totals[zero] = 1.0 / spec.state_size, 1.0
+        return preds, totals
 
-    monkeypatch.setattr(falsify, "classical_filter_update", update)
+    monkeypatch.setattr(falsify, "classical_filter_step", step)
     rep = check_k1_reduction(chain)
     assert rep["max_gap"] == 1.0
     assert len([e for e in rep["gaps"] if e["where"].endswith("(reachability disagrees)")]) == 6
 
 
+@pytest.mark.parametrize("make, args", [
+    (canonical_instance, ("CANON-1",)),
+    *((sparse_model, (seed, 1, n, 3)) for seed, n in ((0, 1), (3, 2), (5, 3))),
+    *((random_model, (seed, 1, 1, 1, 9)) for seed in (0, 1)),
+    *((random_model, (seed, 1, 2, 2, 8)) for seed in (0, 1)),
+])
+def test_k1_reduction_matches_the_per_node_reference(make, args):
+    """The batched filter step is the scalar step bit for bit on every
+    (node, action, observation) of the recursion's layers, a zero total
+    where the scalar step raises; and the layer-wise reduction is the
+    per-node one dict for dict. Alphabets 8 and 9 sum a row pairwise, so
+    they tell a contiguous total from a strided one."""
+    spec = make(*args)
+    for lay in BeliefPass(spec, 0, None).expand(free=True)[:-1]:
+        pis = lay.beliefs[:, :, 0]
+        preds, totals = classical_filter_step(spec, lay.t, pis)
+        for (i, u, y), total in np.ndenumerate(totals):
+            try:
+                want = classical_filter_update(spec, pis[i], u, y, lay.t)
+            except UnreachableError:
+                assert total == 0.0
+            else:
+                assert np.array_equal(preds[i, u, y] / total, want)
+    assert check_k1_reduction(spec) == k1_reduction(spec)
 @pytest.mark.parametrize("seed", range(12))
 def test_k1_reduction_agrees_on_sparse_single_agent_models(seed):
     """Zero kernel entries: the recursion and the filter drop the same

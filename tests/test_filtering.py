@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import oracle_gap, others_play, random_model, rows_at, sparse_model
 from delaypbp import filtering, oracle
-from delaypbp.filtering import BeliefPass, classical_filter_update
+from delaypbp.filtering import BeliefPass, classical_filter_step
 from delaypbp.info import grid_size, other_agents, shared_prefix_len
 from delaypbp.model import ModelSpec
 from delaypbp.strategies import (constant_profile, observation_following_profile,
@@ -273,21 +273,27 @@ def single_agent_spec(q):
         terminal_cost=[0.0, 0.0])
 
 
+def filter_at(spec, pi, u, y_next):
+    """The time-1 textbook filter from the time-0 belief pi under (u, y_next)."""
+    preds, totals = classical_filter_step(spec, 0, np.array([pi]))
+    return preds[0, u, y_next] / totals[0, u, y_next]
+
+
 def test_classical_filter_uniform():
     spec = single_agent_spec([[0.5, 0.5], [0.5, 0.5]])
-    pi = classical_filter_update(spec, np.array([0.5, 0.5]), 0, 1, 0)
+    pi = filter_at(spec, [0.5, 0.5], 0, 1)
     assert np.allclose(pi, [0.5, 0.5])
 
 
 def test_classical_filter_perfect_observation():
     spec = single_agent_spec([[1.0, 0.0], [0.0, 1.0]])
-    pi = classical_filter_update(spec, np.array([0.5, 0.5]), 0, 1, 0)
+    pi = filter_at(spec, [0.5, 0.5], 0, 1)
     assert np.allclose(pi, [0.0, 1.0])
 
 
 def test_classical_filter_requires_single_agent(canon_2a):
     with pytest.raises(ValueError, match="single-agent"):
-        classical_filter_update(canon_2a, np.array([0.5, 0.5]), 0, 0, 0)
+        classical_filter_step(canon_2a, 0, np.array([[0.5, 0.5]]))
 
 
 def test_classical_filter_matches_recursion_marginal(canon_1):
