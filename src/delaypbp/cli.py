@@ -116,7 +116,7 @@ def cmd_validate(spec: ModelSpec, name: str, config: RunConfig, k: None, g: None
 
 
 def cmd_filter(spec: ModelSpec, name: str, config: RunConfig, k: int, g: StrategyProfile):
-    layers, probs = BeliefPass(spec, k, g).chain()
+    layers = BeliefPass(spec, k, g).expand(free=False)
     results, gaps = [], []
     for t, (codes, refs) in enumerate(oracle.posteriors(spec, g, k, free=False)):
         own, beliefs, labels = layers[t].codes, layers[t].beliefs, lambda_labels(spec, k, t)
@@ -125,7 +125,7 @@ def cmd_filter(spec: ModelSpec, name: str, config: RunConfig, k: int, g: Strateg
             side = "oracle" if code[0] in own else "recursion"
             raise AssertionError(f"t={t}: the {side} lacks {realization_keys(spec, k, t, code)[0]}")
         for key, prob, belief, ref, gap in zip(
-                realization_keys(spec, k, t, codes), probs[t].tolist(), beliefs, refs,
+                realization_keys(spec, k, t, codes), layers[t].prob.tolist(), beliefs, refs,
                 np.max(np.abs(beliefs - refs), axis=(1, 2)).tolist()):
             gaps.append({"where": f"t={t} {key}", "gap": gap})
             results.append({

@@ -80,9 +80,9 @@ def solve_best_response(spec: ModelSpec, k: int, g_minus_k
 
 def expected_value(spec: ModelSpec, k: int, vtable: ValueTable) -> float:
     """Time-0 values averaged over the initial realizations with their
-    probabilities (the time-0 layer's weights, as in `chain`); equals the
-    best-response cost of the extracted strategy."""
-    return float(seq_sum(vtable.entries[0].weight * vtable.values[0]))
+    probabilities (the time-0 layer's `prob`); equals the best-response
+    cost of the extracted strategy."""
+    return float(seq_sum(vtable.entries[0].prob * vtable.values[0]))
 
 
 def cost_via_beliefs(spec: ModelSpec, g_full: StrategyProfile, k: int) -> float:
@@ -90,17 +90,17 @@ def cost_via_beliefs(spec: ModelSpec, g_full: StrategyProfile, k: int) -> float:
 
     Sums, over the realizations reachable under the full profile and
     weighted by their probabilities, the belief-expectation of the stage
-    cost, plus the terminal term, left to right in (time, code)
-    order. Uses only the filter chain (beliefs and step normalizers);
-    never enumerates trajectories. The result is the same number for
-    every k.
+    cost, plus the terminal term, left to right in (time, code) order.
+    Uses only the layers of `expand(free=False)` (beliefs and path
+    probabilities); never enumerates trajectories. The result is the same
+    number for every k.
     """
     bp = BeliefPass(spec, k, g_full)
-    layers, probs = bp.chain()
-    terms = [pr * stage_values(spec, bp, lay)[np.arange(len(lay)),
-                                              g_full.actions_at(k, lay.t, lay.codes)]
-             for lay, pr in zip(layers[:-1], probs)]
-    terms.append(probs[-1] * terminal_values(spec, layers[-1].beliefs))
+    *layers, last = bp.expand(free=False)
+    terms = [lay.prob * stage_values(spec, bp, lay)[np.arange(len(lay)),
+                                                    g_full.actions_at(k, lay.t, lay.codes)]
+             for lay in layers]
+    terms.append(last.prob * terminal_values(spec, last.beliefs))
     return float(seq_sum(np.concatenate(terms)))
 
 

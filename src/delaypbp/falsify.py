@@ -31,7 +31,7 @@ import itertools
 import numpy as np
 
 from . import dp, oracle
-from .filtering import BeliefPass, classical_filter_step
+from .filtering import BeliefPass, classical_filter_step, seq_sum
 from .info import (grid_size, history_code, newest_obs, other_agents, private_size,
                    realization_keys, revealed, shared_prefix_len)
 from .model import COMPARE_TOL, ModelSpec
@@ -242,7 +242,7 @@ def check_k1_reduction(spec: ModelSpec) -> dict:
     nodes, pis = np.searchsorted(first, y0s), prior[y0s] / total[y0s, None]
     labels = [f"y0={y0}" for y0 in y0s.tolist()]
     for t, lay in enumerate(layers):
-        marginals = np.cumsum(lay.beliefs[nodes], axis=2)[..., -1]
+        marginals = seq_sum(lay.beliefs[nodes])
         gaps += zip(labels, np.max(np.abs(marginals - pis), axis=1).tolist())
         if t == spec.T:
             break

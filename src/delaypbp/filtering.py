@@ -17,21 +17,22 @@ writer spells codes as text keys.
 
 `BeliefPass.expand` is the one forward expansion, one time layer at a
 time, with agent k's own action either free (the best-response DP, the
-single-agent check) or read from its strategy (`chain`). A `Layer` holds
-time t's nodes as arrays: realization codes, stacked beliefs, the others'
-joint action per (node, lambda) -- one indexed read of each other agent's
-strategy array per layer -- and each node's unique predecessor as (parent
-index, own action, step weight). One `np.bincount` (input order) per layer
-produces every child in (parent, own action, revealed, y') order, revealed
-being `info.revealed`'s index of the symbols the others promote, and one
-stable sort by code orders the layer; a child's cell is its pair's block
-plus an offset that `step_tables`, built once per model, holds. Every mixed
-radix is `info`'s `radix`, split by its `digits`, and the promotion rule is
-`info`'s. The arithmetic is that of a scalar loop over each node's grid:
-products associate as ((p * T) * q_k) * q_j..., every cell accumulates its
-terms in the C order of (x, lambda, y', x', y^{-k}) -- cells of different
-nodes are disjoint -- and expectations sum left to right (`seq_sum`), so no
-result depends on the batching.
+single-agent check) or read from its strategy. A `Layer` holds time t's
+nodes as arrays: realization codes, stacked beliefs, the others' joint
+action per (node, lambda) -- one indexed read of each other agent's
+strategy array per layer -- each node's unique predecessor as (parent
+index, own action, step weight) and its path probability. One
+`np.bincount` (input order) per layer produces every child in (parent,
+own action, revealed, y') order, revealed being `info.revealed`'s index of
+the symbols the others promote, and one stable sort by code orders the
+layer; a child's cell is its pair's block plus an offset that
+`step_tables`, built once per model, holds. Every mixed radix is `info`'s
+`radix`, split by its `digits`, and the promotion rule is `info`'s. The
+arithmetic is that of a scalar loop over each node's grid: products
+associate as ((p * T) * q_k) * q_j..., every cell accumulates its terms in
+the C order of (x, lambda, y', x', y^{-k}) -- cells of different nodes are
+disjoint -- and expectations sum left to right (`seq_sum`), so no result
+depends on the batching.
 """
 
 from __future__ import annotations
@@ -120,7 +121,8 @@ class Layer:
     joint action per (node, lambda), 0 off the support. A node is reached
     from node `parent` of layer t-1 under own action `action` with step
     weight `weight`, the probability of its new symbols given the parent;
-    at t = 0 parent and action are -1 and weight is p(first observation)."""
+    at t = 0 parent and action are -1 and weight is p(first observation).
+    `prob`, the node's probability, is the product of its path's weights."""
 
     t: int
     codes: np.ndarray
@@ -129,6 +131,7 @@ class Layer:
     parent: np.ndarray
     action: np.ndarray
     weight: np.ndarray
+    prob: np.ndarray
 
     def __len__(self) -> int:
         return len(self.codes)
@@ -137,15 +140,15 @@ class Layer:
 class BeliefPass:
     """One forward pass of agent k's posterior against the other agents'
     strategies g_minus_k (None only without other agents), holding its
-    step tables. Only `expand(free=False)` and `chain` read agent k's own
-    maps. Strategies are read only where some belief has mass, so maps
+    step tables. Only `expand(free=False)` reads agent k's own maps.
+    Strategies are read only where some belief has mass, so maps
     covering just the reachable grid suffice."""
 
     def __init__(self, spec: ModelSpec, k: int, g_minus_k):
         self.spec, self.k, self.g = spec, k, g_minus_k
         self.tables = step_tables(spec, k)
 
-    def layer(self, t: int, codes, beliefs, parent, action, weight) -> Layer:
+    def layer(self, t: int, codes, beliefs, parent, action, weight, prob) -> Layer:
         """A layer of nodes with, before the horizon, the others' joint actions
         at the (node, lambda) cells with mass, one indexed read per other agent,
         and 0 elsewhere; a missing action raises IncompleteStrategyError."""
@@ -160,7 +163,7 @@ class BeliefPass:
                  for j, size, pc in zip(tab.others, tab.private_sizes, tab.private_codes)],
                 [self.spec.act_sizes[j] for j in tab.others])
         beliefs.setflags(write=False)
-        return Layer(t, codes, beliefs, others_acts, parent, action, weight)
+        return Layer(t, codes, beliefs, others_acts, parent, action, weight, prob)
 
     def start(self) -> Layer:
         """The time-0 layer: one node per reachable first observation of
@@ -173,9 +176,9 @@ class BeliefPass:
         mats = np.ascontiguousarray(mats)  # so each row sums as its own .sum() would
         totals = mats.sum(axis=(1, 2))
         codes = np.flatnonzero(totals > 0.0)
-        none = np.full(len(codes), -1)
+        none, weight = np.full(len(codes), -1), totals[codes]
         return self.layer(0, codes, mats[codes] / totals[codes, None, None], none, none,
-                          totals[codes])
+                          weight, weight)
 
     def children(self, lay: Layer, nodes: np.ndarray, us: np.ndarray):
         """Every positive-mass child of node nodes[i] when agent k plays
@@ -215,28 +218,20 @@ class BeliefPass:
         codes, pair = codes[order], pair[order]
         if (codes[1:] == codes[:-1]).any():
             raise AssertionError("realization reached twice; predecessor not unique")
-        return self.layer(t + 1, codes, beliefs[order], nodes[pair], us[pair], weight[order])
+        parent, weight = nodes[pair], weight[order]
+        return self.layer(t + 1, codes, beliefs[order], parent, us[pair], weight,
+                          lay.prob[parent] * weight)
 
     def expand(self, free: bool) -> list[Layer]:
         """The layers t = 0..T of every realization reachable from the
-        start, each node with its belief and predecessor. With free, agent
-        k branches over every own action; otherwise it plays g's action (a
-        full profile)."""
+        start, each node with its belief, predecessor and probability. With
+        free, agent k branches over every own action; otherwise it plays g's
+        action (a full profile)."""
         layers = [self.start()]
         for t in range(self.spec.T):
             own = None if free else self.g.actions_at(self.k, t, layers[t].codes)
             layers.append(self.step(layers[t], own))
         return layers
-
-    def chain(self) -> tuple[list[Layer], list[np.ndarray]]:
-        """The layers along every realization reachable when agent k follows
-        g (a full profile), and per layer each node's probability: the
-        product of the step weights along its path."""
-        layers = self.expand(free=False)
-        probs = [layers[0].weight]
-        for lay in layers[1:]:
-            probs.append(probs[-1][lay.parent] * lay.weight)
-        return layers, probs
 
 
 # ---------------------------------------------------------------------------

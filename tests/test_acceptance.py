@@ -35,7 +35,7 @@ def test_criterion_1_filter_matches_oracle():
         spec = canonical_instance(name)
         for g in (observation_following_profile(spec), constant_profile(spec, 0)):
             for k in range(spec.K):
-                chain, _ = BeliefPass(spec, k, g).chain()
+                chain = BeliefPass(spec, k, g).expand(free=False)
                 # wider domain: own actions free, opponents frozen (the
                 # best-response tables store chained beliefs there too)
                 vtable, _ = solve_best_response(spec, k, g)

@@ -218,21 +218,22 @@ def test_filter_raises_where_the_oracle_lacks_a_chain_realization(tmp_path, monk
 
 
 def test_filter_raises_where_the_recursion_lacks_an_oracle_realization(tmp_path, monkeypatch):
-    """With one time-1 node dropped from the chain, the filter command names
-    the realization the recursion lacks instead of comparing what is left."""
-    whole = BeliefPass.chain
+    """With one time-1 node dropped from the expansion, the filter command
+    names the realization the recursion lacks instead of comparing what is
+    left."""
+    whole = BeliefPass.expand
 
-    def short(self):
-        layers, probs = whole(self)
+    def short(self, free):
+        layers = whole(self, free)
         lay = layers[1]
         layers[1] = dataclasses.replace(lay, codes=np.delete(lay.codes, 3),
-                                        beliefs=np.delete(lay.beliefs, 3, axis=0))
-        probs[1] = np.delete(probs[1], 3)
+                                        beliefs=np.delete(lay.beliefs, 3, axis=0),
+                                        prob=np.delete(lay.prob, 3))
         missing.extend(realization_keys(self.spec, self.k, 1, lay.codes[3:4]))
-        return layers, probs
+        return layers
 
     missing = []
-    monkeypatch.setattr(BeliefPass, "chain", short)
+    monkeypatch.setattr(BeliefPass, "expand", short)
     with pytest.raises(AssertionError, match=r"t=1: the recursion lacks c\(") as err:
         run(RunConfig(command="filter", model="CANON-2B", agent=1, out=str(tmp_path)))
     assert str(err.value) == f"t=1: the recursion lacks {missing[0]}"

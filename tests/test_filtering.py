@@ -143,10 +143,10 @@ def test_update_uniform_symmetry():
 @pytest.mark.parametrize("agent", [0, 1])
 def test_chain_matches_oracle_canon_2a(canon_2a, agent):
     g = observation_following_profile(canon_2a)
-    layers, probs = BeliefPass(canon_2a, agent, g).chain()
-    for lay, prob in zip(layers, probs):
+    layers = BeliefPass(canon_2a, agent, g).expand(free=False)
+    for lay in layers:
         assert len(lay), "no reachable realizations found"
-        assert abs(sum(prob.tolist()) - 1.0) <= 1e-10
+        assert abs(sum(lay.prob.tolist()) - 1.0) <= 1e-10
         assert np.max(np.abs(lay.beliefs.sum(axis=(1, 2)) - 1.0)) <= 1e-10
     assert oracle_gap(canon_2a, g, agent, layers) <= 1e-10
     assert sum(map(len, layers)) >= 40
@@ -157,7 +157,7 @@ def test_oracle_belief_ignores_own_strategy_bitwise(canon_2a):
     g_b = g_a.with_agent(0, constant_profile(canon_2a, 1).maps[0])
     # a realization reachable under both: actions in the realization are
     # what matters, not the maps that produced them
-    shared = np.intersect1d(*(BeliefPass(canon_2a, 0, g).chain()[0][1].codes
+    shared = np.intersect1d(*(BeliefPass(canon_2a, 0, g).expand(free=False)[1].codes
                               for g in (g_a, g_b)))
     assert len(shared)
     post_a = rows_at(oracle.posteriors(canon_2a, g_a, 0)[1], shared)
@@ -184,7 +184,7 @@ def test_chain_matches_oracle_random_models(seed, n):
     spec = random_model(seed, K=2, n=n, T=2, sizes=2)
     g = random_profile(spec, np.random.default_rng(seed + 1))
     for k in range(spec.K):
-        assert oracle_gap(spec, g, k, BeliefPass(spec, k, g).chain()[0]) <= 1e-10
+        assert oracle_gap(spec, g, k, BeliefPass(spec, k, g).expand(free=False)) <= 1e-10
 
 
 # --- one forward expansion ---------------------------------------------------
@@ -192,15 +192,16 @@ def test_chain_matches_oracle_random_models(seed, n):
 @pytest.mark.parametrize("n", [1, 2])
 def test_expand_follows_g_inside_the_free_expansion(n):
     """expand(free=False) keeps, at every node, only g's own action; its
-    nodes are nodes of expand(free=True) with the same belief and step
-    weights, and chain() multiplies those weights along the kept edges."""
+    nodes are nodes of expand(free=True) with the same belief, step weights
+    and path probability, and in both expansions a node's prob is its
+    parent's times its weight. Two passes give the same layers."""
     spec = random_model(seed=3 + n, K=2, n=n, T=3, sizes=2)
     g = random_profile(spec, np.random.default_rng(n))
     for k in range(spec.K):
         bp = BeliefPass(spec, k, g)
         layers = bp.expand(free=False)
         free = BeliefPass(spec, k, g).expand(free=True)
-        chain, probs = bp.chain()
+        chain = BeliefPass(spec, k, g).expand(free=False)
         where = [{int(c): i for i, c in enumerate(f.codes)} for f in free]
         for t, lay in enumerate(layers):
             assert np.array_equal(chain[t].codes, lay.codes)
@@ -208,8 +209,12 @@ def test_expand_follows_g_inside_the_free_expansion(n):
             assert not lay.beliefs.flags.writeable
             at = [where[t][int(c)] for c in lay.codes]
             assert np.array_equal(free[t].beliefs[at], lay.beliefs)
+            # a code fixes agent k's own actions, so its probability is the
+            # same in both expansions
+            assert free[t].prob[at].tobytes() == lay.prob.tobytes()
             if t == 0:
-                assert np.array_equal(probs[0], lay.weight)
+                assert np.array_equal(lay.prob, lay.weight)
+                assert np.array_equal(free[0].prob, free[0].weight)
                 continue
             # the one edge kept is the parent's g-action, with the free
             # expansion's predecessor and step weight
@@ -219,7 +224,9 @@ def test_expand_follows_g_inside_the_free_expansion(n):
             assert np.array_equal(free[t].weight[at], lay.weight)
             assert free[t].parent[at].tolist() == [where[t - 1][int(c)]
                                                    for c in prev.codes[lay.parent]]
-            assert np.array_equal(probs[t], probs[t - 1][lay.parent] * lay.weight)
+            assert np.array_equal(lay.prob, prev.prob[lay.parent] * lay.weight)
+            assert np.array_equal(free[t].prob,
+                                  free[t - 1].prob[free[t].parent] * free[t].weight)
         for t in range(spec.T):
             # every free node has children under every own action
             edges = set(zip(free[t + 1].parent.tolist(), free[t + 1].action.tolist()))
@@ -298,7 +305,7 @@ def test_classical_filter_requires_single_agent(canon_2a):
 
 def test_classical_filter_matches_recursion_marginal(canon_1):
     g = constant_profile(canon_1, 0)
-    first = BeliefPass(canon_1, 0, g).chain()[0][0]
+    first = BeliefPass(canon_1, 0, g).expand(free=False)[0]
     for code, b in zip(first.codes.tolist(), first.beliefs):
         y0 = decode_blocks(canon_1, 0, 0, code).own_obs[0]
         raw = canon_1.init_dist * canon_1.observation[0][0][:, y0]
@@ -360,7 +367,7 @@ def test_batched_kernel_equals_scalar_loop_bitwise(spec):
         shown = list(itertools.product(
             itertools.product(*(range(spec.obs_sizes[j]) for j in others)),
             itertools.product(*(range(spec.act_sizes[j]) for j in others))))
-        chain, _ = BeliefPass(spec, k, g).chain()
+        chain = BeliefPass(spec, k, g).expand(free=False)
         free = BeliefPass(spec, k, g).expand(free=True)
         for t in range(T):
             promote = shared_prefix_len(n, t + 1) > shared_prefix_len(n, t)

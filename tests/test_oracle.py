@@ -259,7 +259,7 @@ def test_per_realization_results_are_rows_along_increasing_codes(name):
     chain reaches. The cost-to-go per t has strictly increasing codes too."""
     spec, g = tree_model(name)
     for k in range(spec.K):
-        chain, _ = BeliefPass(spec, k, g).chain()
+        chain = BeliefPass(spec, k, g).expand(free=False)
         for free in (True, False):
             for t, (codes, beliefs) in enumerate(posteriors(spec, g, k, free=free)):
                 assert codes.dtype == np.int64 and np.all(np.diff(codes) > 0), (k, free, t)
