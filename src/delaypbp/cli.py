@@ -59,8 +59,6 @@ class RunConfig:
         """Raise ValueError naming the first malformed setting."""
         if self.command not in COMMANDS:
             raise ValueError(f"unknown command {self.command!r}")
-        if self.strategy is not None and not os.path.exists(self.strategy):
-            raise ValueError(f"strategy file {self.strategy!r} does not exist")
         if not all(math.isfinite(tol) and tol > 0
                    for tol in (self.tol_compare, self.tol_improve)):
             raise ValueError("tolerance overrides must be positive and finite")

@@ -11,7 +11,6 @@ time, so they may vary over the horizon.
 from __future__ import annotations
 
 import json
-import math
 import os
 import reprlib
 from dataclasses import dataclass
@@ -100,7 +99,8 @@ def _check_rows(name: str, table: np.ndarray, violations: list) -> None:
             continue
         if np.any(row < 0):
             violations.append(f"{where} has negative entry {row.min():.6g}")
-        s = float(row.sum())
+        with np.errstate(over="ignore"):  # finite entries may sum to inf: a violation
+            s = float(row.sum())
         if abs(s - 1.0) > PROB_TOL:
             violations.append(f"{where} sums to {s!r} (defect {abs(s - 1.0):.3e})")
 
@@ -372,21 +372,17 @@ def _entries(table, index=()):
         yield index, table
 
 
-def _table(probabilities: bool):
-    """The kind of a table of finite JSON numbers, not negative if probabilities."""
-    def kind(key, table):
-        for index, value in _entries(table):
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                return f"table {key!r} takes JSON numbers, got {reprlib.repr(value)}"
-            try:
-                x = float(value)
-                wrong = ("is NaN or Inf" if not math.isfinite(x) else
-                         "is a negative probability" if probabilities and x < 0 else None)
-            except OverflowError:
-                wrong = "is too large for a float"
-            if wrong:
-                return f"table entry {key}{''.join(f'[{i}]' for i in index)} {wrong}"
-    return kind
+def _table(key, table):
+    """The kind of a table of JSON numbers, each of which fits a float.
+    Their values (NaN/Inf, signs, row sums, the cost bound) are for
+    validate_model to judge."""
+    for index, value in _entries(table):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            return f"table {key!r} takes JSON numbers, got {reprlib.repr(value)}"
+        try:
+            float(value)
+        except OverflowError:
+            return f"table entry {key}{''.join(f'[{i}]' for i in index)} is too large for a float"
 
 
 _INTEGER = kind_of(is_integer, "takes JSON integers")
@@ -394,9 +390,8 @@ _INTEGERS = kind_of(lambda v: isinstance(v, list) and all(map(is_integer, v)),
                     "takes JSON integers")
 _MODEL_KEYS = {"K": _INTEGER, "n": _INTEGER, "T": _INTEGER, "state_size": _INTEGER,
                "obs_sizes": _INTEGERS, "act_sizes": _INTEGERS,
-               "init_dist": _table(True), "transition": _table(True),
-               "observation": _table(True), "stage_cost": _table(False),
-               "terminal_cost": _table(False)}
+               "init_dist": _table, "transition": _table, "observation": _table,
+               "stage_cost": _table, "terminal_cost": _table}
 
 
 def _plain(value):
@@ -415,9 +410,12 @@ def save_model(spec: ModelSpec, path) -> None:
 
 
 def load_model(path, check: bool = True) -> ModelSpec:
-    """Load a model JSON file; raises ModelFormatError on malformed input
-    and, with check, on any violation of validate_model (the validate
-    command reads with check=False to report violations as data)."""
+    """Load a model JSON file; raises ModelFormatError on a malformed
+    document (missing or unknown keys, sizes that are not JSON integers,
+    table entries that are not JSON numbers or do not fit a float) and,
+    with check, on the first violation of validate_model, the one judge of
+    the values: NaN/Inf, signs, row sums and the cost bound. The validate
+    command reads with check=False to report violations as data."""
     doc = read_json(path)
     check_keys(doc, _MODEL_KEYS, "model")
     try:

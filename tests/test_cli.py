@@ -162,6 +162,35 @@ def test_all_with_a_strategy_file_writes_nothing(tmp_path, canon_2a, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag,commands", [
+    ("--model", ["validate", "filter", "solve", "pbp", "verify", "falsify"]),
+    ("--strategy", ["filter", "solve", "pbp", "verify", "falsify", "all"]),
+])
+def test_missing_input_file_gives_one_line_config_exit(tmp_path, capsys, flag, commands):
+    """A model or strategy file that does not exist fails at its own open:
+    one stderr line, exit 2, and no report directory, `all` included."""
+    missing = str(tmp_path / "missing.json")
+    for command in commands:
+        out = tmp_path / f"r-{command}"
+        assert main(["--command", command, flag, missing, "--out", str(out)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: [Errno 2] No such file or directory: {missing!r}\n"
+        assert not out.exists()
+
+
+def test_validate_ignores_the_strategy_flag(tmp_path):
+    """validate reads no profile, so it never opens --strategy, even one
+    that does not exist, and writes the report it writes without it."""
+    plain, flagged = tmp_path / "plain", tmp_path / "flagged"
+    assert main(["--command", "validate", "--out", str(plain)]) == EXIT_OK
+    assert main(["--command", "validate", "--strategy", str(tmp_path / "missing.json"),
+                 "--out", str(flagged)]) == EXIT_OK
+    name = "validate_CANON-2A.json"
+    assert os.listdir(flagged) == [name]
+    assert (flagged / name).read_bytes() == (plain / name).read_bytes()
+
+
 @pytest.mark.parametrize("command,agent", [("pbp", "7"), ("validate", "-1")])
 def test_commands_without_an_agent_ignore_the_flag(tmp_path, command, agent):
     plain, flagged = tmp_path / "plain", tmp_path / "flagged"
@@ -837,6 +866,42 @@ def test_costs_near_the_float_limit_are_a_violation(tmp_path, canon_2a, capsys, 
         assert code == EXIT_CONFIG
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and msg in err[0]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", ["validate", "filter", "solve", "pbp", "verify", "falsify"])
+@pytest.mark.parametrize("mutate,violation", [
+    (_init_dist(float("nan")), "init_dist row (0,) contains NaN/Inf"),
+    (_stage_cost(float("inf")), "stage_cost[0] contains NaN/Inf"),
+    (lambda model: model.update(init_dist=[1.5, -0.5]),
+     "init_dist row (0,) has negative entry -0.5"),
+    (lambda model: model.update(init_dist=[1e308, 1e308]), "init_dist row (0,) sums to inf"),
+], ids=["nan-probability", "inf-cost", "negative-probability", "overflowing-row"])
+def test_table_values_are_judged_by_validate_model(tmp_path, canon_2a, capsys, command,
+                                                   mutate, violation):
+    """The loader checks only that table entries are JSON numbers that fit
+    a float; validate_model judges their values, so validate reports a
+    NaN, an Inf, a negative probability or a row that sums past the float
+    maximum as a violation (exit 1, nothing on stderr) and every other
+    command refuses the file with one line (exit 2), warnings being errors."""
+    model = model_to_dict(canon_2a)
+    mutate(model)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(model))
+    out = tmp_path / "r"
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(["--command", command, "--model", str(path), "--out", str(out)])
+    err = capsys.readouterr().err
+    if command == "validate":
+        assert code == EXIT_TOLERANCE and err == ""
+        report = read(out / "validate_bad.json")
+        assert report["pass"] is False
+        violations = report["results"][0]["violations"]
+        assert len(violations) == 1 and violations[0].startswith(violation)
+    else:
+        assert code == EXIT_CONFIG
+        assert err.startswith(f"error: invalid model: {violation}") and err.count("\n") == 1
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["validate", "filter", "solve", "pbp", "verify", "falsify"])

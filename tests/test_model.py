@@ -83,7 +83,7 @@ def test_model_json_roundtrip(tmp_path, spec):
 @pytest.mark.parametrize("mutate,msg", [
     (lambda d: d.update(init_dist=[0.5, float("nan")]), "NaN"),
     (lambda d: d.update(init_dist=[1.5, -0.5]), "negative"),
-    (lambda d: d.update(terminal_cost=[float("inf"), 0.0]), "NaN or Inf"),
+    (lambda d: d.update(terminal_cost=[float("inf"), 0.0]), "NaN/Inf"),
     (lambda d: d.pop("transition"), "missing fields"),
 ])
 def test_loader_rejects_malformed_documents(tmp_path, canon_2a, mutate, msg):
