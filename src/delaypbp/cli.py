@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import dp, falsify, oracle
-from .filtering import BeliefPass
+from .filtering import expand
 from .info import lambda_labels, realization_keys
 from .model import (CANONICAL_NAMES, COMPARE_TOL, IMPROVE_TOL, K1_TOL,
                     ModelSpec, resolve_model, uniform_observation_variant,
@@ -114,7 +114,7 @@ def cmd_validate(spec: ModelSpec, name: str, config: RunConfig, k: None, g: None
 
 
 def cmd_filter(spec: ModelSpec, name: str, config: RunConfig, k: int, g: StrategyProfile):
-    layers = BeliefPass(spec, k, g).expand(free=False)
+    layers = expand(spec, k, g, free=False)
     results, gaps = [], []
     for t, (codes, refs) in enumerate(oracle.posteriors(spec, g, k, free=False)):
         own, beliefs, labels = layers[t].codes, layers[t].beliefs, lambda_labels(spec, k, t)

@@ -4,7 +4,7 @@ With the other agents' strategies frozen, agent k faces an ordinary
 partially observed control problem whose sufficient statistic is the
 triple (posterior over the extended state, shared block, private block).
 The value recursion here runs backward over the layers of
-`BeliefPass.expand(free=True)` -- every realization reachable with agent
+`filtering.expand(free=True)` -- every realization reachable with agent
 k's own actions left free -- one time layer per array step: the stage
 values of every (node, own action), plus each child's step weight times
 its value, added in child order, then the minimizing action per node,
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UnreachableError
-from .filtering import BeliefPass, Layer, seq_sum
+from .filtering import Layer, expand, seq_sum, step_tables
 from .info import grid_size, realization_keys
 from .model import IMPROVE_TOL, ModelSpec
 from .strategies import StrategyProfile
@@ -45,12 +45,13 @@ def terminal_values(spec: ModelSpec, beliefs: np.ndarray) -> np.ndarray:
     return seq_sum((spec.terminal_cost[:, None] * beliefs).reshape(len(beliefs), -1))
 
 
-def stage_values(spec: ModelSpec, bp: BeliefPass, lay: Layer) -> np.ndarray:
-    """(node, own action) -> expected stage cost at a layer's node when
-    agent k plays that action and the others their strategies (those of
-    the pass bp)."""
+def stage_values(spec: ModelSpec, k: int, lay: Layer) -> np.ndarray:
+    """(node, own action) -> expected stage cost at a node of agent k's
+    layer when agent k plays that action and the others the joint actions
+    the layer holds."""
     cost = spec.stage_cost[lay.t].reshape(spec.state_size, -1)
-    joint = bp.tables[lay.t].joint[:, lay.others_acts].transpose(1, 0, 2)  # (node, u, lambda)
+    # (node, u, lambda) -> joint action
+    joint = step_tables(spec, k)[lay.t].joint[:, lay.others_acts].transpose(1, 0, 2)
     terms = lay.beliefs[:, None] * cost[np.arange(spec.state_size)[:, None], joint[:, :, None]]
     return seq_sum(terms.reshape(*joint.shape[:2], -1))
 
@@ -64,13 +65,12 @@ def solve_best_response(spec: ModelSpec, k: int, g_minus_k
     the minimizing action at exactly the reachable grid of the forward
     pass, and -1 elsewhere.
     """
-    bp = BeliefPass(spec, k, g_minus_k)
-    layers = bp.expand(free=True)
+    layers = expand(spec, k, g_minus_k, free=True)
     values = [terminal_values(spec, layers[spec.T].beliefs)]
     g_maps = [np.full(grid_size(spec, k, t), -1) for t in range(spec.T)]
     for t in range(spec.T - 1, -1, -1):
         lay, nxt = layers[t], layers[t + 1]
-        q = stage_values(spec, bp, lay)
+        q = stage_values(spec, k, lay)
         np.add.at(q, (nxt.parent, nxt.action), nxt.weight * values[-1])
         best = np.argmin(q, axis=1)
         values.append(q[np.arange(len(lay)), best])
@@ -95,10 +95,9 @@ def cost_via_beliefs(spec: ModelSpec, g_full: StrategyProfile, k: int) -> float:
     probabilities); never enumerates trajectories. The result is the same
     number for every k.
     """
-    bp = BeliefPass(spec, k, g_full)
-    *layers, last = bp.expand(free=False)
-    terms = [lay.prob * stage_values(spec, bp, lay)[np.arange(len(lay)),
-                                                    g_full.actions_at(k, lay.t, lay.codes)]
+    *layers, last = expand(spec, k, g_full, free=False)
+    terms = [lay.prob * stage_values(spec, k, lay)[np.arange(len(lay)),
+                                                   g_full.actions_at(k, lay.t, lay.codes)]
              for lay in layers]
     terms.append(last.prob * terminal_values(spec, last.beliefs))
     return float(seq_sum(np.concatenate(terms)))

@@ -31,7 +31,7 @@ import itertools
 import numpy as np
 
 from . import dp, oracle
-from .filtering import BeliefPass, classical_filter_step, seq_sum
+from .filtering import classical_filter_step, expand, seq_sum
 from .info import (grid_size, history_code, newest_obs, other_agents, private_size,
                    realization_keys, revealed, shared_prefix_len)
 from .model import COMPARE_TOL, ModelSpec
@@ -227,7 +227,7 @@ def check_k1_reduction(spec: ModelSpec) -> dict:
     if spec.K != 1:
         raise ValueError("the reduction check needs a single-agent model")
     # No other agents, so no strategies to read.
-    layers = BeliefPass(spec, 0, None).expand(free=True)
+    layers = expand(spec, 0, None, free=True)
     # Per first observation its prior; at t = 0 the code is the first observation.
     first = layers[0].codes
     prior = np.ascontiguousarray(spec.init_dist * spec.observation[0][0].T)

@@ -5,9 +5,9 @@ other agents' recent private data steers their actions, so the object to
 estimate is the extended state (x_t, lambda_t^{-k}) -- plant state plus
 the other agents' private blocks. A belief is a read-only (state,
 lambda) float array whose lambda index is the mixed radix over the other
-agents' private codes. `BeliefPass` computes it by a one-step recursion
-that conditions on agent k's new observation, its own action, and the
-symbols newly revealed into the shared block; it must reproduce
+agents' private codes. `start` and `step` compute it by a one-step
+recursion that conditions on agent k's new observation, its own action,
+and the symbols newly revealed into the shared block; it must reproduce
 `oracle.posteriors`, which stacks beliefs row by row along increasing
 codes as a layer does, and, for a single agent, the textbook filter kept
 here, whose step (`classical_filter_step`) filters a whole layer at once.
@@ -15,11 +15,13 @@ Zero-probability continuations are left out rather than returned as
 non-distributions. Layers are keyed by realization code; only the report
 writer spells codes as text keys.
 
-`BeliefPass.expand` is the one forward expansion, one time layer at a
-time, with agent k's own action either free (the best-response DP, the
-single-agent check) or read from its strategy. A `Layer` holds time t's
-nodes as arrays: realization codes, stacked beliefs, the others' joint
-action per (node, lambda) -- one indexed read of each other agent's
+`expand` is the one forward expansion, one time layer at a time, against
+the other agents' strategies g (None only without other agents), with
+agent k's own action either free (the best-response DP, the single-agent
+check) or read from g. Strategies are read only where some belief has
+mass, so maps covering just the reachable grid suffice. A `Layer` holds
+time t's nodes as arrays: realization codes, stacked beliefs, the others'
+joint action per (node, lambda) -- one indexed read of each other agent's
 strategy array per layer -- each node's unique predecessor as (parent
 index, own action, step weight) and its path probability. One
 `np.bincount` (input order) per layer produces every child in (parent,
@@ -137,101 +139,93 @@ class Layer:
         return len(self.codes)
 
 
-class BeliefPass:
-    """One forward pass of agent k's posterior against the other agents'
-    strategies g_minus_k (None only without other agents), holding its
-    step tables. Only `expand(free=False)` reads agent k's own maps.
-    Strategies are read only where some belief has mass, so maps
-    covering just the reachable grid suffice."""
+def _others_acts(spec: ModelSpec, k: int, g, t: int, codes, beliefs) -> np.ndarray | None:
+    """Before the horizon, the others' joint actions at a layer's (node,
+    lambda) cells with mass, one indexed read per other agent, and 0
+    elsewhere; a missing action raises IncompleteStrategyError."""
+    if t == spec.T:
+        return None
+    tab = step_tables(spec, k)[t]
+    node, lam = np.nonzero((beliefs > 0.0).any(axis=1))
+    shared = codes[node] // private_size(spec, k, t)
+    others_acts = np.zeros((len(codes), tab.size), dtype=np.intp)
+    others_acts[node, lam] = radix(
+        [g.actions_at(j, t, shared * size + pc[lam])
+         for j, size, pc in zip(tab.others, tab.private_sizes, tab.private_codes)],
+        [spec.act_sizes[j] for j in tab.others])
+    return others_acts
 
-    def __init__(self, spec: ModelSpec, k: int, g_minus_k):
-        self.spec, self.k, self.g = spec, k, g_minus_k
-        self.tables = step_tables(spec, k)
 
-    def layer(self, t: int, codes, beliefs, parent, action, weight, prob) -> Layer:
-        """A layer of nodes with, before the horizon, the others' joint actions
-        at the (node, lambda) cells with mass, one indexed read per other agent,
-        and 0 elsewhere; a missing action raises IncompleteStrategyError."""
-        others_acts = None
-        if t < self.spec.T:
-            tab = self.tables[t]
-            node, lam = np.nonzero((beliefs > 0.0).any(axis=1))
-            shared = codes[node] // private_size(self.spec, self.k, t)
-            others_acts = np.zeros((len(codes), tab.size), dtype=np.intp)
-            others_acts[node, lam] = radix(
-                [self.g.actions_at(j, t, shared * size + pc[lam])
-                 for j, size, pc in zip(tab.others, tab.private_sizes, tab.private_codes)],
-                [self.spec.act_sizes[j] for j in tab.others])
-        beliefs.setflags(write=False)
-        return Layer(t, codes, beliefs, others_acts, parent, action, weight, prob)
+def start(spec: ModelSpec, k: int, g) -> Layer:
+    """The time-0 layer: one node per reachable first observation of
+    agent k, whose code it is."""
+    tab = step_tables(spec, k)[0]
+    # (y0, x, lambda); at t = 0 a private code is the first observation
+    mats = (spec.init_dist * spec.observation[0][k].T)[:, :, None]
+    for j, fo in zip(tab.others, tab.private_codes):
+        mats = mats * spec.observation[0][j][:, fo]
+    mats = np.ascontiguousarray(mats)  # so each row sums as its own .sum() would
+    totals = mats.sum(axis=(1, 2))
+    codes = np.flatnonzero(totals > 0.0)
+    none, weight = np.full(len(codes), -1), totals[codes]
+    beliefs = mats[codes] / totals[codes, None, None]
+    beliefs.setflags(write=False)
+    return Layer(0, codes, beliefs, _others_acts(spec, k, g, 0, codes, beliefs), none, none,
+                 weight, weight)
 
-    def start(self) -> Layer:
-        """The time-0 layer: one node per reachable first observation of
-        agent k, whose code it is."""
-        spec, k, tab = self.spec, self.k, self.tables[0]
-        # (y0, x, lambda); at t = 0 a private code is the first observation
-        mats = (spec.init_dist * spec.observation[0][k].T)[:, :, None]
-        for j, fo in zip(tab.others, tab.private_codes):
-            mats = mats * spec.observation[0][j][:, fo]
-        mats = np.ascontiguousarray(mats)  # so each row sums as its own .sum() would
-        totals = mats.sum(axis=(1, 2))
-        codes = np.flatnonzero(totals > 0.0)
-        none, weight = np.full(len(codes), -1), totals[codes]
-        return self.layer(0, codes, mats[codes] / totals[codes, None, None], none, none,
-                          weight, weight)
 
-    def children(self, lay: Layer, nodes: np.ndarray, us: np.ndarray):
-        """Every positive-mass child of node nodes[i] when agent k plays
-        us[i], over all i at once, as arrays (i, revealed group, y',
-        belief, weight) in (i, group, y') order. The weight is the
-        probability of (revealed, y') given the node's belief and action,
-        i.e. the step's normalizer."""
-        tab = self.tables[lay.t]
-        (Y, X1), G, L1 = tab.own_lik.shape, tab.groups, tab.next_size
-        # positive-mass cells, pair-major and state-major within a pair
-        i, xs, ls = np.nonzero(lay.beliefs[nodes] > 0.0)
-        p, acts = lay.beliefs[nodes[i], xs, ls], lay.others_acts[nodes[i], ls]
-        rows = tab.trans[xs, tab.joint[us[i], acts]]
-        w = ((p[:, None] * rows)[:, None, :] * tab.own_lik)[..., None]
-        for lik in tab.other_lik:
-            w = w * lik
-        cell = (i * tab.block)[:, None, None, None] + tab.off[ls, acts]
-        acc = np.bincount(cell.ravel(), w.ravel(), minlength=len(nodes) * tab.block)
-        acc = acc.reshape(-1, X1 * L1)
-        totals = acc.sum(axis=1)
-        keep = np.flatnonzero(totals > 0.0)
-        return (*digits(keep, (len(nodes), G, Y)),
-                (acc[keep] / totals[keep, None]).reshape(-1, X1, L1), totals[keep])
+def children(spec: ModelSpec, k: int, lay: Layer, nodes: np.ndarray, us: np.ndarray):
+    """Every positive-mass child of node nodes[i] when agent k plays us[i],
+    over all i at once, as arrays (i, revealed group, y', belief, weight) in
+    (i, group, y') order. The weight is the probability of (revealed, y')
+    given the node's belief and action, i.e. the step's normalizer."""
+    tab = step_tables(spec, k)[lay.t]
+    (Y, X1), G, L1 = tab.own_lik.shape, tab.groups, tab.next_size
+    # positive-mass cells, pair-major and state-major within a pair
+    i, xs, ls = np.nonzero(lay.beliefs[nodes] > 0.0)
+    p, acts = lay.beliefs[nodes[i], xs, ls], lay.others_acts[nodes[i], ls]
+    rows = tab.trans[xs, tab.joint[us[i], acts]]
+    w = ((p[:, None] * rows)[:, None, :] * tab.own_lik)[..., None]
+    for lik in tab.other_lik:
+        w = w * lik
+    cell = (i * tab.block)[:, None, None, None] + tab.off[ls, acts]
+    acc = np.bincount(cell.ravel(), w.ravel(), minlength=len(nodes) * tab.block)
+    acc = acc.reshape(-1, X1 * L1)
+    totals = acc.sum(axis=1)
+    keep = np.flatnonzero(totals > 0.0)
+    return (*digits(keep, (len(nodes), G, Y)),
+            (acc[keep] / totals[keep, None]).reshape(-1, X1, L1), totals[keep])
 
-    def step(self, lay: Layer, own: np.ndarray | None) -> Layer:
-        """Layer t+1 from layer t: with own None agent k branches over every
-        action, else node i plays own[i]. One kernel call covers every
-        (node, action) pair; its children, each reached once, are sorted
-        stably by code from (parent, own action, revealed, y') order."""
-        spec, k, t = self.spec, self.k, lay.t
-        N, A = len(lay), spec.act_sizes[k]
-        nodes, us = ((np.repeat(np.arange(N), A), np.tile(np.arange(A), N)) if own is None
-                     else (np.arange(N), own))
-        pair, group, y, beliefs, weight = self.children(lay, nodes, us)
-        codes = next_codes(spec, k, t, lay.codes[nodes[pair]], us[pair], group, y)
-        order = np.argsort(codes, kind="stable")
-        codes, pair = codes[order], pair[order]
-        if (codes[1:] == codes[:-1]).any():
-            raise AssertionError("realization reached twice; predecessor not unique")
-        parent, weight = nodes[pair], weight[order]
-        return self.layer(t + 1, codes, beliefs[order], parent, us[pair], weight,
-                          lay.prob[parent] * weight)
 
-    def expand(self, free: bool) -> list[Layer]:
-        """The layers t = 0..T of every realization reachable from the
-        start, each node with its belief, predecessor and probability. With
-        free, agent k branches over every own action; otherwise it plays g's
-        action (a full profile)."""
-        layers = [self.start()]
-        for t in range(self.spec.T):
-            own = None if free else self.g.actions_at(self.k, t, layers[t].codes)
-            layers.append(self.step(layers[t], own))
-        return layers
+def step(spec: ModelSpec, k: int, g, lay: Layer, own: np.ndarray | None) -> Layer:
+    """Layer t+1 from layer t: with own None agent k branches over every
+    action, else node i plays own[i]. One kernel call covers every
+    (node, action) pair; its children, each reached once, are sorted
+    stably by code from (parent, own action, revealed, y') order."""
+    N, A = len(lay), spec.act_sizes[k]
+    nodes, us = ((np.repeat(np.arange(N), A), np.tile(np.arange(A), N)) if own is None
+                 else (np.arange(N), own))
+    pair, group, y, beliefs, weight = children(spec, k, lay, nodes, us)
+    codes = next_codes(spec, k, lay.t, lay.codes[nodes[pair]], us[pair], group, y)
+    order = np.argsort(codes, kind="stable")
+    codes, pair = codes[order], pair[order]
+    if (codes[1:] == codes[:-1]).any():
+        raise AssertionError("realization reached twice; predecessor not unique")
+    parent, weight, beliefs = nodes[pair], weight[order], beliefs[order]
+    beliefs.setflags(write=False)
+    return Layer(lay.t + 1, codes, beliefs, _others_acts(spec, k, g, lay.t + 1, codes, beliefs),
+                 parent, us[pair], weight, lay.prob[parent] * weight)
+
+
+def expand(spec: ModelSpec, k: int, g, free: bool) -> list[Layer]:
+    """The layers t = 0..T of every realization reachable from the start,
+    each node with its belief, predecessor and probability. With free,
+    agent k branches over every own action, else plays g's (a full profile)."""
+    layers = [start(spec, k, g)]
+    for t in range(spec.T):
+        own = None if free else g.actions_at(k, t, layers[t].codes)
+        layers.append(step(spec, k, g, layers[t], own))
+    return layers
 
 
 # ---------------------------------------------------------------------------

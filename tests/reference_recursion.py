@@ -34,7 +34,7 @@ import numpy as np
 from delaypbp import info
 from delaypbp.errors import UnreachableError
 from delaypbp.falsify import make_report
-from delaypbp.filtering import BeliefPass
+from delaypbp.filtering import expand
 from delaypbp.info import (grid_size, newest_obs, other_agents, private_size, radices,
                            shared_prefix_len)
 from delaypbp.model import IMPROVE_TOL
@@ -431,7 +431,7 @@ def k1_reduction(spec):
     node as a (vector, label) pair, None where only the recursion reaches
     the node, chained by one `classical_filter_update` per (node, action,
     observation)."""
-    layers = BeliefPass(spec, 0, None).expand(free=True)
+    layers = expand(spec, 0, None, free=True)
     gaps = []
     filt = []
     for y0 in range(spec.obs_sizes[0]):

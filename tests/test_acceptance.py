@@ -13,7 +13,7 @@ from delaypbp.dp import (expected_value, pbp_sweep, solve_best_response,
 from delaypbp.falsify import (check_conditional_independence,
                               check_conditional_markov, check_k1_reduction,
                               check_policy_independence)
-from delaypbp.filtering import BeliefPass
+from delaypbp.filtering import expand
 from delaypbp.model import canonical_instance, uniform_observation_variant
 from delaypbp.strategies import (constant_profile, observation_following_profile,
                                  random_profile)
@@ -35,7 +35,7 @@ def test_criterion_1_filter_matches_oracle():
         spec = canonical_instance(name)
         for g in (observation_following_profile(spec), constant_profile(spec, 0)):
             for k in range(spec.K):
-                chain = BeliefPass(spec, k, g).expand(free=False)
+                chain = expand(spec, k, g, free=False)
                 # wider domain: own actions free, opponents frozen (the
                 # best-response tables store chained beliefs there too)
                 vtable, _ = solve_best_response(spec, k, g)

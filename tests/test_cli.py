@@ -11,14 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_model
-from delaypbp import falsify, oracle, strategies
+from conftest import markov_grouping_model, random_model
+from delaypbp import cli, dp, falsify, oracle, strategies
 from delaypbp.cli import (EXIT_CONFIG, EXIT_OK, EXIT_TOLERANCE, RunConfig, _report, cmd_falsify,
                           cmd_pbp, cmd_solve, main, parse_args, run)
 from delaypbp.dp import solve_best_response
 from delaypbp.errors import ModelFormatError
 from delaypbp.falsify import check_conditional_independence
-from delaypbp.filtering import BeliefPass
 from delaypbp.info import history_code, parse_realization_keys, realization_keys
 from delaypbp.model import (CANONICAL_NAMES, K1_TOL, ModelSpec, canonical_instance, model_to_dict,
                             save_model, uniform_observation_variant)
@@ -250,19 +249,19 @@ def test_filter_raises_where_the_recursion_lacks_an_oracle_realization(tmp_path,
     """With one time-1 node dropped from the expansion, the filter command
     names the realization the recursion lacks instead of comparing what is
     left."""
-    whole = BeliefPass.expand
+    whole = cli.expand
 
-    def short(self, free):
-        layers = whole(self, free)
+    def short(spec, k, g, free):
+        layers = whole(spec, k, g, free)
         lay = layers[1]
         layers[1] = dataclasses.replace(lay, codes=np.delete(lay.codes, 3),
                                         beliefs=np.delete(lay.beliefs, 3, axis=0),
                                         prob=np.delete(lay.prob, 3))
-        missing.extend(realization_keys(self.spec, self.k, 1, lay.codes[3:4]))
+        missing.extend(realization_keys(spec, k, 1, lay.codes[3:4]))
         return layers
 
     missing = []
-    monkeypatch.setattr(BeliefPass, "expand", short)
+    monkeypatch.setattr(cli, "expand", short)
     with pytest.raises(AssertionError, match=r"t=1: the recursion lacks c\(") as err:
         run(RunConfig(command="filter", model="CANON-2B", agent=1, out=str(tmp_path)))
     assert str(err.value) == f"t=1: the recursion lacks {missing[0]}"
@@ -333,6 +332,73 @@ def test_falsify_gates_two_step_sharing_on_an_action_blind_variant(tmp_path):
         gated = next(e for e in checks if e["check"] == "conditional-independence-uniform-obs")
         assert gated["pass"] and gated["tolerance"] == K1_TOL
         assert gated["report"]["max_gap"] <= K1_TOL
+
+
+def shift_a_next_posterior_law(monkeypatch):
+    """Move 0.25 of mass between the first two next posteriors of the
+    first time-1 realization's law."""
+    laws_of = falsify._next_posterior_laws
+
+    def shifted(*args):
+        laws = laws_of(*args)
+        beliefs, prob = laws[1][0]
+        laws[1][0] = (beliefs, prob + np.array([-0.25, 0.25, *[0.0] * (len(prob) - 2)]))
+        return laws
+    monkeypatch.setattr(falsify, "_next_posterior_laws", shifted)
+
+
+def raise_the_belief_form_cost(monkeypatch):
+    cost = dp.cost_via_beliefs
+    monkeypatch.setattr(dp, "cost_via_beliefs", lambda *args: cost(*args) + 1e-9)
+
+
+def shift_the_second_profiles_posteriors(monkeypatch):
+    """In every policy-independence check, the time-0 posteriors of the
+    second profile's `oracle.posteriors` call move by 1e-3."""
+    check, posteriors, second = falsify.check_policy_independence, oracle.posteriors, []
+
+    def marking(spec, g_a, g_b, k):
+        second.append(g_b)
+        return check(spec, g_a, g_b, k)
+
+    def shifted(spec, g, *args, **kwargs):
+        (codes, beliefs), *rest = posteriors(spec, g, *args, **kwargs)
+        return [(codes, beliefs + 1e-3 if any(g is b for b in second) else beliefs), *rest]
+    monkeypatch.setattr(falsify, "check_policy_independence", marking)
+    monkeypatch.setattr(oracle, "posteriors", shifted)
+
+
+def keep_the_observations(monkeypatch):
+    monkeypatch.setattr(cli, "uniform_observation_variant", lambda spec: spec)
+
+
+@pytest.mark.parametrize("gate, name, perturb", [
+    ("conditional-markov", "markov-grouping", shift_a_next_posterior_law),
+    ("payoff-identity", "CANON-2A", raise_the_belief_form_cost),
+    ("policy-independence", "CANON-2A", shift_the_second_profiles_posteriors),
+    ("conditional-independence-uniform-obs", "CANON-2B", keep_the_observations),
+])
+def test_each_falsify_gate_fails_on_a_perturbed_input(gate, name, perturb, monkeypatch):
+    """Every gate can fail: with its input perturbed, its entries do not
+    pass, every other entry is the unperturbed run's, and falsify is not ok."""
+    if name == "markov-grouping":
+        spec = markov_grouping_model()
+        g = constant_profile(spec, 0)
+    else:
+        spec = canonical_instance(name)
+        g = observation_following_profile(spec)
+    clean, _, ok = cmd_falsify(spec, name, RunConfig(command="falsify"), 0, g)
+    assert ok
+    perturb(monkeypatch)
+    results, _, ok = cmd_falsify(spec, name, RunConfig(command="falsify"), 0, g)
+    assert not ok
+    assert [e["check"] for e in results] == [e["check"] for e in clean]
+    assert gate in {e["check"] for e in results}
+    for e, before in zip(results, clean):
+        if e["check"] == gate:
+            assert e["pass"] is False and e["report"]["max_gap"] > e["tolerance"]
+        else:
+            assert e == before, e["check"]
 
 
 def test_reports_hold_the_check_documents_as_returned(monkeypatch):

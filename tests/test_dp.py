@@ -9,7 +9,7 @@ from delaypbp import dp, oracle
 from delaypbp.dp import (ValueTable, cost_via_beliefs, expected_value, pbp_sweep,
                          solve_best_response, stage_values, terminal_values,
                          verify_value_dominance)
-from delaypbp.filtering import BeliefPass
+from delaypbp.filtering import expand, start
 from delaypbp.info import grid_size
 from delaypbp.model import IMPROVE_TOL
 from delaypbp.strategies import (constant_profile, observation_following_profile,
@@ -25,13 +25,13 @@ from test_oracle import truncate_to_t1, zero_cost_variant
 def test_terminal_value_zero_cost(canon_2a):
     spec = zero_cost_variant(canon_2a)
     g = constant_profile(spec, 0)
-    last = BeliefPass(spec, 0, g).expand(free=False)[spec.T]
+    last = expand(spec, 0, g, free=False)[spec.T]
     assert np.all(terminal_values(spec, last.beliefs) == 0.0)
 
 
 def test_terminal_value_point_mass(canon_2a):
     g = constant_profile(canon_2a, 0)
-    b = BeliefPass(canon_2a, 0, g).expand(free=False)[canon_2a.T].beliefs[0]
+    b = expand(canon_2a, 0, g, free=False)[canon_2a.T].beliefs[0]
     point = np.zeros_like(b)
     x_star = canon_2a.state_size - 1
     point[x_star, b.shape[1] - 1] = 1.0
@@ -41,7 +41,7 @@ def test_terminal_value_point_mass(canon_2a):
 def test_terminal_value_matches_oracle_expectation(canon_2a):
     g = observation_following_profile(canon_2a)
     t = canon_2a.T
-    last = BeliefPass(canon_2a, 0, g).expand(free=False)[t]
+    last = expand(canon_2a, 0, g, free=False)[t]
     posts = rows_at(oracle.posteriors(canon_2a, g, 0)[t], last.codes)
     for b, post in zip(last.beliefs, posts):
         ref = sum(canon_2a.terminal_cost[x] * p for x, p in enumerate(post.sum(axis=1)))
@@ -54,10 +54,9 @@ def test_stage_and_terminal_values_equal_scalar_loops_bitwise(K, n, T):
     grids here have at least 8 points, where np.sum would sum pairwise."""
     spec = random_model(seed=31 * K + n, K=K, n=n, T=T, sizes=2)
     g = random_profile(spec, np.random.default_rng(n * T))
-    bp = BeliefPass(spec, 0, g)
-    layers = bp.expand(free=False)
+    layers = expand(spec, 0, g, free=False)
     for t, lay in enumerate(layers):
-        got = terminal_values(spec, lay.beliefs) if t == T else stage_values(spec, bp, lay)
+        got = terminal_values(spec, lay.beliefs) if t == T else stage_values(spec, 0, lay)
         lams = other_private_space(spec, 0, t)
         for i, (code, xi) in enumerate(layer_nodes(lay).items()):
             if t == T:
@@ -135,8 +134,8 @@ def test_expected_value_weights_are_the_chain_probabilities_bitwise(seed):
     spec = random_model(seed=seed, K=3, n=1, T=2, sizes=3)
     g = constant_profile(spec, 0)
     for k in range(spec.K):
-        prob0 = BeliefPass(spec, k, g).expand(free=False)[0].prob
-        first = BeliefPass(spec, k, g).start()
+        prob0 = expand(spec, k, g, free=False)[0].prob
+        first = start(spec, k, g)
         values = terminal_values(spec, first.beliefs)
         acc = 0.0
         for p, v in zip(prob0.tolist(), values):

@@ -9,7 +9,7 @@ from delaypbp.falsify import (check_conditional_independence,
                               check_conditional_markov, check_k1_reduction,
                               check_payoff_identity, check_policy_independence,
                               make_report)
-from delaypbp.filtering import BeliefPass, classical_filter_step
+from delaypbp.filtering import classical_filter_step, expand
 from delaypbp.model import K1_TOL, ModelSpec, canonical_instance, uniform_observation_variant
 from delaypbp.strategies import (constant_profile, observation_following_profile,
                                  random_profile)
@@ -290,7 +290,7 @@ def test_k1_reduction_matches_the_per_node_reference(make, args):
     per-node one dict for dict. Alphabets 8 and 9 sum a row pairwise, so
     they tell a contiguous total from a strided one."""
     spec = make(*args)
-    for lay in BeliefPass(spec, 0, None).expand(free=True)[:-1]:
+    for lay in expand(spec, 0, None, free=True)[:-1]:
         pis = lay.beliefs[:, :, 0]
         preds, totals = classical_filter_step(spec, lay.t, pis)
         for (i, u, y), total in np.ndenumerate(totals):

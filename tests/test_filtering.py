@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import oracle_gap, others_play, random_model, rows_at, sparse_model
 from delaypbp import filtering, oracle
-from delaypbp.filtering import BeliefPass, classical_filter_step
+from delaypbp.filtering import classical_filter_step, expand, start, step, step_tables
 from delaypbp.info import grid_size, other_agents, shared_prefix_len
 from delaypbp.model import ModelSpec
 from delaypbp.strategies import (constant_profile, observation_following_profile,
@@ -51,9 +51,9 @@ def uniform_spec():
 # --- initial beliefs --------------------------------------------------------
 
 def initial_belief(spec, k, y0):
-    """The time-0 belief of `BeliefPass.start` at first observation y0 (at
+    """The time-0 belief of `filtering.start` at first observation y0 (at
     t = 0 the code is the first observation)."""
-    lay = BeliefPass(spec, k, constant_profile(spec, 0)).start()
+    lay = start(spec, k, constant_profile(spec, 0))
     return dict(zip(lay.codes.tolist(), lay.beliefs))[y0]
 
 
@@ -73,12 +73,12 @@ def test_initial_belief_perfect_observation():
 def test_initial_belief_matches_oracle(canon_2a):
     g = observation_following_profile(canon_2a)
     for k in range(2):
-        start = BeliefPass(canon_2a, k, g).start()
-        assert [decode_blocks(canon_2a, k, 0, c) for c in start.codes.tolist()] == [
+        first = start(canon_2a, k, g)
+        assert [decode_blocks(canon_2a, k, 0, c) for c in first.codes.tolist()] == [
             first_realization(canon_2a, k, y0) for y0 in range(2)]
-        post = rows_at(oracle.posteriors(canon_2a, g, k)[0], start.codes)
-        assert start.beliefs.shape == post.shape
-        assert np.max(np.abs(start.beliefs - post)) <= 1e-15
+        post = rows_at(oracle.posteriors(canon_2a, g, k)[0], first.codes)
+        assert first.beliefs.shape == post.shape
+        assert np.max(np.abs(first.beliefs - post)) <= 1e-15
 
 
 def test_initial_belief_unreachable_observation():
@@ -87,7 +87,7 @@ def test_initial_belief_unreachable_observation():
         spec.K, spec.n, spec.T, spec.state_size, spec.obs_sizes, spec.act_sizes,
         [1.0, 0.0], spec.transition, spec.observation, spec.stage_cost,
         spec.terminal_cost)
-    assert BeliefPass(narrowed, 0, constant_profile(narrowed, 0)).start().codes.tolist() == [0]
+    assert start(narrowed, 0, constant_profile(narrowed, 0)).codes.tolist() == [0]
 
 
 # --- one-step updates -------------------------------------------------------
@@ -101,9 +101,8 @@ def successors_by_block(spec, k, y0, g, u):
     """(shared block, own observation) -> belief over the positive-mass
     children of the time-0 node at first observation y0 under own action
     u, from one step of the start layer."""
-    bp = BeliefPass(spec, k, g)
-    lay = bp.start()
-    nxt = bp.step(lay, np.full(len(lay), u))
+    lay = start(spec, k, g)
+    nxt = step(spec, k, g, lay, np.full(len(lay), u))
     mine = nxt.parent == lay.codes.tolist().index(y0)
     return {((r1.shared_obs, r1.shared_acts), r1.own_obs[-1]): b
             for r1, b in zip((decode_blocks(spec, k, 1, int(c)) for c in nxt.codes[mine]),
@@ -143,7 +142,7 @@ def test_update_uniform_symmetry():
 @pytest.mark.parametrize("agent", [0, 1])
 def test_chain_matches_oracle_canon_2a(canon_2a, agent):
     g = observation_following_profile(canon_2a)
-    layers = BeliefPass(canon_2a, agent, g).expand(free=False)
+    layers = expand(canon_2a, agent, g, free=False)
     for lay in layers:
         assert len(lay), "no reachable realizations found"
         assert abs(sum(lay.prob.tolist()) - 1.0) <= 1e-10
@@ -157,7 +156,7 @@ def test_oracle_belief_ignores_own_strategy_bitwise(canon_2a):
     g_b = g_a.with_agent(0, constant_profile(canon_2a, 1).maps[0])
     # a realization reachable under both: actions in the realization are
     # what matters, not the maps that produced them
-    shared = np.intersect1d(*(BeliefPass(canon_2a, 0, g).expand(free=False)[1].codes
+    shared = np.intersect1d(*(expand(canon_2a, 0, g, free=False)[1].codes
                               for g in (g_a, g_b)))
     assert len(shared)
     post_a = rows_at(oracle.posteriors(canon_2a, g_a, 0)[1], shared)
@@ -184,7 +183,7 @@ def test_chain_matches_oracle_random_models(seed, n):
     spec = random_model(seed, K=2, n=n, T=2, sizes=2)
     g = random_profile(spec, np.random.default_rng(seed + 1))
     for k in range(spec.K):
-        assert oracle_gap(spec, g, k, BeliefPass(spec, k, g).expand(free=False)) <= 1e-10
+        assert oracle_gap(spec, g, k, expand(spec, k, g, free=False)) <= 1e-10
 
 
 # --- one forward expansion ---------------------------------------------------
@@ -198,10 +197,9 @@ def test_expand_follows_g_inside_the_free_expansion(n):
     spec = random_model(seed=3 + n, K=2, n=n, T=3, sizes=2)
     g = random_profile(spec, np.random.default_rng(n))
     for k in range(spec.K):
-        bp = BeliefPass(spec, k, g)
-        layers = bp.expand(free=False)
-        free = BeliefPass(spec, k, g).expand(free=True)
-        chain = BeliefPass(spec, k, g).expand(free=False)
+        layers = expand(spec, k, g, free=False)
+        free = expand(spec, k, g, free=True)
+        chain = expand(spec, k, g, free=False)
         where = [{int(c): i for i, c in enumerate(f.codes)} for f in free]
         for t, lay in enumerate(layers):
             assert np.array_equal(chain[t].codes, lay.codes)
@@ -234,26 +232,27 @@ def test_expand_follows_g_inside_the_free_expansion(n):
 
 
 def test_expand_rejects_a_realization_reached_twice(canon_2a, monkeypatch):
-    bp = BeliefPass(canon_2a, 0, observation_following_profile(canon_2a))
+    g = observation_following_profile(canon_2a)
     advance = filtering.next_codes
     monkeypatch.setattr(filtering, "next_codes", lambda *a: advance(*a) // 2)
     with pytest.raises(AssertionError, match="reached twice"):
-        bp.expand(free=True)
+        expand(canon_2a, 0, g, free=True)
 
 
 def test_step_tables_are_shared_per_model_and_agent():
-    """Passes of one (spec, k) under different profiles hold one tables
-    object, another agent its own, and no pass can write to them."""
+    """Expansions of one (spec, k) under different profiles read one tables
+    object, another agent its own, and no expansion can write to them."""
     spec = random_model(seed=3, K=2, n=2, T=2, sizes=2)
-    first = BeliefPass(spec, 0, constant_profile(spec, 0))
-    again = BeliefPass(spec, 0, observation_following_profile(spec))
-    assert again.tables is first.tables
-    assert BeliefPass(spec, 1, first.g).tables is not first.tables
-    assert len(first.tables) == spec.T  # one table per step, none at the horizon
-    arrays = [a for tab in first.tables for value in vars(tab).values()
+    expand(spec, 0, constant_profile(spec, 0), free=True)
+    tables = step_tables(spec, 0)
+    expand(spec, 0, observation_following_profile(spec), free=True)
+    assert step_tables(spec, 0) is tables
+    assert step_tables(spec, 1) is not tables
+    assert len(tables) == spec.T  # one table per step, none at the horizon
+    arrays = [a for tab in tables for value in vars(tab).values()
               for a in (value if isinstance(value, tuple) else (value,))
               if isinstance(a, np.ndarray)]
-    assert {"off", "joint", "trans", "own_lik"} <= set(vars(first.tables[0]))
+    assert {"off", "joint", "trans", "own_lik"} <= set(vars(tables[0]))
     for a in arrays:
         with pytest.raises(ValueError):
             a[...] = 0
@@ -261,7 +260,7 @@ def test_step_tables_are_shared_per_model_and_agent():
 
 def test_step_tables_do_not_keep_their_model_alive():
     spec = random_model(seed=3, K=2, n=1, T=2, sizes=2)
-    BeliefPass(spec, 0, constant_profile(spec, 0)).expand(free=True)
+    expand(spec, 0, constant_profile(spec, 0), free=True)
     ref = weakref.ref(spec)
     del spec
     gc.collect()
@@ -305,7 +304,7 @@ def test_classical_filter_requires_single_agent(canon_2a):
 
 def test_classical_filter_matches_recursion_marginal(canon_1):
     g = constant_profile(canon_1, 0)
-    first = BeliefPass(canon_1, 0, g).expand(free=False)[0]
+    first = expand(canon_1, 0, g, free=False)[0]
     for code, b in zip(first.codes.tolist(), first.beliefs):
         y0 = decode_blocks(canon_1, 0, 0, code).own_obs[0]
         raw = canon_1.init_dist * canon_1.observation[0][0][:, y0]
@@ -367,8 +366,8 @@ def test_batched_kernel_equals_scalar_loop_bitwise(spec):
         shown = list(itertools.product(
             itertools.product(*(range(spec.obs_sizes[j]) for j in others)),
             itertools.product(*(range(spec.act_sizes[j]) for j in others))))
-        chain = BeliefPass(spec, k, g).expand(free=False)
-        free = BeliefPass(spec, k, g).expand(free=True)
+        chain = expand(spec, k, g, free=False)
+        free = expand(spec, k, g, free=True)
         for t in range(T):
             promote = shared_prefix_len(n, t + 1) > shared_prefix_len(n, t)
             reveals = shown if promote else [()]

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import SHAPES, random_model, rows_at, sparse_model
 from delaypbp import cli, info, oracle
-from delaypbp.filtering import BeliefPass
+from delaypbp.filtering import expand
 from delaypbp.info import (digits, grid_size, history_code, lambda_labels, newest_obs,
                            next_codes, parse_realization_keys, private_act_len, private_obs_len,
                            private_size, promoted, radix, realization_keys, revealed,
@@ -395,7 +395,7 @@ def assert_dp_nodes_are_oracle_reachable(spec, g, k):
     actions free) are those the oracle's walk reaches with agent k free, and
     each chained belief has the oracle posterior's support. Returns the
     oracle posteriors per t, (codes, beliefs)."""
-    layers = BeliefPass(spec, k, g).expand(free=True)
+    layers = expand(spec, k, g, free=True)
     posts = oracle.posteriors(spec, g, k)
     for lay, post in zip(layers, posts, strict=True):
         assert np.array_equal(lay.codes, post[0])

@@ -16,7 +16,7 @@ import pytest
 import reference_recursion as ref
 from conftest import SHAPES, random_model, sparse_model
 from delaypbp import dp
-from delaypbp.filtering import BeliefPass
+from delaypbp.filtering import expand
 from delaypbp.model import canonical_instance
 from delaypbp.strategies import (constant_profile, observation_following_profile,
                                  random_profile)
@@ -76,7 +76,7 @@ def test_value_tables_and_argmins_equal_the_per_node_pass_bitwise(name):
 def test_chain_and_belief_form_cost_equal_the_per_node_pass_bitwise(name):
     spec, g = model(name)
     for k in range(spec.K):
-        layers = BeliefPass(spec, k, g).expand(free=False)
+        layers = expand(spec, k, g, free=False)
         ref_chain = ref.NodePass(spec, k, g).chain()
         for lay, ref_layer in zip(layers, ref_chain):
             assert_same_nodes(spec, k, {r: b for r, (b, _) in ref_layer.items()},
@@ -93,9 +93,8 @@ def test_others_actions_are_zero_off_the_support(name):
     the chain, for every agent."""
     spec, g = model(name)
     for k in range(spec.K):
-        bp = BeliefPass(spec, k, g)
         for free in (True, False):
-            for lay in bp.expand(free)[:-1]:
+            for lay in expand(spec, k, g, free)[:-1]:
                 reached = (lay.beliefs > 0.0).any(axis=1)
                 assert lay.others_acts.shape == reached.shape
                 assert not lay.others_acts[~reached].any(), (k, free, lay.t)

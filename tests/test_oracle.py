@@ -17,7 +17,7 @@ from delaypbp import cli, falsify, oracle
 from delaypbp.dp import expected_value, solve_best_response, verify_value_dominance
 from delaypbp.errors import IncompleteStrategyError, UnreachableError
 from delaypbp.falsify import check_conditional_independence, make_report
-from delaypbp.filtering import BeliefPass
+from delaypbp.filtering import expand
 from delaypbp.info import grid_size, history_code, lambda_labels, realization_keys
 from delaypbp.model import ModelSpec, canonical_instance
 from delaypbp.oracle import (RealizationTree, brute_force_best_response, enumerate_cost,
@@ -259,7 +259,7 @@ def test_per_realization_results_are_rows_along_increasing_codes(name):
     chain reaches. The cost-to-go per t has strictly increasing codes too."""
     spec, g = tree_model(name)
     for k in range(spec.K):
-        chain = BeliefPass(spec, k, g).expand(free=False)
+        chain = expand(spec, k, g, free=False)
         for free in (True, False):
             for t, (codes, beliefs) in enumerate(posteriors(spec, g, k, free=free)):
                 assert codes.dtype == np.int64 and np.all(np.diff(codes) > 0), (k, free, t)

@@ -10,7 +10,7 @@ from delaypbp.dp import (cost_via_beliefs, expected_value, pbp_sweep,
                          solve_best_response, verify_value_dominance)
 from delaypbp.falsify import (check_conditional_independence,
                               check_conditional_markov, check_payoff_identity)
-from delaypbp.filtering import BeliefPass
+from delaypbp.filtering import expand
 from delaypbp.info import grid_size
 from delaypbp.strategies import constant_profile, random_profile
 
@@ -29,7 +29,7 @@ def test_two_step_sharing_chain_matches_oracle(two_step_model):
     spec = two_step_model
     g = random_profile(spec, np.random.default_rng(1))
     for k in range(spec.K):
-        assert oracle_gap(spec, g, k, BeliefPass(spec, k, g).expand(free=False)) <= 1e-10
+        assert oracle_gap(spec, g, k, expand(spec, k, g, free=False)) <= 1e-10
 
 
 def test_two_step_sharing_dp_matches_brute_force(two_step_model):
@@ -78,7 +78,7 @@ def test_three_agents_chain_matches_oracle(three_agent_model):
     spec = three_agent_model
     g = random_profile(spec, np.random.default_rng(4))
     for k in range(spec.K):
-        assert oracle_gap(spec, g, k, BeliefPass(spec, k, g).expand(free=False)) <= 1e-10
+        assert oracle_gap(spec, g, k, expand(spec, k, g, free=False)) <= 1e-10
 
 
 def test_three_agents_payoff_identity(three_agent_model):
@@ -137,7 +137,7 @@ def test_sweep_certified_by_brute_force_on_wider_shapes(name):
 # --- the batched belief kernel beyond the canonical instances -----------------
 
 def _chain_and_payoff_match_oracle(spec, g, k):
-    chain = BeliefPass(spec, k, g).expand(free=False)
+    chain = expand(spec, k, g, free=False)
     assert oracle_gap(spec, g, k, chain, free=False) <= 1e-10
     assert sum(map(len, chain))
     assert cost_via_beliefs(spec, g, k) == pytest.approx(oracle.enumerate_cost(spec, g),
@@ -159,7 +159,7 @@ def test_batched_kernel_matches_oracle_on_random_models(K, n, T, last):
     _chain_and_payoff_match_oracle(spec, g, k)
     _, g_maps = solve_best_response(spec, opponent, g)
     _chain_and_payoff_match_oracle(spec, g.with_agent(opponent, g_maps), k)
-    reached = BeliefPass(spec, opponent, g).expand(free=False)
+    reached = expand(spec, opponent, g, free=False)
     cut = [np.full(grid_size(spec, opponent, t), -1) for t in range(T)]
     for t in range(T):
         cut[t][reached[t].codes] = g.actions_at(opponent, t, reached[t].codes)
