@@ -154,7 +154,7 @@ def cmd_solve(spec: ModelSpec, name: str, config: RunConfig, k: int, g: Strategy
     if spec.T > 2:
         bf_entry = {"skipped": BRUTE_FORCE_SKIP}
     else:
-        bf_value, _ = oracle.brute_force_best_response(spec, k, g)
+        bf_value, _ = oracle.RealizationTree(spec, k, g).best_response()
         bf_gap = abs(expected - bf_value)
         gaps.append({"where": "initial-value vs brute force", "gap": bf_gap})
         ok = ok and bf_gap <= config.tol_compare

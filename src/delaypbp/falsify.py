@@ -31,7 +31,7 @@ import itertools
 import numpy as np
 
 from . import dp, oracle
-from .filtering import classical_filter_step, expand, seq_sum
+from .filtering import expand, seq_sum
 from .info import (grid_size, history_code, newest_obs, other_agents, private_size,
                    realization_keys, revealed, shared_prefix_len)
 from .model import COMPARE_TOL, ModelSpec
@@ -218,6 +218,21 @@ def check_conditional_markov(spec: ModelSpec, g_full, k: int,
 # ---------------------------------------------------------------------------
 # Single-agent reduction to the textbook filter.
 # ---------------------------------------------------------------------------
+
+def classical_filter_step(spec: ModelSpec, t: int, pis: np.ndarray):
+    """One step of the standard partially-observed filter of a single-agent
+    model from the time-t beliefs pis (N, X): per (node, action u,
+    observation y') the prediction through the transition kernel under u,
+    corrected by the time-(t+1) likelihood of y', as (N, A, Y, X), and its
+    totals (N, A, Y). The filter is a prediction over its total; a zero
+    total is a branch the filter cannot reach. Each prediction sums over x
+    left to right from 0.0 and each total is one row's sum, as a scalar
+    loop's would be."""
+    pred = seq_sum(spec.transition[t].transpose(1, 2, 0) * pis[:, None, None])  # (N, A, X')
+    # contiguous, so each row sums as its own .sum() would
+    pred = np.ascontiguousarray(pred[:, :, None] * spec.observation[t + 1][0].T)
+    return pred, pred.sum(axis=-1)
+
 
 def check_k1_reduction(spec: ModelSpec) -> dict:
     """Walk every positive-probability (action, observation) history of a

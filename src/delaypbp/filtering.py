@@ -9,8 +9,8 @@ agents' private codes. `start` and `step` compute it by a one-step
 recursion that conditions on agent k's new observation, its own action,
 and the symbols newly revealed into the shared block; it must reproduce
 `oracle.posteriors`, which stacks beliefs row by row along increasing
-codes as a layer does, and, for a single agent, the textbook filter kept
-here, whose step (`classical_filter_step`) filters a whole layer at once.
+codes as a layer does, and, for a single agent, the textbook filter, whose
+step `falsify.classical_filter_step` filters a whole layer at once.
 Zero-probability continuations are left out rather than returned as
 non-distributions. Layers are keyed by realization code; only the report
 writer spells codes as text keys.
@@ -226,23 +226,3 @@ def expand(spec: ModelSpec, k: int, g, free: bool) -> list[Layer]:
         own = None if free else g.actions_at(k, t, layers[t].codes)
         layers.append(step(spec, k, g, layers[t], own))
     return layers
-
-
-# ---------------------------------------------------------------------------
-# Single-agent textbook filter.
-# ---------------------------------------------------------------------------
-
-def classical_filter_step(spec: ModelSpec, t: int, pis: np.ndarray):
-    """One step of the standard partially-observed filter (K must be 1)
-    from the time-t beliefs pis (N, X): per (node, action u, observation
-    y') the prediction through the transition kernel under u, corrected by
-    the time-(t+1) likelihood of y', as (N, A, Y, X), and its totals (N, A,
-    Y). The filter is a prediction over its total; a zero total is a branch
-    the filter cannot reach. Each prediction sums over x left to right from
-    0.0 and each total is one row's sum, as a scalar loop's would be."""
-    if spec.K != 1:
-        raise ValueError("classical_filter_step requires a single-agent model")
-    pred = seq_sum(spec.transition[t].transpose(1, 2, 0) * pis[:, None, None])  # (N, A, X')
-    # contiguous, so each row sums as its own .sum() would
-    pred = np.ascontiguousarray(pred[:, :, None] * spec.observation[t + 1][0].T)
-    return pred, pred.sum(axis=-1)

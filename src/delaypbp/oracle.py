@@ -297,13 +297,6 @@ class RealizationTree:
         return value, maps
 
 
-def brute_force_best_response(spec: ModelSpec, k: int, g_minus_k):
-    """Minimize the team cost over agent k's strategies by enumeration: the
-    best response of agent k's realization tree, (optimal value, per-time
-    strategy arrays), -1 off the realizations its free actions reach."""
-    return RealizationTree(spec, k, g_minus_k).best_response()
-
-
 @dataclass(frozen=True)
 class PbPReport:
     """The enumerated cost, per agent {agent, best_response_value, gap, stationary}, and
@@ -321,7 +314,7 @@ def verify_pbp(spec: ModelSpec, g_full, tol: float = COMPARE_TOL) -> PbPReport:
     cost = enumerate_cost(spec, g_full)
     rows = []
     for k in range(spec.K):
-        bf_value, _ = brute_force_best_response(spec, k, g_full)
+        bf_value, _ = RealizationTree(spec, k, g_full).best_response()
         gap = cost - bf_value
         rows.append({"agent": k, "best_response_value": bf_value,
                      "gap": gap, "stationary": gap <= tol})

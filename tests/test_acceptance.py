@@ -117,7 +117,7 @@ def test_criterion_6_dp_equals_brute_force():
     for k in range(spec.K):
         for g in opponents:
             vtable, maps = solve_best_response(spec, k, g)
-            bf_value, bf_maps = oracle.brute_force_best_response(spec, k, g)
+            bf_value, bf_maps = oracle.RealizationTree(spec, k, g).best_response()
             worst_value = max(worst_value,
                               abs(expected_value(spec, k, vtable) - bf_value))
             cost_dp = oracle.enumerate_cost(spec, g.with_agent(k, maps))

@@ -942,14 +942,29 @@ def test_costs_near_the_float_limit_are_a_violation(tmp_path, canon_2a, capsys, 
     (lambda model: model.update(init_dist=[1.5, -0.5]),
      "init_dist row (0,) has negative entry -0.5"),
     (lambda model: model.update(init_dist=[1e308, 1e308]), "init_dist row (0,) sums to inf"),
-], ids=["nan-probability", "inf-cost", "negative-probability", "overflowing-row"])
+    (lambda model: model.update(n=0), "delay n must be >= 1, got 0"),
+    (lambda model: model.update(state_size=0), "state_size must be >= 1, got 0"),
+    (lambda model: model.update(obs_sizes=[2, 2, 2]), "obs_sizes has 3 entries, expected K=2"),
+    (lambda model: model.update(act_sizes=[2]), "act_sizes has 1 entries, expected K=2"),
+    (lambda model: model.update(obs_sizes=[0, 2]), "obs_sizes[0] must be >= 1, got 0"),
+    (lambda model: model.update(act_sizes=[2, 0]), "act_sizes[1] must be >= 1, got 0"),
+    (lambda model: model["transition"].pop(), "transition has 1 tables, expected T=2"),
+    (lambda model: model["observation"].pop(), "observation has 2 stages, expected T+1=3"),
+    (lambda model: model["observation"][1].pop(), "observation[1] has 1 kernels, expected K=2"),
+    (lambda model: model["stage_cost"].pop(), "stage_cost has 1 tables, expected T=2"),
+], ids=["nan-probability", "inf-cost", "negative-probability", "overflowing-row",
+        "zero-delay", "zero-states", "three-obs-sizes", "one-act-size", "zero-obs-size",
+        "zero-act-size", "short-transition", "short-observation", "one-kernel",
+        "short-stage-cost"])
 def test_table_values_are_judged_by_validate_model(tmp_path, canon_2a, capsys, command,
                                                    mutate, violation):
     """The loader checks only that table entries are JSON numbers that fit
-    a float; validate_model judges their values, so validate reports a
-    NaN, an Inf, a negative probability or a row that sums past the float
-    maximum as a violation (exit 1, nothing on stderr) and every other
-    command refuses the file with one line (exit 2), warnings being errors."""
+    a float; validate_model judges their values and the model's structure,
+    so validate reports a NaN, an Inf, a negative probability, a row that
+    sums past the float maximum, a size below 1, or a count of sizes,
+    tables or kernels that disagrees with K or T as a violation (exit 1,
+    nothing on stderr) and every other command refuses the file with one
+    line (exit 2), warnings being errors."""
     model = model_to_dict(canon_2a)
     mutate(model)
     path = tmp_path / "bad.json"

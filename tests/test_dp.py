@@ -83,7 +83,7 @@ def test_best_response_single_stage_matches_enumeration(canon_2a):
     g = observation_following_profile(spec)
     for k in range(2):
         vtable, _ = solve_best_response(spec, k, g)
-        bf_value, _ = oracle.brute_force_best_response(spec, k, g)
+        bf_value, _ = oracle.RealizationTree(spec, k, g).best_response()
         assert expected_value(spec, k, vtable) == pytest.approx(bf_value, abs=1e-10)
 
 
@@ -107,7 +107,7 @@ def test_best_response_matches_brute_force(canon_2a, agent):
     for g in opponents:
         vtable, maps = solve_best_response(canon_2a, agent, g)
         dp_value = expected_value(canon_2a, agent, vtable)
-        bf_value, bf_maps = oracle.brute_force_best_response(canon_2a, agent, g)
+        bf_value, bf_maps = oracle.RealizationTree(canon_2a, agent, g).best_response()
         assert dp_value == pytest.approx(bf_value, abs=1e-10)
         g_dp = g.with_agent(agent, maps)
         g_bf = g.with_agent(agent, bf_maps)

@@ -8,8 +8,8 @@ from delaypbp.errors import UnreachableError
 from delaypbp.falsify import (check_conditional_independence,
                               check_conditional_markov, check_k1_reduction,
                               check_payoff_identity, check_policy_independence,
-                              make_report)
-from delaypbp.filtering import classical_filter_step, expand
+                              classical_filter_step, make_report)
+from delaypbp.filtering import expand
 from delaypbp.model import K1_TOL, ModelSpec, canonical_instance, uniform_observation_variant
 from delaypbp.strategies import (constant_profile, observation_following_profile,
                                  random_profile)
@@ -78,6 +78,8 @@ def test_conditional_independence_rejects_pre_sharing_times(canon_2b):
         canon_2b.observation, canon_2b.stage_cost, canon_2b.terminal_cost)
     with pytest.raises(ValueError, match="no symbols are shared"):
         check_conditional_independence(two_step, g, 0, 0)
+    with pytest.raises(ValueError, match="t must be a decision time"):
+        check_conditional_independence(canon_2b, g, 0, canon_2b.T)
 
 
 def test_conditional_independence_walks_no_further_than_it_reads(monkeypatch):

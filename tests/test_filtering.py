@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from conftest import oracle_gap, others_play, random_model, rows_at, sparse_model
 from delaypbp import filtering, oracle
-from delaypbp.filtering import classical_filter_step, expand, start, step, step_tables
+from delaypbp.falsify import classical_filter_step
+from delaypbp.filtering import expand, start, step, step_tables
 from delaypbp.info import grid_size, other_agents, shared_prefix_len
 from delaypbp.model import ModelSpec
 from delaypbp.strategies import (constant_profile, observation_following_profile,
@@ -295,11 +296,6 @@ def test_classical_filter_perfect_observation():
     spec = single_agent_spec([[1.0, 0.0], [0.0, 1.0]])
     pi = filter_at(spec, [0.5, 0.5], 0, 1)
     assert np.allclose(pi, [0.0, 1.0])
-
-
-def test_classical_filter_requires_single_agent(canon_2a):
-    with pytest.raises(ValueError, match="single-agent"):
-        classical_filter_step(canon_2a, 0, np.array([[0.5, 0.5]]))
 
 
 def test_classical_filter_matches_recursion_marginal(canon_1):

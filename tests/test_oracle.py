@@ -20,8 +20,7 @@ from delaypbp.falsify import check_conditional_independence, make_report
 from delaypbp.filtering import expand
 from delaypbp.info import grid_size, history_code, lambda_labels, realization_keys
 from delaypbp.model import ModelSpec, canonical_instance
-from delaypbp.oracle import (RealizationTree, brute_force_best_response, enumerate_cost,
-                             posteriors, verify_pbp, walk)
+from delaypbp.oracle import RealizationTree, enumerate_cost, posteriors, verify_pbp, walk
 from delaypbp.strategies import (StrategyProfile, constant_profile,
                                  observation_following_profile, random_profile)
 import reference_oracle
@@ -489,7 +488,7 @@ def test_verify_pbp_certifies_the_swept_profile_at_t3(canon_1):
 def test_brute_force_t1_equals_plain_enumeration(canon_2a):
     spec = truncate_to_t1(canon_2a)
     g = observation_following_profile(spec)
-    value, maps = brute_force_best_response(spec, 0, g)
+    value, maps = RealizationTree(spec, 0, g).best_response()
     # plain enumeration over all stage-0 strategy arrays of agent 0
     from delaypbp.info import grid_size
     costs = [enumerate_cost(spec, g.with_agent(0, [np.array(combo)]))
@@ -501,7 +500,7 @@ def test_brute_force_t1_equals_plain_enumeration(canon_2a):
 
 def test_brute_force_lower_bounds_any_agreeing_profile(canon_2a):
     g = observation_following_profile(canon_2a)
-    bf_value, _ = brute_force_best_response(canon_2a, 0, g)
+    bf_value, _ = RealizationTree(canon_2a, 0, g).best_response()
     for _, g_any in five_profiles(canon_2a):
         mixed = g.with_agent(0, g_any.maps[0])  # agrees with g off agent 0
         assert bf_value <= enumerate_cost(canon_2a, mixed) + 1e-12
@@ -510,14 +509,14 @@ def test_brute_force_lower_bounds_any_agreeing_profile(canon_2a):
 def test_brute_force_zero_costs_picks_all_zero(canon_2a):
     spec = zero_cost_variant(canon_2a)
     g = observation_following_profile(spec)
-    value, maps = brute_force_best_response(spec, 0, g)
+    value, maps = RealizationTree(spec, 0, g).best_response()
     assert value == 0.0
     assert all(np.all(m[m >= 0] == 0) and np.any(m == 0) for m in maps)
 
 
 def test_brute_force_value_matches_realized_cost(canon_2a):
     g = observation_following_profile(canon_2a)
-    value, maps = brute_force_best_response(canon_2a, 1, g)
+    value, maps = RealizationTree(canon_2a, 1, g).best_response()
     g_star = g.with_agent(1, [maps[0], maps[1]])
     assert enumerate_cost(canon_2a, g_star) == pytest.approx(value, abs=1e-12)
 
@@ -589,7 +588,7 @@ def test_pointwise_best_response_equals_the_stage_zero_search():
     for spec in binary_t2_models():
         for _, g in five_profiles(spec):
             for k in range(spec.K):
-                value, maps = brute_force_best_response(spec, k, g)
+                value, maps = RealizationTree(spec, k, g).best_response()
                 ref_value, ref_maps = reference_oracle.brute_force_best_response(spec, k, g)
                 assert abs(value - ref_value) <= 1e-12
                 for m, ref in zip(maps, ref_maps):
@@ -602,7 +601,7 @@ def test_pointwise_best_response_equals_the_dp_past_t2(name):
     program's."""
     spec, g = tree_model(name)
     for k in range(spec.K):
-        value, _ = brute_force_best_response(spec, k, g)
+        value, _ = RealizationTree(spec, k, g).best_response()
         vtable, _ = solve_best_response(spec, k, g)
         assert abs(value - expected_value(spec, k, vtable)) <= 1e-12
 

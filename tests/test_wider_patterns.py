@@ -37,7 +37,7 @@ def test_two_step_sharing_dp_matches_brute_force(two_step_model):
     g = random_profile(spec, np.random.default_rng(2))
     for k in range(spec.K):
         vtable, maps = solve_best_response(spec, k, g)
-        bf_value, _ = oracle.brute_force_best_response(spec, k, g)
+        bf_value, _ = oracle.RealizationTree(spec, k, g).best_response()
         assert expected_value(spec, k, vtable) == pytest.approx(bf_value, abs=1e-10)
         # tables also match the posterior oracle on the wider grid
         assert oracle_gap(spec, g, k, vtable.entries) <= 1e-10
@@ -94,7 +94,7 @@ def test_three_agents_dp_matches_brute_force(three_agent_model):
     g = constant_profile(spec, 0)
     for k in range(spec.K):
         vtable, _ = solve_best_response(spec, k, g)
-        bf_value, _ = oracle.brute_force_best_response(spec, k, g)
+        bf_value, _ = oracle.RealizationTree(spec, k, g).best_response()
         assert expected_value(spec, k, vtable) == pytest.approx(bf_value, abs=1e-10)
 
 
@@ -130,7 +130,7 @@ def test_sweep_certified_by_brute_force_on_wider_shapes(name):
     assert oracle.verify_pbp(spec, g).all_stationary
     for k in range(spec.K):
         vtable, _ = solve_best_response(spec, k, g)
-        bf_value, _ = oracle.brute_force_best_response(spec, k, g)
+        bf_value, _ = oracle.RealizationTree(spec, k, g).best_response()
         assert abs(expected_value(spec, k, vtable) - bf_value) <= 1e-12
 
 
