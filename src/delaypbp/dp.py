@@ -3,18 +3,21 @@
 With the other agents' strategies frozen, agent k faces an ordinary
 partially observed control problem whose sufficient statistic is the
 triple (posterior over the extended state, shared block, private block).
-The value recursion here runs backward over the layers of
+The value recursion, `backward`, runs backward over the layers t < T of
 `filtering.expand(free=True)` -- every realization reachable with agent
 k's own actions left free -- one time layer per array step: the stage
 values of every (node, own action), plus each child's step weight times
 its value, added in child order, then the minimizing action per node,
-ties to the smallest. The table is those layers, whose (state, lambda)
-beliefs the values sit beside, plus one value array per layer; the
-minimizing actions live once, in the extracted strategy arrays. On top of
-that sit the payoff identity (expected cost written through the
-posteriors), exact best-response iteration toward a person-by-person
-stationary profile, and the dominance check of the value function against
-arbitrary alternative strategies.
+ties to the smallest. The likelihoods of y' sum to 1, so the horizon is
+priced through the prediction: at T-1, stage + (sum over (x, lambda), in C
+order, of b times (sum over x' of T c_T)), each sum left to right. So the
+sweep builds no time-T layer; only the `solve` table lists t = T rows.
+The table is those layers, whose (state, lambda) beliefs the values sit
+beside, plus one value array per layer; the minimizing actions live once,
+in the extracted strategy arrays. On top of that sit the payoff identity
+(expected cost written through the posteriors), exact best-response
+iteration toward a person-by-person stationary profile, and the dominance
+check of the value function against arbitrary alternative strategies.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UnreachableError
-from .filtering import Layer, expand, seq_sum, step_tables
+from .filtering import Layer, expand, seq_sum, step, step_tables
 from .info import grid_size, realization_keys
 from .model import IMPROVE_TOL, ModelSpec
 from .strategies import StrategyProfile
@@ -32,8 +35,8 @@ from .strategies import StrategyProfile
 
 @dataclass(frozen=True, eq=False)
 class ValueTable:
-    """Agent k's value table: per time t = 0..T, the layer of
-    `expand(free=True)` and its value per node, aligned row by row."""
+    """Agent k's value table: per time t < T (`backward`) or t <= T (`solve`),
+    the layer of `expand(free=True)` and its value per node, row by row."""
 
     entries: tuple[Layer, ...]
     values: tuple[np.ndarray, ...]
@@ -45,37 +48,53 @@ def terminal_values(spec: ModelSpec, beliefs: np.ndarray) -> np.ndarray:
     return seq_sum((spec.terminal_cost[:, None] * beliefs).reshape(len(beliefs), -1))
 
 
-def stage_values(spec: ModelSpec, k: int, lay: Layer) -> np.ndarray:
-    """(node, own action) -> expected stage cost at a node of agent k's
-    layer when agent k plays that action and the others the joint actions
-    the layer holds."""
-    cost = spec.stage_cost[lay.t].reshape(spec.state_size, -1)
+def stage_values(spec: ModelSpec, k: int, lay: Layer, cost=None) -> np.ndarray:
+    """(node, own action) -> expected stage cost (or the (state, joint
+    action) table cost) at a node of agent k's layer when agent k plays
+    that action and the others the joint actions the layer holds."""
+    cost = spec.stage_cost[lay.t].reshape(spec.state_size, -1) if cost is None else cost
     # (node, u, lambda) -> joint action
     joint = step_tables(spec, k)[lay.t].joint[:, lay.others_acts].transpose(1, 0, 2)
     terms = lay.beliefs[:, None] * cost[np.arange(spec.state_size)[:, None], joint[:, :, None]]
     return seq_sum(terms.reshape(*joint.shape[:2], -1))
 
 
-def solve_best_response(spec: ModelSpec, k: int, g_minus_k
-                        ) -> tuple[ValueTable, list[np.ndarray]]:
+def horizon_values(spec: ModelSpec, k: int, lay: Layer) -> np.ndarray:
+    """`stage_values` of the prediction sum_x' T(x, u, x') c_T(x') at T-1."""
+    trans = spec.transition[lay.t].reshape(spec.state_size, -1, spec.state_size)
+    return stage_values(spec, k, lay, seq_sum(trans * spec.terminal_cost))
+
+
+def backward(spec: ModelSpec, k: int, g_minus_k) -> tuple[ValueTable, list[np.ndarray]]:
     """Backward induction for agent k against a frozen g_minus_k.
 
-    Returns the value table and, per decision time, the extracted strategy
-    array (ties break toward the smallest action index). Its cells hold
-    the minimizing action at exactly the reachable grid of the forward
+    Returns the value table (t < T) and, per decision time, the extracted
+    strategy array (ties break toward the smallest action index). Its cells
+    hold the minimizing action at exactly the reachable grid of the forward
     pass, and -1 elsewhere.
     """
-    layers = expand(spec, k, g_minus_k, free=True)
-    values = [terminal_values(spec, layers[spec.T].beliefs)]
-    g_maps = [np.full(grid_size(spec, k, t), -1) for t in range(spec.T)]
+    layers = expand(spec, k, g_minus_k, free=True, depth=spec.T - 1)
+    values, g_maps = [], [np.full(grid_size(spec, k, t), -1) for t in range(spec.T)]
     for t in range(spec.T - 1, -1, -1):
-        lay, nxt = layers[t], layers[t + 1]
+        lay = layers[t]
         q = stage_values(spec, k, lay)
-        np.add.at(q, (nxt.parent, nxt.action), nxt.weight * values[-1])
+        if t == spec.T - 1:
+            q += horizon_values(spec, k, lay)
+        else:
+            nxt = layers[t + 1]
+            np.add.at(q, (nxt.parent, nxt.action), nxt.weight * values[-1])
         best = np.argmin(q, axis=1)
         values.append(q[np.arange(len(lay)), best])
         g_maps[t][lay.codes] = best
     return ValueTable(tuple(layers), tuple(values[::-1])), g_maps
+
+
+def solve_best_response(spec: ModelSpec, k: int, g_minus_k) -> tuple[ValueTable, list[np.ndarray]]:
+    """`backward`, its table extended by the time-T layer and its terminal values."""
+    vtable, g_maps = backward(spec, k, g_minus_k)
+    last = step(spec, k, g_minus_k, vtable.entries[-1], None)
+    return ValueTable((*vtable.entries, last),
+                      (*vtable.values, terminal_values(spec, last.beliefs))), g_maps
 
 
 def expected_value(spec: ModelSpec, k: int, vtable: ValueTable) -> float:
@@ -109,11 +128,12 @@ def pbp_sweep(spec: ModelSpec, g_init: StrategyProfile, max_rounds: int,
     """Exact best-response iteration.
 
     Each round replaces every agent's strategy in turn by its best response
-    against the current others and records the team cost after each
-    replacement: that best response's `expected_value` (the start profile
-    is priced by `cost_via_beliefs`). A best response reads only the other
-    agents' maps, so agent k's value is kept, and agent k's turn records it
-    without solving again, until a replacement changes some agent's maps.
+    (`backward`'s, so no time-T layer is built) against the current others
+    and records the team cost after each replacement: that best response's
+    `expected_value` (the start profile is priced by `cost_via_beliefs`). A
+    best response reads only the other agents' maps, so agent k's value is
+    kept, and agent k's turn records it without solving again, until a
+    replacement changes some agent's maps.
     Stops once a full round brings no strict decrease greater than
     improve_tol (converged=True) or after max_rounds. Extracted best
     responses get action 0 in their -1 cells, the structurally valid but
@@ -132,7 +152,7 @@ def pbp_sweep(spec: ModelSpec, g_init: StrategyProfile, max_rounds: int,
         start = current
         for k in range(spec.K):
             if value[k] is None:
-                vtable, g_maps = solve_best_response(spec, k, g)
+                vtable, g_maps = backward(spec, k, g)
                 g_new = g.with_agent(k, [np.where(m < 0, 0, m) for m in g_maps])
                 value = value if g_new.agents_equal(g, k) else [None] * spec.K
                 g, value[k] = g_new, expected_value(spec, k, vtable)
@@ -148,9 +168,10 @@ def verify_value_dominance(tree, vtable: ValueTable, maps_k
                            ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Table values beside the enumerated conditional cost-to-go of agent
     k's alternative per-time strategy arrays maps_k, read off agent k's
-    `oracle.RealizationTree` for the profile the table was solved for: per t,
-    (codes, table values, alternative values), the table layer's increasing
-    codes, which must be `cost_to_go`'s.
+    `oracle.RealizationTree` for the profile the table was solved for: per
+    t = 0..T, (codes, table values, alternative values), the table layer's
+    increasing codes, which must be `cost_to_go`'s. A table without its
+    time-T layer (`backward`'s) raises ValueError.
 
     The table must sit weakly below the alternative everywhere; the caller
     compares. A layer whose codes are not those the enumeration reaches
@@ -158,7 +179,7 @@ def verify_value_dominance(tree, vtable: ValueTable, maps_k
     """
     rows = []
     for t, (lay, values, (alt_codes, alt)) in enumerate(
-            zip(vtable.entries, vtable.values, tree.cost_to_go(maps_k))):
+            zip(vtable.entries, vtable.values, tree.cost_to_go(maps_k), strict=True)):
         if not np.array_equal(lay.codes, alt_codes):  # both increase, so one side lacks a code
             code = int(np.setxor1d(lay.codes, alt_codes)[0])
             side = "enumeration" if code in lay.codes else "value table"

@@ -217,12 +217,12 @@ def step(spec: ModelSpec, k: int, g, lay: Layer, own: np.ndarray | None) -> Laye
                  parent, us[pair], weight, lay.prob[parent] * weight)
 
 
-def expand(spec: ModelSpec, k: int, g, free: bool) -> list[Layer]:
-    """The layers t = 0..T of every realization reachable from the start,
-    each node with its belief, predecessor and probability. With free,
-    agent k branches over every own action, else plays g's (a full profile)."""
+def expand(spec: ModelSpec, k: int, g, free: bool, depth: int | None = None) -> list[Layer]:
+    """The layers t = 0..depth (T by default) of every realization reachable,
+    each node with its belief, predecessor and probability. With free, agent
+    k branches over every own action, else plays g's (a full profile)."""
     layers = [start(spec, k, g)]
-    for t in range(spec.T):
+    for t in range(spec.T if depth is None else depth):
         own = None if free else g.actions_at(k, t, layers[t].codes)
         layers.append(step(spec, k, g, layers[t], own))
     return layers

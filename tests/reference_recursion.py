@@ -5,8 +5,10 @@ One node at a time: `children` runs the batched kernel on one belief and
 one own action, `successors` builds each child's realization from
 nested tuples (`advance_common`, `shift_private`), `expand` grows dicts
 realization -> belief, and the backward pass and the belief-form cost loop
-over those dicts with one stage and terminal value per node. The layer
-path must give the same floats bit for bit.
+over those dicts with one stage and terminal value per node; the backward
+pass prices the horizon at T-1 through the prediction (`horizon_value`),
+as `dp.backward` does. The layer path must give the same floats bit for
+bit.
 
 Realizations here are the local records `Node` (a `Common` shared block
 and a `Private` block), and lambda is a tuple of the other agents'
@@ -347,21 +349,42 @@ def stage_value(spec, bp, r, xi, u):
     return seq_sum(p * cost[xs, bp.table(r.common.t).joint[u, bp.actions(r.common, ls)]])
 
 
+def prediction(spec):
+    """Per (state, joint action) at T-1, T(x, u, x') c_T(x') summed over x'
+    left to right."""
+    X = spec.state_size
+    return np.array([[seq_sum(row * spec.terminal_cost) for row in rows]
+                     for rows in spec.transition[spec.T - 1].reshape(X, -1, X)])
+
+
+def horizon_value(spec, bp, r, xi, u, pred):
+    """The expected terminal cost after (r, u) at T-1: the prediction pred
+    read under the belief as `stage_value` reads the stage cost."""
+    xs, ls, p = positive(xi)
+    return seq_sum(p * pred[xs, bp.table(r.common.t).joint[u, bp.actions(r.common, ls)]])
+
+
 def solve_best_response(spec, k, g):
-    """(entries, maps): entries[t] realization -> (value, belief, best action)."""
+    """(entries, maps): entries[t] realization -> (value, belief, best action).
+    At T-1 a value is stage plus horizon value; the time-T entries keep their
+    terminal values but no earlier value reads them."""
     bp = NodePass(spec, k, g)
     nodes, edges = bp.expand(free=True)
     entries = [dict() for _ in range(spec.T + 1)]
     for r, xi in nodes[spec.T].items():
         entries[spec.T][r] = (terminal_value(spec, xi), xi, None)
     maps = [np.full(grid_size(spec, k, t), -1) for t in range(spec.T)]
+    pred = prediction(spec)
     for t in range(spec.T - 1, -1, -1):
         for r, xi in nodes[t].items():
             best_u, best_v = None, None
             for u in range(spec.act_sizes[k]):
                 v = stage_value(spec, bp, r, xi, u)
-                for r1, w in edges[t][(r, u)]:
-                    v += w * entries[t + 1][r1][0]
+                if t == spec.T - 1:
+                    v += horizon_value(spec, bp, r, xi, u, pred)
+                else:
+                    for r1, w in edges[t][(r, u)]:
+                        v += w * entries[t + 1][r1][0]
                 if best_v is None or v < best_v:
                     best_u, best_v = u, v
             entries[t][r] = (best_v, xi, best_u)

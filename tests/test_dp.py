@@ -6,9 +6,9 @@ import pytest
 from conftest import (dominance_violations, five_profiles, layer_nodes, max_abs_gap,
                       others_play, random_model, rows_at, tiny_uniform_t1)
 from delaypbp import dp, oracle
-from delaypbp.dp import (ValueTable, cost_via_beliefs, expected_value, pbp_sweep,
-                         solve_best_response, stage_values, terminal_values,
-                         verify_value_dominance)
+from delaypbp.dp import (ValueTable, backward, cost_via_beliefs, expected_value,
+                         horizon_values, pbp_sweep, solve_best_response, stage_values,
+                         terminal_values, verify_value_dominance)
 from delaypbp.filtering import expand, start
 from delaypbp.info import grid_size
 from delaypbp.model import IMPROVE_TOL
@@ -51,12 +51,15 @@ def test_terminal_value_matches_oracle_expectation(canon_2a):
 @pytest.mark.parametrize("K,n,T", [(2, 2, 3), (3, 1, 2)])
 def test_stage_and_terminal_values_equal_scalar_loops_bitwise(K, n, T):
     """The gathers sum left to right like the loops they replaced; the
-    grids here have at least 8 points, where np.sum would sum pairwise."""
+    grids here have at least 8 points, where np.sum would sum pairwise.
+    The horizon term at T-1 sums the prediction over x' first, then the
+    belief-weighted read over (x, lambda)."""
     spec = random_model(seed=31 * K + n, K=K, n=n, T=T, sizes=2)
     g = random_profile(spec, np.random.default_rng(n * T))
     layers = expand(spec, 0, g, free=False)
     for t, lay in enumerate(layers):
         got = terminal_values(spec, lay.beliefs) if t == T else stage_values(spec, 0, lay)
+        horizon = horizon_values(spec, 0, lay) if t == T - 1 else None
         lams = other_private_space(spec, 0, t)
         for i, (code, xi) in enumerate(layer_nodes(lay).items()):
             if t == T:
@@ -74,6 +77,18 @@ def test_stage_and_terminal_values_equal_scalar_loops_bitwise(K, n, T):
                         u_full = (u, *others_play(g, common, lams[li]))
                         acc += p * spec.stage_cost[t][(x, *u_full)]
                 assert got[i, u] == acc
+                if horizon is None:
+                    continue
+                acc = 0.0
+                for (x, li), p in np.ndenumerate(xi):
+                    if p > 0.0:
+                        common = decode_node(spec, 0, t, code).common
+                        u_full = (u, *others_play(g, common, lams[li]))
+                        pred = 0.0
+                        for x1 in range(spec.state_size):
+                            pred += spec.transition[t][(x, *u_full, x1)] * spec.terminal_cost[x1]
+                        acc += p * pred
+                assert horizon[i, u] == acc
 
 
 # --- best response -------------------------------------------------------------
@@ -252,9 +267,9 @@ def counted_sweep(monkeypatch, spec, g0):
 
     def counting(spec, k, g):
         calls.append(k)
-        return solve_best_response(spec, k, g)
+        return backward(spec, k, g)
 
-    monkeypatch.setattr(dp, "solve_best_response", counting)
+    monkeypatch.setattr(dp, "backward", counting)
     return dp.pbp_sweep(spec, g0, 32), calls
 
 
@@ -284,6 +299,31 @@ def test_sweep_skip_is_exact_when_a_middle_agent_moves_twice(monkeypatch):
     ref_g, ref_trace, _, ref_converged = unskipped_sweep(spec, g0)
     assert bits(trace) == bits(ref_trace)
     assert same_profile(g, ref_g) and converged == ref_converged
+
+
+@pytest.mark.parametrize("name", MODELS, ids=str)
+def test_horizon_prediction_equals_the_sum_over_the_horizon_layer(name):
+    """At T-1, stage plus the prediction gives the `q` that stage plus each
+    time-T child's weight times its terminal value gave, within 1e-14 and
+    with the same argmins; `backward`'s table is `solve_best_response`'s
+    without its time-T layer."""
+    spec, g = model(name)
+    T = spec.T
+    for k in sorted({0, spec.K - 1}):
+        vtable, maps = solve_best_response(spec, k, g)
+        lay, nxt = vtable.entries[T - 1], vtable.entries[T]
+        stage = stage_values(spec, k, lay)
+        predicted = stage + horizon_values(spec, k, lay)
+        summed = stage.copy()
+        np.add.at(summed, (nxt.parent, nxt.action), nxt.weight * vtable.values[T])
+        assert np.max(np.abs(predicted - summed)) <= 1e-14
+        assert np.array_equal(np.argmin(predicted, axis=1), np.argmin(summed, axis=1))
+        short, short_maps = backward(spec, k, g)
+        assert len(short.entries) == len(short.values) == T
+        assert all(np.array_equal(a.codes, b.codes)
+                   for a, b in zip(short.entries, vtable.entries[:T]))
+        assert bits(np.concatenate(short.values)) == bits(np.concatenate(vtable.values[:T]))
+        assert all(np.array_equal(a, b) for a, b in zip(short_maps, maps, strict=True))
 
 
 @pytest.mark.parametrize("name", MODELS, ids=str)
@@ -369,6 +409,16 @@ def test_dominance_against_constant_alternative(canon_2a):
     assert dominance_violations(rows) == []
     # the costs distinguish actions somewhere, so dominance is strict there
     assert any(np.any(alt_values > table + 1e-6) for _, table, alt_values in rows)
+
+
+def test_dominance_refuses_a_table_without_its_horizon_layer(canon_2a):
+    """The table and the enumeration are compared at every t = 0..T; a
+    table one layer short is an error, not a shorter comparison."""
+    g = observation_following_profile(canon_2a)
+    vtable, maps = solve_best_response(canon_2a, 0, g)
+    short = ValueTable(vtable.entries[:-1], vtable.values[:-1])
+    with pytest.raises(ValueError, match="zip"):
+        verify_value_dominance(oracle.RealizationTree(canon_2a, 0, g), short, maps)
 
 
 def test_incomplete_opponent_strategy_is_an_error(canon_2a):
