@@ -335,8 +335,7 @@ def read_json(path):
 def write_json(path, doc) -> None:
     """Write a document as JSON: sorted keys, indent 1, a final newline."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(doc, indent=1, sort_keys=True) + "\n")
 
 
 def check_keys(doc, keys: dict, level: str) -> None:

@@ -28,7 +28,6 @@ from .info import digits, grid_size, history_code, other_agents, private_size, r
 from .model import COMPARE_TOL, ModelSpec
 
 _BLOCK = 16384  # most histories per yielded block: what bounds the walk's memory
-_ABOVE = np.iinfo(np.int64).max  # above every code
 
 
 def walk(spec: ModelSpec, g, free: int | None = None, depth: int | None = None):
@@ -168,8 +167,10 @@ def posteriors(spec: ModelSpec, g, k: int, free: bool = True) -> list[tuple]:
     already fixes agent k's actions. The masses of the histories of length
     t accumulate in walk order per (agent k's realization, lambda_t^{-k},
     x_t), which is per (joint history, x_t), and are normalized per
-    realization. The lambda index is the mixed radix over the other
-    agents' private codes, the order of info.lambda_labels(spec, k, t).
+    realization. Rows are numbered in order of first history by an int32
+    id table over agent k's time-t codes (4 * grid_size(spec, k, t) bytes),
+    block by block as the walk passes. The lambda index is the mixed radix
+    over the other agents' private codes, in info.lambda_labels' order.
 
     With free=False agent k follows g instead. A realization g reaches has
     the same histories in the same order either way, so its posterior is
@@ -177,20 +178,20 @@ def posteriors(spec: ModelSpec, g, k: int, free: bool = True) -> list[tuple]:
     maps only where g reaches.
     """
     others, out = other_agents(spec.K, k), []
-    # The walk is breadth first: each length is grouped as the walk passes
-    # it, block by block, rows numbered in order of first history.
     for t, blocks in itertools.groupby(walk(spec, g, free=k if free else None), lambda b: b[0]):
-        sizes, group_of = [private_size(spec, j, t) for j in others], _FirstSeen()
+        sizes = [private_size(spec, j, t) for j in others]
+        group_of = _FirstSeen(grid_size(spec, k, t))
         mats = np.zeros((0, spec.state_size, math.prod(sizes)))
         for _, xs, obs, acts, mass, *_ in blocks:
             group, _ = group_of(history_code(spec, obs, acts, k, t))
-            if len(group_of.keys) > len(mats):  # at least double the rows
-                mats = np.concatenate([mats, np.zeros((len(mats) + len(group_of.keys),
+            if group_of.count > len(mats):  # at least double the rows
+                mats = np.concatenate([mats, np.zeros((len(mats) + group_of.count,
                                                        *mats.shape[1:]))])
             lam = radix([history_code(spec, obs, acts, j, t) % s for j, s in zip(others, sizes)],
                         sizes)
             np.add.at(mats, (group, xs[:, t].astype(np.intp), lam), mass)
-        codes, mats = group_of.keys[:-1], mats[group_of.ids[:-1]]
+        codes = group_of.keys
+        mats = mats[group_of.ids[codes]]
         mats /= mats.sum(axis=(1, 2), keepdims=True)
         mats.setflags(write=False)
         out.append((codes, mats))
@@ -198,29 +199,29 @@ def posteriors(spec: ModelSpec, g, k: int, free: bool = True) -> list[tuple]:
 
 
 class _FirstSeen:
-    """Dense ids of int keys, numbered in order of first appearance across
-    calls."""
+    """Dense ids of the codes in [0, size), numbered in order of first
+    appearance across calls, held in a direct-address int32 table of
+    4 * size bytes: ids[code], -1 for a code not seen yet."""
 
-    def __init__(self):
-        # The keys seen, sorted, and their ids, closed by a key above any code.
-        self.keys, self.ids = np.array([_ABOVE]), np.array([-1])
+    def __init__(self, size: int):
+        self.ids, self.count = np.full(size, -1, np.int32), 0
+
+    @property
+    def keys(self) -> np.ndarray:  # the codes seen, in increasing order
+        return np.flatnonzero(self.ids >= 0)
 
     def __call__(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The id of every key, and the positions of the keys first seen here."""
-        at = np.searchsorted(self.keys, keys)
-        if (self.keys[at] == keys).all():
-            return self.ids[at], at[:0]  # every key known already
-        uniq, first, inv = np.unique(keys, return_index=True, return_inverse=True)  # stable sort
-        at = at[first]
-        new = self.keys[at] != uniq
-        order = new.nonzero()[0][first[new].argsort()]  # the new keys by first position
-        ids = self.ids[at]
-        ids[order] = len(self.keys) - 1 + np.arange(len(order))
-        # two sorted runs: the stable sort merges them
-        keys = np.concatenate([self.keys, uniq[new]])
-        merge = keys.argsort(kind="stable")
-        self.keys, self.ids = keys[merge], np.concatenate([self.ids, ids[new]])[merge]
-        return ids[inv], first[order]
+        ids = self.ids[keys].astype(np.intp)  # np.add.at is fastest on intp ids
+        unseen = (ids < 0).nonzero()[0]
+        if not len(unseen):
+            return ids, unseen  # every key known already
+        uniq, first = np.unique(keys[unseen], return_index=True)  # stable sort
+        order = first.argsort()  # the new keys by first position, numbered in that order
+        self.ids[uniq[order]] = self.count + np.arange(len(order))
+        self.count += len(order)
+        ids[unseen] = self.ids[keys[unseen]]
+        return ids, unseen[first[order]]
 
 
 class RealizationTree:
@@ -228,25 +229,25 @@ class RealizationTree:
 
     One walk with agent k free throughout, its leaves (the histories of
     length T) grouped by agent k's time-T code, which the walk carries and
-    which by perfect recall fixes its code and action at every earlier t.
-    Per group, in order of first leaf: codes at t = 0..T, actions at
-    t = 0..T-1 (and a 0 for none at T), and sums added in leaf order: mass,
-    mass times the carried stage cost at each t < T and mass times the
-    terminal cost. Agent k's strategies only choose among the groups, so
-    any one's cost-to-go and the best response are backward passes.
+    which by perfect recall fixes its code and action at every earlier t,
+    through an int32 id table over those codes (4 * grid_size(spec, k, T)
+    bytes). Per group, in order of first leaf: codes at t = 0..T, actions
+    at t = 0..T-1 (and a 0 for none at T), and sums added in leaf order:
+    mass, mass times the carried stage cost at each t < T and mass times
+    the terminal cost. Agent k's strategies only choose among the groups,
+    so any one's cost-to-go and the best response are backward passes.
     """
 
     def __init__(self, spec: ModelSpec, k: int, g):
-        self.spec, self.k, self.g = spec, k, g
-        T = spec.T
-        group_of, firsts, sums = _FirstSeen(), [], np.zeros((T + 2, 0))
+        self.spec, self.k, self.g, T = spec, k, g, spec.T
+        group_of, firsts, sums = _FirstSeen(grid_size(spec, k, T)), [], np.zeros((T + 2, 0))
         for t, xs, obs, acts, mass, cost, code, stages in walk(spec, g, free=k):
             if t < T:
                 continue
             group, first = group_of(code)
             firsts.append((obs[first], acts[first]))
-            if len(group_of.keys) > sums.shape[1]:  # at least double the columns
-                sums = np.hstack([sums, np.zeros((T + 2, len(group_of.keys)))])
+            if group_of.count > sums.shape[1]:  # at least double the columns
+                sums = np.hstack([sums, np.zeros((T + 2, group_of.count))])
             for row, c in zip(sums, [1.0, *stages.T, spec.terminal_cost[xs[:, T]]]):
                 np.add.at(row, group, mass * c)
         obs, acts = map(np.concatenate, zip(*firsts))

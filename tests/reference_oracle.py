@@ -22,6 +22,12 @@ must agree with these.
 
 Codes come from `history_code` here, a scalar Horner rule over
 `info.radices`, apart from the array rule in `info`.
+
+`FirstSeen` is the sorted-merge map from codes to ids in order of first
+appearance that `oracle._FirstSeen`'s id table replaced: it keeps the
+keys seen sorted, finds a block's keys by `searchsorted` and merges the
+new ones in by a stable sort. The table must give the same ids and first
+positions call by call.
 """
 
 from __future__ import annotations
@@ -403,3 +409,32 @@ def brute_force_best_response(spec, k, g_minus_k):
             for r, u in best_tail[(r0, u0)][1].items():
                 best_maps[1][r] = u
     return best_value, best_maps
+
+
+_ABOVE = np.iinfo(np.int64).max  # above every code
+
+
+class FirstSeen:
+    """Dense ids of int keys, numbered in order of first appearance across
+    calls."""
+
+    def __init__(self):
+        # The keys seen, sorted, and their ids, closed by a key above any code.
+        self.keys, self.ids = np.array([_ABOVE]), np.array([-1])
+
+    def __call__(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The id of every key, and the positions of the keys first seen here."""
+        at = np.searchsorted(self.keys, keys)
+        if (self.keys[at] == keys).all():
+            return self.ids[at], at[:0]  # every key known already
+        uniq, first, inv = np.unique(keys, return_index=True, return_inverse=True)  # stable sort
+        at = at[first]
+        new = self.keys[at] != uniq
+        order = new.nonzero()[0][first[new].argsort()]  # the new keys by first position
+        ids = self.ids[at]
+        ids[order] = len(self.keys) - 1 + np.arange(len(order))
+        # two sorted runs: the stable sort merges them
+        keys = np.concatenate([self.keys, uniq[new]])
+        merge = keys.argsort(kind="stable")
+        self.keys, self.ids = keys[merge], np.concatenate([self.ids, ids[new]])[merge]
+        return ids[inv], first[order]

@@ -10,6 +10,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (SHAPES, deterministic_chain, five_profiles, random_model, rows_at,
                       sparse_model)
@@ -156,6 +158,44 @@ def test_a_free_walk_carries_the_free_agents_code_and_stage_costs(name):
             if t == spec.T:
                 total = total + spec.terminal_cost[xs[:, t]]
             assert np.array_equal(total, cost), (free, depth, t)
+
+
+@pytest.mark.parametrize("name", WALK_MODELS, ids=str)
+def test_walk_codes_index_their_grids(name):
+    """The id tables are indexed by codes, and numpy wraps a negative index
+    silently, so a code outside its grid would fall in a wrong group rather
+    than raise: with each agent in turn free, to depth T and T - 1, the
+    carried code lies in [0, grid_size(spec, free, depth)) at every length,
+    and every agent's time-t code of every history, with no agent free and
+    with each free, lies in [0, grid_size(spec, k, t))."""
+    spec, g = tree_model(name)
+    for free, depth in itertools.product(range(spec.K), (spec.T, spec.T - 1)):
+        size = grid_size(spec, free, depth)
+        for t, xs, obs, acts, mass, cost, code, stages in walk(spec, g, free=free, depth=depth):
+            assert code.min() >= 0 and code.max() < size, (free, depth, t)
+    for free in (None, *range(spec.K)):
+        for t, xs, obs, acts, mass, *_ in walk(spec, g, free=free):
+            for k in range(spec.K):
+                codes = history_code(spec, obs, acts, k, t)
+                assert codes.min() >= 0 and codes.max() < grid_size(spec, k, t), (free, k, t)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 40).flatmap(lambda size: st.tuples(
+    st.just(size), st.lists(st.lists(st.integers(0, size - 1), max_size=24), max_size=6))))
+def test_id_table_equals_the_sorted_merge(case):
+    """oracle._FirstSeen's id table and the sorted merge it replaced
+    (reference_oracle.FirstSeen) give the same ids and first positions
+    call by call, and the same keys seen at the end, on int64 key blocks
+    that always include an empty block, a new key repeated within a block,
+    the keys 0 and size - 1, and a block of only known keys."""
+    size, drawn = case
+    table, merge = oracle._FirstSeen(size), reference_oracle.FirstSeen()
+    for block in [[], [size - 1, 0, size - 1], *drawn, [0, size - 1, 0], []]:
+        keys = np.array(block, dtype=np.int64)
+        (ids, first), (want_ids, want_first) = table(keys), merge(keys)
+        assert np.array_equal(ids, want_ids) and np.array_equal(first, want_first), block
+    assert np.array_equal(table.keys, merge.keys[:-1]) and table.count == len(table.keys)
 
 
 # --- the array group-bys against the tuple walk ----------------------------------
