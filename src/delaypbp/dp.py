@@ -11,9 +11,11 @@ its value, added in child order, then the minimizing action per node,
 ties to the smallest. The likelihoods of y' sum to 1, so the horizon is
 priced through the prediction: at T-1, stage + (sum over (x, lambda), in C
 order, of b times (sum over x' of T c_T)), each sum left to right. So the
-sweep builds no time-T layer; only the `solve` table lists t = T rows.
-The table is those layers, whose (state, lambda) beliefs the values sit
-beside, plus one value array per layer; the minimizing actions live once,
+sweep builds no time-T layer; the `solve` table's t = T rows and the
+belief-form cost's terminal term read the horizon layer's state masses
+(`filtering`), each node's c_T-weighted mass summed left to right over its
+weight. The table is those layers, whose beliefs the values sit beside,
+plus one value array per layer; the minimizing actions live once,
 in the extracted strategy arrays. On top of that sit the payoff identity
 (expected cost written through the posteriors), exact best-response
 iteration toward a person-by-person stationary profile, and the dominance
@@ -36,16 +38,16 @@ from .strategies import StrategyProfile
 @dataclass(frozen=True, eq=False)
 class ValueTable:
     """Agent k's value table: per time t < T (`backward`) or t <= T (`solve`),
-    the layer of `expand(free=True)` and its value per node, row by row."""
+    the layer of `expand(free=True, horizon=True)` and its value per node."""
 
     entries: tuple[Layer, ...]
     values: tuple[np.ndarray, ...]
 
 
-def terminal_values(spec: ModelSpec, beliefs: np.ndarray) -> np.ndarray:
-    """Expected terminal cost under each of a stack of time-T beliefs.
-    Zero-mass terms add nothing, so each sum runs over the whole grid."""
-    return seq_sum((spec.terminal_cost[:, None] * beliefs).reshape(len(beliefs), -1))
+def terminal_values(spec: ModelSpec, masses: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Expected terminal cost at each node of a horizon layer: its
+    cost-weighted state mass summed left to right, over its weight."""
+    return seq_sum(spec.terminal_cost * masses) / weights
 
 
 def stage_values(spec: ModelSpec, k: int, lay: Layer, cost=None) -> np.ndarray:
@@ -90,11 +92,11 @@ def backward(spec: ModelSpec, k: int, g_minus_k) -> tuple[ValueTable, list[np.nd
 
 
 def solve_best_response(spec: ModelSpec, k: int, g_minus_k) -> tuple[ValueTable, list[np.ndarray]]:
-    """`backward`, its table extended by the time-T layer and its terminal values."""
+    """`backward`, its table extended by the horizon layer and its terminal values."""
     vtable, g_maps = backward(spec, k, g_minus_k)
-    last = step(spec, k, g_minus_k, vtable.entries[-1], None)
-    return ValueTable((*vtable.entries, last),
-                      (*vtable.values, terminal_values(spec, last.beliefs))), g_maps
+    last = step(spec, k, g_minus_k, vtable.entries[-1], None, horizon=True)
+    values = terminal_values(spec, last.beliefs, last.weight)
+    return ValueTable((*vtable.entries, last), (*vtable.values, values)), g_maps
 
 
 def expected_value(spec: ModelSpec, k: int, vtable: ValueTable) -> float:
@@ -110,15 +112,15 @@ def cost_via_beliefs(spec: ModelSpec, g_full: StrategyProfile, k: int) -> float:
     Sums, over the realizations reachable under the full profile and
     weighted by their probabilities, the belief-expectation of the stage
     cost, plus the terminal term, left to right in (time, code) order.
-    Uses only the layers of `expand(free=False)` (beliefs and path
-    probabilities); never enumerates trajectories. The result is the same
-    number for every k.
+    Uses only the layers of `expand(free=False, horizon=True)` (beliefs,
+    state masses and path probabilities); never enumerates trajectories.
+    The result is the same number for every k.
     """
-    *layers, last = expand(spec, k, g_full, free=False)
+    *layers, last = expand(spec, k, g_full, free=False, horizon=True)
     terms = [lay.prob * stage_values(spec, k, lay)[np.arange(len(lay)),
                                                    g_full.actions_at(k, lay.t, lay.codes)]
              for lay in layers]
-    terms.append(last.prob * terminal_values(spec, last.beliefs))
+    terms.append(last.prob * terminal_values(spec, last.beliefs, last.weight))
     return float(seq_sum(np.concatenate(terms)))
 
 

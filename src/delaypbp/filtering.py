@@ -34,7 +34,12 @@ arithmetic is that of a scalar loop over each node's grid: products
 associate as ((p * T) * q_k) * q_j..., every cell accumulates its terms in
 the C order of (x, lambda, y', x', y^{-k}) -- cells of different nodes are
 disjoint -- and expectations sum left to right (`seq_sum`), so no result
-depends on the batching.
+depends on the batching. The DP reads a time-T node only through its
+expected terminal cost, so `step`'s horizon variant builds the time-T nodes
+with state masses in place of beliefs, in the textbook association: predict
+(p * T summed over (x, lambda) in C order per (node, own action, revealed,
+x')), then correct by q_k(y' | x'). The others' fresh likelihoods sum to 1
+and move neither the revealed group nor agent k's code, so they drop out.
 """
 
 from __future__ import annotations
@@ -83,20 +88,22 @@ class StepTable:
         self.own_lik = spec.observation[t + 1][k].T          # (y'_k, x')
         # per other agent, (x', y'^{-k}) -> likelihood of its symbol
         self.other_lik = tuple(spec.observation[t + 1][j][:, y] for j, y in zip(others, ys))
+        # (lambda, u^{-k}) -> `info.revealed`'s index, one of `groups`
+        group, self.groups = revealed(spec, k, t, [pc[:, None] for pc in self.private_codes], acts)
+        self.group = np.zeros((self.size, n_acts), dtype=np.intp) + group
         # (lambda, u^{-k}, y'_k, x', y'^{-k}) -> a child's cell in its (node, own
-        # action) block: the radix over (revealed, y'_k, x', lambda'), revealed
-        # being `info.revealed`'s index, one of `groups`, of the promoted symbols.
+        # action) block: the radix over (revealed, y'_k, x', lambda').
         pcs = [pc[:, None, None, None, None] for pc in self.private_codes]
         us = [a[:, None, None, None] for a in acts]
         next_sizes = [private_size(spec, j, t + 1) for j in others]
         succ = radix([shift_code(spec, j, t, pc, y, a) for j, pc, y, a in zip(others, pcs, ys, us)],
                      next_sizes)
-        group, self.groups = revealed(spec, k, t, pcs, us)
         self.next_size = math.prod(next_sizes)
         sizes = (self.groups, spec.obs_sizes[k], X, self.next_size)
         self.block = math.prod(sizes)
         self.off = np.zeros((self.size, n_acts, *sizes[1:3], n_obs), dtype=np.intp) + radix(
-            [group, np.arange(sizes[1])[:, None, None], np.arange(X)[:, None], succ], sizes)
+            [self.group[..., None, None, None], np.arange(sizes[1])[:, None, None],
+             np.arange(X)[:, None], succ], sizes)
 
 
 _TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
@@ -124,7 +131,9 @@ class Layer:
     from node `parent` of layer t-1 under own action `action` with step
     weight `weight`, the probability of its new symbols given the parent;
     at t = 0 parent and action are -1 and weight is p(first observation).
-    `prob`, the node's probability, is the product of its path's weights."""
+    `prob`, the node's probability, is the product of its path's weights.
+    A horizon layer (at T) holds (node, state) masses in place of beliefs:
+    each node's state marginal times its weight."""
 
     t: int
     codes: np.ndarray
@@ -174,38 +183,46 @@ def start(spec: ModelSpec, k: int, g) -> Layer:
                  weight, weight)
 
 
-def children(spec: ModelSpec, k: int, lay: Layer, nodes: np.ndarray, us: np.ndarray):
+def children(spec: ModelSpec, k: int, lay: Layer, nodes: np.ndarray, us: np.ndarray, horizon=False):
     """Every positive-mass child of node nodes[i] when agent k plays us[i],
     over all i at once, as arrays (i, revealed group, y', belief, weight) in
     (i, group, y') order. The weight is the probability of (revealed, y')
-    given the node's belief and action, i.e. the step's normalizer."""
+    given the node's belief and action, i.e. the step's normalizer. With
+    horizon (at t = T-1) a child's belief is its state mass, predicted then
+    corrected."""
     tab = step_tables(spec, k)[lay.t]
     (Y, X1), G, L1 = tab.own_lik.shape, tab.groups, tab.next_size
     # positive-mass cells, pair-major and state-major within a pair
     i, xs, ls = np.nonzero(lay.beliefs[nodes] > 0.0)
     p, acts = lay.beliefs[nodes[i], xs, ls], lay.others_acts[nodes[i], ls]
     rows = tab.trans[xs, tab.joint[us[i], acts]]
-    w = ((p[:, None] * rows)[:, None, :] * tab.own_lik)[..., None]
-    for lik in tab.other_lik:
-        w = w * lik
-    cell = (i * tab.block)[:, None, None, None] + tab.off[ls, acts]
-    acc = np.bincount(cell.ravel(), w.ravel(), minlength=len(nodes) * tab.block)
-    acc = acc.reshape(-1, X1 * L1)
+    if horizon:
+        cell = ((i * G + tab.group[ls, acts]) * X1)[:, None] + np.arange(X1)
+        pred = np.bincount(cell.ravel(), (p[:, None] * rows).ravel(), minlength=len(nodes) * G * X1)
+        acc = (pred.reshape(-1, 1, X1) * tab.own_lik).reshape(-1, X1)
+    else:
+        w = ((p[:, None] * rows)[:, None, :] * tab.own_lik)[..., None]
+        for lik in tab.other_lik:
+            w = w * lik
+        cell = (i * tab.block)[:, None, None, None] + tab.off[ls, acts]
+        acc = np.bincount(cell.ravel(), w.ravel(), minlength=len(nodes) * tab.block)
+        acc = acc.reshape(-1, X1 * L1)
     totals = acc.sum(axis=1)
     keep = np.flatnonzero(totals > 0.0)
-    return (*digits(keep, (len(nodes), G, Y)),
-            (acc[keep] / totals[keep, None]).reshape(-1, X1, L1), totals[keep])
+    beliefs = acc[keep] if horizon else (acc[keep] / totals[keep, None]).reshape(-1, X1, L1)
+    return (*digits(keep, (len(nodes), G, Y)), beliefs, totals[keep])
 
 
-def step(spec: ModelSpec, k: int, g, lay: Layer, own: np.ndarray | None) -> Layer:
+def step(spec: ModelSpec, k: int, g, lay: Layer, own: np.ndarray | None, horizon=False) -> Layer:
     """Layer t+1 from layer t: with own None agent k branches over every
     action, else node i plays own[i]. One kernel call covers every
     (node, action) pair; its children, each reached once, are sorted
-    stably by code from (parent, own action, revealed, y') order."""
+    stably by code from (parent, own action, revealed, y') order. With
+    horizon, from layer T-1 only, it is the horizon layer."""
     N, A = len(lay), spec.act_sizes[k]
     nodes, us = ((np.repeat(np.arange(N), A), np.tile(np.arange(A), N)) if own is None
                  else (np.arange(N), own))
-    pair, group, y, beliefs, weight = children(spec, k, lay, nodes, us)
+    pair, group, y, beliefs, weight = children(spec, k, lay, nodes, us, horizon)
     codes = next_codes(spec, k, lay.t, lay.codes[nodes[pair]], us[pair], group, y)
     order = np.argsort(codes, kind="stable")
     codes, pair = codes[order], pair[order]
@@ -217,12 +234,14 @@ def step(spec: ModelSpec, k: int, g, lay: Layer, own: np.ndarray | None) -> Laye
                  parent, us[pair], weight, lay.prob[parent] * weight)
 
 
-def expand(spec: ModelSpec, k: int, g, free: bool, depth: int | None = None) -> list[Layer]:
+def expand(spec: ModelSpec, k: int, g, free: bool, depth: int | None = None, horizon=False
+           ) -> list[Layer]:
     """The layers t = 0..depth (T by default) of every realization reachable,
-    each node with its belief, predecessor and probability. With free, agent
-    k branches over every own action, else plays g's (a full profile)."""
+    each node with its belief, predecessor and probability, the time-T layer
+    a horizon layer with horizon. With free, agent k branches over every own
+    action, else plays g's (a full profile)."""
     layers = [start(spec, k, g)]
     for t in range(spec.T if depth is None else depth):
         own = None if free else g.actions_at(k, t, layers[t].codes)
-        layers.append(step(spec, k, g, layers[t], own))
+        layers.append(step(spec, k, g, layers[t], own, horizon and t == spec.T - 1))
     return layers

@@ -7,8 +7,10 @@ nested tuples (`advance_common`, `shift_private`), `expand` grows dicts
 realization -> belief, and the backward pass and the belief-form cost loop
 over those dicts with one stage and terminal value per node; the backward
 pass prices the horizon at T-1 through the prediction (`horizon_value`),
-as `dp.backward` does. The layer path must give the same floats bit for
-bit.
+as `dp.backward` does, and both take their time-T terms from `horizon`,
+whose children hold state masses, predicted then corrected, as
+`filtering.step`'s horizon layer does. The layer path must give the same
+floats bit for bit.
 
 Realizations here are the local records `Node` (a `Common` shared block
 and a `Private` block), and lambda is a tuple of the other agents'
@@ -251,7 +253,10 @@ class NodePass:
                 out.append((decode(spec, k, 0, y0), _frozen(mat / total), total))
         return out
 
-    def children(self, common, xi, u):
+    def children(self, common, xi, u, horizon=False):
+        """Per (revealed, y') with mass, its belief and weight; with horizon
+        (at T-1), its state mass in place of its belief: the prediction
+        summed over (x, lambda) per (revealed, x'), then times q_k."""
         spec, t = self.spec, common.t
         tab, nxt = self.table(t), self.table(t + 1)
         xs, ls, p = positive(xi)
@@ -266,22 +271,28 @@ class NodePass:
         else:
             keys, group = [()], np.zeros(len(ls), dtype=np.intp)
         rows = tab.trans[xs, tab.joint[u, acts]]
-        w = ((p[:, None] * rows)[:, None, :] * tab.own_lik)[..., None]
-        for lik in tab.other_lik:
-            w = w * lik
         (Y, X1), L1 = tab.own_lik.shape, len(nxt.lams)
-        cell = ((group[:, None, None, None] * Y + np.arange(Y)[:, None, None]) * X1
-                + np.arange(X1)[:, None]) * L1 + tab.succ[ls, :, acts][:, None, None, :]
-        acc = np.zeros(len(keys) * Y * X1 * L1)
-        np.add.at(acc, cell.reshape(-1), w.reshape(-1))
-        acc = acc.reshape(len(keys), Y, X1, L1)
+        if horizon:
+            pred = np.zeros(len(keys) * X1)
+            np.add.at(pred, (group[:, None] * X1 + np.arange(X1)).reshape(-1),
+                      (p[:, None] * rows).reshape(-1))
+            acc = pred.reshape(len(keys), 1, X1) * tab.own_lik
+        else:
+            w = ((p[:, None] * rows)[:, None, :] * tab.own_lik)[..., None]
+            for lik in tab.other_lik:
+                w = w * lik
+            cell = ((group[:, None, None, None] * Y + np.arange(Y)[:, None, None]) * X1
+                    + np.arange(X1)[:, None]) * L1 + tab.succ[ls, :, acts][:, None, None, :]
+            acc = np.zeros(len(keys) * Y * X1 * L1)
+            np.add.at(acc, cell.reshape(-1), w.reshape(-1))
+            acc = acc.reshape(len(keys), Y, X1, L1)
         out = []
         for gi, key in enumerate(keys):
             for y in range(Y):
                 mat = acc[gi, y]
                 total = float(mat.sum())
                 if total > 0.0:
-                    out.append((key, y, _frozen(mat / total), total))
+                    out.append((key, y, _frozen(mat.copy() if horizon else mat / total), total))
         return out
 
     def next_common(self, r, u, revealed):
@@ -293,25 +304,26 @@ class NodePass:
         acts.insert(self.k, p.acts[0] if self.spec.n >= 2 else u)
         return advance_common(c, tuple(obs), tuple(acts))
 
-    def successors(self, r, xi, u):
+    def successors(self, r, xi, u, horizon=False):
         out, blocks = [], {}
-        for revealed, y, b, w in self.children(r.common, xi, u):
+        for revealed, y, b, w in self.children(r.common, xi, u, horizon):
             if revealed not in blocks:
                 blocks[revealed] = self.next_common(r, u, revealed)
             out.append((Node(common=blocks[revealed],
                              private=shift_private(r.private, y, u)), b, w))
         return out
 
-    def expand(self, free):
-        """(nodes, edges): nodes[t] realization -> belief in `encode` order,
-        edges[t] (realization, action) -> ((successor, step weight), ...) in
-        expansion order."""
+    def expand(self, free, depth=None):
+        """(nodes, edges) for t = 0..depth (T by default): nodes[t]
+        realization -> belief in `encode` order, edges[t] (realization,
+        action) -> ((successor, step weight), ...) in expansion order."""
         spec, k = self.spec, self.k
-        nodes = [dict() for _ in range(spec.T + 1)]
-        edges = [dict() for _ in range(spec.T)]
+        depth = spec.T if depth is None else depth
+        nodes = [dict() for _ in range(depth + 1)]
+        edges = [dict() for _ in range(depth)]
         for r, b, _ in self.start():
             nodes[0][r] = b
-        for t in range(spec.T):
+        for t in range(depth):
             for r, xi in nodes[t].items():
                 us = (range(spec.act_sizes[k]) if free
                       else (action_at(self.g, k, t, encode(spec, r)),))
@@ -325,13 +337,13 @@ class NodePass:
             nodes[t + 1] = dict(sorted(nodes[t + 1].items(), key=lambda e: encode(spec, e[0])))
         return nodes, edges
 
-    def chain(self):
-        """Per t, realization -> (belief, probability) along g, in `encode`
-        order."""
-        nodes, edges = self.expand(free=False)
+    def chain(self, depth=None):
+        """Per t = 0..depth (T by default), realization -> (belief,
+        probability) along g, in `encode` order."""
+        nodes, edges = self.expand(free=False, depth=depth)
         prob = {r: w for r, _, w in self.start()}
         out = [{r: (b, prob[r]) for r, b in nodes[0].items()}]
-        for t in range(self.spec.T):
+        for t in range(len(edges)):
             prob = {r1: prob[r] * w for (r, _), succ in edges[t].items() for r1, w in succ}
             out.append({r: (b, prob[r]) for r, b in nodes[t + 1].items()})
         return out
@@ -339,8 +351,23 @@ class NodePass:
 
 # --- the per-node backward pass and belief-form cost --------------------------
 
-def terminal_value(spec, belief):
-    return seq_sum((spec.terminal_cost[:, None] * belief).reshape(-1))
+def terminal_value(spec, mass, total):
+    """The expected terminal cost of a horizon child: its cost-weighted
+    state mass summed left to right, over its weight."""
+    return seq_sum(spec.terminal_cost * mass) / total
+
+
+def horizon(spec, bp, nodes, actions):
+    """The horizon children of the time-(T-1) nodes (realization -> belief)
+    when node r plays each of actions(r): realization -> (state mass,
+    weight, parent), in `encode` order."""
+    out = {}
+    for r, xi in nodes.items():
+        for u in actions(r):
+            for r1, mass, w in bp.successors(r, xi, u, horizon=True):
+                assert r1 not in out
+                out[r1] = (mass, w, r)
+    return dict(sorted(out.items(), key=lambda e: encode(spec, e[0])))
 
 
 def stage_value(spec, bp, r, xi, u):
@@ -366,13 +393,15 @@ def horizon_value(spec, bp, r, xi, u, pred):
 
 def solve_best_response(spec, k, g):
     """(entries, maps): entries[t] realization -> (value, belief, best action).
-    At T-1 a value is stage plus horizon value; the time-T entries keep their
-    terminal values but no earlier value reads them."""
+    At T-1 a value is stage plus horizon value; the time-T entries are the
+    horizon children, (terminal value, state mass, None), which no earlier
+    value reads."""
     bp = NodePass(spec, k, g)
-    nodes, edges = bp.expand(free=True)
+    nodes, edges = bp.expand(free=True, depth=spec.T - 1)
     entries = [dict() for _ in range(spec.T + 1)]
-    for r, xi in nodes[spec.T].items():
-        entries[spec.T][r] = (terminal_value(spec, xi), xi, None)
+    last = horizon(spec, bp, nodes[spec.T - 1], lambda r: range(spec.act_sizes[k]))
+    entries[spec.T] = {r: (terminal_value(spec, mass, w), mass, None)
+                       for r, (mass, w, _) in last.items()}
     maps = [np.full(grid_size(spec, k, t), -1) for t in range(spec.T)]
     pred = prediction(spec)
     for t in range(spec.T - 1, -1, -1):
@@ -402,13 +431,15 @@ def expected_value(spec, k, entries):
 
 def cost_via_beliefs(spec, g, k):
     bp = NodePass(spec, k, g)
-    chain = bp.chain()
+    chain = bp.chain(depth=spec.T - 1)
     acc = 0.0
     for t in range(spec.T):
         for r, (xi, pr) in chain[t].items():
             acc += pr * stage_value(spec, bp, r, xi, action_at(g, k, t, encode(spec, r)))
-    for r, (xi, pr) in chain[spec.T].items():
-        acc += pr * terminal_value(spec, xi)
+    last = horizon(spec, bp, {r: xi for r, (xi, _) in chain[-1].items()},
+                   lambda r: (action_at(g, k, spec.T - 1, encode(spec, r)),))
+    for mass, w, r in last.values():
+        acc += chain[-1][r][1] * w * terminal_value(spec, mass, w)
     return float(acc)
 
 

@@ -37,9 +37,9 @@ def test_criterion_1_filter_matches_oracle():
             for k in range(spec.K):
                 chain = expand(spec, k, g, free=False)
                 # wider domain: own actions free, opponents frozen (the
-                # best-response tables store chained beliefs there too)
-                vtable, _ = solve_best_response(spec, k, g)
-                for layers in (chain, vtable.entries):
+                # best-response table's layers before T, and the time-T beliefs)
+                free = expand(spec, k, g, free=True)
+                for layers in (chain, free):
                     worst = max(worst, oracle_gap(spec, g, k, layers))
                     checked += sum(map(len, layers))
     report(1, "recursive beliefs equal definition-level Bayes on CANON-2A/2B",

@@ -9,7 +9,7 @@ from delaypbp import dp, oracle
 from delaypbp.dp import (ValueTable, backward, cost_via_beliefs, expected_value,
                          horizon_values, pbp_sweep, solve_best_response, stage_values,
                          terminal_values, verify_value_dominance)
-from delaypbp.filtering import expand, start
+from delaypbp.filtering import expand, seq_sum, start, step
 from delaypbp.info import grid_size
 from delaypbp.model import IMPROVE_TOL
 from delaypbp.strategies import (constant_profile, observation_following_profile,
@@ -22,30 +22,63 @@ from test_oracle import truncate_to_t1, zero_cost_variant
 
 # --- terminal values ----------------------------------------------------------
 
+def full_terminal_values(spec, beliefs):
+    """Expected terminal cost under each of a stack of time-T (state,
+    lambda) beliefs, each summed left to right over the whole grid: the
+    terminal term before the horizon layer."""
+    return seq_sum((spec.terminal_cost[:, None] * beliefs).reshape(len(beliefs), -1))
+
+
 def test_terminal_value_zero_cost(canon_2a):
     spec = zero_cost_variant(canon_2a)
     g = constant_profile(spec, 0)
-    last = expand(spec, 0, g, free=False)[spec.T]
-    assert np.all(terminal_values(spec, last.beliefs) == 0.0)
+    last = expand(spec, 0, g, free=False, horizon=True)[spec.T]
+    assert np.all(terminal_values(spec, last.beliefs, last.weight) == 0.0)
 
 
 def test_terminal_value_point_mass(canon_2a):
-    g = constant_profile(canon_2a, 0)
-    b = expand(canon_2a, 0, g, free=False)[canon_2a.T].beliefs[0]
-    point = np.zeros_like(b)
+    point = np.zeros((1, canon_2a.state_size))
     x_star = canon_2a.state_size - 1
-    point[x_star, b.shape[1] - 1] = 1.0
-    assert terminal_values(canon_2a, point[None])[0] == canon_2a.terminal_cost[x_star]
+    point[0, x_star] = 0.25
+    assert terminal_values(canon_2a, point, np.array([0.25]))[0] == \
+        canon_2a.terminal_cost[x_star]
 
 
 def test_terminal_value_matches_oracle_expectation(canon_2a):
+    """A horizon node's masses over its weight are the oracle's posterior
+    state marginal, and its terminal value that marginal's expectation."""
     g = observation_following_profile(canon_2a)
     t = canon_2a.T
-    last = expand(canon_2a, 0, g, free=False)[t]
+    last = expand(canon_2a, 0, g, free=False, horizon=True)[t]
     posts = rows_at(oracle.posteriors(canon_2a, g, 0)[t], last.codes)
-    for b, post in zip(last.beliefs, posts):
+    values = terminal_values(canon_2a, last.beliefs, last.weight)
+    for mass, w, value, post in zip(last.beliefs, last.weight, values, posts):
+        assert np.max(np.abs(mass / w - post.sum(axis=1))) <= 1e-10
         ref = sum(canon_2a.terminal_cost[x] * p for x, p in enumerate(post.sum(axis=1)))
-        assert terminal_values(canon_2a, b[None])[0] == pytest.approx(ref, abs=1e-10)
+        assert value == pytest.approx(ref, abs=1e-10)
+
+
+@pytest.mark.parametrize("name", MODELS, ids=str)
+def test_horizon_layer_equals_the_full_step(name):
+    """The horizon layer, agent k free and under g, has the full step's
+    time-T nodes (codes, parent, action) exactly, and its weights,
+    probabilities, state masses and terminal values within 1e-14 of the
+    full step's and `full_terminal_values`'."""
+    spec, g = model(name)
+    for k in sorted({0, spec.K - 1}):
+        for free in (True, False):
+            lay = expand(spec, k, g, free, depth=spec.T - 1)[-1]
+            own = None if free else g.actions_at(k, lay.t, lay.codes)
+            full, last = (step(spec, k, g, lay, own, horizon) for horizon in (False, True))
+            for field in ("codes", "parent", "action"):
+                assert np.array_equal(getattr(last, field), getattr(full, field)), field
+            assert last.beliefs.shape == (len(full), spec.state_size)
+            assert np.max(np.abs(last.weight - full.weight)) <= 1e-14
+            assert np.max(np.abs(last.prob - full.prob)) <= 1e-14
+            masses = full.beliefs.sum(axis=2) * full.weight[:, None]
+            assert np.max(np.abs(last.beliefs - masses)) <= 1e-14
+            assert np.max(np.abs(terminal_values(spec, last.beliefs, last.weight)
+                                 - full_terminal_values(spec, full.beliefs))) <= 1e-14
 
 
 @pytest.mark.parametrize("K,n,T", [(2, 2, 3), (3, 1, 2)])
@@ -56,19 +89,21 @@ def test_stage_and_terminal_values_equal_scalar_loops_bitwise(K, n, T):
     belief-weighted read over (x, lambda)."""
     spec = random_model(seed=31 * K + n, K=K, n=n, T=T, sizes=2)
     g = random_profile(spec, np.random.default_rng(n * T))
-    layers = expand(spec, 0, g, free=False)
+    layers = expand(spec, 0, g, free=False, horizon=True)
     for t, lay in enumerate(layers):
-        got = terminal_values(spec, lay.beliefs) if t == T else stage_values(spec, 0, lay)
+        if t == T:  # the horizon layer: (state) masses over their weights
+            got = terminal_values(spec, lay.beliefs, lay.weight)
+            for i, (mass, w) in enumerate(zip(lay.beliefs, lay.weight.tolist())):
+                acc = 0.0
+                for x, p in enumerate(mass.tolist()):
+                    if p > 0.0:
+                        acc += spec.terminal_cost[x] * p
+                assert got[i] == acc / w
+            continue
+        got = stage_values(spec, 0, lay)
         horizon = horizon_values(spec, 0, lay) if t == T - 1 else None
         lams = other_private_space(spec, 0, t)
         for i, (code, xi) in enumerate(layer_nodes(lay).items()):
-            if t == T:
-                acc = 0.0
-                for (x, _), p in np.ndenumerate(xi):
-                    if p > 0.0:
-                        acc += spec.terminal_cost[x] * p
-                assert got[i] == acc
-                continue
             for u in range(spec.act_sizes[0]):
                 acc = 0.0
                 for (x, li), p in np.ndenumerate(xi):
@@ -151,7 +186,7 @@ def test_expected_value_weights_are_the_chain_probabilities_bitwise(seed):
     for k in range(spec.K):
         prob0 = expand(spec, k, g, free=False)[0].prob
         first = start(spec, k, g)
-        values = terminal_values(spec, first.beliefs)
+        values = full_terminal_values(spec, first.beliefs)
         acc = 0.0
         for p, v in zip(prob0.tolist(), values):
             acc += p * v

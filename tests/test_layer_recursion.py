@@ -6,8 +6,9 @@ with one stage and terminal value per node. On the canonical instances,
 on every benchmark ladder and sweep shape, on K = 3 with n = 2 and on
 n = 3 (where promotion interleaves most) and on two sparse draws, the
 layers must give the same nodes in the same (code) order and the same
-floats bit for bit: value tables, argmins, beliefs, chain probabilities,
-the belief-form cost and the best-response sweep's trace.
+floats bit for bit: value tables, argmins, beliefs, the horizon layer's
+state masses, chain probabilities, the belief-form cost and the
+best-response sweep's trace.
 """
 
 import numpy as np
@@ -55,10 +56,16 @@ def assert_same_nodes(spec, k, ref_nodes, codes, beliefs):
 
 @pytest.mark.parametrize("name", MODELS, ids=str)
 def test_value_tables_and_argmins_equal_the_per_node_pass_bitwise(name):
+    """At t = T the table holds the horizon layer's state masses; the free
+    expansion's time-T beliefs are checked against the per-node expansion."""
     spec, g = model(name)
     for k in sorted({0, spec.K - 1}):
         vtable, maps = dp.solve_best_response(spec, k, g)
         ref_entries, ref_maps = ref.solve_best_response(spec, k, g)
+        last = expand(spec, k, g, free=True)[spec.T]
+        assert_same_nodes(spec, k, ref.NodePass(spec, k, g).expand(free=True)[0][spec.T],
+                          last.codes, last.beliefs)
+        assert np.array_equal(last.codes, vtable.entries[spec.T].codes)
         for t, (lay, values, ref_entry) in enumerate(
                 zip(vtable.entries, vtable.values, ref_entries)):
             assert_same_nodes(spec, k, {r: b for r, (_, b, _) in ref_entry.items()},
