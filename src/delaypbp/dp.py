@@ -37,8 +37,9 @@ from .strategies import StrategyProfile
 
 @dataclass(frozen=True, eq=False)
 class ValueTable:
-    """Agent k's value table: per time t < T (`backward`) or t <= T (`solve`),
-    the layer of `expand(free=True, horizon=True)` and its value per node."""
+    """Agent k's value table: per t < T the layer of `expand(free=True,
+    depth=T-1)` and its values (`backward`); `solve_best_response` appends
+    the horizon layer (`beliefs` hold (node, state) masses) and its values."""
 
     entries: tuple[Layer, ...]
     values: tuple[np.ndarray, ...]
@@ -112,11 +113,13 @@ def cost_via_beliefs(spec: ModelSpec, g_full: StrategyProfile, k: int) -> float:
     Sums, over the realizations reachable under the full profile and
     weighted by their probabilities, the belief-expectation of the stage
     cost, plus the terminal term, left to right in (time, code) order.
-    Uses only the layers of `expand(free=False, horizon=True)` (beliefs,
-    state masses and path probabilities); never enumerates trajectories.
+    Uses only the layers of `expand(free=False, depth=T-1)` and the horizon
+    layer `step` builds from the last; never enumerates trajectories.
     The result is the same number for every k.
     """
-    *layers, last = expand(spec, k, g_full, free=False, horizon=True)
+    layers = expand(spec, k, g_full, free=False, depth=spec.T - 1)
+    own = g_full.actions_at(k, spec.T - 1, layers[-1].codes)
+    last = step(spec, k, g_full, layers[-1], own, horizon=True)
     terms = [lay.prob * stage_values(spec, k, lay)[np.arange(len(lay)),
                                                    g_full.actions_at(k, lay.t, lay.codes)]
              for lay in layers]

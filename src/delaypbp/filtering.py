@@ -234,14 +234,12 @@ def step(spec: ModelSpec, k: int, g, lay: Layer, own: np.ndarray | None, horizon
                  parent, us[pair], weight, lay.prob[parent] * weight)
 
 
-def expand(spec: ModelSpec, k: int, g, free: bool, depth: int | None = None, horizon=False
-           ) -> list[Layer]:
+def expand(spec: ModelSpec, k: int, g, free: bool, depth: int | None = None) -> list[Layer]:
     """The layers t = 0..depth (T by default) of every realization reachable,
-    each node with its belief, predecessor and probability, the time-T layer
-    a horizon layer with horizon. With free, agent k branches over every own
-    action, else plays g's (a full profile)."""
+    each node with its belief, predecessor and probability. With free, agent
+    k branches over every own action, else plays g's (a full profile)."""
     layers = [start(spec, k, g)]
     for t in range(spec.T if depth is None else depth):
         own = None if free else g.actions_at(k, t, layers[t].codes)
-        layers.append(step(spec, k, g, layers[t], own, horizon and t == spec.T - 1))
+        layers.append(step(spec, k, g, layers[t], own))
     return layers

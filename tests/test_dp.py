@@ -29,10 +29,18 @@ def full_terminal_values(spec, beliefs):
     return seq_sum((spec.terminal_cost[:, None] * beliefs).reshape(len(beliefs), -1))
 
 
+def chain_layers(spec, k, g):
+    """The layers t < T of `expand(free=False)` and the horizon layer
+    `step` builds from the last, as `cost_via_beliefs` reads them."""
+    layers = expand(spec, k, g, free=False, depth=spec.T - 1)
+    own = g.actions_at(k, spec.T - 1, layers[-1].codes)
+    return [*layers, step(spec, k, g, layers[-1], own, horizon=True)]
+
+
 def test_terminal_value_zero_cost(canon_2a):
     spec = zero_cost_variant(canon_2a)
     g = constant_profile(spec, 0)
-    last = expand(spec, 0, g, free=False, horizon=True)[spec.T]
+    last = chain_layers(spec, 0, g)[spec.T]
     assert np.all(terminal_values(spec, last.beliefs, last.weight) == 0.0)
 
 
@@ -49,7 +57,7 @@ def test_terminal_value_matches_oracle_expectation(canon_2a):
     state marginal, and its terminal value that marginal's expectation."""
     g = observation_following_profile(canon_2a)
     t = canon_2a.T
-    last = expand(canon_2a, 0, g, free=False, horizon=True)[t]
+    last = chain_layers(canon_2a, 0, g)[t]
     posts = rows_at(oracle.posteriors(canon_2a, g, 0)[t], last.codes)
     values = terminal_values(canon_2a, last.beliefs, last.weight)
     for mass, w, value, post in zip(last.beliefs, last.weight, values, posts):
@@ -89,7 +97,7 @@ def test_stage_and_terminal_values_equal_scalar_loops_bitwise(K, n, T):
     belief-weighted read over (x, lambda)."""
     spec = random_model(seed=31 * K + n, K=K, n=n, T=T, sizes=2)
     g = random_profile(spec, np.random.default_rng(n * T))
-    layers = expand(spec, 0, g, free=False, horizon=True)
+    layers = chain_layers(spec, 0, g)
     for t, lay in enumerate(layers):
         if t == T:  # the horizon layer: (state) masses over their weights
             got = terminal_values(spec, lay.beliefs, lay.weight)
